@@ -1,9 +1,10 @@
-//! E10 (Fig. 11/12, §5): the administration protocol — a full kpasswd.
+//! E10 (Fig. 11/12, §5): the administration protocol — a full kpasswd, and
+//! the database write it ends in against realms of growing size.
 
 mod common;
 
 use common::{kdc_with_users, quick, tick, REALM, WS};
-use criterion::Criterion;
+use criterion::{BenchmarkId, Criterion};
 use kerberos::Principal;
 use krb_crypto::string_to_key;
 use krb_kadm::{
@@ -39,8 +40,29 @@ fn bench(c: &mut Criterion) {
     });
 }
 
+/// `with_db_mut(change_key)`: mutate the primary, snapshot it, swap the
+/// snapshot in — what every admin write costs the master, by realm size.
+fn bench_write_by_realm_size(c: &mut Criterion) {
+    let mut group = c.benchmark_group("e10_with_db_mut_change_key");
+    let key = string_to_key("rekeyed");
+    for users in [1_000usize, 10_000, 100_000, 1_000_000] {
+        let (kdc, _clock) = kdc_with_users(users);
+        let mut next = 0usize;
+        group.bench_with_input(BenchmarkId::from_parameter(users), &users, |b, &users| {
+            b.iter(|| {
+                next = (next + 7919) % users;
+                kdc.with_db_mut(|db| db.change_key(&format!("u{next}"), "", &key, common::NOW, "bench."))
+                    .unwrap()
+                    .unwrap();
+            })
+        });
+    }
+    group.finish();
+}
+
 fn main() {
     let mut c = quick();
     bench(&mut c);
+    bench_write_by_realm_size(&mut c);
     c.final_summary();
 }

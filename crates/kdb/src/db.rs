@@ -263,27 +263,18 @@ impl<S: Store> PrincipalDb<S> {
         }
     }
 
-    /// Copy every raw record into a fresh in-memory database sharing the
-    /// same master key. This is the snapshot-build primitive for the
-    /// concurrent KDC: readers serve from the immutable copy while the
-    /// backing store (possibly file-backed) stays with the writer.
+    /// An in-memory database holding every record, sharing the same master
+    /// key ([`Store::to_mem`]): O(1) over a [`MemStore`], whose clone
+    /// shares the whole tree, a record-by-record copy over any other
+    /// store. This is the snapshot-build primitive for the concurrent KDC:
+    /// readers serve from the immutable snapshot while the backing store
+    /// (possibly file-backed) stays with the writer.
+    ///
+    /// [`MemStore`]: crate::store::MemStore
     pub fn snapshot_mem(&self) -> Result<PrincipalDb<crate::store::MemStore>, DbError> {
-        let mut mem = crate::store::MemStore::new();
-        let mut first_err = None;
-        self.store.for_each(&mut |k, v| {
-            if first_err.is_some() {
-                return;
-            }
-            if let Err(e) = mem.store(k, v) {
-                first_err = Some(e);
-            }
-        })?;
-        if let Some(e) = first_err {
-            return Err(e);
-        }
         Ok(PrincipalDb {
-            store: mem,
-            master: Scheduled::new(self.master.key()),
+            store: self.store.to_mem()?,
+            master: self.master.clone(),
         })
     }
 
@@ -299,8 +290,8 @@ impl<S: Store> PrincipalDb<S> {
 }
 
 impl PrincipalDb<crate::store::MemStore> {
-    /// An empty in-memory database sharing `master_key` — the degraded
-    /// fallback a server can swap in when a snapshot copy fails mid-read:
+    /// An empty in-memory database sharing `master_key` — what a server
+    /// with no earlier snapshot starts on when its store cannot be read:
     /// every lookup misses (no principal is served from possibly-corrupt
     /// records) and nothing panics.
     pub fn empty_mem(master_key: &DesKey) -> Self {

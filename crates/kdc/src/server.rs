@@ -12,7 +12,8 @@
 //! Request handling takes `&self`: every exchange clones an `Arc` to an
 //! immutable [`KdcSnapshot`] of the principal store and never holds a lock
 //! across crypto. Writers (`with_db_mut`, `install_db`) mutate the primary
-//! database under its own mutex, rebuild a fresh snapshot, and swap the
+//! database under its own mutex, take a new snapshot of it (over a
+//! `MemStore` that shares the whole tree with the primary), and swap the
 //! `Arc` — readers observe either the old or the new database, never a
 //! half-installed one. The replay cache is lock-striped by authenticator
 //! digest ([`StripedReplayCache`]), and journal output can be sharded per
@@ -135,6 +136,9 @@ struct KdcMetrics {
     tgs_latency_us: Histogram,
     sched_hits: Counter,
     sched_misses: Counter,
+    /// Snapshots not taken because the store failed to read back; the
+    /// previous one kept serving.
+    snapshot_failures: Counter,
 }
 
 impl KdcMetrics {
@@ -150,6 +154,7 @@ impl KdcMetrics {
             tgs_latency_us: registry.histogram("kdc_tgs_latency_us"),
             sched_hits: registry.counter("kdc_sched_cache_hits_total"),
             sched_misses: registry.counter("kdc_sched_cache_misses_total"),
+            snapshot_failures: registry.counter("kdc_snapshot_failures_total"),
         }
     }
 }
@@ -247,12 +252,14 @@ impl SchedCache {
 
 /// One immutable, atomically-swapped view of the principal store. Requests
 /// clone an `Arc` to the current snapshot and serve entirely from it; a
-/// write builds a *new* snapshot and swaps the `Arc`, so no request ever
+/// write takes a *new* snapshot and swaps the `Arc`, so no request ever
 /// observes a half-installed database. The scheduled-key LRU lives inside
 /// the snapshot — a swap invalidates it wholesale, which is exactly the
 /// old `db_mut`/`install_db` invalidation contract.
 pub struct KdcSnapshot {
-    /// In-memory copy of the principal records, shared master key.
+    /// The principal records as of the swap, shared master key. Over a
+    /// `MemStore` primary it shares every tree node the writes since have
+    /// not touched; over any other store it is a copy.
     db: PrincipalDb<MemStore>,
     /// The `krbtgt` entry and its key schedule, warmed at snapshot build —
     /// every TGS request verifies against this key. `None` only when the
@@ -274,7 +281,7 @@ impl KdcSnapshot {
 /// — wrap in an `Arc` and serve from as many threads as you like.
 pub struct Kdc<S: Store> {
     /// The writable source of truth (possibly file-backed). Only writers
-    /// touch it; every mutation rebuilds [`Kdc::snapshot`] from it.
+    /// touch it; every mutation swaps in a new [`Kdc::snapshot`] of it.
     primary: Mutex<PrincipalDb<S>>,
     /// The current read snapshot; requests clone the `Arc` and go lock-free.
     snapshot: RwLock<Arc<KdcSnapshot>>,
@@ -309,7 +316,14 @@ impl<S: Store> Kdc<S> {
         let swaps = RwLock::new(registry.counter("kdc_store_swaps_total"));
         let protocol_clock = Arc::clone(&clock);
         let clock_us: ClockUs = Arc::new(move || u64::from(protocol_clock()) * 1_000_000);
-        let snapshot = build_snapshot(&db, &config.realm);
+        // No last good state to fall back on here: a store that cannot be
+        // read starts the server on an empty realm (every request answers
+        // `KdcPrUnknown`) until a write or install succeeds.
+        let mem = db.snapshot_mem().unwrap_or_else(|_| {
+            metrics.snapshot_failures.inc();
+            PrincipalDb::empty_mem(db.master_key())
+        });
+        let snapshot = build_snapshot(mem, &config.realm);
         Kdc {
             primary: Mutex::new(db),
             snapshot: RwLock::new(Arc::new(snapshot)),
@@ -454,32 +468,46 @@ impl<S: Store> Kdc<S> {
 
     /// Run `f` against the writable database — only meaningful on the
     /// master, where the KDBM runs (paper §5: "changes may only be made
-    /// to the master"); `None` on a slave. When `f` returns, a fresh
-    /// snapshot is built and swapped in: readers switch atomically from
+    /// to the master"); `None` on a slave. When `f` returns, a new
+    /// snapshot is taken and swapped in: readers switch atomically from
     /// the pre-write view to the post-write view, and every cached key
     /// schedule (krbtgt included — a rollover must not serve a stale
-    /// schedule) dies with the old snapshot.
+    /// schedule) dies with the old snapshot. If the store cannot be read
+    /// back, the previous snapshot keeps serving and
+    /// `kdc_snapshot_failures_total` counts it.
     pub fn with_db_mut<R>(&self, f: impl FnOnce(&mut PrincipalDb<S>) -> R) -> Option<R> {
         match self.role {
             KdcRole::Slave => None,
             KdcRole::Master => {
                 let mut db = self.primary.lock();
                 let out = f(&mut db);
-                let snap = build_snapshot(&db, &self.config.realm);
-                *self.snapshot.write() = Arc::new(snap);
-                self.swaps.read().inc();
+                match db.snapshot_mem() {
+                    Ok(mem) => self.swap_in(build_snapshot(mem, &self.config.realm)),
+                    Err(_) => self.hooks().metrics.snapshot_failures.inc(),
+                }
                 Some(out)
             }
         }
     }
 
     /// Replace the database contents (slave side of propagation). The new
-    /// snapshot is built *before* the swap: a request racing the install
+    /// snapshot is taken *before* the swap: a request racing the install
     /// serves either the complete old database or the complete new one.
+    /// A `db` whose store cannot be read is refused whole — the previous
+    /// primary and snapshot stay, `kdc_snapshot_failures_total` counts it.
     pub fn install_db(&self, db: PrincipalDb<S>) {
-        let snap = build_snapshot(&db, &self.config.realm);
-        let mut primary = self.primary.lock();
-        *primary = db;
+        match db.snapshot_mem() {
+            Ok(mem) => {
+                let snap = build_snapshot(mem, &self.config.realm);
+                let mut primary = self.primary.lock();
+                *primary = db;
+                self.swap_in(snap);
+            }
+            Err(_) => self.hooks().metrics.snapshot_failures.inc(),
+        }
+    }
+
+    fn swap_in(&self, snap: KdcSnapshot) {
         *self.snapshot.write() = Arc::new(snap);
         self.swaps.read().inc();
     }
@@ -745,18 +773,12 @@ impl<S: Store> Kdc<S> {
     }
 }
 
-/// Build a fresh read snapshot from `db`. A copy failure (file-backed
-/// store gone bad mid-read) degrades to an *empty* snapshot — every
-/// request answers `KdcPrUnknown` instead of panicking on a server path,
-/// and the next successful write swaps a good snapshot back in.
-fn build_snapshot<S: Store>(db: &PrincipalDb<S>, realm: &str) -> KdcSnapshot {
-    let mem = match db.snapshot_mem() {
-        Ok(mem) => mem,
-        Err(_) => PrincipalDb::empty_mem(db.master_key()),
-    };
-    let tgt_cache = warm_tgt_cache(&mem, realm);
+/// Wrap the records a snapshot serves from with cold per-snapshot caches
+/// (krbtgt's schedule warmed).
+fn build_snapshot(db: PrincipalDb<MemStore>, realm: &str) -> KdcSnapshot {
+    let tgt_cache = warm_tgt_cache(&db, realm);
     KdcSnapshot {
-        db: mem,
+        db,
         tgt_cache,
         sched_cache: Mutex::new(SchedCache::new()),
     }

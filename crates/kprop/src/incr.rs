@@ -27,7 +27,8 @@
 //! equals its applied sequence number: an already-applied record is refused
 //! as [`PropError::ReplayedUpdate`], a sequence past the next expected as
 //! [`PropError::SequenceGap`]. Application is stage-then-swap: ops land on
-//! a copy of the mirror database and the copy is swapped in only if every
+//! a snapshot of the mirror database (sharing every tree node they do not
+//! touch) and the snapshot is swapped in only if every
 //! op succeeds, so a half-applied segment can never be observed — the same
 //! discipline as the KDC's snapshot swap, which is where the mirror is then
 //! installed. A master answers a refusal (or any transport failure) by
@@ -259,7 +260,9 @@ impl Applied {
 
 /// The slave side of incremental propagation: a mirror database plus the
 /// sequence number it reflects. All checks happen before any state change;
-/// segment application is stage-then-swap on a copy of the mirror.
+/// segment application is stage-then-swap: the ops land on a snapshot of
+/// the mirror (an O(1) clone that copies only the tree paths they touch),
+/// which replaces the mirror only if every op applied.
 pub struct IncrReplica {
     master_key: DesKey,
     sched: Scheduled,
@@ -283,11 +286,6 @@ impl IncrReplica {
     /// The mirror database, once bootstrapped.
     pub fn db(&self) -> Option<&PrincipalDb<MemStore>> {
         self.db.as_ref()
-    }
-
-    /// Copy of the mirror, ready to hand to `Kdc::install_db`.
-    pub fn snapshot_db(&self) -> Option<PrincipalDb<MemStore>> {
-        self.db.as_ref().and_then(|db| db.snapshot_mem().ok())
     }
 
     /// Canonical dump text of the mirror (the conservation oracle compares
@@ -363,7 +361,7 @@ impl IncrReplica {
                 first: after_seq + 1,
             });
         }
-        // Stage onto a copy, swap only on full success.
+        // Stage onto a snapshot, swap only on full success.
         let mut stage = db.snapshot_mem()?;
         for op in &ops {
             match op {

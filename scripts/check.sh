@@ -251,4 +251,14 @@ for f in "$kdbench_json" BENCH_kdb.json; do
     done
 done
 
+echo "== kbench: harness tests + run --smoke"
+# The benchmark is a package of its own driving the public API (Kdc,
+# PrincipalDb::snapshot_mem, IncrKpropdService, ...). Building, testing
+# and smoke-running it here makes an API change that breaks it fail
+# tier-1 instead of the benchmark gate later; `run --smoke` exits non-zero
+# on any failed correctness check of any workload.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- run --smoke \
+    > /dev/null
+
 echo "== OK"
