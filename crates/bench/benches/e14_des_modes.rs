@@ -5,7 +5,9 @@ mod common;
 
 use common::quick;
 use criterion::{BenchmarkId, Criterion, Throughput};
-use krb_crypto::{encrypt_raw, quad_cksum, string_to_key, Des, DesKey, Mode};
+use krb_crypto::{
+    decrypt_raw_with, encrypt_raw, encrypt_raw_with, quad_cksum, string_to_key, Des, DesKey, Mode, Scheduled,
+};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -36,6 +38,26 @@ fn bench(c: &mut Criterion) {
                 &size,
                 |b, _| b.iter(|| black_box(encrypt_raw(mode, &key, &iv, &data).unwrap())),
             );
+        }
+    }
+    g.finish();
+
+    // Both directions at Kerberos message sizes (an authenticator is 5
+    // blocks, a ticket 8, a TGS reply ~20), schedule prebuilt: encryption
+    // chains through the cipher, decryption through XORs only, so the two
+    // directions have different floors. elem/s is blocks per second.
+    let sched = Scheduled::new(&key);
+    let mut g = c.benchmark_group("e14_mode_blocks");
+    for blocks in [1usize, 5, 8, 20, 128] {
+        let data = vec![0x5Au8; blocks * 8];
+        g.throughput(Throughput::Elements(blocks as u64));
+        for mode in [Mode::Cbc, Mode::Pcbc] {
+            g.bench_with_input(BenchmarkId::new(format!("{mode:?}_encrypt"), blocks), &blocks, |b, _| {
+                b.iter(|| black_box(encrypt_raw_with(mode, &sched, &iv, black_box(&data)).unwrap()))
+            });
+            g.bench_with_input(BenchmarkId::new(format!("{mode:?}_decrypt"), blocks), &blocks, |b, _| {
+                b.iter(|| black_box(decrypt_raw_with(mode, &sched, &iv, black_box(&data)).unwrap()))
+            });
         }
     }
     g.finish();

@@ -6,20 +6,34 @@
 //! implementation: bit-identical to [`crate::des::Des`] (property-tested
 //! against it and against the NBS vectors) but substantially faster.
 //!
-//! Two classic techniques, both built *from the reference tables at
-//! startup* so correctness is by construction:
+//! Three classic techniques. Every table is built *from the reference
+//! tables at startup* and the swap network is tested against them, so
+//! correctness is by construction:
 //!
 //! * fused S-box+P lookup: `SP[box][group6]` maps each 6-bit group
-//!   directly to its 32-bit post-P contribution — one round is 8 lookups
-//!   and XORs instead of hundreds of single-bit gathers;
-//! * byte-indexed permutation tables for IP and FP: `IP8[pos][byte]`
-//!   gives the whole 64-bit contribution of one input byte.
+//!   directly to its 32-bit post-P contribution;
+//! * rotated rounds: `L` and `R` stay rotated left by one bit for all 16
+//!   rounds, which lines E's eight overlapping 6-bit groups up on byte
+//!   boundaries of `R'` (boxes 1, 3, 5, 7) and of `R' >>> 4` (boxes 0, 2,
+//!   4, 6). The S·P tables are pre-rotated to match and each subkey is
+//!   stored as the two `u32` words those groups XOR against, so a round
+//!   is 2 XORs, 1 rotate and 8 masked lookups;
+//! * IP and FP as a five-step delta-swap network on the two halves — no
+//!   tables, so the S·P tables (2 KB) are the engine's whole cache
+//!   footprint.
+//!
+//! The round code is written over `N` independent blocks
+//! (`FastDes::decrypt_blocks_u64`): a single block is a serial chain of
+//! 16 dependent rounds, but the CPU can overlap the chains of several
+//! blocks, which is what the CBC/PCBC decrypt loop in [`crate::modes`]
+//! feeds it.
 
 use crate::key::DesKey;
-use crate::tables::{FP, IP, P, PC1, PC2, SBOX, SHIFTS};
+use crate::tables::{P, PC1, PC2, SBOX, SHIFTS};
 use std::sync::OnceLock;
 
-/// Fused S-box+P tables.
+/// Fused S-box+P tables, each entry rotated left by one bit like the
+/// `L`/`R` halves it is XORed into.
 fn sp_tables() -> &'static [[u32; 64]; 8] {
     static SP: OnceLock<[[u32; 64]; 8]> = OnceLock::new();
     SP.get_or_init(|| {
@@ -42,48 +56,16 @@ fn sp_tables() -> &'static [[u32; 64]; 8] {
                         out |= p_of_bit[4 * b + bit];
                     }
                 }
-                sp[b][group as usize] = out;
+                sp[b][group as usize] = out.rotate_left(1);
             }
         }
         sp
     })
 }
 
-/// Byte-indexed permutation: `table[pos][byte]` is the 64-bit output
+/// Byte-indexed selection table: `table[pos][byte]` is the output
 /// contribution of input byte `byte` at byte position `pos` (0 = MSB).
 type BytePerm = [[u64; 256]; 8];
-
-fn build_byte_perm(perm: &[u8; 64]) -> BytePerm {
-    // For each input bit (0-based from MSB), find its output position.
-    let mut out_pos_of_in = [0usize; 64];
-    for (dst, &src) in perm.iter().enumerate() {
-        out_pos_of_in[(src - 1) as usize] = dst;
-    }
-    let mut table = [[0u64; 256]; 8];
-    for (pos, row) in table.iter_mut().enumerate() {
-        for (byte, slot) in row.iter_mut().enumerate() {
-            let mut out = 0u64;
-            for bit in 0..8 {
-                if byte & (1 << (7 - bit)) != 0 {
-                    let in_bit = pos * 8 + bit;
-                    out |= 1u64 << (63 - out_pos_of_in[in_bit]);
-                }
-            }
-            *slot = out;
-        }
-    }
-    table
-}
-
-fn ip_tables() -> &'static BytePerm {
-    static T: OnceLock<BytePerm> = OnceLock::new();
-    T.get_or_init(|| build_byte_perm(&IP))
-}
-
-fn fp_tables() -> &'static BytePerm {
-    static T: OnceLock<BytePerm> = OnceLock::new();
-    T.get_or_init(|| build_byte_perm(&FP))
-}
 
 /// Byte-indexed PC1: `table[pos][byte]` is the 56-bit (right-aligned)
 /// contribution of key byte `byte` at byte position `pos`. PC1 is a
@@ -172,64 +154,135 @@ pub(crate) fn fast_subkeys(key: &DesKey) -> [u64; 16] {
     subkeys
 }
 
-#[inline]
-fn apply_byte_perm(table: &BytePerm, block: u64) -> u64 {
-    let b = block.to_be_bytes();
-    table[0][b[0] as usize]
-        | table[1][b[1] as usize]
-        | table[2][b[2] as usize]
-        | table[3][b[3] as usize]
-        | table[4][b[4] as usize]
-        | table[5][b[5] as usize]
-        | table[6][b[6] as usize]
-        | table[7][b[7] as usize]
+/// One subkey as the round consumes it: word 0 carries the 6-bit groups of
+/// boxes 1, 3, 5, 7 in bytes 3..0 (XORed against `R'`), word 1 those of
+/// boxes 0, 2, 4, 6 (XORed against `R' >>> 4`).
+type RoundKey = [u32; 2];
+
+fn round_key(subkey: u64) -> RoundKey {
+    let six = |b: u32| ((subkey >> (42 - 6 * b)) & 0x3F) as u32;
+    [
+        six(1) << 24 | six(3) << 16 | six(5) << 8 | six(7),
+        six(0) << 24 | six(2) << 16 | six(4) << 8 | six(6),
+    ]
+}
+
+/// Delta swap: exchange the bits of `b` under `mask` with the bits of `a`
+/// under `mask << shift`.
+#[inline(always)]
+fn delta_swap(a: &mut u32, b: &mut u32, shift: u32, mask: u32) {
+    let t = ((*a >> shift) ^ *b) & mask;
+    *b ^= t;
+    *a ^= t << shift;
+}
+
+/// The initial permutation as `(L0, R0)`.
+#[inline(always)]
+fn ip(block: u64) -> (u32, u32) {
+    let (mut l, mut r) = ((block >> 32) as u32, block as u32);
+    delta_swap(&mut l, &mut r, 4, 0x0F0F_0F0F);
+    delta_swap(&mut l, &mut r, 16, 0x0000_FFFF);
+    delta_swap(&mut r, &mut l, 2, 0x3333_3333);
+    delta_swap(&mut r, &mut l, 8, 0x00FF_00FF);
+    delta_swap(&mut l, &mut r, 1, 0x5555_5555);
+    (l, r)
+}
+
+/// The final permutation of the 64-bit word `hi:lo` — [`ip`]'s swaps in
+/// reverse order, each being its own inverse.
+#[inline(always)]
+fn fp(mut hi: u32, mut lo: u32) -> u64 {
+    delta_swap(&mut hi, &mut lo, 1, 0x5555_5555);
+    delta_swap(&mut lo, &mut hi, 8, 0x00FF_00FF);
+    delta_swap(&mut lo, &mut hi, 2, 0x3333_3333);
+    delta_swap(&mut hi, &mut lo, 16, 0x0000_FFFF);
+    delta_swap(&mut hi, &mut lo, 4, 0x0F0F_0F0F);
+    u64::from(hi) << 32 | u64::from(lo)
+}
+
+/// The cipher function `f(R, K)` on a rotated half, rotated result.
+#[inline(always)]
+fn f(sp: &[[u32; 64]; 8], r: u32, k: &RoundKey) -> u32 {
+    let odd = r ^ k[0];
+    let even = r.rotate_right(4) ^ k[1];
+    sp[7][(odd & 0x3F) as usize]
+        ^ sp[5][(odd >> 8 & 0x3F) as usize]
+        ^ sp[3][(odd >> 16 & 0x3F) as usize]
+        ^ sp[1][(odd >> 24 & 0x3F) as usize]
+        ^ sp[6][(even & 0x3F) as usize]
+        ^ sp[4][(even >> 8 & 0x3F) as usize]
+        ^ sp[2][(even >> 16 & 0x3F) as usize]
+        ^ sp[0][(even >> 24 & 0x3F) as usize]
+}
+
+/// IP, sixteen rounds with `keys` in the order given, FP — over `N`
+/// independent blocks, each step applied to every block before the next
+/// step so the `N` dependency chains overlap.
+#[inline(always)]
+fn crypt_blocks<'k, const N: usize>(
+    mut keys: impl Iterator<Item = &'k RoundKey>,
+    blocks: [u64; N],
+) -> [u64; N] {
+    let sp = sp_tables();
+    let mut l = [0u32; N];
+    let mut r = [0u32; N];
+    for i in 0..N {
+        let (l0, r0) = ip(blocks[i]);
+        l[i] = l0.rotate_left(1);
+        r[i] = r0.rotate_left(1);
+    }
+    // Two rounds per step: the first round's new R lands in `l` (the old
+    // R, now L, stays in `r`), the second's lands back in `r` — so the
+    // halves never swap.
+    while let (Some(k0), Some(k1)) = (keys.next(), keys.next()) {
+        for i in 0..N {
+            l[i] ^= f(sp, r[i], k0);
+        }
+        for i in 0..N {
+            r[i] ^= f(sp, l[i], k1);
+        }
+    }
+    let mut out = [0u64; N];
+    for i in 0..N {
+        // The pre-output block is R16:L16.
+        out[i] = fp(r[i].rotate_right(1), l[i].rotate_right(1));
+    }
+    out
 }
 
 /// A DES instance using the fused tables. Drop-in alternative to
 /// [`crate::des::Des`], as the paper says the library should permit.
 #[derive(Clone)]
 pub struct FastDes {
-    pub(crate) subkeys: [u64; 16],
+    pub(crate) subkeys: [RoundKey; 16],
 }
 
 impl FastDes {
     /// Build the key schedule via the byte-indexed PC1/PC2 tables —
-    /// bit-identical to the reference schedule but ~7× cheaper, which
-    /// matters for callers that cannot cache a [`crate::Scheduled`].
+    /// bit-identical to the reference schedule, stored in the two-word
+    /// layout the rounds consume. Callers that use a key more than once
+    /// should hold a [`crate::Scheduled`] instead of rebuilding this.
     pub fn new(key: &DesKey) -> Self {
-        FastDes { subkeys: fast_subkeys(key) }
-    }
-
-    /// One Feistel round via the fused tables.
-    #[inline]
-    fn round(sp: &[[u32; 64]; 8], r: u32, subkey: u64) -> u32 {
-        // E selects, for box b, R bits (1-based) 4b, 4b+1..4b+5, where
-        // "bit 0" wraps to bit 32. With rot = R >>> 1, rot's 0-based
-        // MSB-first position p holds R bit p (p=0 holds R[32]), so box b's
-        // group sits at positions 4b..4b+5.
-        let rot = r.rotate_right(1);
-        let mut out = 0u32;
-        for (b, table) in sp.iter().enumerate() {
-            let six = if b < 7 {
-                (rot >> (26 - 4 * b)) & 0x3F
-            } else {
-                // Box 7 wraps: positions 28..31 then 0..1.
-                ((rot & 0xF) << 2) | ((rot >> 30) & 0x3)
-            };
-            let k6 = ((subkey >> (42 - 6 * b)) & 0x3F) as u32;
-            out ^= table[(six ^ k6) as usize];
-        }
-        out
+        FastDes { subkeys: fast_subkeys(key).map(round_key) }
     }
 
     /// Encrypt one 64-bit block.
     pub fn encrypt_block_u64(&self, block: u64) -> u64 {
-        self.crypt(block, false)
+        let [out] = crypt_blocks(self.subkeys.iter(), [block]);
+        out
     }
 
     /// Decrypt one 64-bit block.
     pub fn decrypt_block_u64(&self, block: u64) -> u64 {
-        self.crypt(block, true)
+        let [out] = self.decrypt_blocks_u64([block]);
+        out
+    }
+
+    /// Decrypt `N` independent blocks side by side: the result equals `N`
+    /// calls of [`Self::decrypt_block_u64`], but the blocks' round chains
+    /// overlap in the pipeline instead of running one after another.
+    pub(crate) fn decrypt_blocks_u64<const N: usize>(&self, blocks: [u64; N]) -> [u64; N] {
+        crypt_blocks(self.subkeys.iter().rev(), blocks)
     }
 
     /// Encrypt one 8-byte block in place.
@@ -240,20 +293,6 @@ impl FastDes {
     /// Decrypt one 8-byte block in place.
     pub fn decrypt_block(&self, block: &mut [u8; 8]) {
         *block = self.decrypt_block_u64(u64::from_be_bytes(*block)).to_be_bytes();
-    }
-
-    fn crypt(&self, block: u64, decrypt: bool) -> u64 {
-        let sp = sp_tables();
-        let permuted = apply_byte_perm(ip_tables(), block);
-        let mut l = (permuted >> 32) as u32;
-        let mut r = (permuted & 0xFFFF_FFFF) as u32;
-        for round in 0..16 {
-            let k = if decrypt { self.subkeys[15 - round] } else { self.subkeys[round] };
-            let next_r = l ^ Self::round(sp, r, k);
-            l = r;
-            r = next_r;
-        }
-        apply_byte_perm(fp_tables(), (u64::from(r) << 32) | u64::from(l))
     }
 }
 
@@ -267,7 +306,9 @@ mod tests {
     }
 
     #[test]
-    fn byte_perm_matches_reference_permutation() {
+    fn swap_network_matches_reference_permutation() {
+        use crate::tables::{FP, IP};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
         let table_perm = |value: u64, table: &[u8]| -> u64 {
             let mut out = 0u64;
             for &src in table {
@@ -275,7 +316,9 @@ mod tests {
             }
             out
         };
-        for x in [
+        let halves = |x: u64| ((x >> 32) as u32, x as u32);
+        let mut rng = StdRng::seed_from_u64(0x1BF9);
+        let patterns = [
             0u64,
             u64::MAX,
             0x0123456789ABCDEF,
@@ -283,10 +326,28 @@ mod tests {
             0x8000000000000001,
             0x00000000FFFFFFFF,
             0x5555555555555555,
-        ] {
-            assert_eq!(apply_byte_perm(ip_tables(), x), table_perm(x, &IP), "IP({x:#x})");
-            assert_eq!(apply_byte_perm(fp_tables(), x), table_perm(x, &FP), "FP({x:#x})");
-            assert_eq!(apply_byte_perm(fp_tables(), apply_byte_perm(ip_tables(), x)), x);
+        ];
+        for x in patterns.into_iter().chain((0..2000).map(|_| rng.random())) {
+            let (l, r) = ip(x);
+            assert_eq!((l, r), halves(table_perm(x, &IP)), "IP({x:#x})");
+            let (hi, lo) = halves(x);
+            assert_eq!(fp(hi, lo), table_perm(x, &FP), "FP({x:#x})");
+            assert_eq!(fp(l, r), x);
+        }
+    }
+
+    #[test]
+    fn four_lanes_equal_four_single_blocks() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x4A9E);
+        for _ in 0..200 {
+            let k = key(rng.random());
+            let fast = FastDes::new(&k);
+            let reference = Des::new(&k);
+            let blocks: [u64; 4] = std::array::from_fn(|_| rng.random());
+            let lanes = fast.decrypt_blocks_u64(blocks);
+            assert_eq!(lanes, blocks.map(|b| fast.decrypt_block_u64(b)));
+            assert_eq!(lanes, blocks.map(|b| reference.decrypt_block_u64(b)));
         }
     }
 

@@ -66,14 +66,21 @@ impl std::fmt::Debug for Scheduled {
     }
 }
 
-impl Drop for Scheduled {
-    fn drop(&mut self) {
+impl Scheduled {
+    /// Overwrite every round-key word and the bound key.
+    fn wipe(&mut self) {
         // Best-effort zeroization, same caveats as `SecretKey`: the
         // workspace forbids `unsafe`, so overwrite plus a compiler fence is
         // the strongest available discouragement against eliding the store.
-        self.des.subkeys = [0u64; 16];
+        self.des.subkeys = [[0u32; 2]; 16];
         self.key = DesKey::zeroed();
         std::sync::atomic::compiler_fence(std::sync::atomic::Ordering::SeqCst);
+    }
+}
+
+impl Drop for Scheduled {
+    fn drop(&mut self) {
+        self.wipe();
     }
 }
 
@@ -109,6 +116,25 @@ mod tests {
     #[test]
     fn binds_its_key() {
         let s = Scheduled::new(&k());
+        assert_eq!(s.key().as_bytes(), k().as_bytes());
+    }
+
+    #[test]
+    fn drop_overwrites_every_word_of_the_schedule() {
+        let mut s = Scheduled::new(&k());
+        assert!(s.des.subkeys.iter().all(|k| *k != [0, 0]), "a live schedule has no blank round");
+        s.wipe(); // what `Drop` runs
+        assert_eq!(s.des.subkeys, [[0u32; 2]; 16]);
+        assert_eq!(s.key.as_bytes(), DesKey::zeroed().as_bytes());
+    }
+
+    #[test]
+    fn dropping_a_clone_leaves_the_original_intact() {
+        let s = Scheduled::new(&k());
+        drop(s.clone());
+        let mut blk = *b"\x01\x23\x45\x67\x89\xAB\xCD\xEF";
+        s.encrypt_block(&mut blk);
+        assert_eq!(u64::from_be_bytes(blk), 0x85E813540F0AB405);
         assert_eq!(s.key().as_bytes(), k().as_bytes());
     }
 

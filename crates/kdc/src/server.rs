@@ -682,8 +682,7 @@ impl<S: Store> Kdc<S> {
         // snapshot's warm cache, no lookup and no schedule build — or an
         // inter-realm key (cold path: schedule built on the spot).
         let (verifier_sched, foreign) = if req.ap.realm == self.config.realm {
-            let (_, sched) = tgt_sched(snap, now)?;
-            (sched, false)
+            (tgt_sched(snap, now)?, false)
         } else {
             let k = self
                 .config
@@ -835,10 +834,10 @@ fn lookup_sched(
     Ok((entry, sched))
 }
 
-/// The krbtgt entry + schedule, from the snapshot's warm cache. Policy
-/// checks (disabled, expiration) still run per request — only the lookup
-/// and the schedule build are amortized.
-fn tgt_sched(snap: &KdcSnapshot, now: u32) -> KrbResult<(PrincipalEntry, Arc<Scheduled>)> {
+/// The krbtgt schedule, from the snapshot's warm cache. Policy checks
+/// (disabled, expiration) still run per request on the cached entry — only
+/// the lookup and the schedule build are amortized.
+fn tgt_sched(snap: &KdcSnapshot, now: u32) -> KrbResult<Arc<Scheduled>> {
     let (entry, sched) = snap.tgt_cache.as_ref().ok_or(ErrorCode::KdcPrUnknown)?;
     if entry.attributes & ATTR_DISABLED != 0 {
         return Err(ErrorCode::KdcNullKey);
@@ -846,7 +845,7 @@ fn tgt_sched(snap: &KdcSnapshot, now: u32) -> KrbResult<(PrincipalEntry, Arc<Sch
     if entry.expiration < now {
         return Err(ErrorCode::KdcServiceExp);
     }
-    Ok((entry.clone(), Arc::clone(sched)))
+    Ok(Arc::clone(sched))
 }
 
 /// Fetch and schedule the realm's krbtgt key. `None` when the principal is

@@ -5,18 +5,13 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# One cleanup function owns every temp file. (Two separate `trap ... EXIT`
-# lines would silently replace each other — only the last would run.)
-tmpfiles=""
-cleanup() {
-    # shellcheck disable=SC2086 — word-splitting the list is the point.
-    [ -n "$tmpfiles" ] && rm -f $tmpfiles
-}
-trap cleanup EXIT
+# Every temp file lives in one directory removed on exit: `mktmp` runs
+# inside `$(...)`, a subshell, so it could not append to a list of names
+# kept in this shell.
+tmpdir="$(mktemp -d)"
+trap 'rm -rf "$tmpdir"' EXIT
 mktmp() {
-    _t="$(mktemp)"
-    tmpfiles="$tmpfiles $_t"
-    printf '%s' "$_t"
+    mktemp "$tmpdir/XXXXXX"
 }
 
 echo "== cargo check --workspace --all-targets"
@@ -31,6 +26,13 @@ echo "== cargo test --workspace -q"
 # --workspace: the root package's integration tests alone skip the member
 # crates' own test suites.
 cargo test --workspace -q
+
+echo "== cargo test --release -p krb-crypto"
+# Every measured number and every deployed binary is --release, where the
+# const-generic lane loop of the DES decrypt path is unrolled and
+# scheduled differently from the dev profile: run the reference-equality
+# tests on that code too.
+cargo test --release --offline -q -p krb-crypto
 
 echo "== krb-lint --json"
 # Machine-readable pass: the v2 schema must be present, every rule id
