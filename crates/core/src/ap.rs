@@ -6,9 +6,9 @@
 //! routines `krb_mk_safe`/`krb_rd_safe` and `krb_mk_priv`/`krb_rd_priv`
 //! (§2.1's three protection levels).
 
-use crate::authent::{Authenticator, SealedAuthenticator};
+use crate::authent::Authenticator;
 use crate::msg::{ApRep, ApReq, Message, PrivMsg, SafeMsg};
-use crate::replay::{hash_bytes, ReplayGuard, ReplayKey};
+use crate::replay::{ReplayFingerprint, ReplayGuard};
 use crate::ticket::{EncryptedTicket, Ticket};
 use crate::time::{is_expired, within_skew};
 use crate::wire::{Reader, Writer};
@@ -111,7 +111,7 @@ pub fn krb_rd_req_sched<R: ReplayGuard>(
     }
     let session_key = ticket.session_key.as_des_key();
     let session_sched = Scheduled::new(&session_key);
-    let auth = SealedAuthenticator(req.authenticator.clone()).open_with(&session_sched)?;
+    let auth = Authenticator::open_with(&req.authenticator, &session_sched)?;
     if !auth.matches_ticket(&ticket) {
         return Err(ErrorCode::RdApIncon);
     }
@@ -131,16 +131,13 @@ pub fn krb_rd_req_sched<R: ReplayGuard>(
     if ticket.timestamp > now && !within_skew(ticket.timestamp, now) {
         return Err(ErrorCode::RdApTime);
     }
-    let key = ReplayKey {
-        client: ticket.client().to_string(),
-        timestamp: auth.timestamp,
-        auth_hash: hash_bytes(&req.authenticator),
-    };
-    if !replay.check_and_insert(key, now) {
+    let client = ticket.client();
+    let fingerprint = ReplayFingerprint::new(&client, auth.timestamp, &req.authenticator);
+    if !replay.check_fingerprint(fingerprint, now) {
         return Err(ErrorCode::RdApRepeat);
     }
     Ok(VerifiedRequest {
-        client: ticket.client(),
+        client,
         session_key,
         session_sched,
         timestamp: auth.timestamp,

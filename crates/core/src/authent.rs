@@ -85,6 +85,14 @@ impl Authenticator {
         SealedAuthenticator(ct)
     }
 
+    /// Decrypt a sealed authenticator where it lies (the `authenticator`
+    /// field of an `AP_REQ`) under a precomputed session-key schedule.
+    pub fn open_with(sealed: &[u8], session: &Scheduled) -> KrbResult<Self> {
+        let plain = unseal_with(Mode::Pcbc, session, &[0u8; 8], sealed)
+            .map_err(|_| ErrorCode::RdApIncon)?;
+        Authenticator::decode(&plain).map_err(|_| ErrorCode::RdApIncon)
+    }
+
     /// Whether this authenticator agrees with the identity sealed in a
     /// ticket (the server "compares the information in the ticket with that
     /// in the authenticator", §4.3).
@@ -107,9 +115,7 @@ impl SealedAuthenticator {
     /// verifier just decrypted the ticket carrying this session key and
     /// already built its schedule).
     pub fn open_with(&self, session: &Scheduled) -> KrbResult<Authenticator> {
-        let plain = unseal_with(Mode::Pcbc, session, &[0u8; 8], &self.0)
-            .map_err(|_| ErrorCode::RdApIncon)?;
-        Authenticator::decode(&plain).map_err(|_| ErrorCode::RdApIncon)
+        Authenticator::open_with(&self.0, session)
     }
 
     /// Ciphertext length (E3 size report).

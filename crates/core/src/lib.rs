@@ -64,7 +64,9 @@ pub use cred::{Credential, CredentialCache};
 pub use error::{ErrorCode, ERROR_KINDS};
 pub use msg::{ApRep, ApReq, AsReq, EncKdcReplyPart, ErrMsg, KdcRep, Message, PrivMsg, SafeMsg, TgsReq};
 pub use name::Principal;
-pub use replay::{ReplayCache, ReplayGuard, ReplayKey, StripedReplayCache, REPLAY_STRIPES};
+pub use replay::{
+    ReplayCache, ReplayFingerprint, ReplayGuard, ReplayKey, StripedReplayCache, REPLAY_STRIPES,
+};
 pub use ticket::{EncryptedTicket, Ticket};
 pub use time::{
     expiry, is_expired, life_to_secs, remaining_life, secs_to_life, within_skew,

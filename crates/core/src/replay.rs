@@ -5,26 +5,178 @@
 //! > attacks, a request received with the same ticket and time stamp as one
 //! > already received can be discarded."
 //!
-//! Entries are keyed by (client identity, authenticator timestamp, a hash
-//! of the authenticator ciphertext) and expire once their timestamp falls
-//! outside the skew window — after that, the freshness check alone rejects
-//! them, so the cache stays bounded.
+//! What is stored per request is a 24-byte [`ReplayFingerprint`]
+//! (authenticator timestamp, a hash of the client's `name.instance@realm`,
+//! a hash of the authenticator ciphertext) — no string, no per-entry
+//! allocation. Fingerprints are grouped into *generations* by timestamp
+//! (`timestamp >> GEN_SHIFT`), so the requests arriving now all land in
+//! the one or two newest generations, and expiry drops whole generations:
+//! an entry leaves once its timestamp is more than `2 × MAX_SKEW_SECS`
+//! behind the server clock — long after the freshness check alone rejects
+//! it — so the cache stays bounded. DESIGN.md §4 has the argument for why
+//! a fingerprint can refuse an honest request (never, in practice) but can
+//! never accept a replay.
 
 use crate::time::MAX_SKEW_SECS;
+use crate::Principal;
 use krb_telemetry::{Counter, Registry};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// Identity of one request for replay purposes.
+/// Identity of one request for replay purposes, in its descriptive form.
+/// The caches store its [`ReplayFingerprint`], not the key itself.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ReplayKey {
-    /// Client `name.instance@realm`.
+    /// Client `name.instance@realm`. Only its [`hash_bytes`] value is kept
+    /// by a cache.
     pub client: String,
     /// Authenticator timestamp.
     pub timestamp: u32,
     /// FNV hash of the authenticator ciphertext (distinguishes two honest
     /// requests in the same second from a byte-identical replay).
     pub auth_hash: u64,
+}
+
+impl ReplayKey {
+    /// What a cache stores for this key.
+    pub fn fingerprint(&self) -> ReplayFingerprint {
+        ReplayFingerprint {
+            timestamp: self.timestamp,
+            client_hash: hash_bytes(self.client.as_bytes()),
+            auth_hash: self.auth_hash,
+        }
+    }
+}
+
+/// What a replay cache stores for one request: fixed size, `Copy`, and a
+/// function of the request's bytes alone, so a byte-identical replay always
+/// maps to the fingerprint already stored.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct ReplayFingerprint {
+    timestamp: u32,
+    client_hash: u64,
+    auth_hash: u64,
+}
+
+// A fingerprint is 24 bytes; a wider one fails to compile here.
+const _: usize = 24 - std::mem::size_of::<ReplayFingerprint>();
+
+impl ReplayFingerprint {
+    /// Fingerprint of a verified request: the ticket's client, the
+    /// authenticator's timestamp and the sealed authenticator's bytes.
+    /// Equal to `ReplayKey { client: client.to_string(), .. }.fingerprint()`
+    /// without building the string.
+    pub fn new(client: &Principal, timestamp: u32, authenticator: &[u8]) -> Self {
+        let mut h = fnv1a(FNV_OFFSET, client.name.as_bytes());
+        if !client.instance.is_empty() {
+            h = fnv1a(fnv1a(h, b"."), client.instance.as_bytes());
+        }
+        h = fnv1a(fnv1a(h, b"@"), client.realm.as_bytes());
+        ReplayFingerprint { timestamp, client_hash: h, auth_hash: hash_bytes(authenticator) }
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over `data`, continuing from state `h`.
+fn fnv1a(mut h: u64, data: &[u8]) -> u64 {
+    for &b in data {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Hash bytes for [`ReplayKey::auth_hash`].
+pub fn hash_bytes(data: &[u8]) -> u64 {
+    fnv1a(FNV_OFFSET, data)
+}
+
+/// Hasher for sets of fingerprints. Two of the three words it is fed are
+/// already 64-bit hashes, so it only folds them together; the multiply and
+/// shift in `finish` spread the fold over both ends of the word, because
+/// the table takes its bucket from the low bits and its tag from the high
+/// ones, and a stripe's fingerprints all share their `auth_hash` low bits.
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = self.0.rotate_left(23) ^ x;
+    }
+
+    fn finish(&self) -> u64 {
+        let m = self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        m ^ (m >> 32)
+    }
+}
+
+/// Width of a generation as a shift: generation = `timestamp >> GEN_SHIFT`
+/// (64 s). Fixed by the sweep recorded in EXPERIMENTS.md ("Replay cache
+/// v2"): wide enough that the skew window is a couple of dozen tables,
+/// narrow enough that the newest one stays cache-resident.
+const GEN_SHIFT: u32 = 6;
+
+type Generation = HashSet<ReplayFingerprint, BuildHasherDefault<FoldHasher>>;
+
+/// The store inside both cache shapes: generations of fingerprints in
+/// timestamp order, plus the purge clock. Empty until the first insert.
+#[derive(Default, Debug)]
+struct Generations {
+    gens: BTreeMap<u32, Generation>,
+    last_purge: u32,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Entries the purge sweeps on this thread have looked at one by one.
+    static SWEEP_VISITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl Generations {
+    /// Record a fingerprint. Returns `false` if it was already present.
+    fn insert(&mut self, fp: ReplayFingerprint) -> bool {
+        self.gens.entry(fp.timestamp >> GEN_SHIFT).or_default().insert(fp)
+    }
+
+    fn len(&self) -> usize {
+        self.gens.values().map(HashSet::len).sum()
+    }
+
+    /// Purge at most once per skew window; entries older than twice the
+    /// window are unreachable (the freshness check rejects them first).
+    /// Generations wholly behind the cutoff are dropped unvisited; only the
+    /// one straddling it is walked. Returns the number of entries evicted.
+    fn purge_if_due(&mut self, now: u32) -> u64 {
+        if now.saturating_sub(self.last_purge) < MAX_SKEW_SECS {
+            return 0;
+        }
+        self.last_purge = now;
+        let cutoff = now.saturating_sub(2 * MAX_SKEW_SECS);
+        let boundary = cutoff >> GEN_SHIFT;
+        let live = self.gens.split_off(&boundary);
+        let expired = std::mem::replace(&mut self.gens, live);
+        let mut evicted: usize = expired.values().map(HashSet::len).sum();
+        if let Some(straddling) = self.gens.get_mut(&boundary) {
+            let before = straddling.len();
+            #[cfg(test)]
+            SWEEP_VISITS.with(|v| v.set(v.get() + before));
+            straddling.retain(|fp| fp.timestamp >= cutoff);
+            evicted += before - straddling.len();
+        }
+        evicted as u64
+    }
 }
 
 /// Bounded cache of recently seen requests.
@@ -34,20 +186,9 @@ pub struct ReplayKey {
 /// [`ReplayCache::publish`]; the cache itself stays dependency-light.
 #[derive(Default, Debug)]
 pub struct ReplayCache {
-    seen: HashMap<ReplayKey, u32>,
-    last_purge: u32,
+    store: Generations,
     hits: Counter,
     evictions: Counter,
-}
-
-/// Hash bytes for [`ReplayKey::auth_hash`].
-pub fn hash_bytes(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl ReplayCache {
@@ -58,12 +199,19 @@ impl ReplayCache {
 
     /// Record a request. Returns `false` if it was already seen (a replay).
     pub fn check_and_insert(&mut self, key: ReplayKey, now: u32) -> bool {
-        self.maybe_purge(now);
-        if self.seen.contains_key(&key) {
+        self.check_fingerprint(key.fingerprint(), now)
+    }
+
+    /// [`ReplayCache::check_and_insert`] on the stored form.
+    pub fn check_fingerprint(&mut self, fp: ReplayFingerprint, now: u32) -> bool {
+        let evicted = self.store.purge_if_due(now);
+        if evicted > 0 {
+            self.evictions.add(evicted);
+        }
+        if !self.store.insert(fp) {
             self.hits.inc();
             return false;
         }
-        self.seen.insert(key, now);
         true
     }
 
@@ -88,24 +236,12 @@ impl ReplayCache {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.seen.len()
+        self.store.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
-    }
-
-    fn maybe_purge(&mut self, now: u32) {
-        // Purge at most once per skew window; entries older than the window
-        // are unreachable (freshness check rejects them first).
-        if now.saturating_sub(self.last_purge) < MAX_SKEW_SECS {
-            return;
-        }
-        self.last_purge = now;
-        let before = self.seen.len();
-        self.seen.retain(|k, _| now.saturating_sub(k.timestamp) <= 2 * MAX_SKEW_SECS);
-        self.evictions.add((before - self.seen.len()) as u64);
+        self.len() == 0
     }
 }
 
@@ -114,19 +250,25 @@ impl ReplayCache {
 /// reference to a [`StripedReplayCache`] (interior mutability, so a
 /// concurrent KDC can check replays from `&self`).
 pub trait ReplayGuard {
+    /// Record a request by its fingerprint. Returns `false` if it was
+    /// already seen (a replay).
+    fn check_fingerprint(&mut self, fp: ReplayFingerprint, now: u32) -> bool;
+
     /// Record a request. Returns `false` if it was already seen (a replay).
-    fn check_and_insert(&mut self, key: ReplayKey, now: u32) -> bool;
+    fn check_and_insert(&mut self, key: ReplayKey, now: u32) -> bool {
+        self.check_fingerprint(key.fingerprint(), now)
+    }
 }
 
 impl ReplayGuard for ReplayCache {
-    fn check_and_insert(&mut self, key: ReplayKey, now: u32) -> bool {
-        ReplayCache::check_and_insert(self, key, now)
+    fn check_fingerprint(&mut self, fp: ReplayFingerprint, now: u32) -> bool {
+        ReplayCache::check_fingerprint(self, fp, now)
     }
 }
 
 impl ReplayGuard for &StripedReplayCache {
-    fn check_and_insert(&mut self, key: ReplayKey, now: u32) -> bool {
-        StripedReplayCache::check_and_insert(self, key, now)
+    fn check_fingerprint(&mut self, fp: ReplayFingerprint, now: u32) -> bool {
+        StripedReplayCache::check_fingerprint(self, fp, now)
     }
 }
 
@@ -135,31 +277,11 @@ impl ReplayGuard for &StripedReplayCache {
 /// counts a single realm sees.
 pub const REPLAY_STRIPES: usize = 16;
 
-/// One stripe's mutable state: its slice of the seen-set plus its own
-/// purge clock (purges are per stripe, so no stripe ever waits on a
-/// sweep of another stripe's entries).
-#[derive(Default, Debug)]
-struct ReplayStripe {
-    seen: HashMap<ReplayKey, u32>,
-    last_purge: u32,
-}
-
-impl ReplayStripe {
-    fn maybe_purge(&mut self, now: u32, evictions: &Counter) {
-        if now.saturating_sub(self.last_purge) < MAX_SKEW_SECS {
-            return;
-        }
-        self.last_purge = now;
-        let before = self.seen.len();
-        self.seen.retain(|k, _| now.saturating_sub(k.timestamp) <= 2 * MAX_SKEW_SECS);
-        evictions.add((before - self.seen.len()) as u64);
-    }
-}
-
 /// A lock-striped replay cache: [`REPLAY_STRIPES`] independent shards,
 /// selected by the authenticator hash, each behind its own mutex with its
-/// own purge clock. `check_and_insert` takes `&self`, so a multi-threaded
-/// KDC consults it without any global lock.
+/// own purge clock (so no stripe ever waits on a sweep of another stripe's
+/// entries). `check_and_insert` takes `&self`, so a multi-threaded KDC
+/// consults it without any global lock.
 ///
 /// ## Equivalence with [`ReplayCache`]
 ///
@@ -175,7 +297,7 @@ impl ReplayStripe {
 /// `crates/core/tests/proptests.rs` pins this, skew boundary included.
 #[derive(Debug)]
 pub struct StripedReplayCache {
-    stripes: Vec<Mutex<ReplayStripe>>,
+    stripes: Vec<Mutex<Generations>>,
     /// Per-stripe replay-hit counters, published with zero-padded labels
     /// so the registry's lexicographic render is also numeric order.
     /// Handles sit behind `RwLock` so [`StripedReplayCache::publish`] can
@@ -189,7 +311,7 @@ pub struct StripedReplayCache {
 impl Default for StripedReplayCache {
     fn default() -> Self {
         StripedReplayCache {
-            stripes: (0..REPLAY_STRIPES).map(|_| Mutex::new(ReplayStripe::default())).collect(),
+            stripes: (0..REPLAY_STRIPES).map(|_| Mutex::new(Generations::default())).collect(),
             stripe_hits: (0..REPLAY_STRIPES).map(|_| RwLock::new(Counter::new())).collect(),
             hits: RwLock::new(Counter::new()),
             evictions: RwLock::new(Counter::new()),
@@ -203,23 +325,25 @@ impl StripedReplayCache {
         Self::default()
     }
 
-    /// Which stripe a key lands in.
-    fn stripe_of(key: &ReplayKey) -> usize {
-        (key.auth_hash % REPLAY_STRIPES as u64) as usize
+    /// Record a request. Returns `false` if it was already seen (a replay).
+    pub fn check_and_insert(&self, key: ReplayKey, now: u32) -> bool {
+        self.check_fingerprint(key.fingerprint(), now)
     }
 
-    /// Record a request. Returns `false` if it was already seen (a replay).
-    /// Only the key's stripe is locked, and only for the map probe.
-    pub fn check_and_insert(&self, key: ReplayKey, now: u32) -> bool {
-        let i = Self::stripe_of(&key);
+    /// [`StripedReplayCache::check_and_insert`] on the stored form. Only
+    /// the fingerprint's stripe is locked, and only for the set probe.
+    pub fn check_fingerprint(&self, fp: ReplayFingerprint, now: u32) -> bool {
+        let i = (fp.auth_hash % REPLAY_STRIPES as u64) as usize;
         let mut stripe = self.stripes[i].lock();
-        stripe.maybe_purge(now, &self.evictions.read());
-        if stripe.seen.contains_key(&key) {
+        let evicted = stripe.purge_if_due(now);
+        if evicted > 0 {
+            self.evictions.read().add(evicted);
+        }
+        if !stripe.insert(fp) {
             self.hits.read().inc();
             self.stripe_hits[i].read().inc();
             return false;
         }
-        stripe.seen.insert(key, now);
         true
     }
 
@@ -256,7 +380,7 @@ impl StripedReplayCache {
 
     /// Number of live entries across all stripes.
     pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().seen.len()).sum()
+        self.stripes.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Whether every stripe is empty.
@@ -401,6 +525,64 @@ mod tests {
         }
         assert_eq!(rc.len(), 100, "stale entries swept: {}", rc.len());
         assert!(rc.evictions() > 0);
+    }
+
+    #[test]
+    fn fingerprint_of_a_principal_is_the_fingerprint_of_its_display_form() {
+        for text in ["bcn", "rlogin.priam", "a.b.c"] {
+            let client = Principal::parse(text, "ATHENA.MIT.EDU").unwrap();
+            let key = ReplayKey {
+                client: client.to_string(),
+                timestamp: 7,
+                auth_hash: hash_bytes(b"sealed"),
+            };
+            assert_eq!(ReplayFingerprint::new(&client, 7, b"sealed"), key.fingerprint(), "{text}");
+        }
+    }
+
+    #[test]
+    fn a_new_cache_holds_no_generation() {
+        // An empty BTreeMap owns no heap, so an unused cache costs its
+        // counters and (striped) the stripe vector, nothing per second of
+        // window: passwd_churn keeps some 34 caches that stay small.
+        assert!(ReplayCache::new().store.gens.is_empty());
+        let striped = StripedReplayCache::new();
+        assert_eq!(striped.stripes.len(), REPLAY_STRIPES);
+        assert!(striped.stripes.iter().all(|s| s.lock().gens.is_empty()));
+    }
+
+    #[test]
+    fn a_sweep_walks_only_the_generation_straddling_the_cutoff() {
+        const PER_SECOND: u32 = 10;
+        let mut rc = ReplayCache::new();
+        for ts in 0..2_000u32 {
+            for i in 0..PER_SECOND {
+                assert!(rc.check_and_insert(key("bcn@A", ts, &(ts * PER_SECOND + i).to_be_bytes()), 0));
+            }
+        }
+        // A cutoff in the middle of a generation: everything before it goes.
+        let cutoff = (17 << GEN_SHIFT) + (1 << GEN_SHIFT) / 2;
+        let visited_before = SWEEP_VISITS.with(std::cell::Cell::get);
+        assert!(rc.check_and_insert(key("bcn@A", cutoff, b"now"), cutoff + 2 * MAX_SKEW_SECS));
+        let visited = SWEEP_VISITS.with(std::cell::Cell::get) - visited_before;
+        assert_eq!(rc.evictions(), u64::from(cutoff * PER_SECOND));
+        assert_eq!(rc.len() as u64, u64::from((2_000 - cutoff) * PER_SECOND) + 1);
+        assert_eq!(visited, ((1usize << GEN_SHIFT) * PER_SECOND as usize), "one generation, not 17");
+    }
+
+    #[test]
+    fn one_stripes_fingerprints_spread_over_the_table() {
+        // Everything in a stripe shares the low four bits of `auth_hash`;
+        // the table's bucket index must not inherit that.
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<FoldHasher>::default();
+        let buckets: HashSet<u64> = (0..1024u64)
+            .map(|i| {
+                let fp = ReplayFingerprint { timestamp: 100, client_hash: 9, auth_hash: (i << 4) | 3 };
+                build.hash_one(fp) & 1023
+            })
+            .collect();
+        assert!(buckets.len() > 512, "{} of 1024 buckets used", buckets.len());
     }
 
     #[test]

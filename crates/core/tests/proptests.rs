@@ -4,10 +4,11 @@
 use kerberos::{
     ApRep, ApReq, AsReq, EncKdcReplyPart, EncryptedTicket, ErrMsg, ErrorCode, KdcRep, Message,
     PrivMsg, Principal, ReplayCache, ReplayKey, SafeMsg, StripedReplayCache, TgsReq, Ticket,
-    MAX_SKEW_SECS,
+    MAX_SKEW_SECS, REPLAY_STRIPES,
 };
 use krb_crypto::DesKey;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn arb_component() -> impl Strategy<Value = String> {
     "[a-z0-9_-]{1,12}"
@@ -33,6 +34,100 @@ prop_compose! {
         key in any::<[u8; 8]>(),
     ) -> Ticket {
         Ticket::new(&s, &c, addr, ts, life, key)
+    }
+}
+
+/// The replay cache as it was first written, kept as the definition the
+/// generation store is checked against: one `HashMap` of full keys, swept
+/// whole with `retain` at most once per skew window.
+#[derive(Default)]
+struct ModelReplayCache {
+    seen: HashMap<ReplayKey, u32>,
+    last_purge: u32,
+    hits: u64,
+    evictions: u64,
+}
+
+impl ModelReplayCache {
+    fn check_and_insert(&mut self, key: ReplayKey, now: u32) -> bool {
+        if now.saturating_sub(self.last_purge) >= MAX_SKEW_SECS {
+            self.last_purge = now;
+            let before = self.seen.len();
+            self.seen.retain(|k, _| now.saturating_sub(k.timestamp) <= 2 * MAX_SKEW_SECS);
+            self.evictions += (before - self.seen.len()) as u64;
+        }
+        if self.seen.contains_key(&key) {
+            self.hits += 1;
+            return false;
+        }
+        self.seen.insert(key, now);
+        true
+    }
+}
+
+/// How the server clock moves before a request.
+#[derive(Clone, Debug)]
+enum Tick {
+    Stay,
+    Forward(u32),
+    /// Past every entry's `2 × MAX_SKEW_SECS` horizon in one step.
+    Jump(u32),
+    Back(u32),
+}
+
+fn arb_tick() -> impl Strategy<Value = Tick> {
+    prop_oneof![
+        2 => Just(Tick::Stay),
+        6 => (1u32..=150).prop_map(Tick::Forward),
+        1 => (2 * MAX_SKEW_SECS + 1..5_000).prop_map(Tick::Jump),
+        2 => (1u32..=2 * MAX_SKEW_SECS).prop_map(Tick::Back),
+    ]
+}
+
+/// Where a request's timestamp lies. A cache must not care whether the
+/// freshness check would have let it through.
+#[derive(Clone, Debug)]
+enum Stamp {
+    Fixed(u32),
+    Behind(u32),
+    Ahead(u32),
+    /// The first second of a 16-, 64- or 256-second block at or before
+    /// `now − behind`, or the second before it.
+    BlockEdge { bits: u32, behind: u32, before: bool },
+}
+
+fn arb_stamp() -> impl Strategy<Value = Stamp> {
+    prop_oneof![
+        1 => prop_oneof![Just(0), Just(1), Just(u32::MAX), Just(u32::MAX - 1), any::<u32>()]
+            .prop_map(Stamp::Fixed),
+        4 => prop_oneof![
+            Just(0),
+            Just(MAX_SKEW_SECS),
+            Just(MAX_SKEW_SECS + 1),
+            Just(2 * MAX_SKEW_SECS - 1),
+            Just(2 * MAX_SKEW_SECS),
+            Just(2 * MAX_SKEW_SECS + 1),
+            0u32..=3 * MAX_SKEW_SECS,
+        ]
+        .prop_map(Stamp::Behind),
+        2 => prop_oneof![Just(MAX_SKEW_SECS), Just(MAX_SKEW_SECS + 1), 1u32..=MAX_SKEW_SECS]
+            .prop_map(Stamp::Ahead),
+        3 => (prop_oneof![Just(4u32), Just(6), Just(8)], 0u32..=3 * MAX_SKEW_SECS, any::<bool>())
+            .prop_map(|(bits, behind, before)| Stamp::BlockEdge { bits, behind, before }),
+    ]
+}
+
+impl Stamp {
+    fn at(&self, now: u32) -> u32 {
+        match *self {
+            Stamp::Fixed(ts) => ts,
+            Stamp::Behind(d) => now.saturating_sub(d),
+            Stamp::Ahead(d) => now.saturating_add(d),
+            Stamp::BlockEdge { bits, behind, before } => {
+                let edge = now.saturating_sub(behind) >> bits << bits;
+                edge.saturating_sub(u32::from(before))
+            }
+        }
     }
 }
 
@@ -158,5 +253,64 @@ proptest! {
             prop_assert_eq!(a, b, "verdicts diverged at now={}", now);
         }
         prop_assert_eq!(single.replay_hits(), striped.replay_hits());
+    }
+
+    // The generation store against the definition it replaced, and not
+    // only on the sequences krb_rd_req can produce: any timestamp, and a
+    // clock that stands still, leaps past the purge horizon or runs
+    // backwards. Decision, size, hits and evictions agree after every step,
+    // for the single cache and (against sixteen models with their own purge
+    // clocks) for the striped one.
+    #[test]
+    fn replay_cache_equals_reference_model(
+        start in prop_oneof![Just(0u32), Just(1_000_000), Just(u32::MAX - 20_000)],
+        ops in proptest::collection::vec(
+            (arb_tick(), 0usize..3, 0usize..8, arb_stamp()),
+            1..300,
+        ),
+    ) {
+        let clients = ["bcn@ATHENA.MIT.EDU", "bcn.root@ATHENA.MIT.EDU", "jis@LCS.MIT.EDU"];
+        let mut model = ModelReplayCache::default();
+        let mut single = ReplayCache::new();
+        let mut stripe_models: Vec<ModelReplayCache> =
+            (0..REPLAY_STRIPES).map(|_| ModelReplayCache::default()).collect();
+        let striped = StripedReplayCache::new();
+        let mut now = start;
+        for (tick, ci, ai, stamp) in ops {
+            now = match tick {
+                Tick::Stay => now,
+                Tick::Forward(d) | Tick::Jump(d) => now.saturating_add(d),
+                Tick::Back(d) => now.saturating_sub(d),
+            };
+            let key = ReplayKey {
+                client: clients[ci].to_string(),
+                timestamp: stamp.at(now),
+                auth_hash: kerberos::replay::hash_bytes(&[ai as u8; 24]),
+            };
+            let stripe = &mut stripe_models[(key.auth_hash % REPLAY_STRIPES as u64) as usize];
+
+            prop_assert_eq!(
+                single.check_and_insert(key.clone(), now),
+                model.check_and_insert(key.clone(), now),
+                "single cache, now={} ts={}", now, key.timestamp
+            );
+            prop_assert_eq!(
+                striped.check_and_insert(key.clone(), now),
+                stripe.check_and_insert(key.clone(), now),
+                "striped cache, now={} ts={}", now, key.timestamp
+            );
+            prop_assert_eq!(
+                (single.len(), single.replay_hits(), single.evictions()),
+                (model.seen.len(), model.hits, model.evictions)
+            );
+            prop_assert_eq!(
+                (striped.len(), striped.replay_hits(), striped.evictions()),
+                (
+                    stripe_models.iter().map(|m| m.seen.len()).sum::<usize>(),
+                    stripe_models.iter().map(|m| m.hits).sum::<u64>(),
+                    stripe_models.iter().map(|m| m.evictions).sum::<u64>(),
+                )
+            );
+        }
     }
 }

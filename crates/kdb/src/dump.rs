@@ -98,8 +98,13 @@ pub fn parse(dump: &str) -> Result<Vec<PrincipalEntry>, DbError> {
         .next()
         .and_then(|c| c.parse().ok())
         .ok_or_else(|| DbError::Corrupt("bad dump count".into()))?;
-    let entries: Result<Vec<_>, _> = lines.map(line_to_entry).collect();
-    let entries = entries?;
+    // Sized once from the header (a growing Vec ends at up to twice the
+    // realm, and moves it on the way), but never past what the text could
+    // hold: a line is nine fields, the last sixteen hex digits.
+    let mut entries = Vec::with_capacity(count.min(dump.len() / 32));
+    for line in lines {
+        entries.push(line_to_entry(line)?);
+    }
     if entries.len() != count {
         return Err(DbError::Corrupt(format!(
             "dump count {count} but {} entries",
@@ -185,6 +190,13 @@ mod tests {
             lines.join("\n") + "\n"
         };
         assert!(parse(&truncated).is_err());
+    }
+
+    #[test]
+    fn a_header_count_larger_than_the_text_reserves_nothing_for_it() {
+        // usize::MAX entries could not be reserved; the count is only trusted
+        // up to what the text has room for.
+        assert!(parse(&format!("{HEADER} {}\n", usize::MAX)).is_err());
     }
 
     #[test]

@@ -7,6 +7,8 @@ use kerberos::{build_as_req, read_as_reply_with_password, ErrorCode, Principal};
 use krb_crypto::string_to_key;
 use krb_kdb::{dump, DbError, MemStore, PrincipalDb, Store, ATTR_DISABLED};
 use krb_kdc::{fixed_clock, Kdc, KdcRole, RealmConfig};
+use krb_mon::{HealthSpec, MonState};
+use krb_telemetry::Journal;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -182,6 +184,12 @@ fn failures(kdc: &Kdc<FlakyStore>) -> u64 {
     kdc.telemetry().counter_value("kdc_snapshot_failures_total")
 }
 
+/// The `kdc` verdict a monitor reading this KDC's registry reports.
+fn kdc_health(kdc: &Kdc<FlakyStore>) -> String {
+    let state = MonState::new("kdc", kdc.telemetry(), Journal::shared()).with_health(HealthSpec::kdc());
+    state.health().components[0].state.clone()
+}
+
 fn swaps(kdc: &Kdc<FlakyStore>) -> u64 {
     kdc.telemetry().counter_value("kdc_store_swaps_total")
 }
@@ -248,4 +256,26 @@ fn a_server_started_on_an_unreadable_store_serves_an_empty_realm_until_it_reads(
     broken.store(false, Ordering::SeqCst);
     kdc.with_db_mut(|_| ()).unwrap();
     assert_eq!(login(&kdc, 1, "pw-0-1"), Ok(()));
+}
+
+#[test]
+fn kdc_health_sees_a_store_that_stopped_reading() {
+    let broken = Arc::new(AtomicBool::new(false));
+    let kdc = Kdc::new(
+        flaky_realm(3, 0, &broken),
+        RealmConfig::new(REALM),
+        fixed_clock(NOW),
+        KdcRole::Master,
+        1,
+    );
+    assert_eq!(login(&kdc, 1, "pw-0-1"), Ok(()));
+    kdc.with_db_mut(|_| ()).unwrap();
+    assert_eq!((failures(&kdc), kdc_health(&kdc).as_str()), (0, "healthy"));
+
+    // One read failure: every request still succeeds (the last good
+    // snapshot serves), so only the fault counter can tell.
+    broken.store(true, Ordering::SeqCst);
+    kdc.with_db_mut(|_| ()).unwrap();
+    assert_eq!(login(&kdc, 1, "pw-0-1"), Ok(()));
+    assert_eq!((failures(&kdc), kdc_health(&kdc).as_str()), (1, "degraded"));
 }

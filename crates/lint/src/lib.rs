@@ -78,9 +78,11 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Files whose non-test code handles remote requests (L3 scope), and the
-/// in-memory store every KDC lookup descends through.
+/// Files whose non-test code handles remote requests (L3 scope), plus the
+/// in-memory store every KDC lookup descends through and the replay cache
+/// every server's `krb_rd_req` consults.
 const SERVER_PATH_FILES: &[&str] = &[
+    "crates/core/src/replay.rs",
     "crates/kdb/src/store.rs",
     "crates/kdc/src/server.rs",
     "crates/kdc/src/service.rs",

@@ -35,6 +35,9 @@ pub struct HealthSpec {
     pub err_counters: Vec<String>,
     /// Counters whose sum is the replay-hit count.
     pub replay_counters: Vec<String>,
+    /// Counters of internal faults: a non-zero sum makes the component at
+    /// least degraded, however clean its request rates look.
+    pub fault_counters: Vec<String>,
     /// Rate thresholds for the verdict ladder.
     pub thresholds: HealthThresholds,
 }
@@ -48,18 +51,21 @@ impl HealthSpec {
             ok_counters: Vec::new(),
             err_counters: Vec::new(),
             replay_counters: Vec::new(),
+            fault_counters: Vec::new(),
             thresholds: HealthThresholds::default(),
         }
     }
 
     /// The standard KDC spec: AS+TGS successes vs `kdc_error_total`,
-    /// replay hits as the replay signal.
+    /// replay hits as the replay signal, and a store snapshot that failed
+    /// to read (the KDC keeps serving the last good one) as a fault.
     pub fn kdc() -> Self {
         HealthSpec {
             component: "kdc".to_string(),
             ok_counters: vec!["kdc_as_ok_total".into(), "kdc_tgs_ok_total".into()],
             err_counters: vec!["kdc_error_total".into()],
             replay_counters: vec!["kdc_replay_hits_total".into()],
+            fault_counters: vec!["kdc_snapshot_failures_total".into()],
             thresholds: HealthThresholds::default(),
         }
     }
@@ -77,6 +83,7 @@ impl HealthSpec {
             ok_counters: vec![format!("{prefix}_ok_total")],
             err_counters: vec![format!("{prefix}_err_total")],
             replay_counters: vec![format!("{prefix}_replay_hits_total")],
+            fault_counters: Vec::new(),
             thresholds: HealthThresholds::default(),
         }
     }
@@ -173,6 +180,7 @@ impl MonState {
                     err: sum(&spec.err_counters),
                     replay_hits: sum(&spec.replay_counters),
                     journal_dropped: dropped,
+                    faults: sum(&spec.fault_counters),
                 };
                 let v = spec.thresholds.evaluate(&inputs);
                 ComponentHealth {

@@ -379,9 +379,11 @@ impl SimNet {
             self.journal_fault(trace, "delay", action.extra_delay_ms);
         }
         let deliver_at = self.now_ms() + self.config.latency_ms + jitter + action.extra_delay_ms;
-        self.in_flight.push(Reverse(Scheduled { deliver_at, seq: self.seq, packet: packet.clone() }));
         let base_dup = self.config.dup > 0.0 && self.rng.random::<f64>() < self.config.dup;
-        if base_dup || action.duplicate {
+        // The payload is copied only when the network really carries it twice.
+        let duplicate = (base_dup || action.duplicate).then(|| packet.clone());
+        self.in_flight.push(Reverse(Scheduled { deliver_at, seq: self.seq, packet }));
+        if let Some(packet) = duplicate {
             self.seq += 1;
             self.metrics.duplicated.inc();
             if action.duplicate {

@@ -53,6 +53,10 @@ pub struct HealthInputs {
     pub replay_hits: u64,
     /// Journal events evicted by the ring bound.
     pub journal_dropped: u64,
+    /// Internal faults (e.g. a store snapshot that could not be read).
+    /// Not a rate: any fault at all means the component is serving in a
+    /// state its request counters cannot show.
+    pub faults: u64,
 }
 
 /// Threshold knobs, in per-mille of total requests.
@@ -101,7 +105,8 @@ pub struct HealthVerdict {
 
 impl HealthThresholds {
     /// Compute the verdict for one component. An idle component (zero
-    /// requests) is healthy unless its journal dropped events.
+    /// requests) is healthy unless its journal dropped events or it
+    /// counted a fault.
     pub fn evaluate(&self, inputs: &HealthInputs) -> HealthVerdict {
         let total = inputs.ok + inputs.err;
         let permille = |x: u64| if total == 0 { 0 } else { x * 1000 / total };
@@ -111,6 +116,7 @@ impl HealthThresholds {
         if err_permille >= self.degraded_err_permille
             || replay_permille >= self.degraded_replay_permille
             || inputs.journal_dropped > self.max_journal_dropped
+            || inputs.faults > 0
         {
             state = HealthState::Degraded;
         }
@@ -133,6 +139,7 @@ mod tests {
             err,
             replay_hits: replay,
             journal_dropped: dropped,
+            faults: 0,
         })
     }
 
@@ -168,6 +175,12 @@ mod tests {
         assert_eq!(v.state, HealthState::Degraded);
         // ...but drops alone never claim Failing: the protocol may be fine.
         assert!(verdict(1000, 0, 0, 99999).state < HealthState::Failing);
+    }
+
+    #[test]
+    fn one_fault_degrades_clean_traffic_but_never_claims_failing() {
+        let inputs = HealthInputs { ok: 1000, faults: 1, ..HealthInputs::default() };
+        assert_eq!(HealthThresholds::default().evaluate(&inputs).state, HealthState::Degraded);
     }
 
     #[test]

@@ -34,6 +34,13 @@ echo "== cargo test --release -p krb-crypto"
 # tests on that code too.
 cargo test --release --offline -q -p krb-crypto
 
+echo "== cargo test --release -p kerberos"
+# Timestamp arithmetic panics on overflow in the dev profile and wraps in
+# --release, the build every benchmark measures: the replay cache's
+# reference-model proptest (timestamps 0 and u32::MAX, a clock that runs
+# backwards) must hold on both.
+cargo test --release --offline -q -p kerberos
+
 echo "== krb-lint --json"
 # Machine-readable pass: the v2 schema must be present, every rule id
 # accounted for, and the tree clean (zero live findings, zero stale allow
