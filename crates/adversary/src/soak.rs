@@ -60,8 +60,8 @@ use krb_crypto::{open, seal, string_to_key, DesKey, KeyGenerator, Mode, Schedule
 use krb_kdb::dump as kdump;
 use krb_kdc::{Deployment, RealmConfig};
 use krb_kprop::{
-    build_full_seq, build_incr_segment, parse_incr_reply, IncrKpropdService, IncrReply, ShipPlan,
-    SlaveCursor, UpdateLog, UpdateOp, UpdateRecord, FULL_MAGIC, INCR_MAGIC,
+    build_incr_segment, parse_incr_reply, IncrKpropdService, IncrReply, SlaveCursor, UpdateLog,
+    UpdateOp, UpdateRecord, FULL_MAGIC, INCR_MAGIC,
 };
 use krb_netsim::{
     ports, Endpoint, InjectKind, NetConfig, Packet, Router, SimNet, EPOCH_1987,
@@ -861,24 +861,12 @@ impl Engine {
             self.protected.entry(key_fingerprint(&new_key)).or_insert("propchurn-key");
             self.kprop_log.append(op);
         }
-        let (packet, expected) = match self.kprop_cursor.plan(&self.kprop_log) {
-            ShipPlan::Full => {
-                let text = self.dep.master.dump_text().unwrap();
-                (
-                    build_full_seq(&self.sched, self.kprop_log.head(), text.as_bytes()),
-                    self.kprop_log.head(),
-                )
-            }
-            ShipPlan::Segment(records) => {
-                if records.is_empty() {
-                    return;
-                }
-                let expected = self.kprop_cursor.acked + records.len() as u64;
-                (
-                    build_incr_segment(&self.sched, self.kprop_cursor.acked, &records).unwrap(),
-                    expected,
-                )
-            }
+        let Some(sent) = self
+            .kprop_cursor
+            .next_transfer(self.dep.master.snapshot().db(), &self.kprop_log, false)
+            .expect("master dumps; journal slice is consecutive")
+        else {
+            return;
         };
         self.kprop_trace_seq += 1;
         let t = TraceId::derive(self.cfg.seed ^ 0x6B92, self.kprop_trace_seq);
@@ -886,16 +874,9 @@ impl Engine {
         self.report.kprop_transfers += 1;
         let src = Endpoint::new(MASTER_ADDR, 2000 + (self.kprop_trace_seq % 50_000) as u16);
         let dst = Endpoint::new(SLAVE_ADDR, ports::KPROP);
-        match self.router.rpc_traced(src, dst, &packet, Some(t)) {
-            Ok(reply) => match parse_incr_reply(&reply) {
-                // Corroborate the ack against what was shipped.
-                IncrReply::Accepted(seq) if seq == expected => {
-                    self.kprop_cursor.on_ack(seq);
-                    self.report.kprop_accepted += 1;
-                }
-                IncrReply::Accepted(_) | IncrReply::Rejected(_) => self.kprop_cursor.on_failure(),
-            },
-            Err(_) => self.kprop_cursor.on_failure(),
+        let reply = self.router.rpc_traced(src, dst, &sent.packet, Some(t)).ok();
+        if self.kprop_cursor.settle(&sent, reply.as_deref()) {
+            self.report.kprop_accepted += 1;
         }
         drain(&mut self.router, src);
     }

@@ -274,10 +274,11 @@ fn e11_propagation() {
                 .unwrap();
         }
         let t0 = Instant::now();
-        let packet = krb_kprop::kprop_build(&db).unwrap();
+        let dump = krb_kdb::dump::dump(&db).unwrap();
+        let packet = krb_kprop::build_full_seq(db.master_sched(), 0, dump.as_bytes());
         let build = t0.elapsed().as_secs_f64() * 1e3;
         let t0 = Instant::now();
-        let entries = krb_kprop::kpropd_verify(&packet, &string_to_key("mk")).unwrap();
+        let (_, entries) = krb_kprop::verify_full_seq(db.master_sched(), &packet).unwrap();
         let mut store = MemStore::new();
         krb_kdb::dump::install(&mut store, &entries).unwrap();
         let receive = t0.elapsed().as_secs_f64() * 1e3;

@@ -7,9 +7,10 @@
 //! segments, with the full dump demoted to bootstrap, gap recovery, and
 //! periodic anti-entropy.
 //!
-//! Wire formats (both checksummed under the master database key, exactly
-//! like the classic dump frame — possession of the master key remains the
-//! only authentication, and keys inside records stay encrypted in it):
+//! Wire formats — the only two `kpropd` accepts, and this file is their
+//! only parser. Both are checksummed under the master database key, the
+//! checksum of §5.3: possession of the master key remains the only
+//! authentication, and keys inside records stay encrypted in it:
 //!
 //! ```text
 //! incremental segment:
@@ -32,10 +33,12 @@
 //! op succeeds, so a half-applied segment can never be observed — the same
 //! discipline as the KDC's snapshot swap, which is where the mirror is then
 //! installed. A master answers a refusal (or any transport failure) by
-//! falling back to a full dump ([`SlaveCursor`] encodes that policy), so a
-//! faulted stream converges or is rejected — never installs divergence.
+//! falling back to a full dump, and advances its per-slave cursor only on
+//! an ack that matches what it shipped ([`SlaveCursor::next_transfer`] /
+//! [`SlaveCursor::settle`] are that policy, once), so a faulted stream
+//! converges or is rejected — never installs divergence.
 
-use crate::PropError;
+use crate::{kpropd_install, PropError};
 use krb_crypto::{cbc_checksum_with, constant_time_eq, DesKey, Scheduled};
 use krb_kdb::dump as kdump;
 use krb_kdb::{MemStore, PrincipalDb, PrincipalEntry, Store};
@@ -185,12 +188,7 @@ pub fn build_incr_segment(
         payload.extend_from_slice(&(body.len() as u16).to_be_bytes());
         payload.extend_from_slice(body.as_bytes());
     }
-    let checksum = cbc_checksum_with(master, &[0u8; 8], &payload);
-    let mut out = Vec::with_capacity(16 + payload.len());
-    out.extend_from_slice(INCR_MAGIC);
-    out.extend_from_slice(&checksum);
-    out.extend_from_slice(&payload);
-    Ok(out)
+    Ok(seal(master, INCR_MAGIC, &payload))
 }
 
 /// Build a sequenced full dump: the bootstrap / gap-recovery / anti-entropy
@@ -200,12 +198,7 @@ pub fn build_full_seq(master: &Scheduled, as_of_seq: u64, dump: &[u8]) -> Vec<u8
     payload.extend_from_slice(&as_of_seq.to_be_bytes());
     payload.extend_from_slice(&(dump.len() as u32).to_be_bytes());
     payload.extend_from_slice(dump);
-    let checksum = cbc_checksum_with(master, &[0u8; 8], &payload);
-    let mut out = Vec::with_capacity(16 + payload.len());
-    out.extend_from_slice(FULL_MAGIC);
-    out.extend_from_slice(&checksum);
-    out.extend_from_slice(&payload);
-    out
+    seal(master, FULL_MAGIC, &payload)
 }
 
 /// What a propagation packet claims to be (by magic).
@@ -215,19 +208,67 @@ pub enum PacketKind {
     IncrSegment,
     /// `KFULSEQ1`: sequenced full dump.
     FullWithSeq,
-    /// No incremental magic: the classic unsequenced full-dump frame.
-    LegacyFull,
 }
 
-/// Classify a propagation packet by its magic prefix.
-pub fn packet_kind(packet: &[u8]) -> PacketKind {
+/// Classify a propagation packet by its magic prefix; `None` is neither
+/// wire format and is refused unread.
+pub fn packet_kind(packet: &[u8]) -> Option<PacketKind> {
     if packet.starts_with(INCR_MAGIC) {
-        PacketKind::IncrSegment
+        Some(PacketKind::IncrSegment)
     } else if packet.starts_with(FULL_MAGIC) {
-        PacketKind::FullWithSeq
+        Some(PacketKind::FullWithSeq)
     } else {
-        PacketKind::LegacyFull
+        None
     }
+}
+
+/// `magic || checksum || payload`: the sealing half of [`verify_payload`].
+fn seal(master: &Scheduled, magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16 + payload.len());
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&cbc_checksum_with(master, &[0u8; 8], payload));
+    out.extend_from_slice(payload);
+    out
+}
+
+/// The keyed-checksum check of §5.3, for either wire format: recompute the
+/// checksum over everything after `magic || checksum` and compare. Every
+/// other field is read only from the payload this returns.
+fn verify_payload<'a>(master: &Scheduled, packet: &'a [u8]) -> Result<&'a [u8], PropError> {
+    if packet.len() < 16 {
+        return Err(PropError::BadPacket);
+    }
+    let sent_sum: [u8; 8] = packet[8..16].try_into().map_err(|_| PropError::BadPacket)?;
+    let payload = &packet[16..];
+    let local = cbc_checksum_with(master, &[0u8; 8], payload);
+    if !constant_time_eq(&local, &sent_sum) {
+        return Err(PropError::ChecksumMismatch);
+    }
+    Ok(payload)
+}
+
+/// Slave side, verification half of a full dump: check the magic, the
+/// keyed checksum and the framing, then parse the dump. Returns the journal
+/// position the dump reflects and the entries, ready for
+/// [`kpropd_install`] into any store.
+pub fn verify_full_seq(
+    master: &Scheduled,
+    packet: &[u8],
+) -> Result<(u64, Vec<PrincipalEntry>), PropError> {
+    if !packet.starts_with(FULL_MAGIC) {
+        return Err(PropError::BadPacket);
+    }
+    let payload = verify_payload(master, packet)?;
+    if payload.len() < 12 {
+        return Err(PropError::BadPacket);
+    }
+    let as_of_seq = u64::from_be_bytes(payload[..8].try_into().map_err(|_| PropError::BadPacket)?);
+    let len = u32::from_be_bytes(payload[8..12].try_into().map_err(|_| PropError::BadPacket)?) as usize;
+    if payload.len() != 12 + len {
+        return Err(PropError::BadPacket);
+    }
+    let text = std::str::from_utf8(&payload[12..]).map_err(|_| PropError::BadPacket)?;
+    Ok((as_of_seq, kdump::parse(text)?))
 }
 
 /// What an accepted transfer did to the replica.
@@ -297,32 +338,25 @@ impl IncrReplica {
     /// Verify and apply one propagation packet (either wire format).
     pub fn apply(&mut self, packet: &[u8]) -> Result<Applied, PropError> {
         match packet_kind(packet) {
-            PacketKind::IncrSegment => self.apply_segment(packet),
-            PacketKind::FullWithSeq => self.apply_full(packet),
-            PacketKind::LegacyFull => Err(PropError::BadPacket),
+            Some(PacketKind::IncrSegment) => self.apply_segment(packet),
+            Some(PacketKind::FullWithSeq) => self.apply_full(packet),
+            None => Err(PropError::BadPacket),
         }
-    }
-
-    fn verify_payload<'a>(&self, packet: &'a [u8]) -> Result<&'a [u8], PropError> {
-        if packet.len() < 16 {
-            return Err(PropError::BadPacket);
-        }
-        let sent_sum: [u8; 8] = packet[8..16].try_into().map_err(|_| PropError::BadPacket)?;
-        let payload = &packet[16..];
-        let local = cbc_checksum_with(&self.sched, &[0u8; 8], payload);
-        if !constant_time_eq(&local, &sent_sum) {
-            return Err(PropError::ChecksumMismatch);
-        }
-        Ok(payload)
     }
 
     fn apply_segment(&mut self, packet: &[u8]) -> Result<Applied, PropError> {
-        let payload = self.verify_payload(packet)?;
+        let payload = verify_payload(&self.sched, packet)?;
         if payload.len() < 12 {
             return Err(PropError::BadPacket);
         }
         let after_seq = u64::from_be_bytes(payload[..8].try_into().map_err(|_| PropError::BadPacket)?);
         let count = u32::from_be_bytes(payload[8..12].try_into().map_err(|_| PropError::BadPacket)?) as usize;
+        // A record is at least 3 bytes. A sealed header can still lie (a
+        // leaked master key seals anything): a count the payload cannot
+        // hold is damage, and must never size an allocation.
+        if count > (payload.len() - 12) / 3 {
+            return Err(PropError::BadPacket);
+        }
         let mut ops = Vec::with_capacity(count);
         let mut off = 12;
         for _ in 0..count {
@@ -343,24 +377,19 @@ impl IncrReplica {
         }
         // Sequencing checks come only after the packet proved authentic and
         // well-formed: a truncated replay must read as damage, not skew.
+        // `after_seq` is as hostile as `count`: saturate, never overflow.
+        let first = after_seq.saturating_add(1);
         let db = match self.db.as_ref() {
-            None => {
-                return Err(PropError::SequenceGap { applied: 0, first: after_seq + 1 });
-            }
+            None => return Err(PropError::SequenceGap { applied: 0, first }),
             Some(db) => db,
         };
         if after_seq < self.applied_seq {
-            return Err(PropError::ReplayedUpdate {
-                applied: self.applied_seq,
-                first: after_seq + 1,
-            });
+            return Err(PropError::ReplayedUpdate { applied: self.applied_seq, first });
         }
         if after_seq > self.applied_seq {
-            return Err(PropError::SequenceGap {
-                applied: self.applied_seq,
-                first: after_seq + 1,
-            });
+            return Err(PropError::SequenceGap { applied: self.applied_seq, first });
         }
+        let seq = self.applied_seq.checked_add(ops.len() as u64).ok_or(PropError::BadPacket)?;
         // Stage onto a snapshot, swap only on full success.
         let mut stage = db.snapshot_mem()?;
         for op in &ops {
@@ -375,22 +404,12 @@ impl IncrReplica {
             }
         }
         self.db = Some(stage);
-        self.applied_seq += ops.len() as u64;
-        Ok(Applied::Incremental { records: ops.len(), seq: self.applied_seq })
+        self.applied_seq = seq;
+        Ok(Applied::Incremental { records: ops.len(), seq })
     }
 
     fn apply_full(&mut self, packet: &[u8]) -> Result<Applied, PropError> {
-        let payload = self.verify_payload(packet)?;
-        if payload.len() < 12 {
-            return Err(PropError::BadPacket);
-        }
-        let as_of_seq = u64::from_be_bytes(payload[..8].try_into().map_err(|_| PropError::BadPacket)?);
-        let len = u32::from_be_bytes(payload[8..12].try_into().map_err(|_| PropError::BadPacket)?) as usize;
-        if payload.len() != 12 + len {
-            return Err(PropError::BadPacket);
-        }
-        let text = std::str::from_utf8(&payload[12..]).map_err(|_| PropError::BadPacket)?;
-        let entries = kdump::parse(text)?;
+        let (as_of_seq, entries) = verify_full_seq(&self.sched, packet)?;
         // A stale full dump must never roll the mirror back: refusing it is
         // the replayed-update check at dump granularity.
         if self.db.is_some() && as_of_seq < self.applied_seq {
@@ -399,70 +418,96 @@ impl IncrReplica {
                 first: as_of_seq.saturating_add(1),
             });
         }
-        let mut store = MemStore::new();
-        kdump::install(&mut store, &entries)?;
-        let db = PrincipalDb::open(store, self.master_key.clone())?;
-        self.db = Some(db);
+        self.db = Some(kpropd_install(MemStore::new(), &entries, self.master_key.clone())?);
         self.applied_seq = as_of_seq;
         Ok(Applied::Full { entries: entries.len(), seq: as_of_seq })
     }
 }
 
 /// The master's view of one slave: what it has acknowledged and whether the
-/// next transfer must be a full dump. Encodes the fallback policy — any
-/// refusal or transport failure marks the slave unsynced, and an unsynced
-/// or journal-evicted slave gets the full dump.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// next transfer must be a full dump. The fields move only through
+/// [`SlaveCursor::settle`], so `log.head() - cursor.acked()` is the slave's
+/// replication lag as the master can prove it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SlaveCursor {
-    /// Highest sequence number the slave acknowledged.
-    pub acked: u64,
-    /// Whether the slave is known to be in sync (bootstrap done, no
-    /// unacknowledged failure since).
-    pub synced: bool,
+    acked: u64,
+    synced: bool,
 }
 
-/// What the master should ship next to one slave.
+/// One transfer the master has built for one slave, with the only ack
+/// that may settle it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShipPlan {
-    /// Send a sequenced full dump (bootstrap, fallback, or anti-entropy).
-    Full,
-    /// Send these journal records (empty means nothing new: skip).
-    Segment(Vec<UpdateRecord>),
+pub struct Transfer {
+    /// The wire bytes: a `KFULSEQ1` dump or a `KINCSEG1` segment.
+    pub packet: Vec<u8>,
+    /// The sequence number a genuine `OK <seq>` for this packet carries.
+    pub expected: u64,
+    mode: &'static str,
 }
 
-impl Default for SlaveCursor {
-    fn default() -> Self {
-        Self::new()
+impl Transfer {
+    /// `"full"` or `"incr"`, as the slave journals the same packet.
+    pub fn mode(&self) -> &'static str {
+        self.mode
     }
 }
 
 impl SlaveCursor {
     /// A slave that has never been propagated to.
     pub fn new() -> Self {
-        SlaveCursor { acked: 0, synced: false }
+        Self::default()
     }
 
-    /// Decide the next transfer given the master journal.
-    pub fn plan(&self, log: &UpdateLog) -> ShipPlan {
-        if !self.synced {
-            return ShipPlan::Full;
+    /// Highest sequence number the slave acknowledged.
+    pub fn acked(&self) -> u64 {
+        self.acked
+    }
+
+    /// Whether the slave is known to be in sync (bootstrap done, no
+    /// unsettled failure since).
+    pub fn synced(&self) -> bool {
+        self.synced
+    }
+
+    /// Build the next transfer for this slave from the master database and
+    /// its update journal, or `None` when the slave is in sync with nothing
+    /// new. An unsynced slave, one the journal has evicted records for, or
+    /// `force_full` (the caller's anti-entropy cadence) gets the full
+    /// dump; the database is dumped only then.
+    pub fn next_transfer<S: Store>(
+        &self,
+        master: &PrincipalDb<S>,
+        log: &UpdateLog,
+        force_full: bool,
+    ) -> Result<Option<Transfer>, PropError> {
+        let sched = master.master_sched();
+        let records = if force_full || !self.synced { None } else { log.since(self.acked) };
+        Ok(match records {
+            None => Some(Transfer {
+                packet: build_full_seq(sched, log.head(), kdump::dump(master)?.as_bytes()),
+                expected: log.head(),
+                mode: "full",
+            }),
+            Some(records) if records.is_empty() => None,
+            Some(records) => Some(Transfer {
+                packet: build_incr_segment(sched, self.acked, &records)?,
+                expected: self.acked + records.len() as u64,
+                mode: "incr",
+            }),
+        })
+    }
+
+    /// Settle `sent` against the slave's reply (`None`: the wire died).
+    /// The cursor advances only on a reply that is byte for byte
+    /// `OK <expected>` — a refusal, silence, or a reply corrupted into some
+    /// other plausible `OK <n>` marks the slave unsynced, so the next
+    /// transfer is a full dump. Returns whether the cursor advanced.
+    pub fn settle(&mut self, sent: &Transfer, reply: Option<&[u8]>) -> bool {
+        self.synced = reply == Some(format!("OK {}", sent.expected).as_bytes());
+        if self.synced {
+            self.acked = sent.expected;
         }
-        match log.since(self.acked) {
-            None => ShipPlan::Full,
-            Some(records) => ShipPlan::Segment(records),
-        }
-    }
-
-    /// The slave acknowledged a transfer up to `seq`.
-    pub fn on_ack(&mut self, seq: u64) {
-        self.acked = seq;
-        self.synced = true;
-    }
-
-    /// The transfer failed (refusal, transport loss, malformed ack):
-    /// resync with a full dump next round.
-    pub fn on_failure(&mut self) {
-        self.synced = false;
+        self.synced
     }
 }
 
@@ -658,18 +703,59 @@ mod tests {
         let m = master_db();
         let mut log = UpdateLog::new(100);
         let mut cur = SlaveCursor::new();
-        assert_eq!(cur.plan(&log), ShipPlan::Full, "bootstrap is a full dump");
-        cur.on_ack(0);
-        assert_eq!(cur.plan(&log), ShipPlan::Segment(vec![]), "in sync, nothing new");
+        let boot = cur.next_transfer(&m, &log, false).unwrap().unwrap();
+        assert_eq!((boot.mode(), boot.expected), ("full", 0), "bootstrap is a full dump");
+        assert_eq!(boot.packet, full_packet(&m, 0));
+        assert!(cur.settle(&boot, Some(b"OK 0")));
+        assert_eq!(cur.next_transfer(&m, &log, false).unwrap(), None, "in sync, nothing new");
         log.append(put_record(&m, 1, "a", "pw").op);
-        match cur.plan(&log) {
-            ShipPlan::Segment(rs) => assert_eq!(rs.len(), 1),
-            p => panic!("expected segment, got {p:?}"),
-        }
-        cur.on_failure();
-        assert_eq!(cur.plan(&log), ShipPlan::Full, "failure forces full dump");
-        cur.on_ack(log.head());
-        assert_eq!(cur.plan(&log), ShipPlan::Segment(vec![]));
+        let seg = cur.next_transfer(&m, &log, false).unwrap().unwrap();
+        assert_eq!((seg.mode(), seg.expected), ("incr", 1));
+        assert_eq!(seg.packet, build_incr_segment(m.master_sched(), 0, &log.since(0).unwrap()).unwrap());
+        let forced = cur.next_transfer(&m, &log, true).unwrap().unwrap();
+        assert_eq!(forced.mode(), "full", "anti-entropy overrides an in-sync cursor");
+        assert!(!cur.settle(&seg, None), "a dead wire is a failure");
+        assert_eq!((cur.acked(), cur.synced()), (0, false));
+        let full = cur.next_transfer(&m, &log, false).unwrap().unwrap();
+        assert_eq!((full.mode(), full.expected), ("full", 1), "failure forces full dump");
+        assert!(cur.settle(&full, Some(b"OK 1")));
+        assert_eq!((cur.acked(), cur.synced()), (1, true));
+        assert_eq!(cur.next_transfer(&m, &log, false).unwrap(), None);
+    }
+
+    #[test]
+    fn sealed_segment_with_a_hostile_header_is_refused_not_fatal() {
+        let m = master_db();
+        let mut replica = IncrReplica::new(string_to_key("mk"));
+        replica.apply(&full_packet(&m, 0)).unwrap();
+        let before = replica.dump_text().unwrap();
+        // count = u32::MAX with no records behind it: must not reserve.
+        let mut huge = 0u64.to_be_bytes().to_vec();
+        huge.extend_from_slice(&u32::MAX.to_be_bytes());
+        assert_eq!(replica.apply(&seal(m.master_sched(), INCR_MAGIC, &huge)).unwrap_err(), PropError::BadPacket);
+        // after_seq = u64::MAX: `after_seq + 1` must not overflow.
+        let mut far = u64::MAX.to_be_bytes().to_vec();
+        far.extend_from_slice(&0u32.to_be_bytes());
+        assert_eq!(
+            replica.apply(&seal(m.master_sched(), INCR_MAGIC, &far)).unwrap_err(),
+            PropError::SequenceGap { applied: 0, first: u64::MAX }
+        );
+        let mut fresh = IncrReplica::new(string_to_key("mk"));
+        assert_eq!(
+            fresh.apply(&seal(m.master_sched(), INCR_MAGIC, &far)).unwrap_err(),
+            PropError::SequenceGap { applied: 0, first: u64::MAX }
+        );
+        // A mirror parked at u64::MAX cannot count one record further.
+        replica.apply(&full_packet(&m, u64::MAX)).unwrap();
+        let mut one_more = u64::MAX.to_be_bytes().to_vec();
+        one_more.extend_from_slice(&1u32.to_be_bytes());
+        one_more.extend_from_slice(b"\x02\x00\x03x *");
+        assert_eq!(
+            replica.apply(&seal(m.master_sched(), INCR_MAGIC, &one_more)).unwrap_err(),
+            PropError::BadPacket
+        );
+        assert_eq!(replica.dump_text().unwrap(), before, "refusals must not mutate");
+        assert_eq!(replica.applied_seq(), u64::MAX);
     }
 
     #[test]

@@ -15,6 +15,13 @@
 //! The dump itself is safe to send because every key in it is already
 //! encrypted in the master database key; the checksum defends against
 //! *tampering* and against accepting data from anyone but the master.
+//!
+//! There is one such exchange here. [`incr`] holds the wire (a full dump
+//! is a `KFULSEQ1` packet, an update run a `KINCSEG1` segment, both under
+//! that checksum), the slave's verify-and-apply ([`IncrReplica`],
+//! [`verify_full_seq`]) and the master's ship-and-corroborate step
+//! ([`SlaveCursor`]); [`net`] puts the slave behind the netsim service
+//! seam ([`IncrKpropdService`]) and a TCP stream ([`TcpKpropd`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,17 +29,17 @@
 pub mod incr;
 pub mod net;
 
-use krb_crypto::{cbc_checksum, cbc_checksum_with, constant_time_eq, DesKey, Scheduled};
+use krb_crypto::DesKey;
 use krb_kdb::dump as kdump;
 use krb_kdb::{DbError, PrincipalDb, PrincipalEntry, Store};
 
 pub use incr::{
-    build_full_seq, build_incr_segment, packet_kind, Applied, IncrReplica, PacketKind, ShipPlan,
-    SlaveCursor, UpdateLog, UpdateOp, UpdateRecord, DEFAULT_LOG_CAP, FULL_MAGIC, INCR_MAGIC,
+    build_full_seq, build_incr_segment, packet_kind, verify_full_seq, Applied, IncrReplica,
+    PacketKind, SlaveCursor, Transfer, UpdateLog, UpdateOp, UpdateRecord, DEFAULT_LOG_CAP,
+    FULL_MAGIC, INCR_MAGIC,
 };
 pub use net::{
-    parse_incr_reply, parse_kprop_reply, reject_kind, tcp_kprop_send, IncrKpropdService,
-    IncrReply, KpropReply, KpropdService, TcpKpropd,
+    parse_incr_reply, reject_kind, tcp_kprop_send, IncrKpropdService, IncrReply, TcpKpropd,
 };
 
 /// How often the master dumps and propagates: hourly (§5.3).
@@ -93,52 +100,10 @@ impl From<DbError> for PropError {
     }
 }
 
-/// Master side (`kprop`): dump the database and frame it with the keyed
-/// checksum. Wire layout: 8-byte checksum, 4-byte big-endian length, dump.
-pub fn kprop_build<S: Store>(db: &PrincipalDb<S>) -> Result<Vec<u8>, PropError> {
-    let dump = kdump::dump(db)?;
-    Ok(frame_with(db.master_sched(), dump.as_bytes()))
-}
-
-/// Frame pre-dumped bytes (benches reuse a fixed dump).
-pub fn frame(master_key: &DesKey, dump: &[u8]) -> Vec<u8> {
-    frame_with(&Scheduled::new(master_key), dump)
-}
-
-/// [`frame`] with the master schedule already in hand — the database holds
-/// one, so the hourly dump path pays no per-propagation schedule work.
-pub fn frame_with(master: &Scheduled, dump: &[u8]) -> Vec<u8> {
-    let checksum = cbc_checksum_with(master, &[0u8; 8], dump);
-    let mut out = Vec::with_capacity(12 + dump.len());
-    out.extend_from_slice(&checksum);
-    out.extend_from_slice(&(dump.len() as u32).to_be_bytes());
-    out.extend_from_slice(dump);
-    out
-}
-
-/// Slave side (`kpropd`), verification half: check framing and checksum,
-/// parse the dump. Returns the entries ready to install.
-pub fn kpropd_verify(packet: &[u8], master_key: &DesKey) -> Result<Vec<PrincipalEntry>, PropError> {
-    if packet.len() < 12 {
-        return Err(PropError::BadPacket);
-    }
-    let sent_sum: [u8; 8] = packet[..8].try_into().map_err(|_| PropError::BadPacket)?;
-    let len_bytes: [u8; 4] = packet[8..12].try_into().map_err(|_| PropError::BadPacket)?;
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if packet.len() != 12 + len {
-        return Err(PropError::BadPacket);
-    }
-    let dump = &packet[12..];
-    let local_sum = cbc_checksum(master_key, &[0u8; 8], dump);
-    if !constant_time_eq(&local_sum, &sent_sum) {
-        return Err(PropError::ChecksumMismatch);
-    }
-    let text = std::str::from_utf8(dump).map_err(|_| PropError::BadPacket)?;
-    Ok(kdump::parse(text)?)
-}
-
-/// Slave side, install half: replace the slave store's contents and reopen
-/// it as a principal database under the same master key.
+/// Slave side, install half: replace the slave store's contents with the
+/// entries [`verify_full_seq`] returned and reopen it as a principal
+/// database under the same master key. Generic over the store, so a
+/// file-backed slave installs through the same call as the in-memory mirror.
 pub fn kpropd_install<S: Store>(
     mut store: S,
     entries: &[PrincipalEntry],
@@ -146,16 +111,6 @@ pub fn kpropd_install<S: Store>(
 ) -> Result<PrincipalDb<S>, PropError> {
     kdump::install(&mut store, entries)?;
     Ok(PrincipalDb::open(store, master_key)?)
-}
-
-/// One-shot: verify and install in a fresh store.
-pub fn kpropd_receive<S: Store>(
-    packet: &[u8],
-    store: S,
-    master_key: DesKey,
-) -> Result<PrincipalDb<S>, PropError> {
-    let entries = kpropd_verify(packet, &master_key)?;
-    kpropd_install(store, &entries, master_key)
 }
 
 /// Hourly schedule bookkeeping: decides when the next dump is due.
@@ -186,7 +141,7 @@ impl PropSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use krb_crypto::string_to_key;
+    use krb_crypto::{string_to_key, Scheduled};
     use krb_kdb::MemStore;
 
     const NOW: u32 = 600_000_000;
@@ -200,11 +155,23 @@ mod tests {
         db
     }
 
+    fn full_dump(db: &PrincipalDb<MemStore>) -> Vec<u8> {
+        build_full_seq(db.master_sched(), 7, kdump::dump(db).unwrap().as_bytes())
+    }
+
+    fn receive(packet: &[u8]) -> Result<PrincipalDb<MemStore>, PropError> {
+        let key = string_to_key("master");
+        let (_, entries) = verify_full_seq(&Scheduled::new(&key), packet)?;
+        kpropd_install(MemStore::new(), &entries, key)
+    }
+
     #[test]
     fn propagation_round_trip() {
         let m = master();
-        let packet = kprop_build(&m).unwrap();
-        let slave = kpropd_receive(&packet, MemStore::new(), string_to_key("master")).unwrap();
+        let packet = full_dump(&m);
+        let (seq, _) = verify_full_seq(m.master_sched(), &packet).unwrap();
+        assert_eq!(seq, 7);
+        let slave = receive(&packet).unwrap();
         assert_eq!(slave.len(), m.len());
         // The slave can authenticate a user: keys decrypt identically.
         let (_, k) = slave.get_with_key("user7", "").unwrap().unwrap();
@@ -214,14 +181,11 @@ mod tests {
     #[test]
     fn tampered_dump_rejected() {
         let m = master();
-        let mut packet = kprop_build(&m).unwrap();
+        let mut packet = full_dump(&m);
         // Flip one byte of the payload (an attacker editing an entry).
         let n = packet.len() - 5;
         packet[n] ^= 0x20;
-        assert_eq!(
-            kpropd_receive(&packet, MemStore::new(), string_to_key("master")).map(|_| ()).unwrap_err(),
-            PropError::ChecksumMismatch
-        );
+        assert_eq!(receive(&packet).map(|_| ()).unwrap_err(), PropError::ChecksumMismatch);
     }
 
     #[test]
@@ -229,36 +193,48 @@ mod tests {
         // An attacker who can compute checksums but lacks the master key
         // cannot make the slave accept their data.
         let m = master();
-        let dump = krb_kdb::dump::dump(&m).unwrap();
-        let forged = frame(&string_to_key("attacker-guess"), dump.as_bytes());
-        assert_eq!(
-            kpropd_receive(&forged, MemStore::new(), string_to_key("master")).map(|_| ()).unwrap_err(),
-            PropError::ChecksumMismatch
-        );
+        let dump = kdump::dump(&m).unwrap();
+        let forged =
+            build_full_seq(&Scheduled::new(&string_to_key("attacker-guess")), 7, dump.as_bytes());
+        assert_eq!(receive(&forged).map(|_| ()).unwrap_err(), PropError::ChecksumMismatch);
     }
 
     #[test]
-    fn truncated_packet_rejected() {
+    fn truncated_packet_rejected_at_every_cut() {
         let m = master();
-        let packet = kprop_build(&m).unwrap();
-        for cut in [0, 5, 11, packet.len() - 1] {
-            assert_eq!(
-                kpropd_verify(&packet[..cut], &string_to_key("master")).unwrap_err(),
-                PropError::BadPacket,
-                "cut {cut}"
-            );
+        let packet = full_dump(&m);
+        for cut in 0..packet.len() {
+            let err = verify_full_seq(m.master_sched(), &packet[..cut]).unwrap_err();
+            // Before the payload starts there is nothing to checksum; after,
+            // the checksum no longer covers what arrived.
+            let want = if cut < 16 { PropError::BadPacket } else { PropError::ChecksumMismatch };
+            assert_eq!(err, want, "cut {cut}");
         }
     }
 
     #[test]
     fn length_mismatch_rejected() {
+        // A correctly sealed payload whose length word disagrees with it.
         let m = master();
-        let mut packet = kprop_build(&m).unwrap();
-        packet.push(0);
+        let dump = kdump::dump(&m).unwrap();
+        let mut long = dump.clone().into_bytes();
+        long.push(b'\n');
+        let mut packet = build_full_seq(m.master_sched(), 7, &long);
+        let honest_len = (dump.len() as u32).to_be_bytes();
+        packet[24..28].copy_from_slice(&honest_len);
+        let sum = krb_crypto::cbc_checksum_with(m.master_sched(), &[0u8; 8], &packet[16..]);
+        packet[8..16].copy_from_slice(&sum);
         assert_eq!(
-            kpropd_verify(&packet, &string_to_key("master")).unwrap_err(),
+            verify_full_seq(m.master_sched(), &packet).unwrap_err(),
             PropError::BadPacket
         );
+    }
+
+    #[test]
+    fn a_segment_is_not_a_full_dump() {
+        let m = master();
+        let seg = build_incr_segment(m.master_sched(), 0, &[]).unwrap();
+        assert_eq!(verify_full_seq(m.master_sched(), &seg).unwrap_err(), PropError::BadPacket);
     }
 
     #[test]
@@ -266,7 +242,7 @@ mod tests {
         // §5.3: "the information passed from master to slave over the
         // network is not useful to an eavesdropper".
         let m = master();
-        let packet = kprop_build(&m).unwrap();
+        let packet = full_dump(&m);
         let user_key = string_to_key("pw3");
         let hex: String = user_key.as_bytes().iter().map(|b| format!("{b:02x}")).collect();
         let text = String::from_utf8_lossy(&packet);
@@ -285,15 +261,14 @@ mod tests {
     #[test]
     fn repeated_propagation_is_idempotent() {
         let m = master();
-        let packet = kprop_build(&m).unwrap();
-        let slave1 = kpropd_receive(&packet, MemStore::new(), string_to_key("master")).unwrap();
+        let packet = full_dump(&m);
+        let slave1 = receive(&packet).unwrap();
         assert_eq!(slave1.len(), m.len());
         // Re-install the same dump over an already-populated store.
-        let entries = kpropd_verify(&packet, &string_to_key("master")).unwrap();
+        let (_, entries) = verify_full_seq(m.master_sched(), &packet).unwrap();
         let mut store = MemStore::new();
-        krb_kdb::dump::install(&mut store, &entries).unwrap();
-        krb_kdb::dump::install(&mut store, &entries).unwrap();
-        let slave2 = PrincipalDb::open(store, string_to_key("master")).unwrap();
+        kdump::install(&mut store, &entries).unwrap();
+        let slave2 = kpropd_install(store, &entries, string_to_key("master")).unwrap();
         assert_eq!(slave2.len(), m.len());
     }
 }

@@ -12,9 +12,8 @@
 use krb_crypto::string_to_key;
 use krb_kdb::dump as kdump;
 use krb_kdb::{MemStore, PrincipalDb, PrincipalEntry};
-use krb_kprop::{
-    build_full_seq, build_incr_segment, IncrReplica, ShipPlan, SlaveCursor, UpdateLog, UpdateOp,
-};
+use krb_kprop::{IncrKpropdService, SlaveCursor, Transfer, UpdateLog, UpdateOp};
+use krb_netsim::{Endpoint, Packet, Service};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -58,8 +57,12 @@ struct Harness {
     model: BTreeMap<(String, String), PrincipalEntry>,
     log: UpdateLog,
     cursor: SlaveCursor,
-    replica: IncrReplica,
+    kpropd: IncrKpropdService,
     writes: u32,
+}
+
+fn fresh_kpropd() -> IncrKpropdService {
+    IncrKpropdService::new(string_to_key("mk"), |_db| {})
 }
 
 impl Harness {
@@ -73,7 +76,7 @@ impl Harness {
             model,
             log: UpdateLog::new(log_cap),
             cursor: SlaveCursor::new(),
-            replica: IncrReplica::new(string_to_key("mk")),
+            kpropd: fresh_kpropd(),
             writes: 0,
         }
     }
@@ -104,73 +107,58 @@ impl Harness {
         self.log.append(UpdateOp::Delete { name: name.to_string(), instance: String::new() });
     }
 
-    fn build_packet(&self) -> Option<Vec<u8>> {
-        match self.cursor.plan(&self.log) {
-            ShipPlan::Full => {
-                let dump = kdump::dump(&self.master).unwrap();
-                Some(build_full_seq(self.master.master_sched(), self.log.head(), dump.as_bytes()))
-            }
-            ShipPlan::Segment(records) => {
-                if records.is_empty() {
-                    return None;
-                }
-                Some(
-                    build_incr_segment(self.master.master_sched(), self.cursor.acked, &records)
-                        .unwrap(),
-                )
-            }
-        }
+    fn next_transfer(&self, force_full: bool) -> Option<Transfer> {
+        self.cursor.next_transfer(&self.master, &self.log, force_full).unwrap()
     }
 
-    /// Deliver a packet to the replica and return the master-visible ack.
-    fn deliver(&mut self, packet: &[u8]) -> Result<u64, String> {
-        self.replica.apply(packet).map(|a| a.seq()).map_err(|e| e.to_string())
+    /// Deliver a packet to the slave and return the reply it sends.
+    fn deliver(&mut self, packet: &[u8]) -> Vec<u8> {
+        let ep = Endpoint::new([18, 72, 0, 10], 1000);
+        let req = Packet { src: ep, dst: ep, payload: packet.to_vec(), id: 0, trace: None, spoofed: false };
+        self.kpropd.handle(&req).expect("kpropd always replies")
     }
 
     fn ship(&mut self, fate: ShipFate) {
-        let Some(packet) = self.build_packet() else { return };
+        let Some(sent) = self.next_transfer(false) else { return };
         match fate {
-            ShipFate::Clean => match self.deliver(&packet) {
-                Ok(seq) => self.cursor.on_ack(seq),
-                Err(_) => self.cursor.on_failure(),
-            },
+            ShipFate::Clean => {
+                let reply = self.deliver(&sent.packet);
+                self.cursor.settle(&sent, Some(&reply));
+            }
             ShipFate::DropAck => {
                 // The slave may or may not have applied it; the master only
                 // knows the ack never came.
-                let _ = self.deliver(&packet);
-                self.cursor.on_failure();
+                let _ = self.deliver(&sent.packet);
+                self.cursor.settle(&sent, None);
             }
             ShipFate::Duplicate => {
-                let first = self.deliver(&packet);
-                let second = self.deliver(&packet);
+                let first = self.deliver(&sent.packet);
+                let second = self.deliver(&sent.packet);
                 // A duplicated *segment* that landed must be refused on
                 // redelivery as a replayed update; duplicated full dumps
                 // are idempotent. (If the first copy was itself refused —
                 // say the slave restarted — the duplicate draws the same
                 // refusal, which is fine.)
-                if packet.starts_with(krb_kprop::INCR_MAGIC) && first.is_ok() {
+                if sent.mode() == "incr" && first.starts_with(b"OK") {
+                    let second = String::from_utf8_lossy(&second);
                     assert!(
-                        second.as_ref().err().is_some_and(|e| e.contains("replayed update")),
+                        second.starts_with("ERR") && second.contains("replayed update"),
                         "duplicate segment not refused: {second:?}"
                     );
                 }
-                match first {
-                    Ok(seq) => self.cursor.on_ack(seq),
-                    Err(_) => self.cursor.on_failure(),
-                }
+                self.cursor.settle(&sent, Some(&first));
             }
             ShipFate::Corrupt(pos) => {
-                let mut bad = packet.clone();
+                let mut bad = sent.packet.clone();
                 let idx = pos as usize % bad.len();
                 bad[idx] ^= 0x5a;
-                match self.deliver(&bad) {
-                    // Corruption must never be applied silently; if the flip
-                    // survived verification it must still be an exact,
-                    // well-formed packet — which a single xor never is, so
-                    // acceptance here is a hard failure.
-                    Ok(_) => panic!("corrupted packet accepted (byte {idx})"),
-                    Err(_) => self.cursor.on_failure(),
-                }
+                let reply = self.deliver(&bad);
+                // Corruption must never be applied silently; if the flip
+                // survived verification it must still be an exact,
+                // well-formed packet — which a single xor never is, so
+                // acceptance here is a hard failure.
+                assert!(reply.starts_with(b"ERR"), "corrupted packet accepted (byte {idx})");
+                self.cursor.settle(&sent, Some(&reply));
             }
         }
         self.check_quiescent();
@@ -179,11 +167,11 @@ impl Harness {
     /// The conservation oracle: whenever the replica claims the master's
     /// journal head, its database must equal the master's exactly.
     fn check_quiescent(&self) {
-        if self.cursor.synced && self.replica.applied_seq() == self.log.head() {
+        if self.cursor.synced() && self.replica().applied_seq() == self.log.head() {
             // A freshly restarted replica has no mirror yet; until the next
             // transfer lands there is nothing to compare (and nothing being
             // served divergently).
-            if let Some(replica_dump) = self.replica.dump_text() {
+            if let Some(replica_dump) = self.replica().dump_text() {
                 assert_eq!(
                     replica_dump,
                     kdump::dump(&self.master).unwrap(),
@@ -212,20 +200,22 @@ impl Harness {
     /// claims sync, but the slave's mirror is gone or stale).
     fn converge(&mut self) {
         for _ in 0..8 {
-            if self.cursor.synced && self.cursor.acked == self.log.head() {
+            if self.cursor.synced() && self.cursor.acked() == self.log.head() {
                 break;
             }
             self.ship(ShipFate::Clean);
         }
-        assert!(self.cursor.synced, "recovery policy failed to resync");
-        assert_eq!(self.cursor.acked, self.log.head());
-        if self.replica.db().is_none() || self.replica.applied_seq() != self.log.head() {
-            let dump = kdump::dump(&self.master).unwrap();
-            let packet =
-                build_full_seq(self.master.master_sched(), self.log.head(), dump.as_bytes());
-            let seq = self.deliver(&packet).expect("anti-entropy full dump refused");
-            self.cursor.on_ack(seq);
+        assert!(self.cursor.synced(), "recovery policy failed to resync");
+        assert_eq!(self.cursor.acked(), self.log.head());
+        if self.replica().db().is_none() || self.replica().applied_seq() != self.log.head() {
+            let sent = self.next_transfer(true).expect("a forced transfer is never skipped");
+            let reply = self.deliver(&sent.packet);
+            assert!(self.cursor.settle(&sent, Some(&reply)), "anti-entropy full dump refused");
         }
+    }
+
+    fn replica(&self) -> &krb_kprop::IncrReplica {
+        self.kpropd.replica()
     }
 }
 
@@ -255,7 +245,7 @@ proptest! {
                 Action::ShipDuplicate => h.ship(ShipFate::Duplicate),
                 Action::ShipCorrupt(p) => h.ship(ShipFate::Corrupt(*p)),
                 Action::SlaveRestart => {
-                    h.replica = IncrReplica::new(string_to_key("mk"));
+                    h.kpropd = fresh_kpropd();
                     // The master does not know: its next segment gets a
                     // sequence-gap refusal, driving the full-dump fallback.
                 }
@@ -263,7 +253,7 @@ proptest! {
         }
         h.converge();
         let master_dump = kdump::dump(&h.master).unwrap();
-        prop_assert_eq!(h.replica.dump_text().unwrap(), master_dump.clone(), "replica != master");
+        prop_assert_eq!(h.replica().dump_text().unwrap(), master_dump.clone(), "replica != master");
         prop_assert_eq!(master_dump, h.model_dump(), "master != reference model");
     }
 
@@ -275,17 +265,16 @@ proptest! {
     ) {
         let mut h = Harness::new(4096);
         h.ship(ShipFate::Clean); // bootstrap full dump
-        prop_assert!(h.cursor.synced);
+        prop_assert!(h.cursor.synced());
         for (i, del) in writes {
             if del { h.remove(i as usize) } else { h.write(i as usize) }
-            let plan = h.cursor.plan(&h.log);
             prop_assert!(
-                matches!(plan, ShipPlan::Segment(_)),
+                h.next_transfer(false).is_none_or(|t| t.mode() == "incr"),
                 "clean stream planned a full dump"
             );
             h.ship(ShipFate::Clean);
-            prop_assert_eq!(h.replica.applied_seq(), h.log.head());
+            prop_assert_eq!(h.replica().applied_seq(), h.log.head());
         }
-        prop_assert_eq!(h.replica.dump_text().unwrap(), kdump::dump(&h.master).unwrap());
+        prop_assert_eq!(h.replica().dump_text().unwrap(), kdump::dump(&h.master).unwrap());
     }
 }

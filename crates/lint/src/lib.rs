@@ -88,6 +88,7 @@ const SERVER_PATH_FILES: &[&str] = &[
     "crates/kdc/src/service.rs",
     "crates/kadm/src/server.rs",
     "crates/kprop/src/lib.rs",
+    "crates/kprop/src/incr.rs",
     "crates/kprop/src/net.rs",
     "crates/nfs/src/server.rs",
     "crates/apps/src/netproto.rs",
@@ -352,7 +353,8 @@ pub const RULES: &[Rule] = &[
         detail: "A lock guard (from .lock()/.read()/.write() with no \
                  arguments) must not be live across a blocking or I/O-shaped \
                  call — send/rpc/rpc_traced, kprop transfer production \
-                 (dump, kprop_build, tcp_kprop_send), journal emission \
+                 (dump, build_full_seq, next_transfer, tcp_kprop_send), \
+                 journal emission \
                  (record, publish), or router pumping. That includes a \
                  temporary guard created inside the blocking call's argument \
                  list: dump(master.lock().db()) holds the KDC master lock for \

@@ -41,7 +41,8 @@ const NON_SYNC_RECEIVERS: &[&str] = &["stdout", "stderr", "stdin"];
 
 /// Callee names that are blocking / I/O-shaped in this workspace: netsim
 /// delivery (`send`, `rpc*`, `pump`, `recv`), kprop transfer production
-/// and framing (`kprop_build`, `dump`, `tcp_kprop_send`), journal
+/// and shipping (`dump`, `build_full_seq`, `next_transfer`,
+/// `tcp_kprop_send`), journal
 /// emission (`record`, `publish`), and bulk crypto (`seal_with` runs DES
 /// over a whole payload) — each takes time proportional to payload or
 /// contends on another subsystem's lock.
@@ -51,7 +52,8 @@ pub const BLOCKING_CALLS: &[&str] = &[
     "rpc",
     "rpc_traced",
     "tcp_kprop_send",
-    "kprop_build",
+    "build_full_seq",
+    "next_transfer",
     "dump",
     "record",
     "publish",

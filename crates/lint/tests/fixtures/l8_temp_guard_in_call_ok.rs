@@ -1,6 +1,6 @@
-// L8 fixture (good twin): snapshot under the lock, frame outside it.
+// L8 fixture (good twin): snapshot under the lock, seal outside it.
 // Expected: no findings.
 pub fn push_db(dep: &Deployment) -> Vec<u8> {
     let text = dep.master.lock().dump_text();
-    frame(&dep.master_key, text.as_bytes())
+    build_full_seq(&dep.master_sched, 0, text.as_bytes())
 }

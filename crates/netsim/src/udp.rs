@@ -31,6 +31,7 @@ impl UdpServer {
             .map_err(NetError::io)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let stop = Arc::clone(&shutdown);
+        let dst = endpoint_of(local_addr);
         let handle = std::thread::spawn(move || {
             let mut buf = vec![0u8; 65_536];
             while !stop.load(Ordering::SeqCst) {
@@ -38,7 +39,7 @@ impl UdpServer {
                     Ok((n, peer)) => {
                         let packet = Packet {
                             src: endpoint_of(peer),
-                            dst: endpoint_of(socket.local_addr().expect("bound")),
+                            dst,
                             payload: buf[..n].to_vec(),
                             id: 0,
                             trace: None,
@@ -71,7 +72,9 @@ impl Drop for UdpServer {
     }
 }
 
-fn endpoint_of(addr: SocketAddr) -> Endpoint {
+/// The [`Endpoint`] a real socket address appears as in a [`Packet`]
+/// (IPv6 peers read as `0.0.0.0`).
+pub fn endpoint_of(addr: SocketAddr) -> Endpoint {
     let ip = match addr.ip() {
         std::net::IpAddr::V4(v4) => Ipv4(v4.octets()),
         std::net::IpAddr::V6(_) => Ipv4([0, 0, 0, 0]),

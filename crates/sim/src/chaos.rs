@@ -32,12 +32,9 @@
 
 use kerberos::{krb_rd_req, ApReq, ErrorCode, HostAddr, Principal, ReplayCache};
 use krb_apps::{frame_request, parse_reply, request_cksum, RloginNetService, RloginServer};
-use krb_crypto::{string_to_key, DesKey, KeyGenerator, Scheduled};
+use krb_crypto::{string_to_key, DesKey, KeyGenerator};
 use krb_kdc::{Deployment, RealmConfig};
-use krb_kprop::{
-    build_full_seq, build_incr_segment, parse_incr_reply, IncrKpropdService, IncrReply, ShipPlan,
-    SlaveCursor, UpdateLog, UpdateOp,
-};
+use krb_kprop::{IncrKpropdService, SlaveCursor, Transfer, UpdateLog, UpdateOp};
 use krb_netsim::{
     ports, Endpoint, Fault, FaultPlan, FaultWindow, Ipv4, LinkMatch, NetConfig, NetStats, Packet,
     Router, Service, SimNet, EPOCH_1987,
@@ -599,14 +596,64 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
     }
     // Master-side replication state: the update journal the KDBM appends
     // to, and one cursor per slave encoding the full-dump fallback policy.
-    let master_sched = Scheduled::new(&dep.master_key);
     let mut log = UpdateLog::new(config.kprop_log_cap);
     let mut cursors = vec![SlaveCursor::new(); config.slaves];
     let mut churn_exists = vec![true; N_CHURN];
-    // Each transfer uses a fresh master-side port: under duplication and
-    // reordering, a stale reply to a previous transfer must not be
-    // mistaken for this one's (the payloads are identical "OK" bytes).
-    let kprop_src_port = |transfer: u64| 1001u16.wrapping_add((transfer % 50_000) as u16);
+    // One transfer to one slave: journal the dump, ship it, settle the
+    // cursor on whatever came back. Each transfer uses a fresh master-side
+    // port: under duplication and reordering, a stale reply to a previous
+    // transfer must not be mistaken for this one's. Returns whether the
+    // slave's ack was corroborated.
+    let ship = |router: &mut Router,
+                report: &mut SoakReport,
+                cursor: &mut SlaveCursor,
+                sent: &Transfer,
+                slave: usize,
+                addr: HostAddr| {
+        report.kprop_rounds += 1;
+        if sent.mode() == "incr" {
+            report.kprop_incr += 1;
+        } else {
+            report.kprop_full += 1;
+        }
+        let trace = krb_telemetry::TraceId::derive(config.seed ^ 0x6B70, report.kprop_rounds);
+        journal.record(
+            (clock_us)(),
+            Some(trace),
+            Component::Kprop,
+            EventKind::KpropDump,
+            vec![
+                ("slave", Field::from(slave)),
+                ("bytes", Field::from(sent.packet.len())),
+                ("mode", Field::from(sent.mode())),
+            ],
+        );
+        let dst = Endpoint::new(addr, ports::KPROP);
+        let kprop_src = Endpoint::new(
+            MASTER_ADDR,
+            1001u16.wrapping_add((report.kprop_rounds % 50_000) as u16),
+        );
+        let reply = router.rpc_traced(kprop_src, dst, &sent.packet, Some(trace)).ok();
+        let acked = cursor.settle(sent, reply.as_deref());
+        if acked {
+            report.kprop_accepted += 1;
+        } else {
+            report.kprop_rejected += 1;
+        }
+        if reply.is_none() {
+            // Master-side terminal for the trace oracle: the transfer died
+            // on the wire.
+            journal.record(
+                (clock_us)(),
+                Some(trace),
+                Component::Kprop,
+                EventKind::KpropReject,
+                vec![("why", Field::from("net")), ("mode", Field::from(sent.mode()))],
+            );
+        }
+        drain(router, kprop_src);
+        acked
+    };
 
     // Workstations, each with its own trace stream.
     let mut stations: Vec<Workstation> = (0..nws)
@@ -796,106 +843,38 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
         // kprop round: journaled incremental propagation. Each slave's
         // cursor decides segment vs full dump (any refusal or wire death
         // falls back to a full dump next round), and every n-th transfer
-        // is forced to a full dump for anti-entropy. `dump_text` reads the
-        // master's atomically-swapped snapshot, so building a transfer
-        // never holds any KDC lock.
+        // is forced to a full dump for anti-entropy. The transfer is built
+        // from the master's atomically-swapped snapshot, so it never holds
+        // any KDC lock.
         if config.kprop_every > 0 && op % config.kprop_every == config.kprop_every - 1 {
             for (i, (addr, _)) in dep.slaves.iter().enumerate() {
-                let transfer_no = report.kprop_rounds + 1;
-                let anti_entropy = transfer_no % ANTI_ENTROPY_EVERY == 0;
-                let plan = if anti_entropy { ShipPlan::Full } else { cursors[i].plan(&log) };
-                let (packet, mode, expected) = match plan {
-                    ShipPlan::Full => {
-                        let text = dep.master.dump_text().unwrap();
-                        (
-                            build_full_seq(&master_sched, log.head(), text.as_bytes()),
-                            "full",
-                            log.head(),
-                        )
-                    }
-                    ShipPlan::Segment(records) => {
-                        if records.is_empty() {
-                            // In sync with nothing new: no transfer due.
-                            continue;
-                        }
-                        let expected = cursors[i].acked + records.len() as u64;
-                        (
-                            build_incr_segment(&master_sched, cursors[i].acked, &records)
-                                .expect("journal slice is consecutive"),
-                            "incr",
-                            expected,
-                        )
-                    }
+                let anti_entropy = (report.kprop_rounds + 1) % ANTI_ENTROPY_EVERY == 0;
+                let Some(sent) = cursors[i]
+                    .next_transfer(dep.master.snapshot().db(), &log, anti_entropy)
+                    .expect("master dumps; journal slice is consecutive")
+                else {
+                    // In sync with nothing new: no transfer due.
+                    continue;
                 };
-                report.kprop_rounds += 1;
-                if mode == "incr" {
-                    report.kprop_incr += 1;
-                } else {
-                    report.kprop_full += 1;
-                }
-                let trace = krb_telemetry::TraceId::derive(
-                    config.seed ^ 0x6B70,
-                    report.kprop_rounds,
-                );
-                journal.record(
-                    (clock_us)(),
-                    Some(trace),
-                    Component::Kprop,
-                    EventKind::KpropDump,
-                    vec![
-                        ("slave", Field::from(i)),
-                        ("bytes", Field::from(packet.len())),
-                        ("mode", Field::from(mode)),
-                    ],
-                );
-                let dst = Endpoint::new(*addr, ports::KPROP);
-                let kprop_src = Endpoint::new(MASTER_ADDR, kprop_src_port(report.kprop_rounds));
-                match router.rpc_traced(kprop_src, dst, &packet, Some(trace)) {
-                    Ok(reply) => match parse_incr_reply(&reply) {
-                        // Corroborate the ack against what was shipped: a
-                        // reply corrupted into a plausible "OK <n>" must
-                        // never advance the cursor.
-                        IncrReply::Accepted(seq) if seq == expected => {
-                            cursors[i].on_ack(seq);
-                            report.kprop_accepted += 1;
-                            // Replication conservation oracle at a
-                            // quiescent point: the slave acknowledged the
-                            // journal head, so its installed mirror must
-                            // dump byte-identically to the master.
-                            if seq == log.head() {
-                                let slave_text = slave_dumps[i].lock().clone();
-                                let master_text = dep.master.dump_text().unwrap();
-                                if slave_text.as_deref() != Some(master_text.as_str()) {
-                                    return Err(fail(
-                                        "repl_conservation",
-                                        format!(
-                                            "slave {i} acked head seq {seq} but its \
-                                             mirror diverges from the master dump"
-                                        ),
-                                    ));
-                                }
-                            }
-                        }
-                        IncrReply::Accepted(_) | IncrReply::Rejected(_) => {
-                            cursors[i].on_failure();
-                            report.kprop_rejected += 1;
-                        }
-                    },
-                    Err(_) => {
-                        cursors[i].on_failure();
-                        report.kprop_rejected += 1;
-                        // Master-side terminal for the trace oracle: the
-                        // transfer died on the wire.
-                        journal.record(
-                            (clock_us)(),
-                            Some(trace),
-                            Component::Kprop,
-                            EventKind::KpropReject,
-                            vec![("why", Field::from("net")), ("mode", Field::from(mode))],
-                        );
+                // Replication conservation oracle at a quiescent point: the
+                // slave acknowledged the journal head, so its installed
+                // mirror must dump byte-identically to the master.
+                if ship(&mut router, &mut report, &mut cursors[i], &sent, i, *addr)
+                    && sent.expected == log.head()
+                {
+                    let slave_text = slave_dumps[i].lock().clone();
+                    let master_text = dep.master.dump_text().unwrap();
+                    if slave_text.as_deref() != Some(master_text.as_str()) {
+                        return Err(fail(
+                            "repl_conservation",
+                            format!(
+                                "slave {i} acked head seq {} but its mirror diverges from \
+                                 the master dump",
+                                sent.expected
+                            ),
+                        ));
                     }
                 }
-                drain(&mut router, kprop_src);
             }
         }
 
@@ -955,81 +934,20 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
     // via the full-dump fallback.
     for (i, (addr, _)) in dep.slaves.iter().enumerate() {
         for _attempt in 0..4 {
-            if cursors[i].synced && cursors[i].acked == log.head() {
+            if cursors[i].synced() && cursors[i].acked() == log.head() {
                 break;
             }
-            let plan = cursors[i].plan(&log);
-            let (packet, mode, expected) = match plan {
-                ShipPlan::Full => {
-                    let text = dep.master.dump_text().unwrap();
-                    (
-                        build_full_seq(&master_sched, log.head(), text.as_bytes()),
-                        "full",
-                        log.head(),
-                    )
-                }
-                ShipPlan::Segment(records) => {
-                    // Unreachable in practice: an in-sync cursor at the
-                    // head broke out above, and an unsynced one plans Full.
-                    if records.is_empty() {
-                        break;
-                    }
-                    let expected = cursors[i].acked + records.len() as u64;
-                    (
-                        build_incr_segment(&master_sched, cursors[i].acked, &records)
-                            .expect("journal slice is consecutive"),
-                        "incr",
-                        expected,
-                    )
-                }
+            // An in-sync cursor at the head broke out above, so a transfer
+            // is always due here.
+            let Some(sent) = cursors[i]
+                .next_transfer(dep.master.snapshot().db(), &log, false)
+                .expect("master dumps; journal slice is consecutive")
+            else {
+                break;
             };
-            report.kprop_rounds += 1;
-            if mode == "incr" {
-                report.kprop_incr += 1;
-            } else {
-                report.kprop_full += 1;
-            }
-            let trace =
-                krb_telemetry::TraceId::derive(config.seed ^ 0x6B70, report.kprop_rounds);
-            journal.record(
-                (clock_us)(),
-                Some(trace),
-                Component::Kprop,
-                EventKind::KpropDump,
-                vec![
-                    ("slave", Field::from(i)),
-                    ("bytes", Field::from(packet.len())),
-                    ("mode", Field::from(mode)),
-                ],
-            );
-            let dst = Endpoint::new(*addr, ports::KPROP);
-            let kprop_src = Endpoint::new(MASTER_ADDR, kprop_src_port(report.kprop_rounds));
-            match router.rpc_traced(kprop_src, dst, &packet, Some(trace)) {
-                Ok(reply) => match parse_incr_reply(&reply) {
-                    IncrReply::Accepted(seq) if seq == expected => {
-                        cursors[i].on_ack(seq);
-                        report.kprop_accepted += 1;
-                    }
-                    IncrReply::Accepted(_) | IncrReply::Rejected(_) => {
-                        cursors[i].on_failure();
-                        report.kprop_rejected += 1;
-                    }
-                },
-                Err(_) => {
-                    cursors[i].on_failure();
-                    report.kprop_rejected += 1;
-                    journal.record(
-                        (clock_us)(),
-                        Some(trace),
-                        Component::Kprop,
-                        EventKind::KpropReject,
-                        vec![("why", Field::from("net")), ("mode", Field::from(mode))],
-                    );
-                }
-            }
-            drain(&mut router, kprop_src);
+            ship(&mut router, &mut report, &mut cursors[i], &sent, i, *addr);
         }
-        if !(cursors[i].synced && cursors[i].acked == log.head()) {
+        if !(cursors[i].synced() && cursors[i].acked() == log.head()) {
             return Err(fail(
                 "repl_conservation",
                 format!("slave {i} cannot reach journal head {} after heal", log.head()),

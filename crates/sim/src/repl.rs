@@ -23,13 +23,10 @@
 
 use crate::chaos::{Profile, MASTER_ADDR};
 use kerberos::HostAddr;
-use krb_crypto::{KeyGenerator, Scheduled};
+use krb_crypto::KeyGenerator;
 use krb_kdb::dump as kdump;
 use krb_kdb::{MemStore, PrincipalDb};
-use krb_kprop::{
-    build_full_seq, build_incr_segment, parse_incr_reply, IncrKpropdService, IncrReply, ShipPlan,
-    SlaveCursor, UpdateLog, UpdateOp,
-};
+use krb_kprop::{IncrKpropdService, SlaveCursor, UpdateLog, UpdateOp};
 use krb_netsim::{ports, Endpoint, FaultPlan, NetConfig, Router, SimNet, EPOCH_1987};
 use krb_telemetry::{lcg_clock_us, ClockUs, Component, EventKind, Field, Journal, TraceId};
 use parking_lot::Mutex;
@@ -200,14 +197,14 @@ struct ShipCounters {
     bytes: u64,
 }
 
-/// One transfer attempt to one slave: plan, build, ship, corroborate the
-/// ack, and — on a quiescent accept — run the conservation compare.
+/// One transfer attempt to one slave: build what its cursor calls for,
+/// ship it, settle the cursor on the reply, and — on a quiescent accept —
+/// run the conservation compare.
 /// Returns `Err(detail)` only for a divergence (oracle violation).
 #[allow(clippy::too_many_arguments)]
 fn ship_one(
     router: &mut Router,
     master: &PrincipalDb<MemStore>,
-    master_sched: &Scheduled,
     log: &UpdateLog,
     cursor: &mut SlaveCursor,
     slot: &Arc<Mutex<Option<String>>>,
@@ -219,28 +216,15 @@ fn ship_one(
     counters: &mut ShipCounters,
     force_full: bool,
 ) -> Result<(), String> {
-    let plan = if force_full { ShipPlan::Full } else { cursor.plan(log) };
-    let (packet, mode, expected) = match plan {
-        ShipPlan::Full => {
-            let text = kdump::dump(master).expect("master dump");
-            (build_full_seq(master_sched, log.head(), text.as_bytes()), "full", log.head())
-        }
-        ShipPlan::Segment(records) => {
-            if records.is_empty() {
-                return Ok(()); // in sync, nothing new
-            }
-            let expected = cursor.acked + records.len() as u64;
-            (
-                build_incr_segment(master_sched, cursor.acked, &records)
-                    .expect("journal slice is consecutive"),
-                "incr",
-                expected,
-            )
-        }
+    let Some(sent) = cursor
+        .next_transfer(master, log, force_full)
+        .expect("master dumps; journal slice is consecutive")
+    else {
+        return Ok(()); // in sync, nothing new
     };
     counters.transfers += 1;
-    counters.bytes += packet.len() as u64;
-    if mode == "incr" {
+    counters.bytes += sent.packet.len() as u64;
+    if sent.mode() == "incr" {
         counters.incr += 1;
     } else {
         counters.full += 1;
@@ -253,51 +237,41 @@ fn ship_one(
         EventKind::KpropDump,
         vec![
             ("slave", Field::from(slave_idx)),
-            ("bytes", Field::from(packet.len())),
-            ("mode", Field::from(mode)),
+            ("bytes", Field::from(sent.packet.len())),
+            ("mode", Field::from(sent.mode())),
         ],
     );
     let dst = Endpoint::new(addr, ports::KPROP);
     // Fresh master-side port per transfer: a stale duplicated reply must
     // not be mistaken for this transfer's ack.
     let src = Endpoint::new(MASTER_ADDR, 2001u16.wrapping_add((counters.transfers % 50_000) as u16));
-    match router.rpc_traced(src, dst, &packet, Some(trace)) {
-        Ok(reply) => match parse_incr_reply(&reply) {
-            // Corroborate: the master knows exactly which sequence number
-            // a genuine ack for this transfer carries; anything else (a
-            // reply corrupted into a plausible "OK <n>") is a failure.
-            IncrReply::Accepted(seq) if seq == expected => {
-                cursor.on_ack(seq);
-                counters.accepted += 1;
-                if seq == log.head() {
-                    let slave_text = slot.lock().clone();
-                    let master_text = kdump::dump(master).expect("master dump");
-                    if slave_text.as_deref() != Some(master_text.as_str()) {
-                        return Err(format!(
-                            "slave {slave_idx} acked head seq {seq} but its mirror \
-                             diverges from the master dump"
-                        ));
-                    }
-                }
+    let reply = router.rpc_traced(src, dst, &sent.packet, Some(trace)).ok();
+    if cursor.settle(&sent, reply.as_deref()) {
+        counters.accepted += 1;
+        if sent.expected == log.head() {
+            let slave_text = slot.lock().clone();
+            let master_text = kdump::dump(master).expect("master dump");
+            if slave_text.as_deref() != Some(master_text.as_str()) {
+                return Err(format!(
+                    "slave {slave_idx} acked head seq {} but its mirror \
+                     diverges from the master dump",
+                    sent.expected
+                ));
             }
-            IncrReply::Accepted(_) | IncrReply::Rejected(_) => {
-                cursor.on_failure();
-                counters.rejected += 1;
-            }
-        },
-        Err(_) => {
-            cursor.on_failure();
-            counters.rejected += 1;
-            // Master-side terminal: the transfer died on the wire. The
-            // metrics oracle excludes `why=net` (no slave counter moved).
-            journal.record(
-                (clock_us)(),
-                Some(trace),
-                Component::Kprop,
-                EventKind::KpropReject,
-                vec![("why", Field::from("net")), ("mode", Field::from(mode))],
-            );
         }
+    } else {
+        counters.rejected += 1;
+    }
+    if reply.is_none() {
+        // Master-side terminal: the transfer died on the wire. The
+        // metrics oracle excludes `why=net` (no slave counter moved).
+        journal.record(
+            (clock_us)(),
+            Some(trace),
+            Component::Kprop,
+            EventKind::KpropReject,
+            vec![("why", Field::from("net")), ("mode", Field::from(sent.mode()))],
+        );
     }
     while router.net().recv(src).is_some() {}
     Ok(())
@@ -363,7 +337,6 @@ pub fn run_repl(config: ReplConfig) -> Result<ReplReport, ReplFailure> {
         slots.push(slot);
     }
 
-    let master_sched = Scheduled::new(&master_key);
     let mut log = UpdateLog::new(config.log_cap.max(1));
     let mut cursors = vec![SlaveCursor::new(); config.slaves];
     let mut churn_exists = vec![false; N_CHURN];
@@ -407,7 +380,6 @@ pub fn run_repl(config: ReplConfig) -> Result<ReplReport, ReplFailure> {
             ship_one(
                 &mut router,
                 &master,
-                &master_sched,
                 &log,
                 &mut cursors[k],
                 &slots[k],
@@ -429,13 +401,12 @@ pub fn run_repl(config: ReplConfig) -> Result<ReplReport, ReplFailure> {
     router.pump();
     for (k, addr) in slave_addrs.iter().enumerate() {
         for _attempt in 0..4 {
-            if cursors[k].synced && cursors[k].acked == log.head() {
+            if cursors[k].synced() && cursors[k].acked() == log.head() {
                 break;
             }
             ship_one(
                 &mut router,
                 &master,
-                &master_sched,
                 &log,
                 &mut cursors[k],
                 &slots[k],
@@ -449,7 +420,7 @@ pub fn run_repl(config: ReplConfig) -> Result<ReplReport, ReplFailure> {
             )
             .map_err(|detail| fail("repl_conservation", detail))?;
         }
-        if !(cursors[k].synced && cursors[k].acked == log.head()) {
+        if !(cursors[k].synced() && cursors[k].acked() == log.head()) {
             return Err(fail(
                 "repl_conservation",
                 format!("slave {k} cannot reach journal head {} after heal", log.head()),

@@ -12,7 +12,7 @@ use kerberos::{krb_rd_req, ErrorCode, Principal, ReplayCache};
 use krb_crypto::{DesKey, KeyGenerator};
 use krb_kdc::{Deployment, RealmConfig};
 use krb_netsim::{NetConfig, Router, SimNet};
-use krb_kprop::{frame, kpropd_verify, PropSchedule};
+use krb_kprop::{build_full_seq, kpropd_install, verify_full_seq, PropSchedule};
 use krb_telemetry::{Component, EventKind, Field, Journal, TraceId};
 use krb_tools::{kdb_init, register_service, register_user, Workstation};
 use rand::rngs::StdRng;
@@ -135,6 +135,7 @@ pub fn run_with_journal(config: ScenarioConfig, journal: Option<Arc<Journal>>) -
     let mut sessions: HashMap<usize, (Workstation, u32)> = HashMap::new();
     let mut report = ScenarioReport::default();
     let mut schedule = PropSchedule::new(start);
+    let master_sched = krb_crypto::Scheduled::new(&dep.master_key);
 
     while let Some(Reverse((t, user, kind))) = heap.pop() {
         if t >= config.duration {
@@ -151,7 +152,8 @@ pub fn run_with_journal(config: ScenarioConfig, journal: Option<Arc<Journal>>) -
             // lock is held across the framing + checksum pass, so logins
             // keep flowing mid-propagation.
             let text = dep.master.dump_text().expect("dump");
-            let packet = frame(&dep.master_key, text.as_bytes());
+            // The day keeps no update journal: every dump is position 0.
+            let packet = build_full_seq(&master_sched, 0, text.as_bytes());
             report.propagated_bytes += packet.len() as u64;
             if let Some(journal) = &journal {
                 journal.record(
@@ -164,12 +166,11 @@ pub fn run_with_journal(config: ScenarioConfig, journal: Option<Arc<Journal>>) -
             }
             // One checksum verification covers the packet; each slave
             // installs from a fresh parse of the same verified entries.
-            let entries = kpropd_verify(&packet, &dep.master_key).expect("verify");
+            let (_, entries) = verify_full_seq(&master_sched, &packet).expect("verify");
             let count = entries.len();
             for (slave_idx, (_, slave)) in dep.slaves.iter().enumerate() {
-                let mut store = krb_kdb::MemStore::new();
-                krb_kdb::dump::install(&mut store, &entries).expect("install");
-                let db = krb_kdb::PrincipalDb::open(store, dep.master_key).expect("open");
+                let db = kpropd_install(krb_kdb::MemStore::new(), &entries, dep.master_key)
+                    .expect("install");
                 slave.install_db(db);
                 if let Some(journal) = &journal {
                     journal.record(

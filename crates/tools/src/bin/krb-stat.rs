@@ -2,22 +2,19 @@
 //!
 //! ```text
 //! krb-stat [--iters N] [--users N] [--seed N] [--threads N] [--sim-clock]
-//!          [--shared] [--isolated] [--scale] [--smoke] [--out PATH]
-//!          [--journal PATH]
+//!          [--scale] [--smoke] [--out PATH] [--journal PATH]
 //! ```
 //!
-//! With `--threads N > 1` the workers hammer **one shared realm** by
-//! default (the concurrent-KDC configuration of DESIGN.md §15); pass
-//! `--isolated` for the old per-worker-realm semantics, or `--shared` to
-//! force the shared realm even for one thread. `--scale` runs the shared
-//! realm at 1/4/8/16 threads and appends a `"scaling"` array to the
+//! `--threads N` workers hammer **one shared realm** (the concurrent-KDC
+//! configuration of DESIGN.md §15). `--scale` runs it at 1/4/8/16
+//! threads and appends a `"scaling"` array to the
 //! snapshot. `--smoke` is the fast deterministic CI configuration (25
 //! cycles, simulated latency clock); without it the defaults measure real
 //! wall time. `--journal` additionally writes the run's event-journal
 //! dump, ready for `krb-trace --input`. See `crates/tools/src/krbstat.rs`
 //! for what the numbers mean.
 
-use krb_tools::{run_load, run_scale, StatConfig, StatMode};
+use krb_tools::{run_load, run_scale, StatConfig};
 
 /// The thread counts `--scale` sweeps.
 const SCALE_THREADS: &[usize] = &[1, 4, 8, 16];
@@ -52,14 +49,8 @@ fn main() {
                 None => return usage("--threads needs a number"),
             },
             "--sim-clock" => cfg.sim_clock = true,
-            "--shared" => cfg.mode = Some(StatMode::Shared),
-            "--isolated" => cfg.mode = Some(StatMode::Isolated),
             "--scale" => scale = true,
-            "--smoke" => {
-                let mode = cfg.mode;
-                cfg = StatConfig::smoke();
-                cfg.mode = mode;
-            }
+            "--smoke" => cfg = StatConfig::smoke(),
             "--out" => match take_value(&mut i) {
                 Some(p) => out = p,
                 None => return usage("--out needs a path"),
@@ -100,12 +91,11 @@ fn main() {
         }
     }
     println!(
-        "krb-stat: {} AS + {} TGS in {} us ({} clock, {} realm{}), {} errors -> {}",
+        "krb-stat: {} AS + {} TGS in {} us ({} clock, shared realm{}), {} errors -> {}",
         report.as_ok,
         report.tgs_ok,
         report.elapsed_us,
         if cfg.sim_clock { "sim" } else { "wall" },
-        if scale { "shared" } else { cfg.resolved_mode().as_str() },
         if scale { ", scaling sweep" } else { "" },
         report.errors,
         out
@@ -116,7 +106,7 @@ fn usage(err: &str) {
     eprintln!("krb-stat: {err}");
     eprintln!(
         "usage: krb-stat [--iters N] [--users N] [--seed N] [--threads N] [--sim-clock] \
-         [--shared] [--isolated] [--scale] [--smoke] [--out PATH] [--journal PATH]"
+         [--scale] [--smoke] [--out PATH] [--journal PATH]"
     );
     std::process::exit(2);
 }

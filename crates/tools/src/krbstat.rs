@@ -8,18 +8,12 @@
 //! ticket request (TGS exchange) — and reports throughput plus the KDC's
 //! own latency histograms as a JSON snapshot.
 //!
-//! Two load shapes ([`StatMode`]):
-//!
-//! - **shared** (default for `threads > 1`): every worker thread hammers
-//!   *one* KDC in one realm — the configuration the concurrent-KDC
-//!   refactor (DESIGN.md §15) exists for. Workers share the snapshot
-//!   store, the striped replay cache, and the schedule cache; only the
-//!   simulated network stack is per-worker.
-//! - **isolated** (`--isolated`, default for `threads == 1`): each worker
-//!   drives its own realm (its own master KDC on its own simulated
-//!   network). This measures aggregate fleet throughput with zero
-//!   cross-thread sharing, and is the classic pre-§15 semantics of
-//!   `--threads`.
+//! One load shape: every worker thread hammers *one* KDC in one realm —
+//! the configuration the concurrent-KDC refactor (DESIGN.md §15) exists
+//! for. Workers share the snapshot store, the striped replay cache, and
+//! the schedule cache; only the simulated network stack is per-worker. A
+//! 1-thread run is the same path with one worker. (The snapshot still
+//! says `"mode": "shared"`, so committed `BENCH_kdc.json` files compare.)
 //!
 //! Two clock modes, per the telemetry determinism contract
 //! (`krb-telemetry` crate docs):
@@ -31,13 +25,13 @@
 //! - **sim** (`sim_clock: true`): spans are timed deterministically and
 //!   "elapsed" is simulated busy time, so the whole report — bytes
 //!   included — is a deterministic function of the config. CI
-//!   smoke-checks this mode in *both* load shapes; the regression tests
+//!   smoke-checks this mode at 1 and 4 threads; the regression tests
 //!   below pin two same-seed runs byte-identical.
 //!
-//! ## Why shared-mode sim runs stay byte-identical
+//! ## Why sim runs stay byte-identical
 //!
-//! Real threads race, so shared mode earns determinism structurally
-//! rather than by scheduling:
+//! Real threads race, so the run earns determinism structurally rather
+//! than by scheduling:
 //!
 //! - Realm time is frozen at `START`; every protocol timestamp is a
 //!   constant. Authenticators stay unique because each login's session
@@ -57,7 +51,7 @@
 use crate::{kdb_init, register_service, register_user, ToolError, Workstation};
 use kerberos::Principal;
 use krb_kdb::MemStore;
-use krb_kdc::{shared_clock, Deployment, Kdc, KdcRole, KdcService, RealmConfig};
+use krb_kdc::{shared_clock, Kdc, KdcRole, KdcService, RealmConfig};
 use krb_netsim::{ports, Endpoint, NetConfig, Router, SimNet};
 use krb_telemetry::{
     fixed_clock_us, lcg_clock_us, merge_render, wall_clock_us, ClockUs, HistogramSummary, Journal,
@@ -71,32 +65,12 @@ use std::sync::Arc;
 const REALM: &str = "BENCH.MIT.EDU";
 const START: u32 = 600_000_000;
 const KDC_ADDR: [u8; 4] = [18, 72, 0, 10];
-const WS_ADDR: [u8; 4] = [18, 72, 0, 77];
 /// Worker seeds diverge by this odd multiplier (golden-ratio mix).
 const SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
-/// Shared mode caps users so every schedule the loop can touch (users +
+/// The run caps users so every schedule the loop can touch (users +
 /// krbtgt + the bench service) fits the KDC's 64-entry LRU at once —
 /// otherwise eviction races would make hit/miss totals run-dependent.
 const SHARED_MAX_USERS: usize = 62;
-
-/// Which realm topology the worker threads drive.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StatMode {
-    /// All workers hammer one KDC in one shared realm.
-    Shared,
-    /// Each worker drives its own private realm (pre-§15 semantics).
-    Isolated,
-}
-
-impl StatMode {
-    /// The string recorded under `"mode"` in the JSON snapshot.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            StatMode::Shared => "shared",
-            StatMode::Isolated => "isolated",
-        }
-    }
-}
 
 /// Load-loop parameters.
 #[derive(Clone, Copy, Debug)]
@@ -112,37 +86,21 @@ pub struct StatConfig {
     /// Time spans with a deterministic simulated clock instead of the
     /// wall clock; makes the whole report reproducible.
     pub sim_clock: bool,
-    /// Worker threads. In shared mode they all drive one KDC; in isolated
-    /// mode each drives its own realm with a seed derived from `seed`.
-    /// Either way all KDCs report into one shared registry. 1 = the
-    /// classic single-threaded loop.
+    /// Worker threads, all driving the one KDC, each with a seed derived
+    /// from `seed`.
     pub threads: usize,
-    /// Topology override. `None` picks [`StatMode::Shared`] when
-    /// `threads > 1` and [`StatMode::Isolated`] otherwise.
-    pub mode: Option<StatMode>,
 }
 
 impl Default for StatConfig {
     fn default() -> Self {
-        StatConfig { iters: 200, users: 8, seed: 42, sim_clock: false, threads: 1, mode: None }
+        StatConfig { iters: 200, users: 8, seed: 42, sim_clock: false, threads: 1 }
     }
 }
 
 impl StatConfig {
     /// The fast deterministic configuration `scripts/check.sh` runs.
     pub fn smoke() -> Self {
-        StatConfig { iters: 25, users: 4, seed: 42, sim_clock: true, threads: 1, mode: None }
-    }
-
-    /// The topology this config runs: an explicit `mode` wins, otherwise
-    /// multi-threaded runs share one realm and single-threaded runs keep
-    /// the classic isolated loop.
-    pub fn resolved_mode(&self) -> StatMode {
-        match self.mode {
-            Some(m) => m,
-            None if self.threads > 1 => StatMode::Shared,
-            None => StatMode::Isolated,
-        }
+        StatConfig { iters: 25, users: 4, seed: 42, sim_clock: true, threads: 1 }
     }
 }
 
@@ -161,11 +119,9 @@ pub struct StatReport {
     pub errors: u64,
     /// Wall or simulated microseconds the loop took.
     pub elapsed_us: u64,
-    /// The run's event journals as one text dump. Isolated mode
-    /// concatenates the per-worker journals under `# worker N` headers;
-    /// shared mode merges the per-shard rings by `(clock, shard, seq)`
-    /// with a `shard=NN` prefix per line. In sim mode either dump is
-    /// byte-identical across same-seed runs.
+    /// The run's event journals as one text dump: the per-shard rings
+    /// merged by `(clock, shard, seq)` with a `shard=NN` prefix per line.
+    /// In sim mode the dump is byte-identical across same-seed runs.
     pub journal_dump: String,
     /// Journal events recorded across all workers.
     pub journal_events: u64,
@@ -173,156 +129,12 @@ pub struct StatReport {
     pub journal_dropped: u64,
 }
 
-/// Run the AS+TGS load loop in the config's [`StatMode`].
+/// Run the AS+TGS load loop: one KDC, one realm, every worker thread
+/// hammering it through its own simulated network stack. This is the
+/// configuration the snapshot-swapped store and striped replay cache
+/// exist for — requests run concurrently through `&self` with no
+/// realm-wide lock.
 pub fn run_load(cfg: &StatConfig) -> Result<StatReport, ToolError> {
-    match cfg.resolved_mode() {
-        StatMode::Shared => run_shared(cfg),
-        StatMode::Isolated => run_isolated(cfg),
-    }
-}
-
-/// Isolated mode: each worker thread drives its own realm and every KDC
-/// reports into one shared registry (counter and histogram updates are
-/// commutative, so the aggregate snapshot in sim mode is still a
-/// deterministic function of the config).
-fn run_isolated(cfg: &StatConfig) -> Result<StatReport, ToolError> {
-    let iters = cfg.iters.max(1);
-    let users = cfg.users.clamp(1, 64);
-    let threads = cfg.threads.clamp(1, 64);
-
-    let registry = Registry::shared();
-    // One journal per worker: each owns its seq counter, so the combined
-    // dump (worker-order concatenation) is deterministic under sim clocks.
-    let journals: Vec<Arc<Journal>> = (0..threads).map(|_| Journal::shared()).collect();
-    let wall = wall_clock_us();
-    let t0 = wall();
-    if threads == 1 {
-        run_isolated_worker(cfg, 0, iters, users, &registry, &journals[0])?;
-    } else {
-        let failure = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let registry = &registry;
-                    let journal = &journals[t];
-                    scope.spawn(move || {
-                        run_isolated_worker(cfg, t as u64, iters, users, registry, journal)
-                    })
-                })
-                .collect();
-            let mut first_err = None;
-            for h in handles {
-                match h.join() {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => first_err = first_err.or(Some(e)),
-                    Err(_) => {
-                        first_err =
-                            first_err.or(Some(ToolError::Krb(kerberos::ErrorCode::KdcGenErr)));
-                    }
-                }
-            }
-            first_err
-        });
-        if let Some(e) = failure {
-            return Err(e);
-        }
-    }
-    let wall_elapsed = wall().saturating_sub(t0).max(1);
-
-    // In sim mode, "elapsed" is the KDCs' own simulated busy time — a
-    // deterministic function of the seed; wall time would leak real
-    // hardware timing into the snapshot.
-    let as_hist = registry.histogram("kdc_as_latency_us").summary();
-    let tgs_hist = registry.histogram("kdc_tgs_latency_us").summary();
-    let elapsed_us = if cfg.sim_clock {
-        (as_hist.sum + tgs_hist.sum).max(1)
-    } else {
-        wall_elapsed
-    };
-
-    let mut journal_dump = String::new();
-    let mut journal_events = 0u64;
-    let mut journal_dropped = 0u64;
-    for (t, journal) in journals.iter().enumerate() {
-        journal_dump.push_str(&format!("# worker {t}\n"));
-        journal_dump.push_str(&journal.render());
-        journal_events += journal.events_recorded();
-        journal_dropped += journal.events_dropped();
-    }
-
-    Ok(finish_report(
-        cfg, StatMode::Isolated, iters, users, threads, elapsed_us, &registry, journal_dump,
-        journal_events, journal_dropped,
-    ))
-}
-
-/// One isolated worker: a fresh realm on its own simulated network,
-/// `iters` login cycles, all metrics reported into `registry`.
-/// `thread_idx` derives the per-worker seed so the fleet does not run in
-/// lockstep.
-fn run_isolated_worker(
-    cfg: &StatConfig,
-    thread_idx: u64,
-    iters: usize,
-    users: usize,
-    registry: &Arc<Registry>,
-    journal: &Arc<Journal>,
-) -> Result<(), ToolError> {
-    let seed = cfg.seed ^ thread_idx.wrapping_mul(SEED_MIX);
-    let mut router = Router::new(SimNet::new(NetConfig::default()));
-    let mut boot = kdb_init(REALM, "bench-master-pw", START, seed)
-        .map_err(|_| ToolError::Krb(kerberos::ErrorCode::IntkErr))?;
-    for u in 0..users {
-        register_user(&mut boot.db, &format!("user{u}"), "", &format!("pw-{u}"), START)
-            .map_err(|_| ToolError::Krb(kerberos::ErrorCode::IntkErr))?;
-    }
-    let mut keygen = krb_crypto::KeyGenerator::new(StdRng::seed_from_u64(seed ^ 0x5EED));
-    register_service(&mut boot.db, "rcmd", "bench", START, &mut keygen)
-        .map_err(|_| ToolError::Krb(kerberos::ErrorCode::IntkErr))?;
-
-    let dep = Deployment::install(
-        &mut router, REALM, boot.db, RealmConfig::new(REALM), KDC_ADDR, 0, START,
-    )
-    .map_err(|_| ToolError::Krb(kerberos::ErrorCode::IntkErr))?;
-
-    let clock_us = if cfg.sim_clock {
-        lcg_clock_us(seed, 40, 400)
-    } else {
-        wall_clock_us()
-    };
-    dep.master.set_telemetry(Arc::clone(registry), ClockUs::clone(&clock_us));
-    dep.master.set_journal(Arc::clone(journal));
-
-    let service = Principal::parse("rcmd.bench", REALM)?;
-    let mut rng = StdRng::seed_from_u64(seed);
-    for i in 0..iters {
-        // Advance realm time one second per cycle: authenticators get
-        // fresh timestamps and ticket lifetimes still hold easily.
-        dep.advance_time(1);
-        let u: usize = rng.random_range(0..users);
-        let mut ws = Workstation::new(
-            WS_ADDR,
-            REALM,
-            dep.kdc_endpoints(),
-            shared_clock(Arc::clone(&dep.clock_cell)),
-        );
-        // A fresh workstation per cycle means a fresh login counter, so
-        // derive each cycle's trace seed from the cycle index.
-        ws.enable_tracing(
-            Arc::clone(journal),
-            ClockUs::clone(&clock_us),
-            seed.wrapping_add(i as u64),
-        );
-        ws.kinit(&mut router, &format!("user{u}"), &format!("pw-{u}"))?;
-        ws.mk_request(&mut router, &service, 0, false)?;
-    }
-    Ok(())
-}
-
-/// Shared mode: one KDC, one realm, every worker thread hammering it
-/// through its own simulated network stack. This is the configuration the
-/// snapshot-swapped store and striped replay cache exist for — requests
-/// run concurrently through `&self` with no realm-wide lock.
-fn run_shared(cfg: &StatConfig) -> Result<StatReport, ToolError> {
     let intk = |_| ToolError::Krb(kerberos::ErrorCode::IntkErr);
     let iters = cfg.iters.max(1);
     let users = cfg.users.clamp(1, SHARED_MAX_USERS);
@@ -412,13 +224,31 @@ fn run_shared(cfg: &StatConfig) -> Result<StatReport, ToolError> {
     let journal_events = journals.iter().map(|j| j.events_recorded()).sum();
     let journal_dropped = journals.iter().map(|j| j.events_dropped()).sum();
 
-    Ok(finish_report(
-        cfg, StatMode::Shared, iters, users, threads, elapsed_us, &registry, journal_dump,
-        journal_events, journal_dropped,
-    ))
+    let as_hist = registry.histogram("kdc_as_latency_us").summary();
+    let tgs_hist = registry.histogram("kdc_tgs_latency_us").summary();
+    let as_ok = registry.counter_value("kdc_as_ok_total");
+    let tgs_ok = registry.counter_value("kdc_tgs_ok_total");
+    let errors = registry.counter_value("kdc_error_total");
+    let sched_hits = registry.counter_value("kdc_sched_cache_hits_total");
+    let sched_misses = registry.counter_value("kdc_sched_cache_misses_total");
+    let json = render_json(
+        cfg, iters, users, threads, elapsed_us, as_ok, tgs_ok, errors, sched_hits, sched_misses,
+        journal_events, journal_dropped, &as_hist, &tgs_hist,
+    );
+    Ok(StatReport {
+        json,
+        render: registry.render(),
+        as_ok,
+        tgs_ok,
+        errors,
+        elapsed_us,
+        journal_dump,
+        journal_events,
+        journal_dropped,
+    })
 }
 
-/// Pre-warm every key schedule the shared load loop can touch (each
+/// Pre-warm every key schedule the load loop can touch (each
 /// user's key, the krbtgt key, the bench service key) through a scratch
 /// registry. The measured run then serves schedule lookups entirely from
 /// cache: its hit/miss counters are a pure function of the config instead
@@ -447,7 +277,7 @@ fn warmup_shared(
     Ok(())
 }
 
-/// One shared-mode worker: its own simulated network serving the *shared*
+/// One worker: its own simulated network serving the *shared*
 /// KDC, `iters` login cycles from per-worker seeds, journal events pinned
 /// to this worker's shard ring. Returns the worker's final simulated
 /// clock reading (its busy time).
@@ -499,45 +329,6 @@ fn run_shared_worker(
     Ok(clock_us())
 }
 
-/// Pull the aggregate numbers out of `registry` and assemble the report.
-#[allow(clippy::too_many_arguments)]
-fn finish_report(
-    cfg: &StatConfig,
-    mode: StatMode,
-    iters: usize,
-    users: usize,
-    threads: usize,
-    elapsed_us: u64,
-    registry: &Arc<Registry>,
-    journal_dump: String,
-    journal_events: u64,
-    journal_dropped: u64,
-) -> StatReport {
-    let as_hist = registry.histogram("kdc_as_latency_us").summary();
-    let tgs_hist = registry.histogram("kdc_tgs_latency_us").summary();
-    let as_ok = registry.counter_value("kdc_as_ok_total");
-    let tgs_ok = registry.counter_value("kdc_tgs_ok_total");
-    let errors = registry.counter_value("kdc_error_total");
-    let sched_hits = registry.counter_value("kdc_sched_cache_hits_total");
-    let sched_misses = registry.counter_value("kdc_sched_cache_misses_total");
-
-    let json = render_json(
-        cfg, iters, users, threads, mode, elapsed_us, as_ok, tgs_ok, errors, sched_hits,
-        sched_misses, journal_events, journal_dropped, &as_hist, &tgs_hist, "",
-    );
-    StatReport {
-        json,
-        render: registry.render(),
-        as_ok,
-        tgs_ok,
-        errors,
-        elapsed_us,
-        journal_dump,
-        journal_events,
-        journal_dropped,
-    }
-}
-
 /// Run the shared-realm load at each thread count and emit one combined
 /// snapshot: the base fields describe the first count's run, plus a
 /// `"scaling"` array with one row per count. `speedup` is each row's
@@ -552,7 +343,6 @@ pub fn run_scale(cfg: &StatConfig, thread_counts: &[usize]) -> Result<StatReport
     for &threads in counts {
         let mut run_cfg = *cfg;
         run_cfg.threads = threads;
-        run_cfg.mode = Some(StatMode::Shared);
         let report = run_load(&run_cfg)?;
         rows.push((
             threads,
@@ -656,7 +446,6 @@ fn render_json(
     iters: usize,
     users: usize,
     threads: usize,
-    mode: StatMode,
     elapsed_us: u64,
     as_ok: u64,
     tgs_ok: u64,
@@ -667,7 +456,6 @@ fn render_json(
     journal_dropped: u64,
     as_hist: &HistogramSummary,
     tgs_hist: &HistogramSummary,
-    extra: &str,
 ) -> String {
     format!(
         concat!(
@@ -677,7 +465,7 @@ fn render_json(
             "  \"users\": {users},\n",
             "  \"seed\": {seed},\n",
             "  \"threads\": {threads},\n",
-            "  \"mode\": \"{mode}\",\n",
+            "  \"mode\": \"shared\",\n",
             "  \"clock\": \"{clock}\",\n",
             "  \"elapsed_us\": {elapsed},\n",
             "  \"as_ok\": {as_ok},\n",
@@ -687,14 +475,13 @@ fn render_json(
             "  \"tgs_per_sec\": {tgsps:.2},\n",
             "  \"sched_cache\": {{\"hits\": {shits}, \"misses\": {smisses}}},\n",
             "  \"journal\": {{\"events\": {jevents}, \"dropped\": {jdropped}}},\n",
-            "  \"latency_us\": {{\"as\": {aslat}, \"tgs\": {tgslat}}}{extra}\n",
+            "  \"latency_us\": {{\"as\": {aslat}, \"tgs\": {tgslat}}}\n",
             "}}\n",
         ),
         iters = iters,
         users = users,
         seed = cfg.seed,
         threads = threads,
-        mode = mode.as_str(),
         clock = if cfg.sim_clock { "sim" } else { "wall" },
         elapsed = elapsed_us,
         as_ok = as_ok,
@@ -708,7 +495,6 @@ fn render_json(
         jdropped = journal_dropped,
         aslat = latency_json(as_hist),
         tgslat = latency_json(tgs_hist),
-        extra = extra,
     )
 }
 
@@ -788,8 +574,8 @@ mod tests {
         for key in REQUIRED_JSON_KEYS {
             assert!(report.json.contains(key), "missing {key} in:\n{}", report.json);
         }
-        // Single-threaded smoke defaults to the classic isolated loop.
-        assert!(report.json.contains("\"mode\": \"isolated\""), "{}", report.json);
+        // One worker is still the shared path.
+        assert!(report.json.contains("\"mode\": \"shared\""), "{}", report.json);
         assert!(looks_like_json(&report.json), "malformed JSON:\n{}", report.json);
     }
 
@@ -799,7 +585,7 @@ mod tests {
         // clock, the JSON snapshot *and* the full registry export are a
         // pure function of the config.
         let cfg = StatConfig {
-            iters: 40, users: 3, seed: 7, sim_clock: true, threads: 1, mode: None,
+            iters: 40, users: 3, seed: 7, sim_clock: true, threads: 1,
         };
         let a = run_load(&cfg).unwrap();
         let b = run_load(&cfg).unwrap();
@@ -812,24 +598,23 @@ mod tests {
 
     #[test]
     fn different_seeds_change_the_simulated_snapshot() {
-        let a = run_load(&StatConfig {
-            iters: 30, users: 3, seed: 1, sim_clock: true, threads: 1, mode: None,
-        })
-        .unwrap();
-        let b = run_load(&StatConfig {
-            iters: 30, users: 3, seed: 2, sim_clock: true, threads: 1, mode: None,
-        })
-        .unwrap();
-        assert_ne!(a.render, b.render, "latency clock ignored the seed");
+        let run = |seed| {
+            run_load(&StatConfig { iters: 30, users: 3, seed, sim_clock: true, threads: 1 }).unwrap()
+        };
+        let (a, b) = (run(1), run(2));
+        // The KDC's span clock is pinned, so the seed shows in what the
+        // worker's seeded clock stamps: its busy time and its journal.
+        assert_ne!(a.elapsed_us, b.elapsed_us, "worker clock ignored the seed");
+        assert_ne!(a.journal_dump, b.journal_dump, "journal ignored the seed");
     }
 
     #[test]
     fn multi_thread_sim_runs_are_deterministic_and_serve_every_cycle() {
-        // threads > 1 defaults to shared mode: four workers race one KDC,
+        // Four workers race one KDC,
         // yet the snapshot stays a pure function of the config (frozen
         // realm clock, pinned KDC span clock, pre-warmed sched cache).
         let cfg = StatConfig {
-            iters: 20, users: 3, seed: 9, sim_clock: true, threads: 4, mode: None,
+            iters: 20, users: 3, seed: 9, sim_clock: true, threads: 4,
         };
         let a = run_load(&cfg).unwrap();
         let b = run_load(&cfg).unwrap();
@@ -844,31 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn isolated_multi_thread_journal_dump_is_byte_identical() {
-        // --isolated keeps the pre-§15 semantics: per-worker realms and
-        // per-worker journals with their own seq counters, concatenated
-        // in worker order — a pure function of the config even with 4
-        // threads racing.
-        let cfg = StatConfig {
-            iters: 15, users: 3, seed: 11, sim_clock: true, threads: 4,
-            mode: Some(StatMode::Isolated),
-        };
-        let a = run_load(&cfg).unwrap();
-        let b = run_load(&cfg).unwrap();
-        assert_eq!(a.journal_dump, b.journal_dump);
-        assert!(a.journal_events > 0);
-        assert_eq!(a.journal_dropped, 0);
-        assert!(a.json.contains("\"mode\": \"isolated\""), "{}", a.json);
-        for t in 0..4 {
-            assert!(a.journal_dump.contains(&format!("# worker {t}\n")), "{}", a.journal_dump);
-        }
-        // Every cycle journals the full login chain at both hops.
-        assert!(a.journal_dump.contains("kind=login_start"));
-        assert!(a.journal_dump.contains("comp=kdc kind=as_ok"));
-        assert!(a.journal_dump.contains("kind=ap_sent"));
-    }
-
-    #[test]
     fn shared_mode_merged_journal_is_byte_identical() {
         // The §15 determinism claim under real concurrency: four workers
         // hammer one KDC, each journaling into its own shard ring (KDC
@@ -876,7 +636,6 @@ mod tests {
         // byte-identical across same-seed runs.
         let cfg = StatConfig {
             iters: 15, users: 3, seed: 11, sim_clock: true, threads: 4,
-            mode: Some(StatMode::Shared),
         };
         let a = run_load(&cfg).unwrap();
         let b = run_load(&cfg).unwrap();
@@ -904,7 +663,6 @@ mod tests {
         // path, the service on the TGS path).
         let cfg = StatConfig {
             iters: 10, users: 3, seed: 5, sim_clock: true, threads: 2,
-            mode: Some(StatMode::Shared),
         };
         let report = run_load(&cfg).unwrap();
         assert_eq!(report.errors, 0);
@@ -936,7 +694,7 @@ mod tests {
     #[test]
     fn run_scale_appends_scaling_rows() {
         let cfg = StatConfig {
-            iters: 8, users: 3, seed: 13, sim_clock: true, threads: 1, mode: None,
+            iters: 8, users: 3, seed: 13, sim_clock: true, threads: 1,
         };
         let report = run_scale(&cfg, &[1, 2]).unwrap();
         assert!(report.json.contains("\"scaling\": ["), "{}", report.json);
@@ -972,7 +730,7 @@ mod tests {
         // come out 1.00, proving the baseline is found by thread count and
         // not by list position.
         let cfg = StatConfig {
-            iters: 8, users: 3, seed: 13, sim_clock: true, threads: 1, mode: None,
+            iters: 8, users: 3, seed: 13, sim_clock: true, threads: 1,
         };
         let report = run_scale(&cfg, &[2, 1]).unwrap();
         let one_thread_row = report

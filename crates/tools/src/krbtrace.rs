@@ -4,8 +4,9 @@
 //! multi-hop exchange did; this module turns its line-oriented dump back
 //! into per-trace timelines — the paper's Figure 9 flow (AS → TGS → AP)
 //! becomes one readable tree per login. The parser is the inverse of
-//! `Event::render_line`; `#`-comment lines (e.g. `# worker N` headers from
-//! `krb-stat`) are skipped, so a multi-worker dump ingests as-is.
+//! `Event::render_line`; `#`-comment lines are skipped and the `shard=NN`
+//! prefix of a merged `krb-stat` dump rides along as one more field, so a
+//! multi-worker dump ingests as-is.
 //!
 //! [`smoke`] is the self-contained CI pass: it stands up a seeded realm,
 //! drives one clean login plus three forced failures, and asserts that the

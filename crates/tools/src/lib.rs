@@ -19,7 +19,7 @@ pub mod workstation;
 
 pub use kdb_init::{kdb_init, register_service, register_user, RealmBootstrap};
 pub use krbstat::{
-    drift_warning, run_load, run_scale, StatConfig, StatMode, StatReport, DRIFT_TOLERANCE_PCT,
+    drift_warning, run_load, run_scale, StatConfig, StatReport, DRIFT_TOLERANCE_PCT,
     REQUIRED_JSON_KEYS,
 };
 pub use krbtop::{TopConfig, TopRun, TopSnapshot, TOP_JSON_KEYS};

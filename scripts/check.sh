@@ -90,7 +90,7 @@ for key in as_per_sec tgs_per_sec latency_us p50 p95 p99 threads mode \
     fi
 done
 
-echo "== krb-stat --smoke --threads 4 --shared (byte-identity)"
+echo "== krb-stat --smoke --threads 4 (byte-identity)"
 # Four workers hammer ONE realm through the lock-free snapshot path; the
 # per-shard journal rings must merge back to a byte-identical dump and the
 # whole JSON snapshot must be reproducible run-over-run (DESIGN.md §15).
@@ -98,9 +98,9 @@ shared_a="$(mktmp)"
 shared_b="$(mktmp)"
 shared_ja="$(mktmp)"
 shared_jb="$(mktmp)"
-cargo run -q -p krb-tools --bin krb-stat -- --smoke --threads 4 --shared \
+cargo run -q -p krb-tools --bin krb-stat -- --smoke --threads 4 \
     --out "$shared_a" --journal "$shared_ja"
-cargo run -q -p krb-tools --bin krb-stat -- --smoke --threads 4 --shared \
+cargo run -q -p krb-tools --bin krb-stat -- --smoke --threads 4 \
     --out "$shared_b" --journal "$shared_jb"
 if ! diff -q "$shared_a" "$shared_b" > /dev/null; then
     echo "shared-realm krb-stat is not deterministic (two JSON snapshots differ)" >&2
@@ -111,7 +111,7 @@ if ! diff -q "$shared_ja" "$shared_jb" > /dev/null; then
     exit 1
 fi
 if ! grep -q '"mode": "shared"' "$shared_a"; then
-    echo "krb-stat --shared did not record mode=shared" >&2
+    echo "krb-stat did not record mode=shared" >&2
     exit 1
 fi
 echo "== no Mutex<Kdc outside the lint fixtures"
@@ -146,8 +146,9 @@ if ! diff -q "$chaos_a" "$chaos_b" > /dev/null; then
     exit 1
 fi
 for key in tool seed profiles profile ops logins_ok app_ok replay_hits \
-        dups_at_server healed_logins net corrupted journal oracles safety \
-        liveness conservation trace_completeness metrics_journal; do
+        dups_at_server healed_logins kprop_incr kprop_full admin_writes net \
+        corrupted journal oracles safety liveness conservation \
+        repl_conservation trace_completeness metrics_journal; do
     if ! grep -q "\"$key\"" "$chaos_a"; then
         echo "krb-chaos smoke output is missing \"$key\"" >&2
         exit 1

@@ -82,10 +82,13 @@ fn propagation_from_file_backed_master_to_file_backed_slave() {
     db.add_principal("bcn", "", &string_to_key("bcn-pw"), NOW * 2, 96, NOW, "i.").unwrap();
     db.sync().unwrap();
 
-    let packet = athena_kerberos::kprop::kprop_build(&db).unwrap();
+    let dump = athena_kerberos::kdb::dump::dump(&db).unwrap();
+    let packet = athena_kerberos::kprop::build_full_seq(db.master_sched(), 0, dump.as_bytes());
     let slave_store = HashStore::open(&slave_base).unwrap();
+    let (_, entries) =
+        athena_kerberos::kprop::verify_full_seq(db.master_sched(), &packet).unwrap();
     let slave_db =
-        athena_kerberos::kprop::kpropd_receive(&packet, slave_store, string_to_key("master"))
+        athena_kerberos::kprop::kpropd_install(slave_store, &entries, string_to_key("master"))
             .unwrap();
     assert_eq!(slave_db.len(), db.len());
     let slave = Kdc::new(slave_db, RealmConfig::new(REALM), fixed_clock(NOW), KdcRole::Slave, 3);

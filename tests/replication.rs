@@ -6,7 +6,8 @@ use athena_kerberos::kadm::{
     read_kdbm_ticket_reply, Acl, KdbmServer,
 };
 use athena_kerberos::kdc::{Deployment, RealmConfig};
-use athena_kerberos::kprop::{kprop_build, kpropd_receive, kpropd_verify, PropError};
+use athena_kerberos::kdb::{dump::dump, MemStore, PrincipalDb, Store};
+use athena_kerberos::kprop::{build_full_seq, kpropd_install, verify_full_seq, PropError};
 use athena_kerberos::krb::Principal;
 use athena_kerberos::netsim::{NetConfig, Router, SimNet};
 use athena_kerberos::tools::{kdb_init, register_user, Workstation};
@@ -23,6 +24,19 @@ fn deploy(slaves: usize) -> (Router, Deployment) {
         &mut router, REALM, boot.db, RealmConfig::new(REALM), [18, 72, 0, 10], slaves, start,
     ).unwrap();
     (router, dep)
+}
+
+/// `kprop`'s full dump of `db` (Fig. 13); these realms keep no update
+/// journal, so every dump is position 0.
+fn full_dump<S: Store>(db: &PrincipalDb<S>) -> Vec<u8> {
+    build_full_seq(db.master_sched(), 0, dump(db).unwrap().as_bytes())
+}
+
+/// `kpropd`'s half: verify under the master key, install in a fresh store.
+fn receive(packet: &[u8], dep: &Deployment) -> Result<PrincipalDb<MemStore>, PropError> {
+    let sched = athena_kerberos::crypto::Scheduled::new(&dep.master_key);
+    let (_, entries) = verify_full_seq(&sched, packet)?;
+    kpropd_install(MemStore::new(), &entries, dep.master_key)
 }
 
 fn ws(dep: &Deployment) -> Workstation {
@@ -71,12 +85,7 @@ fn password_change_reaches_slaves_only_after_propagation() {
 
     // Propagate (Fig. 13) and the slave converges.
     let snap = dep.master.snapshot();
-    let packet = kprop_build(snap.db()).unwrap();
-    let entries = kpropd_verify(&packet, &dep.master_key).unwrap();
-    let mut store = athena_kerberos::kdb::MemStore::new();
-    athena_kerberos::kdb::dump::install(&mut store, &entries).unwrap();
-    let db = athena_kerberos::kdb::PrincipalDb::open(store, dep.master_key).unwrap();
-    dep.slaves[0].1.install_db(db);
+    dep.slaves[0].1.install_db(receive(&full_dump(snap.db()), &dep).unwrap());
 
     let mut probe = ws(&dep);
     probe.kdc_endpoints = vec![slave_ep];
@@ -107,15 +116,10 @@ fn master_down_blocks_admin_but_not_authentication() {
 fn tampered_propagation_is_rejected_and_slave_keeps_serving() {
     let (mut router, dep) = deploy(1);
     let snap = dep.master.snapshot();
-    let mut packet = kprop_build(snap.db()).unwrap();
+    let mut packet = full_dump(snap.db());
     let n = packet.len();
     packet[n - 1] ^= 0x01;
-    assert_eq!(
-        kpropd_receive(&packet, athena_kerberos::kdb::MemStore::new(), dep.master_key)
-            .map(|_| ())
-            .unwrap_err(),
-        PropError::ChecksumMismatch
-    );
+    assert_eq!(receive(&packet, &dep).map(|_| ()).unwrap_err(), PropError::ChecksumMismatch);
     // The slave keeps its previous database and keeps authenticating.
     let mut probe = ws(&dep);
     probe.kdc_endpoints = vec![dep.kdc_endpoints()[1]];
@@ -174,12 +178,7 @@ fn krbtgt_rollover_via_propagation_invalidates_schedule_caches() {
     register_user(&mut rekeyed.db, "bcn", "", "bcn-pw", start).unwrap();
     register_user(&mut rekeyed.db, "rcmd", "host", "svc-pw", start).unwrap();
     register_user(&mut rekeyed.db, "pop", "po", "pop-pw", start).unwrap();
-    let packet = kprop_build(&rekeyed.db).unwrap();
-    let entries = kpropd_verify(&packet, &dep.master_key).unwrap();
-    let mut store = athena_kerberos::kdb::MemStore::new();
-    athena_kerberos::kdb::dump::install(&mut store, &entries).unwrap();
-    let db = athena_kerberos::kdb::PrincipalDb::open(store, dep.master_key).unwrap();
-    slave.install_db(db);
+    slave.install_db(receive(&full_dump(&rekeyed.db), &dep).unwrap());
 
     // The old TGT is sealed under the retired krbtgt key; asking the TGS
     // for a not-yet-cached service must fail, not be served from a stale
@@ -318,8 +317,7 @@ fn propagation_scales_with_database_size() {
         for i in 0..n {
             register_user(&mut boot.db, &format!("u{i}"), "", &format!("p{i}"), start).unwrap();
         }
-        let packet = kprop_build(&boot.db).unwrap();
-        sizes.push(packet.len());
+        sizes.push(full_dump(&boot.db).len());
     }
     assert!(sizes[1] > sizes[0] * 3 && sizes[1] < sizes[0] * 5, "{sizes:?}");
     assert!(sizes[2] > sizes[1] * 3 && sizes[2] < sizes[1] * 5, "{sizes:?}");
