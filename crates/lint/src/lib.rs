@@ -79,17 +79,22 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Files whose non-test code handles remote requests (L3 scope), plus the
-/// in-memory store every KDC lookup descends through and the replay cache
-/// every server's `krb_rd_req` consults.
+/// in-memory store every KDC lookup descends through, the replay cache
+/// every server's `krb_rd_req` consults, and the wire decoders (message
+/// envelope, admin protocol, monitoring frames) those requests pass first.
 const SERVER_PATH_FILES: &[&str] = &[
+    "crates/core/src/msg.rs",
     "crates/core/src/replay.rs",
     "crates/kdb/src/store.rs",
     "crates/kdc/src/server.rs",
     "crates/kdc/src/service.rs",
+    "crates/kadm/src/proto.rs",
     "crates/kadm/src/server.rs",
     "crates/kprop/src/lib.rs",
     "crates/kprop/src/incr.rs",
     "crates/kprop/src/net.rs",
+    "crates/mon/src/frames.rs",
+    "crates/mon/src/service.rs",
     "crates/nfs/src/server.rs",
     "crates/apps/src/netproto.rs",
 ];

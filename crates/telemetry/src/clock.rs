@@ -3,7 +3,7 @@
 //! The determinism contract (crate docs) hinges on this module: simulated
 //! paths take their [`ClockUs`] from the simulation, never from the OS.
 //! [`wall_clock_us`] is the one escape hatch, for real deployments and the
-//! `krb-stat` wall-time bench mode.
+//! kbench harness (`benchmark/`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -57,7 +57,7 @@ pub fn lcg_clock_us(seed: u64, min_step: u64, max_step: u64) -> ClockUs {
 ///
 /// **Not for simulated paths.** Anything driven by `SimNet` or a shared
 /// clock cell must use one of the deterministic clocks above; this one is
-/// for real deployments and the `krb-stat` wall-time mode, where the
+/// for real deployments and the kbench harness (`benchmark/`), where the
 /// point is to measure the hardware.
 pub fn wall_clock_us() -> ClockUs {
     let origin = std::time::Instant::now();

@@ -19,8 +19,9 @@
 //!   are timed by a [`ClockUs`] handed in by the caller; the simulator
 //!   passes a deterministic clock ([`shared_clock_us`], [`lcg_clock_us`])
 //!   and gets byte-identical [`Registry::render`] output on every run.
-//! - [`wall_clock_us`] exists for real deployments and the `krb-stat`
-//!   load tool only; it must never be wired into a `SimNet`-driven path.
+//! - [`wall_clock_us`] exists for real deployments and the kbench harness
+//!   (`benchmark/`) only; it must never be wired into a simulated path
+//!   whose output is compared byte for byte.
 //! - [`Registry::render`] iterates a `BTreeMap`, so the exported text is
 //!   a deterministic function of the recorded values.
 //!

@@ -1,34 +1,21 @@
-//! `krb-stat`: the KDC load benchmark behind `BENCH_kdc.json`.
+//! `krb-stat`: the deterministic shared-realm concurrency smoke.
 //!
-//! The paper's capacity argument (§4: one master plus read-only slaves
-//! absorb a campus of workstations) is quantitative, so this reproduction
-//! keeps a machine-readable measurement of what its KDC actually sustains.
 //! [`run_load`] drives a configurable number of login cycles — each one a
 //! fresh workstation doing `kinit` (AS exchange) followed by a service
-//! ticket request (TGS exchange) — and reports throughput plus the KDC's
-//! own latency histograms as a JSON snapshot.
+//! ticket request (TGS exchange) — with every worker thread hammering *one*
+//! KDC in one realm, the configuration the concurrent-KDC refactor
+//! (DESIGN.md §15) exists for. Workers share the snapshot store, the
+//! striped replay cache, and the schedule cache; only the simulated network
+//! stack is per-worker. A 1-thread run is the same path with one worker.
 //!
-//! One load shape: every worker thread hammers *one* KDC in one realm —
-//! the configuration the concurrent-KDC refactor (DESIGN.md §15) exists
-//! for. Workers share the snapshot store, the striped replay cache, and
-//! the schedule cache; only the simulated network stack is per-worker. A
-//! 1-thread run is the same path with one worker. (The snapshot still
-//! says `"mode": "shared"`, so committed `BENCH_kdc.json` files compare.)
+//! It measures nothing: the only clocks are simulated, so the whole report
+//! — JSON snapshot, registry export and merged journal, bytes included — is
+//! a deterministic function of the config. `scripts/check.sh` runs it at 1
+//! and 4 threads, asserts every cycle was served, and requires two runs to
+//! be byte-identical; the journal dump feeds `krb-trace --input`.
+//! Performance figures come from `benchmark/` (kbench).
 //!
-//! Two clock modes, per the telemetry determinism contract
-//! (`krb-telemetry` crate docs):
-//!
-//! - **wall** (default): spans are timed by
-//!   [`krb_telemetry::wall_clock_us`] and throughput by real elapsed time —
-//!   the numbers in a committed `BENCH_kdc.json` mean microseconds of
-//!   hardware time.
-//! - **sim** (`sim_clock: true`): spans are timed deterministically and
-//!   "elapsed" is simulated busy time, so the whole report — bytes
-//!   included — is a deterministic function of the config. CI
-//!   smoke-checks this mode at 1 and 4 threads; the regression tests
-//!   below pin two same-seed runs byte-identical.
-//!
-//! ## Why sim runs stay byte-identical
+//! ## Why runs stay byte-identical
 //!
 //! Real threads race, so the run earns determinism structurally rather
 //! than by scheduling:
@@ -36,12 +23,13 @@
 //! - Realm time is frozen at `START`; every protocol timestamp is a
 //!   constant. Authenticators stay unique because each login's session
 //!   key (and therefore its authenticator ciphertext hash) is distinct.
-//! - The KDC's span clock is pinned to frozen realm time: latency samples
-//!   are all zero, so histograms depend only on deterministic counts.
+//! - The KDC's span clock is pinned to frozen realm time: one LCG shared by
+//!   racing handlers would assign run-dependent timestamps, so its
+//!   histograms and journal stamps depend only on deterministic counts.
 //!   Worker-side journals use per-worker seeded LCG clocks instead.
 //! - Every key schedule is pre-warmed through a scratch registry before
-//!   measurement, so the sched-cache counters can't depend on which
-//!   thread loses a first-touch race: the measured run is all hits.
+//!   the counted run, so the sched-cache counters can't depend on which
+//!   thread loses a first-touch race: the counted run is all hits.
 //! - Each worker journals into its own shard ring, and the KDC routes its
 //!   events by trace id onto the same shard
 //!   ([`Workstation::enable_tracing_sharded`]); the combined dump is the
@@ -53,10 +41,7 @@ use kerberos::Principal;
 use krb_kdb::MemStore;
 use krb_kdc::{shared_clock, Kdc, KdcRole, KdcService, RealmConfig};
 use krb_netsim::{ports, Endpoint, NetConfig, Router, SimNet};
-use krb_telemetry::{
-    fixed_clock_us, lcg_clock_us, merge_render, wall_clock_us, ClockUs, HistogramSummary, Journal,
-    Registry,
-};
+use krb_telemetry::{fixed_clock_us, lcg_clock_us, merge_render, ClockUs, Journal, Registry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::AtomicU32;
@@ -80,12 +65,9 @@ pub struct StatConfig {
     pub iters: usize,
     /// Distinct principals the cycles draw from.
     pub users: usize,
-    /// Seeds the database, the user pick sequence, and (in sim mode) the
-    /// latency clock.
+    /// Seeds the database, the user pick sequence, and the workers'
+    /// journal clocks.
     pub seed: u64,
-    /// Time spans with a deterministic simulated clock instead of the
-    /// wall clock; makes the whole report reproducible.
-    pub sim_clock: bool,
     /// Worker threads, all driving the one KDC, each with a seed derived
     /// from `seed`.
     pub threads: usize,
@@ -93,21 +75,21 @@ pub struct StatConfig {
 
 impl Default for StatConfig {
     fn default() -> Self {
-        StatConfig { iters: 200, users: 8, seed: 42, sim_clock: false, threads: 1 }
+        StatConfig { iters: 200, users: 8, seed: 42, threads: 1 }
     }
 }
 
 impl StatConfig {
-    /// The fast deterministic configuration `scripts/check.sh` runs.
+    /// The fast configuration `scripts/check.sh` runs.
     pub fn smoke() -> Self {
-        StatConfig { iters: 25, users: 4, seed: 42, sim_clock: true, threads: 1 }
+        StatConfig { iters: 25, users: 4, seed: 42, threads: 1 }
     }
 }
 
 /// What one load run produced.
 #[derive(Clone, Debug)]
 pub struct StatReport {
-    /// The `BENCH_kdc.json` payload.
+    /// The JSON snapshot.
     pub json: String,
     /// The KDC registry's full Prometheus-style text export.
     pub render: String,
@@ -117,11 +99,9 @@ pub struct StatReport {
     pub tgs_ok: u64,
     /// Error replies (should be 0 under this well-formed load).
     pub errors: u64,
-    /// Wall or simulated microseconds the loop took.
-    pub elapsed_us: u64,
     /// The run's event journals as one text dump: the per-shard rings
-    /// merged by `(clock, shard, seq)` with a `shard=NN` prefix per line.
-    /// In sim mode the dump is byte-identical across same-seed runs.
+    /// merged by `(clock, shard, seq)` with a `shard=NN` prefix per line,
+    /// byte-identical across same-seed runs.
     pub journal_dump: String,
     /// Journal events recorded across all workers.
     pub journal_events: u64,
@@ -166,24 +146,11 @@ pub fn run_load(cfg: &StatConfig) -> Result<StatReport, ToolError> {
 
     let registry = Registry::shared();
     let journals: Vec<Arc<Journal>> = (0..threads).map(|_| Journal::shared()).collect();
-    let kdc_clock: ClockUs = if cfg.sim_clock {
-        // One LCG shared by racing handlers would assign run-dependent
-        // timestamps; pin the KDC's span clock to frozen realm time so
-        // its histograms and journal stamps depend only on counts.
-        fixed_clock_us(u64::from(START) * 1_000_000)
-    } else {
-        wall_clock_us()
-    };
-    kdc.set_telemetry(Arc::clone(&registry), kdc_clock);
+    kdc.set_telemetry(Arc::clone(&registry), fixed_clock_us(u64::from(START) * 1_000_000));
     kdc.set_journal_shards(journals.clone());
 
-    let wall = wall_clock_us();
-    let t0 = wall();
-    let mut busy: Vec<u64> = Vec::with_capacity(threads);
     if threads == 1 {
-        busy.push(run_shared_worker(
-            cfg, 0, iters, users, threads, &kdc, &clock_cell, &journals[0],
-        )?);
+        run_shared_worker(cfg, 0, iters, users, threads, &kdc, &clock_cell, &journals[0])?;
     } else {
         let joined = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
@@ -206,34 +173,25 @@ pub fn run_load(cfg: &StatConfig) -> Result<StatReport, ToolError> {
             results
         });
         for r in joined {
-            busy.push(r?);
+            r?;
         }
     }
-    let wall_elapsed = wall().saturating_sub(t0).max(1);
-
-    // Sim-mode elapsed is the slowest worker's simulated busy time — the
-    // parallel-run analogue of wall time, and a pure function of the
-    // per-worker seeds.
-    let elapsed_us = if cfg.sim_clock {
-        busy.iter().copied().max().unwrap_or(1).max(1)
-    } else {
-        wall_elapsed
-    };
 
     let journal_dump = merge_render(&journals);
     let journal_events = journals.iter().map(|j| j.events_recorded()).sum();
     let journal_dropped = journals.iter().map(|j| j.events_dropped()).sum();
 
-    let as_hist = registry.histogram("kdc_as_latency_us").summary();
-    let tgs_hist = registry.histogram("kdc_tgs_latency_us").summary();
     let as_ok = registry.counter_value("kdc_as_ok_total");
     let tgs_ok = registry.counter_value("kdc_tgs_ok_total");
     let errors = registry.counter_value("kdc_error_total");
     let sched_hits = registry.counter_value("kdc_sched_cache_hits_total");
     let sched_misses = registry.counter_value("kdc_sched_cache_misses_total");
-    let json = render_json(
-        cfg, iters, users, threads, elapsed_us, as_ok, tgs_ok, errors, sched_hits, sched_misses,
-        journal_events, journal_dropped, &as_hist, &tgs_hist,
+    let json = format!(
+        "{{\n  \"bench\": \"kdc_load\",\n  \"iters\": {iters},\n  \"users\": {users},\n  \
+         \"seed\": {seed},\n  \"threads\": {threads},\n  \"as_ok\": {as_ok},\n  \
+         \"tgs_ok\": {tgs_ok},\n  \"errors\": {errors},\n  \
+         \"sched_cache\": {{\"hits\": {sched_hits}, \"misses\": {sched_misses}}},\n  \
+         \"journal\": {{\"events\": {journal_events}, \"dropped\": {journal_dropped}}}\n}}\n"
     );
     Ok(StatReport {
         json,
@@ -241,7 +199,6 @@ pub fn run_load(cfg: &StatConfig) -> Result<StatReport, ToolError> {
         as_ok,
         tgs_ok,
         errors,
-        elapsed_us,
         journal_dump,
         journal_events,
         journal_dropped,
@@ -250,7 +207,7 @@ pub fn run_load(cfg: &StatConfig) -> Result<StatReport, ToolError> {
 
 /// Pre-warm every key schedule the load loop can touch (each
 /// user's key, the krbtgt key, the bench service key) through a scratch
-/// registry. The measured run then serves schedule lookups entirely from
+/// registry. The counted run then serves schedule lookups entirely from
 /// cache: its hit/miss counters are a pure function of the config instead
 /// of depending on which thread loses the first-touch race.
 fn warmup_shared(
@@ -279,8 +236,7 @@ fn warmup_shared(
 
 /// One worker: its own simulated network serving the *shared*
 /// KDC, `iters` login cycles from per-worker seeds, journal events pinned
-/// to this worker's shard ring. Returns the worker's final simulated
-/// clock reading (its busy time).
+/// to this worker's shard ring.
 #[allow(clippy::too_many_arguments)]
 fn run_shared_worker(
     cfg: &StatConfig,
@@ -291,15 +247,11 @@ fn run_shared_worker(
     kdc: &Arc<Kdc<MemStore>>,
     clock_cell: &Arc<AtomicU32>,
     journal: &Arc<Journal>,
-) -> Result<u64, ToolError> {
+) -> Result<(), ToolError> {
     let seed = cfg.seed ^ (thread_idx as u64).wrapping_mul(SEED_MIX);
     let mut router = Router::new(SimNet::new(NetConfig::default()));
     router.serve(Endpoint::new(KDC_ADDR, ports::KDC), KdcService(Arc::clone(kdc)));
-    let clock_us = if cfg.sim_clock {
-        lcg_clock_us(seed, 40, 400)
-    } else {
-        wall_clock_us()
-    };
+    let clock_us = lcg_clock_us(seed, 40, 400);
     let service = Principal::parse("rcmd.bench", REALM)?;
     let mut rng = StdRng::seed_from_u64(seed);
     // Distinct workstation address per worker, so ticket address checks
@@ -326,201 +278,25 @@ fn run_shared_worker(
         ws.kinit(&mut router, &format!("user{u}"), &format!("pw-{u}"))?;
         ws.mk_request(&mut router, &service, 0, false)?;
     }
-    Ok(clock_us())
+    Ok(())
 }
 
-/// Run the shared-realm load at each thread count and emit one combined
-/// snapshot: the base fields describe the first count's run, plus a
-/// `"scaling"` array with one row per count. `speedup` is each row's
-/// total (AS+TGS) throughput relative to the in-run **1-thread** row —
-/// the single-threaded baseline is the only row against which "speedup"
-/// means anything. If the sweep carries no 1-thread row (custom counts),
-/// the first row stands in and every speedup is relative to it.
-pub fn run_scale(cfg: &StatConfig, thread_counts: &[usize]) -> Result<StatReport, ToolError> {
-    let counts: &[usize] = if thread_counts.is_empty() { &[1] } else { thread_counts };
-    let mut base: Option<StatReport> = None;
-    let mut rows: Vec<(usize, u64, f64, f64)> = Vec::new();
-    for &threads in counts {
-        let mut run_cfg = *cfg;
-        run_cfg.threads = threads;
-        let report = run_load(&run_cfg)?;
-        rows.push((
-            threads,
-            report.elapsed_us,
-            per_sec(report.as_ok, report.elapsed_us),
-            per_sec(report.tgs_ok, report.elapsed_us),
-        ));
-        if base.is_none() {
-            base = Some(report);
-        }
-    }
-    let mut base = match base {
-        Some(b) => b,
-        None => return Err(ToolError::Krb(kerberos::ErrorCode::KdcGenErr)),
-    };
-    let base_row = rows.iter().find(|(t, ..)| *t == 1).or_else(|| rows.first());
-    let base_total = base_row.map(|(_, _, a, t)| a + t).unwrap_or(0.0);
-    let rows_json: Vec<String> = rows
-        .iter()
-        .map(|(t, e, asps, tgsps)| {
-            let speedup = if base_total > 0.0 { (asps + tgsps) / base_total } else { 0.0 };
-            format!(
-                "    {{\"threads\": {t}, \"elapsed_us\": {e}, \"as_per_sec\": {asps:.2}, \
-                 \"tgs_per_sec\": {tgsps:.2}, \"speedup\": {speedup:.2}}}"
-            )
-        })
-        .collect();
-    // Splice the scaling array in before the snapshot's closing brace.
-    let mut json = base.json.trim_end().to_string();
-    json.pop();
-    while json.ends_with(['\n', ' ']) {
-        json.pop();
-    }
-    json.push_str(",\n  \"scaling\": [\n");
-    json.push_str(&rows_json.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    base.json = json;
-    Ok(base)
-}
-
-fn per_sec(count: u64, elapsed_us: u64) -> f64 {
-    (count as f64) * 1_000_000.0 / (elapsed_us.max(1) as f64)
-}
-
-/// Regression threshold for [`drift_warning`], in percent of the
-/// committed throughput.
-pub const DRIFT_TOLERANCE_PCT: f64 = 15.0;
-
-/// First top-level numeric field named `key` in our hand-rolled JSON.
-/// The emitter writes base fields before the `"scaling"` array, so the
-/// first match is the snapshot-level value, not a per-row duplicate.
-fn json_f64_field(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = json.find(&needle)?;
-    let rest = json[at + needle.len()..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Compare a fresh run against the previously committed `BENCH_kdc.json`
-/// and describe bench rot: returns a warning line when the run's total
-/// AS+TGS throughput sits more than [`DRIFT_TOLERANCE_PCT`] percent
-/// below the committed snapshot's, `None` when within budget or when
-/// either side lacks the throughput fields (first run, fresh clone).
-/// Apples-to-apples is the caller's concern — `krb-stat` compares the
-/// file it is about to overwrite, which was produced by the same
-/// configuration it just ran.
-pub fn drift_warning(current_json: &str, committed_json: &str) -> Option<String> {
-    let total = |json: &str| {
-        Some(json_f64_field(json, "as_per_sec")? + json_f64_field(json, "tgs_per_sec")?)
-    };
-    let cur = total(current_json)?;
-    let old = total(committed_json)?;
-    if old <= 0.0 {
-        return None;
-    }
-    let drop_pct = (old - cur) / old * 100.0;
-    if drop_pct > DRIFT_TOLERANCE_PCT {
-        Some(format!(
-            "krb-stat: drift warning: AS+TGS throughput {cur:.2}/s is {drop_pct:.1}% below the \
-             committed BENCH_kdc.json ({old:.2}/s; tolerance {DRIFT_TOLERANCE_PCT:.0}%) — \
-             investigate or regenerate the baseline"
-        ))
-    } else {
-        None
-    }
-}
-
-fn latency_json(s: &HistogramSummary) -> String {
-    format!(
-        "{{\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}",
-        s.count, s.p50, s.p95, s.p99, s.max
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    cfg: &StatConfig,
-    iters: usize,
-    users: usize,
-    threads: usize,
-    elapsed_us: u64,
-    as_ok: u64,
-    tgs_ok: u64,
-    errors: u64,
-    sched_hits: u64,
-    sched_misses: u64,
-    journal_events: u64,
-    journal_dropped: u64,
-    as_hist: &HistogramSummary,
-    tgs_hist: &HistogramSummary,
-) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"kdc_load\",\n",
-            "  \"iters\": {iters},\n",
-            "  \"users\": {users},\n",
-            "  \"seed\": {seed},\n",
-            "  \"threads\": {threads},\n",
-            "  \"mode\": \"shared\",\n",
-            "  \"clock\": \"{clock}\",\n",
-            "  \"elapsed_us\": {elapsed},\n",
-            "  \"as_ok\": {as_ok},\n",
-            "  \"tgs_ok\": {tgs_ok},\n",
-            "  \"errors\": {errors},\n",
-            "  \"as_per_sec\": {asps:.2},\n",
-            "  \"tgs_per_sec\": {tgsps:.2},\n",
-            "  \"sched_cache\": {{\"hits\": {shits}, \"misses\": {smisses}}},\n",
-            "  \"journal\": {{\"events\": {jevents}, \"dropped\": {jdropped}}},\n",
-            "  \"latency_us\": {{\"as\": {aslat}, \"tgs\": {tgslat}}}\n",
-            "}}\n",
-        ),
-        iters = iters,
-        users = users,
-        seed = cfg.seed,
-        threads = threads,
-        clock = if cfg.sim_clock { "sim" } else { "wall" },
-        elapsed = elapsed_us,
-        as_ok = as_ok,
-        tgs_ok = tgs_ok,
-        errors = errors,
-        asps = per_sec(as_ok, elapsed_us),
-        tgsps = per_sec(tgs_ok, elapsed_us),
-        shits = sched_hits,
-        smisses = sched_misses,
-        jevents = journal_events,
-        jdropped = journal_dropped,
-        aslat = latency_json(as_hist),
-        tgslat = latency_json(tgs_hist),
-    )
-}
-
-/// Keys a well-formed `BENCH_kdc.json` must contain; `scripts/check.sh`
-/// greps for these and the schema test below asserts them.
+/// Keys the JSON snapshot must contain; the schema test below asserts them.
 pub const REQUIRED_JSON_KEYS: &[&str] = &[
     "\"bench\"",
     "\"iters\"",
+    "\"users\"",
     "\"seed\"",
     "\"threads\"",
-    "\"mode\"",
-    "\"clock\"",
-    "\"elapsed_us\"",
-    "\"as_per_sec\"",
-    "\"tgs_per_sec\"",
+    "\"as_ok\"",
+    "\"tgs_ok\"",
+    "\"errors\"",
     "\"sched_cache\"",
     "\"hits\"",
     "\"misses\"",
     "\"journal\"",
     "\"events\"",
     "\"dropped\"",
-    "\"latency_us\"",
-    "\"p50\"",
-    "\"p95\"",
-    "\"p99\"",
-    "\"max\"",
 ];
 
 #[cfg(test)]
@@ -574,18 +350,15 @@ mod tests {
         for key in REQUIRED_JSON_KEYS {
             assert!(report.json.contains(key), "missing {key} in:\n{}", report.json);
         }
-        // One worker is still the shared path.
-        assert!(report.json.contains("\"mode\": \"shared\""), "{}", report.json);
         assert!(looks_like_json(&report.json), "malformed JSON:\n{}", report.json);
     }
 
     #[test]
     fn same_seed_sim_runs_are_byte_identical() {
-        // The determinism contract, end to end: with the simulated latency
-        // clock, the JSON snapshot *and* the full registry export are a
-        // pure function of the config.
+        // The determinism contract, end to end: the JSON snapshot *and* the
+        // full registry export are a pure function of the config.
         let cfg = StatConfig {
-            iters: 40, users: 3, seed: 7, sim_clock: true, threads: 1,
+            iters: 40, users: 3, seed: 7, threads: 1,
         };
         let a = run_load(&cfg).unwrap();
         let b = run_load(&cfg).unwrap();
@@ -599,12 +372,11 @@ mod tests {
     #[test]
     fn different_seeds_change_the_simulated_snapshot() {
         let run = |seed| {
-            run_load(&StatConfig { iters: 30, users: 3, seed, sim_clock: true, threads: 1 }).unwrap()
+            run_load(&StatConfig { iters: 30, users: 3, seed, threads: 1 }).unwrap()
         };
         let (a, b) = (run(1), run(2));
         // The KDC's span clock is pinned, so the seed shows in what the
-        // worker's seeded clock stamps: its busy time and its journal.
-        assert_ne!(a.elapsed_us, b.elapsed_us, "worker clock ignored the seed");
+        // worker's seeded clock stamps (its journal) and in the user picks.
         assert_ne!(a.journal_dump, b.journal_dump, "journal ignored the seed");
     }
 
@@ -614,7 +386,7 @@ mod tests {
         // yet the snapshot stays a pure function of the config (frozen
         // realm clock, pinned KDC span clock, pre-warmed sched cache).
         let cfg = StatConfig {
-            iters: 20, users: 3, seed: 9, sim_clock: true, threads: 4,
+            iters: 20, users: 3, seed: 9, threads: 4,
         };
         let a = run_load(&cfg).unwrap();
         let b = run_load(&cfg).unwrap();
@@ -625,7 +397,6 @@ mod tests {
         assert_eq!(a.tgs_ok, 80);
         assert_eq!(a.errors, 0);
         assert!(a.json.contains("\"threads\": 4"), "{}", a.json);
-        assert!(a.json.contains("\"mode\": \"shared\""), "{}", a.json);
     }
 
     #[test]
@@ -635,7 +406,7 @@ mod tests {
         // hops route there by aligned trace id), and the merged dump is
         // byte-identical across same-seed runs.
         let cfg = StatConfig {
-            iters: 15, users: 3, seed: 11, sim_clock: true, threads: 4,
+            iters: 15, users: 3, seed: 11, threads: 4,
         };
         let a = run_load(&cfg).unwrap();
         let b = run_load(&cfg).unwrap();
@@ -657,12 +428,12 @@ mod tests {
 
     #[test]
     fn shared_mode_sched_cache_is_all_hits_and_stripes_render() {
-        // The warmup contract: by the time measurement starts every key
-        // schedule is resident, so the measured run records zero misses
+        // The warmup contract: by the time counting starts every key
+        // schedule is resident, so the counted run records zero misses
         // and exactly three hits per cycle (client + krbtgt on the AS
         // path, the service on the TGS path).
         let cfg = StatConfig {
-            iters: 10, users: 3, seed: 5, sim_clock: true, threads: 2,
+            iters: 10, users: 3, seed: 5, threads: 2,
         };
         let report = run_load(&cfg).unwrap();
         assert_eq!(report.errors, 0);
@@ -692,21 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn run_scale_appends_scaling_rows() {
-        let cfg = StatConfig {
-            iters: 8, users: 3, seed: 13, sim_clock: true, threads: 1,
-        };
-        let report = run_scale(&cfg, &[1, 2]).unwrap();
-        assert!(report.json.contains("\"scaling\": ["), "{}", report.json);
-        assert!(report.json.contains("\"speedup\": 1.00"), "{}", report.json);
-        assert_eq!(report.json.matches("\"threads\":").count(), 3, "{}", report.json);
-        assert!(looks_like_json(&report.json), "malformed JSON:\n{}", report.json);
-        // Base fields describe the first (1-thread) run.
-        assert!(report.json.contains("\"threads\": 1,"), "{}", report.json);
-        assert!(report.json.contains("\"mode\": \"shared\""), "{}", report.json);
-    }
-
-    #[test]
     fn sched_cache_counters_reach_the_snapshot() {
         // Every TGS exchange hits the krbtgt warm cache (not the LRU); the
         // per-service LRU sees one miss per distinct service key and hits
@@ -722,63 +478,5 @@ mod tests {
             .and_then(|s| s.trim().parse().ok())
             .expect("sched_cache.hits in snapshot");
         assert!(hits > 0, "expected schedule-cache hits in:\n{}", report.json);
-    }
-
-    #[test]
-    fn scale_speedup_baseline_is_the_one_thread_row() {
-        // Put the 1-thread run *last* in the sweep: its speedup must still
-        // come out 1.00, proving the baseline is found by thread count and
-        // not by list position.
-        let cfg = StatConfig {
-            iters: 8, users: 3, seed: 13, sim_clock: true, threads: 1,
-        };
-        let report = run_scale(&cfg, &[2, 1]).unwrap();
-        let one_thread_row = report
-            .json
-            .lines()
-            .find(|l| l.contains("{\"threads\": 1,"))
-            .expect("1-thread scaling row");
-        assert!(one_thread_row.contains("\"speedup\": 1.00"), "{one_thread_row}");
-    }
-
-    #[test]
-    fn drift_warning_fires_only_past_the_tolerance() {
-        let snapshot = |asps: f64, tgsps: f64| {
-            format!(
-                "{{\n  \"bench\": \"kdc_load\",\n  \"as_per_sec\": {asps:.2},\n  \
-                 \"tgs_per_sec\": {tgsps:.2},\n  \"scaling\": [\n    {{\"threads\": 4, \
-                 \"as_per_sec\": 9.99, \"tgs_per_sec\": 9.99}}\n  ]\n}}\n"
-            )
-        };
-        let committed = snapshot(1000.0, 1000.0);
-        // 10% down: within the 15% budget.
-        assert_eq!(drift_warning(&snapshot(900.0, 900.0), &committed), None);
-        // 20% down: rot.
-        let warning = drift_warning(&snapshot(800.0, 800.0), &committed)
-            .expect("20% regression must warn");
-        assert!(warning.contains("20.0% below"), "{warning}");
-        assert!(warning.contains("BENCH_kdc.json"), "{warning}");
-        // Faster than committed never warns.
-        assert_eq!(drift_warning(&snapshot(2000.0, 2000.0), &committed), None);
-        // A committed file without the fields (or garbage) is not an error.
-        assert_eq!(drift_warning(&snapshot(1.0, 1.0), "{}"), None);
-        assert_eq!(drift_warning("not json", &committed), None);
-        // The top-level fields win over scaling-row duplicates: a committed
-        // snapshot whose only difference is row order must parse the same.
-        assert_eq!(
-            drift_warning(&committed, &committed),
-            None,
-            "identical snapshots must never drift"
-        );
-    }
-
-    #[test]
-    fn committed_bench_parses_with_the_drift_scanner() {
-        // The scanner must understand the real committed snapshot format,
-        // not only the synthetic fixtures above.
-        let committed = include_str!("../../../BENCH_kdc.json");
-        assert_eq!(json_f64_field(committed, "as_per_sec").map(|v| v > 0.0), Some(true));
-        assert_eq!(json_f64_field(committed, "tgs_per_sec").map(|v| v > 0.0), Some(true));
-        assert_eq!(drift_warning(committed, committed), None);
     }
 }

@@ -18,10 +18,7 @@ pub mod ticket_file;
 pub mod workstation;
 
 pub use kdb_init::{kdb_init, register_service, register_user, RealmBootstrap};
-pub use krbstat::{
-    drift_warning, run_load, run_scale, StatConfig, StatReport, DRIFT_TOLERANCE_PCT,
-    REQUIRED_JSON_KEYS,
-};
+pub use krbstat::{run_load, StatConfig, StatReport, REQUIRED_JSON_KEYS};
 pub use krbtop::{TopConfig, TopRun, TopSnapshot, TOP_JSON_KEYS};
 pub use krbtrace::{
     group_traces, parse_dump, render_json as render_trace_json, render_timelines, Timeline,
