@@ -18,7 +18,7 @@ use kerberos::{
 use krb_bench::time_median;
 use krb_crypto::{
     decrypt_raw, decrypt_raw_with, encrypt_raw, encrypt_raw_with, open, quad_cksum, seal,
-    seal_into, seal_with, string_to_key, Des, DesKey, Mode, Scheduled,
+    seal_in_place, seal_with, string_to_key, Des, DesKey, Mode, Scheduled,
 };
 use krb_kdc::{Kdc, KdcRole, RealmConfig};
 use krb_kdb::{HashStore, MemStore, PrincipalDb, Store};
@@ -514,7 +514,7 @@ fn e17_athena_day() {
 /// the two *is* the schedule cost, so it shrinks (relatively) as messages
 /// grow — 1-block authenticators feel it most, 64-block private messages
 /// least. The schedule build is timed in isolation as the datum the cache
-/// removes, and `seal_into` shows the remaining allocation stripped too.
+/// removes, and `seal_in_place` shows the remaining allocation stripped too.
 fn e15_sched_cache() {
     println!("== E15b (§2.2 seam): schedule caching on the sealing path ==");
     let key = string_to_key("service srvtab key");
@@ -548,13 +548,16 @@ fn e15_sched_cache() {
                 black_box(seal_with(Mode::Pcbc, &sched, &iv, &plaintext).unwrap());
             }),
         );
-        // Cached schedule + reused output buffer: the allocation-lean loop
-        // shape the KDC reply path uses.
+        // Cached schedule, sealed where the plaintext lies in a buffer the
+        // caller already owns: the shape of the KDC reply path.
         let mut out = Vec::new();
         row(
-            &format!("e15_sched_cache/pcbc_seal/scheduled_into/{blocks}"),
+            &format!("e15_sched_cache/pcbc_seal/scheduled_in_place/{blocks}"),
             per_call(2_000, || {
-                seal_into(Mode::Pcbc, &sched, &iv, &plaintext, &mut out).unwrap();
+                out.clear();
+                out.extend_from_slice(&[0u8; 4]);
+                out.extend_from_slice(&plaintext);
+                seal_in_place(Mode::Pcbc, &sched, &iv, &mut out, 0).unwrap();
                 black_box(out.len());
             }),
         );

@@ -6,14 +6,15 @@
 //! routines `krb_mk_safe`/`krb_rd_safe` and `krb_mk_priv`/`krb_rd_priv`
 //! (§2.1's three protection levels).
 
-use crate::authent::Authenticator;
-use crate::msg::{ApRep, ApReq, Message, PrivMsg, SafeMsg};
+use crate::authent::AuthenticatorView;
+use crate::msg::{ApRep, ApReq, ApReqView, MessageView, PrivMsg, SafeMsg};
 use crate::replay::{ReplayFingerprint, ReplayGuard};
-use crate::ticket::{EncryptedTicket, Ticket};
+use crate::scratch::Scratch;
+use crate::ticket::{EncryptedTicket, Ticket, TicketView};
 use crate::time::{is_expired, within_skew};
-use crate::wire::{Reader, Writer};
+use crate::wire::{sealed_len, Reader, Writer};
 use crate::{ErrorCode, HostAddr, KrbResult, Principal};
-use krb_crypto::{ct_eq, open, quad_cksum, seal_with, DesKey, Mode, Scheduled};
+use krb_crypto::{ct_eq, quad_cksum, DesKey, Scheduled, BLOCK};
 use krb_telemetry::{Component, EventKind, Field, TraceCtx};
 
 /// What `krb_rd_req` returns on success: the verified identity and the
@@ -36,6 +37,43 @@ pub struct VerifiedRequest {
     pub ticket: Ticket,
     /// Whether the client asked for mutual authentication.
     pub mutual_requested: bool,
+}
+
+/// Where [`krb_rd_req_in`] opens a request's two sealed parts. Both are
+/// wiped when this is dropped.
+#[derive(Default)]
+pub struct ApScratch {
+    ticket: Scratch,
+    authenticator: Scratch,
+}
+
+/// What [`krb_rd_req_in`] verified, read where it was decrypted: the ticket
+/// and the authenticator are views into the caller's [`ApScratch`].
+pub struct VerifiedView<'a> {
+    /// The decrypted ticket.
+    pub ticket: TicketView<'a>,
+    /// The decrypted authenticator.
+    pub authenticator: AuthenticatorView<'a>,
+    /// The session-key schedule built to open the authenticator.
+    pub session_sched: Scheduled,
+    /// Whether the client asked for mutual authentication.
+    pub mutual_requested: bool,
+}
+
+impl VerifiedView<'_> {
+    /// The owned result `krb_rd_req` hands to applications.
+    pub fn into_owned(self) -> VerifiedRequest {
+        let (name, instance, realm) = self.ticket.client();
+        VerifiedRequest {
+            client: Principal { name: name.into(), instance: instance.into(), realm: realm.into() },
+            session_key: *self.session_sched.key(),
+            session_sched: self.session_sched,
+            timestamp: self.authenticator.timestamp,
+            cksum: self.authenticator.cksum,
+            ticket: self.ticket.to_owned(),
+            mutual_requested: self.mutual_requested,
+        }
+    }
 }
 
 /// Client side: build an `AP_REQ` for `service` from a ticket and session
@@ -67,11 +105,10 @@ pub fn krb_mk_req_sched(
     cksum: u32,
     mutual: bool,
 ) -> ApReq {
-    let auth = Authenticator::new(client, addr, now, cksum);
     ApReq {
         realm: ticket_realm.to_string(),
         ticket: ticket.clone(),
-        authenticator: auth.seal_with(session).0,
+        authenticator: AuthenticatorView::new(client, addr, now, cksum).seal_with(session).0,
         mutual,
     }
 }
@@ -95,8 +132,9 @@ pub fn krb_rd_req<R: ReplayGuard>(
 }
 
 /// [`krb_rd_req`] with the service key's schedule precomputed — long-lived
-/// servers (and the KDC's TGS path) verify every request under the same
-/// srvtab key, so they build that schedule once per process, not per packet.
+/// servers verify every request under the same srvtab key, so they build
+/// that schedule once per process, not per packet. This is
+/// [`krb_rd_req_in`] on a scratch of its own, plus the owned copy.
 pub fn krb_rd_req_sched<R: ReplayGuard>(
     req: &ApReq,
     service: &Principal,
@@ -105,13 +143,34 @@ pub fn krb_rd_req_sched<R: ReplayGuard>(
     now: u32,
     replay: &mut R,
 ) -> KrbResult<VerifiedRequest> {
-    let ticket = req.ticket.open_with(service_sched)?;
-    if ticket.sname != service.name || ticket.sinstance != service.instance {
+    let mut scratch = ApScratch::default();
+    let service = (service.name.as_str(), service.instance.as_str());
+    krb_rd_req_in(&mut scratch, &req.view(), service, service_sched, sender_addr, now, replay)
+        .map(VerifiedView::into_owned)
+}
+
+/// The `krb_rd_req` checks themselves, on borrowed input: the request as it
+/// lies in its datagram, the service as `(name, instance)`, the ticket and
+/// the authenticator decrypted in `scratch` and read there. Nothing is
+/// copied to the heap unless a sealed part is longer than any legal one
+/// (then `scratch` spills, and the verdict is the same). The KDC's TGS path
+/// calls this directly; [`krb_rd_req_sched`] is the owned wrapper.
+pub fn krb_rd_req_in<'a, R: ReplayGuard>(
+    scratch: &'a mut ApScratch,
+    req: &ApReqView<'_>,
+    service: (&str, &str),
+    service_sched: &Scheduled,
+    sender_addr: HostAddr,
+    now: u32,
+    replay: &mut R,
+) -> KrbResult<VerifiedView<'a>> {
+    let ticket = TicketView::open_in(&mut scratch.ticket, req.ticket, service_sched)?;
+    if (ticket.sname, ticket.sinstance) != service {
         return Err(ErrorCode::RdApNotUs);
     }
-    let session_key = ticket.session_key.as_des_key();
-    let session_sched = Scheduled::new(&session_key);
-    let auth = Authenticator::open_with(&req.authenticator, &session_sched)?;
+    let session_sched = Scheduled::new(&DesKey::from_bytes(*ticket.session_key));
+    let auth =
+        AuthenticatorView::open_in(&mut scratch.authenticator, req.authenticator, &session_sched)?;
     if !auth.matches_ticket(&ticket) {
         return Err(ErrorCode::RdApIncon);
     }
@@ -131,20 +190,11 @@ pub fn krb_rd_req_sched<R: ReplayGuard>(
     if ticket.timestamp > now && !within_skew(ticket.timestamp, now) {
         return Err(ErrorCode::RdApTime);
     }
-    let client = ticket.client();
-    let fingerprint = ReplayFingerprint::new(&client, auth.timestamp, &req.authenticator);
+    let fingerprint = ReplayFingerprint::new(ticket.client(), auth.timestamp, req.authenticator);
     if !replay.check_fingerprint(fingerprint, now) {
         return Err(ErrorCode::RdApRepeat);
     }
-    Ok(VerifiedRequest {
-        client,
-        session_key,
-        session_sched,
-        timestamp: auth.timestamp,
-        cksum: auth.cksum,
-        ticket,
-        mutual_requested: req.mutual,
-    })
+    Ok(VerifiedView { ticket, authenticator: auth, session_sched, mutual_requested: req.mutual })
 }
 
 /// [`krb_rd_req_sched`] with an optional trace context: the verification
@@ -191,20 +241,21 @@ pub fn krb_rd_req_sched_ctx<R: ReplayGuard>(
 /// the time stamp the client sent in the authenticator, encrypts the result
 /// in the session key, and sends the result back to the client."
 pub fn krb_mk_rep(verified: &VerifiedRequest) -> ApRep {
-    let mut w = Writer::new();
-    w.u32(verified.timestamp.wrapping_add(1));
-    let enc = seal_with(Mode::Pcbc, &verified.session_sched, &[0u8; 8], &w.finish())
-        .expect("fixed-size payload");
-    ApRep { enc_part: enc }
+    let enc_part = Writer::sealed(BLOCK, &verified.session_sched, |w| {
+        w.u32(verified.timestamp.wrapping_add(1));
+    });
+    ApRep { enc_part }
 }
 
 /// Client side of mutual authentication: check the reply is `ts + 1`
 /// sealed in the session key. Success convinces the client "that the
 /// server is authentic".
 pub fn krb_rd_rep(rep: &ApRep, session_key: &DesKey, sent_timestamp: u32) -> KrbResult<()> {
-    let plain = open(Mode::Pcbc, session_key, &[0u8; 8], &rep.enc_part)
+    let mut scratch = Scratch::new();
+    let plain = scratch
+        .unseal(&Scheduled::new(session_key), &rep.enc_part)
         .map_err(|_| ErrorCode::RdApModified)?;
-    let mut r = Reader::new(&plain);
+    let mut r = Reader::new(plain);
     let got = r.u32()?;
     r.expect_end()?;
     if !ct_eq(
@@ -254,12 +305,12 @@ pub fn krb_mk_priv(data: &[u8], session_key: &DesKey, addr: HostAddr, now: u32) 
 /// [`krb_mk_priv`] under a precomputed session schedule (servers answering
 /// on an authenticated connection already hold one in `VerifiedRequest`).
 pub fn krb_mk_priv_with(data: &[u8], session: &Scheduled, addr: HostAddr, now: u32) -> PrivMsg {
-    let mut w = Writer::new();
-    w.bytes(data);
-    w.addr(&addr);
-    w.u32(now);
-    let enc = seal_with(Mode::Pcbc, session, &[0u8; 8], &w.finish()).expect("bounded payload");
-    PrivMsg { enc_part: enc }
+    let enc_part = Writer::sealed(sealed_len(2 + data.len() + 8), session, |w| {
+        w.bytes(data);
+        w.addr(&addr);
+        w.u32(now);
+    });
+    PrivMsg { enc_part }
 }
 
 /// `krb_rd_priv`: decrypt and check freshness and (optionally) the
@@ -270,10 +321,12 @@ pub fn krb_rd_priv(
     expected_addr: Option<HostAddr>,
     now: u32,
 ) -> KrbResult<Vec<u8>> {
-    let plain = open(Mode::Pcbc, session_key, &[0u8; 8], &msg.enc_part)
+    let mut scratch = Scratch::new();
+    let plain = scratch
+        .unseal(&Scheduled::new(session_key), &msg.enc_part)
         .map_err(|_| ErrorCode::RdApModified)?;
-    let mut r = Reader::new(&plain);
-    let data = r.bytes()?;
+    let mut r = Reader::new(plain);
+    let data = r.bytes_ref()?;
     let addr = r.addr()?;
     let ts = r.u32()?;
     r.expect_end()?;
@@ -285,12 +338,13 @@ pub fn krb_rd_priv(
     if !within_skew(ts, now) {
         return Err(ErrorCode::RdApTime);
     }
-    Ok(data)
+    Ok(data.to_vec())
 }
 
-/// Helper: wrap an `AP_REQ` in a [`Message`] and encode for the wire.
+/// Helper: wrap an `AP_REQ` in a [`Message`](crate::Message) and encode for
+/// the wire.
 pub fn encode_ap_req(req: &ApReq) -> Vec<u8> {
-    Message::ApReq(req.clone()).encode()
+    MessageView::ApReq(req.view()).encode()
 }
 
 #[cfg(test)]
@@ -298,7 +352,7 @@ mod tests {
     use super::*;
     use crate::replay::ReplayCache;
     use crate::time::MAX_SKEW_SECS;
-    use krb_crypto::{seal, string_to_key};
+    use krb_crypto::{seal, string_to_key, Mode};
 
     const REALM: &str = "ATHENA.MIT.EDU";
     const ADDR: HostAddr = [18, 72, 0, 5];

@@ -9,9 +9,11 @@
 //! ticket knows the session key sealed inside it, and its timestamp is the
 //! replay-detection handle.
 
-use crate::wire::{Reader, Writer};
+use crate::scratch::Scratch;
+use crate::ticket::TicketView;
+use crate::wire::{sealed_len, Reader, Writer};
 use crate::{ErrorCode, HostAddr, KrbResult, Principal};
-use krb_crypto::{seal_with, unseal_with, DesKey, Mode, Scheduled};
+use krb_crypto::{DesKey, Scheduled};
 
 /// The plaintext contents of an authenticator.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -31,6 +33,105 @@ pub struct Authenticator {
     pub cksum: u32,
 }
 
+/// An authenticator's plaintext read where it lies: the fields of
+/// [`Authenticator`] with the names borrowed. The authenticator parser and
+/// encoder; [`Authenticator`] is its owned copy.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct AuthenticatorView<'a> {
+    /// Client primary name (`c`).
+    pub cname: &'a str,
+    /// Client instance.
+    pub cinstance: &'a str,
+    /// Realm in which the client was originally authenticated.
+    pub crealm: &'a str,
+    /// The workstation's address (`addr`).
+    pub addr: HostAddr,
+    /// The current workstation time (`timestamp`).
+    pub timestamp: u32,
+    /// Application-data checksum; zero when unused.
+    pub cksum: u32,
+}
+
+impl<'a> AuthenticatorView<'a> {
+    /// An authenticator for `client` at `addr`, time `now`.
+    pub fn new(client: &'a Principal, addr: HostAddr, now: u32, cksum: u32) -> Self {
+        AuthenticatorView {
+            cname: &client.name,
+            cinstance: &client.instance,
+            crealm: &client.realm,
+            addr,
+            timestamp: now,
+            cksum,
+        }
+    }
+
+    /// Parse an authenticator's plaintext; the whole of `buf` must be it.
+    pub fn decode(buf: &'a [u8]) -> KrbResult<Self> {
+        let mut r = Reader::new(buf);
+        let a = AuthenticatorView {
+            cname: r.str_ref()?,
+            cinstance: r.str_ref()?,
+            crealm: r.str_ref()?,
+            addr: r.addr()?,
+            timestamp: r.u32()?,
+            cksum: r.u32()?,
+        };
+        r.expect_end()?;
+        Ok(a)
+    }
+
+    /// Append the authenticator's plaintext.
+    pub fn write(&self, w: &mut Writer) {
+        w.str(self.cname);
+        w.str(self.cinstance);
+        w.str(self.crealm);
+        w.addr(&self.addr);
+        w.u32(self.timestamp);
+        w.u32(self.cksum);
+    }
+
+    /// Decrypt `sealed` (the `authenticator` field of an `AP_REQ`) in
+    /// `scratch` under the session-key schedule and read it there. Failure
+    /// means the presenter did not know the session key.
+    pub fn open_in(scratch: &'a mut Scratch, sealed: &[u8], session: &Scheduled) -> KrbResult<Self> {
+        let plain = scratch.unseal(session, sealed).map_err(|_| ErrorCode::RdApIncon)?;
+        AuthenticatorView::decode(plain).map_err(|_| ErrorCode::RdApIncon)
+    }
+
+    /// Ciphertext length of this authenticator.
+    fn sealed_len(&self) -> usize {
+        sealed_len(3 + self.cname.len() + self.cinstance.len() + self.crealm.len() + 12)
+    }
+
+    /// An owned copy.
+    pub fn to_owned(&self) -> Authenticator {
+        Authenticator {
+            cname: self.cname.to_owned(),
+            cinstance: self.cinstance.to_owned(),
+            crealm: self.crealm.to_owned(),
+            addr: self.addr,
+            timestamp: self.timestamp,
+            cksum: self.cksum,
+        }
+    }
+
+    /// Whether this authenticator agrees with the identity sealed in a
+    /// ticket (the server "compares the information in the ticket with that
+    /// in the authenticator", §4.3).
+    pub fn matches_ticket(&self, t: &TicketView<'_>) -> bool {
+        self.cname == t.cname
+            && self.cinstance == t.cinstance
+            && self.crealm == t.crealm
+            && self.addr == t.addr
+    }
+
+    /// Encrypt in the session key shared with the server: written into the
+    /// `Vec` that is returned and sealed there.
+    pub fn seal_with(&self, session: &Scheduled) -> SealedAuthenticator {
+        SealedAuthenticator(Writer::sealed(self.sealed_len(), session, |w| self.write(w)))
+    }
+}
+
 /// An authenticator encrypted in the session key.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SealedAuthenticator(pub Vec<u8>);
@@ -38,39 +139,19 @@ pub struct SealedAuthenticator(pub Vec<u8>);
 impl Authenticator {
     /// Build an authenticator for `client` at `addr`, time `now`.
     pub fn new(client: &Principal, addr: HostAddr, now: u32, cksum: u32) -> Self {
-        Authenticator {
-            cname: client.name.clone(),
-            cinstance: client.instance.clone(),
-            crealm: client.realm.clone(),
-            addr,
-            timestamp: now,
-            cksum,
+        AuthenticatorView::new(client, addr, now, cksum).to_owned()
+    }
+
+    /// This authenticator as a view of its own fields.
+    pub fn view(&self) -> AuthenticatorView<'_> {
+        AuthenticatorView {
+            cname: &self.cname,
+            cinstance: &self.cinstance,
+            crealm: &self.crealm,
+            addr: self.addr,
+            timestamp: self.timestamp,
+            cksum: self.cksum,
         }
-    }
-
-    fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.str(&self.cname);
-        w.str(&self.cinstance);
-        w.str(&self.crealm);
-        w.addr(&self.addr);
-        w.u32(self.timestamp);
-        w.u32(self.cksum);
-        w.finish()
-    }
-
-    fn decode(buf: &[u8]) -> KrbResult<Self> {
-        let mut r = Reader::new(buf);
-        let a = Authenticator {
-            cname: r.str()?,
-            cinstance: r.str()?,
-            crealm: r.str()?,
-            addr: r.addr()?,
-            timestamp: r.u32()?,
-            cksum: r.u32()?,
-        };
-        r.expect_end()?;
-        Ok(a)
     }
 
     /// Encrypt in the session key shared with the server.
@@ -80,27 +161,19 @@ impl Authenticator {
 
     /// [`Authenticator::seal`] under a precomputed session-key schedule.
     pub fn seal_with(&self, session: &Scheduled) -> SealedAuthenticator {
-        let ct = seal_with(Mode::Pcbc, session, &[0u8; 8], &self.encode())
-            .expect("authenticator encode length is bounded");
-        SealedAuthenticator(ct)
+        self.view().seal_with(session)
     }
 
-    /// Decrypt a sealed authenticator where it lies (the `authenticator`
-    /// field of an `AP_REQ`) under a precomputed session-key schedule.
+    /// Decrypt a sealed authenticator (the `authenticator` field of an
+    /// `AP_REQ`) under a precomputed session-key schedule.
     pub fn open_with(sealed: &[u8], session: &Scheduled) -> KrbResult<Self> {
-        let plain = unseal_with(Mode::Pcbc, session, &[0u8; 8], sealed)
-            .map_err(|_| ErrorCode::RdApIncon)?;
-        Authenticator::decode(&plain).map_err(|_| ErrorCode::RdApIncon)
+        AuthenticatorView::open_in(&mut Scratch::new(), sealed, session).map(|a| a.to_owned())
     }
 
     /// Whether this authenticator agrees with the identity sealed in a
-    /// ticket (the server "compares the information in the ticket with that
-    /// in the authenticator", §4.3).
+    /// ticket.
     pub fn matches_ticket(&self, t: &crate::ticket::Ticket) -> bool {
-        self.cname == t.cname
-            && self.cinstance == t.cinstance
-            && self.crealm == t.crealm
-            && self.addr == t.addr
+        self.view().matches_ticket(&t.view())
     }
 }
 

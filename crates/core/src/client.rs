@@ -5,22 +5,24 @@
 //! These functions are pure — bytes in, bytes out — so the same code backs
 //! the simulated-network workstation, the real-UDP client, and the tests.
 
-use crate::ap::krb_mk_req_sched;
+use crate::authent::AuthenticatorView;
 use crate::cred::Credential;
-use crate::msg::{AsReq, EncKdcReplyPart, Message, TgsReq};
+use crate::msg::{ApReqView, AsReqView, EncKdcReplyPartView, MessageView, TgsReqView};
+use crate::scratch::Scratch;
+use crate::ticket::EncryptedTicket;
 use crate::{ErrorCode, HostAddr, KrbResult, Principal};
-use krb_crypto::{open, string_to_key, unseal_with, DesKey, Mode, Scheduled};
+use krb_crypto::{string_to_key, DesKey, Scheduled, SecretKey};
 
 /// Build the initial request: "the user's name and the name of ... the
 /// ticket-granting service", in the clear. `service` is normally the TGS
 /// but may be the KDBM service (`changepw.kerberos`), which is AS-only.
 pub fn build_as_req(client: &Principal, service: &Principal, life: u8, now: u32) -> Vec<u8> {
-    Message::AsReq(AsReq {
-        cname: client.name.clone(),
-        cinstance: client.instance.clone(),
-        crealm: client.realm.clone(),
-        sname: service.name.clone(),
-        sinstance: service.instance.clone(),
+    MessageView::AsReq(AsReqView {
+        cname: &client.name,
+        cinstance: &client.instance,
+        crealm: &client.realm,
+        sname: &service.name,
+        sinstance: &service.instance,
         life,
         ctime: now,
     })
@@ -48,21 +50,11 @@ pub fn read_as_reply_with_key(
     key: &DesKey,
     request_time: u32,
 ) -> KrbResult<Credential> {
-    let msg = Message::decode(reply)?;
-    let rep = match msg {
-        Message::KdcRep(r) => r,
-        Message::Err(e) => return Err(e.code),
-        _ => return Err(ErrorCode::IntkErr),
-    };
-    // A wrong password means the decryption fails: the defining V4
-    // "password incorrect" experience.
-    let plain = open(Mode::Pcbc, key, &[0u8; 8], &rep.enc_part).map_err(|_| ErrorCode::IntkBadPw)?;
-    let part = EncKdcReplyPart::decode(&plain).map_err(|_| ErrorCode::IntkBadPw)?;
-    if part.nonce != request_time {
-        // Reply does not match our request (replayed or crossed reply).
-        return Err(ErrorCode::IntkErr);
-    }
-    Ok(credential_from(part))
+    // A wrong password means the decryption fails, or leaves something
+    // that is no reply part: the defining V4 "password incorrect"
+    // experience.
+    let wrong = ErrorCode::IntkBadPw;
+    read_kdc_reply(reply, &Scheduled::new(key), request_time, wrong, wrong)
 }
 
 /// Build a TGS request: an `AP_REQ` for the ticket-granting server plus the
@@ -92,20 +84,16 @@ pub fn build_tgs_req_with(
     service: &Principal,
     life: u8,
 ) -> Vec<u8> {
-    let ap = krb_mk_req_sched(
-        &tgt.ticket,
-        &tgt.issuing_realm,
-        tgt_sched,
-        client,
-        addr,
-        now,
-        0,
-        false,
-    );
-    Message::TgsReq(TgsReq {
-        ap,
-        sname: service.name.clone(),
-        sinstance: service.instance.clone(),
+    let authenticator = AuthenticatorView::new(client, addr, now, 0).seal_with(tgt_sched);
+    MessageView::TgsReq(TgsReqView {
+        ap: ApReqView {
+            realm: &tgt.issuing_realm,
+            ticket: &tgt.ticket.0,
+            authenticator: &authenticator.0,
+            mutual: false,
+        },
+        sname: &service.name,
+        sinstance: &service.instance,
         life,
     })
     .encode()
@@ -125,43 +113,52 @@ pub fn read_tgs_reply_with(
     tgt_sched: &Scheduled,
     request_time: u32,
 ) -> KrbResult<Credential> {
-    let msg = Message::decode(reply)?;
-    let rep = match msg {
-        Message::KdcRep(r) => r,
-        Message::Err(e) => return Err(e.code),
-        _ => return Err(ErrorCode::IntkErr),
-    };
-    let plain = unseal_with(Mode::Pcbc, tgt_sched, &[0u8; 8], &rep.enc_part)
-        .map_err(|_| ErrorCode::IntkErr)?;
-    let part = EncKdcReplyPart::decode(&plain)?;
-    if part.nonce != request_time {
-        return Err(ErrorCode::IntkErr);
-    }
-    Ok(credential_from(part))
+    read_kdc_reply(reply, tgt_sched, request_time, ErrorCode::IntkErr, ErrorCode::RdApUndec)
 }
 
-fn credential_from(part: EncKdcReplyPart) -> Credential {
-    Credential {
+/// Both reply readers: pick the `KDC_REP` out of the datagram, open its
+/// reply part in a scratch (`unopened` if the key does not fit), read it
+/// there (`unread` if it is no reply part), match it to the request.
+fn read_kdc_reply(
+    reply: &[u8],
+    sched: &Scheduled,
+    request_time: u32,
+    unopened: ErrorCode,
+    unread: ErrorCode,
+) -> KrbResult<Credential> {
+    let enc_part = match MessageView::decode(reply)? {
+        MessageView::KdcRep(enc_part) => enc_part,
+        MessageView::Err { code, .. } => return Err(code),
+        _ => return Err(ErrorCode::IntkErr),
+    };
+    let mut scratch = Scratch::new();
+    let plain = scratch.unseal(sched, enc_part).map_err(|_| unopened)?;
+    let part = EncKdcReplyPartView::decode(plain).map_err(|_| unread)?;
+    if part.nonce != request_time {
+        // Reply does not match our request (replayed or crossed reply).
+        return Err(ErrorCode::IntkErr);
+    }
+    Ok(Credential {
         service: Principal {
-            name: part.sname.clone(),
-            instance: part.sinstance.clone(),
-            realm: part.srealm.clone(),
+            name: part.sname.to_owned(),
+            instance: part.sinstance.to_owned(),
+            realm: part.srealm.to_owned(),
         },
-        issuing_realm: part.srealm,
-        session_key: part.session_key,
-        ticket: part.ticket,
+        issuing_realm: part.srealm.to_owned(),
+        session_key: SecretKey::new(*part.session_key),
+        ticket: EncryptedTicket(part.ticket.to_vec()),
         life: part.life,
         issued: part.kdc_time,
         kvno: part.kvno,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::KdcRep;
-    use crate::ticket::{EncryptedTicket, Ticket};
-    use krb_crypto::seal;
+    use crate::msg::{EncKdcReplyPart, KdcRep, Message};
+    use crate::ticket::Ticket;
+    use krb_crypto::{seal, Mode};
 
     const REALM: &str = "ATHENA.MIT.EDU";
 

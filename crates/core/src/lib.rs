@@ -47,27 +47,33 @@ pub mod error;
 pub mod msg;
 pub mod name;
 pub mod replay;
+pub mod scratch;
 pub mod ticket;
 pub mod time;
 pub mod wire;
 
 pub use ap::{
     krb_mk_priv, krb_mk_priv_with, krb_mk_rep, krb_mk_req, krb_mk_safe, krb_rd_priv, krb_rd_rep,
-    krb_rd_req, krb_rd_req_sched, krb_rd_req_sched_ctx, krb_rd_safe, VerifiedRequest,
+    krb_rd_req, krb_rd_req_in, krb_rd_req_sched, krb_rd_req_sched_ctx, krb_rd_safe, ApScratch,
+    VerifiedRequest, VerifiedView,
 };
-pub use authent::{Authenticator, SealedAuthenticator};
+pub use authent::{Authenticator, AuthenticatorView, SealedAuthenticator};
 pub use client::{
     build_as_req, build_tgs_req, build_tgs_req_with, read_as_reply_with_key,
     read_as_reply_with_password, read_tgs_reply, read_tgs_reply_with,
 };
 pub use cred::{Credential, CredentialCache};
 pub use error::{ErrorCode, ERROR_KINDS};
-pub use msg::{ApRep, ApReq, AsReq, EncKdcReplyPart, ErrMsg, KdcRep, Message, PrivMsg, SafeMsg, TgsReq};
+pub use msg::{
+    ApRep, ApReq, AsReq, EncKdcReplyPart, ErrMsg, KdcRep, Message, MessageView, PrivMsg, SafeMsg,
+    TgsReq,
+};
 pub use name::Principal;
 pub use replay::{
     ReplayCache, ReplayFingerprint, ReplayGuard, ReplayKey, StripedReplayCache, REPLAY_STRIPES,
 };
-pub use ticket::{EncryptedTicket, Ticket};
+pub use scratch::Scratch;
+pub use ticket::{EncryptedTicket, Ticket, TicketView};
 pub use time::{
     expiry, is_expired, life_to_secs, remaining_life, secs_to_life, within_skew,
     DEFAULT_SERVICE_LIFE, DEFAULT_TGT_LIFE, LIFE_UNIT_SECS, MAX_SKEW_SECS,

@@ -14,10 +14,10 @@
 //! | 8 | `KRB_PRIV` — authenticated and encrypted (§2.1 "private messages") |
 //! | 9 | `KRB_ERROR` — error code + text |
 
-use crate::ticket::EncryptedTicket;
-use crate::wire::{Reader, Writer};
+use crate::ticket::{EncryptedTicket, TicketView};
+use crate::wire::{sealed_len, Reader, Writer};
 use crate::{ErrorCode, HostAddr, KrbResult};
-use krb_crypto::SecretKey;
+use krb_crypto::{CryptoError, Scheduled, SecretKey};
 
 /// Protocol version carried in every message (we are a V4-shaped protocol).
 pub const PROTO_VERSION: u8 = 4;
@@ -165,159 +165,479 @@ pub enum Message {
     Err(ErrMsg),
 }
 
-impl Message {
-    /// Serialize with the version/type header.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u8(PROTO_VERSION);
-        match self {
-            Message::AsReq(m) => {
-                w.u8(1);
-                w.str(&m.cname);
-                w.str(&m.cinstance);
-                w.str(&m.crealm);
-                w.str(&m.sname);
-                w.str(&m.sinstance);
-                w.u8(m.life);
-                w.u32(m.ctime);
-            }
-            Message::KdcRep(m) => {
-                w.u8(2);
-                w.bytes(&m.enc_part);
-            }
-            Message::TgsReq(m) => {
-                w.u8(3);
-                encode_ap(&mut w, &m.ap);
-                w.str(&m.sname);
-                w.str(&m.sinstance);
-                w.u8(m.life);
-            }
-            Message::ApReq(m) => {
-                w.u8(5);
-                encode_ap(&mut w, m);
-            }
-            Message::ApRep(m) => {
-                w.u8(6);
-                w.bytes(&m.enc_part);
-            }
-            Message::Safe(m) => {
-                w.u8(7);
-                w.bytes(&m.data);
-                w.addr(&m.addr);
-                w.u32(m.timestamp);
-                w.u32(m.cksum);
-            }
-            Message::Priv(m) => {
-                w.u8(8);
-                w.bytes(&m.enc_part);
-            }
-            Message::Err(m) => {
-                w.u8(9);
-                w.u8(m.code as u8);
-                w.str(&m.text);
-            }
-        }
-        w.finish()
+/// [`AsReq`] with its names borrowed from the datagram.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct AsReqView<'a> {
+    /// Client primary name.
+    pub cname: &'a str,
+    /// Client instance.
+    pub cinstance: &'a str,
+    /// Client realm (the realm being asked).
+    pub crealm: &'a str,
+    /// Requested service primary name.
+    pub sname: &'a str,
+    /// Requested service instance.
+    pub sinstance: &'a str,
+    /// Requested ticket lifetime, 5-minute units.
+    pub life: u8,
+    /// Client's current time; echoed in the reply.
+    pub ctime: u32,
+}
+
+/// [`ApReq`] with its realm and both ciphertexts borrowed from the datagram.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct ApReqView<'a> {
+    /// Realm whose KDC issued the ticket.
+    pub realm: &'a str,
+    /// The ticket, encrypted in the server's key.
+    pub ticket: &'a [u8],
+    /// The authenticator, encrypted in the session key.
+    pub authenticator: &'a [u8],
+    /// Whether the client requests mutual authentication.
+    pub mutual: bool,
+}
+
+/// [`TgsReq`] borrowed from the datagram.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct TgsReqView<'a> {
+    /// Authentication to the TGS itself (TGT + authenticator).
+    pub ap: ApReqView<'a>,
+    /// Target service primary name.
+    pub sname: &'a str,
+    /// Target service instance.
+    pub sinstance: &'a str,
+    /// Requested lifetime.
+    pub life: u8,
+}
+
+/// [`EncKdcReplyPart`] read where it was decrypted: names, session key and
+/// the sealed ticket borrowed from that buffer.
+#[derive(Clone, Copy)]
+pub struct EncKdcReplyPartView<'a> {
+    /// The new session key.
+    pub session_key: &'a [u8; 8],
+    /// Service primary name the ticket is for.
+    pub sname: &'a str,
+    /// Service instance.
+    pub sinstance: &'a str,
+    /// Realm of the KDC that issued the ticket.
+    pub srealm: &'a str,
+    /// Granted lifetime.
+    pub life: u8,
+    /// Key version number of the key this reply is encrypted in.
+    pub kvno: u8,
+    /// KDC's time of issue.
+    pub kdc_time: u32,
+    /// Echo of the request's `ctime`.
+    pub nonce: u32,
+    /// The ticket, encrypted in the server's key.
+    pub ticket: &'a [u8],
+}
+
+/// Any protocol message, borrowed from the datagram it was parsed from.
+/// This is the message parser and the message encoder; [`Message`] is its
+/// owned copy.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum MessageView<'a> {
+    /// Initial ticket request.
+    AsReq(AsReqView<'a>),
+    /// AS/TGS reply: the sealed [`EncKdcReplyPart`].
+    KdcRep(&'a [u8]),
+    /// Service ticket request.
+    TgsReq(TgsReqView<'a>),
+    /// Application request.
+    ApReq(ApReqView<'a>),
+    /// Mutual-authentication reply: the sealed `timestamp + 1`.
+    ApRep(&'a [u8]),
+    /// Authenticated plaintext: the fields of [`SafeMsg`].
+    Safe {
+        /// Application data, in the clear.
+        data: &'a [u8],
+        /// Sender address.
+        addr: HostAddr,
+        /// Sender timestamp.
+        timestamp: u32,
+        /// Keyed checksum over the three.
+        cksum: u32,
+    },
+    /// Authenticated ciphertext: the sealed (data, addr, timestamp).
+    Priv(&'a [u8]),
+    /// Error reply: the fields of [`ErrMsg`].
+    Err {
+        /// Protocol error code.
+        code: ErrorCode,
+        /// Human-readable context.
+        text: &'a str,
+    },
+}
+
+impl<'a> ApReqView<'a> {
+    fn decode(r: &mut Reader<'a>) -> KrbResult<Self> {
+        Ok(ApReqView {
+            realm: r.str_ref()?,
+            ticket: r.bytes_ref()?,
+            authenticator: r.bytes_ref()?,
+            mutual: match r.u8()? {
+                0 => false,
+                1 => true,
+                _ => return Err(ErrorCode::RdApUndec),
+            },
+        })
     }
 
+    fn write(&self, w: &mut Writer) {
+        w.str(self.realm);
+        w.bytes(self.ticket);
+        w.bytes(self.authenticator);
+        w.u8(u8::from(self.mutual));
+    }
+
+    /// An owned copy.
+    pub fn to_owned(&self) -> ApReq {
+        ApReq {
+            realm: self.realm.to_owned(),
+            ticket: EncryptedTicket(self.ticket.to_vec()),
+            authenticator: self.authenticator.to_vec(),
+            mutual: self.mutual,
+        }
+    }
+}
+
+impl ApReq {
+    /// This request as a view of its own fields.
+    pub fn view(&self) -> ApReqView<'_> {
+        ApReqView {
+            realm: &self.realm,
+            ticket: &self.ticket.0,
+            authenticator: &self.authenticator,
+            mutual: self.mutual,
+        }
+    }
+}
+
+impl<'a> MessageView<'a> {
     /// Parse a message; checks version and consumes the whole buffer.
-    pub fn decode(buf: &[u8]) -> KrbResult<Message> {
+    pub fn decode(buf: &'a [u8]) -> KrbResult<Self> {
         let mut r = Reader::new(buf);
         let version = r.u8()?;
         if version != PROTO_VERSION {
             return Err(ErrorCode::RdApVersion);
         }
         let msg = match r.u8()? {
-            1 => Message::AsReq(AsReq {
-                cname: r.str()?,
-                cinstance: r.str()?,
-                crealm: r.str()?,
-                sname: r.str()?,
-                sinstance: r.str()?,
+            1 => MessageView::AsReq(AsReqView {
+                cname: r.str_ref()?,
+                cinstance: r.str_ref()?,
+                crealm: r.str_ref()?,
+                sname: r.str_ref()?,
+                sinstance: r.str_ref()?,
                 life: r.u8()?,
                 ctime: r.u32()?,
             }),
-            2 => Message::KdcRep(KdcRep { enc_part: r.bytes()? }),
-            3 => Message::TgsReq(TgsReq {
-                ap: decode_ap(&mut r)?,
-                sname: r.str()?,
-                sinstance: r.str()?,
+            2 => MessageView::KdcRep(r.bytes_ref()?),
+            3 => MessageView::TgsReq(TgsReqView {
+                ap: ApReqView::decode(&mut r)?,
+                sname: r.str_ref()?,
+                sinstance: r.str_ref()?,
                 life: r.u8()?,
             }),
-            5 => Message::ApReq(decode_ap(&mut r)?),
-            6 => Message::ApRep(ApRep { enc_part: r.bytes()? }),
-            7 => Message::Safe(SafeMsg {
-                data: r.bytes()?,
+            5 => MessageView::ApReq(ApReqView::decode(&mut r)?),
+            6 => MessageView::ApRep(r.bytes_ref()?),
+            7 => MessageView::Safe {
+                data: r.bytes_ref()?,
                 addr: r.addr()?,
                 timestamp: r.u32()?,
                 cksum: r.u32()?,
-            }),
-            8 => Message::Priv(PrivMsg { enc_part: r.bytes()? }),
-            9 => Message::Err(ErrMsg { code: ErrorCode::from_u8(r.u8()?), text: r.str()? }),
+            },
+            8 => MessageView::Priv(r.bytes_ref()?),
+            9 => MessageView::Err { code: ErrorCode::from_u8(r.u8()?), text: r.str_ref()? },
             _ => return Err(ErrorCode::RdApUndec),
         };
         r.expect_end()?;
         Ok(msg)
     }
 
-    /// Convenience: an error message, encoded.
-    pub fn error(code: ErrorCode, text: impl Into<String>) -> Vec<u8> {
-        Message::Err(ErrMsg { code, text: text.into() }).encode()
-    }
-}
-
-fn encode_ap(w: &mut Writer, m: &ApReq) {
-    w.str(&m.realm);
-    w.bytes(&m.ticket.0);
-    w.bytes(&m.authenticator);
-    w.u8(u8::from(m.mutual));
-}
-
-fn decode_ap(r: &mut Reader<'_>) -> KrbResult<ApReq> {
-    Ok(ApReq {
-        realm: r.str()?,
-        ticket: EncryptedTicket(r.bytes()?),
-        authenticator: r.bytes()?,
-        mutual: match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(ErrorCode::RdApUndec),
-        },
-    })
-}
-
-impl EncKdcReplyPart {
-    /// Serialize (before sealing).
+    /// Serialize with the version/type header.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.block(self.session_key.as_bytes());
-        w.str(&self.sname);
-        w.str(&self.sinstance);
-        w.str(&self.srealm);
-        w.u8(self.life);
-        w.u8(self.kvno);
-        w.u32(self.kdc_time);
-        w.u32(self.nonce);
-        w.bytes(&self.ticket.0);
+        let mut w = Writer::over(Vec::with_capacity(self.encoded_len()));
+        w.u8(PROTO_VERSION);
+        match self {
+            MessageView::AsReq(m) => {
+                w.u8(1);
+                w.str(m.cname);
+                w.str(m.cinstance);
+                w.str(m.crealm);
+                w.str(m.sname);
+                w.str(m.sinstance);
+                w.u8(m.life);
+                w.u32(m.ctime);
+            }
+            MessageView::KdcRep(enc_part) => {
+                w.u8(2);
+                w.bytes(enc_part);
+            }
+            MessageView::TgsReq(m) => {
+                w.u8(3);
+                m.ap.write(&mut w);
+                w.str(m.sname);
+                w.str(m.sinstance);
+                w.u8(m.life);
+            }
+            MessageView::ApReq(m) => {
+                w.u8(5);
+                m.write(&mut w);
+            }
+            MessageView::ApRep(enc_part) => {
+                w.u8(6);
+                w.bytes(enc_part);
+            }
+            MessageView::Safe { data, addr, timestamp, cksum } => {
+                w.u8(7);
+                w.bytes(data);
+                w.addr(addr);
+                w.u32(*timestamp);
+                w.u32(*cksum);
+            }
+            MessageView::Priv(enc_part) => {
+                w.u8(8);
+                w.bytes(enc_part);
+            }
+            MessageView::Err { code, text } => {
+                w.u8(9);
+                w.u8(*code as u8);
+                w.str(text);
+            }
+        }
         w.finish()
     }
 
+    /// An upper bound on what [`MessageView::encode`] writes: every byte of
+    /// every variable-length field plus the fixed ones, so the one buffer
+    /// is sized once.
+    fn encoded_len(&self) -> usize {
+        let ap = |m: &ApReqView<'_>| m.realm.len() + m.ticket.len() + m.authenticator.len();
+        16 + match self {
+            MessageView::AsReq(m) => {
+                m.cname.len() + m.cinstance.len() + m.crealm.len() + m.sname.len() + m.sinstance.len()
+            }
+            MessageView::TgsReq(m) => ap(&m.ap) + m.sname.len() + m.sinstance.len(),
+            MessageView::ApReq(m) => ap(m),
+            MessageView::KdcRep(b) | MessageView::ApRep(b) | MessageView::Priv(b) => b.len(),
+            MessageView::Safe { data, .. } => data.len(),
+            MessageView::Err { text, .. } => text.len(),
+        }
+    }
+
+    /// An owned copy.
+    pub fn to_owned(&self) -> Message {
+        match *self {
+            MessageView::AsReq(m) => Message::AsReq(AsReq {
+                cname: m.cname.to_owned(),
+                cinstance: m.cinstance.to_owned(),
+                crealm: m.crealm.to_owned(),
+                sname: m.sname.to_owned(),
+                sinstance: m.sinstance.to_owned(),
+                life: m.life,
+                ctime: m.ctime,
+            }),
+            MessageView::KdcRep(enc_part) => Message::KdcRep(KdcRep { enc_part: enc_part.to_vec() }),
+            MessageView::TgsReq(m) => Message::TgsReq(TgsReq {
+                ap: m.ap.to_owned(),
+                sname: m.sname.to_owned(),
+                sinstance: m.sinstance.to_owned(),
+                life: m.life,
+            }),
+            MessageView::ApReq(m) => Message::ApReq(m.to_owned()),
+            MessageView::ApRep(enc_part) => Message::ApRep(ApRep { enc_part: enc_part.to_vec() }),
+            MessageView::Safe { data, addr, timestamp, cksum } => {
+                Message::Safe(SafeMsg { data: data.to_vec(), addr, timestamp, cksum })
+            }
+            MessageView::Priv(enc_part) => Message::Priv(PrivMsg { enc_part: enc_part.to_vec() }),
+            MessageView::Err { code, text } => Message::Err(ErrMsg { code, text: text.to_owned() }),
+        }
+    }
+}
+
+impl Message {
+    /// This message as a view of its own fields.
+    pub fn view(&self) -> MessageView<'_> {
+        match self {
+            Message::AsReq(m) => MessageView::AsReq(AsReqView {
+                cname: &m.cname,
+                cinstance: &m.cinstance,
+                crealm: &m.crealm,
+                sname: &m.sname,
+                sinstance: &m.sinstance,
+                life: m.life,
+                ctime: m.ctime,
+            }),
+            Message::KdcRep(m) => MessageView::KdcRep(&m.enc_part),
+            Message::TgsReq(m) => MessageView::TgsReq(TgsReqView {
+                ap: m.ap.view(),
+                sname: &m.sname,
+                sinstance: &m.sinstance,
+                life: m.life,
+            }),
+            Message::ApReq(m) => MessageView::ApReq(m.view()),
+            Message::ApRep(m) => MessageView::ApRep(&m.enc_part),
+            Message::Safe(m) => MessageView::Safe {
+                data: &m.data,
+                addr: m.addr,
+                timestamp: m.timestamp,
+                cksum: m.cksum,
+            },
+            Message::Priv(m) => MessageView::Priv(&m.enc_part),
+            Message::Err(m) => MessageView::Err { code: m.code, text: &m.text },
+        }
+    }
+
+    /// Serialize with the version/type header.
+    pub fn encode(&self) -> Vec<u8> {
+        self.view().encode()
+    }
+
+    /// Parse a message; checks version and consumes the whole buffer.
+    pub fn decode(buf: &[u8]) -> KrbResult<Message> {
+        MessageView::decode(buf).map(|m| m.to_owned())
+    }
+
+    /// Convenience: an error message, encoded.
+    pub fn error(code: ErrorCode, text: impl Into<String>) -> Vec<u8> {
+        MessageView::Err { code, text: &text.into() }.encode()
+    }
+}
+
+/// Build a whole `KDC_REP` datagram around a new ticket — Figure 8's
+/// `{ {T c,s}K s , K c,s }K c,tgs` — in the one `Vec` that is returned.
+///
+/// The header, the reply part's plaintext and, at its final offset inside
+/// that, the ticket's plaintext are written first; then the ticket is
+/// sealed where it lies under `service`, and the reply part (now ending in
+/// the ticket's ciphertext) is sealed where it lies under `client`: the
+/// nesting built innermost first, two length fields patched. The session
+/// key's plaintext exists only in that buffer and is encrypted over. Every
+/// byte equals what [`Ticket::seal_with`](crate::Ticket::seal_with) →
+/// [`EncKdcReplyPart::encode`] → `seal_with` → [`Message::encode`] produce.
+///
+/// The reply part repeats the ticket's service name, lifetime, issue time
+/// and session key, so they are taken from `ticket`; `srealm` is the
+/// issuing realm, `kvno` the version of the key the client will open the
+/// reply with, `nonce` the request time being echoed.
+pub fn seal_kdc_rep(
+    ticket: &TicketView<'_>,
+    srealm: &str,
+    kvno: u8,
+    nonce: u32,
+    service: &Scheduled,
+    client: &Scheduled,
+) -> Result<Vec<u8>, CryptoError> {
+    let head = EncKdcReplyPartView {
+        session_key: ticket.session_key,
+        sname: ticket.sname,
+        sinstance: ticket.sinstance,
+        srealm,
+        life: ticket.life,
+        kvno,
+        kdc_time: ticket.timestamp,
+        nonce,
+        ticket: &[],
+    };
+    let part_len = head.head_len() + 2 + sealed_len(ticket.encoded_len());
+    let mut w = Writer::over(Vec::with_capacity(4 + sealed_len(part_len)));
+    w.u8(PROTO_VERSION);
+    w.u8(2);
+    let part = w.begin_sealed_bytes();
+    head.write_head(&mut w);
+    let inner = w.begin_sealed_bytes();
+    ticket.write(&mut w);
+    w.end_sealed(inner, service)?;
+    w.end_sealed(part, client)?;
+    Ok(w.finish())
+}
+
+impl<'a> EncKdcReplyPartView<'a> {
     /// Parse (after opening).
-    pub fn decode(buf: &[u8]) -> KrbResult<Self> {
+    pub fn decode(buf: &'a [u8]) -> KrbResult<Self> {
         let mut r = Reader::new(buf);
-        let p = EncKdcReplyPart {
-            session_key: SecretKey::new(r.block()?),
-            sname: r.str()?,
-            sinstance: r.str()?,
-            srealm: r.str()?,
+        let p = EncKdcReplyPartView {
+            session_key: r.block_ref()?,
+            sname: r.str_ref()?,
+            sinstance: r.str_ref()?,
+            srealm: r.str_ref()?,
             life: r.u8()?,
             kvno: r.u8()?,
             kdc_time: r.u32()?,
             nonce: r.u32()?,
-            ticket: EncryptedTicket(r.bytes()?),
+            ticket: r.bytes_ref()?,
         };
         r.expect_end()?;
         Ok(p)
+    }
+
+    /// Append every field in front of the ticket.
+    fn write_head(&self, w: &mut Writer) {
+        w.block(self.session_key);
+        w.str(self.sname);
+        w.str(self.sinstance);
+        w.str(self.srealm);
+        w.u8(self.life);
+        w.u8(self.kvno);
+        w.u32(self.kdc_time);
+        w.u32(self.nonce);
+    }
+
+    /// Bytes [`EncKdcReplyPartView::write_head`] appends.
+    fn head_len(&self) -> usize {
+        8 + 3 + self.sname.len() + self.sinstance.len() + self.srealm.len() + 10
+    }
+
+    /// Serialize (before sealing).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::over(Vec::with_capacity(self.head_len() + 2 + self.ticket.len()));
+        self.write_head(&mut w);
+        w.bytes(self.ticket);
+        w.finish()
+    }
+
+    /// An owned copy.
+    pub fn to_owned(&self) -> EncKdcReplyPart {
+        EncKdcReplyPart {
+            session_key: SecretKey::new(*self.session_key),
+            sname: self.sname.to_owned(),
+            sinstance: self.sinstance.to_owned(),
+            srealm: self.srealm.to_owned(),
+            life: self.life,
+            kvno: self.kvno,
+            kdc_time: self.kdc_time,
+            nonce: self.nonce,
+            ticket: EncryptedTicket(self.ticket.to_vec()),
+        }
+    }
+}
+
+impl EncKdcReplyPart {
+    /// This reply part as a view of its own fields.
+    pub fn view(&self) -> EncKdcReplyPartView<'_> {
+        EncKdcReplyPartView {
+            session_key: self.session_key.as_bytes(),
+            sname: &self.sname,
+            sinstance: &self.sinstance,
+            srealm: &self.srealm,
+            life: self.life,
+            kvno: self.kvno,
+            kdc_time: self.kdc_time,
+            nonce: self.nonce,
+            ticket: &self.ticket.0,
+        }
+    }
+
+    /// Serialize (before sealing).
+    pub fn encode(&self) -> Vec<u8> {
+        self.view().encode()
+    }
+
+    /// Parse (after opening).
+    pub fn decode(buf: &[u8]) -> KrbResult<Self> {
+        EncKdcReplyPartView::decode(buf).map(|p| p.to_owned())
     }
 }
 

@@ -24,13 +24,20 @@ pub struct Principal {
 impl Principal {
     /// Construct with validation.
     pub fn new(name: &str, instance: &str, realm: &str) -> KrbResult<Self> {
+        Principal::validate(name, instance, realm)?;
+        Ok(Principal { name: name.into(), instance: instance.into(), realm: realm.into() })
+    }
+
+    /// The checks of [`Principal::new`] on borrowed components, for a
+    /// caller that only needs to know the three would make a principal.
+    pub fn validate(name: &str, instance: &str, realm: &str) -> KrbResult<()> {
         validate_name(name)?;
         validate_instance(instance)?;
         validate_realm(realm)?;
         if name.is_empty() {
             return Err(ErrorCode::KdcNameFormat);
         }
-        Ok(Principal { name: name.into(), instance: instance.into(), realm: realm.into() })
+        Ok(())
     }
 
     /// Parse the textual form `name[.instance][@realm]`; a missing realm

@@ -18,7 +18,6 @@
 //! never accept a replay.
 
 use crate::time::MAX_SKEW_SECS;
-use crate::Principal;
 use krb_telemetry::{Counter, Registry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashSet};
@@ -63,16 +62,18 @@ pub struct ReplayFingerprint {
 const _: usize = 24 - std::mem::size_of::<ReplayFingerprint>();
 
 impl ReplayFingerprint {
-    /// Fingerprint of a verified request: the ticket's client, the
-    /// authenticator's timestamp and the sealed authenticator's bytes.
-    /// Equal to `ReplayKey { client: client.to_string(), .. }.fingerprint()`
-    /// without building the string.
-    pub fn new(client: &Principal, timestamp: u32, authenticator: &[u8]) -> Self {
-        let mut h = fnv1a(FNV_OFFSET, client.name.as_bytes());
-        if !client.instance.is_empty() {
-            h = fnv1a(fnv1a(h, b"."), client.instance.as_bytes());
+    /// Fingerprint of a verified request: the ticket's client (name,
+    /// instance, realm), the authenticator's timestamp and the sealed
+    /// authenticator's bytes. Equal to `ReplayKey { client:
+    /// "name.instance@realm", .. }.fingerprint()` without building the
+    /// string.
+    pub fn new(client: (&str, &str, &str), timestamp: u32, authenticator: &[u8]) -> Self {
+        let (name, instance, realm) = client;
+        let mut h = fnv1a(FNV_OFFSET, name.as_bytes());
+        if !instance.is_empty() {
+            h = fnv1a(fnv1a(h, b"."), instance.as_bytes());
         }
-        h = fnv1a(fnv1a(h, b"@"), client.realm.as_bytes());
+        h = fnv1a(fnv1a(h, b"@"), realm.as_bytes());
         ReplayFingerprint { timestamp, client_hash: h, auth_hash: hash_bytes(authenticator) }
     }
 }
@@ -392,6 +393,7 @@ impl StripedReplayCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Principal;
 
     fn key(client: &str, ts: u32, auth: &[u8]) -> ReplayKey {
         ReplayKey { client: client.into(), timestamp: ts, auth_hash: hash_bytes(auth) }
@@ -536,7 +538,8 @@ mod tests {
                 timestamp: 7,
                 auth_hash: hash_bytes(b"sealed"),
             };
-            assert_eq!(ReplayFingerprint::new(&client, 7, b"sealed"), key.fingerprint(), "{text}");
+            let parts = (client.name.as_str(), client.instance.as_str(), client.realm.as_str());
+            assert_eq!(ReplayFingerprint::new(parts, 7, b"sealed"), key.fingerprint(), "{text}");
         }
     }
 

@@ -10,9 +10,10 @@
 //! key, the client can carry and present the ticket but cannot read or
 //! modify it.
 
-use crate::wire::{Reader, Writer};
+use crate::scratch::Scratch;
+use crate::wire::{sealed_len, Reader, Writer};
 use crate::{ErrorCode, HostAddr, KrbResult, Principal};
-use krb_crypto::{seal_with, unseal_with, DesKey, Mode, Scheduled, SecretKey};
+use krb_crypto::{DesKey, Scheduled, SecretKey};
 
 /// The plaintext contents of a ticket.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -39,6 +40,108 @@ pub struct Ticket {
     /// The session key `Ks,c` shared by server and client. Held as a
     /// [`SecretKey`] so a `{:?}` on the ticket can never print it.
     pub session_key: SecretKey,
+}
+
+/// A ticket's plaintext read where it lies: the fields of [`Ticket`], the
+/// names and the session key borrowed from the buffer that was parsed (a
+/// [`Scratch`] the ticket was opened in) or from whoever is about to write
+/// one. This is the ticket parser and the ticket encoder; [`Ticket`] is
+/// its owned copy.
+#[derive(Clone, Copy)]
+pub struct TicketView<'a> {
+    /// Server primary name (`s`).
+    pub sname: &'a str,
+    /// Server instance.
+    pub sinstance: &'a str,
+    /// Client primary name (`c`).
+    pub cname: &'a str,
+    /// Client instance.
+    pub cinstance: &'a str,
+    /// Realm in which the client was originally authenticated.
+    pub crealm: &'a str,
+    /// The client's network address (`addr`).
+    pub addr: HostAddr,
+    /// Issue timestamp, seconds since the epoch.
+    pub timestamp: u32,
+    /// Lifetime in 5-minute units.
+    pub life: u8,
+    /// The session key `Ks,c`, still in the buffer it was read from.
+    pub session_key: &'a [u8; 8],
+}
+
+impl<'a> TicketView<'a> {
+    /// Parse a ticket's plaintext; the whole of `buf` must be the ticket.
+    pub fn decode(buf: &'a [u8]) -> KrbResult<Self> {
+        let mut r = Reader::new(buf);
+        let t = TicketView {
+            sname: r.str_ref()?,
+            sinstance: r.str_ref()?,
+            cname: r.str_ref()?,
+            cinstance: r.str_ref()?,
+            crealm: r.str_ref()?,
+            addr: r.addr()?,
+            timestamp: r.u32()?,
+            life: r.u8()?,
+            session_key: r.block_ref()?,
+        };
+        r.expect_end()?;
+        Ok(t)
+    }
+
+    /// Append the ticket's plaintext.
+    pub fn write(&self, w: &mut Writer) {
+        w.str(self.sname);
+        w.str(self.sinstance);
+        w.str(self.cname);
+        w.str(self.cinstance);
+        w.str(self.crealm);
+        w.addr(&self.addr);
+        w.u32(self.timestamp);
+        w.u8(self.life);
+        w.block(self.session_key);
+    }
+
+    /// Decrypt `sealed` in `scratch` with the server's key schedule and
+    /// read it there. A wrong key (ticket not for us, or a forgery) yields
+    /// [`ErrorCode::RdApNotUs`].
+    pub fn open_in(scratch: &'a mut Scratch, sealed: &[u8], server: &Scheduled) -> KrbResult<Self> {
+        let plain = scratch.unseal(server, sealed).map_err(|_| ErrorCode::RdApNotUs)?;
+        TicketView::decode(plain).map_err(|_| ErrorCode::RdApNotUs)
+    }
+
+    /// The client principal named in the ticket, as borrowed components.
+    pub fn client(&self) -> (&'a str, &'a str, &'a str) {
+        (self.cname, self.cinstance, self.crealm)
+    }
+
+    /// An owned copy.
+    pub fn to_owned(&self) -> Ticket {
+        Ticket {
+            sname: self.sname.to_owned(),
+            sinstance: self.sinstance.to_owned(),
+            cname: self.cname.to_owned(),
+            cinstance: self.cinstance.to_owned(),
+            crealm: self.crealm.to_owned(),
+            addr: self.addr,
+            timestamp: self.timestamp,
+            life: self.life,
+            session_key: SecretKey::new(*self.session_key),
+        }
+    }
+
+    /// Bytes [`TicketView::write`] appends (names within the wire limit).
+    pub(crate) fn encoded_len(&self) -> usize {
+        let names = [self.sname, self.sinstance, self.cname, self.cinstance, self.crealm];
+        names.iter().map(|n| 1 + n.len()).sum::<usize>() + 17
+    }
+
+    /// Encrypt in the server's key schedule (PCBC, zero IV — the key is
+    /// random per principal, so IV reuse across *different* keys is benign,
+    /// matching V4): the plaintext is written into the `Vec` that is
+    /// returned and sealed there.
+    pub fn seal_with(&self, server: &Scheduled) -> EncryptedTicket {
+        EncryptedTicket(Writer::sealed(sealed_len(self.encoded_len()), server, |w| self.write(w)))
+    }
 }
 
 /// A ticket encrypted in the server's key — the only form that ever crosses
@@ -78,40 +181,22 @@ impl Ticket {
         }
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.str(&self.sname);
-        w.str(&self.sinstance);
-        w.str(&self.cname);
-        w.str(&self.cinstance);
-        w.str(&self.crealm);
-        w.addr(&self.addr);
-        w.u32(self.timestamp);
-        w.u8(self.life);
-        w.block(self.session_key.as_bytes());
-        w.finish()
+    /// This ticket as a view of its own fields.
+    pub fn view(&self) -> TicketView<'_> {
+        TicketView {
+            sname: &self.sname,
+            sinstance: &self.sinstance,
+            cname: &self.cname,
+            cinstance: &self.cinstance,
+            crealm: &self.crealm,
+            addr: self.addr,
+            timestamp: self.timestamp,
+            life: self.life,
+            session_key: self.session_key.as_bytes(),
+        }
     }
 
-    fn decode(buf: &[u8]) -> KrbResult<Self> {
-        let mut r = Reader::new(buf);
-        let t = Ticket {
-            sname: r.str()?,
-            sinstance: r.str()?,
-            cname: r.str()?,
-            cinstance: r.str()?,
-            crealm: r.str()?,
-            addr: r.addr()?,
-            timestamp: r.u32()?,
-            life: r.u8()?,
-            session_key: SecretKey::new(r.block()?),
-        };
-        r.expect_end()?;
-        Ok(t)
-    }
-
-    /// Encrypt this ticket in the server's key (PCBC, zero IV — the key is
-    /// random per principal, so IV reuse across *different* keys is benign,
-    /// matching V4).
+    /// Encrypt this ticket in the server's key.
     pub fn seal(&self, server_key: &DesKey) -> EncryptedTicket {
         self.seal_with(&Scheduled::new(server_key))
     }
@@ -119,9 +204,7 @@ impl Ticket {
     /// [`Ticket::seal`] under a precomputed schedule — the KDC issues every
     /// TGS ticket in the same cached service key.
     pub fn seal_with(&self, server: &Scheduled) -> EncryptedTicket {
-        let ct = seal_with(Mode::Pcbc, server, &[0u8; 8], &self.encode())
-            .expect("ticket encode length is bounded");
-        EncryptedTicket(ct)
+        self.view().seal_with(server)
     }
 }
 
@@ -133,11 +216,10 @@ impl EncryptedTicket {
     }
 
     /// [`EncryptedTicket::open`] under a precomputed schedule (long-lived
-    /// servers hold one per srvtab key).
+    /// servers hold one per srvtab key). The plaintext is read in a
+    /// [`Scratch`] that is wiped before this returns.
     pub fn open_with(&self, server: &Scheduled) -> KrbResult<Ticket> {
-        let plain = unseal_with(Mode::Pcbc, server, &[0u8; 8], &self.0)
-            .map_err(|_| ErrorCode::RdApNotUs)?;
-        Ticket::decode(&plain).map_err(|_| ErrorCode::RdApNotUs)
+        TicketView::open_in(&mut Scratch::new(), &self.0, server).map(|t| t.to_owned())
     }
 
     /// Ciphertext length in bytes (for the wire-size experiment, E2).

@@ -147,29 +147,61 @@ pub fn decrypt_raw(mode: Mode, key: &DesKey, iv: &[u8; 8], data: &[u8]) -> Resul
     decrypt_raw_with(mode, &Scheduled::new(key), iv, data)
 }
 
-/// [`seal`] with a precomputed schedule, appending the ciphertext to a
-/// caller-owned buffer — the zero-schedule, zero-extra-allocation variant
-/// for hot loops that reuse one output `Vec` across messages. The buffer is
-/// cleared first; its capacity is what gets reused.
-pub fn seal_into(
+/// Seal the tail of `buf` where it lies: `buf[start..start + 4]` is a
+/// reserved slot for the length field and `buf[start + 4..]` the plaintext.
+/// The slot is patched, the tail zero-padded to a whole number of blocks
+/// (counted from `start`) and encrypted in place, so `buf[start..]` ends up
+/// holding exactly what [`seal_with`] returns for that plaintext. Bytes
+/// before `start` are not touched, which is what lets a caller seal one
+/// message inside another, innermost first.
+pub fn seal_in_place(
     mode: Mode,
     sched: &Scheduled,
     iv: &[u8; 8],
-    plaintext: &[u8],
-    out: &mut Vec<u8>,
+    buf: &mut Vec<u8>,
+    start: usize,
 ) -> Result<(), CryptoError> {
-    if plaintext.len() > u32::MAX as usize {
-        return Err(CryptoError::BadLength(plaintext.len()));
+    let plain_len = start
+        .checked_add(4)
+        .and_then(|body| buf.len().checked_sub(body))
+        .ok_or(CryptoError::BadLength(buf.len()))?;
+    let framed = u32::try_from(plain_len).map_err(|_| CryptoError::BadLength(plain_len))?;
+    buf.resize(start + (4 + plain_len).div_ceil(BLOCK) * BLOCK, 0);
+    let tail = buf.get_mut(start..).unwrap_or_default();
+    if let Some((slot, _)) = tail.split_first_chunk_mut::<4>() {
+        *slot = framed.to_be_bytes();
     }
-    let framed_len = 4 + plaintext.len();
-    let padded_len = framed_len.div_ceil(BLOCK) * BLOCK;
-    out.clear();
-    out.reserve(padded_len);
-    out.extend_from_slice(&(plaintext.len() as u32).to_be_bytes());
-    out.extend_from_slice(plaintext);
-    out.resize(padded_len, 0);
-    encrypt_blocks_in_place(mode, sched.des(), iv, out);
+    encrypt_blocks_in_place(mode, sched.des(), iv, tail);
     Ok(())
+}
+
+/// Reverse [`seal_with`] where the ciphertext lies: decrypt `buf` in place
+/// and return the payload as a sub-slice of it. The checks are
+/// [`unseal_with`]'s — whole blocks, a plausible length field, zero padding
+/// — and on any error `buf` holds whatever the decryption produced, so a
+/// caller that cares wipes it either way.
+pub fn unseal_in_place<'a>(
+    mode: Mode,
+    sched: &Scheduled,
+    iv: &[u8; 8],
+    buf: &'a mut [u8],
+) -> Result<&'a [u8], CryptoError> {
+    if !buf.len().is_multiple_of(BLOCK) {
+        return Err(CryptoError::BadLength(buf.len()));
+    }
+    decrypt_blocks_in_place(mode, sched.des(), iv, buf);
+    let buf: &'a [u8] = buf;
+    let Some((len, body)) = buf.split_first_chunk::<4>() else {
+        return Err(CryptoError::Integrity);
+    };
+    let Some((payload, padding)) = body.split_at_checked(u32::from_be_bytes(*len) as usize) else {
+        return Err(CryptoError::Integrity);
+    };
+    // Padding must be zero; garbled decryptions rarely satisfy this.
+    if padding.iter().any(|&b| b != 0) {
+        return Err(CryptoError::Integrity);
+    }
+    Ok(payload)
 }
 
 /// [`seal`] with a precomputed schedule: one allocation, no schedule work.
@@ -179,8 +211,10 @@ pub fn seal_with(
     iv: &[u8; 8],
     plaintext: &[u8],
 ) -> Result<Vec<u8>, CryptoError> {
-    let mut out = Vec::new();
-    seal_into(mode, sched, iv, plaintext, &mut out)?;
+    let mut out = Vec::with_capacity((plaintext.len() + 4).div_ceil(BLOCK) * BLOCK);
+    out.extend_from_slice(&[0u8; 4]);
+    out.extend_from_slice(plaintext);
+    seal_in_place(mode, sched, iv, &mut out, 0)?;
     Ok(out)
 }
 
@@ -191,30 +225,16 @@ pub fn seal(mode: Mode, key: &DesKey, iv: &[u8; 8], plaintext: &[u8]) -> Result<
     seal_with(mode, &Scheduled::new(key), iv, plaintext)
 }
 
-/// [`open`] with a precomputed schedule: decrypt into a single buffer, then
-/// shift the payload over the length prefix in place — one allocation total.
+/// [`open`] with a precomputed schedule: decrypt a copy, then shift the
+/// payload over the length prefix in place — one allocation total.
 pub fn unseal_with(
     mode: Mode,
     sched: &Scheduled,
     iv: &[u8; 8],
     ciphertext: &[u8],
 ) -> Result<Vec<u8>, CryptoError> {
-    if !ciphertext.len().is_multiple_of(BLOCK) {
-        return Err(CryptoError::BadLength(ciphertext.len()));
-    }
     let mut plain = ciphertext.to_vec();
-    decrypt_blocks_in_place(mode, sched.des(), iv, &mut plain);
-    let Some(len) = plain.first_chunk::<4>() else {
-        return Err(CryptoError::Integrity);
-    };
-    let len = u32::from_be_bytes(*len) as usize;
-    if len > plain.len() - 4 {
-        return Err(CryptoError::Integrity);
-    }
-    // Padding must be zero; garbled decryptions rarely satisfy this.
-    if plain[4 + len..].iter().any(|&b| b != 0) {
-        return Err(CryptoError::Integrity);
-    }
+    let len = unseal_in_place(mode, sched, iv, &mut plain)?.len();
     plain.copy_within(4..4 + len, 0);
     plain.truncate(len);
     Ok(plain)
@@ -360,20 +380,29 @@ mod tests {
     }
 
     #[test]
-    fn seal_into_reuses_capacity_across_messages() {
+    fn seal_in_place_leaves_the_prefix_alone() {
         let sched = Scheduled::new(&k());
-        let mut buf = Vec::new();
-        seal_into(Mode::Pcbc, &sched, &IV, &[0x42; 200], &mut buf).unwrap();
-        let cap = buf.capacity();
-        let ptr = buf.as_ptr();
-        for len in [1usize, 8, 64, 200] {
+        for len in [0usize, 1, 4, 8, 64, 200] {
             let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
-            seal_into(Mode::Pcbc, &sched, &IV, &data, &mut buf).unwrap();
-            assert_eq!(buf, seal(Mode::Pcbc, &k(), &IV, &data).unwrap(), "len {len}");
-            assert_eq!(open(Mode::Pcbc, &k(), &IV, &buf).unwrap(), data);
+            let mut buf = b"header".to_vec();
+            buf.extend_from_slice(&[0xEE; 4]); // a dirty slot must be overwritten
+            buf.extend_from_slice(&data);
+            seal_in_place(Mode::Pcbc, &sched, &IV, &mut buf, 6).unwrap();
+            assert_eq!(&buf[..6], b"header");
+            assert_eq!(buf[6..], seal(Mode::Pcbc, &k(), &IV, &data).unwrap(), "len {len}");
+            assert_eq!(unseal_in_place(Mode::Pcbc, &sched, &IV, &mut buf[6..]).unwrap(), data);
         }
-        assert_eq!(buf.capacity(), cap, "no reallocation for smaller messages");
-        assert_eq!(buf.as_ptr(), ptr, "same backing storage reused");
+    }
+
+    #[test]
+    fn seal_in_place_needs_its_slot() {
+        let sched = Scheduled::new(&k());
+        for (len, start) in [(0usize, 0usize), (3, 0), (8, 5), (8, 9), (8, usize::MAX)] {
+            let mut buf = vec![0u8; len];
+            let refused = seal_in_place(Mode::Pcbc, &sched, &IV, &mut buf, start);
+            assert!(matches!(refused, Err(CryptoError::BadLength(_))), "len {len} start {start}");
+            assert_eq!(buf, vec![0u8; len], "a refused buffer is left as it was");
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 
 use krb_crypto::{
     decrypt_raw, decrypt_raw_with, encrypt_raw, encrypt_raw_with, open, quad_cksum, seal,
-    seal_into, seal_with, string_to_key, unseal_with, Des, DesKey, Mode, Scheduled,
+    seal_in_place, seal_with, string_to_key, unseal_in_place, unseal_with, CryptoError, Des,
+    DesKey, Mode, Scheduled,
 };
 use proptest::prelude::*;
 
@@ -12,6 +13,34 @@ fn arb_key() -> impl Strategy<Value = DesKey> {
 
 fn arb_mode() -> impl Strategy<Value = Mode> {
     prop_oneof![Just(Mode::Ecb), Just(Mode::Cbc), Just(Mode::Pcbc)]
+}
+
+/// The framing, written out: length, payload, zero padding, then the raw
+/// mode function over the copy. What `seal_with` was before it became a
+/// caller of `seal_in_place`; kept here as the model both are held to.
+fn reference_seal(mode: Mode, sched: &Scheduled, iv: &[u8; 8], plaintext: &[u8]) -> Vec<u8> {
+    let mut framed = (plaintext.len() as u32).to_be_bytes().to_vec();
+    framed.extend_from_slice(plaintext);
+    framed.resize(framed.len().div_ceil(8) * 8, 0);
+    encrypt_raw_with(mode, sched, iv, &framed).unwrap()
+}
+
+/// The reverse, likewise: the checks `unseal_with` made on its own copy.
+fn reference_unseal(
+    mode: Mode,
+    sched: &Scheduled,
+    iv: &[u8; 8],
+    ciphertext: &[u8],
+) -> Result<Vec<u8>, CryptoError> {
+    let plain = decrypt_raw_with(mode, sched, iv, ciphertext)?;
+    if plain.len() < 4 {
+        return Err(CryptoError::Integrity);
+    }
+    let len = u32::from_be_bytes(plain[..4].try_into().unwrap()) as usize;
+    if len > plain.len() - 4 || plain[4 + len..].iter().any(|&b| b != 0) {
+        return Err(CryptoError::Integrity);
+    }
+    Ok(plain[4..4 + len].to_vec())
 }
 
 proptest! {
@@ -175,9 +204,8 @@ proptest! {
     /// The tentpole invariant of the `Scheduled` API: the cached path can
     /// never diverge from the reference path. For random keys/IVs/messages
     /// and every mode, `seal_with(&Scheduled::new(k), ..)` is byte-identical
-    /// to `seal(k, ..)`, `seal_into` matches both (even with a dirty reused
-    /// buffer), and ciphertext from either path round-trips through both
-    /// `open` and `unseal_with`.
+    /// to `seal(k, ..)`, and ciphertext from either path round-trips through
+    /// both `open` and `unseal_with`.
     #[test]
     fn scheduled_seal_equals_keyed_seal(
         key in arb_key(),
@@ -189,11 +217,67 @@ proptest! {
         let keyed = seal(mode, &key, &iv, &data).unwrap();
         let cached = seal_with(mode, &sched, &iv, &data).unwrap();
         prop_assert_eq!(&keyed, &cached);
-        let mut reused = vec![0xAAu8; 17]; // dirty buffer: seal_into must clear it
-        seal_into(mode, &sched, &iv, &data, &mut reused).unwrap();
-        prop_assert_eq!(&keyed, &reused);
         prop_assert_eq!(unseal_with(mode, &sched, &iv, &keyed).unwrap(), data.clone());
         prop_assert_eq!(open(mode, &key, &iv, &cached).unwrap(), data);
+    }
+
+    /// Sealing where the plaintext lies — after an arbitrary prefix, over a
+    /// dirty length slot — leaves the prefix alone and writes, from `start`
+    /// on, exactly the bytes `seal_with` returns, which are the reference
+    /// framing's: every mode, 0–64 blocks.
+    #[test]
+    fn seal_in_place_equals_seal_with(
+        key in arb_key(),
+        mode in arb_mode(),
+        iv in any::<[u8; 8]>(),
+        prefix in proptest::collection::vec(any::<u8>(), 1..40),
+        slot in any::<[u8; 4]>(),
+        data in proptest::collection::vec(any::<u8>(), 0..=64 * 8),
+    ) {
+        let sched = Scheduled::new(&key);
+        let mut buf = prefix.clone();
+        buf.extend_from_slice(&slot);
+        buf.extend_from_slice(&data);
+        seal_in_place(mode, &sched, &iv, &mut buf, prefix.len()).unwrap();
+        prop_assert_eq!(&buf[..prefix.len()], &prefix[..]);
+        let sealed = seal_with(mode, &sched, &iv, &data).unwrap();
+        prop_assert_eq!(&buf[prefix.len()..], &sealed[..]);
+        prop_assert_eq!(sealed, reference_seal(mode, &sched, &iv, &data));
+    }
+
+    /// Unsealing where the ciphertext lies gives `unseal_with`'s verdict,
+    /// which is the reference's — the same payload or the same
+    /// `CryptoError` — on honest ciphertext, on ciphertext with one byte
+    /// changed or its tail cut off, on a well-framed plaintext with stray
+    /// padding, and on arbitrary bytes of any length (partial blocks
+    /// included).
+    #[test]
+    fn unseal_in_place_equals_unseal_with(
+        key in arb_key(),
+        mode in arb_mode(),
+        iv in any::<[u8; 8]>(),
+        data in proptest::collection::vec(any::<u8>(), 0..=64 * 8),
+        junk in proptest::collection::vec(any::<u8>(), 0..=64 * 8),
+        at in any::<usize>(),
+        flip in 1u8..=255,
+    ) {
+        let sched = Scheduled::new(&key);
+        let honest = seal_with(mode, &sched, &iv, &data).unwrap();
+        let mut flipped = honest.clone();
+        flipped[at % honest.len()] ^= flip;
+        let cut = honest[..at % honest.len()].to_vec();
+        // A decryption that happens to frame well: plaintext with a length
+        // field that fits and stray non-zero padding after it.
+        let mut padded = vec![0, 0, 0, 1, 9, 9, 9, 9];
+        padded.extend_from_slice(&junk[..junk.len() / 8 * 8]);
+        let stray_padding = encrypt_raw_with(mode, &sched, &iv, &padded).unwrap();
+        for ciphertext in [honest, flipped, cut, junk, stray_padding] {
+            let mut buf = ciphertext.clone();
+            let in_place = unseal_in_place(mode, &sched, &iv, &mut buf).map(<[u8]>::to_vec);
+            let copied = unseal_with(mode, &sched, &iv, &ciphertext);
+            prop_assert_eq!(&in_place, &copied);
+            prop_assert_eq!(copied, reference_unseal(mode, &sched, &iv, &ciphertext));
+        }
     }
 
     /// Same invariant for the raw whole-block functions.

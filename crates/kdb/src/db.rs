@@ -6,7 +6,7 @@
 //! key encrypted in itself — opening the database with the wrong master key
 //! fails immediately instead of silently decrypting garbage.
 
-use crate::principal::{PrincipalEntry, ATTR_DISABLED};
+use crate::principal::{PrincipalEntry, PrincipalEntryView, ATTR_DISABLED, NAME_SZ};
 use crate::store::Store;
 use crate::DbError;
 use krb_crypto::{constant_time_eq, DesKey, Scheduled};
@@ -290,6 +290,34 @@ impl<S: Store> PrincipalDb<S> {
 }
 
 impl PrincipalDb<crate::store::MemStore> {
+    /// [`PrincipalDb::get`] without the copies: the `name.instance` key is
+    /// built on the stack (on the heap only for components no registered
+    /// principal can have), the record is found where the tree keeps it and
+    /// read there. The KDC's request path looks principals up this way.
+    pub fn get_ref(
+        &self,
+        name: &str,
+        instance: &str,
+    ) -> Result<Option<PrincipalEntryView<'_>>, DbError> {
+        let mut stack = [0u8; 2 * NAME_SZ + 1];
+        let spilled;
+        let dot = name.len();
+        let key = match stack.get_mut(..dot + 1 + instance.len()) {
+            Some(key) => {
+                key[..dot].copy_from_slice(name.as_bytes());
+                key[dot] = b'.';
+                key[dot + 1..].copy_from_slice(instance.as_bytes());
+                &*key
+            }
+            None => {
+                spilled = PrincipalEntry::db_key(name, instance);
+                spilled.as_slice()
+            }
+        };
+        self.store.find(key)?.map(PrincipalEntryView::decode).transpose()
+    }
+
+
     /// An empty in-memory database sharing `master_key` — what a server
     /// with no earlier snapshot starts on when its store cannot be read:
     /// every lookup misses (no principal is served from possibly-corrupt

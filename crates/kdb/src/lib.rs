@@ -23,7 +23,7 @@ pub mod store;
 
 pub use db::{PrincipalDb, MASTER_INSTANCE, MASTER_NAME};
 pub use ndbm::{HashStore, StoreStats};
-pub use principal::{PrincipalEntry, ATTR_DISABLED, ATTR_NO_TGS, NAME_SZ};
+pub use principal::{PrincipalEntry, PrincipalEntryView, ATTR_DISABLED, ATTR_NO_TGS, NAME_SZ};
 pub use store::{Cursor, MemStore, Store};
 
 /// Errors produced by the database library.

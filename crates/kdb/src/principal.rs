@@ -94,35 +94,74 @@ impl PrincipalEntry {
 
     /// Parse the on-disk value format.
     pub fn decode(buf: &[u8]) -> Result<Self, DbError> {
-        let mut r = Reader { buf, pos: 0 };
+        PrincipalEntryView::decode(buf).map(|e| e.to_owned())
+    }
+}
+
+/// A record read where the store keeps it: the fields of
+/// [`PrincipalEntry`] with the three strings borrowed from the stored
+/// bytes. This is the record parser; [`PrincipalEntry::decode`] is this
+/// plus an owned copy.
+#[derive(Clone, Copy)]
+pub struct PrincipalEntryView<'a> {
+    /// Primary name.
+    pub name: &'a str,
+    /// Instance; empty string is the NULL instance.
+    pub instance: &'a str,
+    /// The principal's DES key, encrypted in the master database key.
+    pub key_encrypted: [u8; 8],
+    /// Key version number.
+    pub key_version: u8,
+    /// Expiration date (seconds since the epoch).
+    pub expiration: u32,
+    /// Maximum ticket lifetime, in 5-minute units.
+    pub max_life: u8,
+    /// Attribute flags (`ATTR_*`).
+    pub attributes: u16,
+    /// Last-modification time (seconds since the epoch).
+    pub mod_time: u32,
+    /// Principal that performed the last modification.
+    pub mod_by: &'a str,
+}
+
+impl<'a> PrincipalEntryView<'a> {
+    /// Parse the on-disk value format.
+    pub fn decode(buf: &'a [u8]) -> Result<Self, DbError> {
+        let mut r = Reader { buf };
         let version = r.u8()?;
         if version != 1 {
             return Err(DbError::Corrupt(format!("record version {version}")));
         }
-        let name = r.string()?;
-        let instance = r.string()?;
-        let mut key_encrypted = [0u8; 8];
-        key_encrypted.copy_from_slice(r.bytes(8)?);
-        let key_version = r.u8()?;
-        let expiration = r.u32()?;
-        let max_life = r.u8()?;
-        let attributes = r.u16()?;
-        let mod_time = r.u32()?;
-        let mod_by = r.string()?;
-        if r.pos != buf.len() {
+        let entry = PrincipalEntryView {
+            name: r.string()?,
+            instance: r.string()?,
+            key_encrypted: *r.array()?,
+            key_version: r.u8()?,
+            expiration: u32::from_be_bytes(*r.array()?),
+            max_life: r.u8()?,
+            attributes: u16::from_be_bytes(*r.array()?),
+            mod_time: u32::from_be_bytes(*r.array()?),
+            mod_by: r.string()?,
+        };
+        if !r.buf.is_empty() {
             return Err(DbError::Corrupt("trailing bytes in record".into()));
         }
-        Ok(PrincipalEntry {
-            name,
-            instance,
-            key_encrypted,
-            key_version,
-            expiration,
-            max_life,
-            attributes,
-            mod_time,
-            mod_by,
-        })
+        Ok(entry)
+    }
+
+    /// An owned copy.
+    pub fn to_owned(&self) -> PrincipalEntry {
+        PrincipalEntry {
+            name: self.name.to_owned(),
+            instance: self.instance.to_owned(),
+            key_encrypted: self.key_encrypted,
+            key_version: self.key_version,
+            expiration: self.expiration,
+            max_life: self.max_life,
+            attributes: self.attributes,
+            mod_time: self.mod_time,
+            mod_by: self.mod_by.to_owned(),
+        }
     }
 }
 
@@ -132,33 +171,32 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// What is left of the record being parsed.
 struct Reader<'a> {
     buf: &'a [u8],
-    pos: usize,
 }
 
 impl<'a> Reader<'a> {
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], DbError> {
-        if self.pos + n > self.buf.len() {
-            return Err(DbError::Corrupt("truncated record".into()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let (head, rest) =
+            self.buf.split_at_checked(n).ok_or_else(|| DbError::Corrupt("truncated record".into()))?;
+        self.buf = rest;
+        Ok(head)
+    }
+    fn array<const N: usize>(&mut self) -> Result<&'a [u8; N], DbError> {
+        let (head, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or_else(|| DbError::Corrupt("truncated record".into()))?;
+        self.buf = rest;
+        Ok(head)
     }
     fn u8(&mut self) -> Result<u8, DbError> {
-        Ok(self.bytes(1)?[0])
+        self.array::<1>().map(|&[b]| b)
     }
-    fn u16(&mut self) -> Result<u16, DbError> {
-        Ok(u16::from_be_bytes(self.bytes(2)?.try_into().expect("2 bytes")))
-    }
-    fn u32(&mut self) -> Result<u32, DbError> {
-        Ok(u32::from_be_bytes(self.bytes(4)?.try_into().expect("4 bytes")))
-    }
-    fn string(&mut self) -> Result<String, DbError> {
-        let len = self.u8()? as usize;
-        let raw = self.bytes(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| DbError::Corrupt("non-UTF-8 name".into()))
+    fn string(&mut self) -> Result<&'a str, DbError> {
+        let len = usize::from(self.u8()?);
+        std::str::from_utf8(self.bytes(len)?).map_err(|_| DbError::Corrupt("non-UTF-8 name".into()))
     }
 }
 

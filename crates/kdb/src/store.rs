@@ -429,7 +429,8 @@ impl MemStore {
         Self::default()
     }
 
-    fn find(&self, key: &[u8]) -> Result<Option<&[u8]>, DbError> {
+    /// The value stored under `key`, where the tree keeps it.
+    pub(crate) fn find(&self, key: &[u8]) -> Result<Option<&[u8]>, DbError> {
         let mut node = &*self.root;
         loop {
             match node {

@@ -2,7 +2,9 @@
 //! reference `HashMap` under arbitrary operation sequences, and `MemStore`
 //! with an ordered reference map — including every clone taken on the way.
 
-use krb_kdb::{HashStore, MemStore, Store};
+use krb_kdb::{
+    DbError, HashStore, MemStore, PrincipalDb, PrincipalEntry, PrincipalEntryView, Store,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 
@@ -175,5 +177,124 @@ impl ThreadIdHack for std::thread::ThreadId {
         // Debug prints as "ThreadId(N)"; good enough for a temp-file suffix.
         let s = format!("{self:?}");
         s.bytes().map(u64::from).sum()
+    }
+}
+
+/// `PrincipalEntry::decode` as it was before the record view became the
+/// parser — position, copy, then validate — kept as the model for it.
+fn model_decode(buf: &[u8]) -> Result<PrincipalEntry, DbError> {
+    struct Reader<'a> {
+        buf: &'a [u8],
+        pos: usize,
+    }
+    impl<'a> Reader<'a> {
+        fn bytes(&mut self, n: usize) -> Result<&'a [u8], DbError> {
+            if self.pos + n > self.buf.len() {
+                return Err(DbError::Corrupt("truncated record".into()));
+            }
+            let s = &self.buf[self.pos..self.pos + n];
+            self.pos += n;
+            Ok(s)
+        }
+        fn u8(&mut self) -> Result<u8, DbError> {
+            Ok(self.bytes(1)?[0])
+        }
+        fn u32(&mut self) -> Result<u32, DbError> {
+            Ok(u32::from_be_bytes(self.bytes(4)?.try_into().unwrap()))
+        }
+        fn string(&mut self) -> Result<String, DbError> {
+            let len = self.u8()? as usize;
+            let raw = self.bytes(len)?;
+            String::from_utf8(raw.to_vec()).map_err(|_| DbError::Corrupt("non-UTF-8 name".into()))
+        }
+    }
+    let mut r = Reader { buf, pos: 0 };
+    let version = r.u8()?;
+    if version != 1 {
+        return Err(DbError::Corrupt(format!("record version {version}")));
+    }
+    let entry = PrincipalEntry {
+        name: r.string()?,
+        instance: r.string()?,
+        key_encrypted: r.bytes(8)?.try_into().unwrap(),
+        key_version: r.u8()?,
+        expiration: r.u32()?,
+        max_life: r.u8()?,
+        attributes: u16::from_be_bytes(r.bytes(2)?.try_into().unwrap()),
+        mod_time: r.u32()?,
+        mod_by: r.string()?,
+    };
+    if r.pos != buf.len() {
+        return Err(DbError::Corrupt("trailing bytes in record".into()));
+    }
+    Ok(entry)
+}
+
+prop_compose! {
+    fn arb_entry()(
+        name in "[a-z0-9_]{0,12}",
+        instance in "[a-zA-Z0-9_.]{0,12}",
+        mod_by in "[a-z.]{0,16}",
+        key_encrypted in any::<[u8; 8]>(),
+        (key_version, max_life, attributes) in any::<(u8, u8, u16)>(),
+        (expiration, mod_time) in any::<(u32, u32)>(),
+    ) -> PrincipalEntry {
+        PrincipalEntry {
+            name, instance, key_encrypted, key_version, expiration, max_life, attributes, mod_time, mod_by,
+        }
+    }
+}
+
+proptest! {
+    /// The record view against the owned decoder it replaced: the same
+    /// verdict — the same entry or the same `DbError`, wording included —
+    /// on a valid record, on that record with one byte flipped, one byte
+    /// set, its tail cut or extended, and on arbitrary bytes; and an
+    /// accepted view re-encodes to its input.
+    #[test]
+    fn record_view_equals_the_owned_decoder(
+        entry in arb_entry(),
+        at in any::<usize>(),
+        flip in 1u8..=255,
+        set in prop_oneof![Just(0u8), Just(1), Just(0x80), Just(0xff), any::<u8>()],
+        junk in proptest::collection::vec(any::<u8>(), 0..80),
+    ) {
+        let valid = entry.encode();
+        let at = at % valid.len();
+        let mut flipped = valid.clone();
+        flipped[at] ^= flip;
+        let mut with_set = valid.clone();
+        with_set[at] = set;
+        let extended = [&valid[..], &junk[..]].concat();
+        for input in [valid.clone(), flipped, with_set, valid[..at].to_vec(), extended, junk] {
+            let model = model_decode(&input);
+            let view = PrincipalEntryView::decode(&input);
+            prop_assert_eq!(view.as_ref().map(|v| v.to_owned()).map_err(Clone::clone), model.clone());
+            prop_assert_eq!(PrincipalEntry::decode(&input), model);
+            if let Ok(view) = view {
+                prop_assert_eq!(view.to_owned().encode(), input);
+            }
+        }
+    }
+
+    /// The borrowed lookup is `get` without the copies: the same answer for
+    /// registered principals, for absent ones, and for names longer than
+    /// the stack key (which no registered principal can have).
+    #[test]
+    fn get_ref_equals_get(
+        registered in proptest::collection::vec(("[a-z]{1,40}", "[a-z.]{0,40}"), 1..12),
+        probes in proptest::collection::vec(("[a-z]{0,60}", "[a-z.]{0,60}"), 0..12),
+    ) {
+        let key = krb_crypto::string_to_key("m");
+        let mut db = PrincipalDb::create(MemStore::new(), key, 7).unwrap();
+        for (name, instance) in &registered {
+            let _ = db.add_principal(name, instance, &key, 99, 12, 7, "test.");
+        }
+        for (name, instance) in registered.iter().chain(&probes).chain([&("K".to_string(), "M".to_string())]) {
+            let owned = db.get(name, instance).unwrap();
+            let borrowed = db.get_ref(name, instance).unwrap().map(|v| v.to_owned());
+            prop_assert_eq!(&borrowed, &owned);
+        }
+        prop_assert!(db.get_ref(&registered[0].0, &registered[0].1).unwrap().is_some());
     }
 }

@@ -20,13 +20,15 @@
 //! worker and merged deterministically (`krb_telemetry::merge_journals`).
 
 use crate::realm::RealmConfig;
-use kerberos::msg::{AsReq, EncKdcReplyPart, KdcRep, Message, TgsReq};
+use kerberos::msg::{seal_kdc_rep, AsReqView, MessageView, TgsReqView};
 use kerberos::{
-    krb_rd_req_sched, remaining_life, ErrorCode, HostAddr, KrbResult, Principal,
-    StripedReplayCache, Ticket, ERROR_KINDS,
+    krb_rd_req_in, remaining_life, ApScratch, ErrorCode, HostAddr, KrbResult, Principal,
+    StripedReplayCache, TicketView, ERROR_KINDS,
 };
-use krb_kdb::{MemStore, PrincipalDb, PrincipalEntry, Store, ATTR_DISABLED, ATTR_NO_TGS};
-use krb_crypto::{seal_with, KeyGenerator, Mode, Scheduled};
+use krb_kdb::{
+    MemStore, PrincipalDb, PrincipalEntry, PrincipalEntryView, Store, ATTR_DISABLED, ATTR_NO_TGS,
+};
+use krb_crypto::{KeyGenerator, Scheduled};
 use krb_telemetry::{
     ClockUs, Component, Counter, EventKind, Field, Histogram, Journal, Registry, SpaceSaving,
     Span, TraceId,
@@ -234,8 +236,12 @@ impl SchedCache {
         SchedCache { entries: Vec::new() }
     }
 
-    fn get(&mut self, key: &SchedKey) -> Option<Arc<Scheduled>> {
-        let pos = self.entries.iter().position(|(k, _)| k == key)?;
+    /// Probe by borrowed components: a hit copies no key.
+    fn get(&mut self, name: &str, instance: &str, kvno: u8) -> Option<Arc<Scheduled>> {
+        let pos = self
+            .entries
+            .iter()
+            .position(|((n, i, v), _)| n == name && i == instance && *v == kvno)?;
         let entry = self.entries.remove(pos);
         let sched = Arc::clone(&entry.1);
         self.entries.push(entry);
@@ -264,7 +270,7 @@ pub struct KdcSnapshot {
     /// The `krbtgt` entry and its key schedule, warmed at snapshot build —
     /// every TGS request verifies against this key. `None` only when the
     /// principal is absent (an empty database being provisioned).
-    tgt_cache: Option<(PrincipalEntry, Arc<Scheduled>)>,
+    tgt_cache: Option<(PrincipalEntry, Scheduled)>,
     /// Bounded LRU of other principal-key schedules, keyed by
     /// `(name, instance, key_version)`. Per-snapshot: dies with it.
     sched_cache: Mutex<SchedCache>,
@@ -529,11 +535,6 @@ impl<S: Store> Kdc<S> {
         sender_addr: HostAddr,
         trace: Option<TraceId>,
     ) -> Vec<u8> {
-        enum ReqKind {
-            As,
-            Tgs,
-            Other,
-        }
         let snap = self.snapshot();
         let hooks = self.hooks();
         let mut span = Span::start(&hooks.clock_us, &hooks.metrics.as_latency_us);
@@ -542,37 +543,40 @@ impl<S: Store> Kdc<S> {
             // trace as its exemplar, linking render spikes to timelines.
             span = span.with_trace(t);
         }
-        // `who` names the exchange's subject for the journal: the client
-        // principal (AS) or the target service (TGS) — never key material.
-        let (kind, result, who) = match Message::decode(request) {
-            Ok(Message::AsReq(req)) => {
-                let who = req.cname.clone();
-                (ReqKind::As, self.handle_as(&snap, &hooks, &req, sender_addr), Some(("client", who)))
+        // The request is read where it lies: `req` borrows `request`.
+        let (result, subject) = match MessageView::decode(request) {
+            Ok(MessageView::AsReq(req)) => {
+                (self.handle_as(&snap, &hooks, &req, sender_addr), Some(Subject::Client(req.cname)))
             }
-            Ok(Message::TgsReq(req)) => {
-                let who = format!("{}.{}", req.sname, req.sinstance);
-                (ReqKind::Tgs, self.handle_tgs(&snap, &hooks, &req, sender_addr), Some(("service", who)))
-            }
-            Ok(_) => (ReqKind::Other, Err(ErrorCode::RdApUndec), None),
-            Err(e) => (ReqKind::Other, Err(e), None),
+            Ok(MessageView::TgsReq(req)) => (
+                self.handle_tgs(&snap, &hooks, &req, sender_addr),
+                Some(Subject::Service(req.sname, req.sinstance)),
+            ),
+            Ok(_) => (Err(ErrorCode::RdApUndec), None),
+            Err(e) => (Err(e), None),
         };
         // The span was opened before decoding told us the exchange type;
         // route it to the right histogram now.
-        let ok_kind = match kind {
-            ReqKind::As => {
+        let ok_kind = match subject {
+            Some(Subject::Client(_)) => {
                 span.finish();
                 Some(EventKind::AsOk)
             }
-            ReqKind::Tgs => {
+            Some(Subject::Service(..)) => {
                 span.finish_into(&hooks.metrics.tgs_latency_us);
                 Some(EventKind::TgsOk)
             }
-            ReqKind::Other => {
+            None => {
                 span.cancel();
                 None
             }
         };
         let top = self.top.read().clone();
+        // `who` names the exchange's subject for the journal and the
+        // heavy-hitter tables: the client principal (AS) or the target
+        // service (TGS) — never key material. With neither attached the
+        // string is not built.
+        let who = subject.filter(|_| top.is_some() || hooks.journal.attached()).map(Subject::named);
         match result {
             Ok(reply) => {
                 if let (Some(top), Some((_, value))) = (&top, &who) {
@@ -609,7 +613,7 @@ impl<S: Store> Kdc<S> {
                     }
                     hooks.journal.record((hooks.clock_us)(), trace, EventKind::KdcErr, fields);
                 }
-                Message::error(code, code.describe())
+                MessageView::Err { code, text: code.describe() }.encode()
             }
         }
     }
@@ -621,49 +625,44 @@ impl<S: Store> Kdc<S> {
         &self,
         snap: &KdcSnapshot,
         hooks: &KdcHooks,
-        req: &AsReq,
+        req: &AsReqView<'_>,
         sender: HostAddr,
     ) -> KrbResult<Vec<u8>> {
-        if req.crealm != self.config.realm {
+        let realm = self.config.realm.as_str();
+        if req.crealm != realm {
             return Err(ErrorCode::KdcUnknownRealm);
         }
         let now = (self.clock)();
-        let (centry, csched) = lookup_sched(snap, hooks, &req.cname, &req.cinstance, now)?;
+        let (centry, csched) = lookup_sched(snap, hooks, req.cname, req.cinstance, now)?;
         // For the TGT request the service is krbtgt.<realm>; for AS-only
         // services (KDBM) it is the service itself. Cross-realm TGTs are
         // NOT available from the AS — only via the TGS.
-        let (sentry, ssched) = lookup_sched(snap, hooks, &req.sname, &req.sinstance, now)?;
-        let client = Principal::new(&req.cname, &req.cinstance, &req.crealm)?;
-        let service = Principal::new(&req.sname, &req.sinstance, &self.config.realm)?;
+        let (sentry, ssched) = lookup_sched(snap, hooks, req.sname, req.sinstance, now)?;
+        Principal::validate(req.cname, req.cinstance, req.crealm)?;
+        Principal::validate(req.sname, req.sinstance, realm)?;
 
         let session_key = self.keygen.lock().generate();
         let life = req
             .life
             .min(centry.max_life)
             .min(effective_max_life(sentry.max_life, self.config.default_max_life));
-        // The ticket is bound to the workstation the request came from:
-        // the packet's source address goes into the ticket (Fig. 3 "addr").
-        let addr = sender;
-        let ticket = Ticket::new(&service, &client, addr, now, life, *session_key.as_bytes())
-            .seal_with(&ssched);
-        // The service `Principal` already owns the reply's name strings —
-        // move them into place rather than cloning them again.
-        let Principal { name: sname, instance: sinstance, realm: srealm } = service;
-        let part = EncKdcReplyPart {
-            session_key: session_key.into(),
-            sname,
-            sinstance,
-            srealm,
+        let ticket = TicketView {
+            sname: req.sname,
+            sinstance: req.sinstance,
+            cname: req.cname,
+            cinstance: req.cinstance,
+            crealm: req.crealm,
+            // The ticket is bound to the workstation the request came from:
+            // the packet's source address goes into it (Fig. 3 "addr").
+            addr: sender,
+            timestamp: now,
             life,
-            kvno: centry.key_version,
-            kdc_time: now,
-            nonce: req.ctime,
-            ticket,
+            session_key: session_key.as_bytes(),
         };
-        let enc = seal_with(Mode::Pcbc, &csched, &[0u8; 8], &part.encode())
+        let reply = seal_kdc_rep(&ticket, realm, centry.key_version, req.ctime, &ssched, &csched)
             .map_err(|_| ErrorCode::KdcGenErr)?;
         hooks.metrics.as_ok.inc();
-        Ok(Message::KdcRep(KdcRep { enc_part: enc }).encode())
+        Ok(reply)
     }
 
     /// The ticket-granting exchange (Fig. 8): verify the TGT + authenticator
@@ -674,35 +673,39 @@ impl<S: Store> Kdc<S> {
         &self,
         snap: &KdcSnapshot,
         hooks: &KdcHooks,
-        req: &TgsReq,
+        req: &TgsReqView<'_>,
         sender: HostAddr,
     ) -> KrbResult<Vec<u8>> {
+        let realm = self.config.realm.as_str();
         let now = (self.clock)();
         // Which key sealed the presented TGT? Ours — served from the
         // snapshot's warm cache, no lookup and no schedule build — or an
         // inter-realm key (cold path: schedule built on the spot).
-        let (verifier_sched, foreign) = if req.ap.realm == self.config.realm {
-            (tgt_sched(snap, now)?, false)
+        let foreign = req.ap.realm != realm;
+        let inter_realm;
+        let verifier_sched = if foreign {
+            let k = self.config.inter_realm_key(req.ap.realm).ok_or(ErrorCode::KdcUnknownRealm)?;
+            inter_realm = Scheduled::new(k);
+            &inter_realm
         } else {
-            let k = self
-                .config
-                .inter_realm_key(&req.ap.realm)
-                .ok_or(ErrorCode::KdcUnknownRealm)?;
-            (Arc::new(Scheduled::new(k)), true)
+            tgt_sched(snap, now)?
         };
-        let tgs_principal = Principal::tgs(&self.config.realm, &self.config.realm);
-        let verified = krb_rd_req_sched(
+        // The TGT and the authenticator are opened and read in `scratch`,
+        // which wipes them when this function returns.
+        let mut scratch = ApScratch::default();
+        let verified = krb_rd_req_in(
+            &mut scratch,
             &req.ap,
-            &tgs_principal,
-            &verifier_sched,
+            ("krbtgt", realm),
+            verifier_sched,
             sender,
             now,
             &mut &self.replay,
         )?;
         // "the remote ticket-granting server recognizes that the request is
         // not from its own realm" — the client keeps its original realm.
-        let client = verified.client.clone();
-        if foreign && client.realm == self.config.realm {
+        let (cname, cinstance, crealm) = verified.ticket.client();
+        if foreign && crealm == realm {
             // A TGT sealed in an inter-realm key must name a client from
             // the foreign realm; one claiming to be local is inconsistent
             // (a forgery attempt, not a programming error — reject it, do
@@ -714,7 +717,7 @@ impl<S: Store> Kdc<S> {
         // realm ("a user ... can request a ticket-granting ticket from the
         // local authentication server for the ticket-granting server in the
         // remote realm", §7.2) — sealed in the shared inter-realm key.
-        let cross_realm_target = req.sname == "krbtgt" && req.sinstance != self.config.realm;
+        let cross_realm_target = req.sname == "krbtgt" && req.sinstance != realm;
         let (ssched, smax_life, skvno) = if cross_realm_target {
             // §7.2's closing paragraph: authenticating "through a series of
             // realms" would require recording the entire path ("A says that
@@ -726,11 +729,11 @@ impl<S: Store> Kdc<S> {
             }
             let k = self
                 .config
-                .inter_realm_key(&req.sinstance)
+                .inter_realm_key(req.sinstance)
                 .ok_or(ErrorCode::KdcUnknownRealm)?;
             (Arc::new(Scheduled::new(k)), self.config.default_max_life, 1)
         } else {
-            let (sentry, sched) = lookup_sched(snap, hooks, &req.sname, &req.sinstance, now)?;
+            let (sentry, sched) = lookup_sched(snap, hooks, req.sname, req.sinstance, now)?;
             if sentry.attributes & ATTR_NO_TGS != 0 {
                 // §5.1: "the ticket-granting service will not issue tickets
                 // for it. Instead, the authentication service itself must be
@@ -743,32 +746,48 @@ impl<S: Store> Kdc<S> {
                 sentry.key_version,
             )
         };
-        let service = Principal::new(&req.sname, &req.sinstance, &self.config.realm)?;
+        Principal::validate(req.sname, req.sinstance, realm)?;
 
         let session_key = self.keygen.lock().generate();
         let tgt_remaining = remaining_life(verified.ticket.timestamp, verified.ticket.life, now);
-        let life = req.life.min(tgt_remaining).min(smax_life);
-        let ticket = Ticket::new(&service, &client, sender, now, life, *session_key.as_bytes())
-            .seal_with(&ssched);
-        let Principal { name: sname, instance: sinstance, realm: srealm } = service;
-        let part = EncKdcReplyPart {
-            session_key: session_key.into(),
-            sname,
-            sinstance,
-            srealm,
-            life,
-            kvno: skvno,
-            kdc_time: now,
-            nonce: verified.timestamp,
-            ticket,
+        let ticket = TicketView {
+            sname: req.sname,
+            sinstance: req.sinstance,
+            cname,
+            cinstance,
+            crealm,
+            addr: sender,
+            timestamp: now,
+            life: req.life.min(tgt_remaining).min(smax_life),
+            session_key: session_key.as_bytes(),
         };
         // "the reply is encrypted in the session key that was part of the
         // ticket-granting ticket" — no password needed, and the schedule
         // was already built to open the authenticator; reuse it here.
-        let enc = seal_with(Mode::Pcbc, &verified.session_sched, &[0u8; 8], &part.encode())
+        let nonce = verified.authenticator.timestamp;
+        let reply = seal_kdc_rep(&ticket, realm, skvno, nonce, &ssched, &verified.session_sched)
             .map_err(|_| ErrorCode::KdcGenErr)?;
         hooks.metrics.tgs_ok.inc();
-        Ok(Message::KdcRep(KdcRep { enc_part: enc }).encode())
+        Ok(reply)
+    }
+}
+
+/// Whom an exchange is about, as named in its request.
+#[derive(Clone, Copy)]
+enum Subject<'a> {
+    /// AS: the client's primary name.
+    Client(&'a str),
+    /// TGS: the target service's name and instance.
+    Service(&'a str, &'a str),
+}
+
+impl Subject<'_> {
+    /// The journal field this subject is recorded under, and its value.
+    fn named(self) -> (&'static str, String) {
+        match self {
+            Subject::Client(name) => ("client", name.to_owned()),
+            Subject::Service(name, instance) => ("service", format!("{name}.{instance}")),
+        }
     }
 }
 
@@ -791,14 +810,14 @@ fn build_snapshot(db: PrincipalDb<MemStore>, realm: &str) -> KdcSnapshot {
 /// threads may race to build the same schedule, but only one insert wins
 /// and both get a correct schedule. Single-threaded, hit/miss totals are
 /// exactly the old sequential counts.
-fn lookup_sched(
-    snap: &KdcSnapshot,
+fn lookup_sched<'a>(
+    snap: &'a KdcSnapshot,
     hooks: &KdcHooks,
     name: &str,
     instance: &str,
     now: u32,
-) -> KrbResult<(PrincipalEntry, Arc<Scheduled>)> {
-    let entry = match snap.db.get(name, instance) {
+) -> KrbResult<(PrincipalEntryView<'a>, Arc<Scheduled>)> {
+    let entry = match snap.db.get_ref(name, instance) {
         Ok(Some(e)) => e,
         Ok(None) => return Err(ErrorCode::KdcPrUnknown),
         Err(_) => return Err(ErrorCode::KdcGenErr),
@@ -807,29 +826,28 @@ fn lookup_sched(
         return Err(ErrorCode::KdcNullKey);
     }
     if entry.expiration < now {
-        return Err(if name == "krbtgt" || instance_is_service(&entry) {
+        // Heuristic only used to pick between two error codes: services at
+        // Athena carry a host instance.
+        return Err(if name == "krbtgt" || !entry.instance.is_empty() {
             ErrorCode::KdcServiceExp
         } else {
             ErrorCode::KdcNameExp
         });
     }
-    let cache_key = (entry.name.clone(), entry.instance.clone(), entry.key_version);
-    {
-        let mut cache = snap.sched_cache.lock();
-        if let Some(sched) = cache.get(&cache_key) {
-            hooks.metrics.sched_hits.inc();
-            return Ok((entry, sched));
-        }
+    if let Some(sched) = snap.sched_cache.lock().get(entry.name, entry.instance, entry.key_version) {
+        hooks.metrics.sched_hits.inc();
+        return Ok((entry, sched));
     }
     // Miss: build the schedule with no lock held, then re-check.
     let key = snap.db.decrypt_key(&entry.key_encrypted);
     let sched = Arc::new(Scheduled::new(&key));
     let mut cache = snap.sched_cache.lock();
-    if let Some(existing) = cache.get(&cache_key) {
+    if let Some(existing) = cache.get(entry.name, entry.instance, entry.key_version) {
         hooks.metrics.sched_hits.inc();
         return Ok((entry, existing));
     }
     hooks.metrics.sched_misses.inc();
+    let cache_key = (entry.name.to_owned(), entry.instance.to_owned(), entry.key_version);
     cache.insert(cache_key, Arc::clone(&sched));
     Ok((entry, sched))
 }
@@ -837,7 +855,7 @@ fn lookup_sched(
 /// The krbtgt schedule, from the snapshot's warm cache. Policy checks
 /// (disabled, expiration) still run per request on the cached entry — only
 /// the lookup and the schedule build are amortized.
-fn tgt_sched(snap: &KdcSnapshot, now: u32) -> KrbResult<Arc<Scheduled>> {
+fn tgt_sched(snap: &KdcSnapshot, now: u32) -> KrbResult<&Scheduled> {
     let (entry, sched) = snap.tgt_cache.as_ref().ok_or(ErrorCode::KdcPrUnknown)?;
     if entry.attributes & ATTR_DISABLED != 0 {
         return Err(ErrorCode::KdcNullKey);
@@ -845,7 +863,7 @@ fn tgt_sched(snap: &KdcSnapshot, now: u32) -> KrbResult<Arc<Scheduled>> {
     if entry.expiration < now {
         return Err(ErrorCode::KdcServiceExp);
     }
-    Ok(Arc::clone(sched))
+    Ok(sched)
 }
 
 /// Fetch and schedule the realm's krbtgt key. `None` when the principal is
@@ -854,10 +872,10 @@ fn tgt_sched(snap: &KdcSnapshot, now: u32) -> KrbResult<Arc<Scheduled>> {
 fn warm_tgt_cache(
     db: &PrincipalDb<MemStore>,
     realm: &str,
-) -> Option<(PrincipalEntry, Arc<Scheduled>)> {
+) -> Option<(PrincipalEntry, Scheduled)> {
     let entry = db.get("krbtgt", realm).ok().flatten()?;
     let key = db.decrypt_key(&entry.key_encrypted);
-    Some((entry, Arc::new(Scheduled::new(&key))))
+    Some((entry, Scheduled::new(&key)))
 }
 
 fn effective_max_life(principal_max: u8, realm_default: u8) -> u8 {
@@ -868,16 +886,12 @@ fn effective_max_life(principal_max: u8, realm_default: u8) -> u8 {
     }
 }
 
-fn instance_is_service(e: &PrincipalEntry) -> bool {
-    // Heuristic only used to pick between two error codes: services at
-    // Athena carry a host instance.
-    !e.instance.is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kerberos::{build_as_req, build_tgs_req, read_as_reply_with_password, read_tgs_reply};
+    use kerberos::{
+        build_as_req, build_tgs_req, read_as_reply_with_password, read_tgs_reply, Message,
+    };
     use krb_crypto::string_to_key;
     use krb_kdb::MemStore;
 

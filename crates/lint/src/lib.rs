@@ -83,8 +83,13 @@ use std::path::{Path, PathBuf};
 /// every server's `krb_rd_req` consults, and the wire decoders (message
 /// envelope, admin protocol, monitoring frames) those requests pass first.
 const SERVER_PATH_FILES: &[&str] = &[
+    "crates/core/src/ap.rs",
+    "crates/core/src/authent.rs",
     "crates/core/src/msg.rs",
     "crates/core/src/replay.rs",
+    "crates/core/src/scratch.rs",
+    "crates/core/src/ticket.rs",
+    "crates/core/src/wire.rs",
     "crates/kdb/src/store.rs",
     "crates/kdc/src/server.rs",
     "crates/kdc/src/service.rs",

@@ -40,6 +40,13 @@ echo "== cargo test --release -p kerberos"
 # backwards) must hold on both.
 cargo test --release --offline -q -p kerberos
 
+echo "== cargo test --release -p krb-kdc"
+# The reply is sealed where it lies — offsets, reserved length slots,
+# padding counted from the middle of a buffer — and none of that arithmetic
+# may lean on a debug assertion; the golden-replies digest, generated at
+# the commit before that rewrite, must come out the same in both profiles.
+cargo test --release --offline -q -p krb-kdc
+
 echo "== krb-lint --json"
 # Machine-readable pass: the v2 schema must be present, every rule id
 # accounted for, and the tree clean (zero live findings, zero stale allow
