@@ -60,8 +60,8 @@ use krb_crypto::{open, seal, string_to_key, DesKey, KeyGenerator, Mode, Schedule
 use krb_kdb::dump as kdump;
 use krb_kdc::{Deployment, RealmConfig};
 use krb_kprop::{
-    build_incr_segment, parse_incr_reply, IncrKpropdService, IncrReply, SlaveCursor, UpdateLog,
-    UpdateOp, UpdateRecord, FULL_MAGIC, INCR_MAGIC,
+    build_incr_segment, parse_incr_reply, IncrKpropdService, IncrReply, KpropMaster, UpdateOp,
+    UpdateRecord, FULL_MAGIC, INCR_MAGIC,
 };
 use krb_netsim::{
     ports, Endpoint, InjectKind, NetConfig, Packet, Router, SimNet, EPOCH_1987,
@@ -268,7 +268,7 @@ pub struct AdvReport {
     pub closure_dump: String,
 }
 
-/// JSON keys the report must carry — `scripts/check.sh` greps for these.
+/// JSON keys the report must carry — the smoke test below pins them.
 pub const ADVERSARY_JSON_KEYS: &[&str] = &[
     "tool",
     "seed",
@@ -540,14 +540,11 @@ struct Engine {
     logged_in: bool,
     /// Master-key schedule driving the honest propagation stream.
     sched: Scheduled,
-    /// The master's append-only update journal.
-    kprop_log: UpdateLog,
-    /// Master-side view of the slave's replication progress.
-    kprop_cursor: SlaveCursor,
+    /// The master's write → journal → ship pipeline. No journal is
+    /// attached: the slave's events alone carry the honest traces.
+    kprop: KpropMaster,
     /// Key source for the admin-churn rotations the stream carries.
     kprop_keygen: KeyGenerator<StdRng>,
-    /// Honest kprop trace counter (traces are allowlisted).
-    kprop_trace_seq: u64,
     /// The key the scenario handed the attacker, if any — used by the
     /// kprop forgery the way a real attacker would use stolen material.
     leaked_key: Option<DesKey>,
@@ -719,10 +716,8 @@ impl Engine {
             journal_cursor: 0,
             logged_in: false,
             sched,
-            kprop_log: UpdateLog::new(64),
-            kprop_cursor: SlaveCursor::new(),
+            kprop: KpropMaster::new(MASTER_ADDR, 2000, cfg.seed ^ 0x6B92, 64, &[SLAVE_ADDR]),
             kprop_keygen: KeyGenerator::new(StdRng::seed_from_u64(cfg.seed ^ 0x6B92)),
-            kprop_trace_seq: 0,
             leaked_key,
             report,
         }
@@ -847,38 +842,26 @@ impl Engine {
     fn kprop_round(&mut self) {
         let now = self.ws.now();
         let new_key = self.kprop_keygen.generate();
-        let op = self
-            .dep
-            .master
-            .with_db_mut(|db| {
-                db.change_key("propchurn", "", &new_key, now, "kadmin.").ok()?;
-                db.get("propchurn", "").ok().flatten().map(UpdateOp::Put)
-            })
-            .flatten();
-        if let Some(op) = op {
+        let wrote = self.dep.master.with_db_mut(|db| {
+            self.kprop.write(db, |tx| tx.change_key("propchurn", "", &new_key, now, "kadmin."))
+        });
+        if let Some(Ok(())) = wrote {
             // Ground truth: the rotated key transits only inside the
             // (master-key-encrypted) dump line, so it is protected.
             self.protected.entry(key_fingerprint(&new_key)).or_insert("propchurn-key");
-            self.kprop_log.append(op);
         }
-        let Some(sent) = self
-            .kprop_cursor
-            .next_transfer(self.dep.master.snapshot().db(), &self.kprop_log, false)
+        let Some(shipped) = self
+            .kprop
+            .ship(&mut self.router, self.dep.master.snapshot().db(), 0, false)
             .expect("master dumps; journal slice is consecutive")
         else {
             return;
         };
-        self.kprop_trace_seq += 1;
-        let t = TraceId::derive(self.cfg.seed ^ 0x6B92, self.kprop_trace_seq);
-        self.honest_traces.insert(t.0);
+        self.honest_traces.insert(shipped.trace.0);
         self.report.kprop_transfers += 1;
-        let src = Endpoint::new(MASTER_ADDR, 2000 + (self.kprop_trace_seq % 50_000) as u16);
-        let dst = Endpoint::new(SLAVE_ADDR, ports::KPROP);
-        let reply = self.router.rpc_traced(src, dst, &sent.packet, Some(t)).ok();
-        if self.kprop_cursor.settle(&sent, reply.as_deref()) {
+        if shipped.acked {
             self.report.kprop_accepted += 1;
         }
-        drain(&mut self.router, src);
     }
 
     /// One honest victim round: log in if needed, otherwise run a real

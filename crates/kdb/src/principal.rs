@@ -165,10 +165,13 @@ impl<'a> PrincipalEntryView<'a> {
     }
 }
 
+/// Append a 1-byte-length-prefixed string. The length field holds at most
+/// 255, so a longer string is cut at the last character boundary that
+/// fits: the record always says what it carries.
 fn push_str(out: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= u8::MAX as usize);
-    out.push(s.len() as u8);
-    out.extend_from_slice(s.as_bytes());
+    let fits = s.floor_char_boundary(usize::from(u8::MAX));
+    out.push(fits as u8);
+    out.extend_from_slice(s.as_bytes().get(..fits).unwrap_or_default());
 }
 
 /// What is left of the record being parsed.
@@ -222,6 +225,18 @@ mod tests {
     fn encode_decode_round_trip() {
         let e = sample();
         assert_eq!(PrincipalEntry::decode(&e.encode()).unwrap(), e);
+    }
+
+    #[test]
+    fn an_over_long_field_is_cut_not_desynchronised() {
+        // 300 bytes, with a two-byte character straddling byte 255.
+        let long = format!("{}é{}", "a".repeat(254), "b".repeat(44));
+        let e = PrincipalEntry { mod_by: long.clone(), ..sample() };
+        let back = PrincipalEntry::decode(&e.encode()).expect("the record agrees with itself");
+        assert_eq!(back.mod_by, "a".repeat(254), "cut at the last boundary within 255");
+        assert_eq!(PrincipalEntry { mod_by: long, ..back }, e, "every other field survives");
+        let exact = PrincipalEntry { mod_by: "c".repeat(255), ..sample() };
+        assert_eq!(PrincipalEntry::decode(&exact.encode()).unwrap(), exact);
     }
 
     #[test]

@@ -20,13 +20,16 @@
 //! is a `KFULSEQ1` packet, an update run a `KINCSEG1` segment, both under
 //! that checksum), the slave's verify-and-apply ([`IncrReplica`],
 //! [`verify_full_seq`]) and the master's ship-and-corroborate step
-//! ([`SlaveCursor`]); [`net`] puts the slave behind the netsim service
-//! seam ([`IncrKpropdService`]) and a TCP stream ([`TcpKpropd`]).
+//! ([`SlaveCursor`]); [`master`] is the master's whole half — write,
+//! journal, ship — as one type ([`KpropMaster`]); [`net`] puts the slave
+//! behind the netsim service seam ([`IncrKpropdService`]) and a TCP stream
+//! ([`TcpKpropd`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod incr;
+pub mod master;
 pub mod net;
 
 use krb_crypto::DesKey;
@@ -38,6 +41,7 @@ pub use incr::{
     PacketKind, SlaveCursor, Transfer, UpdateLog, UpdateOp, UpdateRecord, DEFAULT_LOG_CAP,
     FULL_MAGIC, INCR_MAGIC,
 };
+pub use master::{KpropMaster, MasterTx, Shipped, Tally};
 pub use net::{
     parse_incr_reply, reject_kind, tcp_kprop_send, IncrKpropdService, IncrReply, TcpKpropd,
 };

@@ -12,7 +12,7 @@
 use krb_crypto::string_to_key;
 use krb_kdb::dump as kdump;
 use krb_kdb::{MemStore, PrincipalDb, PrincipalEntry};
-use krb_kprop::{IncrKpropdService, SlaveCursor, Transfer, UpdateLog, UpdateOp};
+use krb_kprop::{IncrKpropdService, KpropMaster, SlaveCursor, Transfer};
 use krb_netsim::{Endpoint, Packet, Service};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -55,7 +55,10 @@ struct Harness {
     /// Reference model: (name, instance) -> entry, maintained independently
     /// of the database code under test.
     model: BTreeMap<(String, String), PrincipalEntry>,
-    log: UpdateLog,
+    /// The product write path and its journal. It has no slave of its
+    /// own: the harness decides each packet's fate by hand, so it keeps
+    /// the cursor.
+    kprop: KpropMaster,
     cursor: SlaveCursor,
     kpropd: IncrKpropdService,
     writes: u32,
@@ -74,7 +77,7 @@ impl Harness {
         Harness {
             master,
             model,
-            log: UpdateLog::new(log_cap),
+            kprop: KpropMaster::new([18, 72, 0, 10], 1000, 0, log_cap, &[]),
             cursor: SlaveCursor::new(),
             kpropd: fresh_kpropd(),
             writes: 0,
@@ -85,16 +88,20 @@ impl Harness {
         let name = POOL[who];
         self.writes += 1;
         let now = NOW + self.writes;
-        if self.master.exists(name, "").unwrap() {
-            let new_key = string_to_key(&format!("pw-{name}-{}", self.writes));
-            self.master.change_key(name, "", &new_key, now, "kadmin.").unwrap();
-        } else {
-            let key = string_to_key(&format!("pw-{name}"));
-            self.master.add_principal(name, "", &key, u32::MAX, 96, now, "kadmin.").unwrap();
-        }
+        let exists = self.master.exists(name, "").unwrap();
+        let pw = if exists { format!("pw-{name}-{}", self.writes) } else { format!("pw-{name}") };
+        let key = string_to_key(&pw);
+        self.kprop
+            .write(&mut self.master, |tx| {
+                if exists {
+                    tx.change_key(name, "", &key, now, "kadmin.")
+                } else {
+                    tx.add_principal(name, "", &key, u32::MAX, 96, now, "kadmin.")
+                }
+            })
+            .unwrap();
         let entry = self.master.get(name, "").unwrap().unwrap();
-        self.model.insert((name.to_string(), String::new()), entry.clone());
-        self.log.append(UpdateOp::Put(entry));
+        self.model.insert((name.to_string(), String::new()), entry);
     }
 
     fn remove(&mut self, who: usize) {
@@ -102,13 +109,12 @@ impl Harness {
         if !self.master.exists(name, "").unwrap() {
             return;
         }
-        self.master.delete(name, "").unwrap();
+        self.kprop.write(&mut self.master, |tx| tx.delete(name, "")).unwrap();
         self.model.remove(&(name.to_string(), String::new()));
-        self.log.append(UpdateOp::Delete { name: name.to_string(), instance: String::new() });
     }
 
     fn next_transfer(&self, force_full: bool) -> Option<Transfer> {
-        self.cursor.next_transfer(&self.master, &self.log, force_full).unwrap()
+        self.cursor.next_transfer(&self.master, self.kprop.log(), force_full).unwrap()
     }
 
     /// Deliver a packet to the slave and return the reply it sends.
@@ -167,7 +173,7 @@ impl Harness {
     /// The conservation oracle: whenever the replica claims the master's
     /// journal head, its database must equal the master's exactly.
     fn check_quiescent(&self) {
-        if self.cursor.synced() && self.replica().applied_seq() == self.log.head() {
+        if self.cursor.synced() && self.replica().applied_seq() == self.kprop.log().head() {
             // A freshly restarted replica has no mirror yet; until the next
             // transfer lands there is nothing to compare (and nothing being
             // served divergently).
@@ -176,7 +182,7 @@ impl Harness {
                     replica_dump,
                     kdump::dump(&self.master).unwrap(),
                     "divergent replica at quiescent seq {}",
-                    self.log.head()
+                    self.kprop.log().head()
                 );
             }
         }
@@ -200,14 +206,14 @@ impl Harness {
     /// claims sync, but the slave's mirror is gone or stale).
     fn converge(&mut self) {
         for _ in 0..8 {
-            if self.cursor.synced() && self.cursor.acked() == self.log.head() {
+            if self.cursor.synced() && self.cursor.acked() == self.kprop.log().head() {
                 break;
             }
             self.ship(ShipFate::Clean);
         }
         assert!(self.cursor.synced(), "recovery policy failed to resync");
-        assert_eq!(self.cursor.acked(), self.log.head());
-        if self.replica().db().is_none() || self.replica().applied_seq() != self.log.head() {
+        assert_eq!(self.cursor.acked(), self.kprop.log().head());
+        if self.replica().db().is_none() || self.replica().applied_seq() != self.kprop.log().head() {
             let sent = self.next_transfer(true).expect("a forced transfer is never skipped");
             let reply = self.deliver(&sent.packet);
             assert!(self.cursor.settle(&sent, Some(&reply)), "anti-entropy full dump refused");
@@ -273,7 +279,7 @@ proptest! {
                 "clean stream planned a full dump"
             );
             h.ship(ShipFate::Clean);
-            prop_assert_eq!(h.replica().applied_seq(), h.log.head());
+            prop_assert_eq!(h.replica().applied_seq(), h.kprop.log().head());
         }
         prop_assert_eq!(h.replica().dump_text().unwrap(), kdump::dump(&h.master).unwrap());
     }

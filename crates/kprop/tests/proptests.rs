@@ -7,8 +7,7 @@ use krb_crypto::{cbc_checksum_with, string_to_key, DesKey, Scheduled};
 use krb_kdb::dump as kdump;
 use krb_kdb::{MemStore, PrincipalDb};
 use krb_kprop::{
-    build_full_seq, verify_full_seq, IncrReplica, SlaveCursor, UpdateLog, UpdateOp, FULL_MAGIC,
-    INCR_MAGIC,
+    build_full_seq, verify_full_seq, IncrReplica, KpropMaster, SlaveCursor, FULL_MAGIC, INCR_MAGIC,
 };
 use proptest::prelude::*;
 
@@ -116,25 +115,24 @@ proptest! {
         noise in proptest::collection::vec(any::<u8>(), 0..12),
     ) {
         let mut db = small_db();
-        let mut log = UpdateLog::new(64);
-        let write = |db: &mut PrincipalDb<MemStore>, log: &mut UpdateLog, n: usize| {
+        let mut kprop = KpropMaster::new([18, 72, 0, 10], 1000, 0, 64, &[]);
+        let write = |db: &mut PrincipalDb<MemStore>, kprop: &mut KpropMaster, n: usize| {
             let key = string_to_key(&format!("pw{n}"));
-            db.change_key("alpha", "", &key, n as u32, "kadmin.").unwrap();
-            log.append(UpdateOp::Put(db.get("alpha", "").unwrap().unwrap()));
+            kprop.write(db, |tx| tx.change_key("alpha", "", &key, n as u32, "kadmin.")).unwrap();
         };
         for n in 0..before {
-            write(&mut db, &mut log, n);
+            write(&mut db, &mut kprop, n);
         }
         let mut cursor = SlaveCursor::new();
-        let boot = cursor.next_transfer(&db, &log, false).unwrap().unwrap();
+        let boot = cursor.next_transfer(&db, kprop.log(), false).unwrap().unwrap();
         let boot_ack = format!("OK {}", boot.expected);
         prop_assert!(cursor.settle(&boot, Some(boot_ack.as_bytes())));
         let acked = cursor.acked();
         for n in 0..pending {
-            write(&mut db, &mut log, before + n);
+            write(&mut db, &mut kprop, before + n);
         }
-        let sent = cursor.next_transfer(&db, &log, false).unwrap().unwrap();
-        prop_assert_eq!((sent.mode(), sent.expected), ("incr", log.head()));
+        let sent = cursor.next_transfer(&db, kprop.log(), false).unwrap().unwrap();
+        prop_assert_eq!((sent.mode(), sent.expected), ("incr", kprop.log().head()));
 
         let n = sent.expected;
         let reply: Option<Vec<u8>> = match shape {
@@ -153,7 +151,7 @@ proptest! {
         };
         let exact = reply.as_deref() == Some(format!("OK {n}").as_bytes());
         prop_assert_eq!(cursor.settle(&sent, reply.as_deref()), exact);
-        let next = cursor.next_transfer(&db, &log, false).unwrap();
+        let next = cursor.next_transfer(&db, kprop.log(), false).unwrap();
         if exact {
             prop_assert_eq!((cursor.acked(), cursor.synced()), (n, true));
             prop_assert_eq!(next, None);

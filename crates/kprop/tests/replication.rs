@@ -13,16 +13,23 @@ use krb_crypto::string_to_key;
 use krb_kdb::dump as kdump;
 use krb_kdb::{MemStore, PrincipalDb};
 use krb_kprop::{
-    build_full_seq, build_incr_segment, parse_incr_reply, IncrKpropdService, IncrReply, PropError,
-    UpdateLog, UpdateOp, UpdateRecord,
+    build_full_seq, build_incr_segment, parse_incr_reply, IncrKpropdService, IncrReply,
+    KpropMaster, PropError, UpdateOp, UpdateRecord,
 };
 
 const NOW: u32 = 600_000_000;
 
-fn add(master: &mut PrincipalDb<MemStore>, log: &mut UpdateLog, name: &str) {
+/// A master whose packets these tests build and deliver by hand: only its
+/// write path and its journal are used.
+fn journal_only() -> KpropMaster {
+    KpropMaster::new([18, 72, 0, 10], 1000, 0, 32, &[])
+}
+
+fn add(master: &mut PrincipalDb<MemStore>, kprop: &mut KpropMaster, name: &str) {
     let key = string_to_key(&format!("pw-{name}"));
-    master.add_principal(name, "", &key, u32::MAX, 96, NOW, "kadmin.").unwrap();
-    log.append(UpdateOp::Put(master.get(name, "").unwrap().unwrap()));
+    kprop
+        .write(master, |tx| tx.add_principal(name, "", &key, u32::MAX, 96, NOW, "kadmin."))
+        .unwrap();
 }
 
 #[test]
@@ -30,7 +37,7 @@ fn replayed_record_and_sequence_gap_draw_typed_errors() {
     use krb_kprop::IncrReplica;
     let mk = string_to_key("mk");
     let mut master = PrincipalDb::create(MemStore::new(), mk, NOW).unwrap();
-    let mut log = UpdateLog::new(32);
+    let mut kprop = journal_only();
     let mut replica = IncrReplica::new(mk);
 
     // Bootstrap at journal position 0.
@@ -39,9 +46,9 @@ fn replayed_record_and_sequence_gap_draw_typed_errors() {
     assert_eq!(replica.apply(&full).unwrap().seq(), 0);
 
     // Two journaled writes, shipped as one segment.
-    add(&mut master, &mut log, "amy");
-    add(&mut master, &mut log, "bcn");
-    let seg = build_incr_segment(master.master_sched(), 0, &log.since(0).unwrap()).unwrap();
+    add(&mut master, &mut kprop, "amy");
+    add(&mut master, &mut kprop, "bcn");
+    let seg = build_incr_segment(master.master_sched(), 0, &kprop.log().since(0).unwrap()).unwrap();
     assert_eq!(replica.apply(&seg).unwrap().seq(), 2);
 
     // Skew edge 1: the identical segment again. The refusal must be the
@@ -75,8 +82,8 @@ fn refusals_surface_as_typed_reject_events_and_counters_reconcile() {
 
     let mk = string_to_key("mk");
     let mut master = PrincipalDb::create(MemStore::new(), mk, NOW).unwrap();
-    let mut log = UpdateLog::new(32);
-    add(&mut master, &mut log, "amy");
+    let mut kprop = journal_only();
+    add(&mut master, &mut kprop, "amy");
 
     let registry = Arc::new(Registry::new());
     let journal = Journal::shared();
@@ -96,12 +103,12 @@ fn refusals_surface_as_typed_reject_events_and_counters_reconcile() {
 
     // Transfer 1: bootstrap full dump at the current head — accepted.
     let dump = kdump::dump(&master).unwrap();
-    let full = build_full_seq(master.master_sched(), log.head(), dump.as_bytes());
+    let full = build_full_seq(master.master_sched(), kprop.log().head(), dump.as_bytes());
     assert_eq!(ship(&mut router, &full), IncrReply::Accepted(1));
 
     // Transfer 2: one more write, shipped incrementally — accepted.
-    add(&mut master, &mut log, "bcn");
-    let seg = build_incr_segment(master.master_sched(), 1, &log.since(1).unwrap()).unwrap();
+    add(&mut master, &mut kprop, "bcn");
+    let seg = build_incr_segment(master.master_sched(), 1, &kprop.log().since(1).unwrap()).unwrap();
     assert_eq!(ship(&mut router, &seg), IncrReply::Accepted(2));
 
     // Transfer 3: the same segment replayed — refused, typed.

@@ -90,6 +90,8 @@ const SERVER_PATH_FILES: &[&str] = &[
     "crates/core/src/scratch.rs",
     "crates/core/src/ticket.rs",
     "crates/core/src/wire.rs",
+    "crates/kdb/src/dump.rs",
+    "crates/kdb/src/principal.rs",
     "crates/kdb/src/store.rs",
     "crates/kdc/src/server.rs",
     "crates/kdc/src/service.rs",
@@ -97,9 +99,11 @@ const SERVER_PATH_FILES: &[&str] = &[
     "crates/kadm/src/server.rs",
     "crates/kprop/src/lib.rs",
     "crates/kprop/src/incr.rs",
+    "crates/kprop/src/master.rs",
     "crates/kprop/src/net.rs",
     "crates/mon/src/frames.rs",
     "crates/mon/src/service.rs",
+    "crates/netsim/src/udp.rs",
     "crates/nfs/src/server.rs",
     "crates/apps/src/netproto.rs",
 ];
@@ -363,7 +367,7 @@ pub const RULES: &[Rule] = &[
         detail: "A lock guard (from .lock()/.read()/.write() with no \
                  arguments) must not be live across a blocking or I/O-shaped \
                  call — send/rpc/rpc_traced, kprop transfer production \
-                 (dump, build_full_seq, next_transfer, tcp_kprop_send), \
+                 (dump, build_full_seq, next_transfer, ship, tcp_kprop_send), \
                  journal emission \
                  (record, publish), or router pumping. That includes a \
                  temporary guard created inside the blocking call's argument \

@@ -41,7 +41,7 @@ const NON_SYNC_RECEIVERS: &[&str] = &["stdout", "stderr", "stdin"];
 
 /// Callee names that are blocking / I/O-shaped in this workspace: netsim
 /// delivery (`send`, `rpc*`, `pump`, `recv`), kprop transfer production
-/// and shipping (`dump`, `build_full_seq`, `next_transfer`,
+/// and shipping (`dump`, `build_full_seq`, `next_transfer`, `ship`,
 /// `tcp_kprop_send`), journal
 /// emission (`record`, `publish`), and bulk crypto (`seal_with` runs DES
 /// over a whole payload) — each takes time proportional to payload or
@@ -54,6 +54,7 @@ pub const BLOCKING_CALLS: &[&str] = &[
     "tcp_kprop_send",
     "build_full_seq",
     "next_transfer",
+    "ship",
     "dump",
     "record",
     "publish",

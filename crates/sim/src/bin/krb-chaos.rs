@@ -83,8 +83,8 @@ fn main() {
                     report.logins_attempted,
                     report.app_ok,
                     report.app_requests,
-                    report.kprop_accepted,
-                    report.kprop_rounds,
+                    report.kprop.accepted,
+                    report.kprop.transfers,
                     report.healed_logins
                 );
                 println!(

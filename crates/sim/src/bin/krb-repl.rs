@@ -88,13 +88,13 @@ fn main() {
                      {} accepted, {} rejected; final seq {}; {} bytes shipped",
                     report.admin_writes,
                     report.rounds,
-                    report.transfers,
-                    report.incr,
-                    report.full,
-                    report.accepted,
-                    report.rejected,
+                    report.shipped.transfers,
+                    report.shipped.incr,
+                    report.shipped.full,
+                    report.shipped.accepted,
+                    report.shipped.rejected,
                     report.final_seq,
-                    report.bytes_shipped
+                    report.shipped.bytes
                 );
             }
         }

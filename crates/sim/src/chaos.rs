@@ -34,7 +34,7 @@ use kerberos::{krb_rd_req, ApReq, ErrorCode, HostAddr, Principal, ReplayCache};
 use krb_apps::{frame_request, parse_reply, request_cksum, RloginNetService, RloginServer};
 use krb_crypto::{string_to_key, DesKey, KeyGenerator};
 use krb_kdc::{Deployment, RealmConfig};
-use krb_kprop::{IncrKpropdService, SlaveCursor, Transfer, UpdateLog, UpdateOp};
+use krb_kprop::{IncrKpropdService, KpropMaster, Tally};
 use krb_netsim::{
     ports, Endpoint, Fault, FaultPlan, FaultWindow, Ipv4, LinkMatch, NetConfig, NetStats, Packet,
     Router, Service, SimNet, EPOCH_1987,
@@ -292,17 +292,8 @@ pub struct SoakReport {
     pub app_err: u64,
     /// Safety probe rounds executed (each = corrupt + wrong-key + replay).
     pub safety_probes: u64,
-    /// kprop transfers attempted (per slave).
-    pub kprop_rounds: u64,
-    /// kprop transfers the slave verified and installed.
-    pub kprop_accepted: u64,
-    /// kprop transfers rejected (checksum, framing, sequencing, or
-    /// network failure).
-    pub kprop_rejected: u64,
-    /// Incremental segments shipped.
-    pub kprop_incr: u64,
-    /// Sequenced full dumps shipped (bootstrap, fallback, anti-entropy).
-    pub kprop_full: u64,
+    /// kprop transfers shipped (per slave), by kind and by outcome.
+    pub kprop: Tally,
     /// Seeded admin mutations journaled on the master (key rotations,
     /// principal adds/deletes of the churn pool).
     pub admin_writes: u64,
@@ -330,7 +321,7 @@ pub struct SoakReport {
     pub traces_checked: u64,
 }
 
-/// JSON keys the report must carry — `scripts/check.sh` greps for these.
+/// JSON keys the report must carry — the smoke test below pins them.
 pub const CHAOS_JSON_KEYS: &[&str] = &[
     "tool",
     "seed",
@@ -382,12 +373,12 @@ impl SoakReport {
         let _ = write!(
             s,
             ",\"kprop_rounds\":{},\"kprop_accepted\":{},\"kprop_rejected\":{}",
-            self.kprop_rounds, self.kprop_accepted, self.kprop_rejected
+            self.kprop.transfers, self.kprop.accepted, self.kprop.rejected
         );
         let _ = write!(
             s,
             ",\"kprop_incr\":{},\"kprop_full\":{},\"admin_writes\":{}",
-            self.kprop_incr, self.kprop_full, self.admin_writes
+            self.kprop.incr, self.kprop.full, self.admin_writes
         );
         let _ = write!(
             s,
@@ -498,6 +489,12 @@ fn safety_probe(
     }
 }
 
+/// The replication conservation compare: does the mirror a slave last
+/// installed dump differently from the master's database?
+pub(crate) fn diverges(master_dump: &str, slave_dump: &Mutex<Option<String>>) -> bool {
+    slave_dump.lock().as_deref() != Some(master_dump)
+}
+
 /// Run one soak. Returns the report if every oracle holds; the first
 /// violation aborts the run with a replayable [`OracleFailure`].
 pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
@@ -594,66 +591,16 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
         router.serve(Endpoint::new(*addr, ports::KPROP), kpropd);
         slave_dumps.push(dump_slot);
     }
-    // Master-side replication state: the update journal the KDBM appends
-    // to, and one cursor per slave encoding the full-dump fallback policy.
-    let mut log = UpdateLog::new(config.kprop_log_cap);
-    let mut cursors = vec![SlaveCursor::new(); config.slaves];
+    // The master's write → journal → ship pipeline.
+    let mut kprop = KpropMaster::new(
+        MASTER_ADDR,
+        1001,
+        config.seed ^ 0x6B70,
+        config.kprop_log_cap,
+        &slave_addrs,
+    );
+    kprop.set_journal(Arc::clone(&journal), ClockUs::clone(&clock_us));
     let mut churn_exists = vec![true; N_CHURN];
-    // One transfer to one slave: journal the dump, ship it, settle the
-    // cursor on whatever came back. Each transfer uses a fresh master-side
-    // port: under duplication and reordering, a stale reply to a previous
-    // transfer must not be mistaken for this one's. Returns whether the
-    // slave's ack was corroborated.
-    let ship = |router: &mut Router,
-                report: &mut SoakReport,
-                cursor: &mut SlaveCursor,
-                sent: &Transfer,
-                slave: usize,
-                addr: HostAddr| {
-        report.kprop_rounds += 1;
-        if sent.mode() == "incr" {
-            report.kprop_incr += 1;
-        } else {
-            report.kprop_full += 1;
-        }
-        let trace = krb_telemetry::TraceId::derive(config.seed ^ 0x6B70, report.kprop_rounds);
-        journal.record(
-            (clock_us)(),
-            Some(trace),
-            Component::Kprop,
-            EventKind::KpropDump,
-            vec![
-                ("slave", Field::from(slave)),
-                ("bytes", Field::from(sent.packet.len())),
-                ("mode", Field::from(sent.mode())),
-            ],
-        );
-        let dst = Endpoint::new(addr, ports::KPROP);
-        let kprop_src = Endpoint::new(
-            MASTER_ADDR,
-            1001u16.wrapping_add((report.kprop_rounds % 50_000) as u16),
-        );
-        let reply = router.rpc_traced(kprop_src, dst, &sent.packet, Some(trace)).ok();
-        let acked = cursor.settle(sent, reply.as_deref());
-        if acked {
-            report.kprop_accepted += 1;
-        } else {
-            report.kprop_rejected += 1;
-        }
-        if reply.is_none() {
-            // Master-side terminal for the trace oracle: the transfer died
-            // on the wire.
-            journal.record(
-                (clock_us)(),
-                Some(trace),
-                Component::Kprop,
-                EventKind::KpropReject,
-                vec![("why", Field::from("net")), ("mode", Field::from(sent.mode()))],
-            );
-        }
-        drain(router, kprop_src);
-        acked
-    };
 
     // Workstations, each with its own trace stream.
     let mut stations: Vec<Workstation> = (0..nws)
@@ -689,11 +636,7 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
         app_ok: 0,
         app_err: 0,
         safety_probes: 0,
-        kprop_rounds: 0,
-        kprop_accepted: 0,
-        kprop_rejected: 0,
-        kprop_incr: 0,
-        kprop_full: 0,
+        kprop: Tally::default(),
         admin_writes: 0,
         replay_hits: 0,
         dups_at_server: 0,
@@ -815,42 +758,39 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
             let now = start + op as u32 + 1;
             let kind = rng.random_range(0..4u8);
             let exists = churn_exists[c];
-            let logged = dep
+            let wrote = dep
                 .master
                 .with_db_mut(|db| {
-                    if exists && kind == 0 {
-                        db.delete(&name, "").ok()?;
-                        Some(UpdateOp::Delete { name: name.clone(), instance: String::new() })
-                    } else {
-                        let key = string_to_key(&format!("churn-{c}-{op}"));
-                        if exists {
-                            db.change_key(&name, "", &key, now, "kadmin.").ok()?;
-                        } else {
-                            db.add_principal(&name, "", &key, u32::MAX, 96, now, "kadmin.")
-                                .ok()?;
-                        }
-                        Some(UpdateOp::Put(db.get(&name, "").ok()??))
-                    }
+                    kprop
+                        .write(db, |tx| {
+                            if exists && kind == 0 {
+                                tx.delete(&name, "")?;
+                                return Ok(false);
+                            }
+                            let key = string_to_key(&format!("churn-{c}-{op}"));
+                            if exists {
+                                tx.change_key(&name, "", &key, now, "kadmin.")?;
+                            } else {
+                                tx.add_principal(&name, "", &key, u32::MAX, 96, now, "kadmin.")?;
+                            }
+                            Ok(true)
+                        })
+                        .ok()
                 })
                 .flatten();
-            if let Some(mutation) = logged {
-                churn_exists[c] = !matches!(mutation, UpdateOp::Delete { .. });
-                log.append(mutation);
+            if let Some(now_exists) = wrote {
+                churn_exists[c] = now_exists;
                 report.admin_writes += 1;
             }
         }
 
-        // kprop round: journaled incremental propagation. Each slave's
-        // cursor decides segment vs full dump (any refusal or wire death
-        // falls back to a full dump next round), and every n-th transfer
-        // is forced to a full dump for anti-entropy. The transfer is built
-        // from the master's atomically-swapped snapshot, so it never holds
-        // any KDC lock.
+        // kprop round: one transfer per slave from the master's snapshot,
+        // every n-th one forced to a full dump for anti-entropy.
         if config.kprop_every > 0 && op % config.kprop_every == config.kprop_every - 1 {
-            for (i, (addr, _)) in dep.slaves.iter().enumerate() {
-                let anti_entropy = (report.kprop_rounds + 1) % ANTI_ENTROPY_EVERY == 0;
-                let Some(sent) = cursors[i]
-                    .next_transfer(dep.master.snapshot().db(), &log, anti_entropy)
+            for (i, slave_dump) in slave_dumps.iter().enumerate() {
+                let anti_entropy = (kprop.tally().transfers + 1) % ANTI_ENTROPY_EVERY == 0;
+                let Some(shipped) = kprop
+                    .ship(&mut router, dep.master.snapshot().db(), i, anti_entropy)
                     .expect("master dumps; journal slice is consecutive")
                 else {
                     // In sync with nothing new: no transfer due.
@@ -859,21 +799,18 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
                 // Replication conservation oracle at a quiescent point: the
                 // slave acknowledged the journal head, so its installed
                 // mirror must dump byte-identically to the master.
-                if ship(&mut router, &mut report, &mut cursors[i], &sent, i, *addr)
-                    && sent.expected == log.head()
+                if shipped.acked
+                    && kprop.at_head(i)
+                    && diverges(&dep.master.dump_text().unwrap(), slave_dump)
                 {
-                    let slave_text = slave_dumps[i].lock().clone();
-                    let master_text = dep.master.dump_text().unwrap();
-                    if slave_text.as_deref() != Some(master_text.as_str()) {
-                        return Err(fail(
-                            "repl_conservation",
-                            format!(
-                                "slave {i} acked head seq {} but its mirror diverges from \
-                                 the master dump",
-                                sent.expected
-                            ),
-                        ));
-                    }
+                    return Err(fail(
+                        "repl_conservation",
+                        format!(
+                            "slave {i} acked head seq {} but its mirror diverges from \
+                             the master dump",
+                            kprop.log().head()
+                        ),
+                    ));
                 }
             }
         }
@@ -927,44 +864,27 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
     router.pump();
     conservation(&router, "post-heal".to_string())?;
 
-    // --- Post-heal replication: with the network clean, force rounds
-    // until every slave stands at the journal head, then demand a
-    // byte-identical mirror — the replication conservation oracle's final
-    // word. A slave the fault windows starved all run must recover here
-    // via the full-dump fallback.
-    for (i, (addr, _)) in dep.slaves.iter().enumerate() {
-        for _attempt in 0..4 {
-            if cursors[i].synced() && cursors[i].acked() == log.head() {
-                break;
-            }
-            // An in-sync cursor at the head broke out above, so a transfer
-            // is always due here.
-            let Some(sent) = cursors[i]
-                .next_transfer(dep.master.snapshot().db(), &log, false)
-                .expect("master dumps; journal slice is consecutive")
-            else {
-                break;
-            };
-            ship(&mut router, &mut report, &mut cursors[i], &sent, i, *addr);
-        }
-        if !(cursors[i].synced() && cursors[i].acked() == log.head()) {
-            return Err(fail(
-                "repl_conservation",
-                format!("slave {i} cannot reach journal head {} after heal", log.head()),
-            ));
-        }
-        let slave_text = slave_dumps[i].lock().clone();
-        let master_text = dep.master.dump_text().unwrap();
-        if slave_text.as_deref() != Some(master_text.as_str()) {
-            return Err(fail(
-                "repl_conservation",
-                format!(
-                    "slave {i} mirror diverges from the master after heal (journal head {})",
-                    log.head()
-                ),
-            ));
-        }
+    // --- Post-heal replication: with the network clean every slave must
+    // reach the journal head — one the fault windows starved all run via
+    // the full-dump fallback — and then hold a byte-identical mirror.
+    let head = kprop.log().head();
+    for (i, slave_dump) in slave_dumps.iter().enumerate() {
+        let why = if !kprop
+            .ship_to_head(&mut router, dep.master.snapshot().db(), i)
+            .expect("master dumps; journal slice is consecutive")
+        {
+            "cannot reach the journal head"
+        } else if diverges(&dep.master.dump_text().unwrap(), slave_dump) {
+            "mirror diverges from the master"
+        } else {
+            continue;
+        };
+        return Err(fail(
+            "repl_conservation",
+            format!("slave {i} {why} after heal (journal head {head})"),
+        ));
     }
+    report.kprop = kprop.tally();
 
     // --- Replay-cache accounting oracle (§4.3).
     report.replay_hits = registry.counter_value("rlogin_replay_hits_total");
@@ -1151,7 +1071,7 @@ mod tests {
         assert!(report.fault_partitioned > 0, "{report:?}");
         // With the small journal cap, a slave partitioned across admin
         // writes must have recovered through the full-dump fallback.
-        assert!(report.kprop_full > 0, "{report:?}");
+        assert!(report.kprop.full > 0, "{report:?}");
         assert!(report.admin_writes > 0, "{report:?}");
     }
 
@@ -1171,9 +1091,9 @@ mod tests {
         })
         .expect("oracles hold");
         assert!(report.admin_writes > 0, "{report:?}");
-        assert!(report.kprop_incr > 0, "steady state never went incremental: {report:?}");
+        assert!(report.kprop.incr > 0, "steady state never went incremental: {report:?}");
         assert!(
-            report.kprop_incr > report.kprop_full,
+            report.kprop.incr > report.kprop.full,
             "segments should dominate dumps on a mild network: {report:?}"
         );
     }

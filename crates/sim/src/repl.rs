@@ -21,14 +21,14 @@
 //! rendered JSON report is byte-identical across same-config runs (the
 //! `scripts/check.sh` gate runs the smoke twice and diffs).
 
-use crate::chaos::{Profile, MASTER_ADDR};
+use crate::chaos::{diverges, Profile, MASTER_ADDR};
 use kerberos::HostAddr;
 use krb_crypto::KeyGenerator;
 use krb_kdb::dump as kdump;
 use krb_kdb::{MemStore, PrincipalDb};
-use krb_kprop::{IncrKpropdService, SlaveCursor, UpdateLog, UpdateOp};
+use krb_kprop::{IncrKpropdService, KpropMaster, Tally};
 use krb_netsim::{ports, Endpoint, FaultPlan, NetConfig, Router, SimNet, EPOCH_1987};
-use krb_telemetry::{lcg_clock_us, ClockUs, Component, EventKind, Field, Journal, TraceId};
+use krb_telemetry::{lcg_clock_us, ClockUs, Journal};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,23 +99,13 @@ pub struct ReplReport {
     pub profile: Profile,
     /// Admin mutations journaled.
     pub admin_writes: u64,
-    /// Transfers shipped (segments + dumps, including post-heal).
-    pub transfers: u64,
-    /// Transfers the slaves verified and installed.
-    pub accepted: u64,
-    /// Transfers rejected (checksum, sequencing, or wire death).
-    pub rejected: u64,
-    /// Incremental segments shipped.
-    pub incr: u64,
-    /// Sequenced full dumps shipped (bootstrap, fallback, anti-entropy).
-    pub full: u64,
+    /// Transfers shipped (including post-heal), by kind and by outcome.
+    pub shipped: Tally,
     /// Master journal head at the end of the run.
     pub final_seq: u64,
-    /// Bytes shipped over all transfers.
-    pub bytes_shipped: u64,
 }
 
-/// JSON keys the report must carry — `scripts/check.sh` greps for these.
+/// JSON keys the report must carry — the smoke test below pins them.
 pub const REPL_JSON_KEYS: &[&str] = &[
     "tool",
     "principals",
@@ -153,12 +143,12 @@ impl ReplReport {
         let _ = write!(
             s,
             ",\"admin_writes\":{},\"transfers\":{},\"accepted\":{},\"rejected\":{}",
-            self.admin_writes, self.transfers, self.accepted, self.rejected
+            self.admin_writes, self.shipped.transfers, self.shipped.accepted, self.shipped.rejected
         );
         let _ = write!(
             s,
             ",\"incr\":{},\"full\":{},\"final_seq\":{},\"bytes_shipped\":{}",
-            self.incr, self.full, self.final_seq, self.bytes_shipped
+            self.shipped.incr, self.shipped.full, self.final_seq, self.shipped.bytes
         );
         s.push_str(
             ",\"oracles\":{\"repl_conservation\":\"pass\",\"metrics_journal\":\"pass\"}}",
@@ -187,96 +177,6 @@ impl std::fmt::Display for ReplFailure {
 
 impl std::error::Error for ReplFailure {}
 
-/// Mutable tallies threaded through [`ship_one`].
-struct ShipCounters {
-    transfers: u64,
-    accepted: u64,
-    rejected: u64,
-    incr: u64,
-    full: u64,
-    bytes: u64,
-}
-
-/// One transfer attempt to one slave: build what its cursor calls for,
-/// ship it, settle the cursor on the reply, and — on a quiescent accept —
-/// run the conservation compare.
-/// Returns `Err(detail)` only for a divergence (oracle violation).
-#[allow(clippy::too_many_arguments)]
-fn ship_one(
-    router: &mut Router,
-    master: &PrincipalDb<MemStore>,
-    log: &UpdateLog,
-    cursor: &mut SlaveCursor,
-    slot: &Arc<Mutex<Option<String>>>,
-    journal: &Arc<Journal>,
-    clock_us: &ClockUs,
-    seed: u64,
-    slave_idx: usize,
-    addr: HostAddr,
-    counters: &mut ShipCounters,
-    force_full: bool,
-) -> Result<(), String> {
-    let Some(sent) = cursor
-        .next_transfer(master, log, force_full)
-        .expect("master dumps; journal slice is consecutive")
-    else {
-        return Ok(()); // in sync, nothing new
-    };
-    counters.transfers += 1;
-    counters.bytes += sent.packet.len() as u64;
-    if sent.mode() == "incr" {
-        counters.incr += 1;
-    } else {
-        counters.full += 1;
-    }
-    let trace = TraceId::derive(seed ^ 0x72EB7, counters.transfers);
-    journal.record(
-        (clock_us)(),
-        Some(trace),
-        Component::Kprop,
-        EventKind::KpropDump,
-        vec![
-            ("slave", Field::from(slave_idx)),
-            ("bytes", Field::from(sent.packet.len())),
-            ("mode", Field::from(sent.mode())),
-        ],
-    );
-    let dst = Endpoint::new(addr, ports::KPROP);
-    // Fresh master-side port per transfer: a stale duplicated reply must
-    // not be mistaken for this transfer's ack.
-    let src = Endpoint::new(MASTER_ADDR, 2001u16.wrapping_add((counters.transfers % 50_000) as u16));
-    let reply = router.rpc_traced(src, dst, &sent.packet, Some(trace)).ok();
-    if cursor.settle(&sent, reply.as_deref()) {
-        counters.accepted += 1;
-        if sent.expected == log.head() {
-            let slave_text = slot.lock().clone();
-            let master_text = kdump::dump(master).expect("master dump");
-            if slave_text.as_deref() != Some(master_text.as_str()) {
-                return Err(format!(
-                    "slave {slave_idx} acked head seq {} but its mirror \
-                     diverges from the master dump",
-                    sent.expected
-                ));
-            }
-        }
-    } else {
-        counters.rejected += 1;
-    }
-    if reply.is_none() {
-        // Master-side terminal: the transfer died on the wire. The
-        // metrics oracle excludes `why=net` (no slave counter moved).
-        journal.record(
-            (clock_us)(),
-            Some(trace),
-            Component::Kprop,
-            EventKind::KpropReject,
-            vec![("why", Field::from("net")), ("mode", Field::from(sent.mode()))],
-        );
-    }
-    while router.net().recv(src).is_some() {}
-    Ok(())
-}
-
 /// Run the scenario. Returns the report if both oracle families hold.
 pub fn run_repl(config: ReplConfig) -> Result<ReplReport, ReplFailure> {
     let start = EPOCH_1987;
@@ -300,12 +200,11 @@ pub fn run_repl(config: ReplConfig) -> Result<ReplReport, ReplFailure> {
     // --- The realm, bulk-loaded at depth.
     let mut keygen = KeyGenerator::new(StdRng::seed_from_u64(config.seed.wrapping_add(3)));
     let master_key = keygen.generate();
-    let mut master = PrincipalDb::create(MemStore::new(), master_key, start).expect("create");
+    let mut db = PrincipalDb::create(MemStore::new(), master_key, start).expect("create");
     let batch: Vec<(String, String, krb_crypto::DesKey)> = (0..n)
         .map(|i| (format!("u{i:07}"), String::new(), keygen.generate()))
         .collect();
-    master
-        .bulk_register(&batch, u32::MAX, 96, start, "kdb_init.")
+    db.bulk_register(&batch, u32::MAX, 96, start, "kdb_init.")
         .expect("bulk_register");
     drop(batch);
 
@@ -337,61 +236,70 @@ pub fn run_repl(config: ReplConfig) -> Result<ReplReport, ReplFailure> {
         slots.push(slot);
     }
 
-    let mut log = UpdateLog::new(config.log_cap.max(1));
-    let mut cursors = vec![SlaveCursor::new(); config.slaves];
+    let mut master =
+        KpropMaster::new(MASTER_ADDR, 2001, config.seed ^ 0x72EB7, config.log_cap, &slave_addrs);
+    master.set_journal(Arc::clone(&journal), ClockUs::clone(&clock_us));
     let mut churn_exists = vec![false; N_CHURN];
-    let mut counters =
-        ShipCounters { transfers: 0, accepted: 0, rejected: 0, incr: 0, full: 0, bytes: 0 };
-    let mut admin_writes = 0u64;
+    let mut report = ReplReport {
+        principals: n as u64,
+        rounds: config.rounds as u64,
+        seed: config.seed,
+        profile: config.profile,
+        admin_writes: 0,
+        shipped: Tally::default(),
+        final_seq: 0,
+    };
 
     // --- Propagation rounds under fire.
     for round in 0..config.rounds {
         let now = start + round as u32 + 1;
         for w in 0..config.writes_per_round {
             let churn = rng.random_range(0..10u8) < 3;
-            let op = if churn {
+            if churn {
                 let c = rng.random_range(0..N_CHURN);
                 let name = format!("x{c}");
                 if churn_exists[c] {
-                    master.delete(&name, "").expect("churn delete");
-                    churn_exists[c] = false;
-                    UpdateOp::Delete { name, instance: String::new() }
+                    master.write(&mut db, |tx| tx.delete(&name, "")).expect("churn delete");
                 } else {
+                    let key = keygen.generate();
                     master
-                        .add_principal(&name, "", &keygen.generate(), u32::MAX, 96, now, "kadmin.")
+                        .write(&mut db, |tx| {
+                            tx.add_principal(&name, "", &key, u32::MAX, 96, now, "kadmin.")
+                        })
                         .expect("churn add");
-                    churn_exists[c] = true;
-                    UpdateOp::Put(master.get(&name, "").expect("get").expect("added"))
                 }
+                churn_exists[c] = !churn_exists[c];
             } else {
                 let i = rng.random_range(0..n);
                 let name = format!("u{i:07}");
+                let key = keygen.generate();
                 master
-                    .change_key(&name, "", &keygen.generate(), now + w as u32, "kadmin.")
+                    .write(&mut db, |tx| tx.change_key(&name, "", &key, now + w as u32, "kadmin."))
                     .expect("rotate");
-                UpdateOp::Put(master.get(&name, "").expect("get").expect("exists"))
-            };
-            log.append(op);
-            admin_writes += 1;
+            }
+            report.admin_writes += 1;
         }
 
-        for (k, addr) in slave_addrs.iter().enumerate() {
-            let force_full = (counters.transfers + 1) % ANTI_ENTROPY_EVERY == 0;
-            ship_one(
-                &mut router,
-                &master,
-                &log,
-                &mut cursors[k],
-                &slots[k],
-                &journal,
-                &clock_us,
-                config.seed,
-                k,
-                *addr,
-                &mut counters,
-                force_full,
-            )
-            .map_err(|detail| fail("repl_conservation", detail))?;
+        for (k, slot) in slots.iter().enumerate() {
+            let force_full = (master.tally().transfers + 1) % ANTI_ENTROPY_EVERY == 0;
+            let Some(shipped) = master
+                .ship(&mut router, &db, k, force_full)
+                .expect("master dumps; journal slice is consecutive")
+            else {
+                continue; // in sync, nothing new
+            };
+            if shipped.acked
+                && master.at_head(k)
+                && diverges(&kdump::dump(&db).expect("master dump"), slot)
+            {
+                return Err(fail(
+                    "repl_conservation",
+                    format!(
+                        "slave {k} acked head seq {} but its mirror diverges from the master dump",
+                        master.log().head()
+                    ),
+                ));
+            }
         }
         router.pump();
     }
@@ -399,45 +307,24 @@ pub fn run_repl(config: ReplConfig) -> Result<ReplReport, ReplFailure> {
     // --- Heal, then force every slave to the journal head.
     router.net().heal_faults();
     router.pump();
-    for (k, addr) in slave_addrs.iter().enumerate() {
-        for _attempt in 0..4 {
-            if cursors[k].synced() && cursors[k].acked() == log.head() {
-                break;
-            }
-            ship_one(
-                &mut router,
-                &master,
-                &log,
-                &mut cursors[k],
-                &slots[k],
-                &journal,
-                &clock_us,
-                config.seed,
-                k,
-                *addr,
-                &mut counters,
-                false,
-            )
-            .map_err(|detail| fail("repl_conservation", detail))?;
-        }
-        if !(cursors[k].synced() && cursors[k].acked() == log.head()) {
-            return Err(fail(
-                "repl_conservation",
-                format!("slave {k} cannot reach journal head {} after heal", log.head()),
-            ));
-        }
-        let slave_text = slots[k].lock().clone();
-        let master_text = kdump::dump(&master).expect("master dump");
-        if slave_text.as_deref() != Some(master_text.as_str()) {
-            return Err(fail(
-                "repl_conservation",
-                format!(
-                    "slave {k} mirror diverges from the master after heal (journal head {})",
-                    log.head()
-                ),
-            ));
-        }
+    report.final_seq = master.log().head();
+    for (k, slot) in slots.iter().enumerate() {
+        let why = if !master
+            .ship_to_head(&mut router, &db, k)
+            .expect("master dumps; journal slice is consecutive")
+        {
+            "cannot reach the journal head"
+        } else if diverges(&kdump::dump(&db).expect("master dump"), slot) {
+            "mirror diverges from the master"
+        } else {
+            continue;
+        };
+        return Err(fail(
+            "repl_conservation",
+            format!("slave {k} {why} after heal (journal head {})", report.final_seq),
+        ));
     }
+    report.shipped = master.tally();
 
     // --- Metrics ≡ journal: the kprop counters must recompute exactly.
     match krb_mon::consistency_check(&registry, &journal) {
@@ -449,20 +336,7 @@ pub fn run_repl(config: ReplConfig) -> Result<ReplReport, ReplFailure> {
         Err(e) => return Err(fail("metrics_journal", e.to_string())),
     }
 
-    Ok(ReplReport {
-        principals: n as u64,
-        rounds: config.rounds as u64,
-        seed: config.seed,
-        profile: config.profile,
-        admin_writes,
-        transfers: counters.transfers,
-        accepted: counters.accepted,
-        rejected: counters.rejected,
-        incr: counters.incr,
-        full: counters.full,
-        final_seq: log.head(),
-        bytes_shipped: counters.bytes,
-    })
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -487,7 +361,7 @@ mod tests {
         let b = run_repl(small(7, Profile::Mild)).expect("oracles hold");
         assert_eq!(a.render_json(), b.render_json(), "same seed must replay byte-identically");
         assert!(a.admin_writes > 0);
-        assert!(a.incr > 0, "steady state never went incremental: {a:?}");
+        assert!(a.shipped.incr > 0, "steady state never went incremental: {a:?}");
         for key in REPL_JSON_KEYS {
             assert!(
                 a.render_json().contains(&format!("\"{key}\"")),
@@ -502,8 +376,8 @@ mod tests {
         let report = run_repl(small(11, Profile::Stormy)).expect("oracles hold");
         // The stormy plan must actually reject something, and the
         // fallback machinery must ship full dumps beyond the bootstrap.
-        assert!(report.rejected > 0, "{report:?}");
-        assert!(report.full > report.accepted.min(1), "{report:?}");
+        assert!(report.shipped.rejected > 0, "{report:?}");
+        assert!(report.shipped.full > report.shipped.accepted.min(1), "{report:?}");
     }
 
     #[test]
@@ -511,7 +385,7 @@ mod tests {
         let mut cfg = small(13, Profile::Partition);
         cfg.log_cap = 4; // retention evicts during the partition
         let report = run_repl(cfg).expect("oracles hold");
-        assert!(report.full > 1, "expected eviction-driven full dumps: {report:?}");
+        assert!(report.shipped.full > 1, "expected eviction-driven full dumps: {report:?}");
     }
 
     #[test]
@@ -519,6 +393,6 @@ mod tests {
     fn smoke_hundred_thousand_principals() {
         let report = run_repl(ReplConfig::smoke(REPL_SEED)).expect("oracles hold");
         assert!(report.principals >= 100_000);
-        assert!(report.incr > 0);
+        assert!(report.shipped.incr > 0);
     }
 }

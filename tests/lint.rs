@@ -48,6 +48,7 @@ fn l8_l9_fixture_corpus_fires_deterministically() {
     let dir = root.join("crates/lint/tests/fixtures");
     let bad: &[(&str, &str, &str)] = &[
         ("l8_guard_across_send.rs", "L8", "master_across_send"),
+        ("l8_guard_across_ship.rs", "L8", "primary_across_ship"),
         ("l8_temp_guard_in_call.rs", "L8", "master_across_build_full_seq"),
         ("l8_lock_order.rs", "L8", "order_ledger_master"),
         ("l8_same_lock_twice.rs", "L8", "order_master_master"),
