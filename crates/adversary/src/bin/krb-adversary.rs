@@ -17,73 +17,44 @@
 //! `crates/adversary/src/soak.rs` for the oracle definitions.
 
 use krb_adversary::{soak, AdvConfig, Leak};
+use krb_sim::soak::or_exit;
+use krb_tools::args::Args;
+
+const USAGE: &str = "krb-adversary [--seed N] [--steps N] \
+                     [--leak none|user-key|service-key|master-key] [--json] [--smoke]";
 
 fn main() {
     let mut cfg = AdvConfig::default();
     let mut smoke = false;
     let mut json = false;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let take_value = |i: &mut usize| -> Option<String> {
-            *i += 1;
-            args.get(*i).cloned()
-        };
-        match args[i].as_str() {
-            "--seed" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.seed = n,
-                None => return usage("--seed needs a number"),
-            },
-            "--steps" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.steps = n,
-                None => return usage("--steps needs a number"),
-            },
-            "--leak" => match take_value(&mut i).as_deref().and_then(Leak::parse) {
-                Some(l) => cfg.leak = l,
-                None => return usage("--leak needs one of: none user-key service-key master-key"),
-            },
+    let mut args = Args::from_env("krb-adversary", USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--seed" => cfg.seed = args.value(&flag, "a number"),
+            "--steps" => cfg.steps = args.value(&flag, "a number"),
+            "--leak" => {
+                let names = "one of: none user-key service-key master-key";
+                cfg.leak = args.value_with(&flag, names, Leak::parse);
+            }
             "--json" => json = true,
             "--smoke" => smoke = true,
-            other => return usage(&format!("unknown argument `{other}`")),
+            other => args.unknown(other),
         }
-        i += 1;
     }
 
     if smoke {
-        match soak::smoke_json(cfg.seed) {
-            Ok(doc) => println!("{doc}"),
-            Err(failure) => {
-                eprintln!("krb-adversary: {failure}");
-                std::process::exit(1);
-            }
-        }
+        println!("{}", or_exit("krb-adversary", soak::smoke_json(cfg.seed)));
         return;
     }
 
-    match soak::run(cfg) {
-        Ok(report) => {
-            if json {
-                println!("{{\"tool\":\"krb-adversary\",\"run\":{}}}", report.render_json());
-            } else {
-                print!("{}", report.render_human());
-            }
-            if let Err(why) = soak::verify_expectations(&report) {
-                eprintln!("krb-adversary: self-test failed: {why}");
-                std::process::exit(1);
-            }
-        }
-        Err(failure) => {
-            eprintln!("krb-adversary: {failure}");
-            std::process::exit(1);
-        }
+    let report = or_exit("krb-adversary", soak::run(cfg));
+    if json {
+        println!("{{\"tool\":\"krb-adversary\",\"run\":{}}}", report.render_json());
+    } else {
+        print!("{}", report.render_human());
     }
-}
-
-fn usage(err: &str) {
-    eprintln!("krb-adversary: {err}");
-    eprintln!(
-        "usage: krb-adversary [--seed N] [--steps N] \
-         [--leak none|user-key|service-key|master-key] [--json] [--smoke]"
-    );
-    std::process::exit(2);
+    if let Err(why) = soak::verify_expectations(&report) {
+        eprintln!("krb-adversary: self-test failed: {why}");
+        std::process::exit(1);
+    }
 }

@@ -32,6 +32,6 @@ pub mod soak;
 
 pub use knowledge::{blob_hash, key_fingerprint, Atom, Knowledge, LearnedCred};
 pub use soak::{
-    run, smoke_json, verify_expectations, AdvConfig, AdvFailure, AdvReport, Leak,
-    ADVERSARY_JSON_KEYS, ADV_SEED, ADV_TAPE_CAP, ALL_LEAKS,
+    run, smoke_json, verify_expectations, AdvConfig, AdvReport, Leak, ADVERSARY_JSON_KEYS,
+    ADV_SEED, ADV_TAPE_CAP, ALL_LEAKS,
 };

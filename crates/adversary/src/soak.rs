@@ -55,20 +55,17 @@ use kerberos::{
     build_tgs_req, ApReq, Authenticator, Credential, EncKdcReplyPart, EncryptedTicket, HostAddr,
     KdcRep, Message, Principal, Ticket, MAX_SKEW_SECS,
 };
-use krb_apps::{frame_request, parse_reply, request_cksum, RloginNetService, RloginServer};
+use krb_apps::{frame_request, request_cksum, RloginNetService, RloginServer};
 use krb_crypto::{open, seal, string_to_key, DesKey, KeyGenerator, Mode, Scheduled, SecretKey};
 use krb_kdb::dump as kdump;
 use krb_kdc::{Deployment, RealmConfig};
 use krb_kprop::{
-    build_incr_segment, parse_incr_reply, IncrKpropdService, IncrReply, KpropMaster, UpdateOp,
-    UpdateRecord, FULL_MAGIC, INCR_MAGIC,
+    build_incr_segment, parse_incr_reply, IncrReply, KpropMaster, Tally, UpdateOp, UpdateRecord,
+    FULL_MAGIC, INCR_MAGIC,
 };
-use krb_netsim::{
-    ports, Endpoint, InjectKind, NetConfig, Packet, Router, SimNet, EPOCH_1987,
-};
-use krb_telemetry::{
-    lcg_clock_us, ClockUs, Component, EventKind, Field, Journal, Registry, TraceId,
-};
+use krb_netsim::{ports, Endpoint, InjectKind, Packet, Router, EPOCH_1987};
+use krb_sim::soak::{self, drain, ClientRound, SlaveSet, SoakFailure};
+use krb_telemetry::{ClockUs, Component, EventKind, Field, Journal, Registry, TraceId};
 use krb_tools::{kdb_init, register_service, register_user, Workstation};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -95,9 +92,10 @@ pub const ADV_TAPE_CAP: usize = 8192;
 /// `--leak` exists so the oracles can be *self-testing*: each leak must
 /// provably trip exactly the matching detections (see
 /// [`verify_expectations`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Leak {
     /// No leak: the honest protocol. Both oracles must stay green.
+    #[default]
     None,
     /// The victim's password-derived key (a stolen password). The closure
     /// must cascade to the TGT and service session keys, and forged
@@ -129,13 +127,7 @@ impl Leak {
 
     /// Inverse of [`Leak::as_str`].
     pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "none" => Leak::None,
-            "user-key" => Leak::UserKey,
-            "service-key" => Leak::ServiceKey,
-            "master-key" => Leak::MasterKey,
-            _ => return None,
-        })
+        ALL_LEAKS.into_iter().find(|l| l.as_str() == s)
     }
 }
 
@@ -165,37 +157,28 @@ impl AdvConfig {
     pub fn smoke(seed: u64, leak: Leak) -> Self {
         AdvConfig { steps: 48, seed, leak }
     }
-}
 
-/// An oracle violation in honest mode, carrying everything needed to
-/// replay the run.
-#[derive(Debug, Clone)]
-pub struct AdvFailure {
-    /// Which oracle family tripped (`secrecy` or `authentication`).
-    pub oracle: &'static str,
-    /// What was observed.
-    pub detail: String,
-    /// The run's seed.
-    pub seed: u64,
-    /// The step at which the oracle tripped.
-    pub step: u64,
-    /// The replay command line.
-    pub replay_cmd: String,
-}
-
-impl std::fmt::Display for AdvFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "oracle failure [{}] at step {}: {}", self.oracle, self.step, self.detail)?;
-        write!(f, "replay: {}", self.replay_cmd)
+    /// An oracle violation of a run of this config (`secrecy`,
+    /// `authentication`, `metrics_journal` or the `self-test`) at `step`.
+    fn fail(&self, oracle: &'static str, step: u64, detail: String) -> SoakFailure {
+        SoakFailure {
+            oracle,
+            detail,
+            replay_cmd: format!(
+                "krb-adversary --seed {} --steps {} --leak {}",
+                self.seed,
+                self.steps,
+                self.leak.as_str()
+            ),
+            context: format!("at step {step}"),
+        }
     }
 }
-
-impl std::error::Error for AdvFailure {}
 
 /// What a completed run observed. In honest mode the violation lists are
 /// empty by construction (the first violation aborts the run); in leak
 /// modes they carry the labels/details the self-test asserts on.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AdvReport {
     /// Seed the run used.
     pub seed: u64,
@@ -227,10 +210,9 @@ pub struct AdvReport {
     pub accepted_forgeries: u64,
     /// Typed rejections of adversary traffic, by protocol error code.
     pub rejections: BTreeMap<u8, u64>,
-    /// Honest incremental propagation transfers shipped to the slave.
-    pub kprop_transfers: u64,
-    /// Honest transfers the slave verified and installed.
-    pub kprop_accepted: u64,
+    /// Honest incremental propagation transfers shipped to the slave, by
+    /// kind and by outcome.
+    pub kprop: Tally,
     /// Captured journal segments replayed verbatim at the slave.
     pub kprop_replays: u64,
     /// Segments re-headed with another segment's checksum.
@@ -383,8 +365,8 @@ impl AdvReport {
             s,
             ",\"kprop\":{{\"transfers\":{},\"accepted\":{},\"replay\":{},\"splice\":{},\
              \"truncate\":{},\"forge\":{},\"rejections\":[",
-            self.kprop_transfers,
-            self.kprop_accepted,
+            self.kprop.transfers,
+            self.kprop.accepted,
             self.kprop_replays,
             self.kprop_splices,
             self.kprop_truncates,
@@ -421,7 +403,7 @@ impl AdvReport {
             self.journal_events, self.journal_dropped
         );
         // `metrics_journal` is constant here by construction: a report only
-        // exists when `run` finished, and `run` aborts with an `AdvFailure`
+        // exists when `run` finished, and `run` aborts with a `SoakFailure`
         // on any metrics≡journal mismatch before building the report.
         let _ = write!(
             s,
@@ -466,8 +448,8 @@ impl AdvReport {
         let _ = writeln!(
             s,
             "  kprop: {}/{} honest transfers ok; injected {} replay, {} splice, {} truncate, {} forge",
-            self.kprop_accepted,
-            self.kprop_transfers,
+            self.kprop.accepted,
+            self.kprop.transfers,
             self.kprop_replays,
             self.kprop_splices,
             self.kprop_truncates,
@@ -494,10 +476,6 @@ impl AdvReport {
         }
         s
     }
-}
-
-fn drain(router: &mut Router, ep: Endpoint) {
-    while router.net().recv(ep).is_some() {}
 }
 
 /// The running attacker and its victim realm.
@@ -563,13 +541,7 @@ impl Engine {
         let svc_key = register_service(&mut boot.db, "svc", "host", start, &mut keygen).unwrap();
         let svc = Principal::new("svc", "host", REALM).unwrap();
 
-        let net = SimNet::new(NetConfig { seed: cfg.seed, ..Default::default() });
-        let registry = net.registry();
-        let journal = Arc::new(Journal::new(1 << 15));
-        journal.publish(&registry);
-        let clock_us = lcg_clock_us(cfg.seed, 40, 400);
-
-        let mut router = Router::new(net);
+        let (mut router, registry, journal, clock_us) = soak::network(cfg.seed, 1 << 15);
         let tape = router.net().add_capture_bounded(ADV_TAPE_CAP);
         let dep = Deployment::install(
             &mut router,
@@ -583,7 +555,6 @@ impl Engine {
         .unwrap();
         dep.set_telemetry_all(Arc::clone(&registry), ClockUs::clone(&clock_us));
         dep.set_journal_all(Arc::clone(&journal));
-        router.net().set_journal(Arc::clone(&journal));
 
         let mut rlogin = RloginServer::new(svc.clone(), svc_key);
         rlogin.set_telemetry(Arc::clone(&registry));
@@ -602,11 +573,16 @@ impl Engine {
         ws.enable_tracing(Arc::clone(&journal), ClockUs::clone(&clock_us), cfg.seed ^ 0x3A11);
 
         // The slave `kpropd` receiving the incremental stream — another
-        // honest victim, whose transfers transit the tapped wire.
-        let mut kpropd = IncrKpropdService::new(dep.master_key, |_db| {});
-        kpropd.set_registry(Arc::clone(&registry));
-        kpropd.set_journal(Arc::clone(&journal), ClockUs::clone(&clock_us));
-        router.serve(Endpoint::new(SLAVE_ADDR, ports::KPROP), kpropd);
+        // honest victim, whose transfers transit the tapped wire. The set is
+        // dropped: the oracles watch whom the slave accepts, not its mirror.
+        SlaveSet::serve(
+            &mut router,
+            dep.master_key,
+            &[SLAVE_ADDR],
+            &journal,
+            &clock_us,
+            |_, _| {},
+        );
 
         let user_key = string_to_key("victim-pw");
 
@@ -652,42 +628,8 @@ impl Engine {
             }
         }
 
-        let report = AdvReport {
-            seed: cfg.seed,
-            steps: cfg.steps,
-            leak: cfg.leak,
-            logins_attempted: 0,
-            logins_ok: 0,
-            logins_failed: 0,
-            app_ok: 0,
-            app_err: 0,
-            replays: 0,
-            time_shifts: 0,
-            splices: 0,
-            forges: 0,
-            impersonations: 0,
-            accepted_forgeries: 0,
-            rejections: BTreeMap::new(),
-            kprop_transfers: 0,
-            kprop_accepted: 0,
-            kprop_replays: 0,
-            kprop_splices: 0,
-            kprop_truncates: 0,
-            kprop_forges: 0,
-            kprop_rejections: BTreeMap::new(),
-            closure_keys: 0,
-            closure_creds: 0,
-            closure_blobs: 0,
-            closure_atoms: 0,
-            derivations: 0,
-            key_fps: Vec::new(),
-            tape_dropped: 0,
-            journal_events: 0,
-            journal_dropped: 0,
-            secrecy_violations: Vec::new(),
-            auth_violations: Vec::new(),
-            closure_dump: String::new(),
-        };
+        let report =
+            AdvReport { seed: cfg.seed, steps: cfg.steps, leak: cfg.leak, ..Default::default() };
 
         let sched = Scheduled::new(&dep.master_key);
         Engine {
@@ -720,21 +662,6 @@ impl Engine {
             kprop_keygen: KeyGenerator::new(StdRng::seed_from_u64(cfg.seed ^ 0x6B92)),
             leaked_key,
             report,
-        }
-    }
-
-    fn fail(&self, oracle: &'static str, step: u64, detail: String) -> AdvFailure {
-        AdvFailure {
-            oracle,
-            detail,
-            seed: self.cfg.seed,
-            step,
-            replay_cmd: format!(
-                "krb-adversary --seed {} --steps {} --leak {}",
-                self.cfg.seed,
-                self.cfg.steps,
-                self.cfg.leak.as_str()
-            ),
         }
     }
 
@@ -850,73 +777,48 @@ impl Engine {
             // (master-key-encrypted) dump line, so it is protected.
             self.protected.entry(key_fingerprint(&new_key)).or_insert("propchurn-key");
         }
-        let Some(shipped) = self
+        let shipped = self
             .kprop
             .ship(&mut self.router, self.dep.master.snapshot().db(), 0, false)
-            .expect("master dumps; journal slice is consecutive")
-        else {
-            return;
-        };
-        self.honest_traces.insert(shipped.trace.0);
-        self.report.kprop_transfers += 1;
-        if shipped.acked {
-            self.report.kprop_accepted += 1;
-        }
+            .expect("master dumps; journal slice is consecutive");
+        self.honest_traces.extend(shipped.map(|s| s.trace.0));
     }
 
     /// One honest victim round: log in if needed, otherwise run a real
     /// AP exchange against the application server.
     fn honest_round(&mut self) {
-        let ws_ep = self.ws.endpoint;
-        if !self.logged_in {
-            self.report.logins_attempted += 1;
-            match self.ws.kinit(&mut self.router, "victim", "victim-pw") {
-                Ok(()) => {
-                    self.logged_in = true;
-                    self.report.logins_ok += 1;
-                }
-                Err(_) => self.report.logins_failed += 1,
+        let round = soak::client_round(
+            &mut self.ws,
+            &mut self.router,
+            self.logged_in,
+            "victim",
+            "victim-pw",
+            &self.svc,
+            self.app_ep,
+        );
+        let (session_key, trace, ok) = match round {
+            ClientRound::Login(ok) => {
+                self.report.logins_attempted += 1;
+                self.logged_in = ok;
+                *if ok { &mut self.report.logins_ok } else { &mut self.report.logins_failed } += 1;
+                return;
             }
-            drain(&mut self.router, ws_ep);
-            return;
+            ClientRound::NoTicket => (None, None, false),
+            ClientRound::NoRequest(session_key) => (Some(session_key), None, false),
+            ClientRound::Sent { session_key, trace, ok, .. } => (Some(session_key), trace, ok),
+        };
+        if let Some(k) = session_key {
+            // Ground truth: this session key is protected from here on.
+            self.protected.entry(key_fingerprint(&k)).or_insert("svc-session");
         }
-        let svc = self.svc.clone();
-        match self.ws.get_service_ticket(&mut self.router, &svc) {
-            Ok(cred) => {
-                // Ground truth: this session key is protected from here on.
-                self.protected.entry(key_fingerprint(&cred.key())).or_insert("svc-session");
-                let payload = b"victim".to_vec();
-                let cksum = request_cksum(&cred.key(), "login", &payload);
-                match self.ws.mk_request(&mut self.router, &svc, cksum, false) {
-                    Ok((ap, _)) => {
-                        let wire = frame_request(&ap, "login", &payload);
-                        let trace = self.ws.current_trace();
-                        if let Some(t) = trace {
-                            self.honest_traces.insert(t.0);
-                        }
-                        let out = self.router.rpc_traced(ws_ep, self.app_ep, &wire, trace);
-                        if matches!(&out, Ok(r) if parse_reply(r).is_ok()) {
-                            self.report.app_ok += 1;
-                        } else {
-                            self.report.app_err += 1;
-                            self.ws.kdestroy();
-                            self.logged_in = false;
-                        }
-                    }
-                    Err(_) => {
-                        self.report.app_err += 1;
-                        self.ws.kdestroy();
-                        self.logged_in = false;
-                    }
-                }
-            }
-            Err(_) => {
-                self.report.app_err += 1;
-                self.ws.kdestroy();
-                self.logged_in = false;
-            }
+        self.honest_traces.extend(trace.map(|t| t.0));
+        if ok {
+            self.report.app_ok += 1;
+        } else {
+            self.report.app_err += 1;
+            self.ws.kdestroy();
+            self.logged_in = false;
         }
-        drain(&mut self.router, ws_ep);
     }
 
     /// Captured request datagrams (KDC or application), for replay.
@@ -1249,7 +1151,7 @@ impl Engine {
 
     /// Check both oracle families over everything learned/journaled since
     /// the last check. Honest mode fails fast; leak modes collect.
-    fn oracle_check(&mut self, step: u64) -> Result<(), AdvFailure> {
+    fn oracle_check(&mut self, step: u64) -> Result<(), SoakFailure> {
         // Secrecy: protected ∩ closure, minus the explicit leak.
         let mut new_secrecy: Vec<String> = Vec::new();
         for (&fp, &label) in &self.protected {
@@ -1362,14 +1264,14 @@ impl Engine {
 
         if self.cfg.leak == Leak::None {
             if let Some(v) = new_secrecy.first() {
-                return Err(self.fail(
+                return Err(self.cfg.fail(
                     "secrecy",
                     step,
                     format!("protected key [{v}] entered the attacker's closure"),
                 ));
             }
             if let Some(v) = new_auth.first() {
-                return Err(self.fail("authentication", step, v.clone()));
+                return Err(self.cfg.fail("authentication", step, v.clone()));
             }
         }
         self.report.secrecy_violations.extend(new_secrecy);
@@ -1385,6 +1287,7 @@ impl Engine {
         self.report.closure_atoms = atoms;
         self.report.derivations = derivations;
         self.report.key_fps = self.kn.key_fps();
+        self.report.kprop = self.kprop.tally();
         self.report.closure_dump = self.kn.dump();
         self.report.tape_dropped = self.registry.counter_value("net_capture_dropped_total");
         self.report.journal_events = self.journal.events_recorded();
@@ -1398,9 +1301,10 @@ impl Engine {
 }
 
 /// Run one adversary soak. In honest mode ([`Leak::None`]) the first
-/// oracle violation aborts with a replayable [`AdvFailure`]; in leak
-/// modes violations are collected into the report for the self-test.
-pub fn run(cfg: AdvConfig) -> Result<AdvReport, AdvFailure> {
+/// oracle violation aborts with a replayable [`SoakFailure`] naming the
+/// step; in leak modes violations are collected into the report for the
+/// self-test.
+pub fn run(cfg: AdvConfig) -> Result<AdvReport, SoakFailure> {
     let mut eng = Engine::new(cfg);
     for step in 0..cfg.steps {
         eng.dep.advance_time(1);
@@ -1414,15 +1318,8 @@ pub fn run(cfg: AdvConfig) -> Result<AdvReport, AdvFailure> {
     // Telemetry consistency: every counter the victim realm exported must
     // be recomputable from the journal, even under active attack — forged
     // and replayed traffic has to be *counted* exactly as it is journaled.
-    match krb_mon::consistency_check(&eng.registry, &eng.journal) {
-        Ok(consistency) => {
-            if !consistency.is_consistent() {
-                let detail = consistency.describe_mismatches();
-                return Err(eng.fail("metrics_journal", cfg.steps, detail));
-            }
-        }
-        Err(e) => return Err(eng.fail("metrics_journal", cfg.steps, e.to_string())),
-    }
+    soak::metrics_journal(&eng.registry, &eng.journal)
+        .map_err(|detail| cfg.fail("metrics_journal", cfg.steps, detail))?;
     Ok(eng.finish())
 }
 
@@ -1445,7 +1342,7 @@ pub fn verify_expectations(r: &AdvReport) -> Result<(), String> {
             if r.app_ok == 0 || r.logins_ok == 0 {
                 return Err("honest traffic never succeeded — the soak is vacuous".to_string());
             }
-            if r.kprop_transfers == 0 || r.kprop_accepted == 0 {
+            if r.kprop.transfers == 0 || r.kprop.accepted == 0 {
                 return Err("the propagation stream never ran — the soak is vacuous".to_string());
             }
             if r.kprop_injections() == 0 {
@@ -1516,30 +1413,14 @@ pub fn verify_expectations(r: &AdvReport) -> Result<(), String> {
 /// check each against its expectations, and render a combined JSON
 /// document. Deterministic: two calls with the same seed are
 /// byte-identical.
-pub fn smoke_json(seed: u64) -> Result<String, AdvFailure> {
-    let mut out = format!("{{\"tool\":\"krb-adversary\",\"seed\":{seed},\"runs\":[");
-    for (i, leak) in ALL_LEAKS.iter().enumerate() {
-        let report = run(AdvConfig::smoke(seed, *leak))?;
-        if let Err(why) = verify_expectations(&report) {
-            return Err(AdvFailure {
-                oracle: "self-test",
-                detail: why,
-                seed,
-                step: report.steps,
-                replay_cmd: format!(
-                    "krb-adversary --seed {seed} --steps {} --leak {}",
-                    report.steps,
-                    leak.as_str()
-                ),
-            });
-        }
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&report.render_json());
-    }
-    out.push_str("]}");
-    Ok(out)
+pub fn smoke_json(seed: u64) -> Result<String, SoakFailure> {
+    let runs = ALL_LEAKS.iter().map(|leak| {
+        let cfg = AdvConfig::smoke(seed, *leak);
+        let report = run(cfg)?;
+        verify_expectations(&report).map_err(|why| cfg.fail("self-test", cfg.steps, why))?;
+        Ok(report.render_json())
+    });
+    soak::smoke_document("krb-adversary", seed, "runs", runs)
 }
 
 #[cfg(test)]
@@ -1603,19 +1484,5 @@ mod tests {
         for key in ADVERSARY_JSON_KEYS {
             assert!(a.contains(&format!("\"{key}\"")), "missing JSON key {key}: {a}");
         }
-    }
-
-    #[test]
-    fn failure_prints_seed_and_replay_command() {
-        let f = AdvFailure {
-            oracle: "secrecy",
-            detail: "example".to_string(),
-            seed: 7,
-            step: 3,
-            replay_cmd: "krb-adversary --seed 7 --steps 10 --leak none".to_string(),
-        };
-        let text = f.to_string();
-        assert!(text.contains("oracle failure [secrecy]"));
-        assert!(text.contains("--seed 7"));
     }
 }

@@ -13,109 +13,72 @@
 //! replay command line, and the fault plan's window list, then exits 1.
 //! See `crates/sim/src/chaos.rs` for the oracle definitions.
 
-use krb_sim::chaos;
-use krb_sim::{Profile, SoakConfig};
+use krb_sim::{chaos, soak, Profile, SoakConfig};
+use krb_tools::args::Args;
+
+const USAGE: &str = "krb-chaos [--seed N] [--ops N] [--profile mild|stormy|partition|dup-heavy|corrupt] \
+                     [--workstations N] [--slaves N] [--json] [--smoke]";
 
 fn main() {
     let mut cfg = SoakConfig::default();
     let mut smoke = false;
     let mut json = false;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let take_value = |i: &mut usize| -> Option<String> {
-            *i += 1;
-            args.get(*i).cloned()
-        };
-        match args[i].as_str() {
-            "--seed" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.seed = n,
-                None => return usage("--seed needs a number"),
-            },
-            "--ops" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.ops = n,
-                None => return usage("--ops needs a number"),
-            },
-            "--workstations" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.workstations = n,
-                None => return usage("--workstations needs a number"),
-            },
-            "--slaves" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.slaves = n,
-                None => return usage("--slaves needs a number"),
-            },
-            "--profile" => match take_value(&mut i).as_deref().and_then(Profile::parse) {
-                Some(p) => cfg.profile = p,
-                None => return usage("--profile needs one of: mild stormy partition dup-heavy corrupt"),
-            },
+    let mut args = Args::from_env("krb-chaos", USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--seed" => cfg.seed = args.value(&flag, "a number"),
+            "--ops" => cfg.ops = args.value(&flag, "a number"),
+            "--workstations" => cfg.workstations = args.value(&flag, "a number"),
+            "--slaves" => cfg.slaves = args.value(&flag, "a number"),
+            "--profile" => {
+                let names = "one of: mild stormy partition dup-heavy corrupt";
+                cfg.profile = args.value_with(&flag, names, Profile::parse);
+            }
             "--json" => json = true,
             "--smoke" => smoke = true,
-            other => return usage(&format!("unknown argument `{other}`")),
+            other => args.unknown(other),
         }
-        i += 1;
     }
 
     if smoke {
-        match chaos::smoke_json(cfg.seed) {
-            Ok(doc) => println!("{doc}"),
-            Err(failure) => {
-                eprintln!("krb-chaos: {failure}");
-                std::process::exit(1);
-            }
-        }
+        println!("{}", soak::or_exit("krb-chaos", chaos::smoke_json(cfg.seed)));
         return;
     }
 
-    match chaos::run(cfg) {
-        Ok(report) => {
-            if json {
-                println!("{}", report.render_json());
-            } else {
-                println!(
-                    "krb-chaos: profile={} seed={} ops={} — all oracles hold",
-                    report.profile.as_str(),
-                    report.seed,
-                    report.ops
-                );
-                println!(
-                    "  logins {}/{} ok, app {}/{} ok, kprop {}/{} accepted, {} healed after heal()",
-                    report.logins_ok,
-                    report.logins_attempted,
-                    report.app_ok,
-                    report.app_requests,
-                    report.kprop.accepted,
-                    report.kprop.transfers,
-                    report.healed_logins
-                );
-                println!(
-                    "  net: sent={} delivered={} dropped={} duplicated={} corrupted={}",
-                    report.net.sent,
-                    report.net.delivered,
-                    report.net.dropped,
-                    report.net.duplicated,
-                    report.net.corrupted
-                );
-                println!(
-                    "  replay: {} hits for {} duplicates at the server; journal: {} events, {} traces",
-                    report.replay_hits,
-                    report.dups_at_server,
-                    report.journal_events,
-                    report.traces_checked
-                );
-            }
-        }
-        Err(failure) => {
-            eprintln!("krb-chaos: {failure}");
-            std::process::exit(1);
-        }
+    let report = soak::or_exit("krb-chaos", chaos::run(cfg));
+    if json {
+        println!("{}", report.render_json());
+        return;
     }
-}
-
-fn usage(err: &str) {
-    eprintln!("krb-chaos: {err}");
-    eprintln!(
-        "usage: krb-chaos [--seed N] [--ops N] [--profile mild|stormy|partition|dup-heavy|corrupt] \
-         [--workstations N] [--slaves N] [--json] [--smoke]"
+    println!(
+        "krb-chaos: profile={} seed={} ops={} — all oracles hold",
+        report.profile.as_str(),
+        report.seed,
+        report.ops
     );
-    std::process::exit(2);
+    println!(
+        "  logins {}/{} ok, app {}/{} ok, kprop {}/{} accepted, {} healed after heal()",
+        report.logins_ok,
+        report.logins_attempted,
+        report.app_ok,
+        report.app_requests,
+        report.kprop.accepted,
+        report.kprop.transfers,
+        report.healed_logins
+    );
+    println!(
+        "  net: sent={} delivered={} dropped={} duplicated={} corrupted={}",
+        report.net.sent,
+        report.net.delivered,
+        report.net.dropped,
+        report.net.duplicated,
+        report.net.corrupted
+    );
+    println!(
+        "  replay: {} hits for {} duplicates at the server; journal: {} events, {} traces",
+        report.replay_hits,
+        report.dups_at_server,
+        report.journal_events,
+        report.traces_checked
+    );
 }

@@ -30,18 +30,17 @@
 //! the seed, the replay command line, and [`FaultPlan::render`]'s window
 //! list — everything needed to replay the run byte-identically.
 
+use crate::soak::{self, drain, ClientRound, SlaveSet, SoakFailure};
 use kerberos::{krb_rd_req, ApReq, ErrorCode, HostAddr, Principal, ReplayCache};
-use krb_apps::{frame_request, parse_reply, request_cksum, RloginNetService, RloginServer};
+use krb_apps::{RloginNetService, RloginServer};
 use krb_crypto::{string_to_key, DesKey, KeyGenerator};
 use krb_kdc::{Deployment, RealmConfig};
-use krb_kprop::{IncrKpropdService, KpropMaster, Tally};
+use krb_kprop::{KpropMaster, Tally};
 use krb_netsim::{
-    ports, Endpoint, Fault, FaultPlan, FaultWindow, Ipv4, LinkMatch, NetConfig, NetStats, Packet,
-    Router, Service, SimNet, EPOCH_1987,
+    ports, Endpoint, Fault, FaultPlan, FaultWindow, Ipv4, LinkMatch, NetStats, Packet, Router,
+    Service, EPOCH_1987,
 };
-use krb_telemetry::{
-    lcg_clock_us, ClockUs, Component, Event, EventKind, Field, Journal, TraceCtx,
-};
+use krb_telemetry::{ClockUs, Component, Event, EventKind, Field, TraceCtx};
 use krb_tools::{kdb_init, register_service, register_user, Workstation};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -68,12 +67,13 @@ const N_CHURN: usize = 4;
 const ANTI_ENTROPY_EVERY: u64 = 5;
 
 /// A named fault profile: which windows the plan schedules.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Profile {
     /// Background noise: light loss, small delays, rare single-bit flips.
     Mild,
     /// Everything at once: loss bursts, reordering, duplication,
     /// multi-bit corruption, a congestion spike at the master.
+    #[default]
     Stormy,
     /// §5.3's availability story: the master partitions early, then the
     /// whole KDC set partitions until heal.
@@ -108,21 +108,14 @@ impl Profile {
 
     /// Inverse of [`Profile::as_str`].
     pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "mild" => Profile::Mild,
-            "stormy" => Profile::Stormy,
-            "partition" => Profile::Partition,
-            "dup-heavy" => Profile::DupHeavy,
-            "corrupt" => Profile::Corrupt,
-            _ => return None,
-        })
+        ALL_PROFILES.into_iter().find(|p| p.as_str() == s)
     }
 
     /// The fault windows this profile schedules against a deployment.
     /// Times are simulated-network milliseconds; net time only advances
     /// while packets are in flight, so active windows are short and
     /// "until heal" windows are open-ended (`u64::MAX`, closed by
-    /// [`SimNet::heal_faults`]). Shared with the `krb-repl` scenario,
+    /// [`krb_netsim::SimNet::heal_faults`]). Shared with the `krb-repl` scenario,
     /// which batters its replication links with the same profiles.
     pub(crate) fn windows(self, slave_addrs: &[HostAddr]) -> Vec<FaultWindow> {
         let any = LinkMatch::Any;
@@ -242,35 +235,8 @@ impl SoakConfig {
     }
 }
 
-/// An invariant violation, carrying everything needed to replay the run.
-#[derive(Debug, Clone)]
-pub struct OracleFailure {
-    /// Which oracle family tripped.
-    pub oracle: &'static str,
-    /// What was observed.
-    pub detail: String,
-    /// The run's seed.
-    pub seed: u64,
-    /// The run's profile.
-    pub profile: Profile,
-    /// The replay command line.
-    pub replay_cmd: String,
-    /// [`FaultPlan::render`] of the plan in force.
-    pub plan: String,
-}
-
-impl std::fmt::Display for OracleFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "oracle failure [{}]: {}", self.oracle, self.detail)?;
-        writeln!(f, "replay: {}", self.replay_cmd)?;
-        write!(f, "{}", self.plan)
-    }
-}
-
-impl std::error::Error for OracleFailure {}
-
 /// What a completed (all-oracles-green) soak observed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SoakReport {
     /// Profile the run used.
     pub profile: Profile,
@@ -444,10 +410,6 @@ impl<S: Service> Service for CountingService<S> {
     }
 }
 
-fn drain(router: &mut Router, ep: Endpoint) {
-    while router.net().recv(ep).is_some() {}
-}
-
 /// The per-round safety probes: corrupted ticket, wrong key, replayed
 /// authenticator. Each must be refused with a typed error; an accept is
 /// an oracle failure, and a refusal of the *legitimate* request is a
@@ -489,15 +451,10 @@ fn safety_probe(
     }
 }
 
-/// The replication conservation compare: does the mirror a slave last
-/// installed dump differently from the master's database?
-pub(crate) fn diverges(master_dump: &str, slave_dump: &Mutex<Option<String>>) -> bool {
-    slave_dump.lock().as_deref() != Some(master_dump)
-}
-
 /// Run one soak. Returns the report if every oracle holds; the first
-/// violation aborts the run with a replayable [`OracleFailure`].
-pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
+/// violation aborts the run with a replayable [`SoakFailure`] whose
+/// context is [`FaultPlan::render`] of the plan in force.
+pub fn run(config: SoakConfig) -> Result<SoakReport, SoakFailure> {
     let start = EPOCH_1987;
     let nws = config.workstations.max(1);
     let mut rng = StdRng::seed_from_u64(config.seed ^ CHAOS_SEED);
@@ -516,13 +473,7 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
     let wrong_key = string_to_key("not-the-srvtab-key");
     let svc = Principal::parse("rcmd.chaosd", REALM).unwrap();
 
-    let net = SimNet::new(NetConfig { seed: config.seed, ..Default::default() });
-    let registry = net.registry();
-    let journal = Arc::new(Journal::new(1 << 16));
-    journal.publish(&registry);
-    let clock_us = lcg_clock_us(config.seed, 40, 400);
-
-    let mut router = Router::new(net);
+    let (mut router, registry, journal, clock_us) = soak::network(config.seed, 1 << 16);
     let dep = Deployment::install(
         &mut router,
         REALM,
@@ -537,14 +488,12 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
     dep.set_journal_all(Arc::clone(&journal));
     let slave_addrs: Vec<HostAddr> = dep.slaves.iter().map(|(a, _)| *a).collect();
 
-    // Fault plan + journal on the wire.
+    // Fault plan on the wire.
     let plan = FaultPlan::with_windows(config.seed, config.profile.windows(&slave_addrs));
     let plan_text = plan.render();
-    let fail = |oracle: &'static str, detail: String| OracleFailure {
+    let fail = |oracle: &'static str, detail: String| SoakFailure {
         oracle,
         detail,
-        seed: config.seed,
-        profile: config.profile,
         replay_cmd: format!(
             "krb-chaos --seed {} --ops {} --profile {} (workstations={}, slaves={})",
             config.seed,
@@ -553,10 +502,9 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
             config.workstations,
             config.slaves
         ),
-        plan: plan_text.clone(),
+        context: plan_text.clone(),
     };
     router.net().set_fault_plan(plan);
-    router.net().set_journal(Arc::clone(&journal));
 
     // Application server (rlogin), wrapped so duplicate deliveries are
     // counted server-side.
@@ -571,26 +519,21 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
     let app_ep = Endpoint::new(APP_ADDR, ports::KLOGIN);
     router.serve(app_ep, CountingService { inner: rlogin_net, ledger: Arc::clone(&ledger) });
 
-    // Incremental kpropd per slave: an IncrReplica behind the netsim seam.
-    // On every accepted transfer the hook installs the new mirror into the
-    // serving slave KDC (snapshot swap) and publishes its canonical dump
-    // text for the replication conservation oracle.
-    let mut slave_dumps: Vec<Arc<Mutex<Option<String>>>> = Vec::new();
-    for (addr, slave) in &dep.slaves {
-        let slave2 = Arc::clone(slave);
-        let dump_slot: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-        let slot2 = Arc::clone(&dump_slot);
-        let mut kpropd = IncrKpropdService::new(dep.master_key, move |db| {
+    // The slaves' kpropds (see `soak`, DESIGN.md §19). On every accepted
+    // transfer the hook swaps the new mirror into the serving slave KDC.
+    let slave_kdcs: Vec<_> = dep.slaves.iter().map(|(_, kdc)| Arc::clone(kdc)).collect();
+    let slaves = SlaveSet::serve(
+        &mut router,
+        dep.master_key,
+        &slave_addrs,
+        &journal,
+        &clock_us,
+        move |k, db| {
             if let Ok(mirror) = db.snapshot_mem() {
-                slave2.install_db(mirror);
+                slave_kdcs[k].install_db(mirror);
             }
-            *slot2.lock() = krb_kdb::dump::dump(db).ok();
-        });
-        kpropd.set_registry(Arc::clone(&registry));
-        kpropd.set_journal(Arc::clone(&journal), ClockUs::clone(&clock_us));
-        router.serve(Endpoint::new(*addr, ports::KPROP), kpropd);
-        slave_dumps.push(dump_slot);
-    }
+        },
+    );
     // The master's write → journal → ship pipeline.
     let mut kprop = KpropMaster::new(
         MASTER_ADDR,
@@ -629,29 +572,10 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
         profile: config.profile,
         seed: config.seed,
         ops: config.ops as u64,
-        logins_attempted: 0,
-        logins_ok: 0,
-        logins_failed: 0,
-        app_requests: 0,
-        app_ok: 0,
-        app_err: 0,
-        safety_probes: 0,
-        kprop: Tally::default(),
-        admin_writes: 0,
-        replay_hits: 0,
-        dups_at_server: 0,
-        pending_after_faults: 0,
-        healed_logins: 0,
-        net: NetStats::default(),
-        fault_dropped: 0,
-        fault_partitioned: 0,
-        fault_delayed: 0,
-        fault_duplicated: 0,
-        journal_events: 0,
-        traces_checked: 0,
+        ..Default::default()
     };
 
-    let conservation = |router: &Router, at: String| -> Result<(), OracleFailure> {
+    let conservation = |router: &Router, at: String| -> Result<(), SoakFailure> {
         let s = router.stats();
         if s.sent + s.duplicated != s.delivered + s.dropped {
             return Err(fail(
@@ -670,84 +594,55 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
         dep.advance_time(1);
         let w = rng.random_range(0..nws);
         let user = format!("chaos{w}");
-        let ws_ep = stations[w].endpoint;
-
-        if !logged_in[w] {
-            report.logins_attempted += 1;
-            match stations[w].kinit(&mut router, &user, &format!("pw{w}")) {
-                Ok(()) => {
-                    logged_in[w] = true;
-                    report.logins_ok += 1;
-                }
-                Err(_) => report.logins_failed += 1,
+        let was_logged_in = logged_in[w];
+        let round = soak::client_round(
+            &mut stations[w],
+            &mut router,
+            was_logged_in,
+            &user,
+            &format!("pw{w}"),
+            &svc,
+            app_ep,
+        );
+        match round {
+            ClientRound::Login(ok) => {
+                report.logins_attempted += 1;
+                logged_in[w] = ok;
+                *if ok { &mut report.logins_ok } else { &mut report.logins_failed } += 1;
             }
-        } else {
-            // App round: TGS (if uncached) + AP_REQ over the wire.
-            match stations[w].get_service_ticket(&mut router, &svc) {
-                Ok(cred) => {
-                    let payload = user.clone().into_bytes();
-                    let cksum = request_cksum(&cred.key(), "login", &payload);
-                    match stations[w].mk_request(&mut router, &svc, cksum, false) {
-                        Ok((ap, _)) => {
-                            report.app_requests += 1;
-                            let wire = frame_request(&ap, "login", &payload);
-                            let trace = stations[w].current_trace();
-                            let outcome =
-                                router.rpc_traced(ws_ep, app_ep, &wire, trace);
-                            let ok = matches!(&outcome, Ok(r) if parse_reply(r).is_ok());
-                            if ok {
-                                report.app_ok += 1;
-                            } else {
-                                report.app_err += 1;
-                                // Client-side terminal so the trace oracle can
-                                // hold even when the wire ate the exchange.
-                                if let Some(t) = trace {
-                                    TraceCtx::new(
-                                        Arc::clone(&journal),
-                                        ClockUs::clone(&clock_us),
-                                        t,
-                                    )
-                                    .record(
-                                        Component::Ws,
-                                        EventKind::ApErr,
-                                        vec![("why", Field::from("wire"))],
-                                    );
-                                }
-                            }
-
-                            // Safety oracle, probed with this round's AP_REQ.
-                            report.safety_probes += 1;
-                            let now = start + op as u32 + 1;
-                            if let Err(detail) = safety_probe(
-                                &ap,
-                                &svc,
-                                &rcmd_key,
-                                &wrong_key,
-                                stations[w].addr,
-                                now,
-                                op as u64,
-                            ) {
-                                return Err(fail("safety", detail));
-                            }
-                        }
-                        Err(_) => report.app_err += 1,
-                    }
-                }
-                Err(_) => {
-                    // Expired TGT, corrupted TGS reply, or a partitioned
-                    // KDC: drop the session and force a fresh login.
-                    report.app_err += 1;
-                    stations[w].kdestroy();
-                    logged_in[w] = false;
-                }
-            }
-            // Periodic logout forces fresh AS exchanges under faults.
-            if op % 7 == 6 {
+            ClientRound::NoTicket => {
+                // Drop the session and force a fresh login.
+                report.app_err += 1;
                 stations[w].kdestroy();
                 logged_in[w] = false;
             }
+            ClientRound::NoRequest(_) => report.app_err += 1,
+            ClientRound::Sent { ap, trace, ok, .. } => {
+                report.app_requests += 1;
+                *if ok { &mut report.app_ok } else { &mut report.app_err } += 1;
+                // Client-side terminal so the trace oracle can hold even
+                // when the wire ate the exchange.
+                if let (false, Some(t)) = (ok, trace) {
+                    TraceCtx::new(Arc::clone(&journal), ClockUs::clone(&clock_us), t).record(
+                        Component::Ws,
+                        EventKind::ApErr,
+                        vec![("why", Field::from("wire"))],
+                    );
+                }
+
+                // Safety oracle, probed with this round's AP_REQ.
+                report.safety_probes += 1;
+                let now = start + op as u32 + 1;
+                let addr = stations[w].addr;
+                safety_probe(&ap, &svc, &rcmd_key, &wrong_key, addr, now, op as u64)
+                    .map_err(|detail| fail("safety", detail))?;
+            }
         }
-        drain(&mut router, ws_ep);
+        // Periodic logout forces fresh AS exchanges under faults.
+        if was_logged_in && op % 7 == 6 {
+            stations[w].kdestroy();
+            logged_in[w] = false;
+        }
 
         // Seeded admin write (KDBM): rotate, add, or delete a churn-pool
         // principal and journal the mutation — the update stream that
@@ -785,34 +680,11 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
         }
 
         // kprop round: one transfer per slave from the master's snapshot,
-        // every n-th one forced to a full dump for anti-entropy.
+        // with the replication conservation oracle at each head ack.
         if config.kprop_every > 0 && op % config.kprop_every == config.kprop_every - 1 {
-            for (i, slave_dump) in slave_dumps.iter().enumerate() {
-                let anti_entropy = (kprop.tally().transfers + 1) % ANTI_ENTROPY_EVERY == 0;
-                let Some(shipped) = kprop
-                    .ship(&mut router, dep.master.snapshot().db(), i, anti_entropy)
-                    .expect("master dumps; journal slice is consecutive")
-                else {
-                    // In sync with nothing new: no transfer due.
-                    continue;
-                };
-                // Replication conservation oracle at a quiescent point: the
-                // slave acknowledged the journal head, so its installed
-                // mirror must dump byte-identically to the master.
-                if shipped.acked
-                    && kprop.at_head(i)
-                    && diverges(&dep.master.dump_text().unwrap(), slave_dump)
-                {
-                    return Err(fail(
-                        "repl_conservation",
-                        format!(
-                            "slave {i} acked head seq {} but its mirror diverges from \
-                             the master dump",
-                            kprop.log().head()
-                        ),
-                    ));
-                }
-            }
+            slaves
+                .ship_round(&mut kprop, &mut router, dep.master.snapshot().db(), ANTI_ENTROPY_EVERY)
+                .map_err(|detail| fail("repl_conservation", detail))?;
         }
 
         router.pump();
@@ -864,26 +736,11 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
     router.pump();
     conservation(&router, "post-heal".to_string())?;
 
-    // --- Post-heal replication: with the network clean every slave must
-    // reach the journal head — one the fault windows starved all run via
-    // the full-dump fallback — and then hold a byte-identical mirror.
-    let head = kprop.log().head();
-    for (i, slave_dump) in slave_dumps.iter().enumerate() {
-        let why = if !kprop
-            .ship_to_head(&mut router, dep.master.snapshot().db(), i)
-            .expect("master dumps; journal slice is consecutive")
-        {
-            "cannot reach the journal head"
-        } else if diverges(&dep.master.dump_text().unwrap(), slave_dump) {
-            "mirror diverges from the master"
-        } else {
-            continue;
-        };
-        return Err(fail(
-            "repl_conservation",
-            format!("slave {i} {why} after heal (journal head {head})"),
-        ));
-    }
+    // --- Post-heal replication: every slave reaches the journal head and
+    // then holds a byte-identical mirror.
+    slaves
+        .catch_up(&mut kprop, &mut router, dep.master.snapshot().db())
+        .map_err(|detail| fail("repl_conservation", detail))?;
     report.kprop = kprop.tally();
 
     // --- Replay-cache accounting oracle (§4.3).
@@ -978,18 +835,7 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
         }
     }
 
-    // --- Metrics ≡ journal consistency oracle (krb-mon): every outcome
-    // counter must be exactly recomputable from the event journal. A
-    // mismatch in either direction is an instrumentation bug — a counter
-    // bumped without its event, or an event without its counter.
-    match krb_mon::consistency_check(&registry, &journal) {
-        Ok(consistency) => {
-            if !consistency.is_consistent() {
-                return Err(fail("metrics_journal", consistency.describe_mismatches()));
-            }
-        }
-        Err(e) => return Err(fail("metrics_journal", e.to_string())),
-    }
+    soak::metrics_journal(&registry, &journal).map_err(|detail| fail("metrics_journal", detail))?;
 
     report.net = router.stats();
     report.fault_dropped = registry.counter_value("net_fault_dropped_total");
@@ -1002,17 +848,9 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, OracleFailure> {
 /// The CI smoke gate: run every profile at smoke scale under one seed and
 /// render a combined JSON document. Deterministic: two calls with the
 /// same seed return byte-identical strings.
-pub fn smoke_json(seed: u64) -> Result<String, OracleFailure> {
-    let mut out = format!("{{\"tool\":\"krb-chaos\",\"seed\":{seed},\"profiles\":[");
-    for (i, profile) in ALL_PROFILES.iter().enumerate() {
-        let report = run(SoakConfig::smoke(seed, *profile))?;
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&report.render_json());
-    }
-    out.push_str("]}");
-    Ok(out)
+pub fn smoke_json(seed: u64) -> Result<String, SoakFailure> {
+    let runs = ALL_PROFILES.iter().map(|p| Ok(run(SoakConfig::smoke(seed, *p))?.render_json()));
+    soak::smoke_document("krb-chaos", seed, "profiles", runs)
 }
 
 #[cfg(test)]
@@ -1056,9 +894,9 @@ mod tests {
     #[test]
     fn dup_heavy_seed_5_is_reproducible() {
         // This config has two services with deliveries due in one pump
-        // pass, so the document depends on which `Router` serves first.
-        // Each in-process `HashMap` draws its own `RandomState`, so four
-        // runs are four independent orders.
+        // pass, so the document depends on the order `Router` serves them
+        // in. Were that a `HashMap`'s order, each run would draw its own
+        // `RandomState`: four runs, four independent orders.
         let cfg =
             SoakConfig { seed: 5, ops: 120, profile: Profile::DupHeavy, ..Default::default() };
         let first = run(cfg).expect("oracles hold").render_json();
@@ -1125,21 +963,5 @@ mod tests {
         })
         .expect("oracles hold");
         assert!(report.net.corrupted > 0, "{report:?}");
-    }
-
-    #[test]
-    fn oracle_failure_prints_seed_and_plan() {
-        let f = OracleFailure {
-            oracle: "safety",
-            detail: "example".to_string(),
-            seed: 42,
-            profile: Profile::Stormy,
-            replay_cmd: "krb-chaos --seed 42 --ops 10 --profile stormy".to_string(),
-            plan: "fault_plan seed=42\n".to_string(),
-        };
-        let text = f.to_string();
-        assert!(text.contains("oracle failure [safety]"));
-        assert!(text.contains("--seed 42"));
-        assert!(text.contains("fault_plan seed=42"));
     }
 }

@@ -17,15 +17,15 @@ pub mod full_day;
 pub mod lifetime;
 pub mod repl;
 pub mod scenario;
+pub mod soak;
 
 pub use attacks::{
     replay_captured_ap, rig, wire_contains, AttackOutcome, AttackRig, ATTACK_CAPTURE_CAP,
 };
-pub use chaos::{
-    smoke_json, OracleFailure, Profile, SoakConfig, SoakReport, ALL_PROFILES, CHAOS_JSON_KEYS,
-};
+pub use chaos::{smoke_json, Profile, SoakConfig, SoakReport, ALL_PROFILES, CHAOS_JSON_KEYS};
 pub use full_day::{run_full_day, FullDayConfig, FullDayReport};
-pub use repl::{run_repl, ReplConfig, ReplFailure, ReplReport, REPL_JSON_KEYS};
+pub use repl::{run_repl, ReplConfig, ReplReport, REPL_JSON_KEYS};
+pub use soak::SoakFailure;
 pub use lifetime::{tradeoff, LifetimeConfig, TradeoffRow};
 pub use scenario::{run, ScenarioConfig, ScenarioReport};
 

@@ -15,21 +15,20 @@
 //!   must reach the head and match; a faulted stream converges or is
 //!   rejected, never installs divergence;
 //! * **metrics ≡ journal** — the kprop counters recompute exactly from
-//!   the event journal ([`krb_mon::consistency_check`]).
+//!   the event journal ([`soak::metrics_journal`]).
 //!
 //! Determinism contract: a run is a pure function of [`ReplConfig`]; the
 //! rendered JSON report is byte-identical across same-config runs (the
 //! `scripts/check.sh` gate runs the smoke twice and diffs).
 
-use crate::chaos::{diverges, Profile, MASTER_ADDR};
+use crate::chaos::{Profile, MASTER_ADDR};
+use crate::soak::{self, SlaveSet, SoakFailure};
 use kerberos::HostAddr;
 use krb_crypto::KeyGenerator;
-use krb_kdb::dump as kdump;
 use krb_kdb::{MemStore, PrincipalDb};
-use krb_kprop::{IncrKpropdService, KpropMaster, Tally};
-use krb_netsim::{ports, Endpoint, FaultPlan, NetConfig, Router, SimNet, EPOCH_1987};
-use krb_telemetry::{lcg_clock_us, ClockUs, Journal};
-use parking_lot::Mutex;
+use krb_kprop::{KpropMaster, Tally};
+use krb_netsim::{FaultPlan, EPOCH_1987};
+use krb_telemetry::ClockUs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -87,7 +86,7 @@ impl ReplConfig {
 }
 
 /// What a completed (oracles-green) run observed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReplReport {
     /// Principals in the realm (bulk-loaded, excluding `K.M` and churn).
     pub principals: u64,
@@ -157,28 +156,9 @@ impl ReplReport {
     }
 }
 
-/// A replication oracle violation, with everything needed to replay.
-#[derive(Debug, Clone)]
-pub struct ReplFailure {
-    /// Which oracle tripped (`repl_conservation` or `metrics_journal`).
-    pub oracle: &'static str,
-    /// What was observed.
-    pub detail: String,
-    /// The replay command line.
-    pub replay_cmd: String,
-}
-
-impl std::fmt::Display for ReplFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "oracle failure [{}]: {}", self.oracle, self.detail)?;
-        write!(f, "replay: {}", self.replay_cmd)
-    }
-}
-
-impl std::error::Error for ReplFailure {}
-
-/// Run the scenario. Returns the report if both oracle families hold.
-pub fn run_repl(config: ReplConfig) -> Result<ReplReport, ReplFailure> {
+/// Run the scenario. Returns the report if both oracle families hold
+/// (`repl_conservation` and `metrics_journal`).
+pub fn run_repl(config: ReplConfig) -> Result<ReplReport, SoakFailure> {
     let start = EPOCH_1987;
     let n = config.principals.max(1);
     let mut rng = StdRng::seed_from_u64(config.seed ^ REPL_SEED);
@@ -191,10 +171,11 @@ pub fn run_repl(config: ReplConfig) -> Result<ReplReport, ReplFailure> {
         config.profile.as_str(),
         config.slaves
     );
-    let fail = |oracle: &'static str, detail: String| ReplFailure {
+    let fail = |oracle: &'static str, detail: String| SoakFailure {
         oracle,
         detail,
         replay_cmd: replay_cmd.clone(),
+        context: String::new(),
     };
 
     // --- The realm, bulk-loaded at depth.
@@ -209,32 +190,22 @@ pub fn run_repl(config: ReplConfig) -> Result<ReplReport, ReplFailure> {
     drop(batch);
 
     // --- Network, fault plan, telemetry.
-    let net = SimNet::new(NetConfig { seed: config.seed, ..Default::default() });
-    let registry = net.registry();
-    let journal = Arc::new(Journal::new(1 << 15));
-    journal.publish(&registry);
-    let clock_us = lcg_clock_us(config.seed, 40, 400);
-    let mut router = Router::new(net);
+    let (mut router, registry, journal, clock_us) = soak::network(config.seed, 1 << 15);
     let slave_addrs: Vec<HostAddr> = (0..config.slaves)
         .map(|k| [18, 72, 5, 2 + (k % 200) as u8])
         .collect();
     let plan = FaultPlan::with_windows(config.seed, config.profile.windows(&slave_addrs));
     router.net().set_fault_plan(plan);
-    router.net().set_journal(Arc::clone(&journal));
 
-    // --- Slaves: IncrReplica services publishing their mirror dumps.
-    let mut slots: Vec<Arc<Mutex<Option<String>>>> = Vec::new();
-    for addr in &slave_addrs {
-        let slot: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-        let slot2 = Arc::clone(&slot);
-        let mut kpropd = IncrKpropdService::new(master_key, move |db| {
-            *slot2.lock() = kdump::dump(db).ok();
-        });
-        kpropd.set_registry(Arc::clone(&registry));
-        kpropd.set_journal(Arc::clone(&journal), ClockUs::clone(&clock_us));
-        router.serve(Endpoint::new(*addr, ports::KPROP), kpropd);
-        slots.push(slot);
-    }
+    // --- Slaves: replicas serving no KDC, only publishing their mirror dumps.
+    let slaves = SlaveSet::serve(
+        &mut router,
+        master_key,
+        &slave_addrs,
+        &journal,
+        &clock_us,
+        |_, _| {},
+    );
 
     let mut master =
         KpropMaster::new(MASTER_ADDR, 2001, config.seed ^ 0x72EB7, config.log_cap, &slave_addrs);
@@ -245,9 +216,7 @@ pub fn run_repl(config: ReplConfig) -> Result<ReplReport, ReplFailure> {
         rounds: config.rounds as u64,
         seed: config.seed,
         profile: config.profile,
-        admin_writes: 0,
-        shipped: Tally::default(),
-        final_seq: 0,
+        ..Default::default()
     };
 
     // --- Propagation rounds under fire.
@@ -280,27 +249,9 @@ pub fn run_repl(config: ReplConfig) -> Result<ReplReport, ReplFailure> {
             report.admin_writes += 1;
         }
 
-        for (k, slot) in slots.iter().enumerate() {
-            let force_full = (master.tally().transfers + 1) % ANTI_ENTROPY_EVERY == 0;
-            let Some(shipped) = master
-                .ship(&mut router, &db, k, force_full)
-                .expect("master dumps; journal slice is consecutive")
-            else {
-                continue; // in sync, nothing new
-            };
-            if shipped.acked
-                && master.at_head(k)
-                && diverges(&kdump::dump(&db).expect("master dump"), slot)
-            {
-                return Err(fail(
-                    "repl_conservation",
-                    format!(
-                        "slave {k} acked head seq {} but its mirror diverges from the master dump",
-                        master.log().head()
-                    ),
-                ));
-            }
-        }
+        slaves
+            .ship_round(&mut master, &mut router, &db, ANTI_ENTROPY_EVERY)
+            .map_err(|detail| fail("repl_conservation", detail))?;
         router.pump();
     }
 
@@ -308,33 +259,13 @@ pub fn run_repl(config: ReplConfig) -> Result<ReplReport, ReplFailure> {
     router.net().heal_faults();
     router.pump();
     report.final_seq = master.log().head();
-    for (k, slot) in slots.iter().enumerate() {
-        let why = if !master
-            .ship_to_head(&mut router, &db, k)
-            .expect("master dumps; journal slice is consecutive")
-        {
-            "cannot reach the journal head"
-        } else if diverges(&kdump::dump(&db).expect("master dump"), slot) {
-            "mirror diverges from the master"
-        } else {
-            continue;
-        };
-        return Err(fail(
-            "repl_conservation",
-            format!("slave {k} {why} after heal (journal head {})", report.final_seq),
-        ));
-    }
+    slaves
+        .catch_up(&mut master, &mut router, &db)
+        .map_err(|detail| fail("repl_conservation", detail))?;
     report.shipped = master.tally();
 
     // --- Metrics ≡ journal: the kprop counters must recompute exactly.
-    match krb_mon::consistency_check(&registry, &journal) {
-        Ok(consistency) => {
-            if !consistency.is_consistent() {
-                return Err(fail("metrics_journal", consistency.describe_mismatches()));
-            }
-        }
-        Err(e) => return Err(fail("metrics_journal", e.to_string())),
-    }
+    soak::metrics_journal(&registry, &journal).map_err(|detail| fail("metrics_journal", detail))?;
 
     Ok(report)
 }

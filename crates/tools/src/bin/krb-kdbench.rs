@@ -26,6 +26,7 @@
 
 use krb_crypto::DesKey;
 use krb_kdb::{HashStore, PrincipalDb};
+use krb_tools::args::Args;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -94,47 +95,29 @@ fn render_quantiles(q: &Quantiles) -> String {
     )
 }
 
+const USAGE: &str = "krb-kdbench [--principals N] [--seed N] [--cold N] [--warm N] \
+                     [--out PATH] [--smoke]";
+
 fn main() {
     let mut cfg = Cfg::default();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let take_value = |i: &mut usize| -> Option<String> {
-            *i += 1;
-            args.get(*i).cloned()
-        };
-        match args[i].as_str() {
-            "--principals" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.principals = n,
-                None => return usage("--principals needs a number"),
-            },
-            "--seed" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.seed = n,
-                None => return usage("--seed needs a number"),
-            },
-            "--cold" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.cold = n,
-                None => return usage("--cold needs a number"),
-            },
-            "--warm" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.warm = n,
-                None => return usage("--warm needs a number"),
-            },
-            "--out" => match take_value(&mut i) {
-                Some(p) => cfg.out = Some(PathBuf::from(p)),
-                None => return usage("--out needs a path"),
-            },
+    let mut args = Args::from_env("krb-kdbench", USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--principals" => cfg.principals = args.value(&flag, "a number"),
+            "--seed" => cfg.seed = args.value(&flag, "a number"),
+            "--cold" => cfg.cold = args.value(&flag, "a number"),
+            "--warm" => cfg.warm = args.value(&flag, "a number"),
+            "--out" => cfg.out = Some(args.value(&flag, "a path")),
             "--smoke" => {
                 cfg.principals = 20_000;
                 cfg.cold = 64;
                 cfg.warm = 512;
             }
-            other => return usage(&format!("unknown argument `{other}`")),
+            other => args.unknown(other),
         }
-        i += 1;
     }
     if cfg.principals == 0 {
-        return usage("--principals must be at least 1");
+        args.usage_error("--principals must be at least 1");
     }
 
     let base = std::env::temp_dir().join(format!("krb-kdbench-{}", std::process::id()));
@@ -249,13 +232,4 @@ fn die(base: &PathBuf, msg: &str) -> ! {
     let _ = std::fs::remove_file(base.with_extension("dir"));
     eprintln!("krb-kdbench: {msg}");
     std::process::exit(1);
-}
-
-fn usage(err: &str) {
-    eprintln!("krb-kdbench: {err}");
-    eprintln!(
-        "usage: krb-kdbench [--principals N] [--seed N] [--cold N] [--warm N] \
-         [--out PATH] [--smoke]"
-    );
-    std::process::exit(2);
 }

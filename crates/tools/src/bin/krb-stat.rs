@@ -14,48 +14,28 @@
 //! `crates/tools/src/krbstat.rs` for what the fields mean; performance
 //! figures come from `benchmark/` (kbench), not from this tool.
 
+use krb_tools::args::Args;
 use krb_tools::{run_load, StatConfig};
+
+const USAGE: &str = "krb-stat [--iters N] [--users N] [--seed N] [--threads N] [--smoke] \
+                     [--out PATH] [--journal PATH]";
 
 fn main() {
     let mut cfg = StatConfig::default();
     let mut out: Option<String> = None;
     let mut journal_out: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let take_value = |i: &mut usize| -> Option<String> {
-            *i += 1;
-            args.get(*i).cloned()
-        };
-        match args[i].as_str() {
-            "--iters" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.iters = n,
-                None => return usage("--iters needs a number"),
-            },
-            "--users" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.users = n,
-                None => return usage("--users needs a number"),
-            },
-            "--seed" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.seed = n,
-                None => return usage("--seed needs a number"),
-            },
-            "--threads" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.threads = n,
-                None => return usage("--threads needs a number"),
-            },
+    let mut args = Args::from_env("krb-stat", USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--iters" => cfg.iters = args.value(&flag, "a number"),
+            "--users" => cfg.users = args.value(&flag, "a number"),
+            "--seed" => cfg.seed = args.value(&flag, "a number"),
+            "--threads" => cfg.threads = args.value(&flag, "a number"),
             "--smoke" => cfg = StatConfig::smoke(),
-            "--out" => match take_value(&mut i) {
-                Some(p) => out = Some(p),
-                None => return usage("--out needs a path"),
-            },
-            "--journal" => match take_value(&mut i) {
-                Some(p) => journal_out = Some(p),
-                None => return usage("--journal needs a path"),
-            },
-            other => return usage(&format!("unknown argument `{other}`")),
+            "--out" => out = Some(args.value(&flag, "a path")),
+            "--journal" => journal_out = Some(args.value(&flag, "a path")),
+            other => args.unknown(other),
         }
-        i += 1;
     }
 
     let report = match run_load(&cfg) {
@@ -84,13 +64,4 @@ fn main() {
         }
         None => print!("{}", report.json),
     }
-}
-
-fn usage(err: &str) {
-    eprintln!("krb-stat: {err}");
-    eprintln!(
-        "usage: krb-stat [--iters N] [--users N] [--seed N] [--threads N] [--smoke] \
-         [--out PATH] [--journal PATH]"
-    );
-    std::process::exit(2);
 }

@@ -14,40 +14,25 @@
 //! the output resolve to full timelines via `krb-trace` on the same
 //! run's journal dump. See `crates/tools/src/krbtop.rs`.
 
+use krb_tools::args::Args;
 use krb_tools::krbtop::{render_dashboard, render_json, run, TopConfig};
+
+const USAGE: &str = "krb-top [--seed N] [--polls N] [--tail N] [--top K] [--once] [--json]";
 
 fn main() {
     let mut cfg = TopConfig::default();
     let mut json = false;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let take_value = |i: &mut usize| -> Option<String> {
-            *i += 1;
-            args.get(*i).cloned()
-        };
-        match args[i].as_str() {
-            "--seed" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.seed = n,
-                None => return usage("--seed needs a number"),
-            },
-            "--polls" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.polls = n,
-                None => return usage("--polls needs a number"),
-            },
-            "--tail" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.tail = n,
-                None => return usage("--tail needs a number"),
-            },
-            "--top" => match take_value(&mut i).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.top_k = n,
-                None => return usage("--top needs a number"),
-            },
+    let mut args = Args::from_env("krb-top", USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--seed" => cfg.seed = args.value(&flag, "a number"),
+            "--polls" => cfg.polls = args.value(&flag, "a number"),
+            "--tail" => cfg.tail = args.value(&flag, "a number"),
+            "--top" => cfg.top_k = args.value(&flag, "a number"),
             "--once" => cfg.polls = 1,
             "--json" => json = true,
-            other => return usage(&format!("unknown argument `{other}`")),
+            other => args.unknown(other),
         }
-        i += 1;
     }
 
     let run = match run(&cfg) {
@@ -70,10 +55,4 @@ fn main() {
             print!("{}", render_dashboard(snap));
         }
     }
-}
-
-fn usage(err: &str) {
-    eprintln!("krb-top: {err}");
-    eprintln!("usage: krb-top [--seed N] [--polls N] [--tail N] [--top K] [--once] [--json]");
-    std::process::exit(2);
 }

@@ -12,38 +12,32 @@
 //! and runs the self-contained CI pass (seeded login + forced failures,
 //! byte-identity across two runs); it exits non-zero on any failed check.
 
+use krb_tools::args::Args;
 use krb_tools::krbtrace;
 use std::io::Read;
+
+const USAGE: &str = "krb-trace [--input PATH] [--json] [--errors-only] [--component C] [--smoke]";
 
 fn main() {
     let mut input: Option<String> = None;
     let mut json = false;
     let mut filter = krbtrace::TraceFilter::default();
     let mut smoke = false;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let take_value = |i: &mut usize| -> Option<String> {
-            *i += 1;
-            args.get(*i).cloned()
-        };
-        match args[i].as_str() {
-            "--input" => match take_value(&mut i) {
-                Some(p) => input = Some(p),
-                None => return usage("--input needs a path"),
-            },
+    let mut args = Args::from_env("krb-trace", USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--input" => input = Some(args.value(&flag, "a path")),
             "--json" => json = true,
             "--errors-only" => filter.errors_only = true,
-            "--component" => match take_value(&mut i) {
-                Some(c) if ["ws", "kdc", "app", "kprop", "net"].contains(&c.as_str()) => {
-                    filter.component = Some(c);
-                }
-                _ => return usage("--component needs one of ws|kdc|app|kprop|net"),
-            },
+            "--component" => {
+                let known = ["ws", "kdc", "app", "kprop", "net"];
+                filter.component = Some(args.value_with(&flag, "one of ws|kdc|app|kprop|net", |c| {
+                    known.contains(&c).then(|| c.to_string())
+                }));
+            }
             "--smoke" => smoke = true,
-            other => return usage(&format!("unknown argument `{other}`")),
+            other => args.unknown(other),
         }
-        i += 1;
     }
 
     if smoke {
@@ -82,10 +76,4 @@ fn main() {
         krbtrace::render_timelines(events, &filter)
     };
     print!("{out}");
-}
-
-fn usage(err: &str) {
-    eprintln!("krb-trace: {err}");
-    eprintln!("usage: krb-trace [--input PATH] [--json] [--errors-only] [--component C] [--smoke]");
-    std::process::exit(2);
 }

@@ -145,6 +145,24 @@ json_num() {
     sed -n "s/.*\"$2\":\([0-9][0-9]*\)[,}].*/\1/p" "$1"
 }
 
+# The determinism contract: `two_runs_identical <package> <bin> <args...>`
+# runs the tool twice, in two processes, and the two stdouts must be
+# byte-identical. The first run's output is left in "$out". A tripped
+# oracle or a failed self-check is a non-zero exit, which `set -e` catches.
+two_runs_identical() {
+    out="$(mktmp)"
+    again="$(mktmp)"
+    pkg="$1"
+    bin="$2"
+    shift 2
+    cargo run -q -p "$pkg" --bin "$bin" -- "$@" > "$out"
+    cargo run -q -p "$pkg" --bin "$bin" -- "$@" > "$again"
+    if ! diff -q "$out" "$again" > /dev/null; then
+        echo "$bin $* is not deterministic (two runs differ)" >&2
+        exit 1
+    fi
+}
+
 echo "== krb-chaos + krb-adversary --smoke (shared-realm KDC soaks)"
 # One step, two soaks, both driving the snapshot-swapped shared-realm KDC
 # (every handler goes through `&self` / `Arc<Kdc>` since the global lock
@@ -152,26 +170,14 @@ echo "== krb-chaos + krb-adversary --smoke (shared-realm KDC soaks)"
 # oracle families (safety, liveness, conservation, trace completeness)
 # green. krb-adversary: honest protocol green under active Dolev-Yao
 # attack, each --leak mode tripping exactly the matching oracles. Both
-# hold the determinism contract — two same-seed runs byte-identical.
-chaos_a="$(mktmp)"
-chaos_b="$(mktmp)"
-cargo run -q -p krb-sim --bin krb-chaos -- --smoke > "$chaos_a"
-cargo run -q -p krb-sim --bin krb-chaos -- --smoke > "$chaos_b"
-if ! diff -q "$chaos_a" "$chaos_b" > /dev/null; then
-    echo "krb-chaos --smoke is not deterministic (two runs differ)" >&2
-    exit 1
-fi
-# A tripped oracle is a non-zero exit, which `set -e` already caught; the
-# schema is asserted by CHAOS_JSON_KEYS in crates/sim/src/chaos.rs.
+# hold the determinism contract (the schema is asserted by CHAOS_JSON_KEYS
+# in crates/sim/src/chaos.rs). The dup-heavy run is the one whose document
+# depended on which endpoint `Router` served first.
+two_runs_identical krb-sim krb-chaos --smoke
+two_runs_identical krb-sim krb-chaos --seed 5 --ops 120 --profile dup-heavy --json
 
-adv_a="$(mktmp)"
-adv_b="$(mktmp)"
-cargo run -q -p krb-adversary --bin krb-adversary -- --smoke > "$adv_a"
-cargo run -q -p krb-adversary --bin krb-adversary -- --smoke > "$adv_b"
-if ! diff -q "$adv_a" "$adv_b" > /dev/null; then
-    echo "krb-adversary --smoke is not deterministic (two runs differ)" >&2
-    exit 1
-fi
+two_runs_identical krb-adversary krb-adversary --smoke
+adv_a="$out"
 # One run per line. The honest run accepts no forgery and trips nothing;
 # every run that hands the attacker a key trips at least one oracle (the
 # schema is asserted by ADVERSARY_JSON_KEYS in crates/adversary/src/soak.rs).
@@ -198,14 +204,8 @@ echo "== krb-repl --smoke (replication gate, byte-identity)"
 # slaves under faults; the conservation oracle (slave dump ≡ master
 # dump at every corroborated head ack) and the metrics≡journal oracle
 # must hold, and two same-seed runs must be byte-identical.
-repl_a="$(mktmp)"
-repl_b="$(mktmp)"
-cargo run -q -p krb-sim --bin krb-repl -- --smoke > "$repl_a"
-cargo run -q -p krb-sim --bin krb-repl -- --smoke > "$repl_b"
-if ! diff -q "$repl_a" "$repl_b" > /dev/null; then
-    echo "krb-repl --smoke is not deterministic (two runs differ)" >&2
-    exit 1
-fi
+two_runs_identical krb-sim krb-repl --smoke
+repl_a="$out"
 # The master owns the append, so the journal head is the write count, and
 # every transfer is counted once by outcome and once by kind (the schema
 # is asserted by REPL_JSON_KEYS in crates/sim/src/repl.rs; a tripped oracle
@@ -233,14 +233,8 @@ echo "== krb-top --once --json (schema + byte-identity)"
 # the netsim seam; the JSON snapshot must carry the full schema (health,
 # latency exemplars, heavy-hitter tables, flight records) and be
 # byte-identical across two same-seed runs.
-top_a="$(mktmp)"
-top_b="$(mktmp)"
-cargo run -q -p krb-tools --bin krb-top -- --once --json > "$top_a"
-cargo run -q -p krb-tools --bin krb-top -- --once --json > "$top_b"
-if ! diff -q "$top_a" "$top_b" > /dev/null; then
-    echo "krb-top --once --json is not deterministic (two runs differ)" >&2
-    exit 1
-fi
+two_runs_identical krb-tools krb-top --once --json
+top_a="$out"
 for key in tool component health state err_permille replay_permille \
         journal_dropped kdc as_ok tgs_ok errors replay_hits store_swaps \
         stripe_hits latency_us exemplars top as_clients tgs_services \
