@@ -50,7 +50,8 @@ pub struct Deployment {
 impl Deployment {
     /// Stand up `1 + n_slaves` KDCs for `realm` on `router`. The master
     /// gets `base_addr`; slaves get consecutive addresses. Slave databases
-    /// are installed from a master dump, as `kprop` would. A dump that
+    /// are installed from a master dump, as `kprop` would; with no slave
+    /// there is nothing to install, so nothing is dumped. A dump that
     /// fails to round-trip surfaces as the [`DbError`] rather than a
     /// panic, so a deployment driver can report and retry.
     pub fn install(
@@ -66,8 +67,11 @@ impl Deployment {
         let master_key = *master_db.master_key();
         // Dump once, while the database is still exclusively owned: the
         // text cannot change between slave installs.
-        let text = dump::dump(&master_db)?;
-        let entries = dump::parse(&text)?;
+        let entries = if n_slaves == 0 {
+            Vec::new()
+        } else {
+            dump::parse(&dump::dump(&master_db)?)?
+        };
         let master = Arc::new(Kdc::new(
             master_db,
             config.clone(),
