@@ -12,8 +12,8 @@
 
 use kerberos::{
     krb_mk_priv, krb_mk_rep, krb_mk_req, krb_mk_safe, krb_rd_priv, krb_rd_rep, krb_rd_req,
-    krb_rd_safe, replay::hash_bytes, Authenticator, Principal, ReplayCache, ReplayKey, Ticket,
-    MAX_SKEW_SECS,
+    krb_rd_safe, msg::seal_kdc_rep, replay::hash_bytes, Authenticator, Principal, ReplayCache,
+    ReplayKey, Ticket, TicketView, MAX_SKEW_SECS,
 };
 use krb_bench::time_median;
 use krb_crypto::{
@@ -441,10 +441,12 @@ fn e14_des_modes() {
         }),
     );
     // Both directions at Kerberos message sizes (an authenticator is 5
-    // blocks, a ticket 8, a TGS reply ~20), schedule prebuilt: encryption
-    // chains through the cipher, decryption through XORs only, so the two
-    // directions have different floors. The figure is per message.
-    for blocks in [1usize, 5, 8, 20, 128] {
+    // blocks, kbench's service ticket 7 and TGS reply part 14, a TGT 8),
+    // schedule prebuilt: encryption chains through the cipher, decryption
+    // through XORs only, so the two directions have different floors. 6, 7
+    // and 14 end the decrypt loop in a 2-, 3- and 2-block tail group. The
+    // figure is per message.
+    for blocks in [1usize, 5, 6, 7, 8, 14, 20, 128] {
         let data = vec![0x5Au8; blocks * 8];
         for mode in [Mode::Cbc, Mode::Pcbc] {
             row(
@@ -460,6 +462,30 @@ fn e14_des_modes() {
                 }),
             );
         }
+    }
+    // The whole KDC reply at kbench's principal shapes, schedules prebuilt:
+    // the AS reply is a 16-block part around an 8-block TGT, the TGS reply
+    // a 14-block part around a 7-block service ticket.
+    let (service, client) = (Scheduled::new(&string_to_key("svc")), Scheduled::new(&string_to_key("tgt")));
+    let session = *string_to_key("session").as_bytes();
+    for (kind, sname, sinstance) in [("as", "krbtgt", "BENCH.MIT.EDU"), ("tgs", "svc3", "host3")] {
+        let ticket = TicketView {
+            sname,
+            sinstance,
+            cname: "u00123",
+            cinstance: "",
+            crealm: "BENCH.MIT.EDU",
+            addr: WS,
+            timestamp: NOW,
+            life: 96,
+            session_key: &session,
+        };
+        row(
+            &format!("e14_kdc_rep/{kind}"),
+            per_call(5_000, || {
+                black_box(seal_kdc_rep(black_box(&ticket), "BENCH.MIT.EDU", 1, NOW, &service, &client).unwrap());
+            }),
+        );
     }
     println!();
 }

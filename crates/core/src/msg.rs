@@ -510,12 +510,14 @@ impl Message {
 /// `{ {T c,s}K s , K c,s }K c,tgs` — in the one `Vec` that is returned.
 ///
 /// The header, the reply part's plaintext and, at its final offset inside
-/// that, the ticket's plaintext are written first; then the ticket is
-/// sealed where it lies under `service`, and the reply part (now ending in
-/// the ticket's ciphertext) is sealed where it lies under `client`: the
-/// nesting built innermost first, two length fields patched. The session
-/// key's plaintext exists only in that buffer and is encrypted over. Every
-/// byte equals what [`Ticket::seal_with`](crate::Ticket::seal_with) →
+/// that, the ticket's plaintext are written first; then both are sealed
+/// where they lie in one nested close, the ticket under `service` and the
+/// reply part (ending in the ticket's ciphertext) under `client`. Every
+/// length is patched first, so the reply-part blocks in front of the
+/// ticket are encrypted two-wide with the ticket's first blocks rather
+/// than after its last. The session key's plaintext exists only in that
+/// buffer and is encrypted over. Every byte equals what
+/// [`Ticket::seal_with`](crate::Ticket::seal_with) →
 /// [`EncKdcReplyPart::encode`] → `seal_with` → [`Message::encode`] produce.
 ///
 /// The reply part repeats the ticket's service name, lifetime, issue time
@@ -549,8 +551,7 @@ pub fn seal_kdc_rep(
     head.write_head(&mut w);
     let inner = w.begin_sealed_bytes();
     ticket.write(&mut w);
-    w.end_sealed(inner, service)?;
-    w.end_sealed(part, client)?;
+    w.end_sealed_nested(part, client, inner, service)?;
     Ok(w.finish())
 }
 

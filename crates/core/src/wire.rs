@@ -6,7 +6,7 @@
 //! characters, realms at 40 — and byte strings with two bytes.
 
 use crate::{ErrorCode, KrbResult};
-use krb_crypto::{seal_in_place, CryptoError, Mode, Scheduled, BLOCK};
+use krb_crypto::{seal_in_place, seal_nested_in_place, CryptoError, Mode, Scheduled, BLOCK};
 
 /// Incremental writer over a growable buffer — its own, or one a caller
 /// handed over with [`Writer::over`] to have more appended to it.
@@ -114,6 +114,32 @@ impl Writer {
     /// described by its length fields.
     pub fn end_sealed(&mut self, scope: SealScope, sched: &Scheduled) -> Result<(), CryptoError> {
         seal_in_place(Mode::Pcbc, sched, &[0u8; 8], &mut self.buf, scope.start)?;
+        self.patch_field(scope)
+    }
+
+    /// Close `inner` and the scope `outer` it lies in at once — the same
+    /// bytes as `end_sealed(inner, ..)` then `end_sealed(outer, ..)`, but
+    /// the outer blocks in front of `inner` are encrypted side by side with
+    /// it (`krb_crypto::seal_nested_in_place`). `inner` must be a
+    /// byte-string field ([`Writer::begin_sealed_bytes`]) opened after
+    /// `outer`.
+    pub fn end_sealed_nested(
+        &mut self,
+        outer: SealScope,
+        outer_sched: &Scheduled,
+        inner: SealScope,
+        inner_sched: &Scheduled,
+    ) -> Result<(), CryptoError> {
+        if !inner.framed {
+            return Err(CryptoError::BadLength(inner.start));
+        }
+        let iv = &[0u8; 8];
+        seal_nested_in_place(Mode::Pcbc, outer_sched, inner_sched, iv, &mut self.buf, outer.start, inner.start)?;
+        self.patch_field(outer)
+    }
+
+    /// Write a closed byte-string scope's ciphertext length in front of it.
+    fn patch_field(&mut self, scope: SealScope) -> Result<(), CryptoError> {
         if scope.framed {
             let sealed = self.buf.len() - scope.start;
             let len = u16::try_from(sealed).map_err(|_| CryptoError::BadLength(sealed))?;
@@ -294,32 +320,63 @@ mod tests {
         assert!(r.expect_end().is_ok());
     }
 
+    /// The nested close against two single closes, innermost first, and
+    /// both against `seal_with` of each plaintext — 0, 1, 1 or 6 whole
+    /// outer blocks in front of an inner scope of 1, 2 or 9 blocks, with
+    /// the inner scope's 2-byte field after those blocks, inside the last
+    /// of them, or across the last and the next (kbench's TGS reply).
     #[test]
-    fn sealed_scopes_nest_and_match_seal_with() {
+    fn nested_close_equals_two_single_closes() {
         use krb_crypto::{seal_with, string_to_key};
         let (inner_key, outer_key) = (string_to_key("inner"), string_to_key("outer"));
         let (inner, outer) = (Scheduled::new(&inner_key), Scheduled::new(&outer_key));
-
-        let mut w = Writer::over(b"hdr".to_vec());
-        let part = w.begin_sealed_bytes();
-        w.str("before");
-        let nested = w.begin_sealed_bytes();
-        w.str("innermost");
-        w.end_sealed(nested, &inner).unwrap();
-        w.end_sealed(part, &outer).unwrap();
-        w.u8(9);
-
         let seal = |sched, plain: &[u8]| seal_with(Mode::Pcbc, sched, &[0u8; 8], plain).unwrap();
-        let mut plain = Writer::new();
-        plain.str("before");
-        plain.bytes(&seal(&inner, b"\x09innermost"));
-        let mut want = Writer::over(b"hdr".to_vec());
-        want.bytes(&seal(&outer, &plain.finish()));
-        want.u8(9);
-        assert_eq!(w.finish(), want.finish());
+
+        let (long_before, long_inner) = ("b".repeat(42), "i".repeat(66));
+        let befores = ["", "b", "before", long_before.as_str()];
+        let pairs = befores.iter().flat_map(|b| ["x", "innermost", long_inner.as_str()].map(|i| (*b, i)));
+        for (before, innermost) in pairs {
+            let write = |nested: bool| {
+                let mut w = Writer::over(b"hdr".to_vec());
+                let part = w.begin_sealed_bytes();
+                w.str(before);
+                let ticket = w.begin_sealed_bytes();
+                w.str(innermost);
+                if nested {
+                    w.end_sealed_nested(part, &outer, ticket, &inner).unwrap();
+                } else {
+                    w.end_sealed(ticket, &inner).unwrap();
+                    w.end_sealed(part, &outer).unwrap();
+                }
+                w.u8(9);
+                w.finish()
+            };
+            let mut inner_plain = Writer::new();
+            inner_plain.str(innermost);
+            let mut plain = Writer::new();
+            plain.str(before);
+            plain.bytes(&seal(&inner, &inner_plain.finish()));
+            let mut want = Writer::over(b"hdr".to_vec());
+            want.bytes(&seal(&outer, &plain.finish()));
+            want.u8(9);
+            let want = want.finish();
+            assert_eq!(write(false), want, "two closes, {before:?}");
+            assert_eq!(write(true), want, "nested close, {before:?}");
+        }
 
         let alone = Writer::sealed(16, &inner, |w| w.str("innermost"));
         assert_eq!(alone, seal(&inner, b"\x09innermost"));
+    }
+
+    #[test]
+    fn a_nested_close_needs_a_byte_string_inner_scope() {
+        let sched = Scheduled::new(&krb_crypto::string_to_key("k"));
+        let mut w = Writer::new();
+        let part = w.begin_sealed_bytes();
+        w.str("head");
+        let bare = w.begin_sealed();
+        w.str("ticket");
+        assert!(matches!(w.end_sealed_nested(part, &sched, bare, &sched), Err(CryptoError::BadLength(_))));
     }
 
     #[test]

@@ -18,6 +18,16 @@ fn arb_realm() -> impl Strategy<Value = String> {
     "[A-Z]{1,8}(\\.[A-Z]{1,8}){0,2}"
 }
 
+/// A name component anywhere in the wire's 0–40-character range.
+fn arb_wide_component() -> impl Strategy<Value = String> {
+    "[a-z0-9]{0,40}"
+}
+
+/// A realm anywhere in the wire's 1–40-character range.
+fn arb_wide_realm() -> impl Strategy<Value = String> {
+    "[A-Z.]{1,40}"
+}
+
 prop_compose! {
     fn arb_principal()(name in arb_component(), inst in prop_oneof![Just(String::new()), arb_component()], realm in arb_realm()) -> Principal {
         Principal { name, instance: inst, realm }
@@ -203,6 +213,52 @@ proptest! {
             ticket: EncryptedTicket(ticket),
         };
         prop_assert_eq!(EncKdcReplyPart::decode(&p.encode()).unwrap(), p);
+    }
+
+    /// `seal_kdc_rep` — one buffer, one nested close — against the chain of
+    /// owned steps it replaced: `Ticket::seal_with` → `EncKdcReplyPart::encode`
+    /// → `seal_with` → `Message::encode`. Components of 0–40 characters and
+    /// realms of 1–40 put 3–18 reply-part blocks in front of a 4–29-block
+    /// ticket, fewer or more than the ticket has; both reply readers open
+    /// the result to the ticket's fields and the ticket that was sealed.
+    #[test]
+    fn seal_kdc_rep_equals_the_owned_steps(
+        (sname, sinstance) in (arb_wide_component(), arb_wide_component()),
+        (cname, cinstance) in (arb_wide_component(), arb_wide_component()),
+        (crealm, srealm) in (arb_wide_realm(), arb_wide_realm()),
+        (addr, timestamp, life, kvno, nonce) in any::<([u8; 4], u32, u8, u8, u32)>(),
+        (session, service_key, client_key) in any::<([u8; 8], [u8; 8], [u8; 8])>(),
+    ) {
+        use krb_crypto::{seal_with, Mode, Scheduled};
+        let ticket = Ticket {
+            sname, sinstance, cname, cinstance, crealm, addr, timestamp, life,
+            session_key: session.into(),
+        };
+        let (service_key, client_key) = (DesKey::from_bytes(service_key), DesKey::from_bytes(client_key));
+        let (service, client) = (Scheduled::new(&service_key), Scheduled::new(&client_key));
+
+        let reply = kerberos::msg::seal_kdc_rep(&ticket.view(), &srealm, kvno, nonce, &service, &client).unwrap();
+        let sealed_ticket = ticket.seal_with(&service);
+        let part = EncKdcReplyPart {
+            session_key: session.into(),
+            sname: ticket.sname.clone(), sinstance: ticket.sinstance.clone(), srealm: srealm.clone(),
+            life, kvno, kdc_time: timestamp, nonce,
+            ticket: sealed_ticket.clone(),
+        };
+        let enc_part = seal_with(Mode::Pcbc, &client, &[0u8; 8], &part.encode()).unwrap();
+        prop_assert_eq!(&reply, &Message::KdcRep(KdcRep { enc_part }).encode());
+
+        for cred in [
+            kerberos::read_tgs_reply_with(&reply, &client, nonce).unwrap(),
+            kerberos::read_as_reply_with_key(&reply, &client_key, nonce).unwrap(),
+        ] {
+            let named = (cred.service.name.as_str(), cred.service.instance.as_str(), cred.service.realm.as_str());
+            prop_assert_eq!(named, (ticket.sname.as_str(), ticket.sinstance.as_str(), srealm.as_str()));
+            prop_assert_eq!(cred.session_key.as_bytes(), &session);
+            prop_assert_eq!((cred.life, cred.issued, cred.kvno), (life, timestamp, kvno));
+            prop_assert_eq!(&cred.ticket, &sealed_ticket);
+            prop_assert_eq!(cred.ticket.open_with(&service).unwrap(), ticket.clone());
+        }
     }
 
     #[test]

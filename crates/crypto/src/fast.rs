@@ -22,11 +22,12 @@
 //!   tables, so the S·P tables (2 KB) are the engine's whole cache
 //!   footprint.
 //!
-//! The round code is written over `N` independent blocks
-//! (`FastDes::decrypt_blocks_u64`): a single block is a serial chain of
-//! 16 dependent rounds, but the CPU can overlap the chains of several
-//! blocks, which is what the CBC/PCBC decrypt loop in [`crate::modes`]
-//! feeds it.
+//! The round code is written over `N` independent blocks, each with its
+//! own key schedule: a single block is a serial chain of 16 dependent
+//! rounds, but the CPU can overlap the chains of several blocks. The
+//! mode loops in [`crate::modes`] feed it a CBC/PCBC decrypt group (one
+//! schedule, `FastDes::decrypt_blocks_u64`) and two encrypt chains sealed
+//! side by side (two schedules, `FastDes::encrypt_lanes_u64`).
 
 use crate::key::DesKey;
 use crate::tables::{P, PC1, PC2, SBOX, SHIFTS};
@@ -215,12 +216,14 @@ fn f(sp: &[[u32; 64]; 8], r: u32, k: &RoundKey) -> u32 {
         ^ sp[0][(even >> 24 & 0x3F) as usize]
 }
 
-/// IP, sixteen rounds with `keys` in the order given, FP — over `N`
-/// independent blocks, each step applied to every block before the next
-/// step so the `N` dependency chains overlap.
+/// IP, sixteen rounds, FP — over `N` independent blocks, each step applied
+/// to every block before the next step so the `N` dependency chains
+/// overlap. `keys` yields each round's subkey for every lane, so the lanes
+/// may share one schedule (a decrypt group: the same key `N` times, loaded
+/// once) or not (two chains sealed side by side).
 #[inline(always)]
 fn crypt_blocks<'k, const N: usize>(
-    mut keys: impl Iterator<Item = &'k RoundKey>,
+    mut keys: impl Iterator<Item = [&'k RoundKey; N]>,
     blocks: [u64; N],
 ) -> [u64; N] {
     let sp = sp_tables();
@@ -236,10 +239,10 @@ fn crypt_blocks<'k, const N: usize>(
     // halves never swap.
     while let (Some(k0), Some(k1)) = (keys.next(), keys.next()) {
         for i in 0..N {
-            l[i] ^= f(sp, r[i], k0);
+            l[i] ^= f(sp, r[i], k0[i]);
         }
         for i in 0..N {
-            r[i] ^= f(sp, l[i], k1);
+            r[i] ^= f(sp, l[i], k1[i]);
         }
     }
     let mut out = [0u64; N];
@@ -248,6 +251,11 @@ fn crypt_blocks<'k, const N: usize>(
         out[i] = fp(r[i].rotate_right(1), l[i].rotate_right(1));
     }
     out
+}
+
+/// Each round's subkey for every lane, in encryption order.
+fn lane_keys<const N: usize>(lanes: [&FastDes; N]) -> impl DoubleEndedIterator<Item = [&RoundKey; N]> {
+    (0..16).map(move |round| lanes.map(|des| &des.subkeys[round]))
 }
 
 /// A DES instance using the fused tables. Drop-in alternative to
@@ -268,8 +276,14 @@ impl FastDes {
 
     /// Encrypt one 64-bit block.
     pub fn encrypt_block_u64(&self, block: u64) -> u64 {
-        let [out] = crypt_blocks(self.subkeys.iter(), [block]);
+        let [out] = crypt_blocks(self.subkeys.iter().map(|k| [k]), [block]);
         out
+    }
+
+    /// Encrypt `N` independent blocks side by side, block `i` under
+    /// `lanes[i]`: two chains sealed at once under different keys.
+    pub(crate) fn encrypt_lanes_u64<const N: usize>(lanes: [&FastDes; N], blocks: [u64; N]) -> [u64; N] {
+        crypt_blocks(lane_keys(lanes), blocks)
     }
 
     /// Decrypt one 64-bit block.
@@ -281,8 +295,9 @@ impl FastDes {
     /// Decrypt `N` independent blocks side by side: the result equals `N`
     /// calls of [`Self::decrypt_block_u64`], but the blocks' round chains
     /// overlap in the pipeline instead of running one after another.
+    #[inline(always)]
     pub(crate) fn decrypt_blocks_u64<const N: usize>(&self, blocks: [u64; N]) -> [u64; N] {
-        crypt_blocks(self.subkeys.iter().rev(), blocks)
+        crypt_blocks(self.subkeys.iter().rev().map(|k| [k; N]), blocks)
     }
 
     /// Encrypt one 8-byte block in place.
@@ -336,18 +351,29 @@ mod tests {
         }
     }
 
+    /// The per-lane kernel against single blocks of the reference engine:
+    /// 1–4 lanes, each under its own key, both directions.
     #[test]
-    fn four_lanes_equal_four_single_blocks() {
+    fn lanes_with_distinct_keys_equal_single_blocks() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
+        fn check<const N: usize>(rng: &mut StdRng) {
+            let keys: [DesKey; N] = std::array::from_fn(|_| key(rng.random()));
+            let fast = keys.each_ref().map(FastDes::new);
+            let reference = keys.each_ref().map(Des::new);
+            let blocks: [u64; N] = std::array::from_fn(|_| rng.random());
+            let lanes = fast.each_ref();
+            let encrypted = FastDes::encrypt_lanes_u64(lanes, blocks);
+            assert_eq!(encrypted, std::array::from_fn(|i| reference[i].encrypt_block_u64(blocks[i])));
+            let decrypted = crypt_blocks(lane_keys(lanes).rev(), blocks);
+            assert_eq!(decrypted, std::array::from_fn(|i| reference[i].decrypt_block_u64(blocks[i])));
+            assert_eq!(fast[0].decrypt_blocks_u64(blocks), blocks.map(|b| reference[0].decrypt_block_u64(b)));
+        }
         let mut rng = StdRng::seed_from_u64(0x4A9E);
         for _ in 0..200 {
-            let k = key(rng.random());
-            let fast = FastDes::new(&k);
-            let reference = Des::new(&k);
-            let blocks: [u64; 4] = std::array::from_fn(|_| rng.random());
-            let lanes = fast.decrypt_blocks_u64(blocks);
-            assert_eq!(lanes, blocks.map(|b| fast.decrypt_block_u64(b)));
-            assert_eq!(lanes, blocks.map(|b| reference.decrypt_block_u64(b)));
+            check::<1>(&mut rng);
+            check::<2>(&mut rng);
+            check::<3>(&mut rng);
+            check::<4>(&mut rng);
         }
     }
 

@@ -47,7 +47,8 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
 }
 pub use modes::{
     cbc_checksum, cbc_checksum_with, decrypt_raw, decrypt_raw_with, encrypt_raw, encrypt_raw_with,
-    open, seal, seal_in_place, seal_with, unseal_in_place, unseal_with, Mode, BLOCK,
+    open, seal, seal_in_place, seal_nested_in_place, seal_with, unseal_in_place, unseal_with, Mode,
+    BLOCK,
 };
 pub use string_to_key::string_to_key;
 

@@ -10,9 +10,12 @@
 //! the reference [`crate::des::Des`] (property-tested, block by block and
 //! mode loop by mode loop); the paper notes the encryption library "may be
 //! replaced with other DES implementations", and this is that seam in
-//! action. Encryption chains through the cipher and runs one block at a
-//! time; decryption chains through XORs only and runs four blocks side by
-//! side.
+//! action. Decryption chains through XORs only and runs up to four blocks
+//! side by side, the tail included. Encryption chains through the cipher,
+//! so one chain is one block at a time; the only second chain ready to
+//! run beside it is a message sealed inside another, where
+//! [`seal_nested_in_place`] runs the inner chain two-wide with the outer
+//! blocks in front of it.
 //!
 //! The raw functions operate on whole blocks. [`seal`]/[`open`] add the
 //! length framing the Kerberos library uses so that arbitrary-length
@@ -45,8 +48,8 @@ pub const BLOCK: usize = 8;
 /// so a group of blocks goes through the rounds together and the chaining
 /// is applied afterwards. Measured, not guessed: Kerberos messages are
 /// 5–20 blocks, 2 lanes leave a third of the gain behind and 8 lanes drop
-/// everything under 8 blocks to the serial tail (EXPERIMENTS.md, "DES
-/// engine v2").
+/// everything under 8 blocks to the tail, which then ran one block at a
+/// time (EXPERIMENTS.md, "DES engine v2").
 const LANES: usize = 4;
 
 /// What the next block is XORed with: the previous block's two sides.
@@ -70,17 +73,37 @@ impl Chain {
     }
 }
 
-/// The mode loop, encrypt direction, in place over whole blocks. Each
-/// block's input depends on the previous block's output, so this is one
-/// block at a time by construction.
-fn encrypt_blocks_in_place(mode: Mode, des: &FastDes, iv: &[u8; 8], buf: &mut [u8]) {
-    let mut chain = Chain::new(iv);
+/// The mode loop, encrypt direction, in place over whole blocks, carrying
+/// `chain` on. Each block's input depends on the previous block's output,
+/// so one chain is one block at a time by construction.
+fn encrypt_chain(mode: Mode, des: &FastDes, chain: &mut Chain, buf: &mut [u8]) {
     for block in buf.as_chunks_mut::<BLOCK>().0 {
         let plain = u64::from_be_bytes(*block);
         let cipher = des.encrypt_block_u64(plain ^ chain.mask(mode));
         *block = cipher.to_be_bytes();
-        chain = Chain { cipher, plain };
+        *chain = Chain { cipher, plain };
     }
+}
+
+/// Two independent chains side by side: block `j` of `a` under `des[0]`
+/// goes through the rounds together with block `j` of `b` under `des[1]`,
+/// for as many blocks as the shorter has. Returns that count; each chain
+/// is left ready to carry on from there.
+fn encrypt_two_chains(
+    mode: Mode,
+    des: [&FastDes; 2],
+    chains: &mut [Chain; 2],
+    [a, b]: [&mut [u8]; 2],
+) -> usize {
+    let pairs = a.as_chunks_mut::<BLOCK>().0.iter_mut().zip(b.as_chunks_mut::<BLOCK>().0);
+    let done = pairs.len();
+    for (x, y) in pairs {
+        let plain = [u64::from_be_bytes(*x), u64::from_be_bytes(*y)];
+        let cipher = FastDes::encrypt_lanes_u64(des, [0, 1].map(|i| plain[i] ^ chains[i].mask(mode)));
+        [*x, *y] = cipher.map(u64::to_be_bytes);
+        *chains = [0, 1].map(|i| Chain { cipher: cipher[i], plain: plain[i] });
+    }
+    done
 }
 
 /// Decrypt `N` blocks through the cipher together, then chain them in order.
@@ -95,16 +118,22 @@ fn decrypt_group<const N: usize>(mode: Mode, des: &FastDes, chain: &mut Chain, g
 }
 
 /// The mode loop, decrypt direction, in place over whole blocks: groups of
-/// [`LANES`], then the 1–3-block tail one block at a time.
+/// [`LANES`], then the 1–3-block tail as one group of its own size, so its
+/// blocks overlap too (a 14-block reply part ends in two, a 7-block ticket
+/// in three).
 fn decrypt_blocks_in_place(mode: Mode, des: &FastDes, iv: &[u8; 8], buf: &mut [u8]) {
     let mut chain = Chain::new(iv);
     let (groups, tail) = buf.as_chunks_mut::<BLOCK>().0.as_chunks_mut::<LANES>();
     for group in groups {
         decrypt_group(mode, des, &mut chain, group);
     }
-    for block in tail {
-        decrypt_group(mode, des, &mut chain, std::array::from_mut(block));
-    }
+    let chain = &mut chain;
+    match tail.len() {
+        1 => tail.first_chunk_mut().map(|group| decrypt_group::<1>(mode, des, chain, group)),
+        2 => tail.first_chunk_mut().map(|group| decrypt_group::<2>(mode, des, chain, group)),
+        3 => tail.first_chunk_mut().map(|group| decrypt_group::<3>(mode, des, chain, group)),
+        _ => None,
+    };
 }
 
 /// Encrypt `data` (whole blocks only) under a precomputed schedule.
@@ -118,7 +147,7 @@ pub fn encrypt_raw_with(
         return Err(CryptoError::BadLength(data.len()));
     }
     let mut out = data.to_vec();
-    encrypt_blocks_in_place(mode, sched.des(), iv, &mut out);
+    encrypt_chain(mode, sched.des(), &mut Chain::new(iv), &mut out);
     Ok(out)
 }
 
@@ -171,7 +200,60 @@ pub fn seal_in_place(
     if let Some((slot, _)) = tail.split_first_chunk_mut::<4>() {
         *slot = framed.to_be_bytes();
     }
-    encrypt_blocks_in_place(mode, sched.des(), iv, tail);
+    encrypt_chain(mode, sched.des(), &mut Chain::new(iv), tail);
+    Ok(())
+}
+
+/// Seal a message inside a message where both lie. The bytes equal
+/// [`seal_in_place`] at `inner` under `inner_sched`, then the inner
+/// ciphertext's length as a big-endian `u16` in `buf[inner - 2..inner]`,
+/// then [`seal_in_place`] at `outer` under `outer_sched`: a Kerberos reply
+/// part ending in a ticket it carries as a byte string. The 4 bytes at
+/// `outer` and at `inner` are the reserved slots, the 2-byte field lies in
+/// the outer plaintext, and the inner plaintext runs to the end of `buf`.
+///
+/// All three lengths are patched before any block is encrypted, so the
+/// outer blocks wholly in front of `inner` are final from the start: they
+/// go through the rounds two-wide with the inner chain's first blocks,
+/// the rest of the inner chain follows, and the outer chain carries on
+/// over the inner ciphertext. A 14-block reply part around a 7-block
+/// ticket is 15 serial block steps instead of 21.
+pub fn seal_nested_in_place(
+    mode: Mode,
+    outer_sched: &Scheduled,
+    inner_sched: &Scheduled,
+    iv: &[u8; 8],
+    buf: &mut Vec<u8>,
+    outer: usize,
+    inner: usize,
+) -> Result<(), CryptoError> {
+    let bad = CryptoError::BadLength(buf.len());
+    let inner_plain = inner.checked_add(4).and_then(|body| buf.len().checked_sub(body)).ok_or(bad)?;
+    let front = inner.checked_sub(outer).filter(|&front| front >= 4 + 2).ok_or(bad)?;
+    let inner_sealed = (4 + inner_plain).div_ceil(BLOCK) * BLOCK;
+    let field = u16::try_from(inner_sealed).map_err(|_| CryptoError::BadLength(inner_sealed))?;
+    let outer_plain = front - 4 + inner_sealed;
+    let outer_framed = u32::try_from(outer_plain).map_err(|_| CryptoError::BadLength(outer_plain))?;
+    buf.resize(outer + (4 + outer_plain).div_ceil(BLOCK) * BLOCK, 0);
+
+    let region = buf.get_mut(outer..).unwrap_or_default();
+    let (head, tail) = region.split_at_mut_checked(front).unwrap_or_default();
+    let ticket = tail.get_mut(..inner_sealed).unwrap_or_default();
+    if let Some(slot) = head.first_chunk_mut::<4>() {
+        *slot = outer_framed.to_be_bytes();
+    }
+    if let Some(slot) = head.last_chunk_mut::<2>() {
+        *slot = field.to_be_bytes();
+    }
+    if let Some(slot) = ticket.first_chunk_mut::<4>() {
+        *slot = (inner_plain as u32).to_be_bytes();
+    }
+    let des = [outer_sched.des(), inner_sched.des()];
+    let mut chains = [Chain::new(iv), Chain::new(iv)];
+    let pairs = encrypt_two_chains(mode, des, &mut chains, [head, &mut *ticket]);
+    let [outer_chain, inner_chain] = &mut chains;
+    encrypt_chain(mode, des[1], inner_chain, ticket.get_mut(pairs * BLOCK..).unwrap_or_default());
+    encrypt_chain(mode, des[0], outer_chain, region.get_mut(pairs * BLOCK..).unwrap_or_default());
     Ok(())
 }
 
@@ -403,6 +485,22 @@ mod tests {
             assert!(matches!(refused, Err(CryptoError::BadLength(_))), "len {len} start {start}");
             assert_eq!(buf, vec![0u8; len], "a refused buffer is left as it was");
         }
+    }
+
+    /// Refused, buffer untouched: no inner slot, no room in front of the
+    /// inner region for the outer slot and the 2-byte field, an inner
+    /// region the 2-byte field cannot describe.
+    #[test]
+    fn seal_nested_in_place_needs_its_slots_and_field() {
+        let sched = Scheduled::new(&k());
+        for (len, outer, inner) in [(20, 0, 17), (20, 0, usize::MAX), (20, 3, 8), (20, 9, 8), (70_000, 0, 8)] {
+            let mut buf = vec![0u8; len];
+            let refused = seal_nested_in_place(Mode::Pcbc, &sched, &sched, &IV, &mut buf, outer, inner);
+            assert!(matches!(refused, Err(CryptoError::BadLength(_))), "len {len} outer {outer} inner {inner}");
+            assert_eq!(buf, vec![0u8; len], "a refused buffer is left as it was");
+        }
+        let mut buf = vec![0u8; 20];
+        assert!(seal_nested_in_place(Mode::Pcbc, &sched, &sched, &IV, &mut buf, 2, 8).is_ok());
     }
 
     #[test]

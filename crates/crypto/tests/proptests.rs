@@ -2,8 +2,8 @@
 
 use krb_crypto::{
     decrypt_raw, decrypt_raw_with, encrypt_raw, encrypt_raw_with, open, quad_cksum, seal,
-    seal_in_place, seal_with, string_to_key, unseal_in_place, unseal_with, CryptoError, Des,
-    DesKey, Mode, Scheduled,
+    seal_in_place, seal_nested_in_place, seal_with, string_to_key, unseal_in_place, unseal_with,
+    CryptoError, Des, DesKey, Mode, Scheduled,
 };
 use proptest::prelude::*;
 
@@ -41,6 +41,37 @@ fn reference_unseal(
         return Err(CryptoError::Integrity);
     }
     Ok(plain[4..4 + len].to_vec())
+}
+
+fn xor(a: [u8; 8], b: [u8; 8]) -> [u8; 8] {
+    std::array::from_fn(|i| a[i] ^ b[i])
+}
+
+/// ECB/CBC/PCBC written out over the reference `Des`, one block and byte
+/// XORs at a time: the model the mode loops are held to.
+fn reference_des(des: &Des, mode: Mode, iv: [u8; 8], data: &[u8], decrypt: bool) -> Vec<u8> {
+    let mut out = Vec::with_capacity(data.len());
+    let (mut prev_plain, mut prev_cipher) = ([0u8; 8], iv);
+    for block in data.chunks_exact(8) {
+        let input: [u8; 8] = block.try_into().unwrap();
+        let chain = match mode {
+            Mode::Ecb => [0u8; 8],
+            Mode::Cbc => prev_cipher,
+            Mode::Pcbc => xor(prev_cipher, prev_plain),
+        };
+        let (plain, cipher) = if decrypt {
+            let mut d = input;
+            des.decrypt_block(&mut d);
+            (xor(d, chain), input)
+        } else {
+            let mut c = xor(input, chain);
+            des.encrypt_block(&mut c);
+            (input, c)
+        };
+        out.extend_from_slice(if decrypt { &plain } else { &cipher });
+        (prev_plain, prev_cipher) = (plain, cipher);
+    }
+    out
 }
 
 proptest! {
@@ -298,6 +329,65 @@ proptest! {
         prop_assert_eq!(decrypt_raw(mode, &key, &iv, &keyed).unwrap(), blocks);
     }
 
+    /// The nested seal against the two seals it stands for — the inner one,
+    /// its ciphertext length into the 2-byte field, the outer one — and
+    /// both against a straight-line reference over `Des`. Every mode, one
+    /// key or two, a lead-in of any length (so neither slot is
+    /// block-aligned), 0–16 blocks of inner plaintext, and 0, n − 1, n and
+    /// n + 1 whole outer blocks in front of an n-block inner region, so the
+    /// two-wide run is empty or ends on either chain; the outer padding
+    /// after the inner region is 0–7 bytes.
+    #[test]
+    fn nested_seal_equals_two_seals_and_reference_des(
+        keys in (arb_key(), arb_key(), any::<bool>()),
+        mode in arb_mode(),
+        iv in any::<[u8; 8]>(),
+        lead in proptest::collection::vec(any::<u8>(), 0..16),
+        inner in proptest::collection::vec(any::<u8>(), 0..=16 * 8),
+        filler in proptest::collection::vec(any::<u8>(), 19 * 8),
+        (jitter, dirty) in (0usize..8, any::<[u8; 10]>()),
+    ) {
+        let (outer_key, inner_key, same_key) = keys;
+        let inner_key = if same_key { outer_key } else { inner_key };
+        let (outer_sched, inner_sched) = (Scheduled::new(&outer_key), Scheduled::new(&inner_key));
+        let n = (4 + inner.len()).div_ceil(8);
+        for blocks_in_front in [0, n - 1, n, n + 1] {
+            // Bytes from the outer slot to the inner one: that many whole
+            // blocks, the outer slot and the 2-byte field included.
+            let front = (blocks_in_front * 8 + jitter).max(4 + 2);
+            let head = &filler[..front - 4 - 2];
+            let mut buf = lead.clone();
+            buf.extend_from_slice(&dirty[..4]);
+            buf.extend_from_slice(head);
+            buf.extend_from_slice(&dirty[4..]);
+            buf.extend_from_slice(&inner);
+            let (outer, at) = (lead.len(), lead.len() + front);
+
+            let mut two = buf.clone();
+            seal_in_place(mode, &inner_sched, &iv, &mut two, at).unwrap();
+            let field = (two.len() - at) as u16;
+            two[at - 2..at].copy_from_slice(&field.to_be_bytes());
+            seal_in_place(mode, &outer_sched, &iv, &mut two, outer).unwrap();
+
+            let frame = |plain: &[u8]| {
+                let mut framed = (plain.len() as u32).to_be_bytes().to_vec();
+                framed.extend_from_slice(plain);
+                framed.resize(framed.len().div_ceil(8) * 8, 0);
+                framed
+            };
+            let ticket = reference_des(&Des::new(&inner_key), mode, iv, &frame(&inner), false);
+            let mut part = head.to_vec();
+            part.extend_from_slice(&(ticket.len() as u16).to_be_bytes());
+            part.extend_from_slice(&ticket);
+            let mut want = lead.clone();
+            want.extend(reference_des(&Des::new(&outer_key), mode, iv, &frame(&part), false));
+            prop_assert_eq!(&two, &want, "two seals, {} blocks in front", blocks_in_front);
+
+            seal_nested_in_place(mode, &outer_sched, &inner_sched, &iv, &mut buf, outer, at).unwrap();
+            prop_assert_eq!(&buf, &want, "nested seal, {} blocks in front of {}", blocks_in_front, n);
+        }
+    }
+
     /// The mode loops against the reference engine, not against themselves:
     /// a straight-line ECB/CBC/PCBC written here over `Des` with byte XORs
     /// must agree with `encrypt_raw_with`/`decrypt_raw_with` at every length
@@ -311,45 +401,18 @@ proptest! {
         iv in any::<[u8; 8]>(),
         data in proptest::collection::vec(any::<u8>(), 13 * 8),
     ) {
-        fn xor(a: [u8; 8], b: [u8; 8]) -> [u8; 8] {
-            std::array::from_fn(|i| a[i] ^ b[i])
-        }
-        fn reference(des: &Des, mode: Mode, iv: [u8; 8], data: &[u8], decrypt: bool) -> Vec<u8> {
-            let mut out = Vec::with_capacity(data.len());
-            let (mut prev_plain, mut prev_cipher) = ([0u8; 8], iv);
-            for block in data.chunks_exact(8) {
-                let input: [u8; 8] = block.try_into().unwrap();
-                let chain = match mode {
-                    Mode::Ecb => [0u8; 8],
-                    Mode::Cbc => prev_cipher,
-                    Mode::Pcbc => xor(prev_cipher, prev_plain),
-                };
-                let (plain, cipher) = if decrypt {
-                    let mut d = input;
-                    des.decrypt_block(&mut d);
-                    (xor(d, chain), input)
-                } else {
-                    let mut c = xor(input, chain);
-                    des.encrypt_block(&mut c);
-                    (input, c)
-                };
-                out.extend_from_slice(if decrypt { &plain } else { &cipher });
-                (prev_plain, prev_cipher) = (plain, cipher);
-            }
-            out
-        }
         let des = Des::new(&key);
         let sched = Scheduled::new(&key);
         for blocks in 0..=13 {
             let data = &data[..blocks * 8];
             prop_assert_eq!(
                 encrypt_raw_with(mode, &sched, &iv, data).unwrap(),
-                reference(&des, mode, iv, data, false),
+                reference_des(&des, mode, iv, data, false),
                 "encrypt, {} blocks", blocks
             );
             prop_assert_eq!(
                 decrypt_raw_with(mode, &sched, &iv, data).unwrap(),
-                reference(&des, mode, iv, data, true),
+                reference_des(&des, mode, iv, data, true),
                 "decrypt, {} blocks", blocks
             );
         }
