@@ -18,6 +18,7 @@
 
 use krb_adversary::{soak, AdvConfig, Leak};
 use krb_sim::soak::or_exit;
+use krb_telemetry::Json;
 use krb_tools::args::Args;
 
 const USAGE: &str = "krb-adversary [--seed N] [--steps N] \
@@ -43,13 +44,14 @@ fn main() {
     }
 
     if smoke {
-        println!("{}", or_exit("krb-adversary", soak::smoke_json(cfg.seed)));
+        println!("{}", or_exit("krb-adversary", soak::smoke_json(cfg.seed)).render());
         return;
     }
 
     let report = or_exit("krb-adversary", soak::run(cfg));
     if json {
-        println!("{{\"tool\":\"krb-adversary\",\"run\":{}}}", report.render_json());
+        let doc = Json::obj().with("tool", "krb-adversary").with("run", report.to_json());
+        println!("{}", doc.render());
     } else {
         print!("{}", report.render_human());
     }

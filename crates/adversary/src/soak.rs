@@ -65,7 +65,7 @@ use krb_kprop::{
 };
 use krb_netsim::{ports, Endpoint, InjectKind, Packet, Router, EPOCH_1987};
 use krb_sim::soak::{self, drain, ClientRound, SlaveSet, SoakFailure};
-use krb_telemetry::{ClockUs, Component, EventKind, Field, Journal, Registry, TraceId};
+use krb_telemetry::{ClockUs, Component, EventKind, Field, Journal, Json, Registry, TraceId};
 use krb_tools::{kdb_init, register_service, register_user, Workstation};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -289,20 +289,6 @@ pub const ADVERSARY_JSON_KEYS: &[&str] = &[
     "violations",
 ];
 
-fn json_str_list(items: &[String]) -> String {
-    let mut s = String::from("[");
-    for (i, v) in items.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        // Details are built from principal names, hex, and error codes —
-        // no quotes or backslashes — so plain quoting is safe.
-        let _ = write!(s, "\"{v}\"");
-    }
-    s.push(']');
-    s
-}
-
 impl AdvReport {
     /// Total injections across all attack kinds.
     pub fn injections(&self) -> u64 {
@@ -324,100 +310,72 @@ impl AdvReport {
         self.auth_violations.is_empty()
     }
 
-    /// Render as one JSON object (no trailing newline). Hand-rolled like
-    /// `krb-chaos`'s — the workspace takes no serialization dependency.
-    pub fn render_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"seed\":{},\"steps\":{},\"leak\":\"{}\"",
-            self.seed,
-            self.steps,
-            self.leak.as_str()
-        );
-        let _ = write!(
-            s,
-            ",\"logins_attempted\":{},\"logins_ok\":{},\"logins_failed\":{}",
-            self.logins_attempted, self.logins_ok, self.logins_failed
-        );
-        let _ = write!(s, ",\"app_ok\":{},\"app_err\":{}", self.app_ok, self.app_err);
-        let _ = write!(
-            s,
-            ",\"injections\":{{\"replay\":{},\"time_shift\":{},\"splice\":{},\
-             \"forge\":{},\"impersonate\":{},\"total\":{}}}",
-            self.replays,
-            self.time_shifts,
-            self.splices,
-            self.forges,
-            self.impersonations,
-            self.injections()
-        );
-        let _ = write!(s, ",\"accepted_forgeries\":{}", self.accepted_forgeries);
-        s.push_str(",\"rejections\":[");
-        for (i, (code, n)) in self.rejections.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{{\"code\":{code},\"n\":{n}}}");
-        }
-        s.push(']');
-        let _ = write!(
-            s,
-            ",\"kprop\":{{\"transfers\":{},\"accepted\":{},\"replay\":{},\"splice\":{},\
-             \"truncate\":{},\"forge\":{},\"rejections\":[",
-            self.kprop.transfers,
-            self.kprop.accepted,
-            self.kprop_replays,
-            self.kprop_splices,
-            self.kprop_truncates,
-            self.kprop_forges
-        );
-        for (i, (why, n)) in self.kprop_rejections.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{{\"why\":\"{why}\",\"n\":{n}}}");
-        }
-        s.push_str("]}");
-        let _ = write!(
-            s,
-            ",\"closure\":{{\"keys\":{},\"creds\":{},\"blobs\":{},\"atoms\":{},\
-             \"derivations\":{},\"key_fps\":[",
-            self.closure_keys,
-            self.closure_creds,
-            self.closure_blobs,
-            self.closure_atoms,
-            self.derivations
-        );
-        for (i, fp) in self.key_fps.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{fp:016x}\"");
-        }
-        s.push_str("]}");
-        let _ = write!(s, ",\"tape_dropped\":{}", self.tape_dropped);
-        let _ = write!(
-            s,
-            ",\"journal\":{{\"events\":{},\"dropped\":{}}}",
-            self.journal_events, self.journal_dropped
-        );
+    /// The report as one JSON object.
+    pub fn to_json(&self) -> Json {
+        let verdict = |ok: bool| if ok { "pass" } else { "tripped" };
+        let injections = Json::obj()
+            .with("replay", self.replays)
+            .with("time_shift", self.time_shifts)
+            .with("splice", self.splices)
+            .with("forge", self.forges)
+            .with("impersonate", self.impersonations)
+            .with("total", self.injections());
+        let rejections: Json = self
+            .rejections
+            .iter()
+            .map(|(code, n)| Json::obj().with("code", *code).with("n", *n))
+            .collect();
+        let kprop_rejections: Json = self
+            .kprop_rejections
+            .iter()
+            .map(|(why, n)| Json::obj().with("why", why).with("n", *n))
+            .collect();
+        let kprop = Json::obj()
+            .with("transfers", self.kprop.transfers)
+            .with("accepted", self.kprop.accepted)
+            .with("replay", self.kprop_replays)
+            .with("splice", self.kprop_splices)
+            .with("truncate", self.kprop_truncates)
+            .with("forge", self.kprop_forges)
+            .with("rejections", kprop_rejections);
+        let closure = Json::obj()
+            .with("keys", self.closure_keys)
+            .with("creds", self.closure_creds)
+            .with("blobs", self.closure_blobs)
+            .with("atoms", self.closure_atoms)
+            .with("derivations", self.derivations)
+            .with("key_fps", self.key_fps.iter().map(|fp| format!("{fp:016x}")).collect::<Json>());
         // `metrics_journal` is constant here by construction: a report only
         // exists when `run` finished, and `run` aborts with a `SoakFailure`
         // on any metrics≡journal mismatch before building the report.
-        let _ = write!(
-            s,
-            ",\"oracles\":{{\"secrecy\":\"{}\",\"authentication\":\"{}\",\"metrics_journal\":\"pass\"}}",
-            if self.secrecy_ok() { "pass" } else { "tripped" },
-            if self.auth_ok() { "pass" } else { "tripped" }
-        );
-        let _ = write!(
-            s,
-            ",\"violations\":{{\"secrecy\":{},\"authentication\":{}}}}}",
-            json_str_list(&self.secrecy_violations),
-            json_str_list(&self.auth_violations)
-        );
-        s
+        let oracles = Json::obj()
+            .with("secrecy", verdict(self.secrecy_ok()))
+            .with("authentication", verdict(self.auth_ok()))
+            .with("metrics_journal", "pass");
+        let violations = Json::obj()
+            .with("secrecy", self.secrecy_violations.iter().collect::<Json>())
+            .with("authentication", self.auth_violations.iter().collect::<Json>());
+        Json::obj()
+            .with("seed", self.seed)
+            .with("steps", self.steps)
+            .with("leak", self.leak.as_str())
+            .with("logins_attempted", self.logins_attempted)
+            .with("logins_ok", self.logins_ok)
+            .with("logins_failed", self.logins_failed)
+            .with("app_ok", self.app_ok)
+            .with("app_err", self.app_err)
+            .with("injections", injections)
+            .with("accepted_forgeries", self.accepted_forgeries)
+            .with("rejections", rejections)
+            .with("kprop", kprop)
+            .with("closure", closure)
+            .with("tape_dropped", self.tape_dropped)
+            .with(
+                "journal",
+                Json::obj().with("events", self.journal_events).with("dropped", self.journal_dropped),
+            )
+            .with("oracles", oracles)
+            .with("violations", violations)
     }
 
     /// Human-readable summary, including the closure dump.
@@ -1410,15 +1368,15 @@ pub fn verify_expectations(r: &AdvReport) -> Result<(), String> {
 }
 
 /// The CI smoke gate: run every leak mode at smoke scale under one seed,
-/// check each against its expectations, and render a combined JSON
-/// document. Deterministic: two calls with the same seed are
-/// byte-identical.
-pub fn smoke_json(seed: u64) -> Result<String, SoakFailure> {
+/// check each against its expectations, and combine the reports into one
+/// JSON document. Deterministic: two calls with the same seed render
+/// byte-identically.
+pub fn smoke_json(seed: u64) -> Result<Json, SoakFailure> {
     let runs = ALL_LEAKS.iter().map(|leak| {
         let cfg = AdvConfig::smoke(seed, *leak);
         let report = run(cfg)?;
         verify_expectations(&report).map_err(|why| cfg.fail("self-test", cfg.steps, why))?;
-        Ok(report.render_json())
+        Ok(report.to_json())
     });
     soak::smoke_document("krb-adversary", seed, "runs", runs)
 }
@@ -1478,8 +1436,8 @@ mod tests {
 
     #[test]
     fn smoke_is_byte_identical_and_carries_every_key() {
-        let a = smoke_json(ADV_SEED).expect("smoke passes");
-        let b = smoke_json(ADV_SEED).expect("smoke passes");
+        let a = smoke_json(ADV_SEED).expect("smoke passes").render();
+        let b = smoke_json(ADV_SEED).expect("smoke passes").render();
         assert_eq!(a, b, "same seed must replay byte-identically");
         for key in ADVERSARY_JSON_KEYS {
             assert!(a.contains(&format!("\"{key}\"")), "missing JSON key {key}: {a}");

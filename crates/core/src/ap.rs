@@ -7,7 +7,7 @@
 //! (§2.1's three protection levels).
 
 use crate::authent::AuthenticatorView;
-use crate::msg::{ApRep, ApReq, ApReqView, MessageView, PrivMsg, SafeMsg};
+use crate::msg::{ApRep, ApReq, ApReqView, PrivMsg, SafeMsg};
 use crate::replay::{ReplayFingerprint, ReplayGuard};
 use crate::scratch::Scratch;
 use crate::ticket::{EncryptedTicket, Ticket, TicketView};
@@ -339,12 +339,6 @@ pub fn krb_rd_priv(
         return Err(ErrorCode::RdApTime);
     }
     Ok(data.to_vec())
-}
-
-/// Helper: wrap an `AP_REQ` in a [`Message`](crate::Message) and encode for
-/// the wire.
-pub fn encode_ap_req(req: &ApReq) -> Vec<u8> {
-    MessageView::ApReq(req.view()).encode()
 }
 
 #[cfg(test)]

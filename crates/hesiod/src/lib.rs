@@ -100,11 +100,6 @@ impl Hesiod {
         self.filsys.read().get(username).cloned().ok_or(HesiodError::NotFound)
     }
 
-    /// Number of user records.
-    pub fn user_count(&self) -> usize {
-        self.users.read().len()
-    }
-
     /// Serve the text query protocol: `passwd <name>` or `filsys <name>`.
     /// Responses are plain text — this data is public by design.
     pub fn query(&self, q: &str) -> Result<String, HesiodError> {

@@ -353,22 +353,6 @@ impl HashStore {
         self.global_depth
     }
 
-    /// Publish the store's structure and split accounting into a telemetry
-    /// registry: gauges `kdb_pages` / `kdb_depth` / `kdb_records` for the
-    /// current structure, monotonic counters `kdb_splits_total` /
-    /// `kdb_dir_doubles_total` topped up to the session totals. One store
-    /// per registry: the counters track this store's session counters.
-    pub fn publish_stats(&self, registry: &krb_telemetry::Registry) {
-        let s = self.stats();
-        registry.gauge("kdb_pages").set(i64::from(s.pages));
-        registry.gauge("kdb_depth").set(i64::from(s.depth));
-        registry.gauge("kdb_records").set(s.records as i64);
-        let splits = registry.counter("kdb_splits_total");
-        splits.add(s.splits.saturating_sub(splits.get()));
-        let doubles = registry.counter("kdb_dir_doubles_total");
-        doubles.add(s.dir_doubles.saturating_sub(doubles.get()));
-    }
-
     /// Structure and split accounting (see [`StoreStats`]).
     pub fn stats(&self) -> StoreStats {
         StoreStats {

@@ -58,7 +58,8 @@
 //! workspace root, and unused allowlist entries are themselves errors, so
 //! the allowlist can only shrink (burndown).
 //!
-//! The scanner is dependency-free: a hand-rolled lexer ([`lexer`]) strips
+//! The scanner is hand-rolled (its one dependency, `krb-telemetry`, only
+//! renders `--json`): a lexer ([`lexer`]) strips
 //! comments and string literals (retaining inline format captures), the
 //! token rules (L1–L6) pattern-match the stream, and the scope rules
 //! (L8/L9) run on a lightweight brace-tree IR ([`scope`]) built over it.
@@ -72,6 +73,7 @@ pub mod lock;
 pub mod scope;
 pub mod taint;
 
+use krb_telemetry::Json;
 use lexer::{lex, Kind, Token};
 use scope::ScopeModel;
 use std::fmt;
@@ -79,7 +81,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Files whose non-test code handles remote requests (L3 scope), plus the
-/// in-memory store every KDC lookup descends through, the replay cache
+/// in-memory store every KDC lookup descends through, the file store that
+/// parses pages off disk, the replay cache
 /// every server's `krb_rd_req` consults, and the wire decoders (message
 /// envelope, admin protocol, monitoring frames) those requests pass first.
 const SERVER_PATH_FILES: &[&str] = &[
@@ -91,6 +94,7 @@ const SERVER_PATH_FILES: &[&str] = &[
     "crates/core/src/ticket.rs",
     "crates/core/src/wire.rs",
     "crates/kdb/src/dump.rs",
+    "crates/kdb/src/ndbm.rs",
     "crates/kdb/src/principal.rs",
     "crates/kdb/src/store.rs",
     "crates/kdc/src/server.rs",
@@ -229,71 +233,39 @@ impl Report {
             .collect()
     }
 
-    /// Machine-readable report (hand-rolled JSON; the workspace is
-    /// dependency-free by design). Schema: see `--explain json` /
-    /// DESIGN.md §13.
-    pub fn render_json(&self) -> String {
-        fn finding_json(f: &Finding) -> String {
-            format!(
-                "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"key\":\"{}\",\"message\":\"{}\"}}",
-                json_escape(f.rule),
-                json_escape(&f.file),
-                f.line,
-                json_escape(&f.key),
-                json_escape(&f.message)
-            )
+    /// Machine-readable report. Schema: see `--explain json` / DESIGN.md
+    /// §13.
+    pub fn to_json(&self) -> Json {
+        fn finding_json(f: &Finding) -> Json {
+            Json::obj()
+                .with("rule", f.rule)
+                .with("file", &f.file)
+                .with("line", f.line)
+                .with("key", &f.key)
+                .with("message", &f.message)
         }
-        let rules: Vec<String> = self
+        let rules: Json = self
             .counts()
-            .iter()
+            .into_iter()
             .map(|(id, live, allowed)| {
-                format!("{{\"id\":\"{id}\",\"live\":{live},\"allowed\":{allowed}}}")
+                Json::obj().with("id", id).with("live", live).with("allowed", allowed)
             })
             .collect();
-        let findings: Vec<String> = self.findings.iter().map(finding_json).collect();
-        let allowed: Vec<String> = self.allowed.iter().map(finding_json).collect();
-        let stale: Vec<String> = self
+        let stale: Json = self
             .stale_allow
             .iter()
-            .map(|e| {
-                format!(
-                    "{{\"rule\":\"{}\",\"file\":\"{}\",\"key\":\"{}\"}}",
-                    json_escape(&e.rule),
-                    json_escape(&e.file),
-                    json_escape(&e.key)
-                )
-            })
+            .map(|e| Json::obj().with("rule", &e.rule).with("file", &e.file).with("key", &e.key))
             .collect();
-        format!(
-            "{{\"schema\":\"krb-lint/v2\",\"files_scanned\":{},\"clean\":{},\
-             \"allow_count\":{},\"rules\":[{}],\"findings\":[{}],\"allowed\":[{}],\
-             \"stale_allow\":[{}]}}",
-            self.files_scanned,
-            self.is_clean(),
-            self.allow_count,
-            rules.join(","),
-            findings.join(","),
-            allowed.join(","),
-            stale.join(",")
-        )
+        Json::obj()
+            .with("schema", "krb-lint/v2")
+            .with("files_scanned", self.files_scanned)
+            .with("clean", self.is_clean())
+            .with("allow_count", self.allow_count)
+            .with("rules", rules)
+            .with("findings", self.findings.iter().map(finding_json).collect::<Json>())
+            .with("allowed", self.allowed.iter().map(finding_json).collect::<Json>())
+            .with("stale_allow", stale)
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One rule's documentation, served by `krb-lint --explain L<k>`.
@@ -1236,7 +1208,7 @@ mod tests {
             allow_count: 2,
             files_scanned: 41,
         };
-        let json = report.render_json();
+        let json = report.to_json().render();
         assert!(json.starts_with("{\"schema\":\"krb-lint/v2\""));
         assert!(json.contains("\"files_scanned\":41"));
         assert!(json.contains("\"clean\":false"));

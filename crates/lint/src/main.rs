@@ -95,7 +95,7 @@ fn main() -> ExitCode {
     };
 
     if json {
-        emit(&report.render_json());
+        emit(&report.to_json().render());
     } else {
         for f in &report.findings {
             emit(&f.to_string());

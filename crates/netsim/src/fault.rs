@@ -135,17 +135,6 @@ pub struct FaultAction {
     pub duplicate: bool,
 }
 
-impl FaultAction {
-    /// Did the plan touch this packet at all?
-    pub fn is_noop(&self) -> bool {
-        !self.drop_partition
-            && !self.drop_loss
-            && self.corrupt_bits.is_empty()
-            && self.extra_delay_ms == 0
-            && !self.duplicate
-    }
-}
-
 /// A seeded, scheduled fault plan for a simulated network.
 #[derive(Debug)]
 pub struct FaultPlan {

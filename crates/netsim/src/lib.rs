@@ -171,8 +171,6 @@ pub mod ports {
     pub const HESIOD: u16 = 753;
     /// Kerberized rlogin.
     pub const KLOGIN: u16 = 543;
-    /// Kerberized rsh.
-    pub const KSHELL: u16 = 544;
     /// Post Office Protocol.
     pub const POP: u16 = 110;
     /// Zephyr notification service.

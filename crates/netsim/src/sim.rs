@@ -11,7 +11,7 @@
 //! duplication are driven by a seeded RNG, so every run is reproducible.
 
 use crate::fault::{flip_bits, FaultPlan};
-use crate::{Endpoint, InjectKind, NetError, Packet};
+use crate::{Endpoint, InjectKind, Packet};
 use krb_telemetry::{Component, Counter, EventKind, Field, Journal, Registry, TraceId};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -505,9 +505,6 @@ impl HostClock {
         (i64::from(EPOCH_1987) + sim_secs + self.skew_secs) as u32
     }
 }
-
-/// Convenience: result of pumping a request/response pair (see [`crate::rpc`]).
-pub type RecvResult = Result<Packet, NetError>;
 
 #[cfg(test)]
 mod tests {

@@ -17,7 +17,7 @@
 use crate::credmap::CredMap;
 use crate::vfs::{Ino, Mode, Vfs};
 use crate::{NfsCredential, NfsError};
-use kerberos::{krb_rd_req, ApReq, DEFAULT_SERVICE_LIFE};
+use kerberos::{krb_rd_req, ApReq};
 use kerberos::{HostAddr, Principal, ReplayCache};
 use krb_crypto::DesKey;
 
@@ -232,10 +232,5 @@ impl FullAuthNfsServer {
                 Ok(NfsReply::Attr(uid, gid, mode, size))
             }
         }
-    }
-
-    /// Lifetime the client should request for its per-op tickets.
-    pub fn suggested_ticket_life() -> u8 {
-        DEFAULT_SERVICE_LIFE
     }
 }

@@ -41,13 +41,13 @@ fn main() {
     }
 
     if smoke {
-        println!("{}", soak::or_exit("krb-chaos", chaos::smoke_json(cfg.seed)));
+        println!("{}", soak::or_exit("krb-chaos", chaos::smoke_json(cfg.seed)).render());
         return;
     }
 
     let report = soak::or_exit("krb-chaos", chaos::run(cfg));
     if json {
-        println!("{}", report.render_json());
+        println!("{}", report.to_json().render());
         return;
     }
     println!(

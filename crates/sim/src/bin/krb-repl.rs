@@ -52,7 +52,7 @@ fn main() {
 
     let report = soak::or_exit("krb-repl", repl::run_repl(cfg));
     if json {
-        println!("{}", report.render_json());
+        println!("{}", report.to_json().render());
         return;
     }
     println!(

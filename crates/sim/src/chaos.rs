@@ -40,13 +40,12 @@ use krb_netsim::{
     ports, Endpoint, Fault, FaultPlan, FaultWindow, Ipv4, LinkMatch, NetStats, Packet, Router,
     Service, EPOCH_1987,
 };
-use krb_telemetry::{ClockUs, Component, Event, EventKind, Field, TraceCtx};
+use krb_telemetry::{ClockUs, Component, Event, EventKind, Field, Json, TraceCtx};
 use krb_tools::{kdb_init, register_service, register_user, Workstation};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashSet};
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 const REALM: &str = "ATHENA.MIT.EDU";
@@ -315,73 +314,54 @@ pub const CHAOS_JSON_KEYS: &[&str] = &[
 ];
 
 impl SoakReport {
-    /// Render as one JSON object (no trailing newline). Hand-rolled like
-    /// `krb-stat`'s — the workspace takes no serialization dependency.
-    pub fn render_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"profile\":\"{}\",\"seed\":{},\"ops\":{}",
-            self.profile.as_str(),
-            self.seed,
-            self.ops
-        );
-        let _ = write!(
-            s,
-            ",\"logins_attempted\":{},\"logins_ok\":{},\"logins_failed\":{}",
-            self.logins_attempted, self.logins_ok, self.logins_failed
-        );
-        let _ = write!(
-            s,
-            ",\"app_requests\":{},\"app_ok\":{},\"app_err\":{},\"safety_probes\":{}",
-            self.app_requests, self.app_ok, self.app_err, self.safety_probes
-        );
-        let _ = write!(
-            s,
-            ",\"kprop_rounds\":{},\"kprop_accepted\":{},\"kprop_rejected\":{}",
-            self.kprop.transfers, self.kprop.accepted, self.kprop.rejected
-        );
-        let _ = write!(
-            s,
-            ",\"kprop_incr\":{},\"kprop_full\":{},\"admin_writes\":{}",
-            self.kprop.incr, self.kprop.full, self.admin_writes
-        );
-        let _ = write!(
-            s,
-            ",\"replay_hits\":{},\"dups_at_server\":{}",
-            self.replay_hits, self.dups_at_server
-        );
-        let _ = write!(
-            s,
-            ",\"pending_after_faults\":{},\"healed_logins\":{}",
-            self.pending_after_faults, self.healed_logins
-        );
-        let _ = write!(
-            s,
-            ",\"net\":{{\"sent\":{},\"delivered\":{},\"dropped\":{},\"duplicated\":{},\
-             \"corrupted\":{},\"fault_dropped\":{},\"fault_partitioned\":{},\
-             \"fault_delayed\":{},\"fault_duplicated\":{}}}",
-            self.net.sent,
-            self.net.delivered,
-            self.net.dropped,
-            self.net.duplicated,
-            self.net.corrupted,
-            self.fault_dropped,
-            self.fault_partitioned,
-            self.fault_delayed,
-            self.fault_duplicated
-        );
-        let _ = write!(
-            s,
-            ",\"journal\":{{\"events\":{},\"dropped\":0}},\"traces_checked\":{}",
-            self.journal_events, self.traces_checked
-        );
-        s.push_str(
-            ",\"oracles\":{\"safety\":\"pass\",\"liveness\":\"pass\",\
-             \"conservation\":\"pass\",\"trace_completeness\":\"pass\",\
-             \"metrics_journal\":\"pass\",\"repl_conservation\":\"pass\"}}",
-        );
-        s
+    /// The report as one JSON object. Every oracle reads `pass`: a
+    /// violation aborts the run before a report exists.
+    pub fn to_json(&self) -> Json {
+        let net = Json::obj()
+            .with("sent", self.net.sent)
+            .with("delivered", self.net.delivered)
+            .with("dropped", self.net.dropped)
+            .with("duplicated", self.net.duplicated)
+            .with("corrupted", self.net.corrupted)
+            .with("fault_dropped", self.fault_dropped)
+            .with("fault_partitioned", self.fault_partitioned)
+            .with("fault_delayed", self.fault_delayed)
+            .with("fault_duplicated", self.fault_duplicated);
+        let oracles = [
+            "safety",
+            "liveness",
+            "conservation",
+            "trace_completeness",
+            "metrics_journal",
+            "repl_conservation",
+        ]
+        .into_iter()
+        .fold(Json::obj(), |o, oracle| o.with(oracle, "pass"));
+        Json::obj()
+            .with("profile", self.profile.as_str())
+            .with("seed", self.seed)
+            .with("ops", self.ops)
+            .with("logins_attempted", self.logins_attempted)
+            .with("logins_ok", self.logins_ok)
+            .with("logins_failed", self.logins_failed)
+            .with("app_requests", self.app_requests)
+            .with("app_ok", self.app_ok)
+            .with("app_err", self.app_err)
+            .with("safety_probes", self.safety_probes)
+            .with("kprop_rounds", self.kprop.transfers)
+            .with("kprop_accepted", self.kprop.accepted)
+            .with("kprop_rejected", self.kprop.rejected)
+            .with("kprop_incr", self.kprop.incr)
+            .with("kprop_full", self.kprop.full)
+            .with("admin_writes", self.admin_writes)
+            .with("replay_hits", self.replay_hits)
+            .with("dups_at_server", self.dups_at_server)
+            .with("pending_after_faults", self.pending_after_faults)
+            .with("healed_logins", self.healed_logins)
+            .with("net", net)
+            .with("journal", Json::obj().with("events", self.journal_events).with("dropped", 0u64))
+            .with("traces_checked", self.traces_checked)
+            .with("oracles", oracles)
     }
 }
 
@@ -846,10 +826,10 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, SoakFailure> {
 }
 
 /// The CI smoke gate: run every profile at smoke scale under one seed and
-/// render a combined JSON document. Deterministic: two calls with the
-/// same seed return byte-identical strings.
-pub fn smoke_json(seed: u64) -> Result<String, SoakFailure> {
-    let runs = ALL_PROFILES.iter().map(|p| Ok(run(SoakConfig::smoke(seed, *p))?.render_json()));
+/// combine the reports into one JSON document. Deterministic: two calls
+/// with the same seed render byte-identically.
+pub fn smoke_json(seed: u64) -> Result<Json, SoakFailure> {
+    let runs = ALL_PROFILES.iter().map(|p| Ok(run(SoakConfig::smoke(seed, *p))?.to_json()));
     soak::smoke_document("krb-chaos", seed, "profiles", runs)
 }
 
@@ -867,8 +847,8 @@ mod tests {
 
     #[test]
     fn smoke_passes_and_is_byte_identical() {
-        let a = smoke_json(CHAOS_SEED).expect("oracles hold");
-        let b = smoke_json(CHAOS_SEED).expect("oracles hold");
+        let a = smoke_json(CHAOS_SEED).expect("oracles hold").render();
+        let b = smoke_json(CHAOS_SEED).expect("oracles hold").render();
         assert_eq!(a, b, "same seed must replay byte-identically");
         for key in CHAOS_JSON_KEYS {
             assert!(a.contains(&format!("\"{key}\"")), "missing JSON key {key}: {a}");
@@ -899,9 +879,9 @@ mod tests {
         // `RandomState`: four runs, four independent orders.
         let cfg =
             SoakConfig { seed: 5, ops: 120, profile: Profile::DupHeavy, ..Default::default() };
-        let first = run(cfg).expect("oracles hold").render_json();
+        let first = run(cfg).expect("oracles hold").to_json().render();
         for _ in 0..3 {
-            assert_eq!(run(cfg).expect("oracles hold").render_json(), first);
+            assert_eq!(run(cfg).expect("oracles hold").to_json().render(), first);
         }
     }
 

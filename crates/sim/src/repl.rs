@@ -28,10 +28,9 @@ use krb_crypto::KeyGenerator;
 use krb_kdb::{MemStore, PrincipalDb};
 use krb_kprop::{KpropMaster, Tally};
 use krb_netsim::{FaultPlan, EPOCH_1987};
-use krb_telemetry::ClockUs;
+use krb_telemetry::{ClockUs, Json};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Domain-separation constant for the scenario's RNG and trace streams.
@@ -125,34 +124,27 @@ pub const REPL_JSON_KEYS: &[&str] = &[
 ];
 
 impl ReplReport {
-    /// Render as one JSON object (no trailing newline), hand-rolled like
-    /// the other sim tools — the workspace takes no serialization
-    /// dependency. Oracles are `pass` by construction: a violation aborts
-    /// the run before a report exists.
-    pub fn render_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"tool\":\"krb-repl\",\"principals\":{},\"rounds\":{},\"seed\":{},\"profile\":\"{}\"",
-            self.principals,
-            self.rounds,
-            self.seed,
-            self.profile.as_str()
-        );
-        let _ = write!(
-            s,
-            ",\"admin_writes\":{},\"transfers\":{},\"accepted\":{},\"rejected\":{}",
-            self.admin_writes, self.shipped.transfers, self.shipped.accepted, self.shipped.rejected
-        );
-        let _ = write!(
-            s,
-            ",\"incr\":{},\"full\":{},\"final_seq\":{},\"bytes_shipped\":{}",
-            self.shipped.incr, self.shipped.full, self.final_seq, self.shipped.bytes
-        );
-        s.push_str(
-            ",\"oracles\":{\"repl_conservation\":\"pass\",\"metrics_journal\":\"pass\"}}",
-        );
-        s
+    /// The report as one JSON object. Both oracles read `pass`: a
+    /// violation aborts the run before a report exists.
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .with("tool", "krb-repl")
+            .with("principals", self.principals)
+            .with("rounds", self.rounds)
+            .with("seed", self.seed)
+            .with("profile", self.profile.as_str())
+            .with("admin_writes", self.admin_writes)
+            .with("transfers", self.shipped.transfers)
+            .with("accepted", self.shipped.accepted)
+            .with("rejected", self.shipped.rejected)
+            .with("incr", self.shipped.incr)
+            .with("full", self.shipped.full)
+            .with("final_seq", self.final_seq)
+            .with("bytes_shipped", self.shipped.bytes)
+            .with(
+                "oracles",
+                Json::obj().with("repl_conservation", "pass").with("metrics_journal", "pass"),
+            )
     }
 }
 
@@ -274,6 +266,17 @@ pub fn run_repl(config: ReplConfig) -> Result<ReplReport, SoakFailure> {
 mod tests {
     use super::*;
 
+    /// The master owns the append, so its journal head is the write
+    /// count, and every transfer is counted once by outcome and once by
+    /// kind.
+    fn assert_accounted(r: &ReplReport) {
+        assert_eq!(r.final_seq, r.admin_writes, "{r:?}");
+        let t = &r.shipped;
+        assert!(t.transfers > 0, "{r:?}");
+        assert_eq!(t.accepted + t.rejected, t.transfers, "{r:?}");
+        assert_eq!(t.incr + t.full, t.transfers, "{r:?}");
+    }
+
     fn small(seed: u64, profile: Profile) -> ReplConfig {
         ReplConfig {
             principals: 2_000,
@@ -290,21 +293,20 @@ mod tests {
     fn mild_profile_converges_and_replays_byte_identically() {
         let a = run_repl(small(7, Profile::Mild)).expect("oracles hold");
         let b = run_repl(small(7, Profile::Mild)).expect("oracles hold");
-        assert_eq!(a.render_json(), b.render_json(), "same seed must replay byte-identically");
+        let json = a.to_json().render();
+        assert_eq!(json, b.to_json().render(), "same seed must replay byte-identically");
         assert!(a.admin_writes > 0);
         assert!(a.shipped.incr > 0, "steady state never went incremental: {a:?}");
+        assert_accounted(&a);
         for key in REPL_JSON_KEYS {
-            assert!(
-                a.render_json().contains(&format!("\"{key}\"")),
-                "missing JSON key {key}: {}",
-                a.render_json()
-            );
+            assert!(json.contains(&format!("\"{key}\"")), "missing JSON key {key}: {json}");
         }
     }
 
     #[test]
     fn stormy_profile_still_never_installs_divergence() {
         let report = run_repl(small(11, Profile::Stormy)).expect("oracles hold");
+        assert_accounted(&report);
         // The stormy plan must actually reject something, and the
         // fallback machinery must ship full dumps beyond the bootstrap.
         assert!(report.shipped.rejected > 0, "{report:?}");
@@ -316,6 +318,7 @@ mod tests {
         let mut cfg = small(13, Profile::Partition);
         cfg.log_cap = 4; // retention evicts during the partition
         let report = run_repl(cfg).expect("oracles hold");
+        assert_accounted(&report);
         assert!(report.shipped.full > 1, "expected eviction-driven full dumps: {report:?}");
     }
 
@@ -323,6 +326,7 @@ mod tests {
     #[ignore = "10^5-principal gate shape; run with --release -- --ignored (check.sh runs the bin)"]
     fn smoke_hundred_thousand_principals() {
         let report = run_repl(ReplConfig::smoke(REPL_SEED)).expect("oracles hold");
+        assert_accounted(&report);
         assert!(report.principals >= 100_000);
         assert!(report.shipped.incr > 0);
     }

@@ -16,7 +16,7 @@ use krb_crypto::DesKey;
 use krb_kdb::{dump as kdump, MemStore, PrincipalDb};
 use krb_kprop::{IncrKpropdService, KpropMaster};
 use krb_netsim::{ports, Endpoint, NetConfig, Router, SimNet};
-use krb_telemetry::{lcg_clock_us, ClockUs, Journal, Registry, TraceId};
+use krb_telemetry::{lcg_clock_us, ClockUs, Journal, Json, Registry, TraceId};
 use krb_tools::Workstation;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -57,15 +57,15 @@ pub fn or_exit<T>(tool: &str, outcome: Result<T, SoakFailure>) -> T {
 }
 
 /// The `--smoke` document: `{"tool":..,"seed":..,"<list>":[run,..]}` over
-/// the rendered runs, stopping at the first that failed.
+/// the runs' reports, stopping at the first that failed.
 pub fn smoke_document(
     tool: &str,
     seed: u64,
     list: &str,
-    runs: impl Iterator<Item = Result<String, SoakFailure>>,
-) -> Result<String, SoakFailure> {
-    let runs = runs.collect::<Result<Vec<_>, _>>()?;
-    Ok(format!("{{\"tool\":\"{tool}\",\"seed\":{seed},\"{list}\":[{}]}}", runs.join(",")))
+    runs: impl Iterator<Item = Result<Json, SoakFailure>>,
+) -> Result<Json, SoakFailure> {
+    let runs = runs.collect::<Result<Json, _>>()?;
+    Ok(Json::obj().with("tool", tool).with("seed", seed).with(list, runs))
 }
 
 /// The wire a harness runs on: a [`Router`] over a `seed`ed [`SimNet`],

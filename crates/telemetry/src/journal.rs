@@ -363,11 +363,6 @@ impl Journal {
         let _ = self.flight.set(recorder);
     }
 
-    /// The attached flight recorder, if any.
-    pub fn flight_recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.flight.get()
-    }
-
     /// A default-capacity journal behind an `Arc`, ready to share.
     pub fn shared() -> Arc<Self> {
         Arc::new(Self::new(DEFAULT_CAPACITY))

@@ -7,7 +7,8 @@
 //! and how long it took. This crate is that place: a dependency-free,
 //! thread-safe metrics registry of atomic counters, gauges, and
 //! fixed-bucket latency histograms, plus span timing driven by an
-//! *injected* clock.
+//! *injected* clock. It also holds the one JSON writer ([`Json`]) that
+//! every machine-readable report renders through.
 //!
 //! ## Determinism contract
 //!
@@ -35,6 +36,7 @@ pub mod clock;
 pub mod flight;
 pub mod health;
 pub mod journal;
+pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod sketch;
@@ -45,6 +47,7 @@ pub use health::{HealthInputs, HealthState, HealthThresholds, HealthVerdict};
 pub use journal::{
     merge_journals, merge_render, Component, Event, EventKind, Field, Journal, TraceCtx, TraceId,
 };
+pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, LATENCY_BUCKETS_US};
 pub use registry::Registry;
 pub use sketch::{SketchEntry, SpaceSaving};

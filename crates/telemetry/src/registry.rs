@@ -93,18 +93,6 @@ impl Registry {
             .insert(name.to_string(), Metric::Counter(counter.clone()));
     }
 
-    /// Publish an existing gauge handle under `name`.
-    pub fn adopt_gauge(&self, name: &str, gauge: &Gauge) {
-        self.lock()
-            .insert(name.to_string(), Metric::Gauge(gauge.clone()));
-    }
-
-    /// Publish an existing histogram handle under `name`.
-    pub fn adopt_histogram(&self, name: &str, histogram: &Histogram) {
-        self.lock()
-            .insert(name.to_string(), Metric::Histogram(histogram.clone()));
-    }
-
     /// Value of counter `name`, 0 when absent (convenience for stats
     /// views).
     pub fn counter_value(&self, name: &str) -> u64 {

@@ -26,6 +26,7 @@
 
 use krb_crypto::DesKey;
 use krb_kdb::{HashStore, PrincipalDb};
+use krb_telemetry::Json;
 use krb_tools::args::Args;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -88,11 +89,15 @@ fn quantiles(mut ns: Vec<u64>) -> Quantiles {
     }
 }
 
-fn render_quantiles(q: &Quantiles) -> String {
-    format!(
-        "{{\"samples\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}",
-        q.samples, q.p50, q.p95, q.p99, q.max
-    )
+impl Quantiles {
+    fn to_json(&self) -> Json {
+        Json::obj()
+            .with("samples", self.samples)
+            .with("p50", self.p50)
+            .with("p95", self.p95)
+            .with("p99", self.p99)
+            .with("max", self.max)
+    }
 }
 
 const USAGE: &str = "krb-kdbench [--principals N] [--seed N] [--cold N] [--warm N] \
@@ -178,25 +183,23 @@ fn main() {
         cfg.principals as f64 / (bulk_us as f64 / 1_000_000.0)
     };
 
-    let json = format!(
-        "{{\n  \"bench\": \"kdb_depth\",\n  \"principals\": {},\n  \"seed\": {},\n  \
-         \"clock\": \"wall\",\n  \
-         \"bulk\": {{\"elapsed_us\": {}, \"per_sec\": {:.2}}},\n  \
-         \"store\": {{\"pages\": {}, \"depth\": {}, \"records\": {}, \"splits\": {}, \
-         \"dir_doubles\": {}}},\n  \
-         \"lookup_ns\": {{\"cold\": {}, \"warm\": {}}}\n}}",
-        cfg.principals,
-        cfg.seed,
-        bulk_us,
-        per_sec,
-        stats.pages,
-        stats.depth,
-        stats.records,
-        stats.splits,
-        stats.dir_doubles,
-        render_quantiles(&cold),
-        render_quantiles(&warm),
-    );
+    let json = Json::obj()
+        .with("bench", "kdb_depth")
+        .with("principals", cfg.principals)
+        .with("seed", cfg.seed)
+        .with("clock", "wall")
+        .with("bulk", Json::obj().with("elapsed_us", bulk_us).with("per_sec", per_sec))
+        .with(
+            "store",
+            Json::obj()
+                .with("pages", stats.pages)
+                .with("depth", stats.depth)
+                .with("records", stats.records)
+                .with("splits", stats.splits)
+                .with("dir_doubles", stats.dir_doubles),
+        )
+        .with("lookup_ns", Json::obj().with("cold", cold.to_json()).with("warm", warm.to_json()))
+        .render();
     let Some(out) = &cfg.out else {
         println!("{json}");
         return;

@@ -53,7 +53,7 @@ fn main() {
     }
     match &out {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, &report.json) {
+            if let Err(e) = std::fs::write(path, format!("{}\n", report.to_json().render())) {
                 eprintln!("krb-stat: cannot write {path}: {e}");
                 std::process::exit(1);
             }
@@ -62,6 +62,6 @@ fn main() {
                 report.as_ok, report.tgs_ok, report.errors
             );
         }
-        None => print!("{}", report.json),
+        None => println!("{}", report.to_json().render()),
     }
 }

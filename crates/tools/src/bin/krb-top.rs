@@ -15,7 +15,7 @@
 //! run's journal dump. See `crates/tools/src/krbtop.rs`.
 
 use krb_tools::args::Args;
-use krb_tools::krbtop::{render_dashboard, render_json, run, TopConfig};
+use krb_tools::krbtop::{render_dashboard, run, to_json, TopConfig};
 
 const USAGE: &str = "krb-top [--seed N] [--polls N] [--tail N] [--top K] [--once] [--json]";
 
@@ -44,7 +44,7 @@ fn main() {
     };
     if json {
         match run.snapshots.last() {
-            Some(snap) => print!("{}", render_json(snap)),
+            Some(snap) => println!("{}", to_json(snap).render()),
             None => {
                 eprintln!("krb-top: no snapshot produced");
                 std::process::exit(1);

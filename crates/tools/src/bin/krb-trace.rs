@@ -70,10 +70,9 @@ fn main() {
     };
 
     let events = krbtrace::parse_dump(&text);
-    let out = if json {
-        krbtrace::render_json(events, &filter)
+    if json {
+        println!("{}", krbtrace::to_json(events, &filter).render());
     } else {
-        krbtrace::render_timelines(events, &filter)
-    };
-    print!("{out}");
+        print!("{}", krbtrace::render_timelines(events, &filter));
+    }
 }

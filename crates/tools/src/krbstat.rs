@@ -10,9 +10,9 @@
 //!
 //! It measures nothing: the only clocks are simulated, so the whole report
 //! — JSON snapshot, registry export and merged journal, bytes included — is
-//! a deterministic function of the config. `scripts/check.sh` runs it at 1
-//! and 4 threads, asserts every cycle was served, and requires two runs to
-//! be byte-identical; the journal dump feeds `krb-trace --input`.
+//! a deterministic function of the config. The tests assert every cycle
+//! was served; `scripts/check.sh` runs it at 4 threads and requires two
+//! runs to be byte-identical; the journal dump feeds `krb-trace --input`.
 //! Performance figures come from `benchmark/` (kbench).
 //!
 //! ## Why runs stay byte-identical
@@ -41,7 +41,7 @@ use kerberos::Principal;
 use krb_kdb::MemStore;
 use krb_kdc::{shared_clock, Kdc, KdcRole, KdcService, RealmConfig};
 use krb_netsim::{ports, Endpoint, NetConfig, Router, SimNet};
-use krb_telemetry::{fixed_clock_us, lcg_clock_us, merge_render, ClockUs, Journal, Registry};
+use krb_telemetry::{fixed_clock_us, lcg_clock_us, merge_render, ClockUs, Journal, Json, Registry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::AtomicU32;
@@ -89,8 +89,8 @@ impl StatConfig {
 /// What one load run produced.
 #[derive(Clone, Debug)]
 pub struct StatReport {
-    /// The JSON snapshot.
-    pub json: String,
+    /// The configuration as run, after clamping.
+    pub config: StatConfig,
     /// The KDC registry's full Prometheus-style text export.
     pub render: String,
     /// AS exchanges served.
@@ -99,6 +99,11 @@ pub struct StatReport {
     pub tgs_ok: u64,
     /// Error replies (should be 0 under this well-formed load).
     pub errors: u64,
+    /// Schedule-cache hits during the counted run.
+    pub sched_hits: u64,
+    /// Schedule-cache misses during the counted run (0: the warmup built
+    /// every schedule).
+    pub sched_misses: u64,
     /// The run's event journals as one text dump: the per-shard rings
     /// merged by `(clock, shard, seq)` with a `shard=NN` prefix per line,
     /// byte-identical across same-seed runs.
@@ -107,6 +112,31 @@ pub struct StatReport {
     pub journal_events: u64,
     /// Journal events evicted by the ring buffer across all workers.
     pub journal_dropped: u64,
+}
+
+impl StatReport {
+    /// The JSON snapshot `krb-stat` prints.
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .with("bench", "kdc_load")
+            .with("iters", self.config.iters)
+            .with("users", self.config.users)
+            .with("seed", self.config.seed)
+            .with("threads", self.config.threads)
+            .with("as_ok", self.as_ok)
+            .with("tgs_ok", self.tgs_ok)
+            .with("errors", self.errors)
+            .with(
+                "sched_cache",
+                Json::obj().with("hits", self.sched_hits).with("misses", self.sched_misses),
+            )
+            .with(
+                "journal",
+                Json::obj()
+                    .with("events", self.journal_events)
+                    .with("dropped", self.journal_dropped),
+            )
+    }
 }
 
 /// Run the AS+TGS load loop: one KDC, one realm, every worker thread
@@ -181,24 +211,14 @@ pub fn run_load(cfg: &StatConfig) -> Result<StatReport, ToolError> {
     let journal_events = journals.iter().map(|j| j.events_recorded()).sum();
     let journal_dropped = journals.iter().map(|j| j.events_dropped()).sum();
 
-    let as_ok = registry.counter_value("kdc_as_ok_total");
-    let tgs_ok = registry.counter_value("kdc_tgs_ok_total");
-    let errors = registry.counter_value("kdc_error_total");
-    let sched_hits = registry.counter_value("kdc_sched_cache_hits_total");
-    let sched_misses = registry.counter_value("kdc_sched_cache_misses_total");
-    let json = format!(
-        "{{\n  \"bench\": \"kdc_load\",\n  \"iters\": {iters},\n  \"users\": {users},\n  \
-         \"seed\": {seed},\n  \"threads\": {threads},\n  \"as_ok\": {as_ok},\n  \
-         \"tgs_ok\": {tgs_ok},\n  \"errors\": {errors},\n  \
-         \"sched_cache\": {{\"hits\": {sched_hits}, \"misses\": {sched_misses}}},\n  \
-         \"journal\": {{\"events\": {journal_events}, \"dropped\": {journal_dropped}}}\n}}\n"
-    );
     Ok(StatReport {
-        json,
+        config: StatConfig { iters, users, seed, threads },
         render: registry.render(),
-        as_ok,
-        tgs_ok,
-        errors,
+        as_ok: registry.counter_value("kdc_as_ok_total"),
+        tgs_ok: registry.counter_value("kdc_tgs_ok_total"),
+        errors: registry.counter_value("kdc_error_total"),
+        sched_hits: registry.counter_value("kdc_sched_cache_hits_total"),
+        sched_misses: registry.counter_value("kdc_sched_cache_misses_total"),
         journal_dump,
         journal_events,
         journal_dropped,
@@ -303,54 +323,28 @@ pub const REQUIRED_JSON_KEYS: &[&str] = &[
 mod tests {
     use super::*;
 
-    /// Minimal structural JSON check: balanced braces outside strings,
-    /// even quote count — enough to catch a mangled emitter without a
-    /// JSON dependency.
-    fn looks_like_json(s: &str) -> bool {
-        let mut depth = 0i32;
-        let mut in_str = false;
-        let mut prev_escape = false;
-        let mut quotes = 0usize;
-        for c in s.chars() {
-            if in_str {
-                if prev_escape {
-                    prev_escape = false;
-                } else if c == '\\' {
-                    prev_escape = true;
-                } else if c == '"' {
-                    in_str = false;
-                    quotes += 1;
-                }
-                continue;
-            }
-            match c {
-                '"' => {
-                    in_str = true;
-                    quotes += 1;
-                }
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth < 0 {
-                        return false;
-                    }
-                }
-                _ => {}
-            }
-        }
-        depth == 0 && !in_str && quotes % 2 == 0
-    }
-
     #[test]
     fn smoke_run_serves_every_cycle_and_emits_the_schema() {
         let report = run_load(&StatConfig::smoke()).unwrap();
         assert_eq!(report.as_ok, 25);
         assert_eq!(report.tgs_ok, 25);
         assert_eq!(report.errors, 0);
+        let json = report.to_json().render();
         for key in REQUIRED_JSON_KEYS {
-            assert!(report.json.contains(key), "missing {key} in:\n{}", report.json);
+            assert!(json.contains(key), "missing {key} in:\n{json}");
         }
-        assert!(looks_like_json(&report.json), "malformed JSON:\n{}", report.json);
+    }
+
+    #[test]
+    fn smoke_at_four_threads_serves_every_cycle_from_the_schedule_cache() {
+        // `krb-stat --smoke --threads 4`: 25 cycles on each of four workers,
+        // every one served, three schedule lookups per cycle (client and
+        // krbtgt on the AS path, the service on the TGS path), all hits.
+        let report = run_load(&StatConfig { threads: 4, ..StatConfig::smoke() }).unwrap();
+        assert_eq!(report.as_ok, 100);
+        assert_eq!(report.tgs_ok, 100);
+        assert_eq!(report.errors, 0);
+        assert_eq!((report.sched_hits, report.sched_misses), (300, 0));
     }
 
     #[test]
@@ -362,7 +356,7 @@ mod tests {
         };
         let a = run_load(&cfg).unwrap();
         let b = run_load(&cfg).unwrap();
-        assert_eq!(a.json, b.json);
+        assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.render, b.render);
         assert_eq!(a.journal_dump, b.journal_dump);
         // And the latency histograms actually saw samples.
@@ -390,13 +384,13 @@ mod tests {
         };
         let a = run_load(&cfg).unwrap();
         let b = run_load(&cfg).unwrap();
-        assert_eq!(a.json, b.json);
+        assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.render, b.render);
         // iters is per thread: 4 workers x 20 cycles.
         assert_eq!(a.as_ok, 80);
         assert_eq!(a.tgs_ok, 80);
         assert_eq!(a.errors, 0);
-        assert!(a.json.contains("\"threads\": 4"), "{}", a.json);
+        assert_eq!(a.config.threads, 4);
     }
 
     #[test]
@@ -411,7 +405,7 @@ mod tests {
         let a = run_load(&cfg).unwrap();
         let b = run_load(&cfg).unwrap();
         assert_eq!(a.journal_dump, b.journal_dump);
-        assert_eq!(a.json, b.json);
+        assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.render, b.render);
         assert!(a.journal_events > 0);
         for shard in 0..4 {
@@ -437,8 +431,7 @@ mod tests {
         };
         let report = run_load(&cfg).unwrap();
         assert_eq!(report.errors, 0);
-        assert!(report.json.contains("\"misses\": 0"), "{}", report.json);
-        assert!(report.json.contains(&format!("\"hits\": {}", 3 * 2 * 10)), "{}", report.json);
+        assert_eq!((report.sched_hits, report.sched_misses), (3 * 2 * 10, 0));
         // The striped replay cache publishes its per-stripe counters in
         // deterministic (zero-padded) label order.
         assert!(report.render.contains("kdc_replay_stripe_hits_total{stripe=\"00\"}"));
@@ -464,19 +457,10 @@ mod tests {
 
     #[test]
     fn sched_cache_counters_reach_the_snapshot() {
-        // Every TGS exchange hits the krbtgt warm cache (not the LRU); the
-        // per-service LRU sees one miss per distinct service key and hits
-        // afterwards. With 25 cycles against a single service principal the
-        // hit counter must dominate.
+        // 25 cycles, three schedule lookups each, every one a hit after the
+        // warmup: the snapshot carries the counters as counted.
         let report = run_load(&StatConfig::smoke()).unwrap();
-        let hits: u64 = report
-            .json
-            .lines()
-            .find(|l| l.contains("\"sched_cache\""))
-            .and_then(|l| l.split("\"hits\": ").nth(1))
-            .and_then(|s| s.split([',', '}']).next())
-            .and_then(|s| s.trim().parse().ok())
-            .expect("sched_cache.hits in snapshot");
-        assert!(hits > 0, "expected schedule-cache hits in:\n{}", report.json);
+        let json = report.to_json().render();
+        assert!(json.contains(r#""sched_cache":{"hits":75,"misses":0}"#), "{json}");
     }
 }

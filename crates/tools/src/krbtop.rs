@@ -36,7 +36,7 @@ use krb_mon::{
     StatSnapshot, TopPrincipals,
 };
 use krb_netsim::{ports, Endpoint, NetConfig, Router, SimNet};
-use krb_telemetry::{lcg_clock_us, ClockUs, FlightRecorder, Journal, Registry, TraceCtx};
+use krb_telemetry::{lcg_clock_us, ClockUs, FlightRecorder, Journal, Json, Registry, TraceCtx};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -260,144 +260,102 @@ fn counter(stat: &StatSnapshot, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn latency_json(stat: &StatSnapshot, name: &str) -> String {
+fn latency_json(stat: &StatSnapshot, name: &str) -> Json {
     let Some(h) = stat.hists.iter().find(|h| h.name == name) else {
-        return "{\"count\":0}".to_string();
+        return Json::obj().with("count", 0u64);
     };
-    let exemplars: Vec<String> = h
+    let exemplars: Json = h
         .exemplars
         .iter()
         .map(|(le, trace)| {
-            let le = match le {
-                Some(b) => b.to_string(),
-                None => "inf".to_string(),
-            };
-            format!("{{\"le\": \"{le}\", \"trace\": \"{trace:016x}\"}}")
+            let le = le.map_or_else(|| "inf".to_string(), |b| b.to_string());
+            Json::obj().with("le", le).with("trace", format!("{trace:016x}"))
         })
         .collect();
-    format!(
-        "{{\"count\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}, \"exemplars\": [{}]}}",
-        h.count,
-        h.p50,
-        h.p95,
-        h.p99,
-        h.max,
-        exemplars.join(", ")
-    )
+    Json::obj()
+        .with("count", h.count)
+        .with("p50", h.p50)
+        .with("p95", h.p95)
+        .with("p99", h.p99)
+        .with("max", h.max)
+        .with("exemplars", exemplars)
 }
 
-/// Render one snapshot as the deterministic JSON document `--json` emits.
-pub fn render_json(snap: &TopSnapshot) -> String {
+/// One snapshot as the deterministic JSON document `--json` emits.
+pub fn to_json(snap: &TopSnapshot) -> Json {
     let stat = &snap.stat;
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"tool\": \"krb-top\",");
-    let _ = writeln!(out, "  \"component\": \"{}\",", json_escape(&stat.component));
-    let _ = writeln!(out, "  \"poll\": {},", snap.poll);
-
     // Health verdicts, in spec order.
-    out.push_str("  \"health\": [");
-    for (i, c) in snap.health.components.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(
-            out,
-            "{{\"component\": \"{}\", \"state\": \"{}\", \"err_permille\": {}, \
-             \"replay_permille\": {}, \"total\": {}, \"journal_dropped\": {}}}",
-            json_escape(&c.component),
-            json_escape(&c.state),
-            c.err_permille,
-            c.replay_permille,
-            c.total,
-            c.journal_dropped,
-        );
-    }
-    out.push_str("],\n");
-
+    let health: Json = snap
+        .health
+        .components
+        .iter()
+        .map(|c| {
+            Json::obj()
+                .with("component", &c.component)
+                .with("state", &c.state)
+                .with("err_permille", c.err_permille)
+                .with("replay_permille", c.replay_permille)
+                .with("total", c.total)
+                .with("journal_dropped", c.journal_dropped)
+        })
+        .collect();
     // The KDC outcome counters, stripes included.
-    let stripes: Vec<String> = stat.stripe_hits().iter().map(u64::to_string).collect();
-    let _ = writeln!(
-        out,
-        "  \"kdc\": {{\"as_ok\": {}, \"tgs_ok\": {}, \"errors\": {}, \"replay_hits\": {}, \
-         \"store_swaps\": {}, \"stripe_hits\": [{}]}},",
-        counter(stat, "kdc_as_ok_total"),
-        counter(stat, "kdc_tgs_ok_total"),
-        counter(stat, "kdc_error_total"),
-        counter(stat, "kdc_replay_hits_total"),
-        stat.store_swaps(),
-        stripes.join(", "),
-    );
-
-    let _ = writeln!(
-        out,
-        "  \"latency_us\": {{\"as\": {}, \"tgs\": {}}},",
-        latency_json(stat, "kdc_as_latency_us"),
-        latency_json(stat, "kdc_tgs_latency_us"),
-    );
-
+    let kdc = Json::obj()
+        .with("as_ok", counter(stat, "kdc_as_ok_total"))
+        .with("tgs_ok", counter(stat, "kdc_tgs_ok_total"))
+        .with("errors", counter(stat, "kdc_error_total"))
+        .with("replay_hits", counter(stat, "kdc_replay_hits_total"))
+        .with("store_swaps", stat.store_swaps())
+        .with("stripe_hits", stat.stripe_hits().into_iter().collect::<Json>());
     // Heavy-hitter tables, in attachment order.
-    out.push_str("  \"top\": {");
-    for (ti, (label, entries)) in snap.top.tables.iter().enumerate() {
-        if ti > 0 {
-            out.push_str(", ");
-        }
-        let rows: Vec<String> = entries
+    let top = snap.top.tables.iter().fold(Json::obj(), |top, (label, entries)| {
+        let rows: Json = entries
             .iter()
-            .map(|e| {
-                format!(
-                    "{{\"key\": \"{}\", \"count\": {}, \"err\": {}}}",
-                    json_escape(&e.key),
-                    e.count,
-                    e.err
-                )
-            })
+            .map(|e| Json::obj().with("key", &e.key).with("count", e.count).with("err", e.err))
             .collect();
-        let _ = write!(out, "\"{}\": [{}]", json_escape(label), rows.join(", "));
-    }
-    out.push_str("},\n");
-
-    let tail_lines: Vec<String> =
-        snap.tail.lines.iter().map(|l| format!("\"{}\"", json_escape(l))).collect();
-    let _ = writeln!(
-        out,
-        "  \"journal\": {{\"events\": {}, \"dropped\": {}, \"tail\": [{}]}},",
-        snap.tail.events,
-        snap.tail.dropped,
-        tail_lines.join(", "),
-    );
-
-    let records: Vec<String> = snap
+        top.with(label, rows)
+    });
+    let records: Json = snap
         .flights
         .records
         .iter()
         .map(|r| {
-            let chain: Vec<String> =
-                r.chain.iter().map(|l| format!("\"{}\"", json_escape(l))).collect();
-            format!(
-                "{{\"trace\": \"{:016x}\", \"fail_kind\": \"{}\", \"at_us\": {}, \
-                 \"truncated\": {}, \"dropped_at_capture\": {}, \"chain\": [{}]}}",
-                r.trace,
-                json_escape(&r.fail_kind),
-                r.at_us,
-                r.truncated,
-                r.dropped_at_capture,
-                chain.join(", ")
-            )
+            Json::obj()
+                .with("trace", format!("{:016x}", r.trace))
+                .with("fail_kind", &r.fail_kind)
+                .with("at_us", r.at_us)
+                .with("truncated", r.truncated)
+                .with("dropped_at_capture", r.dropped_at_capture)
+                .with("chain", r.chain.iter().collect::<Json>())
         })
         .collect();
-    let _ = writeln!(
-        out,
-        "  \"flight\": {{\"captures\": {}, \"evicted\": {}, \"records\": [{}]}}",
-        snap.flights.captures,
-        snap.flights.evicted,
-        records.join(", "),
-    );
-    out.push_str("}\n");
-    out
+    Json::obj()
+        .with("tool", "krb-top")
+        .with("component", &stat.component)
+        .with("poll", snap.poll)
+        .with("health", health)
+        .with("kdc", kdc)
+        .with(
+            "latency_us",
+            Json::obj()
+                .with("as", latency_json(stat, "kdc_as_latency_us"))
+                .with("tgs", latency_json(stat, "kdc_tgs_latency_us")),
+        )
+        .with("top", top)
+        .with(
+            "journal",
+            Json::obj()
+                .with("events", snap.tail.events)
+                .with("dropped", snap.tail.dropped)
+                .with("tail", snap.tail.lines.iter().collect::<Json>()),
+        )
+        .with(
+            "flight",
+            Json::obj()
+                .with("captures", snap.flights.captures)
+                .with("evicted", snap.flights.evicted)
+                .with("records", records),
+        )
 }
 
 /// Render one snapshot as the human dashboard (one poll's screen).
@@ -470,8 +428,8 @@ pub fn render_dashboard(snap: &TopSnapshot) -> String {
     out
 }
 
-/// Keys a well-formed `krb-top --json` snapshot must contain;
-/// `scripts/check.sh` greps for these and the schema test pins them.
+/// Keys a well-formed `krb-top --json` snapshot must contain; the schema
+/// test pins them.
 pub const TOP_JSON_KEYS: &[&str] = &[
     "\"tool\"",
     "\"component\"",
@@ -508,43 +466,11 @@ pub const TOP_JSON_KEYS: &[&str] = &[
 mod tests {
     use super::*;
     use crate::krbtrace::{group_traces, parse_dump};
+    use kerberos::{build_as_req, Message};
+    use krb_kdc::{fixed_clock, Kdc, KdcRole};
 
     fn once() -> TopRun {
         run(&TopConfig { polls: 1, ..TopConfig::default() }).expect("rig")
-    }
-
-    /// Minimal structural JSON check (same spirit as krbstat's): balanced
-    /// braces/brackets outside strings, even quote count.
-    fn looks_like_json(s: &str) -> bool {
-        let (mut depth, mut in_str, mut esc, mut quotes) = (0i32, false, false, 0usize);
-        for c in s.chars() {
-            if in_str {
-                if esc {
-                    esc = false;
-                } else if c == '\\' {
-                    esc = true;
-                } else if c == '"' {
-                    in_str = false;
-                    quotes += 1;
-                }
-                continue;
-            }
-            match c {
-                '"' => {
-                    in_str = true;
-                    quotes += 1;
-                }
-                '{' | '[' => depth += 1,
-                '}' | ']' => {
-                    depth -= 1;
-                    if depth < 0 {
-                        return false;
-                    }
-                }
-                _ => {}
-            }
-        }
-        depth == 0 && !in_str && quotes % 2 == 0
     }
 
     #[test]
@@ -552,26 +478,47 @@ mod tests {
         let a = once();
         let b = once();
         assert_eq!(
-            render_json(a.snapshots.last().unwrap()),
-            render_json(b.snapshots.last().unwrap())
+            to_json(a.snapshots.last().unwrap()),
+            to_json(b.snapshots.last().unwrap())
         );
         assert_eq!(a.journal_dump, b.journal_dump);
         let c = run(&TopConfig { seed: 7, polls: 1, ..TopConfig::default() }).expect("rig");
         assert_ne!(
-            render_json(a.snapshots.last().unwrap()),
-            render_json(c.snapshots.last().unwrap()),
+            to_json(a.snapshots.last().unwrap()),
+            to_json(c.snapshots.last().unwrap()),
             "seed must reach the snapshot"
         );
     }
 
     #[test]
-    fn json_snapshot_contains_every_schema_key_and_parses() {
+    fn json_snapshot_contains_every_schema_key() {
         let run = once();
-        let json = render_json(run.snapshots.last().unwrap());
+        let json = to_json(run.snapshots.last().unwrap()).render();
         for key in TOP_JSON_KEYS {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
-        assert!(looks_like_json(&json), "malformed JSON:\n{json}");
+    }
+
+    #[test]
+    fn a_control_character_in_a_client_name_reaches_the_json_escaped() {
+        // The AS request names its client in the clear (§4.2), so whatever
+        // a client sends there lands in the KDC's error table and, through
+        // the `TopPrincipals` frame, in the operator's JSON.
+        let boot = kdb_init(REALM, "mon-master-pw", START, 1).expect("realm");
+        let kdc = Kdc::new(boot.db, RealmConfig::new(REALM), fixed_clock(START), KdcRole::Master, 1);
+        let top = kdc.enable_top_stats(SKETCH_K);
+        let evil = Principal::new("ev\u{1}il", "", REALM).expect("a legal name");
+        let req = build_as_req(&evil, &Principal::tgs(REALM, REALM), 96, START);
+        let reply = kdc.handle(&req, WS_ADDR);
+        assert!(matches!(Message::decode(&reply), Ok(Message::Err(_))), "{reply:?}");
+        let entries = top.error_principals.top(SKETCH_K);
+        assert_eq!(entries[0].key, "ev\u{1}il");
+
+        let mut snap = once().snapshots.pop().expect("one poll");
+        snap.top.tables = vec![("error_principals".to_string(), entries)];
+        let json = to_json(&snap).render();
+        assert!(json.contains(r#"{"key":"ev\u0001il","count":1,"err":0}"#), "{json}");
+        assert!(!json.contains('\u{1}'), "raw U+0001 in:\n{json}");
     }
 
     #[test]

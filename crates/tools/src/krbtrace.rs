@@ -18,7 +18,7 @@ use kerberos::{krb_rd_req_sched_ctx, ErrorCode, Principal, ReplayCache};
 use krb_crypto::{KeyGenerator, Scheduled};
 use krb_kdc::{shared_clock, Deployment, RealmConfig};
 use krb_netsim::{NetConfig, Router, SimNet};
-use krb_telemetry::{lcg_clock_us, ClockUs, EventKind, Journal, Registry, TraceCtx};
+use krb_telemetry::{lcg_clock_us, ClockUs, EventKind, Journal, Json, Registry, TraceCtx};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -197,40 +197,29 @@ pub fn render_timelines(events: Vec<TraceEvent>, filter: &TraceFilter) -> String
     out
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Render timelines as JSON (hand-rolled, like the rest of the workspace:
-/// no serialization dependency).
-pub fn render_json(events: Vec<TraceEvent>, filter: &TraceFilter) -> String {
-    let timelines = filter.apply(group_traces(events));
-    let mut out = String::from("{\n  \"traces\": [\n");
-    for (ti, tl) in timelines.iter().enumerate() {
-        let _ = write!(out, "    {{\"trace\": \"{}\", \"events\": [\n", json_escape(&tl.trace));
-        for (ei, e) in tl.events.iter().enumerate() {
-            let mut fields = String::new();
-            for (fi, (k, v)) in e.fields.iter().enumerate() {
-                if fi > 0 {
-                    fields.push_str(", ");
-                }
-                let _ = write!(fields, "\"{}\": \"{}\"", json_escape(k), json_escape(v));
-            }
-            let _ = write!(
-                out,
-                "      {{\"seq\": {}, \"us\": {}, \"comp\": \"{}\", \"kind\": \"{}\", \"fields\": {{{}}}}}{}\n",
-                e.seq,
-                e.us,
-                json_escape(&e.comp),
-                json_escape(&e.kind),
-                fields,
-                if ei + 1 == tl.events.len() { "" } else { "," },
-            );
-        }
-        let _ = write!(out, "    ]}}{}\n", if ti + 1 == timelines.len() { "" } else { "," });
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// Timelines as one JSON document.
+pub fn to_json(events: Vec<TraceEvent>, filter: &TraceFilter) -> Json {
+    let traces: Json = filter
+        .apply(group_traces(events))
+        .into_iter()
+        .map(|tl| {
+            let events: Json = tl
+                .events
+                .into_iter()
+                .map(|e| {
+                    let fields = e.fields.into_iter().fold(Json::obj(), |o, (k, v)| o.with(k, v));
+                    Json::obj()
+                        .with("seq", e.seq)
+                        .with("us", e.us)
+                        .with("comp", e.comp)
+                        .with("kind", e.kind)
+                        .with("fields", fields)
+                })
+                .collect();
+            Json::obj().with("trace", tl.trace).with("events", events)
+        })
+        .collect();
+    Json::obj().with("traces", traces)
 }
 
 const SMOKE_REALM: &str = "TRACE.MIT.EDU";
@@ -445,9 +434,9 @@ mod tests {
         assert!(text.contains("as_ok"), "{text}");
         assert!(!text.contains("login_start"), "{text}");
 
-        let json = render_json(events, &TraceFilter::default());
+        let json = to_json(events, &TraceFilter::default()).render();
         assert!(json.contains("\"traces\""), "{json}");
-        assert!(json.contains("\"kind\": \"ap_verified\""), "{json}");
+        assert!(json.contains("\"kind\":\"ap_verified\""), "{json}");
     }
 
     #[test]

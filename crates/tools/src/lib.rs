@@ -21,10 +21,7 @@ pub mod workstation;
 pub use kdb_init::{kdb_init, register_service, register_user, RealmBootstrap};
 pub use krbstat::{run_load, StatConfig, StatReport, REQUIRED_JSON_KEYS};
 pub use krbtop::{TopConfig, TopRun, TopSnapshot, TOP_JSON_KEYS};
-pub use krbtrace::{
-    group_traces, parse_dump, render_json as render_trace_json, render_timelines, Timeline,
-    TraceEvent, TraceFilter,
-};
+pub use krbtrace::{group_traces, parse_dump, render_timelines, Timeline, TraceEvent, TraceFilter};
 pub use smartcard::Smartcard;
 pub use srvtab::{Srvtab, SrvtabEntry};
 pub use ticket_file::TicketFile;

@@ -415,11 +415,6 @@ impl Workstation {
     pub fn add_remote_kdc(&mut self, realm: &str, ep: Endpoint) {
         self.remote_kdcs.push((realm.to_string(), ep));
     }
-
-    /// Remote realm KDCs known to this workstation.
-    pub fn remote_kdc_table(&self) -> &[(String, Endpoint)] {
-        &self.remote_kdcs
-    }
 }
 
 /// Re-align a trace id onto `shard` modulo `nshards`, preserving the id's

@@ -1,8 +1,7 @@
 //! Root-level checks of the `krb-adversary` subsystem through the
 //! umbrella-crate facade: the seeded Dolev–Yao soak must be byte-identical
 //! under replay, the honest protocol must keep both oracles green, and the
-//! `--smoke` document consumed by `scripts/check.sh` must carry every key
-//! the gate greps for.
+//! `--smoke` document must carry every schema key.
 
 use athena_kerberos::adversary::{self, AdvConfig, Leak, ADVERSARY_JSON_KEYS, ADV_SEED};
 
@@ -12,8 +11,8 @@ fn smoke_document_is_deterministic_and_self_verifying() {
     // verifies each run against its expected oracle verdicts — honest
     // green, each leak tripping exactly the matching detections — so a
     // successful return is itself the assertion.
-    let a = adversary::smoke_json(ADV_SEED).expect("smoke must self-verify");
-    let b = adversary::smoke_json(ADV_SEED).expect("smoke must self-verify");
+    let a = adversary::smoke_json(ADV_SEED).expect("smoke must self-verify").render();
+    let b = adversary::smoke_json(ADV_SEED).expect("smoke must self-verify").render();
     assert_eq!(a, b, "same seed must replay byte-identically");
     for key in ADVERSARY_JSON_KEYS {
         assert!(a.contains(&format!("\"{key}\"")), "smoke JSON missing key {key:?}");
@@ -34,6 +33,6 @@ fn honest_soak_through_the_facade_stays_green() {
 
     // The report renders deterministically in both shapes.
     let again = adversary::run(AdvConfig::smoke(ADV_SEED, Leak::None)).unwrap();
-    assert_eq!(report.render_json(), again.render_json());
+    assert_eq!(report.to_json().render(), again.to_json().render());
     assert_eq!(report.render_human(), again.render_human());
 }

@@ -11,6 +11,7 @@ const MAX_ALLOW_ENTRIES: usize = 10;
 fn workspace_passes_krb_lint() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let report = run(root).expect("lint pass runs");
+    assert!(report.files_scanned > 0, "krb-lint scanned zero files — the pass proved nothing");
     assert!(
         report.findings.is_empty(),
         "krb-lint findings (fix them or, with justification, allowlist):\n{}",
