@@ -9,8 +9,9 @@
 //!
 //! ## Concurrency model (DESIGN.md §15)
 //!
-//! Request handling takes `&self`: every exchange clones an `Arc` to an
-//! immutable [`KdcSnapshot`] of the principal store and never holds a lock
+//! Request handling takes `&self`: every exchange takes one read lock to
+//! clone one `Arc` to the KDC's state — an immutable [`KdcSnapshot`] of the
+//! principal store plus the telemetry hooks — and never holds a lock
 //! across crypto. Writers (`with_db_mut`, `install_db`) mutate the primary
 //! database under its own mutex, take a new snapshot of it (over a
 //! `MemStore` that shares the whole tree with the primary), and swap the
@@ -30,8 +31,8 @@ use krb_kdb::{
 };
 use krb_crypto::{KeyGenerator, Scheduled};
 use krb_telemetry::{
-    ClockUs, Component, Counter, EventKind, Field, Histogram, Journal, Registry, SpaceSaving,
-    Span, TraceId,
+    set_joined_field, ClockUs, Component, Counter, EventKind, Field, Histogram, Journal, Registry,
+    SpaceSaving, TraceId,
 };
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
@@ -141,6 +142,8 @@ struct KdcMetrics {
     /// Snapshots not taken because the store failed to read back; the
     /// previous one kept serving.
     snapshot_failures: Counter,
+    /// Snapshot swaps installed.
+    store_swaps: Counter,
 }
 
 impl KdcMetrics {
@@ -157,6 +160,7 @@ impl KdcMetrics {
             sched_hits: registry.counter("kdc_sched_cache_hits_total"),
             sched_misses: registry.counter("kdc_sched_cache_misses_total"),
             snapshot_failures: registry.counter("kdc_snapshot_failures_total"),
+            store_swaps: registry.counter("kdc_store_swaps_total"),
         }
     }
 }
@@ -176,42 +180,42 @@ enum JournalSink {
 }
 
 impl JournalSink {
-    fn attached(&self) -> bool {
-        !matches!(self, JournalSink::None)
-    }
-
-    fn record(
-        &self,
-        at_us: u64,
-        trace: Option<TraceId>,
-        kind: EventKind,
-        fields: Vec<(&'static str, Field)>,
-    ) {
+    /// The journal an event of this trace goes to, if one is attached.
+    fn route(&self, trace: Option<TraceId>) -> Option<&Journal> {
         match self {
-            JournalSink::None => {}
-            JournalSink::Single(journal) => {
-                journal.record(at_us, trace, Component::Kdc, kind, fields);
-            }
+            JournalSink::None => None,
+            JournalSink::Single(journal) => Some(journal),
             JournalSink::Sharded(shards) => {
-                let idx = trace.map_or(0, |t| (t.0 % shards.len() as u64) as usize);
-                shards[idx].record(at_us, trace, Component::Kdc, kind, fields);
+                Some(&shards[trace.map_or(0, |t| (t.0 % shards.len() as u64) as usize)])
             }
         }
     }
 }
 
-/// The KDC's swap-on-write observability bundle: registry, counter
-/// handles, span clock and journal sink travel together so a request
-/// reads one consistent set with a single `Arc` clone.
+/// The KDC's observability bundle: registry, counter handles, latency
+/// clock and journal sink.
+#[derive(Clone)]
 struct KdcHooks {
     registry: Arc<Registry>,
     metrics: KdcMetrics,
-    /// Microsecond clock for latency spans. Defaults to the second-level
-    /// protocol [`Clock`] scaled up (deterministic wherever the protocol
-    /// clock is); a driver measuring real hardware injects
-    /// `krb_telemetry::wall_clock_us()` instead.
+    /// Microsecond clock for latencies and journal stamps. Defaults to
+    /// the second-level protocol [`Clock`] scaled up (deterministic
+    /// wherever the protocol clock is); a harness measuring real hardware
+    /// injects `krb_telemetry::wall_clock_us()` instead.
     clock_us: ClockUs,
     journal: JournalSink,
+}
+
+/// Everything a request reads, swapped as one: the read snapshot, the
+/// hooks and the heavy-hitter tables. A request takes one read lock and
+/// one `Arc` clone for all three; every setter rewrites its part inside
+/// the write guard, so concurrent setters never drop each other's change.
+#[derive(Clone)]
+struct KdcState {
+    snapshot: Arc<KdcSnapshot>,
+    hooks: KdcHooks,
+    /// Absent until [`Kdc::enable_top_stats`].
+    top: Option<KdcTopStats>,
 }
 
 /// How many principal-key schedules the KDC keeps warm. Small on purpose:
@@ -238,10 +242,12 @@ impl SchedCache {
 
     /// Probe by borrowed components: a hit copies no key.
     fn get(&mut self, name: &str, instance: &str, kvno: u8) -> Option<Arc<Scheduled>> {
+        // From the most recently used end: keys are unique, so the first
+        // match from either end is the same entry.
         let pos = self
             .entries
             .iter()
-            .position(|((n, i, v), _)| n == name && i == instance && *v == kvno)?;
+            .rposition(|((n, i, v), _)| n == name && i == instance && *v == kvno)?;
         let entry = self.entries.remove(pos);
         let sched = Arc::clone(&entry.1);
         self.entries.push(entry);
@@ -289,8 +295,9 @@ pub struct Kdc<S: Store> {
     /// The writable source of truth (possibly file-backed). Only writers
     /// touch it; every mutation swaps in a new [`Kdc::snapshot`] of it.
     primary: Mutex<PrincipalDb<S>>,
-    /// The current read snapshot; requests clone the `Arc` and go lock-free.
-    snapshot: RwLock<Arc<KdcSnapshot>>,
+    /// The current read snapshot, hooks and top tables; requests clone
+    /// the `Arc` and go lock-free.
+    state: RwLock<Arc<KdcState>>,
     config: RealmConfig,
     clock: Clock,
     /// Session-key generator. Serialized so the draw sequence from a seed
@@ -298,20 +305,11 @@ pub struct Kdc<S: Store> {
     keygen: Mutex<KeyGenerator<StdRng>>,
     replay: StripedReplayCache,
     role: KdcRole,
-    hooks: RwLock<Arc<KdcHooks>>,
-    /// How many snapshot swaps have been installed
-    /// (`kdc_store_swaps_total`). Behind `RwLock` so `set_telemetry` can
-    /// rebind the handle to shared registry storage; swaps are rare
-    /// (admin writes), so the read-lock cost is irrelevant.
-    swaps: RwLock<Counter>,
-    /// Optional heavy-hitter tables (absent until
-    /// [`Kdc::enable_top_stats`]; one relaxed read per request when off).
-    top: RwLock<Option<KdcTopStats>>,
 }
 
 impl<S: Store> Kdc<S> {
     /// Create a KDC over an opened principal database. A fresh telemetry
-    /// registry is attached; latency spans are timed by the same clock
+    /// registry is attached; latencies are timed by the same clock
     /// the protocol reads (scaled to µs), so simulated runs stay
     /// deterministic — see [`Kdc::set_telemetry`] to override either.
     pub fn new(db: PrincipalDb<S>, config: RealmConfig, clock: Clock, role: KdcRole, seed: u64) -> Self {
@@ -319,7 +317,6 @@ impl<S: Store> Kdc<S> {
         let metrics = KdcMetrics::new(&registry);
         let replay = StripedReplayCache::new();
         replay.publish(&registry, "kdc");
-        let swaps = RwLock::new(registry.counter("kdc_store_swaps_total"));
         let protocol_clock = Arc::clone(&clock);
         let clock_us: ClockUs = Arc::new(move || u64::from(protocol_clock()) * 1_000_000);
         // No last good state to fall back on here: a store that cannot be
@@ -330,23 +327,30 @@ impl<S: Store> Kdc<S> {
             PrincipalDb::empty_mem(db.master_key())
         });
         let snapshot = build_snapshot(mem, &config.realm);
+        let hooks = KdcHooks { registry, metrics, clock_us, journal: JournalSink::None };
         Kdc {
             primary: Mutex::new(db),
-            snapshot: RwLock::new(Arc::new(snapshot)),
+            state: RwLock::new(Arc::new(KdcState {
+                snapshot: Arc::new(snapshot),
+                hooks,
+                top: None,
+            })),
             config,
             clock,
             keygen: Mutex::new(KeyGenerator::new(StdRng::seed_from_u64(seed))),
             replay,
             role,
-            hooks: RwLock::new(Arc::new(KdcHooks {
-                registry,
-                metrics,
-                clock_us,
-                journal: JournalSink::None,
-            })),
-            swaps,
-            top: RwLock::new(None),
         }
+    }
+
+    fn state(&self) -> Arc<KdcState> {
+        Arc::clone(&self.state.read())
+    }
+
+    /// Rewrite the state inside the write guard. In-flight requests keep
+    /// the `Arc` they cloned; the state is copied only when one is held.
+    fn update(&self, f: impl FnOnce(&mut KdcState)) {
+        f(Arc::make_mut(&mut self.state.write()));
     }
 
     /// Start maintaining bounded per-principal heavy-hitter tables of
@@ -354,54 +358,45 @@ impl<S: Store> Kdc<S> {
     /// again resets the tables with the new capacity.
     pub fn enable_top_stats(&self, k: usize) -> KdcTopStats {
         let stats = KdcTopStats::new(k);
-        *self.top.write() = Some(stats.clone());
+        self.update(|state| state.top = Some(stats.clone()));
         stats
     }
 
     /// Handles onto the heavy-hitter tables, if enabled.
     pub fn top_stats(&self) -> Option<KdcTopStats> {
-        self.top.read().clone()
+        self.state.read().top.clone()
     }
 
     /// The current read snapshot. The returned `Arc` stays valid (and
     /// internally consistent) for as long as the caller holds it, even
     /// across concurrent `install_db`/`with_db_mut` swaps.
     pub fn snapshot(&self) -> Arc<KdcSnapshot> {
-        self.snapshot.read().clone()
-    }
-
-    fn hooks(&self) -> Arc<KdcHooks> {
-        self.hooks.read().clone()
+        Arc::clone(&self.state.read().snapshot)
     }
 
     /// The registry this KDC reports into (render it for a snapshot).
     pub fn telemetry(&self) -> Arc<Registry> {
-        Arc::clone(&self.hooks().registry)
+        Arc::clone(&self.state.read().hooks.registry)
     }
 
-    /// Report into a caller-provided registry and time spans with a
+    /// Report into a caller-provided registry and time latencies with a
     /// caller-provided microsecond clock. Counts recorded so far are
     /// dropped (call right after construction); the replay cache's
     /// counters and the swap counter rebind to the new registry's storage
     /// — several KDCs sharing one registry (a master and its slaves)
     /// increment shared counters rather than shadowing each other.
     pub fn set_telemetry(&self, registry: Arc<Registry>, clock_us: ClockUs) {
-        let metrics = KdcMetrics::new(&registry);
-        self.replay.publish(&registry, "kdc");
-        *self.swaps.write() = registry.counter("kdc_store_swaps_total");
-        let journal = self.hooks().journal.clone();
-        *self.hooks.write() = Arc::new(KdcHooks { registry, metrics, clock_us, journal });
+        self.update(|state| {
+            self.replay.publish(&registry, "kdc");
+            state.hooks.metrics = KdcMetrics::new(&registry);
+            state.hooks.registry = registry;
+            state.hooks.clock_us = clock_us;
+        });
     }
 
-    /// Override only the span clock (keep the auto-created registry).
+    /// Override only the latency clock (keep the auto-created registry).
     pub fn set_clock_us(&self, clock_us: ClockUs) {
-        let old = self.hooks();
-        *self.hooks.write() = Arc::new(KdcHooks {
-            registry: Arc::clone(&old.registry),
-            metrics: old.metrics.clone(),
-            clock_us,
-            journal: old.journal.clone(),
-        });
+        self.update(|state| state.hooks.clock_us = clock_us);
     }
 
     /// Attach a structured event journal. Exchange outcomes (and their
@@ -425,23 +420,18 @@ impl<S: Store> Kdc<S> {
     }
 
     fn set_sink(&self, sink: JournalSink) {
-        let old = self.hooks();
-        *self.hooks.write() = Arc::new(KdcHooks {
-            registry: Arc::clone(&old.registry),
-            metrics: old.metrics.clone(),
-            clock_us: Arc::clone(&old.clock_us),
-            journal: sink,
-        });
+        self.update(|state| state.hooks.journal = sink);
     }
 
     /// Point-in-time counters, materialized from the registry.
     pub fn stats(&self) -> KdcStats {
-        let hooks = self.hooks();
-        let k = &hooks.metrics.error_kinds;
+        let state = self.state();
+        let metrics = &state.hooks.metrics;
+        let k = &metrics.error_kinds;
         KdcStats {
-            as_ok: hooks.metrics.as_ok.get(),
-            tgs_ok: hooks.metrics.tgs_ok.get(),
-            errors: hooks.metrics.errors.get(),
+            as_ok: metrics.as_ok.get(),
+            tgs_ok: metrics.tgs_ok.get(),
+            errors: metrics.errors.get(),
             errors_by_kind: ErrorKindCounts {
                 bad_password: k[0].get(),
                 unknown_principal: k[1].get(),
@@ -489,7 +479,7 @@ impl<S: Store> Kdc<S> {
                 let out = f(&mut db);
                 match db.snapshot_mem() {
                     Ok(mem) => self.swap_in(build_snapshot(mem, &self.config.realm)),
-                    Err(_) => self.hooks().metrics.snapshot_failures.inc(),
+                    Err(_) => self.state().hooks.metrics.snapshot_failures.inc(),
                 }
                 Some(out)
             }
@@ -509,13 +499,15 @@ impl<S: Store> Kdc<S> {
                 *primary = db;
                 self.swap_in(snap);
             }
-            Err(_) => self.hooks().metrics.snapshot_failures.inc(),
+            Err(_) => self.state().hooks.metrics.snapshot_failures.inc(),
         }
     }
 
     fn swap_in(&self, snap: KdcSnapshot) {
-        *self.snapshot.write() = Arc::new(snap);
-        self.swaps.read().inc();
+        self.update(|state| {
+            state.snapshot = Arc::new(snap);
+            state.hooks.metrics.store_swaps.inc();
+        });
     }
 
     /// Handle one datagram; always returns a reply (success or KRB_ERROR).
@@ -535,64 +527,54 @@ impl<S: Store> Kdc<S> {
         sender_addr: HostAddr,
         trace: Option<TraceId>,
     ) -> Vec<u8> {
-        let snap = self.snapshot();
-        let hooks = self.hooks();
-        let mut span = Span::start(&hooks.clock_us, &hooks.metrics.as_latency_us);
-        if let Some(t) = trace {
-            // The latency bucket this exchange lands in remembers the
-            // trace as its exemplar, linking render spikes to timelines.
-            span = span.with_trace(t);
-        }
+        let state = self.state();
+        let (snap, hooks) = (&*state.snapshot, &state.hooks);
+        // Three clock reads, in this order: start, end (once decoding has
+        // named the exchange) and the journal stamp.
+        let started_at = (hooks.clock_us)();
         // The request is read where it lies: `req` borrows `request`.
         let (result, subject) = match MessageView::decode(request) {
             Ok(MessageView::AsReq(req)) => {
-                (self.handle_as(&snap, &hooks, &req, sender_addr), Some(Subject::Client(req.cname)))
+                (self.handle_as(snap, hooks, &req, sender_addr), Some(Subject::Client([req.cname])))
             }
             Ok(MessageView::TgsReq(req)) => (
-                self.handle_tgs(&snap, &hooks, &req, sender_addr),
-                Some(Subject::Service(req.sname, req.sinstance)),
+                self.handle_tgs(snap, hooks, &req, sender_addr),
+                Some(Subject::Service([req.sname, req.sinstance])),
             ),
             Ok(_) => (Err(ErrorCode::RdApUndec), None),
             Err(e) => (Err(e), None),
         };
-        // The span was opened before decoding told us the exchange type;
-        // route it to the right histogram now.
-        let ok_kind = match subject {
-            Some(Subject::Client(_)) => {
-                span.finish();
-                Some(EventKind::AsOk)
-            }
-            Some(Subject::Service(..)) => {
-                span.finish_into(&hooks.metrics.tgs_latency_us);
-                Some(EventKind::TgsOk)
-            }
-            None => {
-                span.cancel();
-                None
-            }
-        };
-        let top = self.top.read().clone();
-        // `who` names the exchange's subject for the journal and the
-        // heavy-hitter tables: the client principal (AS) or the target
-        // service (TGS) — never key material. With neither attached the
-        // string is not built.
-        let who = subject.filter(|_| top.is_some() || hooks.journal.attached()).map(Subject::named);
+        // A request that never named an exchange records no latency. A
+        // traced one leaves its trace as its bucket's exemplar, linking
+        // render spikes to timelines.
+        if let Some(subject) = subject {
+            let elapsed = (hooks.clock_us)().saturating_sub(started_at);
+            let histogram = match subject {
+                Subject::Client(_) => &hooks.metrics.as_latency_us,
+                Subject::Service(_) => &hooks.metrics.tgs_latency_us,
+            };
+            histogram.record_with_trace(elapsed, trace);
+        }
+        // The subject — the client principal (AS) or the target service
+        // (TGS), never key material — keys the heavy-hitter tables and the
+        // journal event.
+        let journal = hooks.journal.route(trace);
         match result {
             Ok(reply) => {
-                if let (Some(top), Some((_, value))) = (&top, &who) {
-                    match ok_kind {
-                        Some(EventKind::AsOk) => top.as_clients.observe(value),
-                        Some(EventKind::TgsOk) => top.tgs_services.observe(value),
-                        _ => {}
+                if let Some(subject) = subject {
+                    let top = state.top.as_ref();
+                    let (kind, table) = match subject {
+                        Subject::Client(_) => (EventKind::AsOk, top.map(|t| &t.as_clients)),
+                        Subject::Service(_) => (EventKind::TgsOk, top.map(|t| &t.tgs_services)),
+                    };
+                    if let Some(table) = table {
+                        subject.observe(table);
                     }
-                }
-                if hooks.journal.attached() {
-                    if let Some(event) = ok_kind {
-                        let mut fields: Vec<(&'static str, Field)> = Vec::with_capacity(1);
-                        if let Some((key, value)) = who {
-                            fields.push((key, Field::from(value)));
-                        }
-                        hooks.journal.record((hooks.clock_us)(), trace, event, fields);
+                    if let Some(journal) = journal {
+                        let at_us = (hooks.clock_us)();
+                        journal.record_with(at_us, trace, Component::Kdc, kind, |fields| {
+                            subject.fill(fields)
+                        });
                     }
                 }
                 reply
@@ -600,18 +582,17 @@ impl<S: Store> Kdc<S> {
             Err(code) => {
                 hooks.metrics.errors.inc();
                 hooks.metrics.error_kinds[code.kind_index()].inc();
-                if let (Some(top), Some((_, value))) = (&top, &who) {
-                    top.error_principals.observe(value);
+                if let (Some(top), Some(subject)) = (&state.top, subject) {
+                    subject.observe(&top.error_principals);
                 }
-                if hooks.journal.attached() {
-                    let mut fields: Vec<(&'static str, Field)> = vec![
-                        ("err_kind", Field::from(code.kind())),
-                        ("code", Field::from(code as u8)),
-                    ];
-                    if let Some((key, value)) = who {
-                        fields.push((key, Field::from(value)));
+                if let Some(journal) = journal {
+                    let mut fields = Vec::with_capacity(2 + usize::from(subject.is_some()));
+                    fields.push(("err_kind", Field::from(code.kind())));
+                    fields.push(("code", Field::from(code as u8)));
+                    if let Some(subject) = subject {
+                        fields.push(subject.field());
                     }
-                    hooks.journal.record((hooks.clock_us)(), trace, EventKind::KdcErr, fields);
+                    journal.record((hooks.clock_us)(), trace, Component::Kdc, EventKind::KdcErr, fields);
                 }
                 MessageView::Err { code, text: code.describe() }.encode()
             }
@@ -772,22 +753,41 @@ impl<S: Store> Kdc<S> {
     }
 }
 
-/// Whom an exchange is about, as named in its request.
+/// Whom an exchange is about, as named in its request: the parts its
+/// journal value and heavy-hitter key join with `.`.
 #[derive(Clone, Copy)]
 enum Subject<'a> {
     /// AS: the client's primary name.
-    Client(&'a str),
+    Client([&'a str; 1]),
     /// TGS: the target service's name and instance.
-    Service(&'a str, &'a str),
+    Service([&'a str; 2]),
 }
 
-impl Subject<'_> {
-    /// The journal field this subject is recorded under, and its value.
-    fn named(self) -> (&'static str, String) {
+impl<'a> Subject<'a> {
+    /// The journal field this subject is recorded under, and its parts.
+    fn named(&self) -> (&'static str, &[&'a str]) {
         match self {
-            Subject::Client(name) => ("client", name.to_owned()),
-            Subject::Service(name, instance) => ("service", format!("{name}.{instance}")),
+            Subject::Client(parts) => ("client", parts),
+            Subject::Service(parts) => ("service", parts),
         }
+    }
+
+    /// Make `fields` this subject's one journal field, reusing the storage
+    /// already in it.
+    fn fill(self, fields: &mut Vec<(&'static str, Field)>) {
+        let (key, parts) = self.named();
+        set_joined_field(fields, key, parts);
+    }
+
+    /// This subject's journal field, freshly allocated.
+    fn field(self) -> (&'static str, Field) {
+        let (key, parts) = self.named();
+        (key, Field::from(parts.join(".")))
+    }
+
+    /// Count this subject once in `table`.
+    fn observe(self, table: &SpaceSaving) {
+        table.observe(&self.named().1.join("."));
     }
 }
 
@@ -899,13 +899,17 @@ mod tests {
     const WS: HostAddr = [18, 72, 0, 5];
     const NOW: u32 = 600_000_000;
 
-    fn test_kdc() -> Kdc<MemStore> {
+    fn test_db() -> PrincipalDb<MemStore> {
         let mut db = PrincipalDb::create(MemStore::new(), string_to_key("master"), NOW).unwrap();
         let far = NOW + 3 * 365 * 24 * 3600;
         db.add_principal("krbtgt", REALM, &string_to_key("tgs-secret"), far, 96, NOW, "init.").unwrap();
         db.add_principal("bcn", "", &string_to_key("bcn-password"), far, 96, NOW, "init.").unwrap();
         db.add_principal("rlogin", "priam", &string_to_key("rlogin-srvtab"), far, 96, NOW, "init.").unwrap();
-        Kdc::new(db, RealmConfig::new(REALM), fixed_clock(NOW), KdcRole::Master, 7)
+        db
+    }
+
+    fn test_kdc() -> Kdc<MemStore> {
+        Kdc::new(test_db(), RealmConfig::new(REALM), fixed_clock(NOW), KdcRole::Master, 7)
     }
 
     fn principal(p: &str) -> Principal {
@@ -1220,6 +1224,78 @@ mod tests {
         assert_eq!(kdc.telemetry().counter_value("kdc_store_swaps_total"), 2);
         assert!(before.db().exists("newuser", "").unwrap(), "old view immutable");
         assert!(!kdc.snapshot().db().exists("newuser", "").unwrap(), "new view swapped in");
+    }
+
+    /// Every setter rewrites its own part of the one state a request
+    /// loads, inside the write guard: whatever the order, none of them
+    /// undoes another's effect.
+    #[test]
+    fn state_setters_in_any_order_keep_each_others_effects() {
+        #[derive(Clone, Copy, PartialEq)]
+        enum Step {
+            Top,
+            Telemetry,
+            Clock,
+            Single,
+            Shards,
+            Swap,
+        }
+        use Step::*;
+        let steps = [Top, Telemetry, Clock, Single, Shards, Swap];
+        let mut orders = Vec::new();
+        for r in 0..steps.len() {
+            let mut order = steps;
+            order.rotate_left(r);
+            orders.push(order);
+            order.reverse();
+            orders.push(order);
+        }
+        let add_alice = |db: &mut PrincipalDb<MemStore>| {
+            db.add_principal("alice", "", &string_to_key("alice-pw"), NOW * 2, 96, NOW, "t.")
+                .unwrap();
+        };
+        for (n, order) in orders.iter().enumerate() {
+            let kdc = test_kdc();
+            let registry = Arc::new(Registry::new());
+            let (single, shard) = (Journal::shared(), Journal::shared());
+            for step in order {
+                match step {
+                    Top => drop(kdc.enable_top_stats(4)),
+                    Telemetry => kdc.set_telemetry(
+                        Arc::clone(&registry),
+                        krb_telemetry::fixed_clock_us(111),
+                    ),
+                    Clock => kdc.set_clock_us(krb_telemetry::fixed_clock_us(222)),
+                    Single => kdc.set_journal(Arc::clone(&single)),
+                    Shards => kdc.set_journal_shards(vec![Arc::clone(&shard)]),
+                    // Both writers swap a snapshot in; alternate them.
+                    Swap if n % 2 == 0 => kdc.with_db_mut(add_alice).unwrap(),
+                    Swap => {
+                        let mut db = test_db();
+                        add_alice(&mut db);
+                        kdc.install_db(db);
+                    }
+                }
+            }
+            let later = |a: Step, b: Step| {
+                order.iter().position(|s| *s == a) > order.iter().position(|s| *s == b)
+            };
+            let req = build_as_req(&principal("alice"), &Principal::tgs(REALM, REALM), 96, NOW);
+            let reply = kdc.handle_traced(&req, WS, Some(TraceId(9)));
+            read_as_reply_with_password(&reply, "alice-pw", NOW).expect("the new snapshot serves");
+
+            let top = kdc.top_stats().expect("top tables stay enabled");
+            assert_eq!(top.as_clients.top(1)[0].key, "alice", "the top tables observe");
+            assert_eq!(registry.counter_value("kdc_as_ok_total"), 1, "the shared registry counts");
+            let swaps_after_telemetry = u64::from(later(Swap, Telemetry));
+            assert_eq!(registry.counter_value("kdc_store_swaps_total"), swaps_after_telemetry);
+            let (live, idle) = if later(Shards, Single) { (&shard, &single) } else { (&single, &shard) };
+            let events = live.dump();
+            assert_eq!(events.len(), 1, "the last journal attached records");
+            assert!(idle.dump().is_empty());
+            let clock = if later(Clock, Telemetry) { 222 } else { 111 };
+            assert_eq!(events[0].at_us, clock, "the last clock set stamps");
+        }
     }
 
     #[test]

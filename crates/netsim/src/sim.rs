@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -82,9 +82,11 @@ pub struct SimNet {
     /// Simulated time in milliseconds, shared with host clocks.
     time_ms: Arc<AtomicU64>,
     in_flight: BinaryHeap<Reverse<Scheduled>>,
-    inboxes: HashMap<Endpoint, VecDeque<Packet>>,
+    /// Ordered maps, not SipHash-keyed ones: neither is iterated, and a
+    /// lookup on a handful of endpoints is a few compares.
+    inboxes: BTreeMap<Endpoint, VecDeque<Packet>>,
     /// Hosts cut off from the network (the "master machine is down" case).
-    partitioned: std::collections::HashSet<crate::Ipv4>,
+    partitioned: BTreeSet<crate::Ipv4>,
     taps: Vec<Tap>,
     seq: u64,
     registry: Arc<Registry>,
@@ -159,7 +161,7 @@ impl SimNet {
             config,
             time_ms: Arc::new(AtomicU64::new(0)),
             in_flight: BinaryHeap::new(),
-            inboxes: HashMap::new(),
+            inboxes: BTreeMap::new(),
             partitioned: Default::default(),
             taps: Vec::new(),
             seq: 0,

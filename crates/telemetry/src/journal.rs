@@ -277,6 +277,45 @@ impl From<String> for Field {
     }
 }
 
+/// Make `fields` the single string field `key=value`, where `value` is
+/// `parts` joined by `.` — what `vec![(key, Field::from(parts.join(".")))]`
+/// builds, without allocating when the storage already there fits. The
+/// vector is kept when its capacity is exactly one field, and its string
+/// when it has room for `value`; anything else is replaced by storage of
+/// exactly the size needed, so a vector never holds spare capacity.
+pub fn set_joined_field(
+    fields: &mut Vec<(&'static str, Field)>,
+    key: &'static str,
+    parts: &[&str],
+) {
+    let len = parts.iter().map(|p| p.len()).sum::<usize>() + parts.len().saturating_sub(1);
+    if fields.capacity() != 1 {
+        *fields = Vec::with_capacity(1);
+    }
+    match fields.as_mut_slice() {
+        [(k, Field::Str(value))] if value.capacity() >= len => {
+            *k = key;
+            value.clear();
+            push_joined(value, parts);
+        }
+        _ => {
+            let mut value = String::with_capacity(len);
+            push_joined(&mut value, parts);
+            fields.clear();
+            fields.push((key, Field::Str(value)));
+        }
+    }
+}
+
+fn push_joined(out: &mut String, parts: &[&str]) {
+    for (i, part) in parts.iter().enumerate() {
+        if i > 0 {
+            out.push('.');
+        }
+        out.push_str(part);
+    }
+}
+
 /// One journal entry.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Event {
@@ -385,15 +424,34 @@ impl Journal {
         kind: EventKind,
         fields: Vec<(&'static str, Field)>,
     ) {
+        self.record_with(at_us, trace, component, kind, |slot| *slot = fields);
+    }
+
+    /// Append an event whose fields `fill` writes in place. `fill` is
+    /// handed the field vector of the event this append evicts (empty
+    /// while the ring has room) and must leave exactly the new event's
+    /// fields in it; reusing that storage ([`set_joined_field`]) makes
+    /// the append allocation-free once the ring is full.
+    pub fn record_with(
+        &self,
+        at_us: u64,
+        trace: Option<TraceId>,
+        component: Component,
+        kind: EventKind,
+        fill: impl FnOnce(&mut Vec<(&'static str, Field)>),
+    ) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let event = Event { seq, at_us, trace, component, kind, fields };
         {
             let mut stripe = self.lock_stripe((seq as usize) % STRIPES);
+            let mut fields = Vec::new();
             if stripe.len() >= self.stripe_cap {
-                stripe.pop_front();
+                if let Some(evicted) = stripe.pop_front() {
+                    fields = evicted.fields;
+                }
                 self.dropped.inc();
             }
-            stripe.push_back(event);
+            fill(&mut fields);
+            stripe.push_back(Event { seq, at_us, trace, component, kind, fields });
         }
         self.events.inc();
         // The stripe guard is dropped before the capture: the recorder
@@ -597,6 +655,69 @@ mod tests {
         let seqs: Vec<u64> = dump.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (16..24).collect::<Vec<u64>>(), "oldest evicted first");
         assert!(seqs[0] > 0, "gap before the retained window is visible");
+    }
+
+    /// Record the same script into two journals: exchange events through
+    /// the in-place path into one and as owned vectors into the other.
+    /// Names of two lengths and a three-field error event make the ring
+    /// reuse slots for shorter values, longer ones and wider vectors.
+    #[test]
+    fn in_place_fields_match_owned_fields_and_keep_storage_exact() {
+        use crate::flight::FlightRecorder;
+        let (owned, in_place) = (Journal::new(16), Journal::new(16));
+        let recorder = Arc::new(FlightRecorder::new(4));
+        in_place.set_flight_recorder(Arc::clone(&recorder));
+        let subjects: [(&str, &[&str]); 3] = [
+            ("client", &["u00017"]),
+            ("service", &["svc3", "host3"]),
+            ("service", &["rcmd", "a-much-longer-instance"]),
+        ];
+        let script = 0..40u64;
+        for n in script.clone() {
+            let trace = Some(TraceId(n % 5));
+            if n % 7 == 6 {
+                for j in [&owned, &in_place] {
+                    let fields = vec![
+                        ("err_kind", Field::from("replay")),
+                        ("code", Field::from(n)),
+                        ("service", Field::from("svc3.host3")),
+                    ];
+                    j.record(n, trace, Component::Kdc, EventKind::KdcErr, fields);
+                }
+            } else {
+                let (key, parts) = subjects[n as usize % 3];
+                let fields = vec![(key, Field::from(parts.join(".")))];
+                owned.record(n, trace, Component::Kdc, EventKind::TgsOk, fields);
+                in_place.record_with(n, trace, Component::Kdc, EventKind::TgsOk, |fields| {
+                    set_joined_field(fields, key, parts)
+                });
+            }
+            // Once before the ring wraps (16 slots) and once long after.
+            if n == 15 || n == script.end - 1 {
+                assert_eq!(in_place.dump(), owned.dump());
+                assert_eq!(in_place.render(), owned.render());
+            }
+        }
+        assert_eq!(in_place.events_dropped(), 24);
+        // The in-place path shares the one record body: a traced error
+        // still reaches the flight recorder.
+        assert!(recorder.captures_total() > 0);
+        let last = recorder.recent(1).pop().expect("a captured failure");
+        assert_eq!((last.trace, last.fail_kind), (TraceId(34 % 5), EventKind::KdcErr));
+        // `dump()` clones, so inspect the ring itself: no retained field
+        // vector holds spare capacity, and a reused string never holds
+        // more than the longest value written.
+        let longest = subjects.iter().map(|(_, p)| p.join(".").len()).max().unwrap();
+        for i in 0..STRIPES {
+            for event in in_place.lock_stripe(i).iter() {
+                assert_eq!(event.fields.capacity(), event.fields.len(), "seq {}", event.seq);
+                for (_, value) in &event.fields {
+                    if let Field::Str(s) = value {
+                        assert!(s.capacity() <= longest, "seq {}", event.seq);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

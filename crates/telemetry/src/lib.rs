@@ -45,7 +45,8 @@ pub use clock::{fixed_clock_us, lcg_clock_us, shared_clock_us, wall_clock_us, Cl
 pub use flight::{FailureRecord, FlightRecorder};
 pub use health::{HealthInputs, HealthState, HealthThresholds, HealthVerdict};
 pub use journal::{
-    merge_journals, merge_render, Component, Event, EventKind, Field, Journal, TraceCtx, TraceId,
+    merge_journals, merge_render, set_joined_field, Component, Event, EventKind, Field, Journal,
+    TraceCtx, TraceId,
 };
 pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, LATENCY_BUCKETS_US};
@@ -59,13 +60,11 @@ pub use sketch::{SketchEntry, SpaceSaving};
 ///
 /// A span that is simply dropped (an early-return error path, a `?`)
 /// still records into the histogram it was opened with — losing the
-/// latency sample silently made error paths invisible. Call
-/// [`Span::cancel`] to opt out explicitly.
+/// latency sample silently made error paths invisible.
 pub struct Span {
     clock: ClockUs,
     started_at: u64,
     histogram: Option<Histogram>,
-    trace: Option<TraceId>,
 }
 
 impl Span {
@@ -75,17 +74,7 @@ impl Span {
             clock: ClockUs::clone(clock),
             started_at: clock(),
             histogram: Some(histogram.clone()),
-            trace: None,
         }
-    }
-
-    /// Attach a trace id: whichever bucket this span's sample lands in
-    /// will remember it as that bucket's exemplar (see
-    /// [`Histogram::exemplars`]). Applies to every finish path, including
-    /// the record-on-drop one.
-    pub fn with_trace(mut self, trace: TraceId) -> Self {
-        self.trace = Some(trace);
-        self
     }
 
     fn elapsed(&self) -> u64 {
@@ -97,32 +86,16 @@ impl Span {
     pub fn finish(mut self) -> u64 {
         let elapsed = self.elapsed();
         if let Some(hist) = self.histogram.take() {
-            hist.record_with_trace(elapsed, self.trace);
+            hist.record(elapsed);
         }
         elapsed
-    }
-
-    /// Stop timing but record into `histogram` instead of the one the
-    /// span was opened with — for callers that only learn where a request
-    /// belongs after work has started (e.g. once it has been decoded).
-    pub fn finish_into(mut self, histogram: &Histogram) -> u64 {
-        let elapsed = self.elapsed();
-        self.histogram = None;
-        histogram.record_with_trace(elapsed, self.trace);
-        elapsed
-    }
-
-    /// Abandon the span without recording (e.g. a request the component
-    /// decided not to account for).
-    pub fn cancel(mut self) {
-        self.histogram = None;
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(hist) = self.histogram.take() {
-            hist.record_with_trace(self.elapsed(), self.trace);
+            hist.record(self.elapsed());
         }
     }
 }
@@ -144,14 +117,6 @@ mod tests {
         assert_eq!(hist.count(), 1);
         assert_eq!(hist.sum(), 250);
         assert_eq!(hist.max(), 250);
-    }
-
-    #[test]
-    fn cancelled_span_records_nothing() {
-        let clock = fixed_clock_us(7);
-        let hist = Histogram::latency_us();
-        Span::start(&clock, &hist).cancel();
-        assert_eq!(hist.count(), 0);
     }
 
     #[test]
@@ -179,39 +144,5 @@ mod tests {
         }
         assert_eq!(hist.count(), 1);
         assert_eq!(hist.sum(), 75);
-    }
-
-    #[test]
-    fn traced_span_stamps_an_exemplar_on_every_finish_path() {
-        let cell = Arc::new(AtomicU64::new(0));
-        let clock = shared_clock_us(Arc::clone(&cell));
-        let hist = Histogram::latency_us();
-        // finish()
-        let span = Span::start(&clock, &hist).with_trace(TraceId(0xA));
-        cell.store(5, Ordering::SeqCst);
-        span.finish();
-        // drop — elapsed 40 lands in a different bucket than the first
-        {
-            let _span = Span::start(&clock, &hist).with_trace(TraceId(0xB));
-            cell.store(45, Ordering::SeqCst);
-        }
-        // finish_into()
-        let other = Histogram::latency_us();
-        Span::start(&clock, &other).with_trace(TraceId(0xC)).finish_into(&other);
-        let traces: Vec<TraceId> =
-            hist.exemplars().into_iter().filter_map(|(_, t)| t).collect();
-        assert_eq!(traces.len(), 2);
-        assert!(traces.contains(&TraceId(0xA)) && traces.contains(&TraceId(0xB)));
-        assert!(other.exemplars().iter().any(|(_, t)| *t == Some(TraceId(0xC))));
-    }
-
-    #[test]
-    fn finish_into_does_not_double_record() {
-        let clock = fixed_clock_us(7);
-        let opened_with = Histogram::latency_us();
-        let other = Histogram::latency_us();
-        Span::start(&clock, &opened_with).finish_into(&other);
-        assert_eq!(opened_with.count(), 0);
-        assert_eq!(other.count(), 1);
     }
 }

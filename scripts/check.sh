@@ -47,6 +47,11 @@ echo "== cargo test --release -p krb-kdc"
 # the commit before that rewrite, must come out the same in both profiles.
 cargo test --release --offline -q -p krb-kdc
 
+echo "== cargo test --release -p krb-netsim -p krb-telemetry"
+# The measured request path also runs SimNet's endpoint maps and the
+# journal's in-place slot reuse; test them in the profile that is timed.
+cargo test --release --offline -q -p krb-netsim -p krb-telemetry
+
 echo "== krb-lint --json"
 # Machine-readable pass: a dirty tree (a live finding or a stale allow
 # entry) exits non-zero. The report's fields are asserted by the lint
