@@ -15,7 +15,7 @@
 
 use kerberos::{Authenticator, EncKdcReplyPart, EncryptedTicket, Message, SealedAuthenticator};
 use krb_apps::parse_request;
-use krb_crypto::{encrypt_raw, open, DesKey, Mode};
+use krb_crypto::{encrypt_raw_with, unseal_with, DesKey, Mode, Scheduled};
 use krb_netsim::Packet;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -28,7 +28,7 @@ const FP_BLOCK: &[u8; 8] = b"advy-fp\0";
 
 /// Public, non-reversing fingerprint of a DES key.
 pub fn key_fingerprint(k: &DesKey) -> u64 {
-    let ct = encrypt_raw(Mode::Pcbc, k, &[0u8; 8], FP_BLOCK).unwrap_or_default();
+    let ct = encrypt_raw_with(Mode::Pcbc, &Scheduled::new(k), &[0u8; 8], FP_BLOCK).unwrap_or_default();
     let mut b = [0u8; 8];
     if ct.len() >= 8 {
         b.copy_from_slice(&ct[..8]);
@@ -385,7 +385,7 @@ impl Knowledge {
     /// Derivation: `bytes` is a sealed KDC reply part under `k` — learn
     /// the session key, the enclosed ticket blob, and a credential.
     fn learn_reply(&mut self, bytes: &[u8], k: &DesKey, news: &mut Vec<(u64, String)>) -> bool {
-        let Ok(pt) = open(Mode::Pcbc, k, &[0u8; 8], bytes) else { return false };
+        let Ok(pt) = unseal_with(Mode::Pcbc, &Scheduled::new(k), &[0u8; 8], bytes) else { return false };
         let Ok(part) = EncKdcReplyPart::decode(&pt) else { return false };
         self.derivations += 1;
         let via = format!("session key in KDC reply for {}.{}", part.sname, part.sinstance);
@@ -416,12 +416,12 @@ impl Knowledge {
 
 /// Open `bytes` as a sealed authenticator under `k`.
 fn authenticator_open(bytes: &[u8], k: &DesKey) -> Result<Authenticator, kerberos::ErrorCode> {
-    SealedAuthenticator(bytes.to_vec()).open(k)
+    SealedAuthenticator(bytes.to_vec()).open_with(&Scheduled::new(k))
 }
 
 /// Open `bytes` as a sealed ticket under `k`.
 fn ticket_open(bytes: &[u8], k: &DesKey) -> Result<kerberos::Ticket, kerberos::ErrorCode> {
-    EncryptedTicket(bytes.to_vec()).open(k)
+    EncryptedTicket(bytes.to_vec()).open_with(&Scheduled::new(k))
 }
 
 #[cfg(test)]

@@ -52,11 +52,13 @@
 
 use crate::knowledge::{key_fingerprint, Knowledge};
 use kerberos::{
-    build_tgs_req, ApReq, Authenticator, Credential, EncKdcReplyPart, EncryptedTicket, HostAddr,
-    KdcRep, Message, Principal, Ticket, MAX_SKEW_SECS,
+    build_tgs_req_with, ApReq, AuthenticatorView, Credential, EncKdcReplyPart, EncryptedTicket,
+    HostAddr, KdcRep, Message, Principal, Ticket, MAX_SKEW_SECS,
 };
 use krb_apps::{frame_request, request_cksum, RloginNetService, RloginServer};
-use krb_crypto::{open, seal, string_to_key, DesKey, KeyGenerator, Mode, Scheduled, SecretKey};
+use krb_crypto::{
+    seal_with, string_to_key, unseal_with, DesKey, KeyGenerator, Mode, Scheduled, SecretKey,
+};
 use krb_kdb::dump as kdump;
 use krb_kdc::{Deployment, RealmConfig};
 use krb_kprop::{
@@ -668,7 +670,7 @@ impl Engine {
                 continue;
             }
             if let Ok(Message::KdcRep(rep)) = Message::decode(&p.payload) {
-                if let Ok(plain) = open(Mode::Pcbc, &self.user_key, &[0u8; 8], &rep.enc_part) {
+                if let Ok(plain) = unseal_with(Mode::Pcbc, &Scheduled::new(&self.user_key), &[0u8; 8], &rep.enc_part) {
                     if let Ok(part) = EncKdcReplyPart::decode(&plain) {
                         let fp = key_fingerprint(&part.session_key.as_des_key());
                         self.protected.entry(fp).or_insert("tgt-session");
@@ -881,10 +883,10 @@ impl Engine {
             96,
             SecretKey::new(*invented.as_bytes()),
         )
-        .seal(&sealing);
+        .seal_with(&Scheduled::new(&sealing));
         let payload = client.name.clone().into_bytes();
         let cksum = request_cksum(&invented, "login", &payload);
-        let auth = Authenticator::new(&client, WS_ADDR, now, cksum).seal(&invented);
+        let auth = AuthenticatorView::new(&client, WS_ADDR, now, cksum).seal_with(&Scheduled::new(&invented));
         let ap = ApReq {
             realm: REALM.to_string(),
             ticket,
@@ -921,7 +923,7 @@ impl Engine {
             let now = self.ws.now();
             let payload = client.name.clone().into_bytes();
             let cksum = request_cksum(&k, "login", &payload);
-            let auth = Authenticator::new(&client, addr, now, cksum).seal(&k);
+            let auth = AuthenticatorView::new(&client, addr, now, cksum).seal_with(&Scheduled::new(&k));
             let ap = ApReq {
                 realm: c.srealm.clone(),
                 ticket: EncryptedTicket(c.ticket.clone()),
@@ -956,8 +958,9 @@ impl Engine {
                 issued: c.issued,
                 kvno: c.kvno,
             };
+            let fake_sched = Scheduled::new(&fake.key());
             let svc = self.svc.clone();
-            let req = build_tgs_req(&fake, &client, WS_ADDR, self.ws.now(), &svc, 96);
+            let req = build_tgs_req_with(&fake, &fake_sched, &client, WS_ADDR, self.ws.now(), &svc, 96);
             self.report.forges += 1;
             let src = Endpoint::new(WS_ADDR, 1023);
             self.inject(InjectKind::Forge, src, self.kdc_ep, req);
@@ -984,7 +987,7 @@ impl Engine {
             nonce: now,
             ticket: EncryptedTicket(vec![0u8; 16]),
         };
-        let enc_part = seal(Mode::Pcbc, &invented, &[0u8; 8], &part.encode()).unwrap();
+        let enc_part = seal_with(Mode::Pcbc, &Scheduled::new(&invented), &[0u8; 8], &part.encode()).unwrap();
         let wire = Message::KdcRep(KdcRep { enc_part }).encode();
         self.report.impersonations += 1;
         let ws_ep = self.ws.endpoint;

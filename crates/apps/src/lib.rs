@@ -23,12 +23,13 @@ pub mod zephyr;
 pub use login::{login, logout, LoginSession};
 
 /// Per-service request-outcome telemetry shared by the Kerberized network
-/// servers ([`PopServer`], [`RloginServer`], [`ZephyrServer`]). Each server
-/// owns its counters; publishing them into a [`krb_telemetry::Registry`]
-/// exposes every service under one namespace
+/// servers ([`PopServer`], [`RloginServer`], [`ZephyrServer`]). The
+/// counters live in a [`krb_telemetry::Registry`] under one namespace
 /// (`<prefix>_requests_ok_total` / `<prefix>_requests_err_total`, plus the
 /// server's replay-cache counters via
-/// [`kerberos::ReplayCache::publish`]).
+/// [`ReplayCache::publish`](kerberos::ReplayCache::publish)). Both are
+/// get-or-create, so two servers of one kind in one registry count into
+/// the same counters instead of the second hiding the first.
 pub(crate) struct AppMetrics {
     registry: std::sync::Arc<krb_telemetry::Registry>,
     prefix: &'static str,
@@ -38,7 +39,7 @@ pub(crate) struct AppMetrics {
 
 impl AppMetrics {
     pub(crate) fn new(prefix: &'static str) -> Self {
-        let m = AppMetrics {
+        let mut m = AppMetrics {
             registry: krb_telemetry::Registry::shared(),
             prefix,
             ok: krb_telemetry::Counter::new(),
@@ -48,9 +49,9 @@ impl AppMetrics {
         m
     }
 
-    fn bind(&self) {
-        self.registry.adopt_counter(&format!("{}_requests_ok_total", self.prefix), &self.ok);
-        self.registry.adopt_counter(&format!("{}_requests_err_total", self.prefix), &self.err);
+    fn bind(&mut self) {
+        self.ok = self.registry.counter(&format!("{}_requests_ok_total", self.prefix));
+        self.err = self.registry.counter(&format!("{}_requests_err_total", self.prefix));
     }
 
     pub(crate) fn registry(&self) -> std::sync::Arc<krb_telemetry::Registry> {
@@ -59,6 +60,7 @@ impl AppMetrics {
 
     /// Re-home the counters into a shared registry (e.g. a deployment-wide
     /// one) and republish the server's replay-cache counters next to them.
+    /// Counts recorded before the move stay behind in the old registry.
     pub(crate) fn rebind(
         &mut self,
         registry: std::sync::Arc<krb_telemetry::Registry>,

@@ -18,9 +18,9 @@ use crate::zephyr::ZephyrServer;
 use crate::AppError;
 use kerberos::wire::{Reader, Writer};
 use kerberos::{
-    krb_mk_priv_with, krb_rd_priv, ApReq, EncryptedTicket, ErrorCode, HostAddr, KrbResult, PrivMsg,
+    krb_mk_priv, krb_rd_priv, ApReq, EncryptedTicket, ErrorCode, HostAddr, KrbResult, PrivMsg,
 };
-use krb_crypto::{ct_eq, quad_cksum, DesKey};
+use krb_crypto::{ct_eq, quad_cksum, DesKey, Scheduled};
 use krb_netsim::{Packet, Service};
 use krb_telemetry::{ClockUs, Component, EventKind, Field, Journal, TraceCtx, TraceId};
 use std::sync::Arc;
@@ -277,7 +277,7 @@ impl Service for PopNetService {
                     w.str(&m.from);
                     w.bytes(m.body.as_bytes());
                 }
-                let sealed = krb_mk_priv_with(&w.finish(), &session_sched, server_addr(req), now);
+                let sealed = krb_mk_priv(&w.finish(), &session_sched, server_addr(req), now);
                 Some(frame_ok(&sealed.enc_part))
             }
             Err(e) => Some(frame_err(app_err(&e))),
@@ -297,7 +297,7 @@ pub fn open_pop_reply(
     now: u32,
 ) -> Result<Vec<crate::pop::Mail>, ErrorCode> {
     let sealed = parse_reply(reply)?;
-    let plain = krb_rd_priv(&PrivMsg { enc_part: sealed }, session_key, Some(server_addr), now)?;
+    let plain = krb_rd_priv(&PrivMsg { enc_part: sealed }, &Scheduled::new(session_key), Some(server_addr), now)?;
     let mut r = Reader::new(&plain);
     let n = r.u16()? as usize;
     let mut mail = Vec::with_capacity(n);

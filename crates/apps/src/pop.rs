@@ -8,7 +8,7 @@
 
 use crate::netproto::payload_bound;
 use crate::{AppError, AppMetrics};
-use kerberos::{krb_rd_req_sched_ctx, ApReq, ErrorCode, HostAddr, Principal, ReplayCache};
+use kerberos::{krb_rd_req, ApReq, ErrorCode, HostAddr, Principal, ReplayCache};
 use krb_crypto::{DesKey, Scheduled};
 use krb_telemetry::{Registry, TraceCtx};
 use std::collections::HashMap;
@@ -119,7 +119,7 @@ impl PopServer {
         binding: Option<(&str, &[u8])>,
         ctx: Option<&TraceCtx>,
     ) -> Result<(Vec<Mail>, Scheduled), AppError> {
-        let v = krb_rd_req_sched_ctx(ap, &self.service, &self.sched, from, now, &mut self.replay, ctx)?;
+        let v = krb_rd_req(ap, &self.service, &self.sched, from, now, &self.replay, ctx)?;
         if let Some((op, payload)) = binding {
             if !payload_bound(v.cksum, &v.session_key, op, payload) {
                 return Err(AppError::Krb(ErrorCode::RdApModified));

@@ -8,7 +8,7 @@
 
 use crate::netproto::payload_bound;
 use crate::{AppError, AppMetrics};
-use kerberos::{krb_mk_rep, krb_rd_req_sched_ctx, ApReq, ErrorCode, HostAddr, Principal, ReplayCache};
+use kerberos::{krb_mk_rep, krb_rd_req, ApReq, ErrorCode, HostAddr, Principal, ReplayCache};
 use krb_crypto::{DesKey, Scheduled};
 use krb_telemetry::{Registry, TraceCtx};
 use std::collections::HashSet;
@@ -139,7 +139,7 @@ impl RloginServer {
     ) -> Result<RemoteSession, AppError> {
         // First, try Kerberos.
         if let Some(ap) = ap {
-            match krb_rd_req_sched_ctx(ap, &self.service, &self.sched, from, now, &mut self.replay, ctx) {
+            match krb_rd_req(ap, &self.service, &self.sched, from, now, &self.replay, ctx) {
                 Ok(v) => {
                     if let Some((op, payload)) = binding {
                         if !payload_bound(v.cksum, &v.session_key, op, payload) {

@@ -7,7 +7,7 @@
 
 use crate::netproto::payload_bound;
 use crate::{AppError, AppMetrics};
-use kerberos::{krb_rd_req_sched_ctx, ApReq, ErrorCode, HostAddr, Principal, ReplayCache};
+use kerberos::{krb_rd_req, ApReq, ErrorCode, HostAddr, Principal, ReplayCache};
 use krb_crypto::{DesKey, Scheduled};
 use krb_telemetry::{Registry, TraceCtx};
 use std::collections::HashMap;
@@ -127,7 +127,7 @@ impl ZephyrServer {
         ctx: Option<&TraceCtx>,
     ) -> Result<(), AppError> {
         let v =
-            krb_rd_req_sched_ctx(ap, &self.service, &self.sched, sender_addr, now, &mut self.replay, ctx)?;
+            krb_rd_req(ap, &self.service, &self.sched, sender_addr, now, &self.replay, ctx)?;
         if let Some((op, payload)) = binding {
             if !payload_bound(v.cksum, &v.session_key, op, payload) {
                 return Err(AppError::Krb(ErrorCode::RdApModified));

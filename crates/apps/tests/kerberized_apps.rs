@@ -300,3 +300,27 @@ fn app_servers_count_request_outcomes_in_one_registry() {
         assert!(rendered.contains(name), "render() missing {name}");
     }
 }
+
+#[test]
+fn two_rlogin_hosts_in_one_registry_both_count() {
+    // A deployment exports every host's rlogin server into one registry.
+    // The second server to join must not hide the first one's counters.
+    let mut a = athena();
+    let registry = krb_telemetry::Registry::shared();
+    a.rlogin_priam.set_telemetry(std::sync::Arc::clone(&registry));
+    let helen = Principal::parse("rcmd.helen", REALM).unwrap();
+    let mut rlogin_helen = RloginServer::new(helen, krb_crypto::string_to_key("helen-srvtab"));
+    rlogin_helen.set_telemetry(std::sync::Arc::clone(&registry));
+
+    // One accepted connect and one replay, both on the first server.
+    let mut ws = workstation(&a);
+    ws.kinit(&mut a.router, "bcn", "bcn-pw").unwrap();
+    let rcmd = Principal::parse("rcmd.priam", REALM).unwrap();
+    let (ap, _) = ws.mk_request(&mut a.router, &rcmd, 0, false).unwrap();
+    a.rlogin_priam.connect(Some(&ap), "bcn", WS_ADDR, ws.now()).unwrap();
+    assert!(a.rlogin_priam.connect(Some(&ap), "bcn", WS_ADDR, ws.now()).is_err());
+
+    assert_eq!(registry.counter_value("rlogin_requests_ok_total"), 1);
+    assert_eq!(registry.counter_value("rlogin_requests_err_total"), 1);
+    assert_eq!(registry.counter_value("rlogin_replay_hits_total"), 1);
+}

@@ -8,7 +8,7 @@ use krb_apps::{
     frame_request, open_pop_reply, parse_reply, request_cksum, Mail, PopNetService, PopServer,
     RloginNetService, RloginServer, ZephyrNetService, ZephyrServer,
 };
-use krb_crypto::KeyGenerator;
+use krb_crypto::{KeyGenerator, Scheduled};
 use krb_kdc::{Deployment, RealmConfig};
 use krb_netsim::{ports, Endpoint, NetConfig, Router, SimNet};
 use krb_tools::{kdb_init, register_service, register_user, Workstation};
@@ -77,7 +77,7 @@ fn rlogin_over_the_wire_with_mutual_auth() {
     let (ap, cred) = ws.mk_request(&mut net.router, &rcmd, cksum, true).unwrap();
     // Recover the authenticator timestamp for the mutual-auth check.
     let auth = kerberos::SealedAuthenticator(ap.authenticator.clone())
-        .open(&cred.key())
+        .open_with(&Scheduled::new(&cred.key()))
         .unwrap();
 
     let req = frame_request(&ap, "login", b"bcn");

@@ -11,14 +11,14 @@
 //! Run with: `cargo run --release -p krb-bench --bin experiments`
 
 use kerberos::{
-    krb_mk_priv, krb_mk_rep, krb_mk_req, krb_mk_safe, krb_rd_priv, krb_rd_rep, krb_rd_req,
-    krb_rd_safe, msg::seal_kdc_rep, replay::hash_bytes, Authenticator, Principal, ReplayCache,
-    ReplayKey, Ticket, TicketView, MAX_SKEW_SECS,
+    build_tgs_req_with, krb_mk_priv, krb_mk_rep, krb_mk_req, krb_mk_safe, krb_rd_priv, krb_rd_rep,
+    krb_rd_req, krb_rd_safe, msg::seal_kdc_rep, read_tgs_reply_with, replay::hash_bytes,
+    AuthenticatorView, Principal, ReplayCache, ReplayKey, Ticket, TicketView, MAX_SKEW_SECS,
 };
 use krb_bench::time_median;
 use krb_crypto::{
-    decrypt_raw, decrypt_raw_with, encrypt_raw, encrypt_raw_with, open, quad_cksum, seal,
-    seal_in_place, seal_with, string_to_key, Des, DesKey, Mode, Scheduled,
+    decrypt_raw_with, encrypt_raw_with, quad_cksum, seal_in_place, seal_with, string_to_key,
+    unseal_with, Des, DesKey, Mode, Scheduled,
 };
 use krb_kdc::{Kdc, KdcRole, RealmConfig};
 use krb_kdb::{HashStore, MemStore, PrincipalDb, Store};
@@ -82,15 +82,15 @@ fn e02_e03_credential_sizes() {
     let skey = string_to_key("srv");
     let sess = string_to_key("sess");
     let ticket = Ticket::new(&server, &client, WS, NOW, 96, *sess.as_bytes());
-    let sealed = ticket.seal(&skey);
+    let sealed = ticket.seal_with(&Scheduled::new(&skey));
     println!("sealed ticket: {} bytes of ciphertext", sealed.len());
-    let auth = Authenticator::new(&client, WS, NOW, 0).seal(&sess);
+    let auth = AuthenticatorView::new(&client, WS, NOW, 0).seal_with(&Scheduled::new(&sess)).0;
     println!("sealed authenticator: {} bytes", auth.len());
     let per_seal = per_call(5_000, || {
-        black_box(ticket.seal(&skey));
+        black_box(ticket.seal_with(&Scheduled::new(&skey)));
     });
     let per_open = per_call(5_000, || {
-        black_box(sealed.open(&skey).unwrap());
+        black_box(sealed.open_with(&Scheduled::new(&skey)).unwrap());
     });
     println!("seal: {:.1} µs, open: {:.1} µs\n", micros(per_seal), micros(per_open));
 }
@@ -143,9 +143,9 @@ fn e04_to_e08_protocol_costs() {
     let tgt = fresh_tgt(&mut kdc, tick(&clock));
     let tgs_us = micros(per_call(400, || {
         let t = tick(&clock);
-        let req = kerberos::build_tgs_req(&tgt, &client, WS, t, &rlogin, 96);
+        let req = build_tgs_req_with(&tgt, &Scheduled::new(&tgt.key()), &client, WS, t, &rlogin, 96);
         let reply = kdc.handle(&req, WS);
-        black_box(kerberos::read_tgs_reply(&reply, &tgt, t).unwrap());
+        black_box(read_tgs_reply_with(&reply, &Scheduled::new(&tgt.key()), t).unwrap());
     }));
     println!("E7 TGS exchange (service ticket): {tgs_us:.1} µs");
 
@@ -153,15 +153,15 @@ fn e04_to_e08_protocol_costs() {
     let cred = {
         let t = tick(&clock);
         let tgt = fresh_tgt(&mut kdc, t);
-        let req = kerberos::build_tgs_req(&tgt, &client, WS, t, &rlogin, 96);
+        let req = build_tgs_req_with(&tgt, &Scheduled::new(&tgt.key()), &client, WS, t, &rlogin, 96);
         let reply = kdc.handle(&req, WS);
-        kerberos::read_tgs_reply(&reply, &tgt, t).unwrap()
+        read_tgs_reply_with(&reply, &Scheduled::new(&tgt.key()), t).unwrap()
     };
-    let mut rc = ReplayCache::new();
+    let rc = ReplayCache::new();
     let ap_us = micros(per_call(400, || {
         let t = tick(&clock);
         let ap = krb_mk_req(&cred.ticket, REALM, &cred.key(), &client, WS, t, 0, true);
-        let v = krb_rd_req(&ap, &rlogin, &srv_key, WS, t, &mut rc).unwrap();
+        let v = krb_rd_req(&ap, &rlogin, &Scheduled::new(&srv_key), WS, t, &rc, None).unwrap();
         let rep = krb_mk_rep(&v);
         krb_rd_rep(&rep, &cred.key(), v.timestamp).unwrap();
     }));
@@ -171,10 +171,10 @@ fn e04_to_e08_protocol_costs() {
     let full_us = micros(per_call(200, || {
         let t = tick(&clock);
         let tgt = fresh_tgt(&mut kdc, t);
-        let req = kerberos::build_tgs_req(&tgt, &client, WS, t, &rlogin, 96);
-        let cred = kerberos::read_tgs_reply(&kdc.handle(&req, WS), &tgt, t).unwrap();
+        let req = build_tgs_req_with(&tgt, &Scheduled::new(&tgt.key()), &client, WS, t, &rlogin, 96);
+        let cred = read_tgs_reply_with(&kdc.handle(&req, WS), &Scheduled::new(&tgt.key()), t).unwrap();
         let ap = krb_mk_req(&cred.ticket, REALM, &cred.key(), &client, WS, t, 0, false);
-        black_box(krb_rd_req(&ap, &rlogin, &srv_key, WS, t, &mut rc).unwrap());
+        black_box(krb_rd_req(&ap, &rlogin, &Scheduled::new(&srv_key), WS, t, &rc, None).unwrap());
     }));
     println!("E8 full login→ticket→verified request: {full_us:.1} µs\n");
 }
@@ -285,10 +285,10 @@ fn e16_cross_realm() {
         let t = clock.fetch_add(3, Ordering::SeqCst) + 1;
         let req = kerberos::build_as_req(&client, &tgs, 96, t);
         let tgt = kerberos::read_as_reply_with_password(&athena.handle(&req, WS), "p5", t).unwrap();
-        let req = kerberos::build_tgs_req(&tgt, &client, WS, t + 1, &remote_tgs, 96);
-        let xr_tgt = kerberos::read_tgs_reply(&athena.handle(&req, WS), &tgt, t + 1).unwrap();
-        let req = kerberos::build_tgs_req(&xr_tgt, &client, WS, t + 2, &supdup, 96);
-        black_box(kerberos::read_tgs_reply(&lcs.handle(&req, WS), &xr_tgt, t + 2).unwrap());
+        let req = build_tgs_req_with(&tgt, &Scheduled::new(&tgt.key()), &client, WS, t + 1, &remote_tgs, 96);
+        let xr_tgt = read_tgs_reply_with(&athena.handle(&req, WS), &Scheduled::new(&tgt.key()), t + 1).unwrap();
+        let req = build_tgs_req_with(&xr_tgt, &Scheduled::new(&xr_tgt.key()), &client, WS, t + 2, &supdup, 96);
+        black_box(read_tgs_reply_with(&lcs.handle(&req, WS), &Scheduled::new(&xr_tgt.key()), t + 2).unwrap());
     }));
     println!("login + cross-realm TGT + remote service ticket: {us:.1} µs");
     println!("(vs. ~{:.0} µs for the same flow within one realm — one extra TGS leg)\n", us * 2.0 / 3.0);
@@ -338,8 +338,8 @@ fn e12_protection_levels() {
             black_box(krb_rd_safe(&m, &key, NOW).unwrap());
         }));
         let priv_us = micros(per_call(200, || {
-            let m = krb_mk_priv(&data, &key, WS, NOW);
-            black_box(krb_rd_priv(&m, &key, Some(WS), NOW).unwrap());
+            let m = krb_mk_priv(&data, &Scheduled::new(&key), WS, NOW);
+            black_box(krb_rd_priv(&m, &Scheduled::new(&key), Some(WS), NOW).unwrap());
         }));
         println!("{size:>8} {auth_only:>16.1} {safe_us:>16.1} {priv_us:>16.1}");
     }
@@ -365,7 +365,7 @@ fn e13_nfs() {
     full.add_user("bcn", NfsCredential { uid: 8042, gids: vec![8042] });
     let client = Principal::parse("bcn", REALM).unwrap();
     let sess = string_to_key("sess");
-    let ticket = Ticket::new(&svc, &client, WS, NOW, 96, *sess.as_bytes()).seal(&string_to_key("nfs-srv"));
+    let ticket = Ticket::new(&svc, &client, WS, NOW, 96, *sess.as_bytes()).seal_with(&Scheduled::new(&string_to_key("nfs-srv")));
     let mut t = NOW;
     let full_us = micros(per_call(1_000, || {
         t += 1;
@@ -387,7 +387,7 @@ fn e14_des_modes() {
         let mut row = Vec::new();
         for mode in [Mode::Ecb, Mode::Cbc, Mode::Pcbc] {
             let us = micros(per_call(400, || {
-                black_box(encrypt_raw(mode, &key, &iv, &data).unwrap());
+                black_box(encrypt_raw_with(mode, &Scheduled::new(&key), &iv, &data).unwrap());
             }));
             row.push(size as f64 / us); // bytes/µs == MB/s
         }
@@ -396,9 +396,9 @@ fn e14_des_modes() {
     // Error propagation shape (the §2.2 claim, counted concretely).
     let data = vec![1u8; 40];
     for mode in [Mode::Cbc, Mode::Pcbc] {
-        let mut ct = encrypt_raw(mode, &key, &iv, &data).unwrap();
+        let mut ct = encrypt_raw_with(mode, &Scheduled::new(&key), &iv, &data).unwrap();
         ct[2] ^= 0x10;
-        let pt = decrypt_raw(mode, &key, &iv, &ct).unwrap();
+        let pt = decrypt_raw_with(mode, &Scheduled::new(&key), &iv, &ct).unwrap();
         let garbled = pt
             .chunks(8)
             .zip(data.chunks(8))
@@ -535,8 +535,9 @@ fn e17_athena_day() {
 
 /// E15b (§2.2 seam): what schedule caching buys on the sealing hot path.
 ///
-/// The keyed `seal` entry point rebuilds the DES key schedule on every
-/// call; `seal_with(&Scheduled, ..)` amortises it to zero. The gap between
+/// Building a `Scheduled` for every call (`keyed`: what a caller holding
+/// only the bare key pays) against one schedule built up front and reused
+/// (`scheduled`), which amortises the build to zero. The gap between
 /// the two *is* the schedule cost, so it shrinks (relatively) as messages
 /// grow — 1-block authenticators feel it most, 64-block private messages
 /// least. The schedule build is timed in isolation as the datum the cache
@@ -560,11 +561,11 @@ fn e15_sched_cache() {
     let sched = Scheduled::new(&key);
     for blocks in [1usize, 8, 64] {
         let plaintext = vec![0x5Au8; blocks * 8 - 4];
-        // Keyed path: schedule rebuilt inside every call.
+        // Keyed path: the schedule is rebuilt for every call.
         row(
             &format!("e15_sched_cache/pcbc_seal/keyed/{blocks}"),
             per_call(2_000, || {
-                black_box(seal(Mode::Pcbc, &key, &iv, &plaintext).unwrap());
+                black_box(seal_with(Mode::Pcbc, &Scheduled::new(&key), &iv, &plaintext).unwrap());
             }),
         );
         // Cached path: schedule built once, reused per call.
@@ -613,10 +614,10 @@ fn e18_ablations() {
 
     // One `check_and_insert` of a fresh request stamped *now* against `live`
     // remembered ones — all stamped this second, or spread evenly over the
-    // 900 seconds a steady-state cache spans — and the purge sweep a
-    // steady-state cache of 3·10⁵ runs every `MAX_SKEW_SECS` (a third of it
-    // has expired). The cache grows with every call, so each sample probes
-    // a cache its setup rebuilt.
+    // 900 seconds a steady-state cache spans — and the purge sweep one
+    // stripe of a steady-state cache of 3·10⁵ runs every `MAX_SKEW_SECS` (a
+    // third of it has expired). The cache grows with every call, so each
+    // sample probes a cache its setup rebuilt.
     const PROBES: usize = 256;
     for live in [1_000usize, 100_000, 300_000] {
         let layouts: [(&str, Stamp); 2] =
@@ -625,7 +626,7 @@ fn e18_ablations() {
             let per_check = time_median(
                 PROBES as u32,
                 || {
-                    let mut cache = ReplayCache::new();
+                    let cache = ReplayCache::new();
                     for key in replay_keys(0, live, ts) {
                         cache.check_and_insert(key, NOW);
                     }
@@ -645,8 +646,9 @@ fn e18_ablations() {
         1,
         || {
             // Filled under a clock one purge period back, so the timed call
-            // is the one that sweeps: everything older than NOW − 600 goes.
-            let mut cache = ReplayCache::new();
+            // is the one that sweeps: everything older than NOW − 600 goes
+            // from the stripe it lands in (each stripe has its own clock).
+            let cache = ReplayCache::new();
             for key in replay_keys(0, live, |i| NOW - (i % 900) as u32) {
                 cache.check_and_insert(key, NOW - MAX_SKEW_SECS);
             }
@@ -701,8 +703,8 @@ fn e18_ablations() {
     row(
         "ablation_sealing/pcbc_seal_open",
         per_call(500, || {
-            let ct = seal(Mode::Pcbc, &key, &iv, &data).unwrap();
-            black_box(open(Mode::Pcbc, &key, &iv, &ct).unwrap());
+            let ct = seal_with(Mode::Pcbc, &Scheduled::new(&key), &iv, &data).unwrap();
+            black_box(unseal_with(Mode::Pcbc, &Scheduled::new(&key), &iv, &ct).unwrap());
         }),
     );
     row(
@@ -712,8 +714,8 @@ fn e18_ablations() {
             let ck = quad_cksum(key.as_bytes(), &data);
             let mut framed = data.clone();
             framed.extend_from_slice(&ck.to_be_bytes());
-            let ct = seal(Mode::Cbc, &key, &iv, &framed).unwrap();
-            let pt = open(Mode::Cbc, &key, &iv, &ct).unwrap();
+            let ct = seal_with(Mode::Cbc, &Scheduled::new(&key), &iv, &framed).unwrap();
+            let pt = unseal_with(Mode::Cbc, &Scheduled::new(&key), &iv, &ct).unwrap();
             let (body, tail) = pt.split_at(pt.len() - 4);
             assert_eq!(quad_cksum(key.as_bytes(), body).to_be_bytes(), tail);
             black_box(body.len());

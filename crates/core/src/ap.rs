@@ -8,7 +8,7 @@
 
 use crate::authent::AuthenticatorView;
 use crate::msg::{ApRep, ApReq, ApReqView, PrivMsg, SafeMsg};
-use crate::replay::{ReplayFingerprint, ReplayGuard};
+use crate::replay::{ReplayCache, ReplayFingerprint};
 use crate::scratch::Scratch;
 use crate::ticket::{EncryptedTicket, Ticket, TicketView};
 use crate::time::{is_expired, within_skew};
@@ -62,7 +62,7 @@ pub struct VerifiedView<'a> {
 
 impl VerifiedView<'_> {
     /// The owned result `krb_rd_req` hands to applications.
-    pub fn into_owned(self) -> VerifiedRequest {
+    fn into_owned(self) -> VerifiedRequest {
         let (name, instance, realm) = self.ticket.client();
         VerifiedRequest {
             client: Principal { name: name.into(), instance: instance.into(), realm: realm.into() },
@@ -78,6 +78,7 @@ impl VerifiedView<'_> {
 
 /// Client side: build an `AP_REQ` for `service` from a ticket and session
 /// key (paper §4.3; `krb_mk_req` of §6.2). `cksum` binds application data.
+/// Takes the bare key, not a `Scheduled`, because kbench imports it.
 #[allow(clippy::too_many_arguments)]
 pub fn krb_mk_req(
     ticket: &EncryptedTicket,
@@ -89,64 +90,70 @@ pub fn krb_mk_req(
     cksum: u32,
     mutual: bool,
 ) -> ApReq {
-    krb_mk_req_sched(ticket, ticket_realm, &Scheduled::new(session_key), client, addr, now, cksum, mutual)
-}
-
-/// [`krb_mk_req`] under a precomputed session-key schedule — a client that
-/// sends several requests under one ticket builds the schedule once.
-#[allow(clippy::too_many_arguments)]
-pub fn krb_mk_req_sched(
-    ticket: &EncryptedTicket,
-    ticket_realm: &str,
-    session: &Scheduled,
-    client: &Principal,
-    addr: HostAddr,
-    now: u32,
-    cksum: u32,
-    mutual: bool,
-) -> ApReq {
+    let session = Scheduled::new(session_key);
     ApReq {
         realm: ticket_realm.to_string(),
         ticket: ticket.clone(),
-        authenticator: AuthenticatorView::new(client, addr, now, cksum).seal_with(session).0,
+        authenticator: AuthenticatorView::new(client, addr, now, cksum).seal_with(&session).0,
         mutual,
     }
 }
 
-/// Server side: verify an `AP_REQ` (paper §4.3; `krb_rd_req` of §6.2).
+/// Server side: verify an `AP_REQ` (paper §4.3; `krb_rd_req` of §6.2) under
+/// the srvtab key's schedule, which a server builds once per process.
 ///
 /// The checks, in the paper's order: decrypt the ticket with the server's
 /// key; use the session key inside to decrypt the authenticator; compare
 /// ticket against authenticator; compare the source address of the packet;
 /// check freshness against the server clock; consult the replay cache; and
-/// check ticket expiry.
-pub fn krb_rd_req<R: ReplayGuard>(
-    req: &ApReq,
-    service: &Principal,
-    service_key: &DesKey,
-    sender_addr: HostAddr,
-    now: u32,
-    replay: &mut R,
-) -> KrbResult<VerifiedRequest> {
-    krb_rd_req_sched(req, service, &Scheduled::new(service_key), sender_addr, now, replay)
-}
-
-/// [`krb_rd_req`] with the service key's schedule precomputed — long-lived
-/// servers verify every request under the same srvtab key, so they build
-/// that schedule once per process, not per packet. This is
-/// [`krb_rd_req_in`] on a scratch of its own, plus the owned copy.
-pub fn krb_rd_req_sched<R: ReplayGuard>(
+/// check ticket expiry. With a trace context the verdict (accepted,
+/// replayed, or rejected with its kind) is journaled at the server hop; the
+/// fields name the client and the error kind, never key material.
+pub fn krb_rd_req(
     req: &ApReq,
     service: &Principal,
     service_sched: &Scheduled,
     sender_addr: HostAddr,
     now: u32,
-    replay: &mut R,
+    replay: &ReplayCache,
+    ctx: Option<&TraceCtx>,
 ) -> KrbResult<VerifiedRequest> {
     let mut scratch = ApScratch::default();
-    let service = (service.name.as_str(), service.instance.as_str());
-    krb_rd_req_in(&mut scratch, &req.view(), service, service_sched, sender_addr, now, replay)
-        .map(VerifiedView::into_owned)
+    let name = (service.name.as_str(), service.instance.as_str());
+    let result = krb_rd_req_in(&mut scratch, &req.view(), name, service_sched, sender_addr, now, replay)
+        .map(VerifiedView::into_owned);
+    if let Some(ctx) = ctx {
+        match &result {
+            Ok(verified) => ctx.record(
+                Component::App,
+                EventKind::ApVerified,
+                vec![("client", Field::from(verified.client.to_string()))],
+            ),
+            Err(ErrorCode::RdApRepeat) => ctx.record(
+                Component::App,
+                EventKind::ReplayHit,
+                vec![("code", Field::from(ErrorCode::RdApRepeat as u8))],
+            ),
+            Err(code) => ctx.record(
+                Component::App,
+                EventKind::ApErr,
+                vec![("err_kind", Field::from(code.kind())), ("code", Field::from(*code as u8))],
+            ),
+        }
+    }
+    result
+}
+
+/// [`krb_rd_req`] without a trace context; kbench imports it.
+pub fn krb_rd_req_sched(
+    req: &ApReq,
+    service: &Principal,
+    service_sched: &Scheduled,
+    sender_addr: HostAddr,
+    now: u32,
+    replay: &ReplayCache,
+) -> KrbResult<VerifiedRequest> {
+    krb_rd_req(req, service, service_sched, sender_addr, now, replay, None)
 }
 
 /// The `krb_rd_req` checks themselves, on borrowed input: the request as it
@@ -154,15 +161,15 @@ pub fn krb_rd_req_sched<R: ReplayGuard>(
 /// the authenticator decrypted in `scratch` and read there. Nothing is
 /// copied to the heap unless a sealed part is longer than any legal one
 /// (then `scratch` spills, and the verdict is the same). The KDC's TGS path
-/// calls this directly; [`krb_rd_req_sched`] is the owned wrapper.
-pub fn krb_rd_req_in<'a, R: ReplayGuard>(
+/// calls this directly; [`krb_rd_req`] is the owned wrapper.
+pub fn krb_rd_req_in<'a>(
     scratch: &'a mut ApScratch,
     req: &ApReqView<'_>,
     service: (&str, &str),
     service_sched: &Scheduled,
     sender_addr: HostAddr,
     now: u32,
-    replay: &mut R,
+    replay: &ReplayCache,
 ) -> KrbResult<VerifiedView<'a>> {
     let ticket = TicketView::open_in(&mut scratch.ticket, req.ticket, service_sched)?;
     if (ticket.sname, ticket.sinstance) != service {
@@ -197,46 +204,6 @@ pub fn krb_rd_req_in<'a, R: ReplayGuard>(
     Ok(VerifiedView { ticket, authenticator: auth, session_sched, mutual_requested: req.mutual })
 }
 
-/// [`krb_rd_req_sched`] with an optional trace context: the verification
-/// verdict — accepted, replayed, or rejected with its taxonomy kind — is
-/// recorded into the journal at the *server* hop, correlated with the
-/// login that produced the request. Journal fields name the client and the
-/// error kind only; key material never leaves the [`VerifiedRequest`].
-pub fn krb_rd_req_sched_ctx<R: ReplayGuard>(
-    req: &ApReq,
-    service: &Principal,
-    service_sched: &Scheduled,
-    sender_addr: HostAddr,
-    now: u32,
-    replay: &mut R,
-    ctx: Option<&TraceCtx>,
-) -> KrbResult<VerifiedRequest> {
-    let result = krb_rd_req_sched(req, service, service_sched, sender_addr, now, replay);
-    if let Some(ctx) = ctx {
-        match &result {
-            Ok(verified) => ctx.record(
-                Component::App,
-                EventKind::ApVerified,
-                vec![("client", Field::from(verified.client.to_string()))],
-            ),
-            Err(ErrorCode::RdApRepeat) => ctx.record(
-                Component::App,
-                EventKind::ReplayHit,
-                vec![("code", Field::from(ErrorCode::RdApRepeat as u8))],
-            ),
-            Err(code) => ctx.record(
-                Component::App,
-                EventKind::ApErr,
-                vec![
-                    ("err_kind", Field::from(code.kind())),
-                    ("code", Field::from(*code as u8)),
-                ],
-            ),
-        }
-    }
-    result
-}
-
 /// Server side of mutual authentication (Fig. 7): "the server adds one to
 /// the time stamp the client sent in the authenticator, encrypts the result
 /// in the session key, and sends the result back to the client."
@@ -249,7 +216,7 @@ pub fn krb_mk_rep(verified: &VerifiedRequest) -> ApRep {
 
 /// Client side of mutual authentication: check the reply is `ts + 1`
 /// sealed in the session key. Success convinces the client "that the
-/// server is authentic".
+/// server is authentic". Takes the bare key because kbench imports it.
 pub fn krb_rd_rep(rep: &ApRep, session_key: &DesKey, sent_timestamp: u32) -> KrbResult<()> {
     let mut scratch = Scratch::new();
     let plain = scratch
@@ -297,14 +264,10 @@ fn safe_cksum(data: &[u8], session_key: &DesKey, addr: HostAddr, ts: u32) -> u32
 }
 
 /// `krb_mk_priv` (§2.1): "each message is not only authenticated, but also
-/// encrypted" — data, sender address and timestamp sealed in the session key.
-pub fn krb_mk_priv(data: &[u8], session_key: &DesKey, addr: HostAddr, now: u32) -> PrivMsg {
-    krb_mk_priv_with(data, &Scheduled::new(session_key), addr, now)
-}
-
-/// [`krb_mk_priv`] under a precomputed session schedule (servers answering
-/// on an authenticated connection already hold one in `VerifiedRequest`).
-pub fn krb_mk_priv_with(data: &[u8], session: &Scheduled, addr: HostAddr, now: u32) -> PrivMsg {
+/// encrypted" — data, sender address and timestamp sealed in the session
+/// key's schedule (a server answering on an authenticated connection holds
+/// it in `VerifiedRequest::session_sched`).
+pub fn krb_mk_priv(data: &[u8], session: &Scheduled, addr: HostAddr, now: u32) -> PrivMsg {
     let enc_part = Writer::sealed(sealed_len(2 + data.len() + 8), session, |w| {
         w.bytes(data);
         w.addr(&addr);
@@ -317,13 +280,13 @@ pub fn krb_mk_priv_with(data: &[u8], session: &Scheduled, addr: HostAddr, now: u
 /// expected sender address.
 pub fn krb_rd_priv(
     msg: &PrivMsg,
-    session_key: &DesKey,
+    session: &Scheduled,
     expected_addr: Option<HostAddr>,
     now: u32,
 ) -> KrbResult<Vec<u8>> {
     let mut scratch = Scratch::new();
     let plain = scratch
-        .unseal(&Scheduled::new(session_key), &msg.enc_part)
+        .unseal(session, &msg.enc_part)
         .map_err(|_| ErrorCode::RdApModified)?;
     let mut r = Reader::new(plain);
     let data = r.bytes_ref()?;
@@ -346,19 +309,19 @@ mod tests {
     use super::*;
     use crate::replay::ReplayCache;
     use crate::time::MAX_SKEW_SECS;
-    use krb_crypto::{seal, string_to_key, Mode};
+    use krb_crypto::{seal_with, string_to_key, Mode, Scheduled};
 
     const REALM: &str = "ATHENA.MIT.EDU";
     const ADDR: HostAddr = [18, 72, 0, 5];
     const NOW: u32 = 1_000_000;
 
-    fn setup() -> (Principal, Principal, DesKey, DesKey, EncryptedTicket) {
+    fn setup() -> (Principal, Principal, Scheduled, DesKey, EncryptedTicket) {
         let client = Principal::parse("bcn", REALM).unwrap();
         let service = Principal::parse("rlogin.priam", REALM).unwrap();
-        let service_key = string_to_key("srvtab-rlogin-priam");
+        let service_key = Scheduled::new(&string_to_key("srvtab-rlogin-priam"));
         let session_key = string_to_key("session");
         let ticket = Ticket::new(&service, &client, ADDR, NOW, 96, *session_key.as_bytes())
-            .seal(&service_key);
+            .seal_with(&service_key);
         (client, service, service_key, session_key, ticket)
     }
 
@@ -366,8 +329,8 @@ mod tests {
     fn full_ap_exchange_succeeds() {
         let (client, service, service_key, session_key, ticket) = setup();
         let req = krb_mk_req(&ticket, REALM, &session_key, &client, ADDR, NOW + 5, 42, false);
-        let mut rc = ReplayCache::new();
-        let v = krb_rd_req(&req, &service, &service_key, ADDR, NOW + 6, &mut rc).unwrap();
+        let rc = ReplayCache::new();
+        let v = krb_rd_req(&req, &service, &service_key, ADDR, NOW + 6, &rc, None).unwrap();
         assert_eq!(v.client, client);
         assert_eq!(v.cksum, 42);
         assert_eq!(v.session_key.as_bytes(), session_key.as_bytes());
@@ -377,10 +340,10 @@ mod tests {
     fn replayed_request_rejected() {
         let (client, service, service_key, session_key, ticket) = setup();
         let req = krb_mk_req(&ticket, REALM, &session_key, &client, ADDR, NOW, 0, false);
-        let mut rc = ReplayCache::new();
-        assert!(krb_rd_req(&req, &service, &service_key, ADDR, NOW, &mut rc).is_ok());
+        let rc = ReplayCache::new();
+        assert!(krb_rd_req(&req, &service, &service_key, ADDR, NOW, &rc, None).is_ok());
         assert_eq!(
-            krb_rd_req(&req, &service, &service_key, ADDR, NOW + 1, &mut rc).unwrap_err(),
+            krb_rd_req(&req, &service, &service_key, ADDR, NOW + 1, &rc, None).unwrap_err(),
             ErrorCode::RdApRepeat
         );
     }
@@ -393,11 +356,11 @@ mod tests {
         // misclassified as merely stale (RdApTime).
         let (client, service, service_key, session_key, ticket) = setup();
         let req = krb_mk_req(&ticket, REALM, &session_key, &client, ADDR, NOW, 0, false);
-        let mut rc = ReplayCache::new();
+        let rc = ReplayCache::new();
         let boundary = NOW + MAX_SKEW_SECS;
-        assert!(krb_rd_req(&req, &service, &service_key, ADDR, boundary, &mut rc).is_ok());
+        assert!(krb_rd_req(&req, &service, &service_key, ADDR, boundary, &rc, None).is_ok());
         assert_eq!(
-            krb_rd_req(&req, &service, &service_key, ADDR, boundary, &mut rc).unwrap_err(),
+            krb_rd_req(&req, &service, &service_key, ADDR, boundary, &rc, None).unwrap_err(),
             ErrorCode::RdApRepeat
         );
     }
@@ -409,8 +372,8 @@ mod tests {
         // impl may leak key material.
         let (client, service, service_key, session_key, ticket) = setup();
         let req = krb_mk_req(&ticket, REALM, &session_key, &client, ADDR, NOW, 0, false);
-        let mut rc = ReplayCache::new();
-        let v = krb_rd_req(&req, &service, &service_key, ADDR, NOW, &mut rc).unwrap();
+        let rc = ReplayCache::new();
+        let v = krb_rd_req(&req, &service, &service_key, ADDR, NOW, &rc, None).unwrap();
         let dump = format!("{v:?}");
         assert!(dump.contains("redacted"), "keys must print as redacted: {dump}");
         let hex: String = session_key.as_bytes().iter().map(|b| format!("{b:02x}")).collect();
@@ -422,10 +385,10 @@ mod tests {
         let (client, service, service_key, session_key, ticket) = setup();
         // Attacker captured ticket+authenticator, resends from their host.
         let req = krb_mk_req(&ticket, REALM, &session_key, &client, ADDR, NOW, 0, false);
-        let mut rc = ReplayCache::new();
+        let rc = ReplayCache::new();
         let attacker_addr = [10, 0, 0, 66];
         assert_eq!(
-            krb_rd_req(&req, &service, &service_key, attacker_addr, NOW, &mut rc).unwrap_err(),
+            krb_rd_req(&req, &service, &service_key, attacker_addr, NOW, &rc, None).unwrap_err(),
             ErrorCode::RdApBadAddr
         );
     }
@@ -434,10 +397,10 @@ mod tests {
     fn stale_authenticator_rejected() {
         let (client, service, service_key, session_key, ticket) = setup();
         let req = krb_mk_req(&ticket, REALM, &session_key, &client, ADDR, NOW, 0, false);
-        let mut rc = ReplayCache::new();
+        let rc = ReplayCache::new();
         let late = NOW + MAX_SKEW_SECS + 1;
         assert_eq!(
-            krb_rd_req(&req, &service, &service_key, ADDR, late, &mut rc).unwrap_err(),
+            krb_rd_req(&req, &service, &service_key, ADDR, late, &rc, None).unwrap_err(),
             ErrorCode::RdApTime
         );
     }
@@ -447,9 +410,9 @@ mod tests {
         let (client, service, service_key, session_key, ticket) = setup();
         let req =
             krb_mk_req(&ticket, REALM, &session_key, &client, ADDR, NOW + MAX_SKEW_SECS + 10, 0, false);
-        let mut rc = ReplayCache::new();
+        let rc = ReplayCache::new();
         assert_eq!(
-            krb_rd_req(&req, &service, &service_key, ADDR, NOW, &mut rc).unwrap_err(),
+            krb_rd_req(&req, &service, &service_key, ADDR, NOW, &rc, None).unwrap_err(),
             ErrorCode::RdApTime
         );
     }
@@ -459,11 +422,11 @@ mod tests {
         let (client, service, service_key, session_key, _) = setup();
         let old = NOW - 10 * 3600;
         let ticket = Ticket::new(&service, &client, ADDR, old, 12, *session_key.as_bytes())
-            .seal(&service_key);
+            .seal_with(&service_key);
         let req = krb_mk_req(&ticket, REALM, &session_key, &client, ADDR, NOW, 0, false);
-        let mut rc = ReplayCache::new();
+        let rc = ReplayCache::new();
         assert_eq!(
-            krb_rd_req(&req, &service, &service_key, ADDR, NOW, &mut rc).unwrap_err(),
+            krb_rd_req(&req, &service, &service_key, ADDR, NOW, &rc, None).unwrap_err(),
             ErrorCode::RdApExp
         );
     }
@@ -472,11 +435,11 @@ mod tests {
     fn ticket_for_other_service_rejected() {
         let (client, _, _, session_key, ticket) = setup();
         let other = Principal::parse("pop.paris", REALM).unwrap();
-        let other_key = string_to_key("srvtab-pop");
+        let other_key = Scheduled::new(&string_to_key("srvtab-pop"));
         let req = krb_mk_req(&ticket, REALM, &session_key, &client, ADDR, NOW, 0, false);
-        let mut rc = ReplayCache::new();
+        let rc = ReplayCache::new();
         assert_eq!(
-            krb_rd_req(&req, &other, &other_key, ADDR, NOW, &mut rc).unwrap_err(),
+            krb_rd_req(&req, &other, &other_key, ADDR, NOW, &rc, None).unwrap_err(),
             ErrorCode::RdApNotUs
         );
     }
@@ -488,10 +451,54 @@ mod tests {
         let (client, service, service_key, _, ticket) = setup();
         let guessed = string_to_key("guess");
         let req = krb_mk_req(&ticket, REALM, &guessed, &client, ADDR, NOW, 0, false);
-        let mut rc = ReplayCache::new();
+        let rc = ReplayCache::new();
         assert_eq!(
-            krb_rd_req(&req, &service, &service_key, ADDR, NOW, &mut rc).unwrap_err(),
+            krb_rd_req(&req, &service, &service_key, ADDR, NOW, &rc, None).unwrap_err(),
             ErrorCode::RdApIncon
+        );
+    }
+
+    /// With a trace context the verifier journals one event per verdict at
+    /// the app hop — accepted, replayed, rejected — and the replay cache
+    /// refuses the second use exactly as it does untraced.
+    #[test]
+    fn traced_verification_journals_each_verdict_and_still_refuses_replays() {
+        use krb_telemetry::{fixed_clock_us, Journal, TraceId};
+        let (client, service, service_key, session_key, ticket) = setup();
+        let req = krb_mk_req(&ticket, REALM, &session_key, &client, ADDR, NOW, 0, false);
+        let journal = Journal::shared();
+        let ctx = TraceCtx::new(std::sync::Arc::clone(&journal), fixed_clock_us(7), TraceId::derive(1, 0));
+        let rc = ReplayCache::new();
+        assert!(krb_rd_req(&req, &service, &service_key, ADDR, NOW, &rc, Some(&ctx)).is_ok());
+        assert_eq!(
+            krb_rd_req(&req, &service, &service_key, ADDR, NOW, &rc, Some(&ctx)).unwrap_err(),
+            ErrorCode::RdApRepeat
+        );
+        assert_eq!(
+            krb_rd_req(&req, &service, &service_key, [9, 9, 9, 9], NOW, &rc, Some(&ctx)).unwrap_err(),
+            ErrorCode::RdApBadAddr
+        );
+        assert_eq!(rc.replay_hits(), 1);
+        let lines: Vec<String> = journal
+            .dump()
+            .iter()
+            .map(|e| {
+                let mut line = String::new();
+                e.render_line(&mut line);
+                line.split_once(" comp=").map_or(line.clone(), |(_, rest)| rest.trim_end().to_string())
+            })
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                "app kind=ap_verified client=bcn@ATHENA.MIT.EDU".to_string(),
+                format!("app kind=replay_hit code={}", ErrorCode::RdApRepeat as u8),
+                format!(
+                    "app kind=ap_err err_kind={} code={}",
+                    ErrorCode::RdApBadAddr.kind(),
+                    ErrorCode::RdApBadAddr as u8
+                ),
+            ]
         );
     }
 
@@ -499,8 +506,8 @@ mod tests {
     fn mutual_authentication_round_trip() {
         let (client, service, service_key, session_key, ticket) = setup();
         let req = krb_mk_req(&ticket, REALM, &session_key, &client, ADDR, NOW, 0, true);
-        let mut rc = ReplayCache::new();
-        let v = krb_rd_req(&req, &service, &service_key, ADDR, NOW, &mut rc).unwrap();
+        let rc = ReplayCache::new();
+        let v = krb_rd_req(&req, &service, &service_key, ADDR, NOW, &rc, None).unwrap();
         assert!(v.mutual_requested);
         let rep = krb_mk_rep(&v);
         assert!(krb_rd_rep(&rep, &session_key, NOW).is_ok());
@@ -515,7 +522,7 @@ mod tests {
         let mut w = Writer::new();
         w.u32(NOW + 1);
         let forged = ApRep {
-            enc_part: seal(Mode::Pcbc, &fake_key, &[0u8; 8], &w.finish()).unwrap(),
+            enc_part: seal_with(Mode::Pcbc, &Scheduled::new(&fake_key), &[0u8; 8], &w.finish()).unwrap(),
         };
         assert_eq!(
             krb_rd_rep(&forged, &session_key, NOW).unwrap_err(),
@@ -527,8 +534,8 @@ mod tests {
     fn mutual_auth_rejects_wrong_timestamp() {
         let (client, service, service_key, session_key, ticket) = setup();
         let req = krb_mk_req(&ticket, REALM, &session_key, &client, ADDR, NOW, 0, true);
-        let mut rc = ReplayCache::new();
-        let v = krb_rd_req(&req, &service, &service_key, ADDR, NOW, &mut rc).unwrap();
+        let rc = ReplayCache::new();
+        let v = krb_rd_req(&req, &service, &service_key, ADDR, NOW, &rc, None).unwrap();
         let rep = krb_mk_rep(&v);
         // Client checks against a different timestamp than it sent.
         assert!(krb_rd_rep(&rep, &session_key, NOW + 7).is_err());
@@ -570,7 +577,7 @@ mod tests {
 
     #[test]
     fn private_messages_hide_and_authenticate() {
-        let key = string_to_key("session");
+        let key = Scheduled::new(&string_to_key("session"));
         let msg = krb_mk_priv(b"new password: hunter2", &key, ADDR, NOW);
         // Content is not visible in the ciphertext.
         assert!(!msg
@@ -581,7 +588,7 @@ mod tests {
         assert_eq!(data, b"new password: hunter2");
 
         // Wrong key fails.
-        let wrong = string_to_key("other");
+        let wrong = Scheduled::new(&string_to_key("other"));
         assert!(krb_rd_priv(&msg, &wrong, Some(ADDR), NOW).is_err());
         // Wrong claimed source fails.
         assert_eq!(
@@ -599,8 +606,8 @@ mod tests {
     fn verified_request_exposes_remaining_ticket() {
         let (client, service, service_key, session_key, ticket) = setup();
         let req = krb_mk_req(&ticket, REALM, &session_key, &client, ADDR, NOW, 0, false);
-        let mut rc = ReplayCache::new();
-        let v = krb_rd_req(&req, &service, &service_key, ADDR, NOW, &mut rc).unwrap();
+        let rc = ReplayCache::new();
+        let v = krb_rd_req(&req, &service, &service_key, ADDR, NOW, &rc, None).unwrap();
         assert_eq!(v.ticket.life, 96);
         assert_eq!(v.ticket.timestamp, NOW);
     }

@@ -13,7 +13,7 @@ use crate::scratch::Scratch;
 use crate::ticket::TicketView;
 use crate::wire::{sealed_len, Reader, Writer};
 use crate::{ErrorCode, HostAddr, KrbResult, Principal};
-use krb_crypto::{DesKey, Scheduled};
+use krb_crypto::Scheduled;
 
 /// The plaintext contents of an authenticator.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -154,52 +154,16 @@ impl Authenticator {
         }
     }
 
-    /// Encrypt in the session key shared with the server.
-    pub fn seal(&self, session_key: &DesKey) -> SealedAuthenticator {
-        self.seal_with(&Scheduled::new(session_key))
-    }
-
-    /// [`Authenticator::seal`] under a precomputed session-key schedule.
-    pub fn seal_with(&self, session: &Scheduled) -> SealedAuthenticator {
-        self.view().seal_with(session)
-    }
-
-    /// Decrypt a sealed authenticator (the `authenticator` field of an
-    /// `AP_REQ`) under a precomputed session-key schedule.
-    pub fn open_with(sealed: &[u8], session: &Scheduled) -> KrbResult<Self> {
-        AuthenticatorView::open_in(&mut Scratch::new(), sealed, session).map(|a| a.to_owned())
-    }
-
-    /// Whether this authenticator agrees with the identity sealed in a
-    /// ticket.
-    pub fn matches_ticket(&self, t: &crate::ticket::Ticket) -> bool {
-        self.view().matches_ticket(&t.view())
-    }
 }
 
 impl SealedAuthenticator {
-    /// Decrypt with the session key. Failure means the presenter did not
-    /// know the session key — the ticket was stolen without its key.
-    pub fn open(&self, session_key: &DesKey) -> KrbResult<Authenticator> {
-        self.open_with(&Scheduled::new(session_key))
-    }
-
-    /// [`SealedAuthenticator::open`] under a precomputed schedule (the
-    /// verifier just decrypted the ticket carrying this session key and
-    /// already built its schedule).
+    /// Decrypt under the session key's schedule. Failure means the
+    /// presenter did not know the session key — the ticket was stolen
+    /// without its key.
     pub fn open_with(&self, session: &Scheduled) -> KrbResult<Authenticator> {
-        Authenticator::open_with(&self.0, session)
+        AuthenticatorView::open_in(&mut Scratch::new(), &self.0, session).map(|a| a.to_owned())
     }
 
-    /// Ciphertext length (E3 size report).
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the ciphertext is empty (never true for a sealed value).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -214,18 +178,18 @@ mod tests {
 
     #[test]
     fn seal_open_round_trip() {
-        let key = string_to_key("session");
+        let key = Scheduled::new(&string_to_key("session"));
         let a = Authenticator::new(&athena("bcn"), [18, 72, 0, 5], 12345, 77);
-        let opened = a.seal(&key).open(&key).unwrap();
+        let opened = a.view().seal_with(&key).open_with(&key).unwrap();
         assert_eq!(opened, a);
     }
 
     #[test]
     fn wrong_session_key_fails() {
         let a = Authenticator::new(&athena("bcn"), [1, 2, 3, 4], 1, 0);
-        let sealed = a.seal(&string_to_key("right"));
+        let sealed = a.view().seal_with(&Scheduled::new(&string_to_key("right")));
         assert_eq!(
-            sealed.open(&string_to_key("wrong")).unwrap_err(),
+            sealed.open_with(&Scheduled::new(&string_to_key("wrong"))).unwrap_err(),
             ErrorCode::RdApIncon
         );
     }
@@ -237,23 +201,23 @@ mod tests {
         let addr = [18, 72, 0, 5];
         let t = Ticket::new(&server, &client, addr, 100, 96, [0; 8]);
         let good = Authenticator::new(&client, addr, 105, 0);
-        assert!(good.matches_ticket(&t));
+        assert!(good.view().matches_ticket(&t.view()));
 
         let wrong_user = Authenticator::new(&athena("jis"), addr, 105, 0);
-        assert!(!wrong_user.matches_ticket(&t));
+        assert!(!wrong_user.view().matches_ticket(&t.view()));
 
         let wrong_addr = Authenticator::new(&client, [9, 9, 9, 9], 105, 0);
-        assert!(!wrong_addr.matches_ticket(&t));
+        assert!(!wrong_addr.view().matches_ticket(&t.view()));
 
         let mut foreign = good.clone();
         foreign.crealm = "LCS.MIT.EDU".into();
-        assert!(!foreign.matches_ticket(&t));
+        assert!(!foreign.view().matches_ticket(&t.view()));
     }
 
     #[test]
     fn checksum_is_preserved() {
-        let key = string_to_key("k");
+        let key = Scheduled::new(&string_to_key("k"));
         let a = Authenticator::new(&athena("bcn"), [1, 1, 1, 1], 42, 0xCAFEBABE);
-        assert_eq!(a.seal(&key).open(&key).unwrap().cksum, 0xCAFEBABE);
+        assert_eq!(a.view().seal_with(&key).open_with(&key).unwrap().cksum, 0xCAFEBABE);
     }
 }

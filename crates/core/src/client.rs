@@ -44,7 +44,8 @@ pub fn read_as_reply_with_password(
 }
 
 /// Interpret the AS reply with an already-derived key (servers reading
-/// their key from `/etc/srvtab` use this path).
+/// their key from `/etc/srvtab` use this path). Takes the bare key, not a
+/// `Scheduled`, because kbench imports it.
 pub fn read_as_reply_with_key(
     reply: &[u8],
     key: &DesKey,
@@ -58,20 +59,7 @@ pub fn read_as_reply_with_key(
 }
 
 /// Build a TGS request: an `AP_REQ` for the ticket-granting server plus the
-/// target service name (Fig. 8).
-#[allow(clippy::too_many_arguments)]
-pub fn build_tgs_req(
-    tgt: &Credential,
-    client: &Principal,
-    addr: HostAddr,
-    now: u32,
-    service: &Principal,
-    life: u8,
-) -> Vec<u8> {
-    build_tgs_req_with(tgt, &Scheduled::new(&tgt.key()), client, addr, now, service, life)
-}
-
-/// [`build_tgs_req`] with the TGT session-key schedule precomputed — the
+/// target service name (Fig. 8), under the TGT session key's schedule. The
 /// same schedule also reads the reply ([`read_tgs_reply_with`]), so one
 /// build covers the whole TGS exchange.
 #[allow(clippy::too_many_arguments)]
@@ -101,13 +89,8 @@ pub fn build_tgs_req_with(
 
 /// Interpret a TGS reply: "the reply is encrypted in the session key that
 /// was part of the ticket-granting ticket. This way, there is no need for
-/// the user to enter her/his password again" (§4.4).
-pub fn read_tgs_reply(reply: &[u8], tgt: &Credential, request_time: u32) -> KrbResult<Credential> {
-    read_tgs_reply_with(reply, &Scheduled::new(&tgt.key()), request_time)
-}
-
-/// [`read_tgs_reply`] under the TGT session-key schedule built for
-/// [`build_tgs_req_with`].
+/// the user to enter her/his password again" (§4.4). Read under the TGT
+/// session-key schedule built for [`build_tgs_req_with`].
 pub fn read_tgs_reply_with(
     reply: &[u8],
     tgt_sched: &Scheduled,
@@ -158,7 +141,7 @@ mod tests {
     use super::*;
     use crate::msg::{EncKdcReplyPart, KdcRep, Message};
     use crate::ticket::Ticket;
-    use krb_crypto::{seal, Mode};
+    use krb_crypto::{seal_with, Mode, Scheduled};
 
     const REALM: &str = "ATHENA.MIT.EDU";
 
@@ -169,7 +152,8 @@ mod tests {
         let tgs = Principal::tgs(REALM, REALM);
         let tgs_key = string_to_key("tgs-key");
         let session = [7u8; 8];
-        let ticket = Ticket::new(&tgs, &client, [1, 2, 3, 4], 1000, 96, session).seal(&tgs_key);
+        let ticket = Ticket::new(&tgs, &client, [1, 2, 3, 4], 1000, 96, session)
+            .seal_with(&Scheduled::new(&tgs_key));
         let part = EncKdcReplyPart {
             session_key: session.into(),
             sname: tgs.name.clone(),
@@ -181,7 +165,7 @@ mod tests {
             nonce,
             ticket,
         };
-        let enc = seal(Mode::Pcbc, user_key, &[0u8; 8], &part.encode()).unwrap();
+        let enc = seal_with(Mode::Pcbc, &Scheduled::new(user_key), &[0u8; 8], &part.encode()).unwrap();
         Message::KdcRep(KdcRep { enc_part: enc }).encode()
     }
 
@@ -247,7 +231,8 @@ mod tests {
         let tgt = read_as_reply_with_password(&reply, "hunter2", 42).unwrap();
         let client = Principal::parse("bcn", REALM).unwrap();
         let rlogin = Principal::parse("rlogin.priam", REALM).unwrap();
-        let req = build_tgs_req(&tgt, &client, [1, 2, 3, 4], 1010, &rlogin, 96);
+        let tgt_sched = Scheduled::new(&tgt.key());
+        let req = build_tgs_req_with(&tgt, &tgt_sched, &client, [1, 2, 3, 4], 1010, &rlogin, 96);
         match Message::decode(&req).unwrap() {
             Message::TgsReq(t) => {
                 assert_eq!(t.sname, "rlogin");
@@ -273,6 +258,7 @@ mod tests {
             issued: 0,
             kvno: 1,
         };
-        assert!(read_tgs_reply(&[4u8, 2, 0, 2, 9, 9], &tgt, 0).is_err());
+        let tgt_sched = Scheduled::new(&tgt.key());
+        assert!(read_tgs_reply_with(&[4u8, 2, 0, 2, 9, 9], &tgt_sched, 0).is_err());
     }
 }

@@ -16,23 +16,24 @@
 //!
 //! ```
 //! use kerberos::{Principal, Ticket, ReplayCache, krb_mk_req, krb_rd_req};
-//! use krb_crypto::string_to_key;
+//! use krb_crypto::{string_to_key, Scheduled};
 //!
 //! let realm = "ATHENA.MIT.EDU";
 //! let client = Principal::parse("bcn", realm).unwrap();
 //! let service = Principal::parse("rlogin.priam", realm).unwrap();
-//! let service_key = string_to_key("srvtab-secret");
+//! // A server builds its srvtab key's schedule once and keeps it.
+//! let service_key = Scheduled::new(&string_to_key("srvtab-secret"));
 //! let session_key = string_to_key("session");
 //! let addr = [18, 72, 0, 5];
 //!
 //! // Kerberos would seal this ticket; here we play the KDC.
 //! let ticket = Ticket::new(&service, &client, addr, 1000, 96, *session_key.as_bytes())
-//!     .seal(&service_key);
+//!     .seal_with(&service_key);
 //!
-//! // Client side: krb_mk_req; server side: krb_rd_req.
+//! // Client side: krb_mk_req; server side: krb_rd_req (no trace context).
 //! let req = krb_mk_req(&ticket, realm, &session_key, &client, addr, 1005, 0, false);
-//! let mut replays = ReplayCache::new();
-//! let verified = krb_rd_req(&req, &service, &service_key, addr, 1006, &mut replays).unwrap();
+//! let replays = ReplayCache::new();
+//! let verified = krb_rd_req(&req, &service, &service_key, addr, 1006, &replays, None).unwrap();
 //! assert_eq!(verified.client.to_string(), "bcn@ATHENA.MIT.EDU");
 //! ```
 
@@ -53,14 +54,13 @@ pub mod time;
 pub mod wire;
 
 pub use ap::{
-    krb_mk_priv, krb_mk_priv_with, krb_mk_rep, krb_mk_req, krb_mk_safe, krb_rd_priv, krb_rd_rep,
-    krb_rd_req, krb_rd_req_in, krb_rd_req_sched, krb_rd_req_sched_ctx, krb_rd_safe, ApScratch,
-    VerifiedRequest, VerifiedView,
+    krb_mk_priv, krb_mk_rep, krb_mk_req, krb_mk_safe, krb_rd_priv, krb_rd_rep, krb_rd_req,
+    krb_rd_req_in, krb_rd_req_sched, krb_rd_safe, ApScratch, VerifiedRequest, VerifiedView,
 };
 pub use authent::{Authenticator, AuthenticatorView, SealedAuthenticator};
 pub use client::{
-    build_as_req, build_tgs_req, build_tgs_req_with, read_as_reply_with_key,
-    read_as_reply_with_password, read_tgs_reply, read_tgs_reply_with,
+    build_as_req, build_tgs_req_with, read_as_reply_with_key, read_as_reply_with_password,
+    read_tgs_reply_with,
 };
 pub use cred::{Credential, CredentialCache};
 pub use error::{ErrorCode, ERROR_KINDS};
@@ -70,7 +70,7 @@ pub use msg::{
 };
 pub use name::Principal;
 pub use replay::{
-    ReplayCache, ReplayFingerprint, ReplayGuard, ReplayKey, StripedReplayCache, REPLAY_STRIPES,
+    ReplayCache, ReplayFingerprint, ReplayKey, StripedReplayCache, REPLAY_STRIPES,
 };
 pub use scratch::Scratch;
 pub use ticket::{EncryptedTicket, Ticket, TicketView};

@@ -24,11 +24,11 @@ use std::collections::{BTreeMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identity of one request for replay purposes, in its descriptive form.
-/// The caches store its [`ReplayFingerprint`], not the key itself.
+/// The cache stores its [`ReplayFingerprint`], not the key itself.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ReplayKey {
     /// Client `name.instance@realm`. Only its [`hash_bytes`] value is kept
-    /// by a cache.
+    /// by the cache.
     pub client: String,
     /// Authenticator timestamp.
     pub timestamp: u32,
@@ -38,7 +38,7 @@ pub struct ReplayKey {
 }
 
 impl ReplayKey {
-    /// What a cache stores for this key.
+    /// What the cache stores for this key.
     pub fn fingerprint(&self) -> ReplayFingerprint {
         ReplayFingerprint {
             timestamp: self.timestamp,
@@ -48,7 +48,7 @@ impl ReplayKey {
     }
 }
 
-/// What a replay cache stores for one request: fixed size, `Copy`, and a
+/// What the replay cache stores for one request: fixed size, `Copy`, and a
 /// function of the request's bytes alone, so a byte-identical replay always
 /// maps to the fingerprint already stored.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -131,8 +131,8 @@ const GEN_SHIFT: u32 = 6;
 
 type Generation = HashSet<ReplayFingerprint, BuildHasherDefault<FoldHasher>>;
 
-/// The store inside both cache shapes: generations of fingerprints in
-/// timestamp order, plus the purge clock. Empty until the first insert.
+/// The store inside every stripe: generations of fingerprints in
+/// timestamp order, plus the stripe's purge clock. Empty until first used.
 #[derive(Default, Debug)]
 struct Generations {
     gens: BTreeMap<u32, Generation>,
@@ -180,16 +180,57 @@ impl Generations {
     }
 }
 
-/// Bounded cache of recently seen requests.
+/// Stripe count for [`ReplayCache`]. A power of two so the modulo is a
+/// mask; 16 stripes keep contention negligible far past the thread counts
+/// a single realm sees.
+pub const REPLAY_STRIPES: usize = 16;
+
+/// The bounded cache of recently seen requests: [`REPLAY_STRIPES`]
+/// independent shards, selected by the authenticator hash, each behind its
+/// own mutex with its own purge clock (so no stripe ever waits on a sweep
+/// of another stripe's entries). Every method takes `&self`, so a
+/// multi-threaded KDC consults it without any global lock, and a
+/// single-threaded server pays one uncontended lock per request.
 ///
-/// Hit and eviction counts are kept in telemetry [`Counter`] handles so a
-/// server can publish them into its [`Registry`] via
-/// [`ReplayCache::publish`]; the cache itself stays dependency-light.
-#[derive(Default, Debug)]
+/// ## Why per-stripe purge clocks are safe
+///
+/// For the request sequences that can actually reach a replay cache —
+/// authenticators whose timestamp passed the §4.3 freshness check, i.e.
+/// `|now − timestamp| ≤ MAX_SKEW_SECS` — the cache accepts and rejects
+/// *exactly* the sequences one global set of fingerprints would: an
+/// in-window entry is never removed by any purge (the sweep only drops
+/// entries older than `2 × MAX_SKEW_SECS`), so the only state the stripes'
+/// separate purge clocks can change (which *stale* entries are still
+/// sitting in memory) is state the freshness backstop makes unreachable.
+/// The proptest `replay_cache_matches_one_set_model_in_window` in
+/// `crates/core/tests/proptests.rs` pins this against a one-set reference
+/// model, skew boundary included.
+#[derive(Debug)]
 pub struct ReplayCache {
-    store: Generations,
-    hits: Counter,
-    evictions: Counter,
+    stripes: Vec<Mutex<Generations>>,
+    /// Per-stripe replay-hit counters, published with zero-padded labels
+    /// so the registry's lexicographic render is also numeric order.
+    /// Handles sit behind `RwLock` so [`ReplayCache::publish`] can rebind
+    /// them to registry-owned storage (see its docs); the lock is only read
+    /// on the rare hit/eviction paths.
+    stripe_hits: Vec<RwLock<Counter>>,
+    hits: RwLock<Counter>,
+    evictions: RwLock<Counter>,
+}
+
+/// The cache's name from when a single-lock cache stood beside it; kbench
+/// imports it.
+pub type StripedReplayCache = ReplayCache;
+
+impl Default for ReplayCache {
+    fn default() -> Self {
+        ReplayCache {
+            stripes: (0..REPLAY_STRIPES).map(|_| Mutex::new(Generations::default())).collect(),
+            stripe_hits: (0..REPLAY_STRIPES).map(|_| RwLock::new(Counter::new())).collect(),
+            hits: RwLock::new(Counter::new()),
+            evictions: RwLock::new(Counter::new()),
+        }
+    }
 }
 
 impl ReplayCache {
@@ -199,140 +240,13 @@ impl ReplayCache {
     }
 
     /// Record a request. Returns `false` if it was already seen (a replay).
-    pub fn check_and_insert(&mut self, key: ReplayKey, now: u32) -> bool {
-        self.check_fingerprint(key.fingerprint(), now)
-    }
-
-    /// [`ReplayCache::check_and_insert`] on the stored form.
-    pub fn check_fingerprint(&mut self, fp: ReplayFingerprint, now: u32) -> bool {
-        let evicted = self.store.purge_if_due(now);
-        if evicted > 0 {
-            self.evictions.add(evicted);
-        }
-        if !self.store.insert(fp) {
-            self.hits.inc();
-            return false;
-        }
-        true
-    }
-
-    /// Replays detected so far.
-    pub fn replay_hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Entries evicted by the purge sweep so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.get()
-    }
-
-    /// Publish this cache's counters into `registry` as
-    /// `{prefix}_replay_hits_total` and `{prefix}_replay_evictions_total`.
-    /// The cache keeps its handles; counts recorded before or after
-    /// publishing are both visible through the registry.
-    pub fn publish(&self, registry: &Registry, prefix: &str) {
-        registry.adopt_counter(&format!("{prefix}_replay_hits_total"), &self.hits);
-        registry.adopt_counter(&format!("{prefix}_replay_evictions_total"), &self.evictions);
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Anything `krb_rd_req` can consult for replay detection: the classic
-/// single-lock [`ReplayCache`] (exclusive access, `&mut`) or a shared
-/// reference to a [`StripedReplayCache`] (interior mutability, so a
-/// concurrent KDC can check replays from `&self`).
-pub trait ReplayGuard {
-    /// Record a request by its fingerprint. Returns `false` if it was
-    /// already seen (a replay).
-    fn check_fingerprint(&mut self, fp: ReplayFingerprint, now: u32) -> bool;
-
-    /// Record a request. Returns `false` if it was already seen (a replay).
-    fn check_and_insert(&mut self, key: ReplayKey, now: u32) -> bool {
-        self.check_fingerprint(key.fingerprint(), now)
-    }
-}
-
-impl ReplayGuard for ReplayCache {
-    fn check_fingerprint(&mut self, fp: ReplayFingerprint, now: u32) -> bool {
-        ReplayCache::check_fingerprint(self, fp, now)
-    }
-}
-
-impl ReplayGuard for &StripedReplayCache {
-    fn check_fingerprint(&mut self, fp: ReplayFingerprint, now: u32) -> bool {
-        StripedReplayCache::check_fingerprint(self, fp, now)
-    }
-}
-
-/// Stripe count for [`StripedReplayCache`]. A power of two so the modulo
-/// is a mask; 16 stripes keep contention negligible far past the thread
-/// counts a single realm sees.
-pub const REPLAY_STRIPES: usize = 16;
-
-/// A lock-striped replay cache: [`REPLAY_STRIPES`] independent shards,
-/// selected by the authenticator hash, each behind its own mutex with its
-/// own purge clock (so no stripe ever waits on a sweep of another stripe's
-/// entries). `check_and_insert` takes `&self`, so a multi-threaded KDC
-/// consults it without any global lock.
-///
-/// ## Equivalence with [`ReplayCache`]
-///
-/// For the request sequences that can actually reach a replay cache —
-/// authenticators whose timestamp passed the §4.3 freshness check, i.e.
-/// `|now − timestamp| ≤ MAX_SKEW_SECS` — the striped cache accepts and
-/// rejects *exactly* the same sequences as the single-lock cache: an
-/// in-window entry is never removed by any purge (the sweep only drops
-/// entries older than `2 × MAX_SKEW_SECS`), so the only state that can
-/// differ between the two implementations (which *stale* entries are
-/// still sitting in memory, given the per-stripe vs global purge clocks)
-/// is state the freshness backstop makes unreachable. The proptest in
-/// `crates/core/tests/proptests.rs` pins this, skew boundary included.
-#[derive(Debug)]
-pub struct StripedReplayCache {
-    stripes: Vec<Mutex<Generations>>,
-    /// Per-stripe replay-hit counters, published with zero-padded labels
-    /// so the registry's lexicographic render is also numeric order.
-    /// Handles sit behind `RwLock` so [`StripedReplayCache::publish`] can
-    /// rebind them to registry-owned storage (see its docs); the lock is
-    /// only read on the rare hit/eviction paths.
-    stripe_hits: Vec<RwLock<Counter>>,
-    hits: RwLock<Counter>,
-    evictions: RwLock<Counter>,
-}
-
-impl Default for StripedReplayCache {
-    fn default() -> Self {
-        StripedReplayCache {
-            stripes: (0..REPLAY_STRIPES).map(|_| Mutex::new(Generations::default())).collect(),
-            stripe_hits: (0..REPLAY_STRIPES).map(|_| RwLock::new(Counter::new())).collect(),
-            hits: RwLock::new(Counter::new()),
-            evictions: RwLock::new(Counter::new()),
-        }
-    }
-}
-
-impl StripedReplayCache {
-    /// Create an empty striped cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a request. Returns `false` if it was already seen (a replay).
     pub fn check_and_insert(&self, key: ReplayKey, now: u32) -> bool {
         self.check_fingerprint(key.fingerprint(), now)
     }
 
-    /// [`StripedReplayCache::check_and_insert`] on the stored form. Only
-    /// the fingerprint's stripe is locked, and only for the set probe.
+    /// [`ReplayCache::check_and_insert`] on the stored form. Only the
+    /// fingerprint's stripe is locked, and only for the purge and the set
+    /// probe.
     pub fn check_fingerprint(&self, fp: ReplayFingerprint, now: u32) -> bool {
         let i = (fp.auth_hash % REPLAY_STRIPES as u64) as usize;
         let mut stripe = self.stripes[i].lock();
@@ -348,9 +262,9 @@ impl StripedReplayCache {
         true
     }
 
-    /// Replays detected so far. After [`StripedReplayCache::publish`] into
-    /// a registry shared with other caches, this reads the *shared*
-    /// counter — replays across every publisher of the same prefix.
+    /// Replays detected so far. After [`ReplayCache::publish`] into a
+    /// registry shared with other caches, this reads the *shared* counter —
+    /// replays across every publisher of the same prefix.
     pub fn replay_hits(&self) -> u64 {
         self.hits.read().get()
     }
@@ -362,14 +276,14 @@ impl StripedReplayCache {
 
     /// Bind the cache's counters to the registry's storage for
     /// `{prefix}_replay_hits_total` / `{prefix}_replay_evictions_total`
-    /// (same names the single-lock cache uses, so dashboards survive the
-    /// swap) plus one `{prefix}_replay_stripe_hits_total{stripe="NN"}` per
+    /// plus one `{prefix}_replay_stripe_hits_total{stripe="NN"}` per
     /// stripe. Get-or-create, not adopt: several caches publishing the
-    /// same prefix into one shared registry (a master and its slaves)
-    /// increment *one* set of counters instead of silently shadowing each
-    /// other — the metrics ≡ journal oracle depends on this. Counts
-    /// recorded before publishing are dropped; publish right after
-    /// construction (or accept the documented `set_telemetry` reset).
+    /// same prefix into one shared registry (a master and its slaves, two
+    /// hosts' rlogin servers) increment *one* set of counters instead of
+    /// silently shadowing each other — the metrics ≡ journal oracle depends
+    /// on this. Counts recorded before publishing are dropped; publish
+    /// right after construction (or accept the documented `set_telemetry`
+    /// reset).
     pub fn publish(&self, registry: &Registry, prefix: &str) {
         *self.hits.write() = registry.counter(&format!("{prefix}_replay_hits_total"));
         *self.evictions.write() = registry.counter(&format!("{prefix}_replay_evictions_total"));
@@ -399,86 +313,92 @@ mod tests {
         ReplayKey { client: client.into(), timestamp: ts, auth_hash: hash_bytes(auth) }
     }
 
+    /// A key that lands in stripe 3 whatever `n` is: tests of one purge
+    /// clock put every entry behind it.
+    fn one_stripe_key(client: &str, ts: u32, n: u64) -> ReplayKey {
+        ReplayKey { client: client.into(), timestamp: ts, auth_hash: n * REPLAY_STRIPES as u64 + 3 }
+    }
+
     #[test]
     fn detects_exact_replay() {
-        let mut rc = ReplayCache::new();
+        let rc = ReplayCache::new();
         assert!(rc.check_and_insert(key("bcn@A", 100, b"auth1"), 100));
         assert!(!rc.check_and_insert(key("bcn@A", 100, b"auth1"), 101), "replay");
     }
 
     #[test]
     fn distinct_requests_same_second_pass() {
-        let mut rc = ReplayCache::new();
+        let rc = ReplayCache::new();
         assert!(rc.check_and_insert(key("bcn@A", 100, b"auth1"), 100));
         assert!(rc.check_and_insert(key("bcn@A", 100, b"auth2"), 100));
     }
 
     #[test]
     fn different_clients_do_not_collide() {
-        let mut rc = ReplayCache::new();
+        let rc = ReplayCache::new();
         assert!(rc.check_and_insert(key("bcn@A", 100, b"x"), 100));
         assert!(rc.check_and_insert(key("jis@A", 100, b"x"), 100));
     }
 
     #[test]
     fn old_entries_are_purged() {
-        let mut rc = ReplayCache::new();
+        let rc = ReplayCache::new();
         for i in 0..100 {
-            assert!(rc.check_and_insert(key("bcn@A", i, &i.to_be_bytes()), i));
+            assert!(rc.check_and_insert(one_stripe_key("bcn@A", i, u64::from(i)), i));
         }
         assert_eq!(rc.len(), 100);
         // Far in the future: purge clears everything stale.
-        assert!(rc.check_and_insert(key("bcn@A", 10_000, b"new"), 10_000));
+        assert!(rc.check_and_insert(one_stripe_key("bcn@A", 10_000, 100), 10_000));
         assert!(rc.len() < 100, "purge ran: {} entries", rc.len());
     }
 
     #[test]
     fn expiry_sweep_drops_stale_and_keeps_fresh() {
-        let mut rc = ReplayCache::new();
+        let rc = ReplayCache::new();
         let base = 100_000;
         // One entry that will be stale at sweep time, one still in window.
-        assert!(rc.check_and_insert(key("old@A", base, b"old"), base));
+        assert!(rc.check_and_insert(one_stripe_key("old@A", base, 1), base));
         let fresh_ts = base + 3 * MAX_SKEW_SECS;
-        assert!(rc.check_and_insert(key("new@A", fresh_ts, b"new"), fresh_ts));
+        assert!(rc.check_and_insert(one_stripe_key("new@A", fresh_ts, 2), fresh_ts));
         // Trigger the sweep well past the old entry's 2*skew horizon but
         // inside the fresh entry's.
         let sweep_at = base + 4 * MAX_SKEW_SECS;
-        assert!(rc.check_and_insert(key("x@A", sweep_at, b"x"), sweep_at));
+        assert!(rc.check_and_insert(one_stripe_key("x@A", sweep_at, 3), sweep_at));
         assert_eq!(rc.len(), 2, "stale entry swept, fresh + new retained");
         // The fresh entry must still catch its replay after the sweep.
-        assert!(!rc.check_and_insert(key("new@A", fresh_ts, b"new"), sweep_at));
+        assert!(!rc.check_and_insert(one_stripe_key("new@A", fresh_ts, 2), sweep_at));
     }
 
     #[test]
     fn hit_and_eviction_counters_report_through_the_registry() {
-        let mut rc = ReplayCache::new();
+        let rc = ReplayCache::new();
         let registry = Registry::new();
         rc.publish(&registry, "kdc");
-        assert!(rc.check_and_insert(key("bcn@A", 100, b"a"), 100));
-        assert!(!rc.check_and_insert(key("bcn@A", 100, b"a"), 101));
-        assert!(!rc.check_and_insert(key("bcn@A", 100, b"a"), 102));
+        assert!(rc.check_and_insert(one_stripe_key("bcn@A", 100, 1), 100));
+        assert!(!rc.check_and_insert(one_stripe_key("bcn@A", 100, 1), 101));
+        assert!(!rc.check_and_insert(one_stripe_key("bcn@A", 100, 1), 102));
         assert_eq!(rc.replay_hits(), 2);
         assert_eq!(registry.counter_value("kdc_replay_hits_total"), 2);
         // Force a purge far in the future: the lone stale entry is evicted.
-        assert!(rc.check_and_insert(key("bcn@A", 50_000, b"b"), 50_000));
+        assert!(rc.check_and_insert(one_stripe_key("bcn@A", 50_000, 2), 50_000));
         assert_eq!(rc.evictions(), 1);
         assert_eq!(registry.counter_value("kdc_replay_evictions_total"), 1);
     }
 
     #[test]
     fn purge_is_rate_limited() {
-        let mut rc = ReplayCache::new();
-        rc.check_and_insert(key("a@A", 0, b"1"), 0);
+        let rc = ReplayCache::new();
+        rc.check_and_insert(one_stripe_key("a@A", 0, 0), 0);
         // Within one skew window, purging doesn't run on every insert.
         for i in 1..10 {
-            rc.check_and_insert(key("a@A", i, &i.to_be_bytes()), i);
+            rc.check_and_insert(one_stripe_key("a@A", i, u64::from(i)), i);
         }
         assert_eq!(rc.len(), 10);
     }
 
     #[test]
     fn striped_detects_replay_from_shared_reference() {
-        let rc = StripedReplayCache::new();
+        let rc = ReplayCache::new();
         assert!(rc.check_and_insert(key("bcn@A", 100, b"auth1"), 100));
         assert!(!rc.check_and_insert(key("bcn@A", 100, b"auth1"), 101), "replay");
         assert!(rc.check_and_insert(key("bcn@A", 100, b"auth2"), 100));
@@ -488,7 +408,7 @@ mod tests {
 
     #[test]
     fn striped_publishes_per_stripe_counters_in_render_order() {
-        let rc = StripedReplayCache::new();
+        let rc = ReplayCache::new();
         let registry = Registry::new();
         rc.publish(&registry, "kdc");
         let k = key("bcn@A", 100, b"auth1");
@@ -516,7 +436,7 @@ mod tests {
 
     #[test]
     fn striped_purges_stale_entries_per_stripe() {
-        let rc = StripedReplayCache::new();
+        let rc = ReplayCache::new();
         for i in 0..100u32 {
             assert!(rc.check_and_insert(key("bcn@A", i, &i.to_be_bytes()), i));
         }
@@ -546,27 +466,27 @@ mod tests {
     #[test]
     fn a_new_cache_holds_no_generation() {
         // An empty BTreeMap owns no heap, so an unused cache costs its
-        // counters and (striped) the stripe vector, nothing per second of
-        // window: passwd_churn keeps some 34 caches that stay small.
-        assert!(ReplayCache::new().store.gens.is_empty());
-        let striped = StripedReplayCache::new();
-        assert_eq!(striped.stripes.len(), REPLAY_STRIPES);
-        assert!(striped.stripes.iter().all(|s| s.lock().gens.is_empty()));
+        // counters and the stripe vector, nothing per second of window:
+        // passwd_churn keeps some 34 caches that stay small.
+        let rc = ReplayCache::new();
+        assert_eq!(rc.stripes.len(), REPLAY_STRIPES);
+        assert!(rc.stripes.iter().all(|s| s.lock().gens.is_empty()));
     }
 
     #[test]
     fn a_sweep_walks_only_the_generation_straddling_the_cutoff() {
         const PER_SECOND: u32 = 10;
-        let mut rc = ReplayCache::new();
+        let rc = ReplayCache::new();
         for ts in 0..2_000u32 {
             for i in 0..PER_SECOND {
-                assert!(rc.check_and_insert(key("bcn@A", ts, &(ts * PER_SECOND + i).to_be_bytes()), 0));
+                assert!(rc.check_and_insert(one_stripe_key("bcn@A", ts, u64::from(ts * PER_SECOND + i)), 0));
             }
         }
         // A cutoff in the middle of a generation: everything before it goes.
         let cutoff = (17 << GEN_SHIFT) + (1 << GEN_SHIFT) / 2;
         let visited_before = SWEEP_VISITS.with(std::cell::Cell::get);
-        assert!(rc.check_and_insert(key("bcn@A", cutoff, b"now"), cutoff + 2 * MAX_SKEW_SECS));
+        let now = one_stripe_key("bcn@A", cutoff, u64::from(2_000 * PER_SECOND));
+        assert!(rc.check_and_insert(now, cutoff + 2 * MAX_SKEW_SECS));
         let visited = SWEEP_VISITS.with(std::cell::Cell::get) - visited_before;
         assert_eq!(rc.evictions(), u64::from(cutoff * PER_SECOND));
         assert_eq!(rc.len() as u64, u64::from((2_000 - cutoff) * PER_SECOND) + 1);
@@ -586,18 +506,5 @@ mod tests {
             })
             .collect();
         assert!(buckets.len() > 512, "{} of 1024 buckets used", buckets.len());
-    }
-
-    #[test]
-    fn replay_guard_trait_serves_both_cache_shapes() {
-        fn consult<R: ReplayGuard>(replay: &mut R, k: ReplayKey, now: u32) -> bool {
-            replay.check_and_insert(k, now)
-        }
-        let mut single = ReplayCache::new();
-        assert!(consult(&mut single, key("a@A", 5, b"x"), 5));
-        assert!(!consult(&mut single, key("a@A", 5, b"x"), 5));
-        let striped = StripedReplayCache::new();
-        assert!(consult(&mut &striped, key("a@A", 5, b"x"), 5));
-        assert!(!consult(&mut &striped, key("a@A", 5, b"x"), 5));
     }
 }

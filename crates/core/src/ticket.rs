@@ -13,7 +13,7 @@
 use crate::scratch::Scratch;
 use crate::wire::{sealed_len, Reader, Writer};
 use crate::{ErrorCode, HostAddr, KrbResult, Principal};
-use krb_crypto::{DesKey, Scheduled, SecretKey};
+use krb_crypto::{Scheduled, SecretKey};
 
 /// The plaintext contents of a ticket.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -196,27 +196,17 @@ impl Ticket {
         }
     }
 
-    /// Encrypt this ticket in the server's key.
-    pub fn seal(&self, server_key: &DesKey) -> EncryptedTicket {
-        self.seal_with(&Scheduled::new(server_key))
-    }
-
-    /// [`Ticket::seal`] under a precomputed schedule — the KDC issues every
-    /// TGS ticket in the same cached service key.
+    /// Encrypt this ticket in the server's key schedule — the KDC issues
+    /// every TGS ticket in the same cached service key.
     pub fn seal_with(&self, server: &Scheduled) -> EncryptedTicket {
         self.view().seal_with(server)
     }
 }
 
 impl EncryptedTicket {
-    /// Decrypt with the server's key. A wrong key (ticket not for us, or a
-    /// forgery) yields [`ErrorCode::RdApNotUs`].
-    pub fn open(&self, server_key: &DesKey) -> KrbResult<Ticket> {
-        self.open_with(&Scheduled::new(server_key))
-    }
-
-    /// [`EncryptedTicket::open`] under a precomputed schedule (long-lived
-    /// servers hold one per srvtab key). The plaintext is read in a
+    /// Decrypt under the server's key schedule (long-lived servers hold one
+    /// per srvtab key). A wrong key (ticket not for us, or a forgery)
+    /// yields [`ErrorCode::RdApNotUs`]. The plaintext is read in a
     /// [`Scratch`] that is wiped before this returns.
     pub fn open_with(&self, server: &Scheduled) -> KrbResult<Ticket> {
         TicketView::open_in(&mut Scratch::new(), &self.0, server).map(|t| t.to_owned())
@@ -238,6 +228,10 @@ mod tests {
     use super::*;
     use krb_crypto::string_to_key;
 
+    fn key(password: &str) -> Scheduled {
+        Scheduled::new(&string_to_key(password))
+    }
+
     fn athena(p: &str) -> Principal {
         Principal::parse(p, "ATHENA.MIT.EDU").unwrap()
     }
@@ -255,17 +249,17 @@ mod tests {
 
     #[test]
     fn seal_open_round_trip() {
-        let server_key = string_to_key("rlogin-priam-srvtab");
-        let sealed = sample().seal(&server_key);
-        let opened = sealed.open(&server_key).unwrap();
+        let server_key = key("rlogin-priam-srvtab");
+        let sealed = sample().seal_with(&server_key);
+        let opened = sealed.open_with(&server_key).unwrap();
         assert_eq!(opened, sample());
     }
 
     #[test]
     fn wrong_key_is_not_us() {
-        let sealed = sample().seal(&string_to_key("right"));
+        let sealed = sample().seal_with(&key("right"));
         assert_eq!(
-            sealed.open(&string_to_key("wrong")).unwrap_err(),
+            sealed.open_with(&key("wrong")).unwrap_err(),
             ErrorCode::RdApNotUs
         );
     }
@@ -274,12 +268,12 @@ mod tests {
     fn client_cannot_tamper_with_its_ticket() {
         // "it is safe to allow the user to pass the ticket on to the server
         // without having to worry about the user modifying the ticket".
-        let key = string_to_key("server");
-        let sealed = sample().seal(&key);
+        let key = key("server");
+        let sealed = sample().seal_with(&key);
         for i in 0..sealed.0.len() {
             let mut forged = sealed.clone();
             forged.0[i] ^= 0x01;
-            match forged.open(&key) {
+            match forged.open_with(&key) {
                 Err(_) => {}
                 Ok(t) => assert_ne!(t, sample(), "bit flip at {i} must not be invisible"),
             }
@@ -290,8 +284,8 @@ mod tests {
     fn ticket_binds_client_realm() {
         let mut t = sample();
         t.crealm = "LCS.MIT.EDU".into();
-        let key = string_to_key("server");
-        let opened = t.seal(&key).open(&key).unwrap();
+        let key = key("server");
+        let opened = t.seal_with(&key).open_with(&key).unwrap();
         assert_eq!(opened.crealm, "LCS.MIT.EDU");
         assert_eq!(opened.client().realm, "LCS.MIT.EDU");
     }
@@ -300,17 +294,17 @@ mod tests {
     fn sealed_size_is_modest() {
         // The V4 ticket was bounded at 255 bytes of ciphertext; ours is the
         // same order. Recorded by the E2 bench; sanity-check the bound here.
-        let sealed = sample().seal(&string_to_key("k"));
+        let sealed = sample().seal_with(&key("k"));
         assert!(sealed.len() <= 128, "sealed ticket is {} bytes", sealed.len());
     }
 
     #[test]
     fn truncated_ciphertext_fails_cleanly() {
-        let key = string_to_key("server");
-        let sealed = sample().seal(&key);
+        let key = key("server");
+        let sealed = sample().seal_with(&key);
         for cut in [0, 1, 7, 8, sealed.0.len() - 8] {
             let t = EncryptedTicket(sealed.0[..cut].to_vec());
-            assert!(t.open(&key).is_err(), "cut at {cut}");
+            assert!(t.open_with(&key).is_err(), "cut at {cut}");
         }
     }
 }

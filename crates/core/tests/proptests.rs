@@ -3,10 +3,10 @@
 
 use kerberos::{
     ApRep, ApReq, AsReq, EncKdcReplyPart, EncryptedTicket, ErrMsg, ErrorCode, KdcRep, Message,
-    PrivMsg, Principal, ReplayCache, ReplayKey, SafeMsg, StripedReplayCache, TgsReq, Ticket,
-    MAX_SKEW_SECS, REPLAY_STRIPES,
+    Principal, PrivMsg, ReplayCache, ReplayKey, SafeMsg, TgsReq, Ticket, MAX_SKEW_SECS,
+    REPLAY_STRIPES,
 };
-use krb_crypto::DesKey;
+use krb_crypto::{DesKey, Scheduled};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -179,18 +179,18 @@ proptest! {
 
     #[test]
     fn ticket_seal_open_round_trip(t in arb_ticket(), key in any::<[u8; 8]>()) {
-        let k = DesKey::from_bytes(key);
-        let sealed = t.seal(&k);
-        prop_assert_eq!(sealed.open(&k).unwrap(), t);
+        let k = Scheduled::new(&DesKey::from_bytes(key));
+        let sealed = t.seal_with(&k);
+        prop_assert_eq!(sealed.open_with(&k).unwrap(), t);
     }
 
     #[test]
     fn tampered_ticket_never_opens_identically(t in arb_ticket(), key in any::<[u8; 8]>(), flip in any::<(u16, u8)>()) {
-        let k = DesKey::from_bytes(key);
-        let mut sealed = t.seal(&k);
+        let k = Scheduled::new(&DesKey::from_bytes(key));
+        let mut sealed = t.seal_with(&k);
         let idx = (flip.0 as usize) % sealed.0.len();
         sealed.0[idx] ^= 1 << (flip.1 % 8);
-        match sealed.open(&k) {
+        match sealed.open_with(&k) {
             Err(_) => {}
             Ok(opened) => prop_assert_ne!(opened, t),
         }
@@ -268,8 +268,9 @@ proptest! {
         prop_assert_eq!(p, q);
     }
 
-    // The striped replay cache must accept/reject exactly the same request
-    // sequences as the single-lock cache. The equivalence domain is the set
+    // The replay cache must accept/reject exactly the same request
+    // sequences as one set of fingerprints behind one lock and one purge
+    // clock (the reference model). The equivalence domain is the set
     // of keys that can actually reach the cache: krb_rd_req checks
     // |now - timestamp| <= MAX_SKEW_SECS *before* consulting it, and purges
     // only drop entries older than 2x the skew window, so in-window entries
@@ -278,7 +279,7 @@ proptest! {
     // ts = now - MAX_SKEW boundary (the attacks.rs edge: a replay at exactly
     // timestamp+MAX_SKEW must still draw a cache hit, not a clock rejection).
     #[test]
-    fn striped_replay_cache_matches_single_lock_cache(
+    fn replay_cache_matches_one_set_model_in_window(
         ops in proptest::collection::vec(
             (
                 0u32..=120,                                    // clock advance
@@ -294,8 +295,8 @@ proptest! {
         // the same stripe modulo 16 only when equal, exercising both shared
         // and distinct stripes for repeated keys.
         let hashes: [u64; 6] = [0, 1, 15, 16, 0xdead_beef, u64::MAX];
-        let mut single = ReplayCache::new();
-        let striped = StripedReplayCache::new();
+        let mut model = ModelReplayCache::default();
+        let cache = ReplayCache::new();
         let mut now = 1_000_000u32;
         for (delta, ci, hi, back) in ops {
             now += delta;
@@ -304,19 +305,18 @@ proptest! {
                 timestamp: now - back,
                 auth_hash: hashes[hi],
             };
-            let a = single.check_and_insert(key.clone(), now);
-            let b = striped.check_and_insert(key, now);
+            let a = model.check_and_insert(key.clone(), now);
+            let b = cache.check_and_insert(key, now);
             prop_assert_eq!(a, b, "verdicts diverged at now={}", now);
         }
-        prop_assert_eq!(single.replay_hits(), striped.replay_hits());
+        prop_assert_eq!(model.hits, cache.replay_hits());
     }
 
     // The generation store against the definition it replaced, and not
     // only on the sequences krb_rd_req can produce: any timestamp, and a
     // clock that stands still, leaps past the purge horizon or runs
-    // backwards. Decision, size, hits and evictions agree after every step,
-    // for the single cache and (against sixteen models with their own purge
-    // clocks) for the striped one.
+    // backwards. Decision, size, hits and evictions agree after every step
+    // with sixteen models, each with its own purge clock like a stripe.
     #[test]
     fn replay_cache_equals_reference_model(
         start in prop_oneof![Just(0u32), Just(1_000_000), Just(u32::MAX - 20_000)],
@@ -326,11 +326,9 @@ proptest! {
         ),
     ) {
         let clients = ["bcn@ATHENA.MIT.EDU", "bcn.root@ATHENA.MIT.EDU", "jis@LCS.MIT.EDU"];
-        let mut model = ModelReplayCache::default();
-        let mut single = ReplayCache::new();
         let mut stripe_models: Vec<ModelReplayCache> =
             (0..REPLAY_STRIPES).map(|_| ModelReplayCache::default()).collect();
-        let striped = StripedReplayCache::new();
+        let striped = ReplayCache::new();
         let mut now = start;
         for (tick, ci, ai, stamp) in ops {
             now = match tick {
@@ -346,18 +344,9 @@ proptest! {
             let stripe = &mut stripe_models[(key.auth_hash % REPLAY_STRIPES as u64) as usize];
 
             prop_assert_eq!(
-                single.check_and_insert(key.clone(), now),
-                model.check_and_insert(key.clone(), now),
-                "single cache, now={} ts={}", now, key.timestamp
-            );
-            prop_assert_eq!(
                 striped.check_and_insert(key.clone(), now),
                 stripe.check_and_insert(key.clone(), now),
                 "striped cache, now={} ts={}", now, key.timestamp
-            );
-            prop_assert_eq!(
-                (single.len(), single.replay_hits(), single.evictions()),
-                (model.seen.len(), model.hits, model.evictions)
             );
             prop_assert_eq!(
                 (striped.len(), striped.replay_hits(), striped.evictions()),

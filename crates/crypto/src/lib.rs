@@ -12,12 +12,13 @@
 //! protocols — it is pure bytes-in/bytes-out.
 //!
 //! ```
-//! use krb_crypto::{string_to_key, Mode, seal, open};
+//! use krb_crypto::{seal_with, string_to_key, unseal_with, Mode, Scheduled};
 //!
-//! let key = string_to_key("correct horse battery staple");
+//! // The key schedule is built once and passed to every call.
+//! let key = Scheduled::new(&string_to_key("correct horse battery staple"));
 //! let iv = [0u8; 8];
-//! let ct = seal(Mode::Pcbc, &key, &iv, b"ticket contents").unwrap();
-//! assert_eq!(open(Mode::Pcbc, &key, &iv, &ct).unwrap(), b"ticket contents");
+//! let ct = seal_with(Mode::Pcbc, &key, &iv, b"ticket contents").unwrap();
+//! assert_eq!(unseal_with(Mode::Pcbc, &key, &iv, &ct).unwrap(), b"ticket contents");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -36,19 +37,15 @@ mod tables;
 pub use cksum::quad_cksum;
 pub use des::Des;
 pub use fast::FastDes;
+/// Constant-time byte comparison — the canonical name the L2 lint steers
+/// callers toward.
+pub use key::constant_time_eq as ct_eq;
 pub use key::{constant_time_eq, DesKey, KeyGenerator};
 pub use sched::Scheduled;
 pub use secret::SecretKey;
-
-/// Constant-time byte comparison — the canonical name the L2 lint steers
-/// callers toward. Alias of [`key::constant_time_eq`].
-pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
-    constant_time_eq(a, b)
-}
 pub use modes::{
-    cbc_checksum, cbc_checksum_with, decrypt_raw, decrypt_raw_with, encrypt_raw, encrypt_raw_with,
-    open, seal, seal_in_place, seal_nested_in_place, seal_with, unseal_in_place, unseal_with, Mode,
-    BLOCK,
+    cbc_checksum_with, decrypt_raw_with, encrypt_raw_with, seal_in_place, seal_nested_in_place,
+    seal_with, unseal_in_place, unseal_with, Mode, BLOCK,
 };
 pub use string_to_key::string_to_key;
 

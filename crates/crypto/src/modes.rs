@@ -17,13 +17,13 @@
 //! [`seal_nested_in_place`] runs the inner chain two-wide with the outer
 //! blocks in front of it.
 //!
-//! The raw functions operate on whole blocks. [`seal`]/[`open`] add the
-//! length framing the Kerberos library uses so that arbitrary-length
+//! Every function takes the key as a [`Scheduled`], built once per key.
+//! The raw functions operate on whole blocks. [`seal_with`]/[`unseal_with`]
+//! add the length framing the Kerberos library uses so that arbitrary-length
 //! messages round-trip (V4 carried explicit lengths in its messages; we
 //! frame with a 4-byte big-endian length followed by zero padding).
 
 use crate::fast::FastDes;
-use crate::key::DesKey;
 use crate::sched::Scheduled;
 use crate::CryptoError;
 
@@ -166,16 +166,6 @@ pub fn decrypt_raw_with(
     Ok(out)
 }
 
-/// Encrypt `data` (whole blocks only) under `key` with the given mode and IV.
-pub fn encrypt_raw(mode: Mode, key: &DesKey, iv: &[u8; 8], data: &[u8]) -> Result<Vec<u8>, CryptoError> {
-    encrypt_raw_with(mode, &Scheduled::new(key), iv, data)
-}
-
-/// Decrypt `data` (whole blocks only) under `key` with the given mode and IV.
-pub fn decrypt_raw(mode: Mode, key: &DesKey, iv: &[u8; 8], data: &[u8]) -> Result<Vec<u8>, CryptoError> {
-    decrypt_raw_with(mode, &Scheduled::new(key), iv, data)
-}
-
 /// Seal the tail of `buf` where it lies: `buf[start..start + 4]` is a
 /// reserved slot for the length field and `buf[start + 4..]` the plaintext.
 /// The slot is patched, the tail zero-padded to a whole number of blocks
@@ -286,7 +276,10 @@ pub fn unseal_in_place<'a>(
     Ok(payload)
 }
 
-/// [`seal`] with a precomputed schedule: one allocation, no schedule work.
+/// Encrypt an arbitrary-length message: prepend a 4-byte big-endian length,
+/// zero-pad to a block boundary, then encrypt. PCBC with a zero IV is the
+/// Kerberos library default (tickets, authenticators, private messages).
+/// One allocation, no schedule work.
 pub fn seal_with(
     mode: Mode,
     sched: &Scheduled,
@@ -300,15 +293,13 @@ pub fn seal_with(
     Ok(out)
 }
 
-/// Encrypt an arbitrary-length message: prepend a 4-byte big-endian length,
-/// zero-pad to a block boundary, then encrypt. PCBC with a zero IV is the
-/// Kerberos library default (tickets, authenticators, private messages).
-pub fn seal(mode: Mode, key: &DesKey, iv: &[u8; 8], plaintext: &[u8]) -> Result<Vec<u8>, CryptoError> {
-    seal_with(mode, &Scheduled::new(key), iv, plaintext)
-}
-
-/// [`open`] with a precomputed schedule: decrypt a copy, then shift the
-/// payload over the length prefix in place — one allocation total.
+/// Reverse [`seal_with`]: decrypt a copy, then shift the payload over the
+/// length prefix in place — one allocation total.
+///
+/// A wrong key (or tampered ciphertext) shows up as an implausible length or
+/// nonzero padding and is reported as [`CryptoError::Integrity`]. Callers
+/// that need stronger integrity add a checksum inside the plaintext, as the
+/// Kerberos protocol messages do.
 pub fn unseal_with(
     mode: Mode,
     sched: &Scheduled,
@@ -322,18 +313,10 @@ pub fn unseal_with(
     Ok(plain)
 }
 
-/// Reverse [`seal`]: decrypt and strip the length framing.
-///
-/// A wrong key (or tampered ciphertext) shows up as an implausible length or
-/// nonzero padding and is reported as [`CryptoError::Integrity`]. Callers
-/// that need stronger integrity add a checksum inside the plaintext, as the
-/// Kerberos protocol messages do.
-pub fn open(mode: Mode, key: &DesKey, iv: &[u8; 8], ciphertext: &[u8]) -> Result<Vec<u8>, CryptoError> {
-    unseal_with(mode, &Scheduled::new(key), iv, ciphertext)
-}
-
-/// [`cbc_checksum`] under a precomputed schedule (`kprop` checksums whole
-/// database dumps in the master key — the schedule is already in hand).
+/// CBC "checksum": encrypt in CBC mode and keep only the final block.
+/// Every bit of the input influences the result; used by the string-to-key
+/// one-way function and by `kprop` dump integrity (in the master key,
+/// whose schedule is already in hand).
 ///
 /// Only the last ciphertext block is kept, so the input is streamed through
 /// one word of CBC state; a short (or absent) final block is zero-padded.
@@ -352,19 +335,13 @@ pub fn cbc_checksum_with(sched: &Scheduled, iv: &[u8; 8], data: &[u8]) -> [u8; 8
     state.to_be_bytes()
 }
 
-/// CBC "checksum": encrypt in CBC mode and keep only the final block.
-/// Every bit of the input influences the result; used by the string-to-key
-/// one-way function and by `kprop` dump integrity.
-pub fn cbc_checksum(key: &DesKey, iv: &[u8; 8], data: &[u8]) -> [u8; 8] {
-    cbc_checksum_with(&Scheduled::new(key), iv, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::DesKey;
 
-    fn k() -> DesKey {
-        DesKey::from_bytes([0x13, 0x34, 0x57, 0x79, 0x9B, 0xBC, 0xDF, 0xF1])
+    fn k() -> Scheduled {
+        Scheduled::new(&DesKey::from_bytes([0x13, 0x34, 0x57, 0x79, 0x9B, 0xBC, 0xDF, 0xF1]))
     }
     const IV: [u8; 8] = [0xA5; 8];
 
@@ -372,9 +349,9 @@ mod tests {
     fn raw_round_trip_all_modes() {
         let data = b"sixteen bytes!!!".to_vec();
         for mode in [Mode::Ecb, Mode::Cbc, Mode::Pcbc] {
-            let c = encrypt_raw(mode, &k(), &IV, &data).unwrap();
+            let c = encrypt_raw_with(mode, &k(), &IV, &data).unwrap();
             assert_ne!(c, data);
-            let p = decrypt_raw(mode, &k(), &IV, &c).unwrap();
+            let p = decrypt_raw_with(mode, &k(), &IV, &c).unwrap();
             assert_eq!(p, data, "{mode:?}");
         }
     }
@@ -383,11 +360,11 @@ mod tests {
     fn raw_rejects_partial_blocks() {
         for mode in [Mode::Ecb, Mode::Cbc, Mode::Pcbc] {
             assert!(matches!(
-                encrypt_raw(mode, &k(), &IV, b"short"),
+                encrypt_raw_with(mode, &k(), &IV, b"short"),
                 Err(CryptoError::BadLength(5))
             ));
             assert!(matches!(
-                decrypt_raw(mode, &k(), &IV, b"short"),
+                decrypt_raw_with(mode, &k(), &IV, b"short"),
                 Err(CryptoError::BadLength(5))
             ));
         }
@@ -396,9 +373,9 @@ mod tests {
     #[test]
     fn ecb_leaks_equal_blocks_cbc_does_not() {
         let data = [0x42u8; 16]; // two identical blocks
-        let ecb = encrypt_raw(Mode::Ecb, &k(), &IV, &data).unwrap();
+        let ecb = encrypt_raw_with(Mode::Ecb, &k(), &IV, &data).unwrap();
         assert_eq!(ecb[..8], ecb[8..16], "ECB repeats identical blocks");
-        let cbc = encrypt_raw(Mode::Cbc, &k(), &IV, &data).unwrap();
+        let cbc = encrypt_raw_with(Mode::Cbc, &k(), &IV, &data).unwrap();
         assert_ne!(cbc[..8], cbc[8..16], "CBC hides identical blocks");
     }
 
@@ -407,9 +384,9 @@ mod tests {
         for len in [0usize, 1, 3, 4, 7, 8, 9, 63, 64, 65, 1000] {
             let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
             for mode in [Mode::Cbc, Mode::Pcbc] {
-                let c = seal(mode, &k(), &IV, &data).unwrap();
+                let c = seal_with(mode, &k(), &IV, &data).unwrap();
                 assert_eq!(c.len() % BLOCK, 0);
-                let p = open(mode, &k(), &IV, &c).unwrap();
+                let p = unseal_with(mode, &k(), &IV, &c).unwrap();
                 assert_eq!(p, data, "len {len} {mode:?}");
             }
         }
@@ -417,10 +394,10 @@ mod tests {
 
     #[test]
     fn open_with_wrong_key_fails() {
-        let c = seal(Mode::Pcbc, &k(), &IV, b"the quick brown fox jumps").unwrap();
-        let wrong = DesKey::from_bytes([0x0E, 0x32, 0x92, 0x32, 0xEA, 0x6D, 0x0D, 0x73]);
+        let c = seal_with(Mode::Pcbc, &k(), &IV, b"the quick brown fox jumps").unwrap();
+        let wrong = Scheduled::new(&DesKey::from_bytes([0x0E, 0x32, 0x92, 0x32, 0xEA, 0x6D, 0x0D, 0x73]));
         // With overwhelming probability the decrypted length/padding is junk.
-        assert!(open(Mode::Pcbc, &wrong, &IV, &c).is_err());
+        assert!(unseal_with(Mode::Pcbc, &wrong, &IV, &c).is_err());
     }
 
     /// The paper's §2.2 claim, demonstrated exactly: flip one ciphertext bit
@@ -431,9 +408,9 @@ mod tests {
     fn error_propagation_cbc_vs_pcbc() {
         let data: Vec<u8> = (0u8..40).collect(); // 5 blocks
         for (mode, expect_tail_garbled) in [(Mode::Cbc, false), (Mode::Pcbc, true)] {
-            let mut c = encrypt_raw(mode, &k(), &IV, &data).unwrap();
+            let mut c = encrypt_raw_with(mode, &k(), &IV, &data).unwrap();
             c[3] ^= 0x40; // corrupt block 0
-            let p = decrypt_raw(mode, &k(), &IV, &c).unwrap();
+            let p = decrypt_raw_with(mode, &k(), &IV, &c).unwrap();
             assert_ne!(p[..8], data[..8], "block 0 must be garbled ({mode:?})");
             match mode {
                 Mode::Cbc => {
@@ -463,7 +440,7 @@ mod tests {
 
     #[test]
     fn seal_in_place_leaves_the_prefix_alone() {
-        let sched = Scheduled::new(&k());
+        let sched = k();
         for len in [0usize, 1, 4, 8, 64, 200] {
             let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
             let mut buf = b"header".to_vec();
@@ -471,14 +448,14 @@ mod tests {
             buf.extend_from_slice(&data);
             seal_in_place(Mode::Pcbc, &sched, &IV, &mut buf, 6).unwrap();
             assert_eq!(&buf[..6], b"header");
-            assert_eq!(buf[6..], seal(Mode::Pcbc, &k(), &IV, &data).unwrap(), "len {len}");
+            assert_eq!(buf[6..], seal_with(Mode::Pcbc, &k(), &IV, &data).unwrap(), "len {len}");
             assert_eq!(unseal_in_place(Mode::Pcbc, &sched, &IV, &mut buf[6..]).unwrap(), data);
         }
     }
 
     #[test]
     fn seal_in_place_needs_its_slot() {
-        let sched = Scheduled::new(&k());
+        let sched = k();
         for (len, start) in [(0usize, 0usize), (3, 0), (8, 5), (8, 9), (8, usize::MAX)] {
             let mut buf = vec![0u8; len];
             let refused = seal_in_place(Mode::Pcbc, &sched, &IV, &mut buf, start);
@@ -492,7 +469,7 @@ mod tests {
     /// region the 2-byte field cannot describe.
     #[test]
     fn seal_nested_in_place_needs_its_slots_and_field() {
-        let sched = Scheduled::new(&k());
+        let sched = k();
         for (len, outer, inner) in [(20, 0, 17), (20, 0, usize::MAX), (20, 3, 8), (20, 9, 8), (70_000, 0, 8)] {
             let mut buf = vec![0u8; len];
             let refused = seal_nested_in_place(Mode::Pcbc, &sched, &sched, &IV, &mut buf, outer, inner);
@@ -505,7 +482,7 @@ mod tests {
 
     #[test]
     fn unseal_with_rejects_what_open_rejects() {
-        let sched = Scheduled::new(&k());
+        let sched = k();
         assert!(matches!(
             unseal_with(Mode::Pcbc, &sched, &IV, b"short"),
             Err(CryptoError::BadLength(5))
@@ -521,14 +498,14 @@ mod tests {
 
     #[test]
     fn cbc_checksum_depends_on_every_bit() {
-        let base = cbc_checksum(&k(), &IV, b"some data for checksumming");
+        let base = cbc_checksum_with(&k(), &IV, b"some data for checksumming");
         let mut tweaked = b"some data for checksumming".to_vec();
         tweaked[0] ^= 1;
-        assert_ne!(base, cbc_checksum(&k(), &IV, &tweaked));
+        assert_ne!(base, cbc_checksum_with(&k(), &IV, &tweaked));
         let mut tail = b"some data for checksumming".to_vec();
         let n = tail.len() - 1;
         tail[n] ^= 0x80;
-        assert_ne!(base, cbc_checksum(&k(), &IV, &tail));
+        assert_ne!(base, cbc_checksum_with(&k(), &IV, &tail));
     }
 
     /// The streaming checksum against its definition: the last block of a
@@ -539,15 +516,15 @@ mod tests {
             let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
             let mut padded = data.clone();
             padded.resize(len.div_ceil(BLOCK).max(1) * BLOCK, 0);
-            let c = encrypt_raw(Mode::Cbc, &k(), &IV, &padded).unwrap();
-            assert_eq!(cbc_checksum(&k(), &IV, &data)[..], c[c.len() - BLOCK..], "len {len}");
+            let c = encrypt_raw_with(Mode::Cbc, &k(), &IV, &padded).unwrap();
+            assert_eq!(cbc_checksum_with(&k(), &IV, &data)[..], c[c.len() - BLOCK..], "len {len}");
         }
     }
 
     #[test]
     fn cbc_checksum_of_empty_input_is_defined() {
-        let a = cbc_checksum(&k(), &IV, b"");
-        let b = cbc_checksum(&k(), &IV, &[0u8; 8]);
+        let a = cbc_checksum_with(&k(), &IV, b"");
+        let b = cbc_checksum_with(&k(), &IV, &[0u8; 8]);
         assert_eq!(a, b, "empty input is one zero block");
     }
 }

@@ -16,12 +16,8 @@
 //!    high nibble of the last byte (as MIT's implementation did).
 
 use crate::key::{odd_parity, DesKey};
-use crate::modes::cbc_checksum;
-
-/// Reverse the bit order of a byte (used for alternate fan-fold groups).
-fn reverse_bits(b: u8) -> u8 {
-    b.reverse_bits()
-}
+use crate::modes::cbc_checksum_with;
+use crate::sched::Scheduled;
 
 /// Derive a DES key from a password. Deterministic; never produces a weak key.
 pub fn string_to_key(password: &str) -> DesKey {
@@ -40,7 +36,7 @@ pub fn string_to_key(password: &str) -> DesKey {
         } else {
             // Odd groups contribute byte- and bit-reversed.
             for (i, &b) in group.iter().rev().enumerate() {
-                folded[i] ^= reverse_bits(b);
+                folded[i] ^= b.reverse_bits();
             }
         }
     }
@@ -56,7 +52,7 @@ pub fn string_to_key(password: &str) -> DesKey {
 
     // One-way step: CBC checksum of the padded password under the temp key.
     let iv = *temp.as_bytes();
-    let mut out = cbc_checksum(&temp, &iv, &padded);
+    let mut out = cbc_checksum_with(&Scheduled::new(&temp), &iv, &padded);
     for b in &mut out {
         *b = odd_parity(*b);
     }

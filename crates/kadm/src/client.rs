@@ -9,7 +9,7 @@ use kerberos::{
     build_as_req, krb_mk_priv, krb_mk_req, read_as_reply_with_password, Credential, ErrorCode,
     HostAddr, KrbResult, Message, Principal,
 };
-use krb_crypto::string_to_key;
+use krb_crypto::{string_to_key, Scheduled};
 
 /// Step 1: the AS request for a KDBM ticket. The KDBM's short lifetime
 /// (12 units = 1 hour) marks AS-issued admin tickets.
@@ -33,7 +33,7 @@ pub fn build_admin_request(
     op: &AdminOp,
 ) -> Vec<u8> {
     let ap = krb_mk_req(&cred.ticket, &cred.issuing_realm, &cred.key(), client, addr, now, 0, false);
-    let sealed = krb_mk_priv(&op.encode(), &cred.key(), addr, now);
+    let sealed = krb_mk_priv(&op.encode(), &Scheduled::new(&cred.key()), addr, now);
     AdminRequest { ap, sealed_op: sealed.enc_part }.encode()
 }
 

@@ -14,7 +14,7 @@ use crate::proto::{AdminOp, AdminRequest};
 use kerberos::{krb_rd_priv, krb_rd_req, ErrorCode, HostAddr, Message, Principal, ReplayCache};
 use krb_kdc::{Clock, Kdc, KdcRole};
 use krb_kdb::{Store, ATTR_NO_TGS};
-use krb_crypto::DesKey;
+use krb_crypto::{DesKey, Scheduled};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -149,11 +149,11 @@ impl<S: Store + Send> KdbmServer<S> {
         let kdbm_key = {
             let snap = self.kdc.snapshot();
             match snap.db().get_with_key("changepw", "kerberos") {
-                Ok(Some((_, k))) => k,
+                Ok(Some((_, k))) => Scheduled::new(&k),
                 _ => return Err(ErrorCode::RdApNoKey),
             }
         };
-        let verified = krb_rd_req(&req.ap, &kdbm, &kdbm_key, sender, now, &mut self.replay)?;
+        let verified = krb_rd_req(&req.ap, &kdbm, &kdbm_key, sender, now, &self.replay, None)?;
         let requester = verified.client.clone();
 
         // The ticket must come from the AS: AS-issued KDBM tickets are the
@@ -167,7 +167,7 @@ impl<S: Store + Send> KdbmServer<S> {
 
         let op_bytes = krb_rd_priv(
             &kerberos::PrivMsg { enc_part: req.sealed_op.clone() },
-            &verified.session_key,
+            &verified.session_sched,
             Some(sender),
             now,
         )?;

@@ -1,8 +1,11 @@
 //! End-to-end administration protocol tests (paper §5, Figures 11–12;
 //! experiment E10).
 
-use kerberos::{build_as_req, build_tgs_req, read_as_reply_with_password, read_tgs_reply, ErrorCode, Principal};
-use krb_crypto::string_to_key;
+use kerberos::{
+    build_as_req, build_tgs_req_with, read_as_reply_with_password, read_tgs_reply_with, ErrorCode,
+    Principal,
+};
+use krb_crypto::{string_to_key, Scheduled};
 use krb_kadm::{
     build_admin_request, build_kdbm_ticket_request, kadmin_add_op, kadmin_cpw_op, kpasswd_op,
     read_admin_reply, read_kdbm_ticket_reply, Acl, KdbmServer,
@@ -139,11 +142,12 @@ fn tgs_issued_ticket_rejected_by_kdbm() {
         let reply = r.kdc.handle(&req, WS);
         read_as_reply_with_password(&reply, "bcn-pw", NOW).unwrap()
     };
+    let tgt_sched = Scheduled::new(&tgt.key());
     let kdbm_svc = Principal::kdbm(REALM);
-    let tgs_req = build_tgs_req(&tgt, &client, WS, NOW + 1, &kdbm_svc, 12);
+    let tgs_req = build_tgs_req_with(&tgt, &tgt_sched, &client, WS, NOW + 1, &kdbm_svc, 12);
     let reply = r.kdc.handle(&tgs_req, WS);
     assert_eq!(
-        read_tgs_reply(&reply, &tgt, NOW + 1).unwrap_err(),
+        read_tgs_reply_with(&reply, &tgt_sched, NOW + 1).unwrap_err(),
         ErrorCode::KdcNoTgsForService
     );
 }

@@ -17,14 +17,14 @@
 //! `MemStore` that shares the whole tree with the primary), and swap the
 //! `Arc` — readers observe either the old or the new database, never a
 //! half-installed one. The replay cache is lock-striped by authenticator
-//! digest ([`StripedReplayCache`]), and journal output can be sharded per
+//! digest ([`ReplayCache`]), and journal output can be sharded per
 //! worker and merged deterministically (`krb_telemetry::merge_journals`).
 
 use crate::realm::RealmConfig;
 use kerberos::msg::{seal_kdc_rep, AsReqView, MessageView, TgsReqView};
 use kerberos::{
     krb_rd_req_in, remaining_life, ApScratch, ErrorCode, HostAddr, KrbResult, Principal,
-    StripedReplayCache, TicketView, ERROR_KINDS,
+    ReplayCache, TicketView, ERROR_KINDS,
 };
 use krb_kdb::{
     MemStore, PrincipalDb, PrincipalEntry, PrincipalEntryView, Store, ATTR_DISABLED, ATTR_NO_TGS,
@@ -303,7 +303,7 @@ pub struct Kdc<S: Store> {
     /// Session-key generator. Serialized so the draw sequence from a seed
     /// is well-defined; the critical section is eight bytes of RNG output.
     keygen: Mutex<KeyGenerator<StdRng>>,
-    replay: StripedReplayCache,
+    replay: ReplayCache,
     role: KdcRole,
 }
 
@@ -315,7 +315,7 @@ impl<S: Store> Kdc<S> {
     pub fn new(db: PrincipalDb<S>, config: RealmConfig, clock: Clock, role: KdcRole, seed: u64) -> Self {
         let registry = Registry::shared();
         let metrics = KdcMetrics::new(&registry);
-        let replay = StripedReplayCache::new();
+        let replay = ReplayCache::new();
         replay.publish(&registry, "kdc");
         let protocol_clock = Arc::clone(&clock);
         let clock_us: ClockUs = Arc::new(move || u64::from(protocol_clock()) * 1_000_000);
@@ -681,7 +681,7 @@ impl<S: Store> Kdc<S> {
             verifier_sched,
             sender,
             now,
-            &mut &self.replay,
+            &self.replay,
         )?;
         // "the remote ticket-granting server recognizes that the request is
         // not from its own realm" — the client keeps its original realm.
@@ -890,7 +890,7 @@ fn effective_max_life(principal_max: u8, realm_default: u8) -> u8 {
 mod tests {
     use super::*;
     use kerberos::{
-        build_as_req, build_tgs_req, read_as_reply_with_password, read_tgs_reply, Message,
+        build_as_req, build_tgs_req_with, read_as_reply_with_password, read_tgs_reply_with, Message,
     };
     use krb_crypto::string_to_key;
     use krb_kdb::MemStore;
@@ -977,16 +977,17 @@ mod tests {
 
         let as_req = build_as_req(&client, &tgs, 96, NOW);
         let tgt = read_as_reply_with_password(&kdc.handle(&as_req, WS), "bcn-password", NOW).unwrap();
+        let tgt_sched = Scheduled::new(&tgt.key());
 
         let rlogin = principal("rlogin.priam");
-        let tgs_req = build_tgs_req(&tgt, &client, WS, NOW + 10, &rlogin, 96);
-        let cred = read_tgs_reply(&kdc.handle(&tgs_req, WS), &tgt, NOW + 10).unwrap();
+        let tgs_req = build_tgs_req_with(&tgt, &tgt_sched, &client, WS, NOW + 10, &rlogin, 96);
+        let cred = read_tgs_reply_with(&kdc.handle(&tgs_req, WS), &tgt_sched, NOW + 10).unwrap();
         assert_eq!(cred.service, rlogin);
         assert_eq!(kdc.stats().tgs_ok, 1);
 
         // The issued ticket opens under the rlogin server's srvtab key and
         // names the right client.
-        let t = cred.ticket.open(&string_to_key("rlogin-srvtab")).unwrap();
+        let t = cred.ticket.open_with(&Scheduled::new(&string_to_key("rlogin-srvtab"))).unwrap();
         assert_eq!(t.cname, "bcn");
         assert_eq!(t.addr, WS);
         assert_eq!(t.session_key, cred.session_key);
@@ -1003,12 +1004,13 @@ mod tests {
             let req = build_as_req(&client, &Principal::tgs(REALM, REALM), 96, NOW);
             read_as_reply_with_password(&kdc.handle(&req, WS), "bcn-password", NOW).unwrap()
         };
+        let tgt_sched = Scheduled::new(&tgt.key());
         // 6 hours later, 2 hours (24 units) remain on the TGT.
         let later = NOW + 6 * 3600;
         kdc.clock = fixed_clock(later);
         let rlogin = principal("rlogin.priam");
-        let req = build_tgs_req(&tgt, &client, WS, later, &rlogin, 96);
-        let cred = read_tgs_reply(&kdc.handle(&req, WS), &tgt, later).unwrap();
+        let req = build_tgs_req_with(&tgt, &tgt_sched, &client, WS, later, &rlogin, 96);
+        let cred = read_tgs_reply_with(&kdc.handle(&req, WS), &tgt_sched, later).unwrap();
         assert_eq!(cred.life, 24, "remaining TGT life caps the new ticket");
     }
 
@@ -1020,10 +1022,11 @@ mod tests {
             let req = build_as_req(&client, &Principal::tgs(REALM, REALM), 96, NOW);
             read_as_reply_with_password(&kdc.handle(&req, WS), "bcn-password", NOW).unwrap()
         };
+        let tgt_sched = Scheduled::new(&tgt.key());
         let much_later = NOW + 9 * 3600; // past the 8-hour TGT
         kdc.clock = fixed_clock(much_later);
-        let req = build_tgs_req(&tgt, &client, WS, much_later, &principal("rlogin.priam"), 96);
-        let err = read_tgs_reply(&kdc.handle(&req, WS), &tgt, much_later).unwrap_err();
+        let req = build_tgs_req_with(&tgt, &tgt_sched, &client, WS, much_later, &principal("rlogin.priam"), 96);
+        let err = read_tgs_reply_with(&kdc.handle(&req, WS), &tgt_sched, much_later).unwrap_err();
         assert_eq!(err, ErrorCode::RdApExp);
     }
 
@@ -1035,10 +1038,11 @@ mod tests {
             let req = build_as_req(&client, &Principal::tgs(REALM, REALM), 96, NOW);
             read_as_reply_with_password(&kdc.handle(&req, WS), "bcn-password", NOW).unwrap()
         };
-        let req = build_tgs_req(&tgt, &client, WS, NOW, &principal("rlogin.priam"), 96);
-        assert!(read_tgs_reply(&kdc.handle(&req, WS), &tgt, NOW).is_ok());
+        let tgt_sched = Scheduled::new(&tgt.key());
+        let req = build_tgs_req_with(&tgt, &tgt_sched, &client, WS, NOW, &principal("rlogin.priam"), 96);
+        assert!(read_tgs_reply_with(&kdc.handle(&req, WS), &tgt_sched, NOW).is_ok());
         // Byte-identical resend (stolen off the wire).
-        let err = read_tgs_reply(&kdc.handle(&req, WS), &tgt, NOW).unwrap_err();
+        let err = read_tgs_reply_with(&kdc.handle(&req, WS), &tgt_sched, NOW).unwrap_err();
         assert_eq!(err, ErrorCode::RdApRepeat);
     }
 
@@ -1050,9 +1054,10 @@ mod tests {
             let req = build_as_req(&client, &Principal::tgs(REALM, REALM), 96, NOW);
             read_as_reply_with_password(&kdc.handle(&req, WS), "bcn-password", NOW).unwrap()
         };
-        let req = build_tgs_req(&tgt, &client, WS, NOW, &principal("rlogin.priam"), 96);
+        let tgt_sched = Scheduled::new(&tgt.key());
+        let req = build_tgs_req_with(&tgt, &tgt_sched, &client, WS, NOW, &principal("rlogin.priam"), 96);
         let attacker: HostAddr = [10, 66, 66, 66];
-        let err = read_tgs_reply(&kdc.handle(&req, attacker), &tgt, NOW).unwrap_err();
+        let err = read_tgs_reply_with(&kdc.handle(&req, attacker), &tgt_sched, NOW).unwrap_err();
         assert_eq!(err, ErrorCode::RdApBadAddr);
     }
 
@@ -1084,10 +1089,11 @@ mod tests {
             let req = build_as_req(&client, &Principal::tgs(REALM, REALM), 96, NOW);
             read_as_reply_with_password(&kdc.handle(&req, WS), "bcn-password", NOW).unwrap()
         };
+        let tgt_sched = Scheduled::new(&tgt.key());
         let kdbm = Principal::kdbm(REALM);
-        let req = build_tgs_req(&tgt, &client, WS, NOW, &kdbm, 12);
+        let req = build_tgs_req_with(&tgt, &tgt_sched, &client, WS, NOW, &kdbm, 12);
         assert_eq!(
-            read_tgs_reply(&kdc.handle(&req, WS), &tgt, NOW).unwrap_err(),
+            read_tgs_reply_with(&kdc.handle(&req, WS), &tgt_sched, NOW).unwrap_err(),
             ErrorCode::KdcNoTgsForService
         );
         // Via AS (password entry): granted.
@@ -1107,11 +1113,12 @@ mod tests {
 
         let as_req = build_as_req(&client, &tgs, 96, NOW);
         let tgt = read_as_reply_with_password(&kdc.handle(&as_req, WS), "bcn-password", NOW).unwrap();
+        let tgt_sched = Scheduled::new(&tgt.key());
 
         let rlogin = principal("rlogin.priam");
-        let tgs_req = build_tgs_req(&tgt, &client, WS, NOW + 10, &rlogin, 96);
+        let tgs_req = build_tgs_req_with(&tgt, &tgt_sched, &client, WS, NOW + 10, &rlogin, 96);
         kdc.clock = fixed_clock(NOW + 10);
-        read_tgs_reply(&kdc.handle(&tgs_req, WS), &tgt, NOW + 10).unwrap();
+        read_tgs_reply_with(&kdc.handle(&tgs_req, WS), &tgt_sched, NOW + 10).unwrap();
 
         let registry = kdc.telemetry();
         assert_eq!(registry.counter_value("kdc_as_ok_total"), 1);
@@ -1122,7 +1129,7 @@ mod tests {
         assert!(text.contains("kdc_replay_hits_total 0"));
 
         // A replayed TGS request shows up in the replay-hit counter.
-        read_tgs_reply(&kdc.handle(&tgs_req, WS), &tgt, NOW + 10).unwrap_err();
+        read_tgs_reply_with(&kdc.handle(&tgs_req, WS), &tgt_sched, NOW + 10).unwrap_err();
         assert_eq!(registry.counter_value("kdc_replay_hits_total"), 1);
         assert_eq!(registry.counter_value("kdc_error_total"), 1);
         assert!(kdc.telemetry().histogram("kdc_as_latency_us").max() >= 40);
@@ -1169,8 +1176,9 @@ mod tests {
             NOW,
         )
         .unwrap();
-        let tgs_req = build_tgs_req(&tgt, &client, WS, NOW, &principal("rlogin.priam"), 96);
-        read_tgs_reply(&kdc.handle_traced(&tgs_req, WS, Some(trace)), &tgt, NOW).unwrap();
+        let tgt_sched = Scheduled::new(&tgt.key());
+        let tgs_req = build_tgs_req_with(&tgt, &tgt_sched, &client, WS, NOW, &principal("rlogin.priam"), 96);
+        read_tgs_reply_with(&kdc.handle_traced(&tgs_req, WS, Some(trace)), &tgt_sched, NOW).unwrap();
         // Byte-identical resend: the replay verdict lands in the journal
         // as a per-kind error event at the KDC hop.
         kdc.handle_traced(&tgs_req, WS, Some(trace));
@@ -1306,7 +1314,8 @@ mod tests {
             let req = build_as_req(&client, &Principal::tgs(REALM, REALM), 96, NOW);
             read_as_reply_with_password(&kdc.handle(&req, WS), "bcn-password", NOW).unwrap()
         };
-        let req = build_tgs_req(&tgt, &client, WS, NOW, &principal("rlogin.priam"), 96);
+        let tgt_sched = Scheduled::new(&tgt.key());
+        let req = build_tgs_req_with(&tgt, &tgt_sched, &client, WS, NOW, &principal("rlogin.priam"), 96);
         kdc.handle(&req, WS);
         kdc.handle(&req, WS); // replay
         let text = kdc.telemetry().render();
@@ -1372,8 +1381,9 @@ mod tests {
         let as_req = build_as_req(&client, &tgs, 96, NOW);
         let tgt =
             read_as_reply_with_password(&kdc.handle(&as_req, WS), "bcn-password", NOW).unwrap();
-        let tgs_req = build_tgs_req(&tgt, &client, WS, NOW, &principal("rlogin.priam"), 96);
-        read_tgs_reply(&kdc.handle(&tgs_req, WS), &tgt, NOW).unwrap();
+        let tgt_sched = Scheduled::new(&tgt.key());
+        let tgs_req = build_tgs_req_with(&tgt, &tgt_sched, &client, WS, NOW, &principal("rlogin.priam"), 96);
+        read_tgs_reply_with(&kdc.handle(&tgs_req, WS), &tgt_sched, NOW).unwrap();
         // Unknown principal: the error table keys on the offending name.
         let bad = build_as_req(&principal("mallory"), &tgs, 96, NOW);
         kdc.handle(&bad, WS);

@@ -6,10 +6,10 @@
 //! client realm is the realm of *original* authentication.
 
 use kerberos::{
-    build_as_req, build_tgs_req, krb_mk_req, krb_rd_req, read_as_reply_with_password,
-    read_tgs_reply, ErrorCode, Principal, ReplayCache,
+    build_as_req, build_tgs_req_with, krb_mk_req, krb_rd_req, read_as_reply_with_password,
+    read_tgs_reply_with, ErrorCode, Principal, ReplayCache,
 };
-use krb_crypto::string_to_key;
+use krb_crypto::{string_to_key, Scheduled};
 use krb_kdb::{MemStore, PrincipalDb};
 use krb_kdc::{fixed_clock, Kdc, KdcRole, RealmConfig};
 
@@ -50,24 +50,26 @@ fn athena_user_reaches_lcs_service() {
     // Phase 1: local login.
     let as_req = build_as_req(&user, &Principal::tgs(ATHENA, ATHENA), 96, NOW);
     let tgt = read_as_reply_with_password(&athena.handle(&as_req, WS), "steiner-pw", NOW).unwrap();
+    let tgt_sched = Scheduled::new(&tgt.key());
 
     // Phase 2a: ask the LOCAL TGS for a TGT for the REMOTE realm.
     let remote_tgs = Principal::tgs(LCS, ATHENA);
-    let req = build_tgs_req(&tgt, &user, WS, NOW + 1, &remote_tgs, 96);
-    let remote_tgt = read_tgs_reply(&athena.handle(&req, WS), &tgt, NOW + 1).unwrap();
+    let req = build_tgs_req_with(&tgt, &tgt_sched, &user, WS, NOW + 1, &remote_tgs, 96);
+    let remote_tgt = read_tgs_reply_with(&athena.handle(&req, WS), &tgt_sched, NOW + 1).unwrap();
+    let remote_tgt_sched = Scheduled::new(&remote_tgt.key());
     assert_eq!(remote_tgt.service.name, "krbtgt");
     assert_eq!(remote_tgt.service.instance, LCS);
     assert_eq!(remote_tgt.issuing_realm, ATHENA, "issued by the local realm");
 
     // Phase 2b: present it to the REMOTE TGS for a service there.
     let supdup = Principal::parse("supdup.zeus", LCS).unwrap();
-    let req = build_tgs_req(&remote_tgt, &user, WS, NOW + 2, &supdup, 96);
-    let cred = read_tgs_reply(&lcs.handle(&req, WS), &remote_tgt, NOW + 2).unwrap();
+    let req = build_tgs_req_with(&remote_tgt, &remote_tgt_sched, &user, WS, NOW + 2, &supdup, 96);
+    let cred = read_tgs_reply_with(&lcs.handle(&req, WS), &remote_tgt_sched, NOW + 2).unwrap();
 
     // Phase 3: the LCS service accepts, and sees the ORIGINAL realm.
-    let mut rc = ReplayCache::new();
+    let rc = ReplayCache::new();
     let ap = krb_mk_req(&cred.ticket, &cred.issuing_realm, &cred.key(), &user, WS, NOW + 3, 0, false);
-    let v = krb_rd_req(&ap, &supdup, &string_to_key("supdup-srvtab"), WS, NOW + 3, &mut rc).unwrap();
+    let v = krb_rd_req(&ap, &supdup, &Scheduled::new(&string_to_key("supdup-srvtab")), WS, NOW + 3, &rc, None).unwrap();
     assert_eq!(v.client.realm, ATHENA, "realm of original authentication is preserved");
     assert_eq!(v.client.name, "steiner");
 }
@@ -78,11 +80,12 @@ fn unpaired_realm_is_refused() {
     let user = Principal::parse("steiner", ATHENA).unwrap();
     let as_req = build_as_req(&user, &Principal::tgs(ATHENA, ATHENA), 96, NOW);
     let tgt = read_as_reply_with_password(&athena.handle(&as_req, WS), "steiner-pw", NOW).unwrap();
+    let tgt_sched = Scheduled::new(&tgt.key());
 
     let stranger_tgs = Principal::tgs("EVIL.ORG", ATHENA);
-    let req = build_tgs_req(&tgt, &user, WS, NOW + 1, &stranger_tgs, 96);
+    let req = build_tgs_req_with(&tgt, &tgt_sched, &user, WS, NOW + 1, &stranger_tgs, 96);
     assert_eq!(
-        read_tgs_reply(&athena.handle(&req, WS), &tgt, NOW + 1).unwrap_err(),
+        read_tgs_reply_with(&athena.handle(&req, WS), &tgt_sched, NOW + 1).unwrap_err(),
         ErrorCode::KdcUnknownRealm
     );
 }
@@ -96,10 +99,11 @@ fn local_tgt_does_not_work_at_remote_realm() {
     let user = Principal::parse("steiner", ATHENA).unwrap();
     let as_req = build_as_req(&user, &Principal::tgs(ATHENA, ATHENA), 96, NOW);
     let tgt = read_as_reply_with_password(&athena.handle(&as_req, WS), "steiner-pw", NOW).unwrap();
+    let tgt_sched = Scheduled::new(&tgt.key());
 
     let supdup = Principal::parse("supdup.zeus", LCS).unwrap();
-    let req = build_tgs_req(&tgt, &user, WS, NOW + 1, &supdup, 96);
-    let err = read_tgs_reply(&lcs.handle(&req, WS), &tgt, NOW + 1).unwrap_err();
+    let req = build_tgs_req_with(&tgt, &tgt_sched, &user, WS, NOW + 1, &supdup, 96);
+    let err = read_tgs_reply_with(&lcs.handle(&req, WS), &tgt_sched, NOW + 1).unwrap_err();
     assert_eq!(err, ErrorCode::RdApNotUs);
 }
 
@@ -112,16 +116,18 @@ fn remote_user_ticket_is_distinguishable_by_service() {
     let user = Principal::parse("steiner", ATHENA).unwrap();
     let as_req = build_as_req(&user, &Principal::tgs(ATHENA, ATHENA), 96, NOW);
     let tgt = read_as_reply_with_password(&athena.handle(&as_req, WS), "steiner-pw", NOW).unwrap();
+    let tgt_sched = Scheduled::new(&tgt.key());
     let remote_tgs = Principal::tgs(LCS, ATHENA);
-    let req = build_tgs_req(&tgt, &user, WS, NOW + 1, &remote_tgs, 96);
-    let remote_tgt = read_tgs_reply(&athena.handle(&req, WS), &tgt, NOW + 1).unwrap();
+    let req = build_tgs_req_with(&tgt, &tgt_sched, &user, WS, NOW + 1, &remote_tgs, 96);
+    let remote_tgt = read_tgs_reply_with(&athena.handle(&req, WS), &tgt_sched, NOW + 1).unwrap();
+    let remote_tgt_sched = Scheduled::new(&remote_tgt.key());
     let supdup = Principal::parse("supdup.zeus", LCS).unwrap();
-    let req = build_tgs_req(&remote_tgt, &user, WS, NOW + 2, &supdup, 96);
-    let cred = read_tgs_reply(&lcs.handle(&req, WS), &remote_tgt, NOW + 2).unwrap();
+    let req = build_tgs_req_with(&remote_tgt, &remote_tgt_sched, &user, WS, NOW + 2, &supdup, 96);
+    let cred = read_tgs_reply_with(&lcs.handle(&req, WS), &remote_tgt_sched, NOW + 2).unwrap();
 
-    let mut rc = ReplayCache::new();
+    let rc = ReplayCache::new();
     let ap = krb_mk_req(&cred.ticket, &cred.issuing_realm, &cred.key(), &user, WS, NOW + 3, 0, false);
-    let v = krb_rd_req(&ap, &supdup, &string_to_key("supdup-srvtab"), WS, NOW + 3, &mut rc).unwrap();
+    let v = krb_rd_req(&ap, &supdup, &Scheduled::new(&string_to_key("supdup-srvtab")), WS, NOW + 3, &rc, None).unwrap();
     // Policy hook: a paranoid LCS service refuses foreign realms.
     let honor_foreign = false;
     let decision = honor_foreign || v.client.realm == LCS;
@@ -150,14 +156,16 @@ fn realm_chaining_is_refused() {
     let user = Principal::parse("steiner", ATHENA).unwrap();
     let as_req = build_as_req(&user, &Principal::tgs(ATHENA, ATHENA), 96, NOW);
     let tgt = read_as_reply_with_password(&athena.handle(&as_req, WS), "steiner-pw", NOW).unwrap();
-    let req = build_tgs_req(&tgt, &user, WS, NOW + 1, &Principal::tgs(LCS, ATHENA), 96);
-    let lcs_tgt = read_tgs_reply(&athena.handle(&req, WS), &tgt, NOW + 1).unwrap();
+    let tgt_sched = Scheduled::new(&tgt.key());
+    let req = build_tgs_req_with(&tgt, &tgt_sched, &user, WS, NOW + 1, &Principal::tgs(LCS, ATHENA), 96);
+    let lcs_tgt = read_tgs_reply_with(&athena.handle(&req, WS), &tgt_sched, NOW + 1).unwrap();
+    let lcs_tgt_sched = Scheduled::new(&lcs_tgt.key());
 
     // Second hop: ask LCS for a TGT for SIPB. Refused — the path would be
     // unrecorded.
-    let req = build_tgs_req(&lcs_tgt, &user, WS, NOW + 2, &Principal::tgs(SIPB, LCS), 96);
+    let req = build_tgs_req_with(&lcs_tgt, &lcs_tgt_sched, &user, WS, NOW + 2, &Principal::tgs(SIPB, LCS), 96);
     assert_eq!(
-        read_tgs_reply(&lcs.handle(&req, WS), &lcs_tgt, NOW + 2).unwrap_err(),
+        read_tgs_reply_with(&lcs.handle(&req, WS), &lcs_tgt_sched, NOW + 2).unwrap_err(),
         ErrorCode::KdcUnknownRealm
     );
 }

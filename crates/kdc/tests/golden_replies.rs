@@ -13,10 +13,10 @@
 
 use kerberos::msg::{ApRep, ApReq, ErrMsg, KdcRep, PrivMsg, SafeMsg, TgsReq};
 use kerberos::{
-    build_as_req, build_tgs_req, krb_mk_req, read_as_reply_with_password, read_tgs_reply,
+    build_as_req, build_tgs_req_with, krb_mk_req, read_as_reply_with_password, read_tgs_reply_with,
     Credential, EncryptedTicket, ErrorCode, HostAddr, Message, Principal, Ticket, MAX_SKEW_SECS,
 };
-use krb_crypto::{string_to_key, DesKey};
+use krb_crypto::{string_to_key, DesKey, Scheduled};
 use krb_kdb::{MemStore, PrincipalDb, ATTR_DISABLED, ATTR_NO_TGS};
 use krb_kdc::{pair_realms, shared_clock, Kdc, KdcRole, RealmConfig};
 use krb_telemetry::{Journal, TraceId};
@@ -149,9 +149,9 @@ impl Script {
 
     fn tgs(&mut self, label: &str, tgt: &Credential, user: &Principal, target: &Principal, life: u8) -> Result<Credential, ErrorCode> {
         let now = self.now();
-        let req = build_tgs_req(tgt, user, WS, now, target, life);
+        let req = build_tgs_req_with(tgt, &Scheduled::new(&tgt.key()), user, WS, now, target, life);
         let reply = self.send(label, &req);
-        read_tgs_reply(&reply, tgt, now)
+        read_tgs_reply_with(&reply, &Scheduled::new(&tgt.key()), now)
     }
 
     /// A TGS_REQ around a hand-sealed ticket.
@@ -167,7 +167,7 @@ impl Script {
         want: Result<(), ErrorCode>,
     ) {
         let now = self.now();
-        let sealed = ticket.seal(sealing_key);
+        let sealed = ticket.seal_with(&Scheduled::new(sealing_key));
         let session = ticket.session_key.as_des_key();
         let ap = krb_mk_req(&sealed, ap_realm, &session, auth_client, WS, now, 0, false);
         let req = Message::TgsReq(TgsReq {
@@ -206,7 +206,9 @@ fn every_reply_stat_and_journal_line_matches_the_parent_commit() {
     // Honest AS exchanges: three users, three requested lifetimes, and one
     // AS-only service asked for directly.
     let bcn_tgt = s.login("as bcn", &bcn, "bcn-pw", 96).unwrap();
+    let bcn_tgt_sched = Scheduled::new(&bcn_tgt.key());
     let jis_tgt = s.login("as jis life 255", &jis, "jis-pw", 255).unwrap();
+    let jis_tgt_sched = Scheduled::new(&jis_tgt.key());
     assert_eq!(jis_tgt.life, 48);
     let steiner_tgt = s.login("as steiner.admin life 10", &steiner, "steiner-pw", 10).unwrap();
     assert_eq!(steiner_tgt.life, 10);
@@ -267,13 +269,13 @@ fn every_reply_stat_and_journal_line_matches_the_parent_commit() {
 
     // Verbatim replay, then the same request from another address.
     s.set_now(NOW + 10);
-    let req = build_tgs_req(&bcn_tgt, &bcn, WS, NOW + 10, &rlogin, 96);
-    assert!(read_tgs_reply(&s.send("tgs first", &req), &bcn_tgt, NOW + 10).is_ok());
+    let req = build_tgs_req_with(&bcn_tgt, &bcn_tgt_sched, &bcn, WS, NOW + 10, &rlogin, 96);
+    assert!(read_tgs_reply_with(&s.send("tgs first", &req), &bcn_tgt_sched, NOW + 10).is_ok());
     let replayed = s.send("tgs replayed", &req);
-    assert_eq!(read_tgs_reply(&replayed, &bcn_tgt, NOW + 10).unwrap_err(), ErrorCode::RdApRepeat);
-    let req = build_tgs_req(&bcn_tgt, &bcn, WS, NOW + 11, &rlogin, 96);
+    assert_eq!(read_tgs_reply_with(&replayed, &bcn_tgt_sched, NOW + 10).unwrap_err(), ErrorCode::RdApRepeat);
+    let req = build_tgs_req_with(&bcn_tgt, &bcn_tgt_sched, &bcn, WS, NOW + 11, &rlogin, 96);
     let moved = s.send_to(false, "tgs wrong sender", &req, OTHER_WS);
-    assert_eq!(read_tgs_reply(&moved, &bcn_tgt, NOW + 11).unwrap_err(), ErrorCode::RdApBadAddr);
+    assert_eq!(read_tgs_reply_with(&moved, &bcn_tgt_sched, NOW + 11).unwrap_err(), ErrorCode::RdApBadAddr);
 
     // Skew: both edges, one second inside and one outside.
     for (label, ts, ok) in [
@@ -282,8 +284,8 @@ fn every_reply_stat_and_journal_line_matches_the_parent_commit() {
         ("skew +300", NOW + 10 + MAX_SKEW_SECS, true),
         ("skew +301", NOW + 10 + MAX_SKEW_SECS + 1, false),
     ] {
-        let req = build_tgs_req(&jis_tgt, &jis, WS, ts, &rlogin, 96);
-        let got = read_tgs_reply(&s.send(label, &req), &jis_tgt, ts);
+        let req = build_tgs_req_with(&jis_tgt, &jis_tgt_sched, &jis, WS, ts, &rlogin, 96);
+        let got = read_tgs_reply_with(&s.send(label, &req), &jis_tgt_sched, ts);
         assert_eq!(got.as_ref().err().copied(), (!ok).then_some(ErrorCode::RdApTime), "{label}");
     }
 
@@ -303,11 +305,11 @@ fn every_reply_stat_and_journal_line_matches_the_parent_commit() {
     s.crafted("authenticator names jis", &tgt_for(&bcn, [4; 8], NOW), &tgs_key, ATHENA, &jis, &pop, Err(ErrorCode::RdApIncon));
     {
         let now = s.now();
-        let sealed = tgt_for(&bcn, [5; 8], NOW).seal(&tgs_key);
+        let sealed = tgt_for(&bcn, [5; 8], NOW).seal_with(&Scheduled::new(&tgs_key));
         let ap = krb_mk_req(&sealed, ATHENA, &string_to_key("guess"), &bcn, WS, now, 0, false);
         let req = Message::TgsReq(TgsReq { ap, sname: "pop".into(), sinstance: "paris".into(), life: 96 });
         let reply = s.send("authenticator in a guessed key", &req.encode());
-        assert_eq!(read_tgs_reply(&reply, &bcn_tgt, now).unwrap_err(), ErrorCode::RdApIncon);
+        assert_eq!(read_tgs_reply_with(&reply, &bcn_tgt_sched, now).unwrap_err(), ErrorCode::RdApIncon);
     }
     // A ticket issued in the far future is not yet valid.
     s.crafted("tgt from the future", &tgt_for(&bcn, [6; 8], NOW + 20 + MAX_SKEW_SECS + 1), &tgs_key, ATHENA, &bcn, &pop, Err(ErrorCode::RdApTime));
@@ -316,7 +318,7 @@ fn every_reply_stat_and_journal_line_matches_the_parent_commit() {
     // for us they are served, sealed in another key they are not ours.
     let long_client = Principal { name: "c".repeat(100), instance: "i".repeat(90), realm: ATHENA.into() };
     let long = tgt_for(&long_client, [7; 8], NOW);
-    assert!(long.seal(&tgs_key).len() > 232);
+    assert!(long.seal_with(&Scheduled::new(&tgs_key)).len() > 232);
     s.crafted("long ticket, our key", &long, &tgs_key, ATHENA, &long_client, &rlogin, Ok(()));
     s.crafted("long ticket, replayed", &long, &tgs_key, ATHENA, &long_client, &rlogin, Err(ErrorCode::RdApRepeat));
     s.crafted("long ticket, another key", &long, &string_to_key("not-tgs"), ATHENA, &long_client, &rlogin, Err(ErrorCode::RdApNotUs));
@@ -326,15 +328,16 @@ fn every_reply_stat_and_journal_line_matches_the_parent_commit() {
     // Cross-realm out: bcn gets a TGT for LCS, uses it there.
     s.set_now(NOW + 30);
     let lcs_tgt = s.tgs("tgs bcn krbtgt.LCS", &bcn_tgt, &bcn, &Principal::tgs(LCS, ATHENA), 96).unwrap();
+    let lcs_tgt_sched = Scheduled::new(&lcs_tgt.key());
     let supdup = Principal::parse("supdup.zeus", LCS).unwrap();
-    let req = build_tgs_req(&lcs_tgt, &bcn, WS, NOW + 30, &supdup, 96);
+    let req = build_tgs_req_with(&lcs_tgt, &lcs_tgt_sched, &bcn, WS, NOW + 30, &supdup, 96);
     let reply = s.send_to(true, "lcs: bcn@ATHENA for supdup", &req, WS);
-    assert_eq!(read_tgs_reply(&reply, &lcs_tgt, NOW + 30).unwrap().service, supdup);
+    assert_eq!(read_tgs_reply_with(&reply, &lcs_tgt_sched, NOW + 30).unwrap().service, supdup);
     // A foreign client may not hop onward.
     s.set_now(NOW + 31);
-    let req = build_tgs_req(&lcs_tgt, &bcn, WS, NOW + 31, &Principal::tgs("EVIL.ORG", LCS), 96);
+    let req = build_tgs_req_with(&lcs_tgt, &lcs_tgt_sched, &bcn, WS, NOW + 31, &Principal::tgs("EVIL.ORG", LCS), 96);
     let reply = s.send_to(true, "lcs: foreign client hops on", &req, WS);
-    assert_eq!(read_tgs_reply(&reply, &lcs_tgt, NOW + 31).unwrap_err(), ErrorCode::KdcUnknownRealm);
+    assert_eq!(read_tgs_reply_with(&reply, &lcs_tgt_sched, NOW + 31).unwrap_err(), ErrorCode::KdcUnknownRealm);
 
     // Cross-realm in: saltzer@LCS logs in at LCS, gets a TGT for ATHENA,
     // presents it at ATHENA.
@@ -342,9 +345,10 @@ fn every_reply_stat_and_journal_line_matches_the_parent_commit() {
     let req = build_as_req(&saltzer, &Principal::tgs(LCS, LCS), 96, NOW + 31);
     let reply = s.send_to(true, "lcs: as saltzer", &req, WS);
     let saltzer_tgt = read_as_reply_with_password(&reply, "saltzer-pw", NOW + 31).unwrap();
-    let req = build_tgs_req(&saltzer_tgt, &saltzer, WS, NOW + 31, &Principal::tgs(ATHENA, LCS), 96);
+    let saltzer_tgt_sched = Scheduled::new(&saltzer_tgt.key());
+    let req = build_tgs_req_with(&saltzer_tgt, &saltzer_tgt_sched, &saltzer, WS, NOW + 31, &Principal::tgs(ATHENA, LCS), 96);
     let reply = s.send_to(true, "lcs: tgs saltzer krbtgt.ATHENA", &req, WS);
-    let athena_tgt = read_tgs_reply(&reply, &saltzer_tgt, NOW + 31).unwrap();
+    let athena_tgt = read_tgs_reply_with(&reply, &saltzer_tgt_sched, NOW + 31).unwrap();
     let foreign = s.tgs("tgs saltzer@LCS rlogin", &athena_tgt, &saltzer, &rlogin, 96).unwrap();
     assert_eq!(foreign.service, rlogin);
     s.set_now(NOW + 32);
@@ -362,17 +366,17 @@ fn every_reply_stat_and_journal_line_matches_the_parent_commit() {
         ("ticket plaintext not utf-8", &b"\x06krbtgt\x0eATHENA.MIT.EDU\x02\xff\xfe\x00\x01R\x01\x02\x03\x04\x00\x00\x00\x01\x60ABCDEFGH"[..]),
         ("ticket plaintext empty", &b""[..]),
     ] {
-        let sealed = krb_crypto::seal(krb_crypto::Mode::Pcbc, &tgs_key, &[0u8; 8], plain).unwrap();
+        let sealed = krb_crypto::seal_with(krb_crypto::Mode::Pcbc, &Scheduled::new(&tgs_key), &[0u8; 8], plain).unwrap();
         let ap = ApReq { realm: ATHENA.into(), ticket: EncryptedTicket(sealed), authenticator: vec![0; 16], mutual: false };
         let req = Message::TgsReq(TgsReq { ap, sname: "pop".into(), sinstance: "paris".into(), life: 96 });
         let reply = s.send(label, &req.encode());
-        assert_eq!(read_tgs_reply(&reply, &bcn_tgt, 0).unwrap_err(), ErrorCode::RdApNotUs, "{label}");
+        assert_eq!(read_tgs_reply_with(&reply, &bcn_tgt_sched, 0).unwrap_err(), ErrorCode::RdApNotUs, "{label}");
     }
     for (label, ticket, authenticator) in [
         ("empty ticket", vec![], vec![0; 8]),
         ("ticket not whole blocks", vec![1; 13], vec![0; 8]),
-        ("empty authenticator", tgt_for(&bcn, [2; 8], NOW).seal(&tgs_key).0, vec![]),
-        ("authenticator not whole blocks", tgt_for(&bcn, [2; 8], NOW).seal(&tgs_key).0, vec![7; 21]),
+        ("empty authenticator", tgt_for(&bcn, [2; 8], NOW).seal_with(&Scheduled::new(&tgs_key)).0, vec![]),
+        ("authenticator not whole blocks", tgt_for(&bcn, [2; 8], NOW).seal_with(&Scheduled::new(&tgs_key)).0, vec![7; 21]),
     ] {
         let ap = ApReq { realm: ATHENA.into(), ticket: EncryptedTicket(ticket), authenticator, mutual: true };
         let req = Message::TgsReq(TgsReq { ap, sname: "pop".into(), sinstance: "paris".into(), life: 96 });
@@ -392,7 +396,7 @@ fn every_reply_stat_and_journal_line_matches_the_parent_commit() {
         s.send(label, &msg.encode());
     }
     let valid_as = build_as_req(&bcn, &Principal::tgs(ATHENA, ATHENA), 96, NOW + 32);
-    let valid_tgs = build_tgs_req(&jis_tgt, &jis, WS, NOW + 33, &pop, 96);
+    let valid_tgs = build_tgs_req_with(&jis_tgt, &jis_tgt_sched, &jis, WS, NOW + 33, &pop, 96);
     let mut wrong_version = valid_as.clone();
     wrong_version[0] = 5;
     let mut unknown_type = valid_as.clone();
@@ -424,7 +428,7 @@ fn every_reply_stat_and_journal_line_matches_the_parent_commit() {
     // Both are still good whole.
     s.set_now(NOW + 33);
     assert!(read_as_reply_with_password(&s.send("as whole", &valid_as), "bcn-pw", NOW + 32).is_ok());
-    assert!(read_tgs_reply(&s.send("tgs whole", &valid_tgs), &jis_tgt, NOW + 33).is_ok());
+    assert!(read_tgs_reply_with(&s.send("tgs whole", &valid_tgs), &jis_tgt_sched, NOW + 33).is_ok());
 
     // Nine hours on, the eight-hour TGT has expired.
     let late = NOW + 9 * 3600;

@@ -4,7 +4,7 @@
 //! paper's reliability requirement (§1: "it must be reliable").
 
 use kerberos::{Message, Principal};
-use krb_crypto::string_to_key;
+use krb_crypto::{string_to_key, Scheduled};
 use krb_kdb::{MemStore, PrincipalDb};
 use krb_kdc::{fixed_clock, Kdc, KdcRole, RealmConfig};
 use proptest::prelude::*;
@@ -62,8 +62,9 @@ proptest! {
         let tgs = Principal::tgs(REALM, REALM);
         let as_req = kerberos::build_as_req(&client, &tgs, 96, NOW);
         let tgt = kerberos::read_as_reply_with_password(&k.handle(&as_req, [1, 2, 3, 4]), "pw", NOW).unwrap();
+        let tgt_sched = Scheduled::new(&tgt.key());
         let rlogin = Principal::new("rlogin", "priam", REALM).unwrap();
-        let full = kerberos::build_tgs_req(&tgt, &client, [1, 2, 3, 4], NOW + 1, &rlogin, 96);
+        let full = kerberos::build_tgs_req_with(&tgt, &tgt_sched, &client, [1, 2, 3, 4], NOW + 1, &rlogin, 96);
         let cut = ((full.len() as f64) * cut_ratio) as usize;
         let reply = k.handle(&full[..cut.min(full.len())], [1, 2, 3, 4]);
         prop_assert!(Message::decode(&reply).is_ok());

@@ -30,7 +30,10 @@
 //!   DES key schedule at the call site, dodging the `Scheduled` cache
 //!   (DESIGN.md §10). Build a `Scheduled` once and pass it through the
 //!   `*_with` API family instead. (Benches measuring the schedule cost
-//!   itself are allowlisted.)
+//!   itself are allowlisted.) So is a `pub fn` in `crates/crypto/src` or
+//!   `crates/core/src` that takes a bare `&DesKey` and builds the
+//!   `Scheduled` itself: a twin of a routine that takes the schedule.
+//!   The few that stay are `lint.allow` entries, each with its reason.
 //! - **L7 (retired)**: the old same-line "secret type next to
 //!   `Field::from`" adjacency check. Superseded by L9, which tracks the
 //!   actual flow instead of guessing from proximity; the id stays
@@ -136,6 +139,9 @@ const L5_ATOMIC_TYPES: &[&str] = &["AtomicU64", "AtomicUsize", "AtomicI64"];
 /// finding — they rebuild the DES key schedule per call; hot paths must
 /// hold a `Scheduled` instead.
 const L6_CIPHER_TYPES: &[&str] = &["FastDes", "Des"];
+
+/// Where a `pub fn` may not take a `&DesKey` and build its schedule (L6).
+const L6_ADAPTER_DIRS: &[&str] = &["crates/crypto/src/", "crates/core/src/"];
 
 /// Panic-family method calls and macros forbidden in server paths (L3).
 const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
@@ -331,7 +337,9 @@ pub const RULES: &[Rule] = &[
         detail: "FastDes::new / Des::new outside crates/crypto rebuilds the \
                  DES key schedule at the call site, dodging the Scheduled \
                  cache (DESIGN.md §10). Build a Scheduled once and use the \
-                 *_with API family.",
+                 *_with API family. In crates/crypto/src and crates/core/src \
+                 a pub fn that takes a &DesKey and builds a Scheduled from it \
+                 is a finding too: take the Scheduled instead.",
     },
     Rule {
         id: "L8",
@@ -465,6 +473,9 @@ pub fn scan_file(rel: &str, src: &str) -> Vec<Finding> {
     // vocabulary, not calls out of it).
     if !rel.starts_with("crates/telemetry/") {
         let model = ScopeModel::build(&tokens);
+        if L6_ADAPTER_DIRS.iter().any(|dir| rel.starts_with(dir)) {
+            findings.extend(check_l6_adapters(rel, &tokens, &model));
+        }
         findings.extend(lock::check_l8(rel, &tokens, &model));
         findings.extend(taint::check_l9(rel, &tokens, &model));
     }
@@ -867,6 +878,41 @@ fn check_l6(rel: &str, tokens: &[Token]) -> Vec<Finding> {
         }
     }
     findings
+}
+
+/// L6's second half: a `pub fn` whose parameters hold a `&DesKey` and whose
+/// body builds a `Scheduled` (`Scheduled::new`/`::from`, or the literal).
+fn check_l6_adapters(rel: &str, tokens: &[Token], model: &ScopeModel) -> Vec<Finding> {
+    let text = |i: usize| tokens.get(i).map_or("", |t| t.text.as_str());
+    let is_pub = |f: &scope::FnItem| {
+        let fn_idx = (0..f.params.0).rev().find(|&i| text(i) == "fn" && text(i + 1) == f.name);
+        fn_idx.is_some_and(|i| i > 0 && text(i - 1) == "pub")
+    };
+    let takes_key = |f: &scope::FnItem| {
+        (f.params.0..f.params.1).any(|i| text(i) == "&" && text(i + 1) == "DesKey")
+    };
+    let builds = |f: &scope::FnItem| {
+        (f.body.0 + 1..f.body.1).any(|i| {
+            let ctor = text(i + 1) == ":" && matches!(text(i + 3), "new" | "from");
+            text(i) == "Scheduled" && (text(i + 1) == "{" || ctor)
+        })
+    };
+    model
+        .fns
+        .iter()
+        .filter(|f| is_pub(f) && takes_key(f) && builds(f))
+        .map(|f| Finding {
+            rule: "L6",
+            file: rel.to_string(),
+            line: f.line,
+            key: f.name.clone(),
+            message: format!(
+                "`{}` takes a bare &DesKey and builds its Scheduled; take the \
+                 Scheduled so the caller builds it once per key",
+                f.name
+            ),
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@
 //!
 //! It is *not* a Rust parser: closures and inner items stay inside their
 //! enclosing function's span (which is what an intraprocedural analysis
-//! wants — captured locals keep their taint), and pattern idents are
-//! over-approximated (a `Some` in `let Some(x) =` registers as a bound
-//! name; rules only ever look names *up*, so the extra entries are inert).
+//! wants — captured locals keep their taint), and a pattern binds its
+//! lowercase idents only: the capitalised ones in `let Some(Ok(x)) =` are
+//! variants, struct names and path segments, never bindings.
 
 use crate::lexer::{Kind, Token};
 use std::collections::HashMap;
@@ -38,7 +38,7 @@ pub struct FnItem {
 /// One `let` binding (or destructuring pattern).
 #[derive(Debug, Clone)]
 pub struct Binding {
-    /// Idents bound by the pattern (over-approximated for enum patterns).
+    /// Idents bound by the pattern (variant and type names excluded).
     pub names: Vec<String>,
     /// 1-based line of the `let`.
     pub line: u32,
@@ -365,11 +365,13 @@ fn parse_let(
         }
         j += 1;
     }
-    // Pattern span: up to the type annotation or the `=`/`;`.
+    // Pattern span: up to the type annotation or the `=`/`;`. A
+    // capitalised ident names a variant or type, so it binds nothing.
     let pat_end = colon.or(eq).unwrap_or(j.min(n));
     let names: Vec<String> = tokens[let_idx + 1..pat_end.min(n)]
         .iter()
         .filter(|t| t.kind == Kind::Ident && !matches!(t.text.as_str(), "mut" | "ref" | "_"))
+        .filter(|t| !t.text.starts_with(|c: char| c.is_ascii_uppercase()))
         .map(|t| t.text.clone())
         .collect();
     if names.is_empty() {

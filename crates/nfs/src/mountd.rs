@@ -17,7 +17,7 @@
 use crate::credmap::CredMap;
 use crate::{NfsCredential, NfsError};
 use kerberos::{krb_rd_req, ApReq, ErrorCode, HostAddr, Principal, ReplayCache};
-use krb_crypto::DesKey;
+use krb_crypto::{DesKey, Scheduled};
 use std::collections::HashMap;
 
 /// The mapping-table file: username → (uid, gids). "For efficiency, this
@@ -47,7 +47,8 @@ impl UserTable {
 /// The mount daemon on a fileserver.
 pub struct MountD {
     service: Principal,
-    service_key: DesKey,
+    /// The srvtab key's schedule, built once at startup.
+    service_sched: Scheduled,
     users: UserTable,
     replay: ReplayCache,
     /// Audit trail of mapping installs: (client, uid_on_client, server_uid).
@@ -57,7 +58,8 @@ pub struct MountD {
 impl MountD {
     /// A mount daemon authenticating as `service` (e.g. `nfs.charon`).
     pub fn new(service: Principal, service_key: DesKey, users: UserTable) -> Self {
-        MountD { service, service_key, users, replay: ReplayCache::new(), mappings_installed: Vec::new() }
+        let service_sched = Scheduled::new(&service_key);
+        MountD { service, service_sched, users, replay: ReplayCache::new(), mappings_installed: Vec::new() }
     }
 
     /// The Kerberos authentication mapping request: verify and install the
@@ -69,7 +71,7 @@ impl MountD {
         sender: HostAddr,
         now: u32,
     ) -> Result<NfsCredential, NfsError> {
-        let verified = krb_rd_req(ap, &self.service, &self.service_key, sender, now, &mut self.replay)
+        let verified = krb_rd_req(ap, &self.service, &self.service_sched, sender, now, &self.replay, None)
             .map_err(NfsError::Auth)?;
         // The principal name maps to the local username; the instance must
         // be empty (users, not services, mount home directories) and the
@@ -128,7 +130,7 @@ mod tests {
         let client = Principal::parse("bcn", REALM).unwrap();
         let session = string_to_key("mount-session");
         let ticket = Ticket::new(&nfs_svc, &client, WS, NOW, 96, *session.as_bytes())
-            .seal(&string_to_key("nfs-charon-srvtab"));
+            .seal_with(&Scheduled::new(&string_to_key("nfs-charon-srvtab")));
         // UID-ON-CLIENT = 500, carried encrypted inside the authenticator.
         let ap = krb_mk_req(&ticket, REALM, &session, &client, WS, NOW, 500, false);
         (mountd, server, ap, client)
@@ -224,7 +226,7 @@ mod tests {
         let session = string_to_key("s2");
         let nfs_svc = Principal::parse("nfs.charon", REALM).unwrap();
         let ticket = Ticket::new(&nfs_svc, &ghost, WS, NOW, 96, *session.as_bytes())
-            .seal(&string_to_key("nfs-charon-srvtab"));
+            .seal_with(&Scheduled::new(&string_to_key("nfs-charon-srvtab")));
         let ap = krb_mk_req(&ticket, REALM, &session, &ghost, WS, NOW, 500, false);
         assert!(matches!(
             mountd.map_request(&mut server.credmap, &ap, WS, NOW),

@@ -19,7 +19,7 @@ use crate::vfs::{Ino, Mode, Vfs};
 use crate::{NfsCredential, NfsError};
 use kerberos::{krb_rd_req, ApReq};
 use kerberos::{HostAddr, Principal, ReplayCache};
-use krb_crypto::DesKey;
+use krb_crypto::{DesKey, Scheduled};
 
 /// The uid of the anonymous "nobody" user ("who has no privileged access
 /// and has a unique UID").
@@ -165,7 +165,8 @@ pub struct FullAuthNfsServer {
     /// The exported filesystem.
     pub vfs: Vfs,
     service: Principal,
-    service_key: DesKey,
+    /// The srvtab key's schedule, built once at startup.
+    service_sched: Scheduled,
     replay: ReplayCache,
     /// username -> server credential, the same special file mountd uses.
     user_table: std::collections::HashMap<String, NfsCredential>,
@@ -179,7 +180,7 @@ impl FullAuthNfsServer {
         FullAuthNfsServer {
             vfs,
             service,
-            service_key,
+            service_sched: Scheduled::new(&service_key),
             replay: ReplayCache::new(),
             user_table: std::collections::HashMap::new(),
             stats: NfsStats::default(),
@@ -200,7 +201,7 @@ impl FullAuthNfsServer {
         op: &NfsOp,
     ) -> Result<NfsReply, NfsError> {
         self.stats.ops += 1;
-        let verified = krb_rd_req(ap, &self.service, &self.service_key, client_addr, now, &mut self.replay)
+        let verified = krb_rd_req(ap, &self.service, &self.service_sched, client_addr, now, &self.replay, None)
             .map_err(NfsError::Auth)?;
         let cred = self
             .user_table

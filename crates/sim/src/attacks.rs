@@ -7,7 +7,7 @@
 //! wire-sniffing adversary.
 
 use kerberos::{krb_rd_req, ErrorCode, Message, Principal, ReplayCache};
-use krb_crypto::{DesKey, KeyGenerator};
+use krb_crypto::{DesKey, KeyGenerator, Scheduled};
 use krb_kdc::{Deployment, RealmConfig};
 use krb_netsim::{NetConfig, Packet, Router, SimNet};
 use krb_telemetry::Registry;
@@ -102,7 +102,7 @@ pub enum AttackOutcome {
 /// Replay a captured `AP_REQ` against the service from a given address.
 pub fn replay_captured_ap(
     rig: &mut AttackRig,
-    replay_cache: &mut ReplayCache,
+    replay_cache: &ReplayCache,
     from_addr: [u8; 4],
     now: u32,
 ) -> AttackOutcome {
@@ -120,9 +120,9 @@ pub fn replay_captured_ap(
             let tgt_key = {
                 let snap = rig.dep.master.snapshot();
                 let (_, k) = snap.db().get_with_key("krbtgt", "ATHENA.MIT.EDU").unwrap().unwrap();
-                k
+                Scheduled::new(&k)
             };
-            return match krb_rd_req(&tgs.ap, &tgs_principal, &tgt_key, from_addr, now, replay_cache) {
+            return match krb_rd_req(&tgs.ap, &tgs_principal, &tgt_key, from_addr, now, replay_cache, None) {
                 Ok(_) => AttackOutcome::Succeeded,
                 Err(e) => AttackOutcome::Rejected(e),
             };
@@ -165,15 +165,15 @@ mod tests {
         let _ = r.workstation.mk_request(&mut r.router, &svc, 0, false).unwrap();
 
         let now = r.workstation.now();
-        let mut rc = ReplayCache::new();
+        let rc = ReplayCache::new();
         // First "delivery" (as the TGS saw it) — mark it seen.
-        let first = replay_captured_ap(&mut r, &mut rc, [18, 72, 3, 100], now);
+        let first = replay_captured_ap(&mut r, &rc, [18, 72, 3, 100], now);
         assert_eq!(first, AttackOutcome::Succeeded, "sanity: original is valid");
         // The attacker's byte-identical replay from the same address.
-        let again = replay_captured_ap(&mut r, &mut rc, [18, 72, 3, 100], now);
+        let again = replay_captured_ap(&mut r, &rc, [18, 72, 3, 100], now);
         assert_eq!(again, AttackOutcome::Rejected(ErrorCode::RdApRepeat));
         // From the attacker's own machine.
-        let elsewhere = replay_captured_ap(&mut r, &mut rc, [10, 66, 6, 6], now);
+        let elsewhere = replay_captured_ap(&mut r, &rc, [10, 66, 6, 6], now);
         assert_eq!(elsewhere, AttackOutcome::Rejected(ErrorCode::RdApBadAddr));
     }
 
@@ -202,8 +202,8 @@ mod tests {
         let svc = r.service.clone();
         let _ = r.workstation.mk_request(&mut r.router, &svc, 0, false).unwrap();
         let later = r.workstation.now() + kerberos::MAX_SKEW_SECS + 60;
-        let mut rc = ReplayCache::new();
-        let out = replay_captured_ap(&mut r, &mut rc, [18, 72, 3, 100], later);
+        let rc = ReplayCache::new();
+        let out = replay_captured_ap(&mut r, &rc, [18, 72, 3, 100], later);
         assert_eq!(out, AttackOutcome::Rejected(ErrorCode::RdApTime));
     }
 }

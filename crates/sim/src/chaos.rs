@@ -33,7 +33,7 @@
 use crate::soak::{self, drain, ClientRound, SlaveSet, SoakFailure};
 use kerberos::{krb_rd_req, ApReq, ErrorCode, HostAddr, Principal, ReplayCache};
 use krb_apps::{RloginNetService, RloginServer};
-use krb_crypto::{string_to_key, DesKey, KeyGenerator};
+use krb_crypto::{string_to_key, KeyGenerator, Scheduled};
 use krb_kdc::{Deployment, RealmConfig};
 use krb_kprop::{KpropMaster, Tally};
 use krb_netsim::{
@@ -397,8 +397,8 @@ impl<S: Service> Service for CountingService<S> {
 fn safety_probe(
     ap: &ApReq,
     svc: &Principal,
-    svc_key: &DesKey,
-    wrong_key: &DesKey,
+    svc_key: &Scheduled,
+    wrong_key: &Scheduled,
     addr: HostAddr,
     now: u32,
     round: u64,
@@ -408,23 +408,23 @@ fn safety_probe(
     let mut corrupted = ap.clone();
     let bit = (round as usize) % (8 * 8.min(corrupted.ticket.0.len()));
     corrupted.ticket.0[bit / 8] ^= 1 << (bit % 8);
-    let mut cache = ReplayCache::new();
-    if krb_rd_req(&corrupted, svc, svc_key, addr, now, &mut cache).is_ok() {
+    let cache = ReplayCache::new();
+    if krb_rd_req(&corrupted, svc, svc_key, addr, now, &cache, None).is_ok() {
         return Err(format!("corrupted ticket (bit {bit}) was accepted"));
     }
 
     // Wrong key: a server that does not hold the srvtab key learns nothing.
-    let mut cache = ReplayCache::new();
-    if krb_rd_req(ap, svc, wrong_key, addr, now, &mut cache).is_ok() {
+    let cache = ReplayCache::new();
+    if krb_rd_req(ap, svc, wrong_key, addr, now, &cache, None).is_ok() {
         return Err("AP_REQ verified under the wrong service key".to_string());
     }
 
     // Replay: the same authenticator twice — first accept, then refuse.
-    let mut cache = ReplayCache::new();
-    if let Err(e) = krb_rd_req(ap, svc, svc_key, addr, now, &mut cache) {
+    let cache = ReplayCache::new();
+    if let Err(e) = krb_rd_req(ap, svc, svc_key, addr, now, &cache, None) {
         return Err(format!("legitimate AP_REQ falsely rejected: {e}"));
     }
-    match krb_rd_req(ap, svc, svc_key, addr, now, &mut cache) {
+    match krb_rd_req(ap, svc, svc_key, addr, now, &cache, None) {
         Err(ErrorCode::RdApRepeat) => Ok(()),
         Err(e) => Err(format!("replayed authenticator refused with {e}, want RdApRepeat")),
         Ok(_) => Err("replayed authenticator was accepted".to_string()),
@@ -450,7 +450,8 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, SoakFailure> {
     }
     let mut keygen = KeyGenerator::new(StdRng::seed_from_u64(config.seed.wrapping_add(17)));
     let rcmd_key = register_service(&mut boot.db, "rcmd", "chaosd", start, &mut keygen).unwrap();
-    let wrong_key = string_to_key("not-the-srvtab-key");
+    let rcmd_sched = Scheduled::new(&rcmd_key);
+    let wrong_key = Scheduled::new(&string_to_key("not-the-srvtab-key"));
     let svc = Principal::parse("rcmd.chaosd", REALM).unwrap();
 
     let (mut router, registry, journal, clock_us) = soak::network(config.seed, 1 << 16);
@@ -614,7 +615,7 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, SoakFailure> {
                 report.safety_probes += 1;
                 let now = start + op as u32 + 1;
                 let addr = stations[w].addr;
-                safety_probe(&ap, &svc, &rcmd_key, &wrong_key, addr, now, op as u64)
+                safety_probe(&ap, &svc, &rcmd_sched, &wrong_key, addr, now, op as u64)
                     .map_err(|detail| fail("safety", detail))?;
             }
         }

@@ -9,7 +9,7 @@
 //! exactly as §6.1 describes.
 
 use kerberos::{krb_rd_req, ErrorCode, Principal, ReplayCache};
-use krb_crypto::{DesKey, KeyGenerator};
+use krb_crypto::{KeyGenerator, Scheduled};
 use krb_kdc::{Deployment, RealmConfig};
 use krb_netsim::{NetConfig, Router, SimNet};
 use krb_kprop::{build_full_seq, kpropd_install, verify_full_seq, PropSchedule};
@@ -102,11 +102,11 @@ pub fn run_with_journal(config: ScenarioConfig, journal: Option<Arc<Journal>>) -
         register_user(&mut boot.db, &format!("user{u}"), "", &format!("pw{u}"), start).unwrap();
     }
     let mut keygen = KeyGenerator::new(StdRng::seed_from_u64(config.seed + 1));
-    let mut service_keys: Vec<(Principal, DesKey)> = Vec::new();
+    let mut service_keys: Vec<(Principal, Scheduled)> = Vec::new();
     for s in 0..config.services {
         let name = format!("svc{s}");
         let key = register_service(&mut boot.db, &name, "host", start, &mut keygen).unwrap();
-        service_keys.push((Principal::new(&name, "host", "ATHENA.MIT.EDU").unwrap(), key));
+        service_keys.push((Principal::new(&name, "host", "ATHENA.MIT.EDU").unwrap(), Scheduled::new(&key)));
     }
 
     let mut router = Router::new(SimNet::new(NetConfig { seed: config.seed, ..Default::default() }));
@@ -122,7 +122,7 @@ pub fn run_with_journal(config: ScenarioConfig, journal: Option<Arc<Journal>>) -
     let kdc_eps = dep.kdc_endpoints();
 
     // Server-side replay caches per service.
-    let mut replay: Vec<ReplayCache> = (0..config.services).map(|_| ReplayCache::new()).collect();
+    let replay: Vec<ReplayCache> = (0..config.services).map(|_| ReplayCache::new()).collect();
 
     // --- Generate the event timeline.
     let mut heap: BinaryHeap<Reverse<(u32, usize, u8)>> = BinaryHeap::new();
@@ -237,7 +237,7 @@ pub fn run_with_journal(config: ScenarioConfig, journal: Option<Arc<Journal>>) -
                 };
                 match outcome {
                     Ok((ap, _)) => {
-                        match krb_rd_req(&ap, svc, key, ws.addr, now_abs, &mut replay[svc_idx]) {
+                        match krb_rd_req(&ap, svc, key, ws.addr, now_abs, &replay[svc_idx], None) {
                             Ok(_) => report.service_uses += 1,
                             Err(e) => {
                                 *report.failures.entry(format!("ap: {e}")).or_default() += 1;

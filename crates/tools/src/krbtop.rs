@@ -28,7 +28,7 @@
 //! real `krb-top` would do against a live `krbd` socket.
 
 use crate::{kdb_init, register_service, register_user, ToolError, Workstation};
-use kerberos::{krb_rd_req_sched_ctx, ErrorCode, Principal, ReplayCache};
+use kerberos::{krb_rd_req, ErrorCode, Principal, ReplayCache};
 use krb_crypto::{KeyGenerator, Scheduled};
 use krb_kdc::{shared_clock, Deployment, RealmConfig};
 use krb_mon::{
@@ -146,7 +146,7 @@ pub fn run(cfg: &TopConfig) -> Result<TopRun, ToolError> {
 
     let service = Principal::parse("sample.host", REALM)?;
     let sched = Scheduled::new(&svc_key);
-    let mut replay = ReplayCache::new();
+    let replay = ReplayCache::new();
     let mut ws = Workstation::new(
         WS_ADDR,
         REALM,
@@ -158,7 +158,7 @@ pub fn run(cfg: &TopConfig) -> Result<TopRun, ToolError> {
 
     let mut snapshots = Vec::with_capacity(polls);
     for poll in 0..polls {
-        drive_round(&mut router, &dep, &mut ws, &service, &sched, &mut replay, &journal, &clock_us)?;
+        drive_round(&mut router, &dep, &mut ws, &service, &sched, &replay, &journal, &clock_us)?;
         snapshots.push(query(&mut router, client, mon_ep, cfg, poll)?);
     }
     Ok(TopRun { snapshots, journal_dump: journal.render() })
@@ -175,7 +175,7 @@ fn drive_round(
     ws: &mut Workstation,
     service: &Principal,
     sched: &Scheduled,
-    replay: &mut ReplayCache,
+    replay: &ReplayCache,
     journal: &Arc<Journal>,
     clock_us: &ClockUs,
 ) -> Result<(), ToolError> {
@@ -190,7 +190,7 @@ fn drive_round(
         ws.kinit(router, user, &format!("pw-{user}"))?;
         let (ap, _) = ws.mk_request(router, service, 0, true)?;
         let ctx = app_ctx(ws)?;
-        krb_rd_req_sched_ctx(&ap, service, sched, ws.addr, ws.now(), replay, Some(&ctx))?;
+        krb_rd_req(&ap, service, sched, ws.addr, ws.now(), replay, Some(&ctx))?;
     }
 
     // AS-only login: eva shows up in the as_clients table but never asks
@@ -204,8 +204,8 @@ fn drive_round(
     ws.kinit(router, "bcn", "pw-bcn")?;
     let (ap, _) = ws.mk_request(router, service, 0, true)?;
     let ctx = app_ctx(ws)?;
-    krb_rd_req_sched_ctx(&ap, service, sched, ws.addr, ws.now(), replay, Some(&ctx))?;
-    match krb_rd_req_sched_ctx(&ap, service, sched, ws.addr, ws.now(), replay, Some(&ctx)) {
+    krb_rd_req(&ap, service, sched, ws.addr, ws.now(), replay, Some(&ctx))?;
+    match krb_rd_req(&ap, service, sched, ws.addr, ws.now(), replay, Some(&ctx)) {
         Err(ErrorCode::RdApRepeat) => {}
         _ => return Err(ToolError::Krb(ErrorCode::RdApRepeat)),
     }

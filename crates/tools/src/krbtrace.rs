@@ -14,7 +14,7 @@
 //! runs, and that each failure's error event lands at the correct hop.
 
 use crate::{kdb_init, register_service, register_user, ToolError, Workstation};
-use kerberos::{krb_rd_req_sched_ctx, ErrorCode, Principal, ReplayCache};
+use kerberos::{krb_rd_req, ErrorCode, Principal, ReplayCache};
 use krb_crypto::{KeyGenerator, Scheduled};
 use krb_kdc::{shared_clock, Deployment, RealmConfig};
 use krb_netsim::{NetConfig, Router, SimNet};
@@ -256,7 +256,7 @@ fn smoke_run(seed: u64) -> Result<String, ToolError> {
 
     let service = Principal::parse("sample.host", SMOKE_REALM)?;
     let sched = Scheduled::new(&svc_key);
-    let mut replay = ReplayCache::new();
+    let replay = ReplayCache::new();
     let mut ws = Workstation::new(
         SMOKE_WS,
         SMOKE_REALM,
@@ -275,7 +275,7 @@ fn smoke_run(seed: u64) -> Result<String, ToolError> {
     ws.kinit(&mut router, "bcn", "bcn-pw")?;
     let (ap, _) = ws.mk_request(&mut router, &service, 0, true)?;
     let ctx = app_ctx(&ws)?;
-    krb_rd_req_sched_ctx(&ap, &service, &sched, ws.addr, ws.now(), &mut replay, Some(&ctx))?;
+    krb_rd_req(&ap, &service, &sched, ws.addr, ws.now(), &replay, Some(&ctx))?;
 
     // Trace 2: a second login whose authenticator is then replayed — the
     // replay-cache verdict must land at the app hop.
@@ -283,8 +283,8 @@ fn smoke_run(seed: u64) -> Result<String, ToolError> {
     ws.kinit(&mut router, "bcn", "bcn-pw")?;
     let (ap, _) = ws.mk_request(&mut router, &service, 0, true)?;
     let ctx = app_ctx(&ws)?;
-    krb_rd_req_sched_ctx(&ap, &service, &sched, ws.addr, ws.now(), &mut replay, Some(&ctx))?;
-    match krb_rd_req_sched_ctx(&ap, &service, &sched, ws.addr, ws.now(), &mut replay, Some(&ctx)) {
+    krb_rd_req(&ap, &service, &sched, ws.addr, ws.now(), &replay, Some(&ctx))?;
+    match krb_rd_req(&ap, &service, &sched, ws.addr, ws.now(), &replay, Some(&ctx)) {
         Err(ErrorCode::RdApRepeat) => {}
         _ => return Err(ToolError::Krb(ErrorCode::RdApRepeat)),
     }

@@ -187,8 +187,9 @@ mod tests {
         let mut srvtab = Srvtab::new();
         srvtab.extract(dep.master.snapshot().db(), REALM, "rlogin", "priam").unwrap();
         let key = srvtab.key_for(&svc).unwrap().key;
-        let mut rc = kerberos::ReplayCache::new();
-        let v = kerberos::krb_rd_req(&ap, &svc, &key, ws.addr, ws.now(), &mut rc).unwrap();
+        let rc = kerberos::ReplayCache::new();
+        let sched = krb_crypto::Scheduled::new(&key);
+        let v = kerberos::krb_rd_req(&ap, &svc, &sched, ws.addr, ws.now(), &rc, None).unwrap();
         assert_eq!(v.client.name, "bcn");
     }
 }

@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --example cross_realm`
 
+use athena_kerberos::crypto::Scheduled;
 use athena_kerberos::kdc::{pair_realms, Deployment, RealmConfig};
 use athena_kerberos::krb::{krb_rd_req, Principal, ReplayCache};
 use athena_kerberos::netsim::{ports, Endpoint, NetConfig, Router, SimNet};
@@ -60,8 +61,8 @@ fn main() {
 
     // The LCS service verifies — and sees the ORIGINAL realm, so it can
     // "choose whether to honor those credentials".
-    let mut rc = ReplayCache::new();
-    let v = krb_rd_req(&ap, &supdup, &supdup_key, ws.addr, ws.now(), &mut rc).unwrap();
+    let rc = ReplayCache::new();
+    let v = krb_rd_req(&ap, &supdup, &Scheduled::new(&supdup_key), ws.addr, ws.now(), &rc, None).unwrap();
     println!(
         "supdup.zeus verified {} — originally authenticated by realm {}",
         v.client, v.client.realm

@@ -93,7 +93,7 @@ fn main() {
     let ticket = athena_kerberos::krb::Ticket::new(
         &svc, &client, WS_ADDR, start, 96, *session_key.as_bytes(),
     )
-    .seal(&svc_key);
+    .seal_with(&athena_kerberos::crypto::Scheduled::new(&svc_key));
 
     let t0 = Instant::now();
     for i in 0..OPS {

@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use athena_kerberos::crypto::Scheduled;
 use athena_kerberos::kdc::{Deployment, RealmConfig};
 use athena_kerberos::krb::{krb_mk_rep, krb_rd_rep, krb_rd_req, Principal, ReplayCache};
 use athena_kerberos::netsim::{NetConfig, Router, SimNet};
@@ -53,8 +54,8 @@ fn main() {
 
     // --- Phase 3 (Fig. 6/7): present ticket + authenticator; the server
     // verifies and proves itself back (mutual authentication).
-    let mut replays = ReplayCache::new();
-    let verified = krb_rd_req(&ap_req, &service, &rlogin_key, ws.addr, ws.now(), &mut replays)
+    let replays = ReplayCache::new();
+    let verified = krb_rd_req(&ap_req, &service, &Scheduled::new(&rlogin_key), ws.addr, ws.now(), &replays, None)
         .expect("krb_rd_req");
     println!("server verified client: {}", verified.client);
     let reply = krb_mk_rep(&verified);
@@ -62,6 +63,6 @@ fn main() {
     println!("client verified server: mutual authentication complete");
 
     // A replay of the same request is detected.
-    let replayed = krb_rd_req(&ap_req, &service, &rlogin_key, ws.addr, ws.now(), &mut replays);
+    let replayed = krb_rd_req(&ap_req, &service, &Scheduled::new(&rlogin_key), ws.addr, ws.now(), &replays, None);
     println!("replayed request -> {:?}", replayed.expect_err("rejected"));
 }

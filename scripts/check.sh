@@ -36,8 +36,10 @@ cargo test --release --offline -q -p krb-crypto
 echo "== cargo test --release -p kerberos"
 # Timestamp arithmetic panics on overflow in the dev profile and wraps in
 # --release, the build every benchmark measures: the replay cache's
-# reference-model proptest (timestamps 0 and u32::MAX, a clock that runs
-# backwards) must hold on both.
+# proptests against its reference models, `replay_cache_equals_reference_model`
+# (one model per stripe; timestamps 0 and u32::MAX, a clock that runs
+# backwards) and `replay_cache_matches_one_set_model_in_window` (one
+# model for the whole cache over in-window requests), must hold on both.
 cargo test --release --offline -q -p kerberos
 
 echo "== cargo test --release -p krb-kdc"

@@ -3,7 +3,8 @@
 //! discusses, scripted against the real stack on the open simulated
 //! network.
 
-use athena_kerberos::krb::{ErrorCode, ReplayCache, MAX_SKEW_SECS};
+use athena_kerberos::crypto::Scheduled;
+use athena_kerberos::krb::{ErrorCode, ReplayCache, MAX_SKEW_SECS, REPLAY_STRIPES};
 use athena_kerberos::sim::{replay_captured_ap, rig, wire_contains, AttackOutcome};
 
 #[test]
@@ -40,10 +41,10 @@ fn replay_rejected_same_address() {
     let svc = r.service.clone();
     let _ = r.workstation.mk_request(&mut r.router, &svc, 0, false).unwrap();
     let now = r.workstation.now();
-    let mut rc = ReplayCache::new();
-    assert_eq!(replay_captured_ap(&mut r, &mut rc, [18, 72, 3, 100], now), AttackOutcome::Succeeded);
+    let rc = ReplayCache::new();
+    assert_eq!(replay_captured_ap(&mut r, &rc, [18, 72, 3, 100], now), AttackOutcome::Succeeded);
     assert_eq!(
-        replay_captured_ap(&mut r, &mut rc, [18, 72, 3, 100], now),
+        replay_captured_ap(&mut r, &rc, [18, 72, 3, 100], now),
         AttackOutcome::Rejected(ErrorCode::RdApRepeat)
     );
 }
@@ -57,9 +58,9 @@ fn stolen_credentials_useless_from_attacker_host() {
     let svc = r.service.clone();
     let _ = r.workstation.mk_request(&mut r.router, &svc, 0, false).unwrap();
     let now = r.workstation.now();
-    let mut fresh_cache = ReplayCache::new();
+    let fresh_cache = ReplayCache::new();
     assert_eq!(
-        replay_captured_ap(&mut r, &mut fresh_cache, [10, 66, 6, 6], now),
+        replay_captured_ap(&mut r, &fresh_cache, [10, 66, 6, 6], now),
         AttackOutcome::Rejected(ErrorCode::RdApBadAddr)
     );
 }
@@ -73,9 +74,9 @@ fn old_captures_die_at_the_skew_horizon() {
     let svc = r.service.clone();
     let _ = r.workstation.mk_request(&mut r.router, &svc, 0, false).unwrap();
     let later = r.workstation.now() + MAX_SKEW_SECS + 1;
-    let mut rc = ReplayCache::new();
+    let rc = ReplayCache::new();
     assert_eq!(
-        replay_captured_ap(&mut r, &mut rc, [18, 72, 3, 100], later),
+        replay_captured_ap(&mut r, &rc, [18, 72, 3, 100], later),
         AttackOutcome::Rejected(ErrorCode::RdApTime)
     );
 }
@@ -117,18 +118,19 @@ fn fast_and_slow_clocks_break_authentication() {
     let mut r = rig(1006);
     r.workstation.kinit(&mut r.router, "victim", "victim-pw").unwrap();
     let svc = r.service.clone();
+    let sched = Scheduled::new(&r.service_key);
     let (ap, _) = r.workstation.mk_request(&mut r.router, &svc, 0, false).unwrap();
 
     // The server's clock is 10 minutes ahead of the workstation's.
     let server_now = r.workstation.now() + 600;
-    let mut rc = ReplayCache::new();
+    let rc = ReplayCache::new();
     assert_eq!(
-        krb_rd_req(&ap, &svc, &r.service_key, [18, 72, 3, 100], server_now, &mut rc).unwrap_err(),
+        krb_rd_req(&ap, &svc, &sched, [18, 72, 3, 100], server_now, &rc, None).unwrap_err(),
         ErrorCode::RdApTime
     );
     // Within the window, fine.
     let server_now = r.workstation.now() + 250;
-    assert!(krb_rd_req(&ap, &svc, &r.service_key, [18, 72, 3, 100], server_now, &mut rc).is_ok());
+    assert!(krb_rd_req(&ap, &svc, &sched, [18, 72, 3, 100], server_now, &rc, None).is_ok());
 }
 
 #[test]
@@ -139,13 +141,14 @@ fn expired_session_leaves_nothing_usable() {
     let mut r = rig(1007);
     r.workstation.kinit(&mut r.router, "victim", "victim-pw").unwrap();
     let svc = r.service.clone();
+    let sched = Scheduled::new(&r.service_key);
     let (ap, _) = r.workstation.mk_request(&mut r.router, &svc, 0, false).unwrap();
 
     // 9 hours later the stolen ticket (8h life) is dead even with a
     // freshly forged time-stamp-free replay attempt.
     let later = r.workstation.now() + 9 * 3600;
-    let mut rc = ReplayCache::new();
-    let err = krb_rd_req(&ap, &svc, &r.service_key, [18, 72, 3, 100], later, &mut rc).unwrap_err();
+    let rc = ReplayCache::new();
+    let err = krb_rd_req(&ap, &svc, &sched, [18, 72, 3, 100], later, &rc, None).unwrap_err();
     assert!(
         err == ErrorCode::RdApExp || err == ErrorCode::RdApTime,
         "stale credentials must fail: {err:?}"
@@ -165,25 +168,26 @@ fn replay_exactly_at_the_skew_edge_is_caught_by_the_cache_not_the_clock() {
     let mut r = rig(1008);
     r.workstation.kinit(&mut r.router, "victim", "victim-pw").unwrap();
     let svc = r.service.clone();
+    let sched = Scheduled::new(&r.service_key);
     let (ap, _) = r.workstation.mk_request(&mut r.router, &svc, 0, false).unwrap();
 
-    let mut rc = ReplayCache::new();
+    let rc = ReplayCache::new();
     let first =
-        krb_rd_req(&ap, &svc, &r.service_key, [18, 72, 3, 100], r.workstation.now(), &mut rc)
+        krb_rd_req(&ap, &svc, &sched, [18, 72, 3, 100], r.workstation.now(), &rc, None)
             .unwrap();
     // Derive the edge from the authenticator itself, not the wall clock.
     let edge = first.timestamp + MAX_SKEW_SECS;
     assert_eq!(
-        krb_rd_req(&ap, &svc, &r.service_key, [18, 72, 3, 100], edge, &mut rc).unwrap_err(),
+        krb_rd_req(&ap, &svc, &sched, [18, 72, 3, 100], edge, &rc, None).unwrap_err(),
         ErrorCode::RdApRepeat,
         "at the exact skew edge the cache, not the clock, must reject"
     );
     assert_eq!(rc.replay_hits(), 1);
     // One second past the edge the freshness check takes over — even a
     // server that lost its cache (fresh `ReplayCache`) stays safe.
-    let mut amnesiac = ReplayCache::new();
+    let amnesiac = ReplayCache::new();
     assert_eq!(
-        krb_rd_req(&ap, &svc, &r.service_key, [18, 72, 3, 100], edge + 1, &mut amnesiac)
+        krb_rd_req(&ap, &svc, &sched, [18, 72, 3, 100], edge + 1, &amnesiac, None)
             .unwrap_err(),
         ErrorCode::RdApTime
     );
@@ -203,21 +207,24 @@ fn replay_after_cache_eviction_is_stopped_by_the_freshness_check() {
     let mut r = rig(1009);
     r.workstation.kinit(&mut r.router, "victim", "victim-pw").unwrap();
     let svc = r.service.clone();
+    let sched = Scheduled::new(&r.service_key);
     let (ap, _) = r.workstation.mk_request(&mut r.router, &svc, 0, false).unwrap();
 
-    let mut rc = ReplayCache::new();
+    let rc = ReplayCache::new();
     let first =
-        krb_rd_req(&ap, &svc, &r.service_key, [18, 72, 3, 100], r.workstation.now(), &mut rc)
+        krb_rd_req(&ap, &svc, &sched, [18, 72, 3, 100], r.workstation.now(), &rc, None)
             .unwrap();
     assert_eq!(rc.len(), 1);
 
     // Time passes beyond the 2×skew purge horizon; the next request (any
-    // request — here an unrelated client) triggers the sweep.
+    // request — here an unrelated client) triggers the sweep. Each stripe
+    // of the cache keeps its own purge clock, so it is one that lands in
+    // the victim's stripe.
     let late = first.timestamp + 2 * MAX_SKEW_SECS + 1;
     let unrelated = ReplayKey {
         client: "other.@ATHENA.MIT.EDU".into(),
         timestamp: late,
-        auth_hash: hash_bytes(b"unrelated authenticator"),
+        auth_hash: hash_bytes(&ap.authenticator).wrapping_add(REPLAY_STRIPES as u64),
     };
     assert!(rc.check_and_insert(unrelated, late));
     assert_eq!(rc.evictions(), 1, "the victim's entry must age out");
@@ -226,7 +233,7 @@ fn replay_after_cache_eviction_is_stopped_by_the_freshness_check() {
     // The attacker's held-back replay no longer matches anything in the
     // cache — and is rejected anyway, by the clock.
     assert_eq!(
-        krb_rd_req(&ap, &svc, &r.service_key, [18, 72, 3, 100], late, &mut rc).unwrap_err(),
+        krb_rd_req(&ap, &svc, &sched, [18, 72, 3, 100], late, &rc, None).unwrap_err(),
         ErrorCode::RdApTime,
         "eviction is safe: freshness backstops the bounded cache"
     );

@@ -6,9 +6,9 @@
 use athena_kerberos::kdb::{HashStore, PrincipalDb};
 use athena_kerberos::kdc::{fixed_clock, Kdc, KdcRole, RealmConfig};
 use athena_kerberos::krb::{
-    build_as_req, build_tgs_req, read_as_reply_with_password, read_tgs_reply, Principal,
+    build_as_req, build_tgs_req_with, read_as_reply_with_password, read_tgs_reply_with, Principal,
 };
-use athena_kerberos::crypto::string_to_key;
+use athena_kerberos::crypto::{string_to_key, Scheduled};
 
 const REALM: &str = "ATHENA.MIT.EDU";
 const NOW: u32 = 600_000_000;
@@ -39,8 +39,9 @@ fn full_protocol_over_file_backed_database() {
 
     let req = build_as_req(&client, &tgs, 96, NOW);
     let tgt = read_as_reply_with_password(&kdc.handle(&req, WS), "bcn-pw", NOW).unwrap();
-    let req = build_tgs_req(&tgt, &client, WS, NOW + 1, &rlogin, 96);
-    let cred = read_tgs_reply(&kdc.handle(&req, WS), &tgt, NOW + 1).unwrap();
+    let tgt_sched = Scheduled::new(&tgt.key());
+    let req = build_tgs_req_with(&tgt, &tgt_sched, &client, WS, NOW + 1, &rlogin, 96);
+    let cred = read_tgs_reply_with(&kdc.handle(&req, WS), &tgt_sched, NOW + 1).unwrap();
     assert_eq!(cred.service, rlogin);
 }
 

@@ -2,7 +2,7 @@
 //! simulated network, plus the three protection levels of §2.1 riding the
 //! established session key (experiments E4–E8, E12 functional halves).
 
-use athena_kerberos::crypto::KeyGenerator;
+use athena_kerberos::crypto::{KeyGenerator, Scheduled};
 use athena_kerberos::kdc::{Deployment, RealmConfig};
 use athena_kerberos::krb::{
     krb_mk_priv, krb_mk_rep, krb_mk_safe, krb_rd_priv, krb_rd_rep, krb_rd_req, krb_rd_safe,
@@ -61,8 +61,8 @@ fn figure_9_three_phases_and_mutual_auth() {
     let svc = r.service.clone();
     let (ap, cred) = ws.mk_request(&mut r.router, &svc, 7, true).unwrap();
     // Phase 3: request + mutual authentication (Fig. 6, 7).
-    let mut rc = ReplayCache::new();
-    let v = krb_rd_req(&ap, &svc, &r.service_key, WS_ADDR, ws.now(), &mut rc).unwrap();
+    let rc = ReplayCache::new();
+    let v = krb_rd_req(&ap, &svc, &Scheduled::new(&r.service_key), WS_ADDR, ws.now(), &rc, None).unwrap();
     assert_eq!(v.client.to_string(), format!("bcn@{REALM}"));
     assert_eq!(v.cksum, 7);
     let rep = krb_mk_rep(&v);
@@ -77,8 +77,8 @@ fn session_key_supports_all_three_protection_levels() {
     ws.kinit(&mut r.router, "bcn", "bcn-pw").unwrap();
     let svc = r.service.clone();
     let (ap, cred) = ws.mk_request(&mut r.router, &svc, 0, false).unwrap();
-    let mut rc = ReplayCache::new();
-    let v = krb_rd_req(&ap, &svc, &r.service_key, WS_ADDR, ws.now(), &mut rc).unwrap();
+    let rc = ReplayCache::new();
+    let v = krb_rd_req(&ap, &svc, &Scheduled::new(&r.service_key), WS_ADDR, ws.now(), &rc, None).unwrap();
     let key = cred.key();
     let now = ws.now();
 
@@ -97,9 +97,9 @@ fn session_key_supports_all_three_protection_levels() {
     );
 
     // Level 3: private messages — hidden and authenticated.
-    let private = krb_mk_priv(b"the new password is swordfish", &key, WS_ADDR, now);
+    let private = krb_mk_priv(b"the new password is swordfish", &Scheduled::new(&key), WS_ADDR, now);
     assert_eq!(
-        krb_rd_priv(&private, &v.session_key, Some(WS_ADDR), now).unwrap(),
+        krb_rd_priv(&private, &Scheduled::new(&v.session_key), Some(WS_ADDR), now).unwrap(),
         b"the new password is swordfish"
     );
 }
@@ -150,8 +150,8 @@ fn tickets_survive_cache_serialization() {
     let mut ws2 = workstation(&r);
     ws2.cache = restored;
     let (ap, _) = ws2.mk_request(&mut r.router, &svc, 0, false).unwrap();
-    let mut rc = ReplayCache::new();
-    assert!(krb_rd_req(&ap, &svc, &r.service_key, WS_ADDR, ws2.now(), &mut rc).is_ok());
+    let rc = ReplayCache::new();
+    assert!(krb_rd_req(&ap, &svc, &Scheduled::new(&r.service_key), WS_ADDR, ws2.now(), &rc, None).is_ok());
 }
 
 #[test]
@@ -202,7 +202,6 @@ fn journal_reconstructs_a_full_login_as_one_trace() {
     // out-of-band (packet metadata), so the V4 wire bytes are untouched —
     // the flow itself is exactly figure_9_three_phases_and_mutual_auth.
     use athena_kerberos::crypto::Scheduled;
-    use athena_kerberos::krb::krb_rd_req_sched_ctx;
     use athena_kerberos::telemetry::{lcg_clock_us, ClockUs, Journal, TraceCtx};
     use athena_kerberos::tools::{group_traces, parse_dump};
     use std::sync::Arc;
@@ -223,8 +222,8 @@ fn journal_reconstructs_a_full_login_as_one_trace() {
         ws.current_trace().unwrap(),
     );
     let sched = Scheduled::new(&r.service_key);
-    let mut rc = ReplayCache::new();
-    krb_rd_req_sched_ctx(&ap, &svc, &sched, WS_ADDR, ws.now(), &mut rc, Some(&app_ctx)).unwrap();
+    let rc = ReplayCache::new();
+    krb_rd_req(&ap, &svc, &sched, WS_ADDR, ws.now(), &rc, Some(&app_ctx)).unwrap();
 
     let timelines = group_traces(parse_dump(&journal.render()));
     assert_eq!(timelines.len(), 1, "one login, one trace");
@@ -250,7 +249,6 @@ fn journal_dump_never_contains_key_material() {
     // session keys, service keys all in flight — must leave no key bytes
     // in the journal render, in any encoding, and no password either.
     use athena_kerberos::crypto::Scheduled;
-    use athena_kerberos::krb::krb_rd_req_sched_ctx;
     use athena_kerberos::telemetry::{lcg_clock_us, ClockUs, Journal, TraceCtx};
     use std::sync::Arc;
 
@@ -270,8 +268,8 @@ fn journal_dump_never_contains_key_material() {
         ws.current_trace().unwrap(),
     );
     let sched = Scheduled::new(&r.service_key);
-    let mut rc = ReplayCache::new();
-    krb_rd_req_sched_ctx(&ap, &svc, &sched, WS_ADDR, ws.now(), &mut rc, Some(&app_ctx)).unwrap();
+    let rc = ReplayCache::new();
+    krb_rd_req(&ap, &svc, &sched, WS_ADDR, ws.now(), &rc, Some(&app_ctx)).unwrap();
 
     let dump = journal.render();
     assert!(journal.events_recorded() >= 8);
@@ -296,7 +294,7 @@ fn every_error_kind_is_constructible_and_journals_at_its_hop() {
     // KDC, and application-server hops — and check that the hop that owns
     // the error journals it with the matching `err_kind` field.
     use athena_kerberos::crypto::Scheduled;
-    use athena_kerberos::krb::{krb_mk_req, krb_rd_req_sched_ctx, Message, ERROR_KINDS};
+    use athena_kerberos::krb::{krb_mk_req, Message, ERROR_KINDS};
     use athena_kerberos::telemetry::{lcg_clock_us, ClockUs, Journal, TraceCtx};
     use std::collections::HashSet;
     use std::sync::Arc;
@@ -353,22 +351,22 @@ fn every_error_kind_is_constructible_and_journals_at_its_hop() {
     let now = ws.now();
 
     // replay — the same authenticator presented twice.
-    let mut rc = ReplayCache::new();
-    krb_rd_req_sched_ctx(&ap, &svc, &sched, WS_ADDR, now, &mut rc, Some(&ctx)).unwrap();
-    let e = krb_rd_req_sched_ctx(&ap, &svc, &sched, WS_ADDR, now, &mut rc, Some(&ctx)).unwrap_err();
+    let rc = ReplayCache::new();
+    krb_rd_req(&ap, &svc, &sched, WS_ADDR, now, &rc, Some(&ctx)).unwrap();
+    let e = krb_rd_req(&ap, &svc, &sched, WS_ADDR, now, &rc, Some(&ctx)).unwrap_err();
     assert_eq!(e, ErrorCode::RdApRepeat);
     seen.insert(e.kind());
 
     // skew — a fresh cache, but the server's clock is an hour off.
-    let mut rc = ReplayCache::new();
-    let e = krb_rd_req_sched_ctx(&ap, &svc, &sched, WS_ADDR, now + 3600, &mut rc, Some(&ctx))
+    let rc = ReplayCache::new();
+    let e = krb_rd_req(&ap, &svc, &sched, WS_ADDR, now + 3600, &rc, Some(&ctx))
         .unwrap_err();
     assert_eq!(e, ErrorCode::RdApTime);
     seen.insert(e.kind());
 
     // other — right ticket, wrong source address (§4.3's address check).
-    let mut rc = ReplayCache::new();
-    let e = krb_rd_req_sched_ctx(&ap, &svc, &sched, [10, 0, 0, 66], now, &mut rc, Some(&ctx))
+    let rc = ReplayCache::new();
+    let e = krb_rd_req(&ap, &svc, &sched, [10, 0, 0, 66], now, &rc, Some(&ctx))
         .unwrap_err();
     assert_eq!(e, ErrorCode::RdApBadAddr);
     assert_eq!(e.kind(), "other");
@@ -379,8 +377,8 @@ fn every_error_kind_is_constructible_and_journals_at_its_hop() {
     let late = now + u32::from(cred.life) * 300 + 600;
     let client = Principal::parse("bcn", REALM).unwrap();
     let old = krb_mk_req(&cred.ticket, REALM, &cred.key(), &client, WS_ADDR, late, 0, false);
-    let mut rc = ReplayCache::new();
-    let e = krb_rd_req_sched_ctx(&old, &svc, &sched, WS_ADDR, late, &mut rc, Some(&ctx))
+    let rc = ReplayCache::new();
+    let e = krb_rd_req(&old, &svc, &sched, WS_ADDR, late, &rc, Some(&ctx))
         .unwrap_err();
     assert_eq!(e, ErrorCode::RdApExp);
     seen.insert(e.kind());

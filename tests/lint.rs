@@ -42,7 +42,8 @@ fn workspace_passes_krb_lint() {
 /// Every known-bad fixture fires its one expected finding; every
 /// known-good twin stays silent. The fixtures are scanned under a neutral
 /// path (`crates/fixture/src/...`) so no path-scoped rule or exemption
-/// interferes.
+/// interferes, except the L6 adapter pair, which is scanned under
+/// `crates/core/src/...`, where that half of L6 applies.
 #[test]
 fn l8_l9_fixture_corpus_fires_deterministically() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -57,10 +58,13 @@ fn l8_l9_fixture_corpus_fires_deterministically() {
         ("l9_password_println.rs", "L9", "password"),
         ("l9_field_from.rs", "L9", "DesKey"),
         ("l9_mon_frame.rs", "L9", "session_key"),
+        ("l9_variant_binding.rs", "L9", "key"),
+        ("l6_deskey_adapter.rs", "L6", "seal_note"),
     ];
     for (file, rule, key) in bad {
+        let crate_dir = if *rule == "L6" { "core" } else { "fixture" };
         let src = std::fs::read_to_string(dir.join(file)).expect(file);
-        let findings = krb_lint::scan_file(&format!("crates/fixture/src/{file}"), &src);
+        let findings = krb_lint::scan_file(&format!("crates/{crate_dir}/src/{file}"), &src);
         assert_eq!(
             findings.len(),
             1,
@@ -72,7 +76,7 @@ fn l8_l9_fixture_corpus_fires_deterministically() {
         // ...and its good twin is clean.
         let twin = file.replace(".rs", "_ok.rs");
         let src = std::fs::read_to_string(dir.join(&twin)).expect(&twin);
-        let findings = krb_lint::scan_file(&format!("crates/fixture/src/{twin}"), &src);
+        let findings = krb_lint::scan_file(&format!("crates/{crate_dir}/src/{twin}"), &src);
         assert!(findings.is_empty(), "{twin}: expected clean, got {findings:?}");
     }
 }

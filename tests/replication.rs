@@ -263,6 +263,7 @@ fn heal_lets_the_pending_login_complete() {
     // The liveness half of the chaos oracle, in miniature: a login that
     // failed during a full partition completes once `heal_faults()` closes
     // the windows — same workstation, same credentials, no restart.
+    use athena_kerberos::crypto::Scheduled;
     use athena_kerberos::krb::{krb_rd_req, ReplayCache};
     use athena_kerberos::netsim::{Fault, FaultPlan, FaultWindow, LinkMatch};
 
@@ -303,8 +304,8 @@ fn heal_lets_the_pending_login_complete() {
     // AP_REQ verifies at the server.
     let svc = Principal::parse("sample.host", REALM).unwrap();
     let (ap, _) = workstation.mk_request(&mut router, &svc, 0, false).unwrap();
-    let mut rc = ReplayCache::new();
-    krb_rd_req(&ap, &svc, &svc_key, WS_ADDR, workstation.now(), &mut rc).unwrap();
+    let rc = ReplayCache::new();
+    krb_rd_req(&ap, &svc, &Scheduled::new(&svc_key), WS_ADDR, workstation.now(), &rc, None).unwrap();
 }
 
 #[test]

@@ -3,9 +3,10 @@
 //! simulator is a stand-in, not a shortcut).
 
 use athena_kerberos::kdc::{fixed_clock, Kdc, KdcRole, RealmConfig};
+use athena_kerberos::crypto::Scheduled;
 use athena_kerberos::krb::{
-    build_as_req, build_tgs_req, krb_rd_req, read_as_reply_with_password, read_tgs_reply,
-    Principal, ReplayCache,
+    build_as_req, build_tgs_req_with, krb_rd_req, read_as_reply_with_password,
+    read_tgs_reply_with, Principal, ReplayCache,
 };
 use athena_kerberos::netsim::{udp_request, Packet, UdpServer};
 use athena_kerberos::tools::{kdb_init, register_service, register_user};
@@ -44,19 +45,20 @@ fn full_protocol_over_real_udp() {
     let req = build_as_req(&client, &Principal::tgs(REALM, REALM), 96, NOW);
     let reply = udp_request(server.local_addr, &req, Duration::from_millis(500), 3).unwrap();
     let tgt = read_as_reply_with_password(&reply, "bcn-pw", NOW).unwrap();
+    let tgt_sched = Scheduled::new(&tgt.key());
 
     // TGS exchange over the socket.
     let svc = Principal::parse("echo.localhost", REALM).unwrap();
-    let req = build_tgs_req(&tgt, &client, LOOPBACK, NOW + 1, &svc, 96);
+    let req = build_tgs_req_with(&tgt, &tgt_sched, &client, LOOPBACK, NOW + 1, &svc, 96);
     let reply = udp_request(server.local_addr, &req, Duration::from_millis(500), 3).unwrap();
-    let cred = read_tgs_reply(&reply, &tgt, NOW + 1).unwrap();
+    let cred = read_tgs_reply_with(&reply, &tgt_sched, NOW + 1).unwrap();
 
     // AP exchange verified with the srvtab key.
     let ap = athena_kerberos::krb::krb_mk_req(
         &cred.ticket, &cred.issuing_realm, &cred.key(), &client, LOOPBACK, NOW + 2, 0, false,
     );
-    let mut rc = ReplayCache::new();
-    let v = krb_rd_req(&ap, &svc, &svc_key, LOOPBACK, NOW + 2, &mut rc).unwrap();
+    let rc = ReplayCache::new();
+    let v = krb_rd_req(&ap, &svc, &Scheduled::new(&svc_key), LOOPBACK, NOW + 2, &rc, None).unwrap();
     assert_eq!(v.client.name, "bcn");
 }
 
