@@ -55,7 +55,7 @@ use kerberos::{
     build_tgs_req_with, ApReq, AuthenticatorView, Credential, EncKdcReplyPart, EncryptedTicket,
     HostAddr, KdcRep, Message, Principal, Ticket, MAX_SKEW_SECS,
 };
-use krb_apps::{frame_request, request_cksum, RloginNetService, RloginServer};
+use krb_apps::{frame_request, request_cksum, NetService, RloginServer};
 use krb_crypto::{
     seal_with, string_to_key, unseal_with, DesKey, KeyGenerator, Mode, Scheduled, SecretKey,
 };
@@ -519,7 +519,7 @@ impl Engine {
         let mut rlogin = RloginServer::new(svc.clone(), svc_key);
         rlogin.set_telemetry(Arc::clone(&registry));
         let mut rlogin_net =
-            RloginNetService::new(rlogin, krb_kdc::shared_clock(Arc::clone(&dep.clock_cell)));
+            NetService::new(rlogin, krb_kdc::shared_clock(Arc::clone(&dep.clock_cell)));
         rlogin_net.set_journal(Arc::clone(&journal), ClockUs::clone(&clock_us));
         let app_ep = Endpoint::new(APP_ADDR, ports::KLOGIN);
         router.serve(app_ep, rlogin_net);

@@ -8,7 +8,15 @@
 //!
 //! Each application follows §6.2's recipe for "Kerberizing" a program: a
 //! `krb_mk_req` on the client side at connection setup, a `krb_rd_req` on
-//! the server side, and the session key for anything needing privacy.
+//! the server side, and the session key for anything needing privacy. The
+//! three servers write the server half once: each embeds one crate-private
+//! core whose `verify` is the only caller of `krb_rd_req` and of
+//! [`payload_bound`] here, so one function refuses a replayed or rewritten
+//! request for all of them. Each has one entry point per operation
+//! ([`RloginServer::connect`], [`RloginServer::rsh`],
+//! [`PopServer::retrieve`], [`ZephyrServer::send`]), taking the payload
+//! binding and an optional trace context. One [`NetService`] serves any of
+//! them on the network.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,68 +30,91 @@ pub mod zephyr;
 
 pub use login::{login, logout, LoginSession};
 
-/// Per-service request-outcome telemetry shared by the Kerberized network
-/// servers ([`PopServer`], [`RloginServer`], [`ZephyrServer`]). The
-/// counters live in a [`krb_telemetry::Registry`] under one namespace
-/// (`<prefix>_requests_ok_total` / `<prefix>_requests_err_total`, plus the
-/// server's replay-cache counters via
-/// [`ReplayCache::publish`](kerberos::ReplayCache::publish)). Both are
-/// get-or-create, so two servers of one kind in one registry count into
-/// the same counters instead of the second hiding the first.
-pub(crate) struct AppMetrics {
-    registry: std::sync::Arc<krb_telemetry::Registry>,
+use kerberos::{krb_rd_req, ApReq, ErrorCode, HostAddr, Principal, ReplayCache, VerifiedRequest};
+use krb_crypto::{DesKey, Scheduled};
+use krb_telemetry::{Counter, Registry, TraceCtx};
+
+/// The server half of §6.2's recipe, which [`RloginServer`], [`PopServer`]
+/// and [`ZephyrServer`] each embed: the service principal, the srvtab
+/// key's schedule (built once at startup), the replay cache and the
+/// request-outcome counters (`<prefix>_requests_ok_total` /
+/// `<prefix>_requests_err_total`).
+pub(crate) struct ServerCore {
+    pub(crate) service: Principal,
+    sched: Scheduled,
+    replay: ReplayCache,
     prefix: &'static str,
-    pub(crate) ok: krb_telemetry::Counter,
-    pub(crate) err: krb_telemetry::Counter,
+    ok: Counter,
+    err: Counter,
 }
 
-impl AppMetrics {
-    pub(crate) fn new(prefix: &'static str) -> Self {
-        let mut m = AppMetrics {
-            registry: krb_telemetry::Registry::shared(),
-            prefix,
-            ok: krb_telemetry::Counter::new(),
-            err: krb_telemetry::Counter::new(),
-        };
-        m.bind();
-        m
-    }
+/// Why [`ServerCore::verify`] refused a request: `krb_rd_req` refused the
+/// ticket or the authenticator, or the ticket is good but its checksum does
+/// not bind the payload (the request was rewritten in flight).
+pub(crate) enum Refused {
+    Ticket(ErrorCode),
+    Rebound,
+}
 
-    fn bind(&mut self) {
-        self.ok = self.registry.counter(&format!("{}_requests_ok_total", self.prefix));
-        self.err = self.registry.counter(&format!("{}_requests_err_total", self.prefix));
-    }
-
-    pub(crate) fn registry(&self) -> std::sync::Arc<krb_telemetry::Registry> {
-        std::sync::Arc::clone(&self.registry)
-    }
-
-    /// Re-home the counters into a shared registry (e.g. a deployment-wide
-    /// one) and republish the server's replay-cache counters next to them.
-    /// Counts recorded before the move stay behind in the old registry.
-    pub(crate) fn rebind(
-        &mut self,
-        registry: std::sync::Arc<krb_telemetry::Registry>,
-        replay: &kerberos::ReplayCache,
-    ) {
-        self.registry = registry;
-        self.bind();
-        replay.publish(&self.registry, self.prefix);
-    }
-
-    /// Count one request outcome.
-    pub(crate) fn observe<T, E>(&self, r: &Result<T, E>) {
+impl From<Refused> for AppError {
+    fn from(r: Refused) -> Self {
         match r {
-            Ok(_) => self.ok.inc(),
-            Err(_) => self.err.inc(),
+            Refused::Ticket(code) => AppError::Krb(code),
+            Refused::Rebound => AppError::Krb(ErrorCode::RdApModified),
         }
     }
 }
+
+impl ServerCore {
+    pub(crate) fn new(prefix: &'static str, service: Principal, key: DesKey) -> Self {
+        let (sched, replay) = (Scheduled::new(&key), ReplayCache::new());
+        ServerCore { service, sched, replay, prefix, ok: Counter::new(), err: Counter::new() }
+    }
+
+    /// Count into `registry` from now on, with the replay-cache counters
+    /// next to the request counters. Get-or-create, so two servers of one
+    /// kind in one registry count into the same counters instead of the
+    /// second hiding the first. Counts recorded before the move are lost.
+    pub(crate) fn set_telemetry(&mut self, registry: &Registry) {
+        self.ok = registry.counter(&format!("{}_requests_ok_total", self.prefix));
+        self.err = registry.counter(&format!("{}_requests_err_total", self.prefix));
+        self.replay.publish(registry, self.prefix);
+    }
+
+    /// `krb_rd_req`, then, when `binding` is given, the check that the
+    /// authenticator's checksum binds `(op, payload)` under the session key
+    /// ([`payload_bound`]). Every operation calls this before its side
+    /// effect, so a replayed or rewritten request changes nothing.
+    pub(crate) fn verify(
+        &self,
+        ap: &ApReq,
+        from: HostAddr,
+        now: u32,
+        binding: Option<(&str, &[u8])>,
+        ctx: Option<&TraceCtx>,
+    ) -> Result<VerifiedRequest, Refused> {
+        let v = krb_rd_req(ap, &self.service, &self.sched, from, now, &self.replay, ctx)
+            .map_err(Refused::Ticket)?;
+        match binding {
+            Some((op, payload)) if !payload_bound(v.cksum, &v.session_key, op, payload) => {
+                Err(Refused::Rebound)
+            }
+            _ => Ok(v),
+        }
+    }
+
+    /// Count one operation's outcome and hand it back.
+    pub(crate) fn count<T>(&self, r: Result<T, AppError>) -> Result<T, AppError> {
+        if r.is_ok() { self.ok.inc() } else { self.err.inc() }
+        r
+    }
+}
+
 pub use netproto::{
-    frame_err, frame_ok, frame_request, open_pop_reply, parse_reply, parse_request,
-    payload_bound, request_cksum, PopNetService, RloginNetService, ZephyrNetService,
+    frame_err, frame_ok, frame_request, parse_reply, parse_request, payload_bound,
+    request_cksum, AppService, NetService,
 };
-pub use pop::{Mail, PopServer};
+pub use pop::{open_pop_reply, Mail, PopServer};
 pub use register::{register, Sms};
 pub use rlogin::{AuthMethod, RemoteSession, RloginServer};
 pub use zephyr::{Notice, ZephyrServer};

@@ -5,38 +5,20 @@
 //! > server receives this message, it makes a call to the library routine
 //! > krb_rd_req."
 //!
-//! This module gives the §7.1 applications real datagram framing and
-//! [`krb_netsim::Service`] adapters, so they run over the simulated
-//! network (or UDP) instead of in-process calls. POP replies ride in
-//! *private* messages sealed in the session key — mail content never
-//! crosses the wire in the clear — demonstrating §2.1's highest
+//! This module gives the §7.1 applications real datagram framing and one
+//! [`krb_netsim::Service`] front, [`NetService`], so they run over the
+//! simulated network (or UDP) instead of in-process calls. POP replies
+//! ride in *private* messages sealed in the session key — mail content
+//! never crosses the wire in the clear — demonstrating §2.1's highest
 //! protection level in an application.
 
-use crate::pop::PopServer;
-use crate::rlogin::RloginServer;
-use crate::zephyr::ZephyrServer;
 use crate::AppError;
 use kerberos::wire::{Reader, Writer};
-use kerberos::{
-    krb_mk_priv, krb_rd_priv, ApReq, EncryptedTicket, ErrorCode, HostAddr, KrbResult, PrivMsg,
-};
-use krb_crypto::{ct_eq, quad_cksum, DesKey, Scheduled};
+use kerberos::{ApReq, EncryptedTicket, ErrorCode, KrbResult};
+use krb_crypto::{ct_eq, quad_cksum, DesKey};
 use krb_netsim::{Packet, Service};
-use krb_telemetry::{ClockUs, Component, EventKind, Field, Journal, TraceCtx, TraceId};
+use krb_telemetry::{ClockUs, Component, EventKind, Field, Journal, TraceCtx};
 use std::sync::Arc;
-
-/// Journal sink shared by the network adapters: the journal plus the
-/// deterministic clock that stamps events at this hop.
-type Tracing = Option<(Arc<Journal>, ClockUs)>;
-
-/// Build a per-request trace context: only when this service has a journal
-/// attached *and* the packet carried a trace id (simulator metadata — the
-/// V4 wire bytes never carry it).
-fn trace_ctx(tracing: &Tracing, trace: Option<TraceId>) -> Option<TraceCtx> {
-    let (journal, clock) = tracing.as_ref()?;
-    let trace = trace?;
-    Some(TraceCtx::new(Arc::clone(journal), ClockUs::clone(clock), trace))
-}
 
 /// Journal the application-level verdict (after ticket verification and
 /// payload-binding checks) for one request.
@@ -146,19 +128,41 @@ pub fn parse_reply(buf: &[u8]) -> Result<Vec<u8>, ErrorCode> {
     }
 }
 
-/// `rlogin`/`rsh` served on the network. Ops: `login` (payload: claimed
-/// username) and `rsh` (payload: `user\0command`).
-pub struct RloginNetService {
-    /// The wrapped server logic (replay cache, `.rhosts`, connection log).
-    pub server: RloginServer,
-    clock: krb_kdc::Clock,
-    tracing: Tracing,
+/// A Kerberized server as [`NetService`] serves it: the one operation
+/// dispatch each server supplies.
+pub trait AppService: Send {
+    /// Serve one framed request: call the entry point that `op` names
+    /// with the binding `(op, payload)` and `ctx`, and return the reply
+    /// body or the refusal. `None` means `op` is not one of this server's
+    /// or `payload` is malformed; the front answers that `-RdApUndec`,
+    /// without verifying the ticket or counting the request.
+    fn serve(
+        &mut self,
+        req: &Packet,
+        ap: &ApReq,
+        op: &str,
+        payload: &[u8],
+        now: u32,
+        ctx: Option<&TraceCtx>,
+    ) -> Option<Result<Vec<u8>, AppError>>;
 }
 
-impl RloginNetService {
-    /// Wrap an [`RloginServer`].
-    pub fn new(server: RloginServer, clock: krb_kdc::Clock) -> Self {
-        RloginNetService { server, clock, tracing: None }
+/// Any of the §7.1 servers on the network: parses the request frame,
+/// builds the trace context, hands the request to the server, journals the
+/// application-level verdict and frames the reply.
+pub struct NetService<S> {
+    /// The wrapped server logic (replay cache, mailboxes, queues...).
+    pub server: S,
+    clock: krb_kdc::Clock,
+    /// The journal plus the deterministic clock that stamps events at
+    /// this hop.
+    tracing: Option<(Arc<Journal>, ClockUs)>,
+}
+
+impl<S: AppService> NetService<S> {
+    /// Serve `server` with `clock` as its time of day.
+    pub fn new(server: S, clock: krb_kdc::Clock) -> Self {
+        NetService { server, clock, tracing: None }
     }
 
     /// Attach an event journal; requests carrying a trace id are journaled.
@@ -167,200 +171,25 @@ impl RloginNetService {
     }
 }
 
-impl Service for RloginNetService {
+impl<S: AppService> Service for NetService<S> {
     fn handle(&mut self, req: &Packet) -> Option<Vec<u8>> {
-        let from: HostAddr = req.src.addr.0;
         let now = (self.clock)();
-        let ctx = trace_ctx(&self.tracing, req.trace);
+        // A per-request trace context: only when a journal is attached
+        // *and* the packet carried a trace id (simulator metadata — the V4
+        // wire bytes never carry it).
+        let ctx = self.tracing.as_ref().zip(req.trace).map(|((journal, clock), trace)| {
+            TraceCtx::new(Arc::clone(journal), ClockUs::clone(clock), trace)
+        });
         let Ok((ap, op, payload)) = parse_request(&req.payload) else {
             return Some(frame_err(ErrorCode::RdApUndec));
         };
-        match op.as_str() {
-            "login" => {
-                let claimed = String::from_utf8_lossy(&payload).to_string();
-                // The server checks the payload binding between ticket
-                // verification and the connection-log side effect.
-                let r = self.server.connect_bound_ctx(
-                    Some(&ap),
-                    &claimed,
-                    from,
-                    now,
-                    Some((op.as_str(), payload.as_slice())),
-                    ctx.as_ref(),
-                );
-                record_outcome(ctx.as_ref(), &op, &r);
-                match r {
-                    Ok(session) => {
-                        // Mutual auth reply rides back in the payload.
-                        let rep = session.ap_rep.map(|r| r.enc_part).unwrap_or_default();
-                        Some(frame_ok(&rep))
-                    }
-                    Err(e) => Some(frame_err(app_err(&e))),
-                }
-            }
-            "rsh" => {
-                let text = String::from_utf8_lossy(&payload);
-                let (user, command) = text.split_once('\0')?;
-                // An attacker must not be able to rewrite the command
-                // while the AP_REQ is in flight; the binding is checked
-                // before the command runs or the connection is logged.
-                let r = self.server.rsh_session_bound_ctx(
-                    Some(&ap),
-                    user,
-                    from,
-                    now,
-                    command,
-                    Some((op.as_str(), payload.as_slice())),
-                    ctx.as_ref(),
-                );
-                record_outcome(ctx.as_ref(), &op, &r);
-                match r {
-                    Ok((_, output)) => Some(frame_ok(output.as_bytes())),
-                    Err(e) => Some(frame_err(app_err(&e))),
-                }
-            }
-            _ => Some(frame_err(ErrorCode::RdApUndec)),
-        }
-    }
-}
-
-/// POP served on the network. Op `retrieve`: the mailbox comes back as a
-/// **private message** sealed in the session key (mail is confidential).
-pub struct PopNetService {
-    /// The wrapped post office.
-    pub server: PopServer,
-    clock: krb_kdc::Clock,
-    tracing: Tracing,
-}
-
-impl PopNetService {
-    /// Wrap a [`PopServer`].
-    pub fn new(server: PopServer, clock: krb_kdc::Clock) -> Self {
-        PopNetService { server, clock, tracing: None }
-    }
-
-    /// Attach an event journal; requests carrying a trace id are journaled.
-    pub fn set_journal(&mut self, journal: Arc<Journal>, clock_us: ClockUs) {
-        self.tracing = Some((journal, clock_us));
-    }
-}
-
-impl Service for PopNetService {
-    fn handle(&mut self, req: &Packet) -> Option<Vec<u8>> {
-        let from: HostAddr = req.src.addr.0;
-        let now = (self.clock)();
-        let ctx = trace_ctx(&self.tracing, req.trace);
-        let Ok((ap, op, payload)) = parse_request(&req.payload) else {
+        let Some(r) = self.server.serve(req, &ap, &op, &payload, now, ctx.as_ref()) else {
             return Some(frame_err(ErrorCode::RdApUndec));
         };
-        if op != "retrieve" {
-            return Some(frame_err(ErrorCode::RdApUndec));
-        }
-        // The server hands back the session-key schedule (built once to
-        // open the authenticator) so the reply can be sealed without
-        // redoing the key schedule, and checks the payload binding
-        // *before* draining the mailbox — retrieval is destructive, and a
-        // tampered request must not cost the user their mail.
-        let r = self.server.retrieve_bound_ctx(
-            &ap,
-            from,
-            now,
-            Some((op.as_str(), payload.as_slice())),
-            ctx.as_ref(),
-        );
         record_outcome(ctx.as_ref(), &op, &r);
-        match r {
-            Ok((mail, session_sched)) => {
-                let mut w = Writer::new();
-                w.u16(mail.len() as u16);
-                for m in &mail {
-                    w.str(&m.from);
-                    w.bytes(m.body.as_bytes());
-                }
-                let sealed = krb_mk_priv(&w.finish(), &session_sched, server_addr(req), now);
-                Some(frame_ok(&sealed.enc_part))
-            }
-            Err(e) => Some(frame_err(app_err(&e))),
-        }
-    }
-}
-
-fn server_addr(req: &Packet) -> HostAddr {
-    req.dst.addr.0
-}
-
-/// Client side: open a POP `retrieve` reply.
-pub fn open_pop_reply(
-    reply: &[u8],
-    session_key: &DesKey,
-    server_addr: HostAddr,
-    now: u32,
-) -> Result<Vec<crate::pop::Mail>, ErrorCode> {
-    let sealed = parse_reply(reply)?;
-    let plain = krb_rd_priv(&PrivMsg { enc_part: sealed }, &Scheduled::new(session_key), Some(server_addr), now)?;
-    let mut r = Reader::new(&plain);
-    let n = r.u16()? as usize;
-    let mut mail = Vec::with_capacity(n);
-    for _ in 0..n {
-        let from = r.str()?;
-        let body = String::from_utf8_lossy(&r.bytes()?).to_string();
-        mail.push(crate::pop::Mail { from, body });
-    }
-    r.expect_end()?;
-    Ok(mail)
-}
-
-/// Zephyr served on the network. Op `send`: payload `to\0class\0body`.
-pub struct ZephyrNetService {
-    /// The wrapped notification server.
-    pub server: ZephyrServer,
-    clock: krb_kdc::Clock,
-    tracing: Tracing,
-}
-
-impl ZephyrNetService {
-    /// Wrap a [`ZephyrServer`].
-    pub fn new(server: ZephyrServer, clock: krb_kdc::Clock) -> Self {
-        ZephyrNetService { server, clock, tracing: None }
-    }
-
-    /// Attach an event journal; requests carrying a trace id are journaled.
-    pub fn set_journal(&mut self, journal: Arc<Journal>, clock_us: ClockUs) {
-        self.tracing = Some((journal, clock_us));
-    }
-}
-
-impl Service for ZephyrNetService {
-    fn handle(&mut self, req: &Packet) -> Option<Vec<u8>> {
-        let from: HostAddr = req.src.addr.0;
-        let now = (self.clock)();
-        let ctx = trace_ctx(&self.tracing, req.trace);
-        let Ok((ap, op, payload)) = parse_request(&req.payload) else {
-            return Some(frame_err(ErrorCode::RdApUndec));
-        };
-        if op != "send" {
-            return Some(frame_err(ErrorCode::RdApUndec));
-        }
-        let text = String::from_utf8_lossy(&payload);
-        let mut parts = text.splitn(3, '\0');
-        let (Some(to), Some(class), Some(body)) = (parts.next(), parts.next(), parts.next())
-        else {
-            return Some(frame_err(ErrorCode::RdApUndec));
-        };
-        let r = self.server.send_bound_ctx(
-            &ap,
-            from,
-            now,
-            to,
-            class,
-            body,
-            Some((op.as_str(), payload.as_slice())),
-            ctx.as_ref(),
-        );
-        record_outcome(ctx.as_ref(), &op, &r);
-        match r {
-            Ok(()) => Some(frame_ok(b"")),
-            Err(e) => Some(frame_err(app_err(&e))),
-        }
+        Some(match r {
+            Ok(body) => frame_ok(&body),
+            Err(e) => frame_err(app_err(&e)),
+        })
     }
 }

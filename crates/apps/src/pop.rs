@@ -6,10 +6,12 @@
 //! was); *retrieval* requires a verified ticket, and you can only retrieve
 //! your own mailbox.
 
-use crate::netproto::payload_bound;
-use crate::{AppError, AppMetrics};
-use kerberos::{krb_rd_req, ApReq, ErrorCode, HostAddr, Principal, ReplayCache};
+use crate::netproto::parse_reply;
+use crate::{AppError, AppService, ServerCore};
+use kerberos::wire::{Reader, Writer};
+use kerberos::{krb_mk_priv, krb_rd_priv, ApReq, ErrorCode, HostAddr, Principal, PrivMsg};
 use krb_crypto::{DesKey, Scheduled};
+use krb_netsim::Packet;
 use krb_telemetry::{Registry, TraceCtx};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,48 +25,44 @@ pub struct Mail {
     pub body: String,
 }
 
+/// The most a `retrieve` reply can carry: `krb_mk_priv` frames its data
+/// with a 2-byte length.
+const REPLY_MAX: usize = u16::MAX as usize;
+
+/// Bytes one mail takes in a `retrieve` reply: its sender as a
+/// `Writer::str`, its body as a `Writer::bytes`.
+fn wire_len(m: &Mail) -> usize {
+    1 + m.from.len() + 2 + m.body.len()
+}
+
 /// The post office server.
 pub struct PopServer {
-    service: Principal,
-    /// The srvtab key's schedule, built once at startup — every retrieval
-    /// verifies tickets under it without redoing the key schedule.
-    sched: Scheduled,
-    replay: ReplayCache,
+    core: ServerCore,
     mailboxes: HashMap<String, Vec<Mail>>,
-    metrics: AppMetrics,
 }
 
 impl PopServer {
     /// A post office authenticating as `service` (e.g. `pop.paris`).
     pub fn new(service: Principal, key: DesKey) -> Self {
-        let replay = ReplayCache::new();
-        let metrics = AppMetrics::new("pop");
-        replay.publish(&metrics.registry(), "pop");
-        PopServer {
-            service,
-            sched: Scheduled::new(&key),
-            replay,
-            mailboxes: HashMap::new(),
-            metrics,
-        }
+        PopServer { core: ServerCore::new("pop", service, key), mailboxes: HashMap::new() }
     }
 
-    /// The registry holding this server's `pop_requests_*` and replay-cache
-    /// counters.
-    pub fn telemetry(&self) -> Arc<Registry> {
-        self.metrics.registry()
-    }
-
-    /// Publish this server's counters into `registry` instead of its
-    /// private one (so a deployment exports every service in one place).
+    /// Publish this server's `pop_requests_*` and replay-cache counters
+    /// into `registry` (so a deployment exports every service in one place).
     pub fn set_telemetry(&mut self, registry: Arc<Registry>) {
-        self.metrics.rebind(registry, &self.replay);
+        self.core.set_telemetry(&registry);
     }
 
     /// Deliver mail into a user's box (no authentication — delivery is the
-    /// MTA's business, retrieval is POP's).
-    pub fn deliver(&mut self, to: &str, mail: Mail) {
+    /// MTA's business, retrieval is POP's). A mail that would not fit a
+    /// `retrieve` reply on its own (a sender over 255 bytes, or a body
+    /// near 64 KiB) is refused: no retrieve could ever hand it over.
+    pub fn deliver(&mut self, to: &str, mail: Mail) -> Result<(), AppError> {
+        if mail.from.len() > usize::from(u8::MAX) || 2 + wire_len(&mail) > REPLY_MAX {
+            return Err(AppError::Denied(format!("mail for {to} does not fit one reply")));
+        }
         self.mailboxes.entry(to.to_string()).or_default().push(mail);
+        Ok(())
     }
 
     /// Messages waiting for `user` (server-side view).
@@ -72,33 +70,16 @@ impl PopServer {
         self.mailboxes.get(user).map_or(0, Vec::len)
     }
 
-    /// Retrieve and drain the authenticated user's mailbox. The mailbox
-    /// name comes from the *verified* principal, never from a request
-    /// parameter — that is the entire point of Kerberizing POP.
-    pub fn retrieve(&mut self, ap: &ApReq, from: HostAddr, now: u32) -> Result<Vec<Mail>, AppError> {
-        self.retrieve_bound(ap, from, now, None).map(|(mail, _)| mail)
-    }
-
-    /// As [`PopServer::retrieve`], but also hands back the session-key
-    /// schedule (so the network adapter can seal the reply as a private
-    /// message, §2.1, without rebuilding it) and, when `binding` is given,
-    /// verifies that the authenticator's checksum binds `(op, payload)`
-    /// under the session key. The binding check runs *before* the mailbox
-    /// is drained: retrieval is destructive, and a request whose payload
-    /// was rewritten in flight must leave the user's mail untouched.
-    pub fn retrieve_bound(
-        &mut self,
-        ap: &ApReq,
-        from: HostAddr,
-        now: u32,
-        binding: Option<(&str, &[u8])>,
-    ) -> Result<(Vec<Mail>, Scheduled), AppError> {
-        self.retrieve_bound_ctx(ap, from, now, binding, None)
-    }
-
-    /// As [`PopServer::retrieve_bound`], with an optional trace context:
-    /// the ticket-verification verdict is journaled at this hop.
-    pub fn retrieve_bound_ctx(
+    /// Retrieve the authenticated user's mail: the longest run from the
+    /// front of the mailbox, in delivery order, that fits one reply; the
+    /// rest waits for the next retrieve. The mailbox name comes from the
+    /// *verified* principal, never from a request parameter — that is the
+    /// entire point of Kerberizing POP. Also hands back the session-key
+    /// schedule, so the reply can be sealed as a private message (§2.1)
+    /// without rebuilding it. With `binding`, the payload binding is
+    /// checked *before* the mailbox is drained: retrieval is destructive,
+    /// and a request rewritten in flight must leave the mail untouched.
+    pub fn retrieve(
         &mut self,
         ap: &ApReq,
         from: HostAddr,
@@ -106,26 +87,70 @@ impl PopServer {
         binding: Option<(&str, &[u8])>,
         ctx: Option<&TraceCtx>,
     ) -> Result<(Vec<Mail>, Scheduled), AppError> {
-        let r = self.retrieve_bound_inner(ap, from, now, binding, ctx);
-        self.metrics.observe(&r);
-        r
+        let r = self.core.verify(ap, from, now, binding, ctx).map_err(AppError::from).map(|v| {
+            let mailbox = self.mailboxes.entry(v.client.name).or_default();
+            let mut used = 2;
+            let n = mailbox.iter().take_while(|m| {
+                used += wire_len(m);
+                used <= REPLY_MAX
+            }).count();
+            (mailbox.drain(..n).collect(), v.session_sched)
+        });
+        self.core.count(r)
     }
+}
 
-    fn retrieve_bound_inner(
+/// The `retrieve` reply body: a count, then each mail's sender and body.
+fn encode(mail: &[Mail]) -> Vec<u8> {
+    let mut w = Writer::new();
+    // `retrieve` drains at most one reply's worth, at least 3 bytes a
+    // mail, so the count never saturates.
+    w.u16(u16::try_from(mail.len()).unwrap_or(u16::MAX));
+    for m in mail {
+        w.str(&m.from);
+        w.bytes(m.body.as_bytes());
+    }
+    w.finish()
+}
+
+/// Op `retrieve`: the mail comes back as a **private message** sealed in
+/// the session key (mail is confidential).
+impl AppService for PopServer {
+    fn serve(
         &mut self,
+        req: &Packet,
         ap: &ApReq,
-        from: HostAddr,
+        op: &str,
+        payload: &[u8],
         now: u32,
-        binding: Option<(&str, &[u8])>,
         ctx: Option<&TraceCtx>,
-    ) -> Result<(Vec<Mail>, Scheduled), AppError> {
-        let v = krb_rd_req(ap, &self.service, &self.sched, from, now, &self.replay, ctx)?;
-        if let Some((op, payload)) = binding {
-            if !payload_bound(v.cksum, &v.session_key, op, payload) {
-                return Err(AppError::Krb(ErrorCode::RdApModified));
-            }
+    ) -> Option<Result<Vec<u8>, AppError>> {
+        if op != "retrieve" {
+            return None;
         }
-        let mail = self.mailboxes.remove(&v.client.name).unwrap_or_default();
-        Ok((mail, v.session_sched))
+        let r = self.retrieve(ap, req.src.addr.0, now, Some((op, payload)), ctx);
+        let server_addr = req.dst.addr.0;
+        Some(r.map(|(mail, sched)| krb_mk_priv(&encode(&mail), &sched, server_addr, now).enc_part))
     }
+}
+
+/// Client side: open a POP `retrieve` reply.
+pub fn open_pop_reply(
+    reply: &[u8],
+    session_key: &DesKey,
+    server_addr: HostAddr,
+    now: u32,
+) -> Result<Vec<Mail>, ErrorCode> {
+    let msg = PrivMsg { enc_part: parse_reply(reply)? };
+    let plain = krb_rd_priv(&msg, &Scheduled::new(session_key), Some(server_addr), now)?;
+    let mut r = Reader::new(&plain);
+    let n = r.u16()? as usize;
+    let mut mail = Vec::with_capacity(n);
+    for _ in 0..n {
+        let from = r.str()?;
+        let body = String::from_utf8_lossy(&r.bytes()?).to_string();
+        mail.push(Mail { from, body });
+    }
+    r.expect_end()?;
+    Ok(mail)
 }

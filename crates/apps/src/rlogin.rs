@@ -6,10 +6,10 @@
 //! fails, the programs fall back on their usual methods of authorization,
 //! in this case, the .rhosts files."
 
-use crate::netproto::payload_bound;
-use crate::{AppError, AppMetrics};
-use kerberos::{krb_mk_rep, krb_rd_req, ApReq, ErrorCode, HostAddr, Principal, ReplayCache};
-use krb_crypto::{DesKey, Scheduled};
+use crate::{AppError, AppService, Refused, ServerCore};
+use kerberos::{krb_mk_rep, ApReq, HostAddr, Principal};
+use krb_crypto::DesKey;
+use krb_netsim::Packet;
 use krb_telemetry::{Registry, TraceCtx};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -36,43 +36,27 @@ pub struct RemoteSession {
 
 /// The server side of `rlogin`/`rsh` on one host.
 pub struct RloginServer {
-    service: Principal,
-    /// The srvtab key's schedule, built once at startup.
-    sched: Scheduled,
-    replay: ReplayCache,
+    core: ServerCore,
     /// `.rhosts` entries: (username, trusted client host).
     rhosts: HashSet<(String, HostAddr)>,
     /// Connection log: (user, method).
     pub connections: Vec<(String, AuthMethod)>,
-    metrics: AppMetrics,
 }
 
 impl RloginServer {
     /// A server for `rcmd.<host>` with its srvtab key.
     pub fn new(service: Principal, key: DesKey) -> Self {
-        let replay = ReplayCache::new();
-        let metrics = AppMetrics::new("rlogin");
-        replay.publish(&metrics.registry(), "rlogin");
         RloginServer {
-            service,
-            sched: Scheduled::new(&key),
-            replay,
+            core: ServerCore::new("rlogin", service, key),
             rhosts: HashSet::new(),
             connections: Vec::new(),
-            metrics,
         }
     }
 
-    /// The registry holding this server's `rlogin_requests_*` and
-    /// replay-cache counters.
-    pub fn telemetry(&self) -> Arc<Registry> {
-        self.metrics.registry()
-    }
-
-    /// Publish this server's counters into `registry` instead of its
-    /// private one (so a deployment exports every service in one place).
+    /// Publish this server's `rlogin_requests_*` and replay-cache counters
+    /// into `registry` (so a deployment exports every service in one place).
     pub fn set_telemetry(&mut self, registry: Arc<Registry>) {
-        self.metrics.rebind(registry, &self.replay);
+        self.core.set_telemetry(&registry);
     }
 
     /// Add a `.rhosts` entry (the old, address-trusting world).
@@ -82,96 +66,46 @@ impl RloginServer {
 
     /// Handle a connection attempt. `ap` is the Kerberos credential if the
     /// client had one; `claimed_user` is the username asserted (all the
-    /// old protocol ever had).
+    /// old protocol ever had). With `binding`, the verified authenticator's
+    /// checksum must also bind `(op, payload)` under the session key; with
+    /// `ctx`, the ticket-verification verdict is journaled at this hop
+    /// (including the failure that triggers the `.rhosts` fallback).
     pub fn connect(
         &mut self,
         ap: Option<&ApReq>,
         claimed_user: &str,
         from: HostAddr,
         now: u32,
-    ) -> Result<RemoteSession, AppError> {
-        self.connect_bound(ap, claimed_user, from, now, None)
-    }
-
-    /// As [`RloginServer::connect`], but additionally requires the
-    /// verified authenticator's checksum to bind `(op, payload)` under the
-    /// session key. The binding is checked *between* ticket verification
-    /// and the connection-log side effect: a tampered request is rejected
-    /// before it leaves any trace, and it does not fall back to `.rhosts`
-    /// (that would let an attacker downgrade a Kerberos login by
-    /// corrupting the payload).
-    pub fn connect_bound(
-        &mut self,
-        ap: Option<&ApReq>,
-        claimed_user: &str,
-        from: HostAddr,
-        now: u32,
-        binding: Option<(&str, &[u8])>,
-    ) -> Result<RemoteSession, AppError> {
-        self.connect_bound_ctx(ap, claimed_user, from, now, binding, None)
-    }
-
-    /// As [`RloginServer::connect_bound`], with an optional trace context:
-    /// the ticket-verification verdict is journaled at this hop (including
-    /// the failure that triggers the `.rhosts` fallback).
-    pub fn connect_bound_ctx(
-        &mut self,
-        ap: Option<&ApReq>,
-        claimed_user: &str,
-        from: HostAddr,
-        now: u32,
         binding: Option<(&str, &[u8])>,
         ctx: Option<&TraceCtx>,
     ) -> Result<RemoteSession, AppError> {
-        let r = self.connect_bound_inner(ap, claimed_user, from, now, binding, ctx);
-        self.metrics.observe(&r);
-        r
-    }
-
-    fn connect_bound_inner(
-        &mut self,
-        ap: Option<&ApReq>,
-        claimed_user: &str,
-        from: HostAddr,
-        now: u32,
-        binding: Option<(&str, &[u8])>,
-        ctx: Option<&TraceCtx>,
-    ) -> Result<RemoteSession, AppError> {
-        // First, try Kerberos.
-        if let Some(ap) = ap {
-            match krb_rd_req(ap, &self.service, &self.sched, from, now, &self.replay, ctx) {
-                Ok(v) => {
-                    if let Some((op, payload)) = binding {
-                        if !payload_bound(v.cksum, &v.session_key, op, payload) {
-                            return Err(AppError::Krb(ErrorCode::RdApModified));
-                        }
-                    }
-                    let user = v.client.name.clone();
-                    let ap_rep = v.mutual_requested.then(|| krb_mk_rep(&v));
-                    self.connections.push((user.clone(), AuthMethod::Kerberos));
-                    return Ok(RemoteSession {
-                        user,
-                        method: AuthMethod::Kerberos,
-                        ap_rep,
-                    });
-                }
-                Err(_) => {
-                    // Fall through to .rhosts, as the paper specifies.
-                }
+        let r = match ap.map(|ap| self.core.verify(ap, from, now, binding, ctx)) {
+            Some(Ok(v)) => {
+                let ap_rep = v.mutual_requested.then(|| krb_mk_rep(&v));
+                Ok(RemoteSession { user: v.client.name, method: AuthMethod::Kerberos, ap_rep })
             }
-        }
-        if self.rhosts.contains(&(claimed_user.to_string(), from)) {
-            self.connections.push((claimed_user.to_string(), AuthMethod::Rhosts));
-            return Ok(RemoteSession {
+            // A rewritten payload is refused, not retried under `.rhosts`:
+            // that would let an attacker downgrade a Kerberos login by
+            // corrupting the payload.
+            Some(Err(Refused::Rebound)) => Err(Refused::Rebound.into()),
+            // No ticket, or a refused one: fall back to `.rhosts`, as the
+            // paper specifies.
+            _ if self.rhosts.contains(&(claimed_user.to_string(), from)) => Ok(RemoteSession {
                 user: claimed_user.to_string(),
                 method: AuthMethod::Rhosts,
                 ap_rep: None,
-            });
+            }),
+            _ => Err(AppError::Denied(format!("rlogin denied for {claimed_user}"))),
+        };
+        if let Ok(session) = &r {
+            self.connections.push((session.user.clone(), session.method));
         }
-        Err(AppError::Denied(format!("rlogin denied for {claimed_user}")))
+        self.core.count(r)
     }
 
-    /// `rsh`: authorize, then run a command under the authorized identity.
+    /// `rsh`: authorize as [`RloginServer::connect`] does, then run a
+    /// command under the authorized identity.
+    #[allow(clippy::too_many_arguments)]
     pub fn rsh(
         &mut self,
         ap: Option<&ApReq>,
@@ -179,55 +113,44 @@ impl RloginServer {
         from: HostAddr,
         now: u32,
         command: &str,
-    ) -> Result<String, AppError> {
-        self.rsh_session(ap, claimed_user, from, now, command)
-            .map(|(_, output)| output)
-    }
-
-    /// As [`RloginServer::rsh`], but also hands the session back to the
-    /// transport adapter.
-    pub fn rsh_session(
-        &mut self,
-        ap: Option<&ApReq>,
-        claimed_user: &str,
-        from: HostAddr,
-        now: u32,
-        command: &str,
-    ) -> Result<(RemoteSession, String), AppError> {
-        self.rsh_session_bound(ap, claimed_user, from, now, command, None)
-    }
-
-    /// As [`RloginServer::rsh_session`], with the payload binding of
-    /// [`RloginServer::connect_bound`]: the bound checksum is verified
-    /// before the command "runs" or the connection is logged.
-    pub fn rsh_session_bound(
-        &mut self,
-        ap: Option<&ApReq>,
-        claimed_user: &str,
-        from: HostAddr,
-        now: u32,
-        command: &str,
-        binding: Option<(&str, &[u8])>,
-    ) -> Result<(RemoteSession, String), AppError> {
-        self.rsh_session_bound_ctx(ap, claimed_user, from, now, command, binding, None)
-    }
-
-    /// As [`RloginServer::rsh_session_bound`], with an optional trace
-    /// context for journaling the verification verdict.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rsh_session_bound_ctx(
-        &mut self,
-        ap: Option<&ApReq>,
-        claimed_user: &str,
-        from: HostAddr,
-        now: u32,
-        command: &str,
         binding: Option<(&str, &[u8])>,
         ctx: Option<&TraceCtx>,
     ) -> Result<(RemoteSession, String), AppError> {
-        let session = self.connect_bound_ctx(ap, claimed_user, from, now, binding, ctx)?;
+        let session = self.connect(ap, claimed_user, from, now, binding, ctx)?;
         // The "shell": echo identity and command, as a real test harness.
-        let output = format!("{}@{}: {}", session.user, self.service.instance, command);
+        let output = format!("{}@{}: {}", session.user, self.core.service.instance, command);
         Ok((session, output))
+    }
+}
+
+/// Ops: `login` (payload: claimed username; the reply carries the
+/// mutual-authentication reply, if asked for) and `rsh` (payload:
+/// `user\0command`).
+impl AppService for RloginServer {
+    fn serve(
+        &mut self,
+        req: &Packet,
+        ap: &ApReq,
+        op: &str,
+        payload: &[u8],
+        now: u32,
+        ctx: Option<&TraceCtx>,
+    ) -> Option<Result<Vec<u8>, AppError>> {
+        let (from, binding) = (req.src.addr.0, Some((op, payload)));
+        let text = String::from_utf8_lossy(payload);
+        match op {
+            "login" => Some(
+                self.connect(Some(ap), &text, from, now, binding, ctx)
+                    .map(|s| s.ap_rep.map(|r| r.enc_part).unwrap_or_default()),
+            ),
+            "rsh" => {
+                let (user, command) = text.split_once('\0')?;
+                Some(
+                    self.rsh(Some(ap), user, from, now, command, binding, ctx)
+                        .map(|(_, output)| output.into_bytes()),
+                )
+            }
+            _ => None,
+        }
     }
 }

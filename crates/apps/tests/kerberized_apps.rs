@@ -137,19 +137,20 @@ fn rlogin_uses_kerberos_first_then_rhosts_fallback() {
     // Kerberos path: no .rhosts needed.
     let rcmd = Principal::parse("rcmd.priam", REALM).unwrap();
     let (ap, _) = ws.mk_request(&mut a.router, &rcmd, 0, true).unwrap();
-    let session = a.rlogin_priam.connect(Some(&ap), "bcn", WS_ADDR, ws.now()).unwrap();
+    let session = a.rlogin_priam.connect(Some(&ap), "bcn", WS_ADDR, ws.now(), None, None).unwrap();
     assert_eq!(session.method, AuthMethod::Kerberos);
     assert_eq!(session.user, "bcn");
     assert!(session.ap_rep.is_some(), "mutual auth requested and served");
 
     // Fallback path: user with no tickets but an .rhosts entry.
     a.rlogin_priam.add_rhosts("jis", [18, 72, 0, 7]);
-    let session = a.rlogin_priam.connect(None, "jis", [18, 72, 0, 7], ws.now()).unwrap();
+    let session =
+        a.rlogin_priam.connect(None, "jis", [18, 72, 0, 7], ws.now(), None, None).unwrap();
     assert_eq!(session.method, AuthMethod::Rhosts);
 
     // No ticket, no .rhosts: denied.
     assert!(matches!(
-        a.rlogin_priam.connect(None, "mallory", [10, 0, 0, 1], ws.now()),
+        a.rlogin_priam.connect(None, "mallory", [10, 0, 0, 1], ws.now(), None, None),
         Err(AppError::Denied(_))
     ));
 }
@@ -161,21 +162,22 @@ fn rsh_runs_command_under_verified_identity() {
     ws.kinit(&mut a.router, "bcn", "bcn-pw").unwrap();
     let rcmd = Principal::parse("rcmd.priam", REALM).unwrap();
     let (ap, _) = ws.mk_request(&mut a.router, &rcmd, 0, false).unwrap();
-    let out = a.rlogin_priam.rsh(Some(&ap), "bcn", WS_ADDR, ws.now(), "ls /tmp").unwrap();
+    let (_, out) =
+        a.rlogin_priam.rsh(Some(&ap), "bcn", WS_ADDR, ws.now(), "ls /tmp", None, None).unwrap();
     assert_eq!(out, "bcn@priam: ls /tmp");
 }
 
 #[test]
 fn pop_only_returns_the_authenticated_users_mail() {
     let mut a = athena();
-    a.pop.deliver("bcn", Mail { from: "jis".into(), body: "meeting at 8".into() });
-    a.pop.deliver("jis", Mail { from: "bcn".into(), body: "private to jis".into() });
+    a.pop.deliver("bcn", Mail { from: "jis".into(), body: "meeting at 8".into() }).unwrap();
+    a.pop.deliver("jis", Mail { from: "bcn".into(), body: "private to jis".into() }).unwrap();
 
     let mut ws = workstation(&a);
     ws.kinit(&mut a.router, "bcn", "bcn-pw").unwrap();
     let pop_svc = Principal::parse("pop.paris", REALM).unwrap();
     let (ap, _) = ws.mk_request(&mut a.router, &pop_svc, 0, false).unwrap();
-    let mail = a.pop.retrieve(&ap, WS_ADDR, ws.now()).unwrap();
+    let (mail, _) = a.pop.retrieve(&ap, WS_ADDR, ws.now(), None, None).unwrap();
     assert_eq!(mail.len(), 1);
     assert_eq!(mail[0].body, "meeting at 8");
     // jis's mail is untouched; bcn's box is drained.
@@ -192,7 +194,7 @@ fn zephyr_notices_carry_authenticated_sender() {
     ws.kinit(&mut a.router, "bcn", "bcn-pw").unwrap();
     let z = Principal::parse("zephyr.zion", REALM).unwrap();
     let (ap, _) = ws.mk_request(&mut a.router, &z, 0, false).unwrap();
-    a.zephyr.send(&ap, WS_ADDR, ws.now(), "jis", "MESSAGE", "lunch?").unwrap();
+    a.zephyr.send(&ap, WS_ADDR, ws.now(), "jis", "MESSAGE", "lunch?", None, None).unwrap();
 
     let notices = a.zephyr.receive("jis");
     assert_eq!(notices.len(), 1);
@@ -200,7 +202,7 @@ fn zephyr_notices_carry_authenticated_sender() {
     assert_eq!(notices[0].body, "lunch?");
     // Unsubscribed target refused.
     let (ap2, _) = ws.mk_request(&mut a.router, &z, 0, false).unwrap();
-    assert!(a.zephyr.send(&ap2, WS_ADDR, ws.now(), "ghost", "MESSAGE", "x").is_err());
+    assert!(a.zephyr.send(&ap2, WS_ADDR, ws.now(), "ghost", "MESSAGE", "x", None, None).is_err());
 }
 
 #[test]
@@ -238,15 +240,15 @@ fn stolen_ticket_replay_against_rlogin_fails() {
     let rcmd = Principal::parse("rcmd.priam", REALM).unwrap();
     let (ap, _) = ws.mk_request(&mut a.router, &rcmd, 0, false).unwrap();
 
-    assert!(a.rlogin_priam.connect(Some(&ap), "bcn", WS_ADDR, ws.now()).is_ok());
+    assert!(a.rlogin_priam.connect(Some(&ap), "bcn", WS_ADDR, ws.now(), None, None).is_ok());
     // Replay from the same address (and no .rhosts entry): denied.
     assert!(matches!(
-        a.rlogin_priam.connect(Some(&ap), "bcn", WS_ADDR, ws.now()),
+        a.rlogin_priam.connect(Some(&ap), "bcn", WS_ADDR, ws.now(), None, None),
         Err(AppError::Denied(_))
     ));
     // Replay from the attacker's address: denied too.
     assert!(matches!(
-        a.rlogin_priam.connect(Some(&ap), "bcn", [10, 0, 0, 66], ws.now()),
+        a.rlogin_priam.connect(Some(&ap), "bcn", [10, 0, 0, 66], ws.now(), None, None),
         Err(AppError::Denied(_))
     ));
 }
@@ -254,7 +256,7 @@ fn stolen_ticket_replay_against_rlogin_fails() {
 #[test]
 fn app_servers_count_request_outcomes_in_one_registry() {
     let mut a = athena();
-    a.pop.deliver("bcn", Mail { from: "jis".into(), body: "hi".into() });
+    a.pop.deliver("bcn", Mail { from: "jis".into(), body: "hi".into() }).unwrap();
     a.zephyr.subscribe("jis");
 
     // Export every service into one shared registry, as a deployment would.
@@ -271,20 +273,20 @@ fn app_servers_count_request_outcomes_in_one_registry() {
 
     // One success per service.
     let (ap, _) = ws.mk_request(&mut a.router, &pop_svc, 0, false).unwrap();
-    a.pop.retrieve(&ap, WS_ADDR, ws.now()).unwrap();
+    a.pop.retrieve(&ap, WS_ADDR, ws.now(), None, None).unwrap();
     let (ap, _) = ws.mk_request(&mut a.router, &rcmd, 0, false).unwrap();
-    a.rlogin_priam.connect(Some(&ap), "bcn", WS_ADDR, ws.now()).unwrap();
+    a.rlogin_priam.connect(Some(&ap), "bcn", WS_ADDR, ws.now(), None, None).unwrap();
     let (ap_z, _) = ws.mk_request(&mut a.router, &z, 0, false).unwrap();
-    a.zephyr.send(&ap_z, WS_ADDR, ws.now(), "jis", "MESSAGE", "lunch?").unwrap();
+    a.zephyr.send(&ap_z, WS_ADDR, ws.now(), "jis", "MESSAGE", "lunch?", None, None).unwrap();
 
     // One failure each: a replayed POP ticket, an unknown rlogin user with
     // no credential, a notice to an unsubscribed target.
     let (ap, _) = ws.mk_request(&mut a.router, &pop_svc, 0, false).unwrap();
-    a.pop.retrieve(&ap, WS_ADDR, ws.now()).unwrap();
-    assert!(a.pop.retrieve(&ap, WS_ADDR, ws.now()).is_err());
-    assert!(a.rlogin_priam.connect(None, "mallory", WS_ADDR, ws.now()).is_err());
+    a.pop.retrieve(&ap, WS_ADDR, ws.now(), None, None).unwrap();
+    assert!(a.pop.retrieve(&ap, WS_ADDR, ws.now(), None, None).is_err());
+    assert!(a.rlogin_priam.connect(None, "mallory", WS_ADDR, ws.now(), None, None).is_err());
     let (ap_z2, _) = ws.mk_request(&mut a.router, &z, 0, false).unwrap();
-    assert!(a.zephyr.send(&ap_z2, WS_ADDR, ws.now(), "ghost", "MESSAGE", "x").is_err());
+    assert!(a.zephyr.send(&ap_z2, WS_ADDR, ws.now(), "ghost", "MESSAGE", "x", None, None).is_err());
 
     assert_eq!(registry.counter_value("pop_requests_ok_total"), 2);
     assert_eq!(registry.counter_value("pop_requests_err_total"), 1);
@@ -317,8 +319,8 @@ fn two_rlogin_hosts_in_one_registry_both_count() {
     ws.kinit(&mut a.router, "bcn", "bcn-pw").unwrap();
     let rcmd = Principal::parse("rcmd.priam", REALM).unwrap();
     let (ap, _) = ws.mk_request(&mut a.router, &rcmd, 0, false).unwrap();
-    a.rlogin_priam.connect(Some(&ap), "bcn", WS_ADDR, ws.now()).unwrap();
-    assert!(a.rlogin_priam.connect(Some(&ap), "bcn", WS_ADDR, ws.now()).is_err());
+    a.rlogin_priam.connect(Some(&ap), "bcn", WS_ADDR, ws.now(), None, None).unwrap();
+    assert!(a.rlogin_priam.connect(Some(&ap), "bcn", WS_ADDR, ws.now(), None, None).is_err());
 
     assert_eq!(registry.counter_value("rlogin_requests_ok_total"), 1);
     assert_eq!(registry.counter_value("rlogin_requests_err_total"), 1);

@@ -112,7 +112,11 @@ const SERVER_PATH_FILES: &[&str] = &[
     "crates/mon/src/service.rs",
     "crates/netsim/src/udp.rs",
     "crates/nfs/src/server.rs",
+    "crates/apps/src/lib.rs",
     "crates/apps/src/netproto.rs",
+    "crates/apps/src/pop.rs",
+    "crates/apps/src/rlogin.rs",
+    "crates/apps/src/zephyr.rs",
 ];
 
 /// Identifiers that denote key/checksum material for the L2 rule.

@@ -32,7 +32,7 @@
 
 use crate::soak::{self, drain, ClientRound, SlaveSet, SoakFailure};
 use kerberos::{krb_rd_req, ApReq, ErrorCode, HostAddr, Principal, ReplayCache};
-use krb_apps::{RloginNetService, RloginServer};
+use krb_apps::{NetService, RloginServer};
 use krb_crypto::{string_to_key, KeyGenerator, Scheduled};
 use krb_kdc::{Deployment, RealmConfig};
 use krb_kprop::{KpropMaster, Tally};
@@ -491,7 +491,7 @@ pub fn run(config: SoakConfig) -> Result<SoakReport, SoakFailure> {
     // counted server-side.
     let mut rlogin = RloginServer::new(svc.clone(), rcmd_key);
     rlogin.set_telemetry(Arc::clone(&registry));
-    let mut rlogin_net = RloginNetService::new(
+    let mut rlogin_net = NetService::new(
         rlogin,
         krb_kdc::shared_clock(Arc::clone(&dep.clock_cell)),
     );

@@ -108,7 +108,8 @@ pub fn run_full_day(config: FullDayConfig) -> FullDayReport {
         pop.deliver(
             &format!("user{u}"),
             Mail { from: "postmaster".into(), body: format!("welcome user{u}") },
-        );
+        )
+        .unwrap();
     }
 
     // --- Event timeline: login (0), activity (1), logout (2).
@@ -203,8 +204,8 @@ pub fn run_full_day(config: FullDayConfig) -> FullDayReport {
                         // Check mail (authenticated POP).
                         let pop_svc = Principal::parse("pop.paris", REALM).unwrap();
                         match s.ws.mk_request(&mut router, &pop_svc, 0, false) {
-                            Ok((ap, _)) => match pop.retrieve(&ap, s.ws.addr, now) {
-                                Ok(mail) => report.mail_retrieved += mail.len() as u64,
+                            Ok((ap, _)) => match pop.retrieve(&ap, s.ws.addr, now, None, None) {
+                                Ok((mail, _)) => report.mail_retrieved += mail.len() as u64,
                                 Err(e) => {
                                     *report.failures.entry(format!("pop: {e}")).or_default() += 1;
                                 }
@@ -220,7 +221,9 @@ pub fn run_full_day(config: FullDayConfig) -> FullDayReport {
                         let z = Principal::parse("zephyr.zion", REALM).unwrap();
                         match s.ws.mk_request(&mut router, &z, 0, false) {
                             Ok((ap, _)) => {
-                                match zephyr.send(&ap, s.ws.addr, now, &to, "MESSAGE", "hi") {
+                                let sent = zephyr
+                                    .send(&ap, s.ws.addr, now, &to, "MESSAGE", "hi", None, None);
+                                match sent {
                                     Ok(()) => report.notices_sent += 1,
                                     Err(e) => {
                                         *report

@@ -3,6 +3,10 @@
 //! senders, and signing up a new user with `register` (SMS + Kerberos),
 //! plus a kpasswd password change through the KDBM (§5).
 //!
+//! The servers are called in-process here, so every operation passes no
+//! payload binding and no trace context (`None, None`); over the network,
+//! `NetService` passes both (see `crates/apps/tests/over_the_wire.rs`).
+//!
 //! Run with: `cargo run --example kerberized_apps`
 
 use athena_kerberos::apps::{Mail, PopServer, RloginServer, Sms, ZephyrServer};
@@ -54,18 +58,19 @@ fn main() {
     let mut rlogin = RloginServer::new(Principal::parse("rcmd.priam", REALM).unwrap(), rcmd_key);
     let rcmd = Principal::parse("rcmd.priam", REALM).unwrap();
     let (ap, _) = ws.mk_request(&mut router, &rcmd, 0, false).unwrap();
-    let session = rlogin.connect(Some(&ap), "bcn", WS_ADDR, ws.now()).unwrap();
+    let session = rlogin.connect(Some(&ap), "bcn", WS_ADDR, ws.now(), None, None).unwrap();
     println!("rlogin: authorized {} via {:?} (no .rhosts needed)", session.user, session.method);
     rlogin.add_rhosts("jis", [18, 72, 0, 7]);
-    let fallback = rlogin.connect(None, "jis", [18, 72, 0, 7], ws.now()).unwrap();
+    let fallback = rlogin.connect(None, "jis", [18, 72, 0, 7], ws.now(), None, None).unwrap();
     println!("rlogin: authorized {} via {:?} (old world)", fallback.user, fallback.method);
 
-    // --- POP: only your own mailbox (§7.1).
+    // --- POP: only your own mailbox (§7.1). A retrieve hands over as much
+    // mail as fits one reply; `deliver` refuses a mail no reply could carry.
     let mut pop = PopServer::new(Principal::parse("pop.paris", REALM).unwrap(), pop_key);
-    pop.deliver("bcn", Mail { from: "jis".into(), body: "4.3BSD tapes arrived".into() });
+    pop.deliver("bcn", Mail { from: "jis".into(), body: "4.3BSD tapes arrived".into() }).unwrap();
     let pop_svc = Principal::parse("pop.paris", REALM).unwrap();
     let (ap, _) = ws.mk_request(&mut router, &pop_svc, 0, false).unwrap();
-    let mail = pop.retrieve(&ap, WS_ADDR, ws.now()).unwrap();
+    let (mail, _) = pop.retrieve(&ap, WS_ADDR, ws.now(), None, None).unwrap();
     println!("pop: retrieved {} message(s): {:?}", mail.len(), mail[0].body);
 
     // --- Zephyr: authenticated notices (§7.1).
@@ -73,7 +78,7 @@ fn main() {
     zephyr.subscribe("jis");
     let z = Principal::parse("zephyr.zion", REALM).unwrap();
     let (ap, _) = ws.mk_request(&mut router, &z, 0, false).unwrap();
-    zephyr.send(&ap, WS_ADDR, ws.now(), "jis", "MESSAGE", "lunch at walker?").unwrap();
+    zephyr.send(&ap, WS_ADDR, ws.now(), "jis", "MESSAGE", "lunch at walker?", None, None).unwrap();
     let notices = zephyr.receive("jis");
     println!("zephyr: jis received from {}: {:?}", notices[0].from, notices[0].body);
 
