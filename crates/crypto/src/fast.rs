@@ -223,7 +223,7 @@ fn f(sp: &[[u32; 64]; 8], r: u32, k: &RoundKey) -> u32 {
 /// once) or not (two chains sealed side by side).
 #[inline(always)]
 fn crypt_blocks<'k, const N: usize>(
-    mut keys: impl Iterator<Item = [&'k RoundKey; N]>,
+    keys: impl Iterator<Item = [&'k RoundKey; N]>,
     blocks: [u64; N],
 ) -> [u64; N] {
     let sp = sp_tables();
@@ -234,6 +234,23 @@ fn crypt_blocks<'k, const N: usize>(
         l[i] = l0.rotate_left(1);
         r[i] = r0.rotate_left(1);
     }
+    rounds(sp, keys, &mut l, &mut r);
+    let mut out = [0u64; N];
+    for i in 0..N {
+        // The pre-output block is R16:L16.
+        out[i] = fp(r[i].rotate_right(1), l[i].rotate_right(1));
+    }
+    out
+}
+
+/// The sixteen rounds over `N` lanes of rotated halves, between IP and FP.
+#[inline(always)]
+fn rounds<'k, const N: usize>(
+    sp: &[[u32; 64]; 8],
+    mut keys: impl Iterator<Item = [&'k RoundKey; N]>,
+    l: &mut [u32; N],
+    r: &mut [u32; N],
+) {
     // Two rounds per step: the first round's new R lands in `l` (the old
     // R, now L, stays in `r`), the second's lands back in `r` — so the
     // halves never swap.
@@ -245,12 +262,6 @@ fn crypt_blocks<'k, const N: usize>(
             r[i] ^= f(sp, l[i], k1[i]);
         }
     }
-    let mut out = [0u64; N];
-    for i in 0..N {
-        // The pre-output block is R16:L16.
-        out[i] = fp(r[i].rotate_right(1), l[i].rotate_right(1));
-    }
-    out
 }
 
 /// Each round's subkey for every lane, in encryption order.
@@ -284,6 +295,25 @@ impl FastDes {
     /// `lanes[i]`: two chains sealed at once under different keys.
     pub(crate) fn encrypt_lanes_u64<const N: usize>(lanes: [&FastDes; N], blocks: [u64; N]) -> [u64; N] {
         crypt_blocks(lane_keys(lanes), blocks)
+    }
+
+    /// The last block of `blocks` encrypted in CBC mode from `iv`. The
+    /// chain runs in the IP domain: IP is linear, so IP(c ⊕ b) = IP(c) ⊕
+    /// IP(b), and IP(FP(x)) = x, so one block's rounds feed the next's
+    /// with only the halves swapped. Each block's IP is off the dependent
+    /// chain, and FP runs once, at the end.
+    pub(crate) fn cbc_last_u64(&self, iv: u64, blocks: impl Iterator<Item = u64>) -> u64 {
+        // The state is the last rounds' output, (L16, R16), whose
+        // ciphertext is FP(R16:L16); the IV is a ciphertext like any other.
+        let sp = sp_tables();
+        let (hi, lo) = ip(iv);
+        let (mut l, mut r) = ([lo.rotate_left(1)], [hi.rotate_left(1)]);
+        for block in blocks {
+            let (bl, br) = ip(block);
+            (l, r) = ([r[0] ^ bl.rotate_left(1)], [l[0] ^ br.rotate_left(1)]);
+            rounds(sp, self.subkeys.iter().map(|k| [k]), &mut l, &mut r);
+        }
+        fp(r[0].rotate_right(1), l[0].rotate_right(1))
     }
 
     /// Decrypt one 64-bit block.

@@ -319,20 +319,15 @@ pub fn unseal_with(
 /// whose schedule is already in hand).
 ///
 /// Only the last ciphertext block is kept, so the input is streamed through
-/// one word of CBC state; a short (or absent) final block is zero-padded.
+/// one word of CBC state, which stays in the IP domain from the first block
+/// to the last; a short (or absent) final block is zero-padded.
 pub fn cbc_checksum_with(sched: &Scheduled, iv: &[u8; 8], data: &[u8]) -> [u8; 8] {
-    let des = sched.des();
-    let mut state = u64::from_be_bytes(*iv);
     let (blocks, rest) = data.as_chunks::<BLOCK>();
-    for block in blocks {
-        state = des.encrypt_block_u64(state ^ u64::from_be_bytes(*block));
-    }
-    if !rest.is_empty() || blocks.is_empty() {
-        let mut last = [0u8; BLOCK];
-        last[..rest.len()].copy_from_slice(rest);
-        state = des.encrypt_block_u64(state ^ u64::from_be_bytes(last));
-    }
-    state.to_be_bytes()
+    let mut last = [0u8; BLOCK];
+    last[..rest.len()].copy_from_slice(rest);
+    let padded = (!rest.is_empty() || blocks.is_empty()).then_some(&last);
+    let words = blocks.iter().chain(padded).map(|b| u64::from_be_bytes(*b));
+    sched.des().cbc_last_u64(u64::from_be_bytes(*iv), words).to_be_bytes()
 }
 
 #[cfg(test)]
@@ -508,16 +503,23 @@ mod tests {
         assert_ne!(base, cbc_checksum_with(&k(), &IV, &tail));
     }
 
-    /// The streaming checksum against its definition: the last block of a
-    /// CBC encryption of the zero-padded input.
+    /// The streaming checksum, whose chain stays in the IP domain, against
+    /// its definition: the last block of the reference engine's CBC
+    /// encryption of the zero-padded input, at every length up to ten
+    /// blocks and one long one.
     #[test]
     fn cbc_checksum_is_the_last_block_of_a_cbc_encryption() {
-        for len in [0usize, 1, 7, 8, 9, 4099] {
+        let des = crate::des::Des::new(k().key());
+        for len in (0usize..=80).chain([4099]) {
             let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
             let mut padded = data.clone();
             padded.resize(len.div_ceil(BLOCK).max(1) * BLOCK, 0);
-            let c = encrypt_raw_with(Mode::Cbc, &k(), &IV, &padded).unwrap();
-            assert_eq!(cbc_checksum_with(&k(), &IV, &data)[..], c[c.len() - BLOCK..], "len {len}");
+            let mut chain = IV;
+            for block in padded.as_chunks::<BLOCK>().0 {
+                chain = std::array::from_fn(|i| chain[i] ^ block[i]);
+                des.encrypt_block(&mut chain);
+            }
+            assert_eq!(cbc_checksum_with(&k(), &IV, &data), chain, "len {len}");
         }
     }
 

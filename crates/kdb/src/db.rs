@@ -247,12 +247,18 @@ impl<S: Store> PrincipalDb<S> {
 
     /// Visit every principal record (including `K.M`).
     pub fn for_each(&self, f: &mut dyn FnMut(&PrincipalEntry)) -> Result<(), DbError> {
+        self.for_each_view(&mut |e| f(&e.to_owned()))
+    }
+
+    /// [`Self::for_each`] without the copies: each record is read where
+    /// the store keeps it.
+    pub fn for_each_view(&self, f: &mut dyn FnMut(&PrincipalEntryView<'_>)) -> Result<(), DbError> {
         let mut first_err = None;
         self.store.for_each(&mut |_, v| {
             if first_err.is_some() {
                 return;
             }
-            match PrincipalEntry::decode(v) {
+            match PrincipalEntryView::decode(v) {
                 Ok(e) => f(&e),
                 Err(e) => first_err = Some(e),
             }

@@ -7,80 +7,117 @@
 //! useful to an eavesdropper".
 
 use crate::db::PrincipalDb;
-use crate::principal::PrincipalEntry;
+use crate::principal::{PrincipalEntry, PrincipalEntryView};
 use crate::store::Store;
 use crate::DbError;
+use std::fmt::Write;
 
 const HEADER: &str = "KDB_DUMP_V1";
 
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
+/// Hex digits, by value.
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// Hex digit values, by byte; `0xFF` for a byte that is not a hex digit.
+const UNHEX: [u8; 256] = {
+    let mut table = [0xFF; 256];
+    let mut v = 0;
+    while v < 16 {
+        table[HEX[v] as usize] = v as u8;
+        table[HEX[v].to_ascii_uppercase() as usize] = v as u8;
+        v += 1;
+    }
+    table
+};
 
 fn unhex8(s: &str) -> Result<[u8; 8], DbError> {
-    if s.len() != 16 {
+    let (pairs, rest) = s.as_bytes().as_chunks::<2>();
+    if pairs.len() != 8 || !rest.is_empty() {
         return Err(DbError::Corrupt(format!("bad hex key length {}", s.len())));
     }
     let mut out = [0u8; 8];
-    for (i, chunk) in s.as_bytes().chunks(2).enumerate() {
-        let hexpair = std::str::from_utf8(chunk).map_err(|_| DbError::Corrupt("bad hex".into()))?;
-        out[i] = u8::from_str_radix(hexpair, 16).map_err(|_| DbError::Corrupt("bad hex".into()))?;
+    for (byte, &[hi, lo]) in out.iter_mut().zip(pairs) {
+        let (hi, lo) = (UNHEX[usize::from(hi)], UNHEX[usize::from(lo)]);
+        if (hi | lo) > 0xF {
+            return Err(DbError::Corrupt("bad hex".into()));
+        }
+        *byte = hi << 4 | lo;
     }
     Ok(out)
 }
 
-/// Serialize one entry as a dump line.
-pub fn entry_to_line(e: &PrincipalEntry) -> String {
+/// Append `e`'s dump line, without its newline: the one line writer, for
+/// the full dump and for the put records of an incremental segment.
+fn write_line(out: &mut String, e: &PrincipalEntryView<'_>) {
     // Components reject whitespace and '.' at registration, so the
     // space-separated format is unambiguous; the NULL instance prints as '*'.
-    let inst = if e.instance.is_empty() { "*" } else { &e.instance };
-    let mod_by = if e.mod_by.is_empty() { "*" } else { &e.mod_by };
-    format!(
-        "{} {} {} {} {} {} {} {} {}",
-        e.name,
-        inst,
-        e.key_version,
-        e.expiration,
-        e.max_life,
-        e.attributes,
-        e.mod_time,
-        mod_by,
-        hex(&e.key_encrypted),
-    )
-}
-
-/// Parse one dump line back into an entry.
-pub fn line_to_entry(line: &str) -> Result<PrincipalEntry, DbError> {
-    let parts: Vec<&str> = line.split(' ').collect();
-    if parts.len() != 9 {
-        return Err(DbError::Corrupt(format!("dump line has {} fields", parts.len())));
+    let star = |s: &str, out: &mut String| out.push_str(if s.is_empty() { "*" } else { s });
+    out.push_str(e.name);
+    out.push(' ');
+    star(e.instance, out);
+    // Writing to a `String` cannot fail.
+    let _ = write!(out, " {} {} {} {} {} ", e.key_version, e.expiration, e.max_life, e.attributes, e.mod_time);
+    star(e.mod_by, out);
+    out.push(' ');
+    for b in e.key_encrypted {
+        out.push(char::from(HEX[usize::from(b >> 4)]));
+        out.push(char::from(HEX[usize::from(b & 0xF)]));
     }
-    let field = |s: &str, what: &str| -> Result<u32, DbError> {
-        s.parse::<u32>()
-            .map_err(|_| DbError::Corrupt(format!("bad {what}: {s:?}")))
-    };
-    Ok(PrincipalEntry {
-        name: parts[0].to_string(),
-        instance: if parts[1] == "*" { String::new() } else { parts[1].to_string() },
-        key_version: field(parts[2], "key_version")? as u8,
-        expiration: field(parts[3], "expiration")?,
-        max_life: field(parts[4], "max_life")? as u8,
-        attributes: field(parts[5], "attributes")? as u16,
-        mod_time: field(parts[6], "mod_time")?,
-        mod_by: if parts[7] == "*" { String::new() } else { parts[7].to_string() },
-        key_encrypted: unhex8(parts[8])?,
-    })
 }
 
-/// Dump the whole database (including `K.M`) to the transfer format.
+/// Serialize one entry as a dump line.
+pub fn entry_to_line(e: &PrincipalEntry) -> String {
+    let mut line = String::with_capacity(64);
+    write_line(&mut line, &e.view());
+    line
+}
+
+/// Parse one dump line back into an entry. Every number is read at its
+/// field's own width: a value that does not fit is damage, not a smaller
+/// number.
+pub fn line_to_entry(line: &str) -> Result<PrincipalEntry, DbError> {
+    let mut fields = line.split(' ');
+    let mut text = |what: &str| {
+        fields.next().ok_or_else(|| DbError::Corrupt(format!("dump line ends before {what}")))
+    };
+    fn num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, DbError> {
+        s.parse().map_err(|_| DbError::Corrupt(format!("bad {what}: {s:?}")))
+    }
+    let unstar = |s: &str| if s == "*" { String::new() } else { s.to_string() };
+    let entry = PrincipalEntry {
+        name: text("name")?.to_string(),
+        instance: unstar(text("instance")?),
+        key_version: num(text("key_version")?, "key_version")?,
+        expiration: num(text("expiration")?, "expiration")?,
+        max_life: num(text("max_life")?, "max_life")?,
+        attributes: num(text("attributes")?, "attributes")?,
+        mod_time: num(text("mod_time")?, "mod_time")?,
+        mod_by: unstar(text("mod_by")?),
+        key_encrypted: unhex8(text("key")?)?,
+    };
+    if fields.next().is_some() {
+        return Err(DbError::Corrupt("dump line has more than 9 fields".into()));
+    }
+    Ok(entry)
+}
+
+/// Dump the whole database (including `K.M`) to the transfer format: every
+/// line written into one buffer, then copied out in sorted order.
 pub fn dump<S: Store>(db: &PrincipalDb<S>) -> Result<String, DbError> {
-    let mut lines = Vec::with_capacity(db.len() + 1);
-    db.for_each(&mut |e| lines.push(entry_to_line(e)))?;
-    // Sort for a canonical dump: the checksum must not depend on hash order.
-    lines.sort_unstable();
+    let mut body = String::with_capacity(db.len() * 64);
+    let mut lines = Vec::with_capacity(db.len());
+    db.for_each_view(&mut |e| {
+        let start = body.len();
+        write_line(&mut body, e);
+        lines.push(start..body.len());
+    })?;
+    // Sorted for a canonical dump: the checksum must not depend on store
+    // order. Key order is not line order (`name instance` against
+    // `name.instance`: ' ' and '*' sort below '.').
+    lines.sort_unstable_by(|a, b| body.get(a.clone()).cmp(&body.get(b.clone())));
     let mut out = format!("{HEADER} {}\n", lines.len());
-    for l in &lines {
-        out.push_str(l);
+    out.reserve(body.len() + lines.len());
+    for line in lines {
+        out.push_str(body.get(line).ok_or_else(|| DbError::Corrupt("dump line bounds".into()))?);
         out.push('\n');
     }
     Ok(out)
@@ -114,8 +151,8 @@ pub fn parse(dump: &str) -> Result<Vec<PrincipalEntry>, DbError> {
     Ok(entries)
 }
 
-/// Install a parsed dump into a fresh store, replacing all contents.
-/// This is the slave-side `kpropd` update step.
+/// Install a parsed dump into a store, replacing all contents, in one
+/// [`Store::bulk_load`]. This is the slave-side `kpropd` update step.
 pub fn install<S: Store>(store: &mut S, entries: &[PrincipalEntry]) -> Result<(), DbError> {
     // Collect existing keys first: Store iteration borrows immutably.
     let mut old_keys = Vec::new();
@@ -123,10 +160,7 @@ pub fn install<S: Store>(store: &mut S, entries: &[PrincipalEntry]) -> Result<()
     for k in old_keys {
         store.delete(&k)?;
     }
-    for e in entries {
-        store.store(&PrincipalEntry::db_key(&e.name, &e.instance), &e.encode())?;
-    }
-    store.sync()
+    store.bulk_load(entries.iter().map(|e| (PrincipalEntry::db_key(&e.name, &e.instance), e.encode())).collect())
 }
 
 #[cfg(test)]
@@ -207,6 +241,23 @@ mod tests {
         assert!(parse(&d).is_err());
     }
 
+    /// A number too wide for its field is refused, not wrapped: key
+    /// version 257 must not install as kvno 1.
+    #[test]
+    fn a_field_too_wide_for_its_type_is_corrupt() {
+        let db = populated();
+        let good = entry_to_line(&db.get("jis", "").unwrap().unwrap());
+        assert!(line_to_entry(&good).is_ok());
+        for (at, wide) in [(2, "257"), (4, "256"), (5, "65536"), (3, "4294967296")] {
+            let mut fields: Vec<&str> = good.split(' ').collect();
+            fields[at] = wide;
+            let line = fields.join(" ");
+            assert!(matches!(line_to_entry(&line), Err(DbError::Corrupt(_))), "{line}");
+            let text = dump(&db).unwrap().replace(&good, &line);
+            assert!(matches!(parse(&text), Err(DbError::Corrupt(_))), "{line}");
+        }
+    }
+
     #[test]
     fn install_replaces_store() {
         let db = populated();
@@ -224,7 +275,7 @@ mod tests {
     fn keys_in_dump_are_not_plaintext() {
         let db = populated();
         let d = dump(&db).unwrap();
-        let user_key = hex(string_to_key("bcn").as_bytes());
+        let user_key: String = string_to_key("bcn").as_bytes().iter().map(|b| format!("{b:02x}")).collect();
         assert!(!d.contains(&user_key), "dump must not contain plaintext keys");
     }
 }

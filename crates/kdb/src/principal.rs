@@ -96,6 +96,21 @@ impl PrincipalEntry {
     pub fn decode(buf: &[u8]) -> Result<Self, DbError> {
         PrincipalEntryView::decode(buf).map(|e| e.to_owned())
     }
+
+    /// This entry as a [`PrincipalEntryView`] of its own strings.
+    pub fn view(&self) -> PrincipalEntryView<'_> {
+        PrincipalEntryView {
+            name: &self.name,
+            instance: &self.instance,
+            key_encrypted: self.key_encrypted,
+            key_version: self.key_version,
+            expiration: self.expiration,
+            max_life: self.max_life,
+            attributes: self.attributes,
+            mod_time: self.mod_time,
+            mod_by: &self.mod_by,
+        }
+    }
 }
 
 /// A record read where the store keeps it: the fields of

@@ -37,7 +37,8 @@ pub trait Store {
     /// calling [`Store::store`] once per pair in order. Engines may
     /// override with a batch-aware fast path (the extendible-hash store
     /// pre-splits its directory instead of splitting one overflow at a
-    /// time); the default is a plain loop.
+    /// time, and [`MemStore`] builds its tree bottom-up); the default is a
+    /// plain loop.
     fn bulk_load(&mut self, pairs: Vec<(Vec<u8>, Vec<u8>)>) -> Result<(), DbError> {
         for (k, v) in &pairs {
             self.store(k, v)?;
@@ -381,11 +382,11 @@ fn rebalance(
     Ok(())
 }
 
-fn walk(node: &Node, f: &mut dyn FnMut(&[u8], &[u8])) -> Result<(), DbError> {
+fn walk(node: &Node, f: &mut dyn FnMut(&Key, &Arc<[u8]>)) -> Result<(), DbError> {
     match node {
         Node::Leaf { keys, vals } => {
             for (k, v) in keys.as_slice().iter().zip(vals.as_slice()) {
-                f(k.bytes(), v.as_deref().ok_or_else(slip)?);
+                f(k, v.as_ref().ok_or_else(slip)?);
             }
         }
         Node::Internal { kids, .. } => {
@@ -395,6 +396,49 @@ fn walk(node: &Node, f: &mut dyn FnMut(&[u8], &[u8])) -> Result<(), DbError> {
         }
     }
     Ok(())
+}
+
+/// How `n` entries fill one level of a bulk build: [`MIN`] to a node, as
+/// ascending inserts leave them, and the remainder spread one apiece.
+/// Fewer than `2 * MIN` make one node.
+fn fills(n: usize) -> impl Iterator<Item = usize> {
+    let nodes = (n / MIN).max(1);
+    (0..nodes).map(move |i| n / nodes + usize::from(i < n % nodes))
+}
+
+/// A tree of the `n` ascending `records`, built a level at a time from the
+/// leaves up; each node is written once.
+fn build(n: usize, mut records: impl Iterator<Item = (Key, Arc<[u8]>)>) -> Result<Arc<Node>, DbError> {
+    // The level under construction: each node with the least key beneath it.
+    let mut level = Vec::with_capacity(n / MIN + 1);
+    for fill in fills(n) {
+        let (mut keys, mut vals) = (Slots::new(), Slots::new());
+        for (k, v) in records.by_ref().take(fill) {
+            keys.push(k)?;
+            vals.push(Some(v))?;
+        }
+        if keys.len != fill {
+            return Err(slip()); // `n` overstated the records
+        }
+        let least = keys.as_slice().first().cloned().unwrap_or_default();
+        level.push((least, Arc::new(Node::Leaf { keys, vals })));
+    }
+    while level.len() > 1 {
+        let mut below = level.into_iter();
+        level = fills(below.len())
+            .map(|fill| {
+                let (least, first) = below.next().ok_or_else(slip)?;
+                let (mut keys, mut kids) = (Slots::new(), Slots::new());
+                kids.push(Some(first))?;
+                for (sep, kid) in below.by_ref().take(fill - 1) {
+                    keys.push(sep)?;
+                    kids.push(Some(kid))?;
+                }
+                Ok((least, Arc::new(Node::Internal { keys, kids })))
+            })
+            .collect::<Result<_, DbError>>()?;
+    }
+    level.pop().map(|(_, root)| root).ok_or_else(slip)
 }
 
 /// In-memory [`Store`]: a persistent B+tree. Nodes sit behind `Arc`, so
@@ -492,7 +536,42 @@ impl Store for MemStore {
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&[u8], &[u8])) -> Result<(), DbError> {
-        walk(&self.root, f)
+        walk(&self.root, &mut |k, v| f(k.bytes(), v))
+    }
+
+    /// The batch is sorted where it lies, merged with the records already
+    /// here (sharing their values) and built bottom-up: no record is
+    /// inserted one at a time, and none is held twice.
+    fn bulk_load(&mut self, mut pairs: Vec<(Vec<u8>, Vec<u8>)>) -> Result<(), DbError> {
+        // A batch that comes sorted (a dump's, a registration's) skips the
+        // stable sort's scratch buffer.
+        if !pairs.is_sorted_by(|a, b| a.0 <= b.0) {
+            pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        }
+        // The sort is stable, so the last of equal keys ends its run; its
+        // value moves to the run's first pair, the one `dedup_by` keeps.
+        pairs.dedup_by(|later, kept| {
+            later.0 == kept.0 && {
+                std::mem::swap(&mut later.1, &mut kept.1);
+                true
+            }
+        });
+        // The records already here that the batch leaves, sharing their
+        // values, merged with the batch into one ascending run.
+        let mut old = Vec::with_capacity(self.len);
+        walk(&self.root, &mut |k, v| old.push((k.clone(), Arc::clone(v))))?;
+        old.retain(|(k, _)| pairs.binary_search_by(|p| p.0.as_slice().cmp(k.bytes())).is_err());
+        let len = old.len() + pairs.len();
+        let mut old = old.into_iter().peekable();
+        let mut new = pairs.into_iter().map(|(k, v)| (Key::new(&k), Arc::from(v))).peekable();
+        let merged = std::iter::from_fn(|| match (old.peek(), new.peek()) {
+            (Some((o, _)), Some((n, _))) if o.bytes() < n.bytes() => old.next(),
+            (Some(_), None) => old.next(),
+            _ => new.next(),
+        });
+        self.root = build(len, merged)?;
+        self.len = len;
+        Ok(())
     }
 
     fn sync(&mut self) -> Result<(), DbError> {
@@ -685,6 +764,95 @@ mod tests {
         assert!(s.delete(&long).unwrap());
         assert_eq!(s.fetch(&long).unwrap(), None);
         assert_eq!(s.fetch(&edge).unwrap(), Some(edge));
+    }
+
+    fn records(s: &MemStore) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut out = Vec::new();
+        s.for_each(&mut |k, v| out.push((k.to_vec(), v.to_vec()))).unwrap();
+        out
+    }
+
+    /// Batch sizes either side of one node's least and full fill, and of
+    /// a second level's.
+    const BATCH_EDGES: &[usize] =
+        &[0, 1, MIN - 1, MIN, MIN + 1, WIDTH - 1, WIDTH, WIDTH + 1, WIDTH * MIN - 1, WIDTH * MIN, WIDTH * MIN + 1];
+
+    /// `bulk_load` against its model, `store` once per pair in order, onto
+    /// a store holding `start` records, with a batch of `size` pairs that
+    /// both adds and replaces keys and repeats some.
+    fn bulk_load_matches_model(size: usize, start: u32, spread: u32, seed: u64) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        // Even keys are already there; the batch draws from a range that
+        // covers them.
+        let base = (0..start).fold(MemStore::new(), |mut s, i| {
+            s.store(&key(2 * i), b"old").unwrap();
+            s
+        });
+        let range = (size as u32 * spread).max(2 * start).max(1);
+        let pairs: Vec<(Vec<u8>, Vec<u8>)> =
+            (0..size).map(|i| (key(rng.random_range(0..range)), i.to_be_bytes().to_vec())).collect();
+        let mut model = base.clone();
+        for (k, v) in &pairs {
+            model.store(k, v).unwrap();
+        }
+        let before = records(&base);
+        let mut bulk = base.clone();
+        bulk.bulk_load(pairs).unwrap();
+        bulk.check();
+        assert_eq!(bulk.len(), model.len());
+        assert_eq!(records(&bulk), records(&model));
+        assert!(bulk.height() <= height_bound(bulk.len()));
+        assert_eq!(records(&base), before, "the clone it came from is untouched");
+
+        // The built nodes are the store's own; once a snapshot shares them,
+        // a write copies its path and nothing else.
+        let k = key(rng.random_range(0..range));
+        assert_eq!(node_copies(|| bulk.store(&k, b"mine").unwrap()), 0);
+        let snapshot = bulk.clone();
+        let height = bulk.height();
+        let copied = node_copies(|| bulk.store(&k, b"again").unwrap());
+        assert!((1..=height).contains(&copied), "{copied} copies at height {height}");
+        assert_eq!(snapshot.fetch(&k).unwrap().as_deref(), Some(&b"mine"[..]));
+        bulk.check();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #[test]
+        fn bulk_load_equals_one_store_per_pair(
+            start in 0usize..4,
+            spread in 1u32..4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            for &size in BATCH_EDGES {
+                bulk_load_matches_model(size, [0, 1, 40, 700][start], spread, seed);
+            }
+        }
+    }
+
+    /// Each leaf's fill, left to right.
+    fn leaf_fills(node: &Node, out: &mut Vec<usize>) {
+        match node {
+            Node::Leaf { keys, .. } => out.push(keys.len),
+            Node::Internal { kids, .. } => kids.as_slice().iter().for_each(|k| leaf_fills(k.as_deref().unwrap(), out)),
+        }
+    }
+
+    /// A bulk build spreads its records evenly over as many leaves as
+    /// ascending inserts leave, so a lookup scans no more keys than before.
+    #[test]
+    fn bulk_build_fills_leaves_evenly_and_as_ascending_inserts_do() {
+        for n in BATCH_EDGES.iter().copied().chain([47, 500, 4099]) {
+            let mut bulk = MemStore::new();
+            bulk.bulk_load((0..n as u32).map(|i| (key(i), vec![1])).collect()).unwrap();
+            let (mut built, mut inserted) = (Vec::new(), Vec::new());
+            leaf_fills(&bulk.root, &mut built);
+            leaf_fills(&filled(n as u32).root, &mut inserted);
+            assert_eq!(built.len(), inserted.len(), "leaves for {n} records");
+            let (least, most) = (built.iter().min().unwrap(), built.iter().max().unwrap());
+            assert!(most - least <= 1, "{n} records filled {built:?}");
+        }
     }
 
     #[test]

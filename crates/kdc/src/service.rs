@@ -10,7 +10,7 @@
 use crate::realm::RealmConfig;
 use crate::server::{shared_clock, Kdc, KdcRole};
 use kerberos::HostAddr;
-use krb_kdb::{dump, DbError, MemStore, PrincipalDb, Store};
+use krb_kdb::{DbError, MemStore, PrincipalDb, Store};
 use krb_netsim::{ports, Endpoint, Packet, Router, Service};
 use krb_crypto::DesKey;
 use std::sync::atomic::AtomicU32;
@@ -49,11 +49,12 @@ pub struct Deployment {
 
 impl Deployment {
     /// Stand up `1 + n_slaves` KDCs for `realm` on `router`. The master
-    /// gets `base_addr`; slaves get consecutive addresses. Slave databases
-    /// are installed from a master dump, as `kprop` would; with no slave
-    /// there is nothing to install, so nothing is dumped. A dump that
-    /// fails to round-trip surfaces as the [`DbError`] rather than a
-    /// panic, so a deployment driver can report and retry.
+    /// gets `base_addr`; slaves get consecutive addresses. Each slave
+    /// starts on a snapshot of the master's database: it shares the
+    /// master's tree, and a write on either side copies only the path it
+    /// touches, so a master write reaches a slave only through `kprop`.
+    /// Over the in-memory store a snapshot cannot fail; the [`DbError`]
+    /// is a snapshot's, should that change.
     pub fn install(
         router: &mut Router,
         realm: &str,
@@ -65,13 +66,7 @@ impl Deployment {
     ) -> Result<Self, DbError> {
         let clock_cell = Arc::new(AtomicU32::new(start_time));
         let master_key = *master_db.master_key();
-        // Dump once, while the database is still exclusively owned: the
-        // text cannot change between slave installs.
-        let entries = if n_slaves == 0 {
-            Vec::new()
-        } else {
-            dump::parse(&dump::dump(&master_db)?)?
-        };
+        let slave_dbs = (0..n_slaves).map(|_| master_db.snapshot_mem()).collect::<Result<Vec<_>, _>>()?;
         let master = Arc::new(Kdc::new(
             master_db,
             config.clone(),
@@ -83,10 +78,7 @@ impl Deployment {
         router.serve(master_ep, KdcService(Arc::clone(&master)));
 
         let mut slaves = Vec::new();
-        for i in 0..n_slaves {
-            let mut store = MemStore::new();
-            dump::install(&mut store, &entries)?;
-            let db = PrincipalDb::open(store, master_key)?;
+        for (i, db) in slave_dbs.into_iter().enumerate() {
             let slave = Arc::new(Kdc::new(
                 db,
                 config.clone(),

@@ -758,6 +758,31 @@ mod tests {
         assert_eq!(replica.applied_seq(), u64::MAX);
     }
 
+    /// A put whose key version, lifetime or attributes do not fit their
+    /// field is damage: it must not land as the number modulo the width.
+    #[test]
+    fn sealed_put_with_an_out_of_range_field_is_refused() {
+        let m = master_db();
+        let mut replica = IncrReplica::new(string_to_key("mk"));
+        replica.apply(&full_packet(&m, 0)).unwrap();
+        let before = replica.dump_text().unwrap();
+        let good = kdump::entry_to_line(&m.get("u1", "").unwrap().unwrap());
+        for (at, wide) in [(2, "257"), (4, "256"), (5, "65537")] {
+            let mut fields: Vec<&str> = good.split(' ').collect();
+            fields[at] = wide;
+            let body = fields.join(" ");
+            let mut payload = 0u64.to_be_bytes().to_vec();
+            payload.extend_from_slice(&1u32.to_be_bytes());
+            payload.push(1);
+            payload.extend_from_slice(&(body.len() as u16).to_be_bytes());
+            payload.extend_from_slice(body.as_bytes());
+            let err = replica.apply(&seal(m.master_sched(), INCR_MAGIC, &payload)).unwrap_err();
+            assert!(matches!(err, PropError::Db(krb_kdb::DbError::Corrupt(_))), "field {at} = {wide}: {err:?}");
+        }
+        assert_eq!(replica.dump_text().unwrap(), before, "refusals must not mutate");
+        assert_eq!(replica.applied_seq(), 0);
+    }
+
     #[test]
     fn segment_builder_rejects_non_consecutive_records() {
         let m = master_db();

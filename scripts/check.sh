@@ -54,6 +54,14 @@ echo "== cargo test --release -p krb-netsim -p krb-telemetry"
 # journal's in-place slot reuse; test them in the profile that is timed.
 cargo test --release --offline -q -p krb-netsim -p krb-telemetry
 
+echo "== cargo test --release -p krb-kdb -p krb-kprop"
+# Every measured set-up builds its realm through MemStore's bottom-up bulk
+# build (node fills, the merge with records already stored) and ships it
+# through the dump writer and parser (checked field widths, the hex
+# tables); kpropd parses every segment with the same parser. Test them in
+# the profile that is timed, where an overflow wraps instead of panicking.
+cargo test --release --offline -q -p krb-kdb -p krb-kprop
+
 echo "== krb-lint --json"
 # Machine-readable pass: a dirty tree (a live finding or a stale allow
 # entry) exits non-zero. The report's fields are asserted by the lint

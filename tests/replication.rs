@@ -93,6 +93,41 @@ fn password_change_reaches_slaves_only_after_propagation() {
     assert!(probe.kinit(&mut router, "bcn", "bcn-pw").is_err(), "old password gone");
 }
 
+/// Whether `password` gets `bcn` a ticket from the KDC at endpoint `at`.
+fn logs_in(router: &mut Router, dep: &Deployment, at: usize, password: &str) -> bool {
+    let mut probe = ws(dep);
+    probe.kdc_endpoints = vec![dep.kdc_endpoints()[at]];
+    probe.kinit(router, "bcn", password).is_ok()
+}
+
+#[test]
+fn slaves_share_the_masters_tree_without_aliasing_it() {
+    // Each slave starts on a snapshot of the master's database, not on a
+    // copy: same records, shared nodes, and a write on the master copies
+    // the nodes it touches instead of reaching into a slave.
+    let (mut router, dep) = deploy(2);
+    let at_install = dep.master.dump_text().unwrap();
+    for (_, slave) in &dep.slaves {
+        assert_eq!(slave.dump_text().unwrap(), at_install);
+    }
+    let now = athena_kerberos::netsim::EPOCH_1987;
+    let new_key = athena_kerberos::crypto::string_to_key("new-pw");
+    dep.master.with_db_mut(|db| db.change_key("bcn", "", &new_key, now, "bcn.")).unwrap().unwrap();
+    assert!(logs_in(&mut router, &dep, 0, "new-pw"), "the master has the new key");
+    for (i, (_, slave)) in dep.slaves.iter().enumerate() {
+        assert_eq!(slave.dump_text().unwrap(), at_install, "slave {i} is untouched");
+        assert!(logs_in(&mut router, &dep, 1 + i, "bcn-pw"), "slave {i} keeps the old key");
+        assert!(!logs_in(&mut router, &dep, 1 + i, "new-pw"), "slave {i} has not seen the new one");
+    }
+
+    // A full dump shipped to the first slave moves it, and only it.
+    let snap = dep.master.snapshot();
+    dep.slaves[0].1.install_db(receive(&full_dump(snap.db()), &dep).unwrap());
+    assert_eq!(dep.slaves[0].1.dump_text().unwrap(), dep.master.dump_text().unwrap());
+    assert!(logs_in(&mut router, &dep, 1, "new-pw") && !logs_in(&mut router, &dep, 1, "bcn-pw"));
+    assert!(logs_in(&mut router, &dep, 2, "bcn-pw") && !logs_in(&mut router, &dep, 2, "new-pw"));
+}
+
 #[test]
 fn master_down_blocks_admin_but_not_authentication() {
     // §5: "while authentication can still occur (on slaves),
