@@ -245,14 +245,9 @@ impl<S: Store> PrincipalDb<S> {
         self.len() <= 1
     }
 
-    /// Visit every principal record (including `K.M`).
-    pub fn for_each(&self, f: &mut dyn FnMut(&PrincipalEntry)) -> Result<(), DbError> {
-        self.for_each_view(&mut |e| f(&e.to_owned()))
-    }
-
-    /// [`Self::for_each`] without the copies: each record is read where
-    /// the store keeps it.
-    pub fn for_each_view(&self, f: &mut dyn FnMut(&PrincipalEntryView<'_>)) -> Result<(), DbError> {
+    /// Visit every principal record (including `K.M`), each read where the
+    /// store keeps it; [`PrincipalEntryView::to_owned`] copies one out.
+    pub fn for_each(&self, f: &mut dyn FnMut(&PrincipalEntryView<'_>)) -> Result<(), DbError> {
         let mut first_err = None;
         self.store.for_each(&mut |_, v| {
             if first_err.is_some() {

@@ -105,7 +105,7 @@ pub fn line_to_entry(line: &str) -> Result<PrincipalEntry, DbError> {
 pub fn dump<S: Store>(db: &PrincipalDb<S>) -> Result<String, DbError> {
     let mut body = String::with_capacity(db.len() * 64);
     let mut lines = Vec::with_capacity(db.len());
-    db.for_each_view(&mut |e| {
+    db.for_each(&mut |e| {
         let start = body.len();
         write_line(&mut body, e);
         lines.push(start..body.len());
@@ -184,9 +184,10 @@ mod tests {
         let db = populated();
         let mut ok = 0;
         db.for_each(&mut |e| {
-            let line = entry_to_line(e);
+            let e = e.to_owned();
+            let line = entry_to_line(&e);
             let back = line_to_entry(&line).unwrap();
-            assert_eq!(&back, e);
+            assert_eq!(back, e);
             ok += 1;
         })
         .unwrap();

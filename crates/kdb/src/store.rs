@@ -398,47 +398,44 @@ fn walk(node: &Node, f: &mut dyn FnMut(&Key, &Arc<[u8]>)) -> Result<(), DbError>
     Ok(())
 }
 
-/// How `n` entries fill one level of a bulk build: [`MIN`] to a node, as
-/// ascending inserts leave them, and the remainder spread one apiece.
-/// Fewer than `2 * MIN` make one node.
-fn fills(n: usize) -> impl Iterator<Item = usize> {
+/// One level of a bulk build: `n` ascending entries, each with its least
+/// key, gathered [`MIN`] to a node as ascending inserts leave them and the
+/// remainder spread one apiece; each node comes back with its least key.
+fn level<T: Default>(
+    n: usize,
+    mut below: impl Iterator<Item = (Key, T)>,
+    node: impl Fn(Slots<Key>, Slots<T>) -> Result<Node, DbError>,
+) -> Result<Vec<(Key, Arc<Node>)>, DbError> {
     let nodes = (n / MIN).max(1);
-    (0..nodes).map(move |i| n / nodes + usize::from(i < n % nodes))
+    (0..nodes)
+        .map(|i| {
+            let fill = n / nodes + usize::from(i < n % nodes);
+            let (mut keys, mut items) = (Slots::new(), Slots::new());
+            for (k, item) in below.by_ref().take(fill) {
+                keys.push(k)?;
+                items.push(item)?;
+            }
+            if keys.len != fill {
+                return Err(slip()); // `n` overstated the entries
+            }
+            let least = keys.as_slice().first().cloned().unwrap_or_default();
+            Ok((least, Arc::new(node(keys, items)?)))
+        })
+        .collect()
 }
 
 /// A tree of the `n` ascending `records`, built a level at a time from the
-/// leaves up; each node is written once.
-fn build(n: usize, mut records: impl Iterator<Item = (Key, Arc<[u8]>)>) -> Result<Arc<Node>, DbError> {
-    // The level under construction: each node with the least key beneath it.
-    let mut level = Vec::with_capacity(n / MIN + 1);
-    for fill in fills(n) {
-        let (mut keys, mut vals) = (Slots::new(), Slots::new());
-        for (k, v) in records.by_ref().take(fill) {
-            keys.push(k)?;
-            vals.push(Some(v))?;
-        }
-        if keys.len != fill {
-            return Err(slip()); // `n` overstated the records
-        }
-        let least = keys.as_slice().first().cloned().unwrap_or_default();
-        level.push((least, Arc::new(Node::Leaf { keys, vals })));
+/// leaves up.
+fn build(n: usize, records: impl Iterator<Item = (Key, Arc<[u8]>)>) -> Result<Arc<Node>, DbError> {
+    let mut nodes = level(n, records.map(|(k, v)| (k, Some(v))), |keys, vals| Ok(Node::Leaf { keys, vals }))?;
+    while nodes.len() > 1 {
+        // A child's least key is its separator, the first child's aside.
+        nodes = level(nodes.len(), nodes.into_iter().map(|(k, kid)| (k, Some(kid))), |mut keys, kids| {
+            keys.remove(0)?;
+            Ok(Node::Internal { keys, kids })
+        })?;
     }
-    while level.len() > 1 {
-        let mut below = level.into_iter();
-        level = fills(below.len())
-            .map(|fill| {
-                let (least, first) = below.next().ok_or_else(slip)?;
-                let (mut keys, mut kids) = (Slots::new(), Slots::new());
-                kids.push(Some(first))?;
-                for (sep, kid) in below.by_ref().take(fill - 1) {
-                    keys.push(sep)?;
-                    kids.push(Some(kid))?;
-                }
-                Ok((least, Arc::new(Node::Internal { keys, kids })))
-            })
-            .collect::<Result<_, DbError>>()?;
-    }
-    level.pop().map(|(_, root)| root).ok_or_else(slip)
+    nodes.pop().map(|(_, root)| root).ok_or_else(slip)
 }
 
 /// In-memory [`Store`]: a persistent B+tree. Nodes sit behind `Arc`, so
@@ -539,38 +536,23 @@ impl Store for MemStore {
         walk(&self.root, &mut |k, v| f(k.bytes(), v))
     }
 
-    /// The batch is sorted where it lies, merged with the records already
-    /// here (sharing their values) and built bottom-up: no record is
-    /// inserted one at a time, and none is held twice.
-    fn bulk_load(&mut self, mut pairs: Vec<(Vec<u8>, Vec<u8>)>) -> Result<(), DbError> {
-        // A batch that comes sorted (a dump's, a registration's) skips the
-        // stable sort's scratch buffer.
-        if !pairs.is_sorted_by(|a, b| a.0 <= b.0) {
-            pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        }
+    /// The records already here (sharing their values) and the batch, as
+    /// one sorted run built bottom-up: no record is held twice.
+    fn bulk_load(&mut self, pairs: Vec<(Vec<u8>, Vec<u8>)>) -> Result<(), DbError> {
+        let mut all = Vec::with_capacity(self.len + pairs.len());
+        walk(&self.root, &mut |k, v| all.push((k.clone(), Arc::clone(v))))?;
+        all.extend(pairs.into_iter().map(|(k, v)| (Key::new(&k), Arc::from(v))));
         // The sort is stable, so the last of equal keys ends its run; its
-        // value moves to the run's first pair, the one `dedup_by` keeps.
-        pairs.dedup_by(|later, kept| {
-            later.0 == kept.0 && {
+        // value moves to the run's first entry, the one `dedup_by` keeps.
+        all.sort_by(|a, b| a.0.bytes().cmp(b.0.bytes()));
+        all.dedup_by(|later, kept| {
+            later.0.bytes() == kept.0.bytes() && {
                 std::mem::swap(&mut later.1, &mut kept.1);
                 true
             }
         });
-        // The records already here that the batch leaves, sharing their
-        // values, merged with the batch into one ascending run.
-        let mut old = Vec::with_capacity(self.len);
-        walk(&self.root, &mut |k, v| old.push((k.clone(), Arc::clone(v))))?;
-        old.retain(|(k, _)| pairs.binary_search_by(|p| p.0.as_slice().cmp(k.bytes())).is_err());
-        let len = old.len() + pairs.len();
-        let mut old = old.into_iter().peekable();
-        let mut new = pairs.into_iter().map(|(k, v)| (Key::new(&k), Arc::from(v))).peekable();
-        let merged = std::iter::from_fn(|| match (old.peek(), new.peek()) {
-            (Some((o, _)), Some((n, _))) if o.bytes() < n.bytes() => old.next(),
-            (Some(_), None) => old.next(),
-            _ => new.next(),
-        });
-        self.root = build(len, merged)?;
-        self.len = len;
+        self.len = all.len();
+        self.root = build(all.len(), all.into_iter())?;
         Ok(())
     }
 

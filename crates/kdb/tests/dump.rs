@@ -69,7 +69,7 @@ fn dump_digest_is_pinned() {
     let text = dump(&db).unwrap();
     // The fixture is what it claims: lines in key order are not sorted.
     let mut in_key_order = Vec::new();
-    db.for_each(&mut |e| in_key_order.push(entry_to_line(e))).unwrap();
+    db.for_each(&mut |e| in_key_order.push(entry_to_line(&e.to_owned()))).unwrap();
     assert!(!in_key_order.is_sorted(), "the realm must put some line out of key order");
     assert!(text.contains("\na ! ") && text.contains("\na * ") && text.find("\na ! ") < text.find("\na * "));
     assert_eq!((fnv1a(text.as_bytes()), text.len(), db.len()), (0xc184_0e79_0bc3_5bd5, 18_915, 295));
@@ -121,7 +121,7 @@ proptest! {
             db.store_mut().store(&PrincipalEntry::db_key(&e.name, &e.instance), &e.encode()).unwrap();
         }
         let mut records = Vec::new();
-        db.for_each(&mut |e| records.push(e.clone())).unwrap();
+        db.for_each(&mut |e| records.push(e.to_owned())).unwrap();
         prop_assert_eq!(by_key(parse(&dump(&db).unwrap()).unwrap()), records);
     }
 }
