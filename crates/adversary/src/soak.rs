@@ -60,6 +60,7 @@ use krb_crypto::{
     seal_with, string_to_key, unseal_with, DesKey, KeyGenerator, Mode, Scheduled, SecretKey,
 };
 use krb_kdb::dump as kdump;
+use krb_kdb::PrincipalEntryView;
 use krb_kdc::{Deployment, RealmConfig};
 use krb_kprop::{
     build_incr_segment, parse_incr_reply, IncrReply, KpropMaster, Tally, UpdateOp, UpdateRecord,
@@ -700,8 +701,9 @@ impl Engine {
                 && p.payload.len() > 28
             {
                 let Ok(text) = std::str::from_utf8(&p.payload[28..]) else { continue };
-                let Ok(entries) = kdump::parse(text) else { continue };
-                for e in entries {
+                let Ok(records) = kdump::parse(text) else { continue };
+                for (_, record) in records {
+                    let Ok(e) = PrincipalEntryView::decode(&record) else { continue };
                     let mut block = e.key_encrypted;
                     self.sched.decrypt_block(&mut block);
                     let k = DesKey::from_bytes(block);

@@ -263,9 +263,9 @@ fn e16_cross_realm() {
     // Rebuild with the paired config (kdc_with_users used a plain one).
     let db = {
         let dump = athena.dump_text().unwrap();
-        let entries = krb_kdb::dump::parse(&dump).unwrap();
+        let records = krb_kdb::dump::parse(&dump).unwrap();
         let mut store = MemStore::new();
-        krb_kdb::dump::install(&mut store, &entries).unwrap();
+        krb_kdb::dump::install(&mut store, records).unwrap();
         PrincipalDb::open(store, string_to_key("master")).unwrap()
     };
     let athena = Kdc::new(db, athena_cfg, krb_kdc::shared_clock(std::sync::Arc::clone(&clock)), KdcRole::Master, 3);
@@ -312,8 +312,8 @@ fn e11_propagation() {
         });
         let packet = build_packet();
         let receive = time_median(1, MemStore::new, |store| {
-            let (_, entries) = krb_kprop::verify_full_seq(db.master_sched(), &packet).unwrap();
-            krb_kdb::dump::install(store, &entries).unwrap();
+            let (_, records) = krb_kprop::verify_full_seq(db.master_sched(), &packet).unwrap();
+            krb_kdb::dump::install(store, records).unwrap();
         });
         println!(
             "{n:>12} {:>12} {:>14.2} {:>14.2}",

@@ -5,12 +5,14 @@
 //! > attacks, a request received with the same ticket and time stamp as one
 //! > already received can be discarded."
 //!
-//! What is stored per request is a 24-byte [`ReplayFingerprint`]
-//! (authenticator timestamp, a hash of the client's `name.instance@realm`,
-//! a hash of the authenticator ciphertext) — no string, no per-entry
-//! allocation. Fingerprints are grouped into *generations* by timestamp
-//! (`timestamp >> GEN_SHIFT`), so the requests arriving now all land in
-//! the one or two newest generations, and expiry drops whole generations:
+//! A request is identified by its [`ReplayFingerprint`] (authenticator
+//! timestamp, a hash of the client's `name.instance@realm`, a hash of the
+//! authenticator ciphertext) — no string, no per-entry allocation.
+//! Fingerprints are grouped into *generations* by timestamp
+//! (`timestamp >> GEN_SHIFT`), and a generation stores each one in 16
+//! bytes: the generation already holds the timestamp's high bits. The
+//! requests arriving now all land in the one or two newest generations,
+//! and expiry drops whole generations:
 //! an entry leaves once its timestamp is more than `2 × MAX_SKEW_SECS`
 //! behind the server clock — long after the freshness check alone rejects
 //! it — so the cache stays bounded. DESIGN.md §4 has the argument for why
@@ -94,8 +96,8 @@ pub fn hash_bytes(data: &[u8]) -> u64 {
     fnv1a(FNV_OFFSET, data)
 }
 
-/// Hasher for sets of fingerprints. Two of the three words it is fed are
-/// already 64-bit hashes, so it only folds them together; the multiply and
+/// Hasher for a generation's entries. Both words it is fed are already
+/// 64-bit hashes, so it only folds them together; the multiply and
 /// shift in `finish` spread the fold over both ends of the word, because
 /// the table takes its bucket from the low bits and its tag from the high
 /// ones, and a stripe's fingerprints all share their `auth_hash` low bits.
@@ -107,10 +109,6 @@ impl Hasher for FoldHasher {
         for &b in bytes {
             self.write_u64(u64::from(b));
         }
-    }
-
-    fn write_u32(&mut self, x: u32) {
-        self.write_u64(u64::from(x));
     }
 
     fn write_u64(&mut self, x: u64) {
@@ -129,7 +127,38 @@ impl Hasher for FoldHasher {
 /// narrow enough that the newest one stays cache-resident.
 const GEN_SHIFT: u32 = 6;
 
-type Generation = HashSet<ReplayFingerprint, BuildHasherDefault<FoldHasher>>;
+/// The timestamp bits a generation does not hold: its offset in the
+/// generation.
+const OFFSET: u64 = (1 << GEN_SHIFT) - 1;
+
+/// What a generation's set stores for one request: the fingerprint less
+/// the timestamp bits the generation key already holds. `tagged` is
+/// `client_hash` with its low [`GEN_SHIFT`] bits replaced by the
+/// timestamp's offset, so the generation key and `tagged` give back the
+/// exact timestamp. Two requests of one generation compare equal when
+/// their timestamps, the high 58 bits of their client hashes and their
+/// authenticator hashes agree.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+struct Entry {
+    tagged: u64,
+    auth_hash: u64,
+}
+
+// An entry is 16 bytes; any other size fails to compile here.
+const _: [(); 16] = [(); std::mem::size_of::<Entry>()];
+
+impl Entry {
+    fn new(fp: &ReplayFingerprint) -> Self {
+        Entry { tagged: fp.client_hash & !OFFSET | u64::from(fp.timestamp) & OFFSET, auth_hash: fp.auth_hash }
+    }
+
+    /// The timestamp of an entry stored in generation `generation`.
+    fn timestamp(&self, generation: u32) -> u32 {
+        generation << GEN_SHIFT | (self.tagged & OFFSET) as u32
+    }
+}
+
+type Generation = HashSet<Entry, BuildHasherDefault<FoldHasher>>;
 
 /// The store inside every stripe: generations of fingerprints in
 /// timestamp order, plus the stripe's purge clock. Empty until first used.
@@ -148,7 +177,7 @@ thread_local! {
 impl Generations {
     /// Record a fingerprint. Returns `false` if it was already present.
     fn insert(&mut self, fp: ReplayFingerprint) -> bool {
-        self.gens.entry(fp.timestamp >> GEN_SHIFT).or_default().insert(fp)
+        self.gens.entry(fp.timestamp >> GEN_SHIFT).or_default().insert(Entry::new(&fp))
     }
 
     fn len(&self) -> usize {
@@ -173,7 +202,7 @@ impl Generations {
             let before = straddling.len();
             #[cfg(test)]
             SWEEP_VISITS.with(|v| v.set(v.get() + before));
-            straddling.retain(|fp| fp.timestamp >= cutoff);
+            straddling.retain(|e| e.timestamp(boundary) >= cutoff);
             evicted += before - straddling.len();
         }
         evicted as u64
@@ -502,9 +531,84 @@ mod tests {
         let buckets: HashSet<u64> = (0..1024u64)
             .map(|i| {
                 let fp = ReplayFingerprint { timestamp: 100, client_hash: 9, auth_hash: (i << 4) | 3 };
-                build.hash_one(fp) & 1023
+                build.hash_one(Entry::new(&fp)) & 1023
             })
             .collect();
         assert!(buckets.len() > 512, "{} of 1024 buckets used", buckets.len());
+    }
+
+    #[test]
+    fn an_entry_gives_back_its_exact_timestamp() {
+        let hashes = [0, 9, u64::MAX, 0xdead_beef_0000_003f, OFFSET];
+        let stamps = [0, 63, 64, 127, 100_000, u32::MAX - 64, u32::MAX - 63, u32::MAX - 1, u32::MAX];
+        for client_hash in hashes {
+            for timestamp in stamps {
+                let fp = ReplayFingerprint { timestamp, client_hash, auth_hash: 7 };
+                let e = Entry::new(&fp);
+                assert_eq!(e.timestamp(timestamp >> GEN_SHIFT), timestamp, "{client_hash:x} {timestamp}");
+                assert_eq!(e.tagged & !OFFSET, client_hash & !OFFSET, "the client hash keeps its high bits");
+                assert_eq!(e.auth_hash, 7);
+            }
+        }
+        // Offsets 0 and 63 of one generation are two entries, not one.
+        let at = |timestamp| Entry::new(&ReplayFingerprint { timestamp, client_hash: u64::MAX, auth_hash: 1 });
+        assert_ne!(at(64), at(127));
+        assert_eq!(at(127).tagged, u64::MAX);
+        assert_eq!(at(64).tagged, u64::MAX & !OFFSET);
+    }
+
+    #[test]
+    fn a_purge_at_the_top_of_the_clock_cuts_exactly() {
+        // Timestamps at the top of the u32 range: the generation key plus
+        // the offset must not wrap, and the straddling `retain` must keep
+        // exactly the entries at or past the cutoff, which falls at offset
+        // 39 of its generation.
+        let rc = ReplayCache::new();
+        let (top, first) = (u32::MAX, u32::MAX - 700);
+        for ts in first..=top {
+            assert!(rc.check_and_insert(one_stripe_key("bcn@A", ts, u64::from(ts)), first));
+        }
+        assert_eq!(rc.evictions(), 0);
+        let cutoff = top - 2 * MAX_SKEW_SECS;
+        assert_eq!(cutoff & OFFSET as u32, 39);
+        assert!(!rc.check_and_insert(one_stripe_key("bcn@A", top, u64::from(top)), top), "replay");
+        assert_eq!(rc.evictions(), u64::from(cutoff - first));
+        assert_eq!(rc.len(), (top - cutoff + 1) as usize);
+        assert!(!rc.check_and_insert(one_stripe_key("bcn@A", cutoff, u64::from(cutoff)), top), "kept");
+        assert!(rc.check_and_insert(one_stripe_key("bcn@A", cutoff - 1, u64::from(cutoff - 1)), top), "gone");
+    }
+
+    /// Heap bytes of a generation's table: one entry and one control byte
+    /// per bucket, plus the trailing control group. Buckets come from the
+    /// capacity the table reports (7/8 of the buckets past 8, one less
+    /// than the buckets up to 8).
+    fn table_bytes(set: &Generation) -> usize {
+        let buckets = match set.capacity() {
+            0 => return 0,
+            cap if cap < 8 => cap + 1,
+            cap => cap / 7 * 8,
+        };
+        buckets * (std::mem::size_of::<Entry>() + 1) + 16
+    }
+
+    #[test]
+    fn a_full_window_costs_at_most_24_bytes_an_entry() {
+        // ticket_steady's caches hold 140k–180k entries: 200 requests a
+        // second over 900 s. The 24-byte fingerprint stored itself at
+        // 31–34 bytes an entry.
+        const PER_SECOND: u32 = 200;
+        let rc = ReplayCache::new();
+        let base = 1_000_000;
+        for ts in base..base + 900 {
+            for i in 0..PER_SECOND {
+                let auth = (ts * PER_SECOND + i).to_be_bytes();
+                assert!(rc.check_and_insert(key("bcn@ATHENA.MIT.EDU", ts, &auth), base));
+            }
+        }
+        assert_eq!(rc.len(), 180_000);
+        let bytes: usize =
+            rc.stripes.iter().map(|s| s.lock().gens.values().map(table_bytes).sum::<usize>()).sum();
+        let per_entry = bytes as f64 / 180_000.0;
+        assert!(per_entry <= 24.0, "{per_entry:.1} bytes an entry");
     }
 }

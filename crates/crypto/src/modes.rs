@@ -11,8 +11,9 @@
 //! mode loop by mode loop); the paper notes the encryption library "may be
 //! replaced with other DES implementations", and this is that seam in
 //! action. Decryption chains through XORs only and runs up to four blocks
-//! side by side, the tail included. Encryption chains through the cipher,
-//! so one chain is one block at a time; the only second chain ready to
+//! side by side, the tail included, and so does ECB encryption, which has
+//! no chain. CBC and PCBC encryption chain through the cipher, so one
+//! chain is one block at a time; the only second chain ready to
 //! run beside it is a message sealed inside another, where
 //! [`seal_nested_in_place`] runs the inner chain two-wide with the outer
 //! blocks in front of it.
@@ -147,8 +148,30 @@ pub fn encrypt_raw_with(
         return Err(CryptoError::BadLength(data.len()));
     }
     let mut out = data.to_vec();
-    encrypt_chain(mode, sched.des(), &mut Chain::new(iv), &mut out);
+    match mode {
+        Mode::Ecb => encrypt_ecb_in_place(sched.des(), &mut out),
+        Mode::Cbc | Mode::Pcbc => encrypt_chain(mode, sched.des(), &mut Chain::new(iv), &mut out),
+    }
     Ok(out)
+}
+
+/// ECB, encrypt direction: no block depends on another, so the blocks go
+/// through the rounds [`LANES`] at a time, like decryption's groups; the
+/// 1–3-block tail rides in one zero-filled group.
+fn encrypt_ecb_in_place(des: &FastDes, buf: &mut [u8]) {
+    let (groups, tail) = buf.as_chunks_mut::<BLOCK>().0.as_chunks_mut::<LANES>();
+    let encrypt = |group: [[u8; BLOCK]; LANES]| {
+        FastDes::encrypt_lanes_u64([des; LANES], group.map(u64::from_be_bytes)).map(u64::to_be_bytes)
+    };
+    for group in groups {
+        *group = encrypt(*group);
+    }
+    if !tail.is_empty() {
+        let mut last = [[0; BLOCK]; LANES];
+        last[..tail.len()].copy_from_slice(tail);
+        let last = encrypt(last);
+        tail.copy_from_slice(&last[..tail.len()]);
+    }
 }
 
 /// Decrypt `data` (whole blocks only) under a precomputed schedule.

@@ -377,9 +377,10 @@ proptest! {
     /// The mode loops against the reference engine, not against themselves:
     /// a straight-line ECB/CBC/PCBC written here over `Des` with byte XORs
     /// must agree with `encrypt_raw_with`/`decrypt_raw_with` at every length
-    /// from 0 to 13 blocks, so the decrypt loop's every combination of 0–3
-    /// four-block groups and a 0–3-block tail is exercised — on arbitrary
-    /// bytes, since decryption is defined on any input.
+    /// from 0 to 13 blocks, so every combination of 0–3 four-block groups
+    /// and a 0–3-block tail is exercised in the decrypt loop and in ECB
+    /// encryption — on arbitrary bytes, since decryption is defined on any
+    /// input.
     #[test]
     fn mode_loops_equal_reference_des(
         key in arb_key(),

@@ -156,9 +156,9 @@ fn tgs_issued_ticket_rejected_by_kdbm() {
 fn kdbm_refuses_to_run_on_slave() {
     let r = rig();
     let dump = r.kdc.dump_text().unwrap();
-    let entries = krb_kdb::dump::parse(&dump).unwrap();
+    let records = krb_kdb::dump::parse(&dump).unwrap();
     let mut store = MemStore::new();
-    krb_kdb::dump::install(&mut store, &entries).unwrap();
+    krb_kdb::dump::install(&mut store, records).unwrap();
     let db = PrincipalDb::open(store, string_to_key("master")).unwrap();
     let slave = Arc::new(Kdc::new(
         db, RealmConfig::new(REALM), fixed_clock(NOW), KdcRole::Slave, 9,

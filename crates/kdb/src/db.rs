@@ -9,7 +9,7 @@
 use crate::principal::{PrincipalEntry, PrincipalEntryView, ATTR_DISABLED, NAME_SZ};
 use crate::store::Store;
 use crate::DbError;
-use krb_crypto::{constant_time_eq, DesKey, Scheduled};
+use krb_crypto::{constant_time_eq, encrypt_raw_with, DesKey, Mode, Scheduled};
 
 /// Name of the master-key verification principal.
 pub const MASTER_NAME: &str = "K";
@@ -112,6 +112,7 @@ impl<S: Store> PrincipalDb<S> {
     ) -> Result<(), DbError> {
         PrincipalEntry::validate_name(name)?;
         PrincipalEntry::validate_instance(instance)?;
+        PrincipalEntry::validate_mod_by(mod_by)?;
         let db_key = PrincipalEntry::db_key(name, instance);
         if self.store.fetch(&db_key)?.is_some() {
             return Err(DbError::AlreadyExists(format!("{name}.{instance}")));
@@ -146,26 +147,36 @@ impl<S: Store> PrincipalDb<S> {
         now: u32,
         mod_by: &str,
     ) -> Result<(), DbError> {
-        let mut pairs = Vec::with_capacity(principals.len());
-        for (name, instance, key) in principals {
+        PrincipalEntry::validate_mod_by(mod_by)?;
+        for (name, instance, _) in principals {
             PrincipalEntry::validate_name(name)?;
             PrincipalEntry::validate_instance(instance)?;
             if name == MASTER_NAME && instance == MASTER_INSTANCE {
                 return Err(DbError::AlreadyExists("K.M".into()));
             }
-            let entry = PrincipalEntry {
-                name: name.clone(),
-                instance: instance.clone(),
-                key_encrypted: self.encrypt_key(key),
-                key_version: 1,
-                expiration,
-                max_life,
-                attributes: 0,
-                mod_time: now,
-                mod_by: mod_by.into(),
-            };
-            pairs.push((PrincipalEntry::db_key(name, instance), entry.encode()));
         }
+        // Every key wrapped in one ECB pass, which runs blocks side by side.
+        let plain: Vec<u8> = principals.iter().flat_map(|(_, _, key)| *key.as_bytes()).collect();
+        let wrapped = encrypt_raw_with(Mode::Ecb, &self.master, &[0; 8], &plain)
+            .map_err(|e| DbError::Corrupt(format!("key wrap: {e}")))?;
+        let pairs = principals
+            .iter()
+            .zip(wrapped.as_chunks::<8>().0)
+            .map(|((name, instance, _), &key_encrypted)| {
+                let entry = PrincipalEntryView {
+                    name,
+                    instance,
+                    key_encrypted,
+                    key_version: 1,
+                    expiration,
+                    max_life,
+                    attributes: 0,
+                    mod_time: now,
+                    mod_by,
+                };
+                (PrincipalEntry::db_key(name, instance), entry.encode())
+            })
+            .collect();
         self.store.bulk_load(pairs)
     }
 
@@ -203,6 +214,7 @@ impl<S: Store> PrincipalDb<S> {
         now: u32,
         mod_by: &str,
     ) -> Result<(), DbError> {
+        PrincipalEntry::validate_mod_by(mod_by)?;
         let db_key = PrincipalEntry::db_key(name, instance);
         let raw = self
             .store
@@ -218,6 +230,7 @@ impl<S: Store> PrincipalDb<S> {
 
     /// Update an entry's attributes or limits in place.
     pub fn update_entry(&mut self, entry: &PrincipalEntry) -> Result<(), DbError> {
+        PrincipalEntry::validate_mod_by(&entry.mod_by)?;
         let db_key = PrincipalEntry::db_key(&entry.name, &entry.instance);
         if self.store.fetch(&db_key)?.is_none() {
             return Err(DbError::NotFound(format!("{}.{}", entry.name, entry.instance)));

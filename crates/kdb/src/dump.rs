@@ -8,7 +8,7 @@
 
 use crate::db::PrincipalDb;
 use crate::principal::{PrincipalEntry, PrincipalEntryView};
-use crate::store::Store;
+use crate::store::{Records, Store};
 use crate::DbError;
 use std::fmt::Write;
 
@@ -71,10 +71,15 @@ pub fn entry_to_line(e: &PrincipalEntry) -> String {
     line
 }
 
-/// Parse one dump line back into an entry. Every number is read at its
-/// field's own width: a value that does not fit is damage, not a smaller
-/// number.
+/// Parse one dump line back into an entry.
 pub fn line_to_entry(line: &str) -> Result<PrincipalEntry, DbError> {
+    line_view(line).map(|e| e.to_owned())
+}
+
+/// Parse one dump line where it lies: the one line parser. Every number is
+/// read at its field's own width: a value that does not fit is damage, not
+/// a smaller number.
+fn line_view(line: &str) -> Result<PrincipalEntryView<'_>, DbError> {
     let mut fields = line.split(' ');
     let mut text = |what: &str| {
         fields.next().ok_or_else(|| DbError::Corrupt(format!("dump line ends before {what}")))
@@ -82,9 +87,11 @@ pub fn line_to_entry(line: &str) -> Result<PrincipalEntry, DbError> {
     fn num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, DbError> {
         s.parse().map_err(|_| DbError::Corrupt(format!("bad {what}: {s:?}")))
     }
-    let unstar = |s: &str| if s == "*" { String::new() } else { s.to_string() };
-    let entry = PrincipalEntry {
-        name: text("name")?.to_string(),
+    fn unstar(s: &str) -> &str {
+        if s == "*" { "" } else { s }
+    }
+    let entry = PrincipalEntryView {
+        name: text("name")?,
         instance: unstar(text("instance")?),
         key_version: num(text("key_version")?, "key_version")?,
         expiration: num(text("expiration")?, "expiration")?,
@@ -123,8 +130,10 @@ pub fn dump<S: Store>(db: &PrincipalDb<S>) -> Result<String, DbError> {
     Ok(out)
 }
 
-/// Parse a dump into entries, validating the header and count.
-pub fn parse(dump: &str) -> Result<Vec<PrincipalEntry>, DbError> {
+/// Parse a dump, validating the header and count, straight into the
+/// `(db key, encoded record)` pairs a store holds: no line becomes an
+/// owned entry on the way.
+pub fn parse(dump: &str) -> Result<Records, DbError> {
     let mut lines = dump.lines();
     let header = lines.next().ok_or_else(|| DbError::Corrupt("empty dump".into()))?;
     let mut hdr = header.split(' ');
@@ -138,29 +147,28 @@ pub fn parse(dump: &str) -> Result<Vec<PrincipalEntry>, DbError> {
     // Sized once from the header (a growing Vec ends at up to twice the
     // realm, and moves it on the way), but never past what the text could
     // hold: a line is nine fields, the last sixteen hex digits.
-    let mut entries = Vec::with_capacity(count.min(dump.len() / 32));
+    let mut records = Vec::with_capacity(count.min(dump.len() / 32));
     for line in lines {
-        entries.push(line_to_entry(line)?);
+        let e = line_view(line)?;
+        records.push((PrincipalEntry::db_key(e.name, e.instance), e.encode()));
     }
-    if entries.len() != count {
+    if records.len() != count {
         return Err(DbError::Corrupt(format!(
             "dump count {count} but {} entries",
-            entries.len()
+            records.len()
         )));
     }
-    Ok(entries)
+    Ok(records)
 }
 
-/// Install a parsed dump into a store, replacing all contents, in one
-/// [`Store::bulk_load`]. This is the slave-side `kpropd` update step.
-pub fn install<S: Store>(store: &mut S, entries: &[PrincipalEntry]) -> Result<(), DbError> {
-    // Collect existing keys first: Store iteration borrows immutably.
-    let mut old_keys = Vec::new();
-    store.for_each(&mut |k, _| old_keys.push(k.to_vec()))?;
-    for k in old_keys {
-        store.delete(&k)?;
+/// Install a parsed dump into an empty store in one [`Store::bulk_load`]:
+/// the slave-side `kpropd` update step. A store that already holds records
+/// is refused; a slave installs into a fresh store and swaps it in whole.
+pub fn install<S: Store>(store: &mut S, records: Records) -> Result<(), DbError> {
+    if !store.is_empty() {
+        return Err(DbError::AlreadyExists(format!("install over {} stored records", store.len())));
     }
-    store.bulk_load(entries.iter().map(|e| (PrincipalEntry::db_key(&e.name, &e.instance), e.encode())).collect())
+    store.bulk_load(records)
 }
 
 #[cfg(test)]
@@ -198,9 +206,14 @@ mod tests {
     fn dump_parse_round_trip() {
         let db = populated();
         let d = dump(&db).unwrap();
-        let entries = parse(&d).unwrap();
-        assert_eq!(entries.len(), 5);
-        assert!(entries.iter().any(|e| e.name == "K" && e.instance == "M"));
+        let records = parse(&d).unwrap();
+        assert_eq!(records.len(), 5);
+        let mut stored = Vec::new();
+        db.store().for_each(&mut |k, v| stored.push((k.to_vec(), v.to_vec()))).unwrap();
+        let mut parsed = records.clone();
+        parsed.sort();
+        assert_eq!(parsed, stored, "every record parses back to its stored bytes");
+        assert!(records.iter().any(|(k, _)| k == b"K.M"));
     }
 
     #[test]
@@ -260,14 +273,16 @@ mod tests {
     }
 
     #[test]
-    fn install_replaces_store() {
+    fn install_fills_a_fresh_store_and_refuses_a_populated_one() {
         let db = populated();
-        let entries = parse(&dump(&db).unwrap()).unwrap();
+        let records = parse(&dump(&db).unwrap()).unwrap();
+        let mut stale = MemStore::new();
+        stale.store(b"stale.", b"junk").unwrap();
+        assert!(matches!(install(&mut stale, records.clone()), Err(DbError::AlreadyExists(_))));
+        assert_eq!(stale.len(), 1, "a refused install leaves the store as it was");
         let mut slave = MemStore::new();
-        slave.store(b"stale.", b"junk").unwrap();
-        install(&mut slave, &entries).unwrap();
+        install(&mut slave, records).unwrap();
         assert_eq!(slave.len(), 5);
-        assert!(slave.fetch(b"stale.").unwrap().is_none());
         // The installed slave opens with the same master key.
         assert!(PrincipalDb::open(slave, string_to_key("mk")).is_ok());
     }

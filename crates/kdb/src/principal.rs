@@ -61,35 +61,33 @@ impl PrincipalEntry {
         if s.contains('.') {
             return Err(DbError::BadName(format!("dot in primary name {s:?}")));
         }
-        Self::validate_instance(s)
+        validate_component(s)
     }
 
     /// Validate an instance: dots are allowed (the `krbtgt` instance is a
-    /// realm name, e.g. `krbtgt.LCS.MIT.EDU`), `@` and whitespace are not.
+    /// realm name, e.g. `krbtgt.LCS.MIT.EDU`), `@` and whitespace are not,
+    /// and neither is the literal `*`, the dump's spelling of the NULL
+    /// instance: `name.*` would come back from a dump as `name.`.
     pub fn validate_instance(s: &str) -> Result<(), DbError> {
-        if s.len() > NAME_SZ {
-            return Err(DbError::BadName(format!("component too long: {s:?}")));
+        if s == "*" {
+            return Err(DbError::BadName("instance \"*\" is the dump's empty field".into()));
         }
-        if s.contains(['@', '\0']) || s.chars().any(char::is_whitespace) {
-            return Err(DbError::BadName(format!("illegal character in {s:?}")));
+        validate_component(s)
+    }
+
+    /// Validate a `mod_by` field: it is one field of a dump line, so no
+    /// whitespace and not the literal `*`, which the dump reads back as
+    /// the empty string.
+    pub fn validate_mod_by(s: &str) -> Result<(), DbError> {
+        if s == "*" || s.chars().any(char::is_whitespace) {
+            return Err(DbError::BadName(format!("mod_by {s:?} cannot be one dump field")));
         }
         Ok(())
     }
 
     /// Serialize to the on-disk value format (versioned, big-endian).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.push(1); // record format version
-        push_str(&mut out, &self.name);
-        push_str(&mut out, &self.instance);
-        out.extend_from_slice(&self.key_encrypted);
-        out.push(self.key_version);
-        out.extend_from_slice(&self.expiration.to_be_bytes());
-        out.push(self.max_life);
-        out.extend_from_slice(&self.attributes.to_be_bytes());
-        out.extend_from_slice(&self.mod_time.to_be_bytes());
-        push_str(&mut out, &self.mod_by);
-        out
+        self.view().encode()
     }
 
     /// Parse the on-disk value format.
@@ -164,6 +162,23 @@ impl<'a> PrincipalEntryView<'a> {
         Ok(entry)
     }
 
+    /// Serialize to the on-disk value format (versioned, big-endian): the
+    /// one record encoder.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(24 + self.name.len() + self.instance.len() + self.mod_by.len());
+        out.push(1); // record format version
+        push_str(&mut out, self.name);
+        push_str(&mut out, self.instance);
+        out.extend_from_slice(&self.key_encrypted);
+        out.push(self.key_version);
+        out.extend_from_slice(&self.expiration.to_be_bytes());
+        out.push(self.max_life);
+        out.extend_from_slice(&self.attributes.to_be_bytes());
+        out.extend_from_slice(&self.mod_time.to_be_bytes());
+        push_str(&mut out, self.mod_by);
+        out
+    }
+
     /// An owned copy.
     pub fn to_owned(&self) -> PrincipalEntry {
         PrincipalEntry {
@@ -178,6 +193,18 @@ impl<'a> PrincipalEntryView<'a> {
             mod_by: self.mod_by.to_owned(),
         }
     }
+}
+
+/// The checks a name and an instance share: at most [`NAME_SZ`] bytes, no
+/// `@`, NUL or whitespace.
+fn validate_component(s: &str) -> Result<(), DbError> {
+    if s.len() > NAME_SZ {
+        return Err(DbError::BadName(format!("component too long: {s:?}")));
+    }
+    if s.contains(['@', '\0']) || s.chars().any(char::is_whitespace) {
+        return Err(DbError::BadName(format!("illegal character in {s:?}")));
+    }
+    Ok(())
 }
 
 /// Append a 1-byte-length-prefixed string. The length field holds at most

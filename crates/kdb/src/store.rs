@@ -13,6 +13,9 @@ use crate::DbError;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
+/// `(key, value)` records in a batch, as [`Store::bulk_load`] takes them.
+pub type Records = Vec<(Vec<u8>, Vec<u8>)>;
+
 /// A flat key/value store with `ndbm`-style semantics: byte-string keys and
 /// values, single writer, full-scan iteration (`firstkey`/`nextkey`).
 pub trait Store {
@@ -39,7 +42,7 @@ pub trait Store {
     /// pre-splits its directory instead of splitting one overflow at a
     /// time, and [`MemStore`] builds its tree bottom-up); the default is a
     /// plain loop.
-    fn bulk_load(&mut self, pairs: Vec<(Vec<u8>, Vec<u8>)>) -> Result<(), DbError> {
+    fn bulk_load(&mut self, pairs: Records) -> Result<(), DbError> {
         for (k, v) in &pairs {
             self.store(k, v)?;
         }
@@ -538,7 +541,7 @@ impl Store for MemStore {
 
     /// The records already here (sharing their values) and the batch, as
     /// one sorted run built bottom-up: no record is held twice.
-    fn bulk_load(&mut self, pairs: Vec<(Vec<u8>, Vec<u8>)>) -> Result<(), DbError> {
+    fn bulk_load(&mut self, pairs: Records) -> Result<(), DbError> {
         let mut all = Vec::with_capacity(self.len + pairs.len());
         walk(&self.root, &mut |k, v| all.push((k.clone(), Arc::clone(v))))?;
         all.extend(pairs.into_iter().map(|(k, v)| (Key::new(&k), Arc::from(v))));

@@ -10,7 +10,7 @@
 
 use krb_crypto::string_to_key;
 use krb_kdb::dump::{dump, entry_to_line, line_to_entry, parse};
-use krb_kdb::{MemStore, PrincipalDb, PrincipalEntry, Store};
+use krb_kdb::{DbError, MemStore, PrincipalDb, PrincipalEntry, Records, Store};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,11 +75,13 @@ fn dump_digest_is_pinned() {
     assert_eq!((fnv1a(text.as_bytes()), text.len(), db.len()), (0xc184_0e79_0bc3_5bd5, 18_915, 295));
 }
 
-/// A valid entry: components as registration allows them, except the
-/// literal `*`, which the dump reserves for the empty string.
+/// An entry with components as registration allows them, and the literal
+/// `*` as the instance or `mod_by` now and then, which registration
+/// refuses: the dump reserves it for the empty string.
 fn arb_entry() -> impl Strategy<Value = PrincipalEntry> {
+    let starred = |re: &'static str| prop_oneof![1 => Just("*".to_string()), 7 => re];
     (
-        ("[a-zK0-9!+*_é-]{0,8}", "[a-zA-Z0-9.!+_é-]{0,12}", "[a-z.!_-]{0,10}"),
+        ("[a-zK0-9!+*_é-]{0,8}", starred("[a-zA-Z0-9.!+*_é-]{0,12}"), starred("[a-z.!*_-]{0,10}")),
         any::<[u8; 8]>(),
         (any::<u8>(), any::<u32>(), any::<u8>(), any::<u16>(), any::<u32>()),
     )
@@ -98,30 +100,73 @@ fn arb_entry() -> impl Strategy<Value = PrincipalEntry> {
         })
 }
 
-fn by_key(mut entries: Vec<PrincipalEntry>) -> Vec<PrincipalEntry> {
-    entries.sort_by_key(|e| PrincipalEntry::db_key(&e.name, &e.instance));
-    entries
+/// Whether registration would let `e`'s fields into the database.
+fn admitted(e: &PrincipalEntry) -> bool {
+    PrincipalEntry::validate_name(&e.name).is_ok()
+        && PrincipalEntry::validate_instance(&e.instance).is_ok()
+        && PrincipalEntry::validate_mod_by(&e.mod_by).is_ok()
+}
+
+/// The store's records in key order, and the records its dump parses
+/// back to, sorted the same way.
+fn stored_and_parsed(db: &PrincipalDb<MemStore>) -> (Records, Records) {
+    let mut stored = Vec::new();
+    db.store().for_each(&mut |k, v| stored.push((k.to_vec(), v.to_vec()))).unwrap();
+    let mut parsed = parse(&dump(db).unwrap()).unwrap();
+    parsed.sort();
+    (stored, parsed)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The parser reads back exactly the entry the writer wrote.
+    /// The parser reads back exactly the entry the writer wrote, for
+    /// exactly the entries registration admits.
     #[test]
     fn a_line_reads_back_as_its_entry(e in arb_entry()) {
-        prop_assert_eq!(line_to_entry(&entry_to_line(&e)).unwrap(), e);
+        let back = line_to_entry(&entry_to_line(&e)).unwrap();
+        prop_assert_eq!(back == e, admitted(&e), "{:?}", e);
     }
 
     /// A dump parses back to exactly the database's records, `K.M`
-    /// included: none lost, none added, none changed.
+    /// included: none lost, none added, not a byte changed.
     #[test]
     fn a_dump_parses_back_to_the_records(entries in proptest::collection::vec(arb_entry(), 0..60)) {
         let mut db = PrincipalDb::create(MemStore::new(), string_to_key("mk"), 0).unwrap();
-        for e in &entries {
+        for e in entries.iter().filter(|e| admitted(e)) {
             db.store_mut().store(&PrincipalEntry::db_key(&e.name, &e.instance), &e.encode()).unwrap();
         }
-        let mut records = Vec::new();
-        db.for_each(&mut |e| records.push(e.to_owned())).unwrap();
-        prop_assert_eq!(by_key(parse(&dump(&db).unwrap()).unwrap()), records);
+        let (stored, parsed) = stored_and_parsed(&db);
+        prop_assert_eq!(parsed, stored);
     }
+}
+
+/// `*` is the dump's empty field: an instance or `mod_by` spelled so would
+/// come back from every slave as the empty string (`name.*` as `name.`),
+/// so every way into the database refuses it.
+#[test]
+fn a_star_instance_or_mod_by_is_refused_at_every_door() {
+    let mut db = PrincipalDb::create(MemStore::new(), string_to_key("mk"), 0).unwrap();
+    let key = string_to_key("pw");
+    let refused = |r: Result<(), DbError>| matches!(r, Err(DbError::BadName(_)));
+    assert!(refused(db.add_principal("bcn", "*", &key, 9, 96, 0, "kadmin.")));
+    assert!(refused(db.add_principal("bcn", "", &key, 9, 96, 0, "*")));
+    let batch = [("jis".to_string(), "*".to_string(), key)];
+    assert!(refused(db.bulk_register(&batch, 9, 96, 0, "kadmin.")));
+    let batch = [("jis".to_string(), String::new(), key)];
+    assert!(refused(db.bulk_register(&batch, 9, 96, 0, "*")));
+
+    db.add_principal("bcn", "", &key, 9, 96, 0, "kadmin.").unwrap();
+    assert!(refused(db.change_key("bcn", "", &string_to_key("new"), 1, "*")));
+    let mut e = db.get("bcn", "").unwrap().unwrap();
+    e.mod_by = "*".into();
+    assert!(refused(db.update_entry(&e)));
+    assert!(refused(db.add_principal("bcn", "", &key, 9, 96, 0, "a b")), "mod_by is one dump field");
+
+    // What did get in reads back from a dump as itself: `*` inside a
+    // component, or as a whole name, is not the empty field.
+    db.add_principal("*", "a*", &key, 9, 96, 0, "x*.").unwrap();
+    let (stored, parsed) = stored_and_parsed(&db);
+    assert_eq!(parsed, stored);
+    assert_eq!(db.len(), 3);
 }

@@ -1348,9 +1348,9 @@ mod tests {
     fn slave_serves_reads_but_refuses_writes() {
         let kdc = test_kdc();
         let dump = kdc.dump_text().unwrap();
-        let entries = krb_kdb::dump::parse(&dump).unwrap();
+        let records = krb_kdb::dump::parse(&dump).unwrap();
         let mut store = MemStore::new();
-        krb_kdb::dump::install(&mut store, &entries).unwrap();
+        krb_kdb::dump::install(&mut store, records).unwrap();
         let slave_db = PrincipalDb::open(store, string_to_key("master")).unwrap();
         let slave = Kdc::new(slave_db, RealmConfig::new(REALM), fixed_clock(NOW), KdcRole::Slave, 8);
         assert!(slave.with_db_mut(|_| ()).is_none(), "slave database is read-only");

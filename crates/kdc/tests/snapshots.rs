@@ -5,7 +5,7 @@
 
 use kerberos::{build_as_req, read_as_reply_with_password, ErrorCode, Principal};
 use krb_crypto::string_to_key;
-use krb_kdb::{dump, DbError, MemStore, PrincipalDb, Store, ATTR_DISABLED};
+use krb_kdb::{dump, DbError, MemStore, PrincipalDb, PrincipalEntry, Store, ATTR_DISABLED};
 use krb_kdc::{fixed_clock, Kdc, KdcRole, RealmConfig};
 use krb_mon::{HealthSpec, MonState};
 use krb_telemetry::Journal;
@@ -120,7 +120,9 @@ proptest! {
             if let Op::ChangeKey(i, _) | Op::Delete(i) | Op::Disable(i) = op {
                 // The record itself, not only the dump line: the old
                 // snapshot still decrypts the pre-write key.
-                let was = dump::parse(&before_text).unwrap().into_iter().find(|e| e.name == user(*i));
+                let key = PrincipalEntry::db_key(&user(*i), "");
+                let was = dump::parse(&before_text).unwrap().into_iter().find(|(k, _)| *k == key);
+                let was = was.map(|(_, record)| PrincipalEntry::decode(&record).unwrap());
                 prop_assert_eq!(before.db().get(&user(*i), "").unwrap(), was);
             }
             if step % 8 == 0 {

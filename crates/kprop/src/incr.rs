@@ -41,7 +41,7 @@
 use crate::{kpropd_install, PropError};
 use krb_crypto::{cbc_checksum_with, constant_time_eq, DesKey, Scheduled};
 use krb_kdb::dump as kdump;
-use krb_kdb::{MemStore, PrincipalDb, PrincipalEntry, Store};
+use krb_kdb::{MemStore, PrincipalDb, PrincipalEntry, Records, Store};
 use std::collections::VecDeque;
 
 /// Magic prefix of an incremental segment.
@@ -170,9 +170,9 @@ pub fn build_incr_segment(
     after_seq: u64,
     records: &[UpdateRecord],
 ) -> Result<Vec<u8>, PropError> {
-    let mut payload = Vec::with_capacity(16 + records.len() * 48);
-    payload.extend_from_slice(&after_seq.to_be_bytes());
-    payload.extend_from_slice(&(records.len() as u32).to_be_bytes());
+    let mut packet = unsealed(INCR_MAGIC, 12 + records.len() * 48);
+    packet.extend_from_slice(&after_seq.to_be_bytes());
+    packet.extend_from_slice(&(records.len() as u32).to_be_bytes());
     for (i, r) in records.iter().enumerate() {
         if r.seq != after_seq + 1 + i as u64 {
             return Err(PropError::BadPacket);
@@ -181,24 +181,25 @@ pub fn build_incr_segment(
         if body.len() > u16::MAX as usize {
             return Err(PropError::BadPacket);
         }
-        payload.push(match r.op {
+        packet.push(match r.op {
             UpdateOp::Put(_) => 1,
             UpdateOp::Delete { .. } => 2,
         });
-        payload.extend_from_slice(&(body.len() as u16).to_be_bytes());
-        payload.extend_from_slice(body.as_bytes());
+        packet.extend_from_slice(&(body.len() as u16).to_be_bytes());
+        packet.extend_from_slice(body.as_bytes());
     }
-    Ok(seal(master, INCR_MAGIC, &payload))
+    Ok(seal(master, packet))
 }
 
 /// Build a sequenced full dump: the bootstrap / gap-recovery / anti-entropy
-/// transfer, stamped with the journal position it reflects.
+/// transfer, stamped with the journal position it reflects. The dump is
+/// copied once, into the packet.
 pub fn build_full_seq(master: &Scheduled, as_of_seq: u64, dump: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(12 + dump.len());
-    payload.extend_from_slice(&as_of_seq.to_be_bytes());
-    payload.extend_from_slice(&(dump.len() as u32).to_be_bytes());
-    payload.extend_from_slice(dump);
-    seal(master, FULL_MAGIC, &payload)
+    let mut packet = unsealed(FULL_MAGIC, 12 + dump.len());
+    packet.extend_from_slice(&as_of_seq.to_be_bytes());
+    packet.extend_from_slice(&(dump.len() as u32).to_be_bytes());
+    packet.extend_from_slice(dump);
+    seal(master, packet)
 }
 
 /// What a propagation packet claims to be (by magic).
@@ -222,13 +223,22 @@ pub fn packet_kind(packet: &[u8]) -> Option<PacketKind> {
     }
 }
 
-/// `magic || checksum || payload`: the sealing half of [`verify_payload`].
-fn seal(master: &Scheduled, magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + payload.len());
-    out.extend_from_slice(magic);
-    out.extend_from_slice(&cbc_checksum_with(master, &[0u8; 8], payload));
-    out.extend_from_slice(payload);
-    out
+/// `magic` and a zeroed checksum slot, with room for a `payload_len`-byte
+/// payload: a packet the builder writes its payload into, then [`seal`]s.
+fn unsealed(magic: &[u8; 8], payload_len: usize) -> Vec<u8> {
+    let mut packet = Vec::with_capacity(16 + payload_len);
+    packet.extend_from_slice(magic);
+    packet.extend_from_slice(&[0; 8]);
+    packet
+}
+
+/// Fill the checksum slot of `magic || checksum || payload` in place: the
+/// sealing half of [`verify_payload`].
+fn seal(master: &Scheduled, mut packet: Vec<u8>) -> Vec<u8> {
+    if let Some((head, payload)) = packet.split_at_mut_checked(16) {
+        head[8..].copy_from_slice(&cbc_checksum_with(master, &[0u8; 8], payload));
+    }
+    packet
 }
 
 /// The keyed-checksum check of §5.3, for either wire format: recompute the
@@ -248,13 +258,14 @@ fn verify_payload<'a>(master: &Scheduled, packet: &'a [u8]) -> Result<&'a [u8], 
 }
 
 /// Slave side, verification half of a full dump: check the magic, the
-/// keyed checksum and the framing, then parse the dump. Returns the journal
-/// position the dump reflects and the entries, ready for
-/// [`kpropd_install`] into any store.
+/// keyed checksum and the framing, then parse the dump straight into the
+/// `(db key, record)` pairs a store holds. Returns the journal position
+/// the dump reflects and those pairs, ready for [`kpropd_install`] into
+/// any fresh store.
 pub fn verify_full_seq(
     master: &Scheduled,
     packet: &[u8],
-) -> Result<(u64, Vec<PrincipalEntry>), PropError> {
+) -> Result<(u64, Records), PropError> {
     if !packet.starts_with(FULL_MAGIC) {
         return Err(PropError::BadPacket);
     }
@@ -409,7 +420,7 @@ impl IncrReplica {
     }
 
     fn apply_full(&mut self, packet: &[u8]) -> Result<Applied, PropError> {
-        let (as_of_seq, entries) = verify_full_seq(&self.sched, packet)?;
+        let (as_of_seq, records) = verify_full_seq(&self.sched, packet)?;
         // A stale full dump must never roll the mirror back: refusing it is
         // the replayed-update check at dump granularity.
         if self.db.is_some() && as_of_seq < self.applied_seq {
@@ -418,9 +429,10 @@ impl IncrReplica {
                 first: as_of_seq.saturating_add(1),
             });
         }
-        self.db = Some(kpropd_install(MemStore::new(), &entries, self.master_key.clone())?);
+        let entries = records.len();
+        self.db = Some(kpropd_install(MemStore::new(), records, self.master_key)?);
         self.applied_seq = as_of_seq;
-        Ok(Applied::Full { entries: entries.len(), seq: as_of_seq })
+        Ok(Applied::Full { entries, seq: as_of_seq })
     }
 }
 
@@ -525,6 +537,13 @@ mod tests {
                 .unwrap();
         }
         db
+    }
+
+    /// An incremental segment around an arbitrary payload.
+    fn sealed(db: &PrincipalDb<MemStore>, payload: &[u8]) -> Vec<u8> {
+        let mut packet = unsealed(INCR_MAGIC, payload.len());
+        packet.extend_from_slice(payload);
+        seal(db.master_sched(), packet)
     }
 
     fn full_packet(db: &PrincipalDb<MemStore>, as_of: u64) -> Vec<u8> {
@@ -732,17 +751,17 @@ mod tests {
         // count = u32::MAX with no records behind it: must not reserve.
         let mut huge = 0u64.to_be_bytes().to_vec();
         huge.extend_from_slice(&u32::MAX.to_be_bytes());
-        assert_eq!(replica.apply(&seal(m.master_sched(), INCR_MAGIC, &huge)).unwrap_err(), PropError::BadPacket);
+        assert_eq!(replica.apply(&sealed(&m, &huge)).unwrap_err(), PropError::BadPacket);
         // after_seq = u64::MAX: `after_seq + 1` must not overflow.
         let mut far = u64::MAX.to_be_bytes().to_vec();
         far.extend_from_slice(&0u32.to_be_bytes());
         assert_eq!(
-            replica.apply(&seal(m.master_sched(), INCR_MAGIC, &far)).unwrap_err(),
+            replica.apply(&sealed(&m, &far)).unwrap_err(),
             PropError::SequenceGap { applied: 0, first: u64::MAX }
         );
         let mut fresh = IncrReplica::new(string_to_key("mk"));
         assert_eq!(
-            fresh.apply(&seal(m.master_sched(), INCR_MAGIC, &far)).unwrap_err(),
+            fresh.apply(&sealed(&m, &far)).unwrap_err(),
             PropError::SequenceGap { applied: 0, first: u64::MAX }
         );
         // A mirror parked at u64::MAX cannot count one record further.
@@ -751,7 +770,7 @@ mod tests {
         one_more.extend_from_slice(&1u32.to_be_bytes());
         one_more.extend_from_slice(b"\x02\x00\x03x *");
         assert_eq!(
-            replica.apply(&seal(m.master_sched(), INCR_MAGIC, &one_more)).unwrap_err(),
+            replica.apply(&sealed(&m, &one_more)).unwrap_err(),
             PropError::BadPacket
         );
         assert_eq!(replica.dump_text().unwrap(), before, "refusals must not mutate");
@@ -776,7 +795,7 @@ mod tests {
             payload.push(1);
             payload.extend_from_slice(&(body.len() as u16).to_be_bytes());
             payload.extend_from_slice(body.as_bytes());
-            let err = replica.apply(&seal(m.master_sched(), INCR_MAGIC, &payload)).unwrap_err();
+            let err = replica.apply(&sealed(&m, &payload)).unwrap_err();
             assert!(matches!(err, PropError::Db(krb_kdb::DbError::Corrupt(_))), "field {at} = {wide}: {err:?}");
         }
         assert_eq!(replica.dump_text().unwrap(), before, "refusals must not mutate");

@@ -34,7 +34,7 @@ pub mod net;
 
 use krb_crypto::DesKey;
 use krb_kdb::dump as kdump;
-use krb_kdb::{DbError, PrincipalDb, PrincipalEntry, Store};
+use krb_kdb::{DbError, PrincipalDb, Records, Store};
 
 pub use incr::{
     build_full_seq, build_incr_segment, packet_kind, verify_full_seq, Applied, IncrReplica,
@@ -104,16 +104,17 @@ impl From<DbError> for PropError {
     }
 }
 
-/// Slave side, install half: replace the slave store's contents with the
-/// entries [`verify_full_seq`] returned and reopen it as a principal
-/// database under the same master key. Generic over the store, so a
-/// file-backed slave installs through the same call as the in-memory mirror.
+/// Slave side, install half: fill a fresh slave store with the records
+/// [`verify_full_seq`] returned and open it as a principal database under
+/// the same master key. Generic over the store, so a file-backed slave
+/// installs through the same call as the in-memory mirror; a store that
+/// already holds records is refused ([`kdump::install`]).
 pub fn kpropd_install<S: Store>(
     mut store: S,
-    entries: &[PrincipalEntry],
+    records: Records,
     master_key: DesKey,
 ) -> Result<PrincipalDb<S>, PropError> {
-    kdump::install(&mut store, entries)?;
+    kdump::install(&mut store, records)?;
     Ok(PrincipalDb::open(store, master_key)?)
 }
 
@@ -165,8 +166,8 @@ mod tests {
 
     fn receive(packet: &[u8]) -> Result<PrincipalDb<MemStore>, PropError> {
         let key = string_to_key("master");
-        let (_, entries) = verify_full_seq(&Scheduled::new(&key), packet)?;
-        kpropd_install(MemStore::new(), &entries, key)
+        let (_, records) = verify_full_seq(&Scheduled::new(&key), packet)?;
+        kpropd_install(MemStore::new(), records, key)
     }
 
     #[test]
@@ -268,11 +269,16 @@ mod tests {
         let packet = full_dump(&m);
         let slave1 = receive(&packet).unwrap();
         assert_eq!(slave1.len(), m.len());
-        // Re-install the same dump over an already-populated store.
-        let (_, entries) = verify_full_seq(m.master_sched(), &packet).unwrap();
+        // The same dump again lands in a fresh store as the same realm; a
+        // store that already holds it is refused, not merged into.
+        let (_, records) = verify_full_seq(m.master_sched(), &packet).unwrap();
         let mut store = MemStore::new();
-        kdump::install(&mut store, &entries).unwrap();
-        let slave2 = kpropd_install(store, &entries, string_to_key("master")).unwrap();
-        assert_eq!(slave2.len(), m.len());
+        kdump::install(&mut store, records.clone()).unwrap();
+        assert!(matches!(
+            kpropd_install(store, records.clone(), string_to_key("master")).map(|_| ()),
+            Err(PropError::Db(DbError::AlreadyExists(_)))
+        ));
+        let slave2 = kpropd_install(MemStore::new(), records, string_to_key("master")).unwrap();
+        assert_eq!(kdump::dump(&slave2).unwrap(), kdump::dump(&slave1).unwrap());
     }
 }

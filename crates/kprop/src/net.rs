@@ -425,6 +425,34 @@ mod tests {
         assert_eq!(events[3].trace, Some(trace2));
     }
 
+    /// A dump whose checksum and framing are valid but whose last line
+    /// does not parse is refused whole: the parse runs before anything is
+    /// installed, so the mirror, its sequence number and the install hook
+    /// are untouched.
+    #[test]
+    fn a_sealed_dump_with_a_corrupt_last_line_is_refused_whole() {
+        let master = master_db();
+        let installs = Arc::new(Mutex::new(0usize));
+        let installs2 = Arc::clone(&installs);
+        let mut svc = IncrKpropdService::new(string_to_key("mk"), move |_| *installs2.lock() += 1);
+        let deliver = |payload: Vec<u8>| Packet { src: MASTER_EP, dst: SLAVE_EP, payload, id: 0, trace: None, spoofed: false };
+        assert_eq!(svc.handle(&deliver(full_dump(&master))).as_deref(), Some(&b"OK 0"[..]));
+        let before = svc.replica().dump_text();
+
+        let mut newer = master_db();
+        newer.delete("u3", "").unwrap();
+        let mut text = kdump::dump(&newer).unwrap();
+        // The last key's last hex digit becomes a non-digit.
+        let at = text.len() - 2;
+        text.replace_range(at..=at, "g");
+        let packet = build_full_seq(master.master_sched(), 5, text.as_bytes());
+        let reply = svc.handle(&deliver(packet)).unwrap_or_default();
+        assert!(reply.starts_with(b"ERR"), "{:?}", String::from_utf8_lossy(&reply));
+        assert_eq!(svc.replica().dump_text(), before, "the mirror is untouched");
+        assert_eq!(svc.applied_seq(), 0);
+        assert_eq!(*installs.lock(), 1, "the hook saw only the bootstrap");
+    }
+
     /// The frame `kprop` spoke before `KFULSEQ1`: checksum ‖ length ‖ dump,
     /// no magic. Kept only to show the one service refuses it.
     fn legacy_frame(db: &PrincipalDb<MemStore>) -> Vec<u8> {

@@ -164,14 +164,13 @@ pub fn run_with_journal(config: ScenarioConfig, journal: Option<Arc<Journal>>) -
                     vec![("bytes", Field::from(packet.len()))],
                 );
             }
-            // One checksum verification covers the packet; each slave
-            // installs from a fresh parse of the same verified entries.
-            let (_, entries) = verify_full_seq(&master_sched, &packet).expect("verify");
-            let count = entries.len();
+            // One checksum verification and one install cover the packet;
+            // each slave takes an O(1) snapshot of the installed tree.
+            let (_, records) = verify_full_seq(&master_sched, &packet).expect("verify");
+            let count = records.len();
+            let db = kpropd_install(krb_kdb::MemStore::new(), records, dep.master_key).expect("install");
             for (slave_idx, (_, slave)) in dep.slaves.iter().enumerate() {
-                let db = kpropd_install(krb_kdb::MemStore::new(), &entries, dep.master_key)
-                    .expect("install");
-                slave.install_db(db);
+                slave.install_db(db.snapshot_mem().expect("snapshot"));
                 if let Some(journal) = &journal {
                     journal.record(
                         at_us,

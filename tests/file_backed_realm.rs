@@ -86,10 +86,10 @@ fn propagation_from_file_backed_master_to_file_backed_slave() {
     let dump = athena_kerberos::kdb::dump::dump(&db).unwrap();
     let packet = athena_kerberos::kprop::build_full_seq(db.master_sched(), 0, dump.as_bytes());
     let slave_store = HashStore::open(&slave_base).unwrap();
-    let (_, entries) =
+    let (_, records) =
         athena_kerberos::kprop::verify_full_seq(db.master_sched(), &packet).unwrap();
     let slave_db =
-        athena_kerberos::kprop::kpropd_install(slave_store, &entries, string_to_key("master"))
+        athena_kerberos::kprop::kpropd_install(slave_store, records, string_to_key("master"))
             .unwrap();
     assert_eq!(slave_db.len(), db.len());
     let slave = Kdc::new(slave_db, RealmConfig::new(REALM), fixed_clock(NOW), KdcRole::Slave, 3);

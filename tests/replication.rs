@@ -35,8 +35,8 @@ fn full_dump<S: Store>(db: &PrincipalDb<S>) -> Vec<u8> {
 /// `kpropd`'s half: verify under the master key, install in a fresh store.
 fn receive(packet: &[u8], dep: &Deployment) -> Result<PrincipalDb<MemStore>, PropError> {
     let sched = athena_kerberos::crypto::Scheduled::new(&dep.master_key);
-    let (_, entries) = verify_full_seq(&sched, packet)?;
-    kpropd_install(MemStore::new(), &entries, dep.master_key)
+    let (_, records) = verify_full_seq(&sched, packet)?;
+    kpropd_install(MemStore::new(), records, dep.master_key)
 }
 
 fn ws(dep: &Deployment) -> Workstation {
