@@ -702,8 +702,8 @@ impl Engine {
             {
                 let Ok(text) = std::str::from_utf8(&p.payload[28..]) else { continue };
                 let Ok(records) = kdump::parse(text) else { continue };
-                for (_, record) in records {
-                    let Ok(e) = PrincipalEntryView::decode(&record) else { continue };
+                for record in &records {
+                    let Ok(e) = PrincipalEntryView::decode(record.value()) else { continue };
                     let mut block = e.key_encrypted;
                     self.sched.decrypt_block(&mut block);
                     let k = DesKey::from_bytes(block);

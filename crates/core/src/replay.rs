@@ -9,8 +9,8 @@
 //! timestamp, a hash of the client's `name.instance@realm`, a hash of the
 //! authenticator ciphertext) — no string, no per-entry allocation.
 //! Fingerprints are grouped into *generations* by timestamp
-//! (`timestamp >> GEN_SHIFT`), and a generation stores each one in 16
-//! bytes: the generation already holds the timestamp's high bits. The
+//! (`timestamp >> GEN_SHIFT`), and a generation stores each one in one
+//! 8-byte word: the generation already holds the timestamp's high bits. The
 //! requests arriving now all land in the one or two newest generations,
 //! and expiry drops whole generations:
 //! an entry leaves once its timestamp is more than `2 × MAX_SKEW_SECS`
@@ -96,11 +96,12 @@ pub fn hash_bytes(data: &[u8]) -> u64 {
     fnv1a(FNV_OFFSET, data)
 }
 
-/// Hasher for a generation's entries. Both words it is fed are already
-/// 64-bit hashes, so it only folds them together; the multiply and
-/// shift in `finish` spread the fold over both ends of the word, because
-/// the table takes its bucket from the low bits and its tag from the high
-/// ones, and a stripe's fingerprints all share their `auth_hash` low bits.
+/// Hasher for a generation's entries. The word it is fed is already a
+/// hash, so it only folds what it is given; the multiply and shift in
+/// `finish` spread the fold over both ends of the word, because the table
+/// takes its bucket from the low bits and its tag from the high ones, and
+/// an entry's low bits are its timestamp offset, shared by every request
+/// of one second.
 #[derive(Default)]
 struct FoldHasher(u64);
 
@@ -131,30 +132,39 @@ const GEN_SHIFT: u32 = 6;
 /// generation.
 const OFFSET: u64 = (1 << GEN_SHIFT) - 1;
 
-/// What a generation's set stores for one request: the fingerprint less
-/// the timestamp bits the generation key already holds. `tagged` is
-/// `client_hash` with its low [`GEN_SHIFT`] bits replaced by the
-/// timestamp's offset, so the generation key and `tagged` give back the
-/// exact timestamp. Two requests of one generation compare equal when
-/// their timestamps, the high 58 bits of their client hashes and their
-/// authenticator hashes agree.
+/// What a generation's set stores for one request: one word. Its low
+/// [`GEN_SHIFT`] bits are the timestamp's offset, so the generation key
+/// and the word give back the exact timestamp; the other 58 bits are
+/// `client_hash ^ auth_hash · MIX` with those low bits dropped. Two
+/// requests of one generation compare equal when their timestamps agree
+/// and so do the 58 mixed bits: a byte-identical replay always does, two
+/// distinct requests only by a 2⁻⁵⁸ chance (DESIGN.md §4).
+///
+/// `MIX` is odd, so `auth_hash · MIX` is a bijection whose low `i` bits
+/// depend only on the low `i` bits of `auth_hash`: a one-bit change of
+/// `auth_hash` at bit `i` flips bit `i` of the product and, for `i <
+/// GEN_SHIFT`, moves the product by more than the offset bits can hold,
+/// so it always reaches the stored bits. The multiply also carries the
+/// bits that vary within a stripe (everything above `auth_hash`'s low
+/// four) into the whole upper word, where [`FoldHasher`] finds them.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct Entry {
-    tagged: u64,
-    auth_hash: u64,
-}
+struct Entry(u64);
 
-// An entry is 16 bytes; any other size fails to compile here.
-const _: [(); 16] = [(); std::mem::size_of::<Entry>()];
+// An entry is one word; any other size fails to compile here.
+const _: [(); 8] = [(); std::mem::size_of::<Entry>()];
+
+/// The odd multiplier of [`Entry`]'s mix (2⁶⁴ over the golden ratio).
+const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 
 impl Entry {
     fn new(fp: &ReplayFingerprint) -> Self {
-        Entry { tagged: fp.client_hash & !OFFSET | u64::from(fp.timestamp) & OFFSET, auth_hash: fp.auth_hash }
+        let mixed = fp.client_hash ^ fp.auth_hash.wrapping_mul(MIX);
+        Entry(mixed & !OFFSET | u64::from(fp.timestamp) & OFFSET)
     }
 
     /// The timestamp of an entry stored in generation `generation`.
     fn timestamp(&self, generation: u32) -> u32 {
-        generation << GEN_SHIFT | (self.tagged & OFFSET) as u32
+        generation << GEN_SHIFT | (self.0 & OFFSET) as u32
     }
 }
 
@@ -546,15 +556,61 @@ mod tests {
                 let fp = ReplayFingerprint { timestamp, client_hash, auth_hash: 7 };
                 let e = Entry::new(&fp);
                 assert_eq!(e.timestamp(timestamp >> GEN_SHIFT), timestamp, "{client_hash:x} {timestamp}");
-                assert_eq!(e.tagged & !OFFSET, client_hash & !OFFSET, "the client hash keeps its high bits");
-                assert_eq!(e.auth_hash, 7);
             }
         }
         // Offsets 0 and 63 of one generation are two entries, not one.
         let at = |timestamp| Entry::new(&ReplayFingerprint { timestamp, client_hash: u64::MAX, auth_hash: 1 });
         assert_ne!(at(64), at(127));
-        assert_eq!(at(127).tagged, u64::MAX);
-        assert_eq!(at(64).tagged, u64::MAX & !OFFSET);
+    }
+
+    #[test]
+    fn one_bit_of_either_hash_changes_the_stored_word() {
+        // Every bit of `auth_hash` and every bit of `client_hash` above the
+        // offset reaches the word, from several starting points.
+        let bases = [0, 1, 9, u64::MAX, OFFSET, 0xdead_beef_0000_003f, 0x8000_0000_0000_0000, 0x0123_4567_89ab_cdef];
+        for client_hash in bases {
+            for auth_hash in bases {
+                for timestamp in [0, 100, 127] {
+                    let fp = ReplayFingerprint { timestamp, client_hash, auth_hash };
+                    let e = Entry::new(&fp);
+                    for bit in 0..64 {
+                        let flipped = ReplayFingerprint { auth_hash: auth_hash ^ 1 << bit, ..fp };
+                        assert_ne!(Entry::new(&flipped), e, "auth bit {bit} of {auth_hash:x}");
+                        if bit >= GEN_SHIFT {
+                            let flipped = ReplayFingerprint { client_hash: client_hash ^ 1 << bit, ..fp };
+                            assert_ne!(Entry::new(&flipped), e, "client bit {bit} of {client_hash:x}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_dense_second_is_accepted_whole_then_refused_whole() {
+        // 2^20 distinct authenticators from 64 clients, all under one
+        // timestamp: 58 bits keep every one apart, and every one is then
+        // caught as a replay.
+        const CLIENTS: u32 = 64;
+        const PER_CLIENT: u32 = 1 << 14;
+        let rc = ReplayCache::new();
+        let ts = 1_000_000;
+        let fp = |c: u32, i: u32| {
+            let client = format!("user{c}");
+            ReplayFingerprint::new((&client, "", "ATHENA.MIT.EDU"), ts, &(c * PER_CLIENT + i).to_be_bytes())
+        };
+        for c in 0..CLIENTS {
+            for i in 0..PER_CLIENT {
+                assert!(rc.check_fingerprint(fp(c, i), ts), "client {c} request {i} refused");
+            }
+        }
+        assert_eq!(rc.len(), (CLIENTS * PER_CLIENT) as usize);
+        for c in 0..CLIENTS {
+            for i in 0..PER_CLIENT {
+                assert!(!rc.check_fingerprint(fp(c, i), ts), "client {c} request {i} replayed");
+            }
+        }
+        assert_eq!(rc.replay_hits(), u64::from(CLIENTS * PER_CLIENT));
     }
 
     #[test]
@@ -592,10 +648,10 @@ mod tests {
     }
 
     #[test]
-    fn a_full_window_costs_at_most_24_bytes_an_entry() {
+    fn a_full_window_costs_at_most_12_bytes_an_entry() {
         // ticket_steady's caches hold 140k–180k entries: 200 requests a
         // second over 900 s. The 24-byte fingerprint stored itself at
-        // 31–34 bytes an entry.
+        // 31–34 bytes an entry, the 16-byte entry at 21.8.
         const PER_SECOND: u32 = 200;
         let rc = ReplayCache::new();
         let base = 1_000_000;
@@ -609,6 +665,6 @@ mod tests {
         let bytes: usize =
             rc.stripes.iter().map(|s| s.lock().gens.values().map(table_bytes).sum::<usize>()).sum();
         let per_entry = bytes as f64 / 180_000.0;
-        assert!(per_entry <= 24.0, "{per_entry:.1} bytes an entry");
+        assert!(per_entry <= 12.0, "{per_entry:.1} bytes an entry");
     }
 }

@@ -316,6 +316,55 @@ impl FastDes {
         fp(r[0].rotate_right(1), l[0].rotate_right(1))
     }
 
+    /// A CBC chain walked from both ends: forward from `iv` over `front`,
+    /// and backward from `last`, the claimed final ciphertext, over `back`
+    /// (the remaining blocks, last first), each backward step undoing one
+    /// forward step: X₍ᵢ₋₁₎ = D(Xᵢ) ⊕ Pᵢ. Returns the two words where the
+    /// walks stop, which are equal exactly when `last` is the chain's true
+    /// end, every step being a bijection. The two walks are independent, so
+    /// they run as two lanes of one [`rounds`] call, the backward lane on
+    /// the reversed schedule; both stay in the IP domain, as in
+    /// [`Self::cbc_last_u64`]. `back` holds as many blocks as `front` or
+    /// more; those past `front`'s length run in the backward lane alone.
+    pub(crate) fn cbc_meet_u64(
+        &self,
+        iv: u64,
+        front: impl Iterator<Item = u64>,
+        last: u64,
+        mut back: impl Iterator<Item = u64>,
+    ) -> (u64, u64) {
+        let sp = sp_tables();
+        let rotated = |word: u64| {
+            let (hi, lo) = ip(word);
+            (hi.rotate_left(1), lo.rotate_left(1))
+        };
+        // Each walk's state is IP of its current ciphertext word, as
+        // rotated halves.
+        let (mut fwd, mut bwd) = (rotated(iv), rotated(last));
+        let xor_in = |(hi, lo): (u32, u32), block: u64| {
+            let (bl, br) = rotated(block);
+            (hi ^ bl, lo ^ br)
+        };
+        // Forward: XOR the block in, then the rounds. Backward: the
+        // rounds, then XOR the block in. Either way the rounds' output
+        // (L16, R16) is IP of the next word as (R16, L16).
+        let both = (0..16).map(|round| [&self.subkeys[round], &self.subkeys[15 - round]]);
+        for (f, b) in front.zip(back.by_ref()) {
+            let (fl, fr) = xor_in(fwd, f);
+            let (mut l, mut r) = ([fl, bwd.0], [fr, bwd.1]);
+            rounds(sp, both.clone(), &mut l, &mut r);
+            fwd = (r[0], l[0]);
+            bwd = xor_in((r[1], l[1]), b);
+        }
+        for b in back {
+            let (mut l, mut r) = ([bwd.0], [bwd.1]);
+            rounds(sp, self.subkeys.iter().rev().map(|k| [k]), &mut l, &mut r);
+            bwd = xor_in((r[0], l[0]), b);
+        }
+        let word = |(hi, lo): (u32, u32)| fp(hi.rotate_right(1), lo.rotate_right(1));
+        (word(fwd), word(bwd))
+    }
+
     /// Decrypt one 64-bit block.
     pub fn decrypt_block_u64(&self, block: u64) -> u64 {
         let [out] = self.decrypt_blocks_u64([block]);

@@ -44,8 +44,8 @@ pub use key::{constant_time_eq, DesKey, KeyGenerator};
 pub use sched::Scheduled;
 pub use secret::SecretKey;
 pub use modes::{
-    cbc_checksum_with, decrypt_raw_with, encrypt_raw_with, seal_in_place, seal_nested_in_place,
-    seal_with, unseal_in_place, unseal_with, Mode, BLOCK,
+    cbc_checksum_matches_with, cbc_checksum_with, decrypt_raw_with, encrypt_raw_with, seal_in_place,
+    seal_nested_in_place, seal_with, unseal_in_place, unseal_with, Mode, BLOCK,
 };
 pub use string_to_key::string_to_key;
 

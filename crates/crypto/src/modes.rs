@@ -25,6 +25,7 @@
 //! frame with a 4-byte big-endian length followed by zero padding).
 
 use crate::fast::FastDes;
+use crate::key::constant_time_eq;
 use crate::sched::Scheduled;
 use crate::CryptoError;
 
@@ -345,12 +346,46 @@ pub fn unseal_with(
 /// one word of CBC state, which stays in the IP domain from the first block
 /// to the last; a short (or absent) final block is zero-padded.
 pub fn cbc_checksum_with(sched: &Scheduled, iv: &[u8; 8], data: &[u8]) -> [u8; 8] {
+    let (blocks, padded) = checksum_blocks(data);
+    let words = blocks.iter().chain(&padded).map(|b| u64::from_be_bytes(*b));
+    sched.des().cbc_last_u64(u64::from_be_bytes(*iv), words).to_be_bytes()
+}
+
+/// Whether `claimed` is [`cbc_checksum_with`]`(sched, iv, data)`, checked
+/// from both ends: the chain runs forward from `iv` over the first half of
+/// the blocks and backward from `claimed` over the second, the two halves
+/// side by side, and the answer is whether the two walks meet in the same
+/// word (compared in constant time). Every step is a bijection, so they
+/// meet exactly when the checksum is right — at about half the serial
+/// depth of recomputing it. Only a check can run this way: the backward
+/// walk needs the claimed end, which a sealer does not have yet.
+pub fn cbc_checksum_matches_with(
+    sched: &Scheduled,
+    iv: &[u8; 8],
+    data: &[u8],
+    claimed: &[u8; 8],
+) -> bool {
+    let (blocks, padded) = checksum_blocks(data);
+    // The front half is the shorter, and it never reaches past the whole
+    // blocks: one block is padded in when `blocks` is empty.
+    let (front, back) = blocks.split_at((blocks.len() + usize::from(padded.is_some())) / 2);
+    let word = |b: &[u8; BLOCK]| u64::from_be_bytes(*b);
+    let (fwd, bwd) = sched.des().cbc_meet_u64(
+        word(iv),
+        front.iter().map(word),
+        word(claimed),
+        back.iter().chain(&padded).rev().map(word),
+    );
+    constant_time_eq(&fwd.to_be_bytes(), &bwd.to_be_bytes())
+}
+
+/// `data` as the blocks a CBC checksum runs over: its whole blocks, then
+/// its short tail zero-padded, or one zero block when `data` is empty.
+fn checksum_blocks(data: &[u8]) -> (&[[u8; BLOCK]], Option<[u8; BLOCK]>) {
     let (blocks, rest) = data.as_chunks::<BLOCK>();
     let mut last = [0u8; BLOCK];
     last[..rest.len()].copy_from_slice(rest);
-    let padded = (!rest.is_empty() || blocks.is_empty()).then_some(&last);
-    let words = blocks.iter().chain(padded).map(|b| u64::from_be_bytes(*b));
-    sched.des().cbc_last_u64(u64::from_be_bytes(*iv), words).to_be_bytes()
+    (blocks, (!rest.is_empty() || blocks.is_empty()).then_some(last))
 }
 
 #[cfg(test)]
@@ -543,6 +578,40 @@ mod tests {
                 des.encrypt_block(&mut chain);
             }
             assert_eq!(cbc_checksum_with(&k(), &IV, &data), chain, "len {len}");
+        }
+    }
+
+    /// The check from both ends against the forward recomputation: the
+    /// right checksum passes, and every one-bit change of the checksum or
+    /// of the first, middle or last block is refused, at every length up
+    /// to ten blocks and one long one.
+    #[test]
+    fn checking_from_both_ends_agrees_with_recomputing() {
+        let verdicts = |data: &[u8], claimed: &[u8; 8]| {
+            let ends = cbc_checksum_matches_with(&k(), &IV, data, claimed);
+            assert_eq!(ends, cbc_checksum_with(&k(), &IV, data) == *claimed, "len {}", data.len());
+            ends
+        };
+        for len in (0usize..=80).chain([4099]) {
+            let data: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            let sum = cbc_checksum_with(&k(), &IV, &data);
+            assert!(verdicts(&data, &sum), "len {len}");
+            for bit in 0..64 {
+                let mut wrong = sum;
+                wrong[bit / 8] ^= 1 << (bit % 8);
+                assert!(!verdicts(&data, &wrong), "len {len}, checksum bit {bit}");
+            }
+            if len == 0 {
+                continue;
+            }
+            let last = (len - 1) / BLOCK;
+            for at in [0, last / 2, last].map(|block| block * BLOCK) {
+                for bit in 0..8 * BLOCK.min(len - at) {
+                    let mut tampered = data.clone();
+                    tampered[at + bit / 8] ^= 1 << (bit % 8);
+                    assert!(!verdicts(&tampered, &sum), "len {len}, bit {bit} of the block at {at}");
+                }
+            }
         }
     }
 

@@ -7,7 +7,7 @@
 //! fails immediately instead of silently decrypting garbage.
 
 use crate::principal::{PrincipalEntry, PrincipalEntryView, ATTR_DISABLED, NAME_SZ};
-use crate::store::Store;
+use crate::store::{Records, Store};
 use crate::DbError;
 use krb_crypto::{constant_time_eq, encrypt_raw_with, DesKey, Mode, Scheduled};
 
@@ -159,7 +159,8 @@ impl<S: Store> PrincipalDb<S> {
         let plain: Vec<u8> = principals.iter().flat_map(|(_, _, key)| *key.as_bytes()).collect();
         let wrapped = encrypt_raw_with(Mode::Ecb, &self.master, &[0; 8], &plain)
             .map_err(|e| DbError::Corrupt(format!("key wrap: {e}")))?;
-        let pairs = principals
+        let mut scratch = Vec::new();
+        let records: Records = principals
             .iter()
             .zip(wrapped.as_chunks::<8>().0)
             .map(|((name, instance, _), &key_encrypted)| {
@@ -174,10 +175,10 @@ impl<S: Store> PrincipalDb<S> {
                     mod_time: now,
                     mod_by,
                 };
-                (PrincipalEntry::db_key(name, instance), entry.encode())
+                entry.to_record(&mut scratch)
             })
             .collect();
-        self.store.bulk_load(pairs)
+        self.store.bulk_load(records)
     }
 
     /// Fetch a principal's record (key still encrypted).

@@ -131,8 +131,8 @@ pub fn dump<S: Store>(db: &PrincipalDb<S>) -> Result<String, DbError> {
 }
 
 /// Parse a dump, validating the header and count, straight into the
-/// `(db key, encoded record)` pairs a store holds: no line becomes an
-/// owned entry on the way.
+/// records a store holds (db key, encoded value): no line becomes an owned
+/// entry on the way, and each record's value is its one allocation.
 pub fn parse(dump: &str) -> Result<Records, DbError> {
     let mut lines = dump.lines();
     let header = lines.next().ok_or_else(|| DbError::Corrupt("empty dump".into()))?;
@@ -148,9 +148,9 @@ pub fn parse(dump: &str) -> Result<Records, DbError> {
     // realm, and moves it on the way), but never past what the text could
     // hold: a line is nine fields, the last sixteen hex digits.
     let mut records = Vec::with_capacity(count.min(dump.len() / 32));
+    let mut scratch = Vec::new();
     for line in lines {
-        let e = line_view(line)?;
-        records.push((PrincipalEntry::db_key(e.name, e.instance), e.encode()));
+        records.push(line_view(line)?.to_record(&mut scratch));
     }
     if records.len() != count {
         return Err(DbError::Corrupt(format!(
@@ -210,10 +210,10 @@ mod tests {
         assert_eq!(records.len(), 5);
         let mut stored = Vec::new();
         db.store().for_each(&mut |k, v| stored.push((k.to_vec(), v.to_vec()))).unwrap();
-        let mut parsed = records.clone();
+        let mut parsed: Vec<_> = records.iter().map(|r| (r.key().to_vec(), r.value().to_vec())).collect();
         parsed.sort();
         assert_eq!(parsed, stored, "every record parses back to its stored bytes");
-        assert!(records.iter().any(|(k, _)| k == b"K.M"));
+        assert!(records.iter().any(|r| r.key() == b"K.M"));
     }
 
     #[test]

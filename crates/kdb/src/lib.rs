@@ -24,7 +24,7 @@ pub mod store;
 pub use db::{PrincipalDb, MASTER_INSTANCE, MASTER_NAME};
 pub use ndbm::{HashStore, StoreStats};
 pub use principal::{PrincipalEntry, PrincipalEntryView, ATTR_DISABLED, ATTR_NO_TGS, NAME_SZ};
-pub use store::{Cursor, MemStore, Records, Store};
+pub use store::{Cursor, MemStore, Record, Records, Store};
 
 /// Errors produced by the database library.
 #[derive(Debug, Clone, PartialEq, Eq)]

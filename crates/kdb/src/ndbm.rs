@@ -16,7 +16,7 @@
 //!
 //! [`sync`]: Store::sync
 
-use crate::store::Store;
+use crate::store::{Record, Records, Store};
 use crate::DbError;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -389,25 +389,24 @@ impl HashStore {
     /// duplicate keys resolve last-write-wins, so the result is
     /// lookup-equivalent to calling [`Store::store`] per pair in order.
     /// The page cache is left empty: a bulk-loaded store starts cold.
-    fn bulk_load_presplit(&mut self, new_pairs: Vec<(Vec<u8>, Vec<u8>)>) -> Result<(), DbError> {
-        for (k, v) in &new_pairs {
-            if k.len() + v.len() > MAX_RECORD {
-                return Err(DbError::RecordTooLarge(k.len() + v.len()));
+    fn bulk_load_presplit(&mut self, new_records: Records) -> Result<(), DbError> {
+        for r in &new_records {
+            if r.key().len() + r.value().len() > MAX_RECORD {
+                return Err(DbError::RecordTooLarge(r.key().len() + r.value().len()));
             }
         }
         // Existing records first, then the batch: later writes win.
-        let mut pairs: Vec<(Vec<u8>, Vec<u8>)> =
-            Vec::with_capacity(self.record_count as usize + new_pairs.len());
-        self.for_each(&mut |k, v| pairs.push((k.to_vec(), v.to_vec())))?;
-        pairs.extend(new_pairs);
+        let mut pairs: Records = Vec::with_capacity(self.record_count as usize + new_records.len());
+        self.for_each(&mut |k, v| pairs.push(Record::new(k, v)))?;
+        pairs.extend(new_records);
         // Stable-sort reversed input by key: the first element of each
         // equal-key run is the latest write; dedup_by keeps it.
         pairs.reverse();
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        pairs.dedup_by(|cur, prev| cur.0 == prev.0);
+        pairs.sort_by(|a, b| a.key().cmp(b.key()));
+        pairs.dedup_by(|cur, prev| cur.key() == prev.key());
 
-        let hashes: Vec<u64> = pairs.iter().map(|(k, _)| fnv1a(k)).collect();
-        let entry_size = |i: usize| 4 + pairs[i].0.len() + pairs[i].1.len();
+        let hashes: Vec<u64> = pairs.iter().map(|r| fnv1a(r.key())).collect();
+        let entry_size = |i: usize| 4 + pairs[i].key().len() + pairs[i].value().len();
 
         // Logical buckets: (local_depth, used bytes, member indices).
         struct Bucket {
@@ -468,7 +467,7 @@ impl HashStore {
         for bucket in &buckets {
             let mut page = Page::empty(bucket.depth);
             for &i in &bucket.items {
-                page.push(&pairs[i].0, &pairs[i].1);
+                page.push(pairs[i].key(), pairs[i].value());
             }
             self.pag.write_all(&page.0[..]).map_err(DbError::io)?;
         }
@@ -583,8 +582,8 @@ impl Store for HashStore {
         self.sync_dir()
     }
 
-    fn bulk_load(&mut self, pairs: Vec<(Vec<u8>, Vec<u8>)>) -> Result<(), DbError> {
-        self.bulk_load_presplit(pairs)
+    fn bulk_load<R: Into<Record>>(&mut self, records: Vec<R>) -> Result<(), DbError> {
+        self.bulk_load_presplit(records.into_iter().map(Into::into).collect())
     }
 }
 

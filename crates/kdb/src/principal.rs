@@ -9,6 +9,7 @@
 //! master database key"), so a record is safe to write to disk, dump, and
 //! send to slaves.
 
+use crate::store::Record;
 use crate::DbError;
 
 /// Maximum length of a name or instance component (V4's `ANAME_SZ`).
@@ -49,9 +50,7 @@ impl PrincipalEntry {
     /// Database key under which this entry is stored: `name.instance`.
     pub fn db_key(name: &str, instance: &str) -> Vec<u8> {
         let mut k = Vec::with_capacity(name.len() + 1 + instance.len());
-        k.extend_from_slice(name.as_bytes());
-        k.push(b'.');
-        k.extend_from_slice(instance.as_bytes());
+        push_db_key(&mut k, name, instance);
         k
     }
 
@@ -162,21 +161,37 @@ impl<'a> PrincipalEntryView<'a> {
         Ok(entry)
     }
 
-    /// Serialize to the on-disk value format (versioned, big-endian): the
-    /// one record encoder.
+    /// Serialize to the on-disk value format (versioned, big-endian).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(24 + self.name.len() + self.instance.len() + self.mod_by.len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// This entry as the record a store keeps: its db key and its encoded
+    /// value, built in `scratch` (cleared first, then reused by the
+    /// caller) so the record's value is the only allocation.
+    pub(crate) fn to_record(&self, scratch: &mut Vec<u8>) -> Record {
+        scratch.clear();
+        push_db_key(scratch, self.name, self.instance);
+        let key_len = scratch.len();
+        self.encode_into(scratch);
+        let (key, value) = scratch.split_at(key_len);
+        Record::new(key, value)
+    }
+
+    /// Append the on-disk value format to `out`: the one record encoder.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(1); // record format version
-        push_str(&mut out, self.name);
-        push_str(&mut out, self.instance);
+        push_str(out, self.name);
+        push_str(out, self.instance);
         out.extend_from_slice(&self.key_encrypted);
         out.push(self.key_version);
         out.extend_from_slice(&self.expiration.to_be_bytes());
         out.push(self.max_life);
         out.extend_from_slice(&self.attributes.to_be_bytes());
         out.extend_from_slice(&self.mod_time.to_be_bytes());
-        push_str(&mut out, self.mod_by);
-        out
+        push_str(out, self.mod_by);
     }
 
     /// An owned copy.
@@ -205,6 +220,13 @@ fn validate_component(s: &str) -> Result<(), DbError> {
         return Err(DbError::BadName(format!("illegal character in {s:?}")));
     }
     Ok(())
+}
+
+/// Append the db key `name.instance` to `out`.
+fn push_db_key(out: &mut Vec<u8>, name: &str, instance: &str) {
+    out.extend_from_slice(name.as_bytes());
+    out.push(b'.');
+    out.extend_from_slice(instance.as_bytes());
 }
 
 /// Append a 1-byte-length-prefixed string. The length field holds at most

@@ -13,8 +13,48 @@ use crate::DbError;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// `(key, value)` records in a batch, as [`Store::bulk_load`] takes them.
-pub type Records = Vec<(Vec<u8>, Vec<u8>)>;
+/// A batch of records, as the dump parser and `bulk_register` build them
+/// for [`Store::bulk_load`].
+pub type Records = Vec<Record>;
+
+/// One record of a batch: its key, held inline when short, and its value
+/// in the shared allocation a [`MemStore`] keeps, so a record built once
+/// goes into the tree without another copy.
+#[derive(Clone)]
+pub struct Record {
+    key: Key,
+    value: Arc<[u8]>,
+}
+
+impl Record {
+    /// A record of `key` and a copy of `value`: one allocation, the
+    /// value's (and the key's, past 22 bytes).
+    pub(crate) fn new(key: &[u8], value: &[u8]) -> Self {
+        Record { key: Key::new(key), value: Arc::from(value) }
+    }
+
+    /// The key.
+    pub fn key(&self) -> &[u8] {
+        self.key.bytes()
+    }
+
+    /// The value.
+    pub fn value(&self) -> &[u8] {
+        &self.value
+    }
+}
+
+impl<K: AsRef<[u8]>, V: AsRef<[u8]>> From<(K, V)> for Record {
+    fn from((key, value): (K, V)) -> Self {
+        Record::new(key.as_ref(), value.as_ref())
+    }
+}
+
+impl std::fmt::Debug for Record {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Record").field(&self.key()).field(&self.value()).finish()
+    }
+}
 
 /// A flat key/value store with `ndbm`-style semantics: byte-string keys and
 /// values, single writer, full-scan iteration (`firstkey`/`nextkey`).
@@ -37,14 +77,17 @@ pub trait Store {
     fn sync(&mut self) -> Result<(), DbError>;
     /// Insert a batch of records in one pass, then flush. Duplicate keys
     /// resolve last-write-wins, so the result is lookup-equivalent to
-    /// calling [`Store::store`] once per pair in order. Engines may
+    /// calling [`Store::store`] once per record in order. Engines may
     /// override with a batch-aware fast path (the extendible-hash store
     /// pre-splits its directory instead of splitting one overflow at a
     /// time, and [`MemStore`] builds its tree bottom-up); the default is a
-    /// plain loop.
-    fn bulk_load(&mut self, pairs: Records) -> Result<(), DbError> {
-        for (k, v) in &pairs {
-            self.store(k, v)?;
+    /// plain loop. A batch is [`Records`] or anything that converts to
+    /// them, such as `(key, value)` pairs of byte strings; [`Records`]
+    /// go in without a copy.
+    fn bulk_load<R: Into<Record>>(&mut self, records: Vec<R>) -> Result<(), DbError> {
+        for r in records {
+            let r = r.into();
+            self.store(r.key(), r.value())?;
         }
         self.sync()
     }
@@ -541,10 +584,13 @@ impl Store for MemStore {
 
     /// The records already here (sharing their values) and the batch, as
     /// one sorted run built bottom-up: no record is held twice.
-    fn bulk_load(&mut self, pairs: Records) -> Result<(), DbError> {
-        let mut all = Vec::with_capacity(self.len + pairs.len());
+    fn bulk_load<R: Into<Record>>(&mut self, records: Vec<R>) -> Result<(), DbError> {
+        let mut all = Vec::with_capacity(self.len + records.len());
         walk(&self.root, &mut |k, v| all.push((k.clone(), Arc::clone(v))))?;
-        all.extend(pairs.into_iter().map(|(k, v)| (Key::new(&k), Arc::from(v))));
+        all.extend(records.into_iter().map(|r| {
+            let Record { key, value } = r.into();
+            (key, value)
+        }));
         // The sort is stable, so the last of equal keys ends its run; its
         // value moves to the run's first entry, the one `dedup_by` keeps.
         all.sort_by(|a, b| a.0.bytes().cmp(b.0.bytes()));

@@ -10,7 +10,7 @@
 
 use krb_crypto::string_to_key;
 use krb_kdb::dump::{dump, entry_to_line, line_to_entry, parse};
-use krb_kdb::{DbError, MemStore, PrincipalDb, PrincipalEntry, Records, Store};
+use krb_kdb::{DbError, MemStore, PrincipalDb, PrincipalEntry, Store};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -109,13 +109,17 @@ fn admitted(e: &PrincipalEntry) -> bool {
 
 /// The store's records in key order, and the records its dump parses
 /// back to, sorted the same way.
-fn stored_and_parsed(db: &PrincipalDb<MemStore>) -> (Records, Records) {
+fn stored_and_parsed(db: &PrincipalDb<MemStore>) -> (Pairs, Pairs) {
     let mut stored = Vec::new();
     db.store().for_each(&mut |k, v| stored.push((k.to_vec(), v.to_vec()))).unwrap();
-    let mut parsed = parse(&dump(db).unwrap()).unwrap();
+    let records = parse(&dump(db).unwrap()).unwrap();
+    let mut parsed: Pairs = records.iter().map(|r| (r.key().to_vec(), r.value().to_vec())).collect();
     parsed.sort();
     (stored, parsed)
 }
+
+/// Records as `(key, value)` byte strings, which compare and sort.
+type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]

@@ -121,8 +121,8 @@ proptest! {
                 // The record itself, not only the dump line: the old
                 // snapshot still decrypts the pre-write key.
                 let key = PrincipalEntry::db_key(&user(*i), "");
-                let was = dump::parse(&before_text).unwrap().into_iter().find(|(k, _)| *k == key);
-                let was = was.map(|(_, record)| PrincipalEntry::decode(&record).unwrap());
+                let was = dump::parse(&before_text).unwrap().into_iter().find(|r| r.key() == key);
+                let was = was.map(|r| PrincipalEntry::decode(r.value()).unwrap());
                 prop_assert_eq!(before.db().get(&user(*i), "").unwrap(), was);
             }
             if step % 8 == 0 {

@@ -39,7 +39,7 @@
 //! converges or is rejected — never installs divergence.
 
 use crate::{kpropd_install, PropError};
-use krb_crypto::{cbc_checksum_with, constant_time_eq, DesKey, Scheduled};
+use krb_crypto::{cbc_checksum_matches_with, cbc_checksum_with, DesKey, Scheduled};
 use krb_kdb::dump as kdump;
 use krb_kdb::{MemStore, PrincipalDb, PrincipalEntry, Records, Store};
 use std::collections::VecDeque;
@@ -241,17 +241,17 @@ fn seal(master: &Scheduled, mut packet: Vec<u8>) -> Vec<u8> {
     packet
 }
 
-/// The keyed-checksum check of §5.3, for either wire format: recompute the
-/// checksum over everything after `magic || checksum` and compare. Every
-/// other field is read only from the payload this returns.
+/// The keyed-checksum check of §5.3, for either wire format: check the
+/// checksum over everything after `magic || checksum` from both ends of
+/// its chain at once. Every other field is read only from the payload this
+/// returns.
 fn verify_payload<'a>(master: &Scheduled, packet: &'a [u8]) -> Result<&'a [u8], PropError> {
     if packet.len() < 16 {
         return Err(PropError::BadPacket);
     }
     let sent_sum: [u8; 8] = packet[8..16].try_into().map_err(|_| PropError::BadPacket)?;
     let payload = &packet[16..];
-    let local = cbc_checksum_with(master, &[0u8; 8], payload);
-    if !constant_time_eq(&local, &sent_sum) {
+    if !cbc_checksum_matches_with(master, &[0u8; 8], payload, &sent_sum) {
         return Err(PropError::ChecksumMismatch);
     }
     Ok(payload)

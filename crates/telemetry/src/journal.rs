@@ -569,11 +569,6 @@ impl TraceCtx {
         &self.clock
     }
 
-    /// A context for the same journal/clock but a different login.
-    pub fn with_trace(&self, trace: TraceId) -> Self {
-        TraceCtx { journal: Arc::clone(&self.journal), clock: ClockUs::clone(&self.clock), trace }
-    }
-
     /// Record an event stamped with this context's trace and clock.
     pub fn record(&self, component: Component, kind: EventKind, fields: Vec<(&'static str, Field)>) {
         self.journal
